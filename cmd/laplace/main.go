@@ -62,9 +62,9 @@ func main() {
 		}
 		scfg := svm.DefaultConfig(m)
 		machine, err := core.NewMachine(core.Options{
-			Chip:    &chipCfg,
-			SVM:     &scfg,
-			Members: core.FirstN(*cores),
+			Topology: &chipCfg,
+			SVM:      &scfg,
+			Members:  core.FirstN(*cores),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

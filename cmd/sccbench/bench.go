@@ -9,8 +9,7 @@ import (
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/bench/runner"
-	"metalsvm/internal/cpu"
-	"metalsvm/internal/fastpath"
+	"metalsvm/internal/core"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/stats"
 )
@@ -19,11 +18,10 @@ import (
 const benchReportFile = "BENCH_sim.json"
 
 // benchExperiment is one quick-configuration experiment the -bench mode
-// times. run must be a pure function of the global fast-path switch and
-// the bench parallelism; simUS converts its result to total simulated
-// microseconds (for latency sweeps this is reconstructed from the reported
-// averages, so sim_cycles_per_sec is a throughput proxy, not an exact
-// retirement count).
+// runs. run must be a pure function of its configuration — the bench
+// parallelism and the intra worker default may not change its result; simUS
+// converts that result to total simulated microseconds (for latency sweeps
+// this is reconstructed from the reported averages).
 type benchExperiment struct {
 	name  string
 	run   func() any
@@ -76,158 +74,74 @@ func benchExperiments() []benchExperiment {
 	}
 }
 
-// benchSimRecord is one experiment's bit-exact simulated result. These
-// fields are pure functions of the experiment configuration — identical on
-// every machine, at every parallelism and intra worker count — and are the
-// only fields -baseline compares against the committed BENCH_sim.json.
+// benchSimRecord is one experiment's bit-exact simulated result: a pure
+// function of the experiment configuration, identical on every machine, at
+// every parallelism and intra worker count.
 type benchSimRecord struct {
 	Experiment  string  `json:"experiment"`
 	SimulatedUS float64 `json:"simulated_us"`
 }
 
-// benchHostRecord is one experiment's host wall-clock measurements. These
-// drift between machines and runs and are never part of the baseline
-// comparison. "Slow" is the reference configuration: fast paths off and one
-// simulation at a time — the seed's behaviour. All four configurations must
-// produce bit-identical simulation results; -bench exits non-zero if not.
-type benchHostRecord struct {
-	Experiment       string  `json:"experiment"`
-	SerialSlowSec    float64 `json:"serial_slow_sec"`
-	SerialFastSec    float64 `json:"serial_fast_sec"`
-	ParallelSec      float64 `json:"parallel_sec"`
-	IntraParallelSec float64 `json:"intra_parallel_sec"`
-	FastPathSpeedup  float64 `json:"fastpath_speedup"`
-	ParallelSpeedup  float64 `json:"parallel_speedup"`
-	IntraSpeedup     float64 `json:"intra_speedup"`
-	TotalSpeedup     float64 `json:"total_speedup"`
-	SimCyclesPerSec  float64 `json:"sim_cycles_per_sec"`
-	FastPathMatches  bool    `json:"fastpath_matches_reference"`
-	ParallelMatches  bool    `json:"parallel_matches_serial"`
-	IntraMatches     bool    `json:"intra_matches_serial"`
-}
-
+// benchReport is the content of BENCH_sim.json. It holds bit-exact fields
+// only, so regenerating it on any host reproduces the committed bytes; host
+// time is benchmark/'s job (repeated trials, medians, spread).
 type benchReport struct {
-	GOMAXPROCS   int `json:"gomaxprocs"`
-	Workers      int `json:"workers"`
-	IntraWorkers int `json:"intra_workers"`
-	// HostParallelMeaningful is false when the process cannot actually run
-	// anything concurrently (GOMAXPROCS=1) or was asked not to (one worker):
-	// the parallel and intra wall-clock columns then measure scheduling
-	// overhead, not speedup, and must not be read as such.
-	HostParallelMeaningful bool              `json:"host_parallel_meaningful"`
-	Note                   string            `json:"note,omitempty"`
-	Simulated              []benchSimRecord  `json:"simulated"`
-	Host                   []benchHostRecord `json:"host"`
+	Simulated []benchSimRecord `json:"simulated"`
 }
 
-// runBench times each quick experiment in four configurations — fast paths
-// off + serial (the reference), fast paths on + serial, fast paths on +
-// parallel across simulations, fast paths on + intra-parallel within each
-// simulation — verifies all four agree bit-exactly, prints a summary, and
-// writes BENCH_sim.json with the bit-exact simulated fields separated from
-// the machine-dependent wall-clock fields. With baseline set, the fresh
-// simulated results are first diffed bit-for-bit against the committed
-// BENCH_sim.json (which is left untouched on mismatch, so the drift stays
-// inspectable). Returns the process exit code.
-func runBench(workers, intra int, baseline bool) int {
+// runBench runs each quick experiment serially, in parallel across
+// simulations and intra-parallel within each simulation, verifies the three
+// agree bit-exactly, prints the single-sample wall seconds, and writes the
+// simulated results to path. With baseline set, the fresh results are first
+// diffed bit-for-bit against the committed file (which is left untouched on
+// mismatch, so the drift stays inspectable). Returns the process exit code.
+func runBench(exps []benchExperiment, path string, workers, intra int, baseline bool) int {
 	if intra < 2 {
-		intra = 4 // measure a representative wave-dispatch width by default
+		intra = 4 // a representative wave-dispatch width by default
 	}
-	report := benchReport{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      runner.New(workers).Workers(),
-		IntraWorkers: intra,
-	}
-	report.HostParallelMeaningful = report.GOMAXPROCS > 1 && report.Workers > 1
-	if !report.HostParallelMeaningful {
-		report.Note = "host-parallel wall-clock numbers are NOT meaningful: " +
-			"the process runs at most one simulation goroutine at a time " +
-			"(GOMAXPROCS=1 or a single worker); simulated results are unaffected"
-	}
-	// Simulated core cycles per reported microsecond (533 MHz cores).
-	cyclesPerUS := 1e6 / float64(cpu.DefaultConfig().Clock.PeriodPS)
-
+	core.SetIntraWorkers(0)
 	fmt.Printf("sccbench -bench: %d worker(s), %d intra worker(s) on GOMAXPROCS=%d\n",
-		report.Workers, report.IntraWorkers, report.GOMAXPROCS)
+		runner.New(workers).Workers(), intra, runtime.GOMAXPROCS(0))
+	var report benchReport
+	t := stats.NewTable("experiment", "simulated [us]", "serial [s]", "parallel [s]", "intra [s]")
 	exit := 0
-	for _, ex := range benchExperiments() {
-		var slow, serial, par, wave any
-		fastpath.SetIntraWorkers(0)
-		fastpath.SetEnabled(false)
+	for _, ex := range exps {
+		var serial, par, wave any
 		bench.SetParallelism(1)
-		slowSec := runner.Wall(func() { slow = ex.run() }).Seconds()
-		fastpath.SetEnabled(true)
 		serialSec := runner.Wall(func() { serial = ex.run() }).Seconds()
 		bench.SetParallelism(workers)
 		parSec := runner.Wall(func() { par = ex.run() }).Seconds()
 		bench.SetParallelism(1)
-		fastpath.SetIntraWorkers(intra)
+		core.SetIntraWorkers(intra)
 		waveSec := runner.Wall(func() { wave = ex.run() }).Seconds()
-		fastpath.SetIntraWorkers(0)
+		core.SetIntraWorkers(0)
 
-		rec := benchHostRecord{
-			Experiment:       ex.name,
-			SerialSlowSec:    slowSec,
-			SerialFastSec:    serialSec,
-			ParallelSec:      parSec,
-			IntraParallelSec: waveSec,
-			FastPathSpeedup:  slowSec / serialSec,
-			ParallelSpeedup:  serialSec / parSec,
-			IntraSpeedup:     serialSec / waveSec,
-			TotalSpeedup:     slowSec / parSec,
-			FastPathMatches:  reflect.DeepEqual(slow, serial),
-			ParallelMatches:  reflect.DeepEqual(serial, par),
-			IntraMatches:     reflect.DeepEqual(serial, wave),
-		}
 		sim := benchSimRecord{Experiment: ex.name, SimulatedUS: ex.simUS(serial)}
-		rec.SimCyclesPerSec = sim.SimulatedUS * cyclesPerUS / parSec
 		report.Simulated = append(report.Simulated, sim)
-		report.Host = append(report.Host, rec)
-		if !rec.FastPathMatches {
-			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: fast paths DIVERGE from the reference configuration\n", ex.name)
-			exit = 1
-		}
-		if !rec.ParallelMatches {
+		t.AddRow(ex.name, fmt.Sprint(sim.SimulatedUS), fmt.Sprintf("%.2f", serialSec),
+			fmt.Sprintf("%.2f", parSec), fmt.Sprintf("%.2f", waveSec))
+		if !reflect.DeepEqual(serial, par) {
 			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: parallel run DIVERGES from the serial run\n", ex.name)
 			exit = 1
 		}
-		if !rec.IntraMatches {
+		if !reflect.DeepEqual(serial, wave) {
 			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: intra-parallel run DIVERGES from the serial run\n", ex.name)
 			exit = 1
 		}
 	}
-	// Leave the process-global switches as the flags configured them.
-	fastpath.SetEnabled(true)
 	bench.SetParallelism(workers)
 
-	t := stats.NewTable("experiment", "ref [s]", "fast [s]", "parallel [s]", "intra [s]",
-		"fastpath x", "parallel x", "intra x", "total x", "Mcycles/s")
-	for _, r := range report.Host {
-		t.AddRow(r.Experiment,
-			fmt.Sprintf("%.2f", r.SerialSlowSec),
-			fmt.Sprintf("%.2f", r.SerialFastSec),
-			fmt.Sprintf("%.2f", r.ParallelSec),
-			fmt.Sprintf("%.2f", r.IntraParallelSec),
-			fmt.Sprintf("%.2f", r.FastPathSpeedup),
-			fmt.Sprintf("%.2f", r.ParallelSpeedup),
-			fmt.Sprintf("%.2f", r.IntraSpeedup),
-			fmt.Sprintf("%.2f", r.TotalSpeedup),
-			fmt.Sprintf("%.1f", r.SimCyclesPerSec/1e6))
-	}
 	fmt.Print(t)
-	if report.Note != "" {
-		fmt.Println("note:", report.Note)
-	}
 	if exit == 0 {
-		fmt.Println("all configurations bit-identical (fast paths, parallel runner, intra-parallel waves)")
+		fmt.Println("all configurations bit-identical (serial, parallel runner, intra-parallel waves)")
 	}
 
 	if baseline {
-		if err := diffBaseline(report); err != nil {
+		if err := diffBaseline(report, path); err != nil {
 			fmt.Fprintf(os.Stderr, "sccbench -bench -baseline: %v\n", err)
 			return 1
 		}
-		fmt.Printf("simulated results match the committed %s bit for bit\n", benchReportFile)
+		fmt.Printf("simulated results match the committed %s bit for bit\n", path)
 	}
 
 	out, err := json.MarshalIndent(report, "", "  ")
@@ -235,26 +149,25 @@ func runBench(workers, intra int, baseline bool) int {
 		fmt.Fprintf(os.Stderr, "sccbench -bench: %v\n", err)
 		return 1
 	}
-	if err := os.WriteFile(benchReportFile, append(out, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench -bench: %v\n", err)
 		return 1
 	}
-	fmt.Printf("wrote %s\n", benchReportFile)
+	fmt.Printf("wrote %s\n", path)
 	return exit
 }
 
 // diffBaseline compares the fresh report's simulated microseconds against
-// the committed BENCH_sim.json. Simulated time is a pure function of the
-// configuration, so the comparison is bit-exact; host wall-clock columns are
-// expected to drift between machines and are ignored.
-func diffBaseline(report benchReport) error {
-	data, err := os.ReadFile(benchReportFile)
+// the baseline file at path. Simulated time is a pure function of the
+// configuration, so the comparison is bit-exact.
+func diffBaseline(report benchReport, path string) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("read baseline: %w", err)
 	}
 	var base benchReport
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parse baseline %s: %w", benchReportFile, err)
+		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
 	prev := make(map[string]float64, len(base.Simulated))
 	for _, r := range base.Simulated {
@@ -264,12 +177,12 @@ func diffBaseline(report benchReport) error {
 		want, ok := prev[r.Experiment]
 		if !ok {
 			return fmt.Errorf("experiment %q missing from baseline %s: regenerate and commit it",
-				r.Experiment, benchReportFile)
+				r.Experiment, path)
 		}
 		if r.SimulatedUS != want {
 			return fmt.Errorf("experiment %q: simulated_us = %v, baseline says %v: "+
 				"the simulation drifted; if intentional, regenerate %s with -bench and commit it",
-				r.Experiment, r.SimulatedUS, want, benchReportFile)
+				r.Experiment, r.SimulatedUS, want, path)
 		}
 	}
 	return nil

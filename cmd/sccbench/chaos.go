@@ -366,9 +366,9 @@ func chaosChip() scc.Config {
 // chaosMatmul runs the matmul workload on a faulty machine.
 func chaosMatmul(p matmul.Params, chip scc.Config, members []int, fc *faults.Config) (bench.ChaosResult, float64) {
 	m, err := core.NewMachine(core.Options{
-		Chip:    &chip,
-		Members: members,
-		Faults:  fc,
+		Topology: &chip,
+		Members:  members,
+		Faults:   fc,
 	})
 	if err != nil {
 		panic(err)

@@ -28,9 +28,10 @@
 // wave dispatch over the mesh-hop lookahead). The results are bit-identical
 // either way — each simulation is a pure function of its configuration,
 // and the wave engine replays its bookkeeping in exact serial order.
-// -json emits machine-readable results instead of tables, and -bench
-// measures the host-side speedup of the fast paths, the parallel runner
-// and the intra-run wave dispatch, writing BENCH_sim.json. -cpuprofile and
+// -json emits machine-readable results instead of tables, and -bench runs
+// the quick experiments serially, under the parallel runner and under
+// intra-run wave dispatch, fails unless all three agree bit-exactly, and
+// writes their simulated results to BENCH_sim.json. -cpuprofile and
 // -memprofile write standard pprof profiles of the host process.
 package main
 
@@ -44,38 +45,38 @@ import (
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/stats"
 	"metalsvm/internal/svm"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run holds the real main so profile teardown runs before the process
-// exits (os.Exit skips deferred calls).
-func run() int {
-	rounds := flag.Int("rounds", 200, "ping-pong rounds per mailbox measurement")
-	chips := flag.Int("chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
-	grid := flag.String("grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
-	iters := flag.Int("iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
-	fullLaplace := flag.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
-	check := flag.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
-	sanitize := flag.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
-	baseline := flag.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
-	chaos := flag.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
-	kvRequests := flag.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
-	kvSeed := flag.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
-	parallel := flag.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
-	intra := flag.Int("intra", 0, "host workers per single simulation (conservative-PDES wave dispatch; 0 or 1 = serial engine, results are bit-identical at any count)")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write a host heap profile to `file` at exit")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := flag.Bool("bench", false, "measure host wall-clock of the experiments (fast paths and parallel runner on vs off), write BENCH_sim.json, and verify the configurations agree bit-exactly")
-	metricsFlag := flag.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
-	profileFlag := flag.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
-	perfettoOut := flag.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
-	flag.Usage = func() {
+// exits (os.Exit skips deferred calls) and tests can drive the flag handling.
+func run(args []string) int {
+	fs := flag.NewFlagSet("sccbench", flag.ExitOnError)
+	rounds := fs.Int("rounds", 200, "ping-pong rounds per mailbox measurement")
+	chips := fs.Int("chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
+	grid := fs.String("grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
+	iters := fs.Int("iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
+	fullLaplace := fs.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
+	check := fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
+	sanitize := fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
+	baseline := fs.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
+	chaos := fs.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
+	kvRequests := fs.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
+	kvSeed := fs.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
+	parallel := fs.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
+	intra := fs.Int("intra", 0, "host workers per single simulation (conservative-PDES wave dispatch; 0 or 1 = serial engine, results are bit-identical at any count)")
+	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write a host heap profile to `file` at exit")
+	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
+	benchMode := fs.Bool("bench", false, "run the quick experiments serially, with the parallel runner and with intra-run waves, verify the three agree bit-exactly, and write their simulated results to BENCH_sim.json")
+	metricsFlag := fs.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
+	profileFlag := fs.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
+	perfettoOut := fs.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: sccbench [flags] fig6|fig7|table1|fig9|scale|ablation|kvstore|all\n")
 		fmt.Fprintf(os.Stderr, "       sccbench [-kv-requests N -kv-seed S] kvstore  (KV store SLO report under chaos)\n")
 		fmt.Fprintf(os.Stderr, "       sccbench -chips N -grid WxHxC fig6|fig7|fig9|scale\n")
@@ -84,9 +85,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "       sccbench [-chips N -grid WxHxC] -chaos seed[,spec]\n")
 		fmt.Fprintf(os.Stderr, "       sccbench -bench [-baseline]\n")
 		fmt.Fprintf(os.Stderr, "       sccbench -metrics|-profile|-perfetto out.json fig6|fig7|table1|fig9|repldir|all\n")
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag prints the usage and exits 2
 	topo, err := parseTopology(*chips, *grid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
@@ -122,7 +123,7 @@ func run() int {
 		}()
 	}
 	bench.SetParallelism(*parallel)
-	fastpath.SetIntraWorkers(*intra)
+	core.SetIntraWorkers(*intra)
 	if *check {
 		if !runCheck(*parallel, topo) {
 			return 1
@@ -143,13 +144,13 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "sccbench: -bench measures the committed paper-chip baseline; drop -chips/-grid\n")
 			return 2
 		}
-		return runBench(*parallel, *intra, *baseline)
+		return runBench(benchExperiments(), benchReportFile, *parallel, *intra, *baseline)
 	}
-	if flag.NArg() != 1 {
-		flag.Usage()
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return 2
 	}
-	cmd := flag.Arg(0)
+	cmd := fs.Arg(0)
 	n := *iters
 	if *fullLaplace {
 		n = 5000
@@ -210,7 +211,7 @@ func run() int {
 		sep(res)
 		comm(*rounds, res)
 	default:
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	if res != nil {

@@ -1,6 +1,8 @@
 package laplace
 
 import (
+	"sync"
+
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
@@ -21,15 +23,20 @@ type SVMApp struct {
 	p    Params
 	opts SVMOptions
 
-	// Collective state (written under the simulator's deterministic
-	// single-threaded execution).
-	oldBase, newBase uint32
-	finalBase        uint32    // the array holding the final iterate
-	grid             []float64 // final grid, assembled by the ranks
-	elapsed          []sim.Duration
-	faults           uint64
-	arrived          int
-	ranks            int
+	// Ranks run concurrently on the host under wave dispatch, so the first
+	// one to arrive sizes the shared state once and every rank then writes
+	// only its own slot and its own rows of the grid.
+	init  sync.Once
+	grid  []float64 // final grid, assembled by the ranks
+	ranks []rankResult
+}
+
+// rankResult is what one rank reports when its Main returns.
+type rankResult struct {
+	elapsed   sim.Duration
+	faults    uint64
+	finalBase uint32 // the array holding the final iterate
+	done      bool
 }
 
 // NewSVM prepares a run for n kernels.
@@ -52,17 +59,15 @@ func (a *SVMApp) Main(h *svm.Handle) {
 	c := k.Core()
 	n := len(h.Workers())
 	rank := h.Rank()
-	if a.grid == nil {
+	a.init.Do(func() {
 		a.grid = make([]float64, p.Cells())
-		a.elapsed = make([]sim.Duration, n)
-		a.ranks = n
-	}
+		a.ranks = make([]rankResult, n)
+	})
 
 	// Collective allocation of the two arrays; all kernels receive the
 	// same bases.
 	oldBase := h.Alloc(p.ArrayBytes())
 	newBase := h.Alloc(p.ArrayBytes())
-	a.oldBase, a.newBase = oldBase, newBase
 
 	lo, hi := p.Partition(rank, n)
 
@@ -100,8 +105,7 @@ func (a *SVMApp) Main(h *svm.Handle) {
 		a.barrier(h) // synchronous iterations: everyone sees the new array
 		old, niu = niu, old
 	}
-	a.elapsed[rank] = c.Proc().LocalTime() - start
-	a.finalBase = old
+	elapsed := c.Proc().LocalTime() - start
 
 	// Result extraction (outside the timed section): each rank copies its
 	// rows into the host-side grid through the core's load path (which
@@ -121,8 +125,7 @@ func (a *SVMApp) Main(h *svm.Handle) {
 			a.grid[r*p.Cols+col] = c.LoadF64(a.cellAddr(old, r, col))
 		}
 	}
-	a.faults += h.Stats().Faults
-	a.arrived++
+	a.ranks[rank] = rankResult{elapsed: elapsed, faults: h.Stats().Faults, finalBase: old, done: true}
 	h.KernelBarrier()
 }
 
@@ -130,13 +133,15 @@ func (a *SVMApp) Main(h *svm.Handle) {
 // load path and checksums it in reference order. Under the strong model this
 // takes an ownership fault for every page still owned elsewhere — including
 // pages whose owner has crash-halted, which forces the directory's
-// revoke-and-reassign recovery. Call it from one rank after Main.
-func (a *SVMApp) AuditChecksum(c *cpu.Core) float64 {
+// revoke-and-reassign recovery. Call it from one rank after its Main.
+func (a *SVMApp) AuditChecksum(h *svm.Handle) float64 {
 	p := a.p
+	c := h.Kernel().Core()
+	finalBase := a.ranks[h.Rank()].finalBase
 	vals := make([]float64, p.Cells())
 	for r := 0; r < p.Rows; r++ {
 		for col := 0; col < p.Cols; col++ {
-			vals[r*p.Cols+col] = c.LoadF64(a.cellAddr(a.finalBase, r, col))
+			vals[r*p.Cols+col] = c.LoadF64(a.cellAddr(finalBase, r, col))
 		}
 	}
 	return ChecksumGrid(vals)
@@ -173,16 +178,18 @@ func (a *SVMApp) barrier(h *svm.Handle) {
 
 // Result combines the per-rank outcomes; valid after the engine has run.
 func (a *SVMApp) Result() Result {
-	if a.arrived != a.ranks {
-		panic("laplace: Result before all kernels finished")
-	}
 	var maxEl sim.Duration
-	for _, e := range a.elapsed {
-		if e > maxEl {
-			maxEl = e
+	var faults uint64
+	for _, r := range a.ranks {
+		if !r.done {
+			panic("laplace: Result before all kernels finished")
 		}
+		if r.elapsed > maxEl {
+			maxEl = r.elapsed
+		}
+		faults += r.faults
 	}
-	return Result{Elapsed: maxEl, Checksum: ChecksumGrid(a.grid), Faults: a.faults}
+	return Result{Elapsed: maxEl, Checksum: ChecksumGrid(a.grid), Faults: faults}
 }
 
 // Grid returns the assembled final grid (valid after the run).

@@ -19,9 +19,9 @@ func runFarm(t *testing.T, model svm.Model, members []int, p Params) Result {
 	t.Helper()
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    smallChip(),
-		SVM:     &scfg,
-		Members: members,
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  members,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,9 +39,9 @@ func AblationScratchpad(pages uint32) (mpbUS, offDieUS float64) {
 		// dominance — keep the calibrated costs but measure the delta.
 		ccfg := benchChip()
 		m, err := core.NewMachine(core.Options{
-			Chip:    &ccfg,
-			SVM:     &scfg,
-			Members: []int{0, 30},
+			Topology: &ccfg,
+			SVM:      &scfg,
+			Members:  []int{0, 30},
 		})
 		if err != nil {
 			panic(err)
@@ -85,9 +85,9 @@ func AblationMatmulReadOnly(n, cores int) (writableUS, protectedUS float64) {
 		scfg := svm.DefaultConfig(svm.LazyRelease)
 		ccfg := benchChip()
 		m, err := core.NewMachine(core.Options{
-			Chip:    &ccfg,
-			SVM:     &scfg,
-			Members: core.FirstN(cores),
+			Topology: &ccfg,
+			SVM:      &scfg,
+			Members:  core.FirstN(cores),
 		})
 		if err != nil {
 			panic(err)
@@ -115,9 +115,9 @@ func AblationNextTouch(pages uint32, scans int) (remoteUS, localUS float64) {
 	scfg := svm.DefaultConfig(svm.LazyRelease)
 	ccfg := benchChip()
 	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 47},
+		Topology: &ccfg,
+		SVM:      &scfg,
+		Members:  []int{0, 47},
 	})
 	if err != nil {
 		panic(err)
@@ -172,9 +172,9 @@ func AblationReadOnlyL2(pages uint32, scans int) (writableUS, readonlyUS float64
 	// Shrink L1 so the region does not fit it — the win must come from L2.
 	ccfg.Core.L1Size = 2 << 10
 	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 30},
+		Topology: &ccfg,
+		SVM:      &scfg,
+		Members:  []int{0, 30},
 	})
 	if err != nil {
 		panic(err)

@@ -94,10 +94,10 @@ func Fig9ChaosMembers(cfg Fig9Config, model svm.Model, members []int, fc *faults
 	chip := cfg.Chip
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Members: members,
-		Faults:  fc,
+		Topology: &chip,
+		SVM:      &scfg,
+		Members:  members,
+		Faults:   fc,
 	})
 	if err != nil {
 		panic(err)
@@ -168,7 +168,7 @@ func Fig9DirObserved(cfg Fig9Config, model svm.Model, n int, inst core.Instrumen
 	chip := cfg.Chip
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:                &chip,
+		Topology:            &chip,
 		SVM:                 &scfg,
 		Members:             core.FirstN(n),
 		Observe:             inst,
@@ -189,7 +189,7 @@ func runFig9Dir(cfg Fig9Config, model svm.Model, workers []int, fc *faults.Confi
 	chip := cfg.Chip
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:                &chip,
+		Topology:            &chip,
 		SVM:                 &scfg,
 		Members:             workers,
 		Faults:              fc,
@@ -208,7 +208,7 @@ func runFig9Dir(cfg Fig9Config, model svm.Model, workers []int, fc *faults.Confi
 			app.Main(env.SVM)
 			if id == workers[0] {
 				env.Core().Cycles(auditDelayCycles)
-				audit = app.AuditChecksum(env.Core())
+				audit = app.AuditChecksum(env.SVM)
 			}
 		}
 	}

@@ -4,19 +4,18 @@ import (
 	"reflect"
 	"testing"
 
-	"metalsvm/internal/fastpath"
+	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/svm"
 )
 
-// TestFastPathAndParallelEquivalence is the bit-exactness contract of the
-// host-side optimizations: for every harness, the reference configuration
-// (fast paths off, one simulation at a time — the seed's behaviour), the
-// fast serial configuration, and the fast parallel configuration must
-// produce deep-equal results, down to the last simulated picosecond. Under
-// `go test -race` this doubles as the race test of the parallel runner:
-// four workers drive whole simulations concurrently.
-func TestFastPathAndParallelEquivalence(t *testing.T) {
+// TestParallelEquivalence is the bit-exactness contract of the host-parallel
+// experiment runner: for every harness, running one simulation at a time and
+// fanning the simulations over four workers must produce deep-equal results,
+// down to the last simulated picosecond. Under `go test -race` this doubles
+// as the race test of the parallel runner: four workers drive whole
+// simulations concurrently.
+func TestParallelEquivalence(t *testing.T) {
 	harnesses := []struct {
 		name string
 		run  func() any
@@ -37,31 +36,16 @@ func TestFastPathAndParallelEquivalence(t *testing.T) {
 			return []float64{with, without}
 		}},
 	}
-	defer fastpath.SetEnabled(true)
 	defer SetParallelism(0)
 	for _, h := range harnesses {
 		t.Run(h.name, func(t *testing.T) {
-			fastpath.SetEnabled(false)
 			SetParallelism(1)
-			ref := h.run()
-
-			fastpath.SetEnabled(true)
-			SetParallelism(1)
-			fast := h.run()
-			if !reflect.DeepEqual(ref, fast) {
-				t.Errorf("fast paths diverge from reference:\nref  = %+v\nfast = %+v", ref, fast)
-			}
+			serial := h.run()
 
 			SetParallelism(4)
 			par := h.run()
-			if !reflect.DeepEqual(fast, par) {
-				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", fast, par)
-			}
-
-			fastpath.SetEnabled(false)
-			slowPar := h.run()
-			if !reflect.DeepEqual(ref, slowPar) {
-				t.Errorf("parallel run with fast paths off diverges from reference:\nref      = %+v\nparallel = %+v", ref, slowPar)
+			if !reflect.DeepEqual(serial, par) {
+				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", serial, par)
 			}
 		})
 	}
@@ -108,15 +92,15 @@ func TestIntraParallelEquivalence(t *testing.T) {
 			return Fig9CrashChaos(cfg, svm.Strong, 4, &fc)
 		}},
 	}
-	defer fastpath.SetIntraWorkers(0)
+	defer core.SetIntraWorkers(0)
 	defer SetParallelism(0)
 	SetParallelism(1)
 	for _, h := range harnesses {
 		t.Run(h.name, func(t *testing.T) {
-			fastpath.SetIntraWorkers(0)
+			core.SetIntraWorkers(0)
 			serial := h.run()
 
-			fastpath.SetIntraWorkers(4)
+			core.SetIntraWorkers(4)
 			intra := h.run()
 			if !reflect.DeepEqual(serial, intra) {
 				t.Errorf("intra-parallel run diverges from serial:\nserial = %+v\nintra  = %+v", serial, intra)

@@ -101,10 +101,10 @@ func Fig9Observed(cfg Fig9Config, model svm.Model, n int, inst core.Instrumentat
 	chip := cfg.Chip
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Members: core.FirstN(n),
-		Observe: inst,
+		Topology: &chip,
+		SVM:      &scfg,
+		Members:  core.FirstN(n),
+		Observe:  inst,
 	})
 	if err != nil {
 		panic(err)

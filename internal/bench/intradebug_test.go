@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/trace"
 )
@@ -18,8 +17,8 @@ func TestIntraTraceDiff(t *testing.T) {
 		t.Skip("debug helper")
 	}
 	run := func(intra int) []trace.Event {
-		fastpath.SetIntraWorkers(intra)
-		defer fastpath.SetIntraWorkers(0)
+		core.SetIntraWorkers(intra)
+		defer core.SetIntraWorkers(0)
 		cfg := QuickFig9(2)
 		inst := core.Instrumentation{TraceCapacity: 1 << 22}
 		_, obs := Fig9Observed(cfg, svm.Strong, 4, inst)

@@ -141,10 +141,10 @@ func runKV(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool, i
 	chip := topo.Normalized()
 	scfg := svm.DefaultConfig(svm.Strong)
 	opts := core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Faults:  fc,
-		Observe: inst,
+		Topology: &chip,
+		SVM:      &scfg,
+		Faults:   fc,
+		Observe:  inst,
 	}
 	if withDir {
 		// Members nil: the machine carves each chip's manager trio out of

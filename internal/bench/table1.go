@@ -50,10 +50,10 @@ func Table1Observed(model svm.Model, inst core.Instrumentation) (Table1Result, *
 	ccfg := benchChip()
 	ccfg.PrivateMemPerCore = 1 << 20
 	m, err := core.NewMachine(core.Options{
-		Chip:    &ccfg,
-		SVM:     &scfg,
-		Members: []int{0, 30},
-		Observe: inst,
+		Topology: &ccfg,
+		SVM:      &scfg,
+		Members:  []int{0, 30},
+		Observe:  inst,
 	})
 	if err != nil {
 		panic(err)

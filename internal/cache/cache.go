@@ -21,11 +21,7 @@
 //     write-through traffic into line-granular transactions.
 package cache
 
-import (
-	"fmt"
-
-	"metalsvm/internal/fastpath"
-)
+import "fmt"
 
 // LineSize is the SCC cache line size in bytes.
 const LineSize = 32
@@ -81,14 +77,15 @@ type Cache struct {
 	// hint caches the way of the last hit per set (way+1; 0 = no hint), so
 	// repeat hits skip the linear way scan. Functionally invisible: a hint
 	// probe returns exactly the line the scan would find, and LRU state
-	// advances identically. nil when fast paths are disabled.
+	// advances identically.
 	hint []uint8
 }
 
 // New creates a cache of the given total size and associativity.
-// size must be a multiple of ways*LineSize.
+// size must be a multiple of ways*LineSize; ways is capped at 255 by the
+// one-byte way hints.
 func New(name string, size, ways int) *Cache {
-	if ways <= 0 || size <= 0 || size%(ways*LineSize) != 0 {
+	if ways <= 0 || ways > 255 || size <= 0 || size%(ways*LineSize) != 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d", name, size, ways))
 	}
 	sets := size / (ways * LineSize)
@@ -97,12 +94,10 @@ func New(name string, size, ways int) *Cache {
 		sets:  sets,
 		ways:  ways,
 		lines: make([]line, sets*ways),
+		hint:  make([]uint8, sets),
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
-	}
-	if fastpath.Enabled() && ways <= 255 {
-		c.hint = make([]uint8, sets)
 	}
 	return c
 }
@@ -135,18 +130,14 @@ func (c *Cache) find(paddr uint32) *line {
 	tag := LineAddr(paddr)
 	s := c.setIndex(paddr)
 	set := c.lines[s*c.ways : (s+1)*c.ways]
-	if c.hint != nil {
-		if w := c.hint[s]; w != 0 {
-			if l := &set[w-1]; l.valid && l.tag == tag {
-				return l
-			}
+	if w := c.hint[s]; w != 0 {
+		if l := &set[w-1]; l.valid && l.tag == tag {
+			return l
 		}
 	}
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			if c.hint != nil {
-				c.hint[s] = uint8(i + 1)
-			}
+			c.hint[s] = uint8(i + 1)
 			return &set[i]
 		}
 	}
@@ -188,15 +179,11 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) Victim {
 	for i := range set {
 		l := &set[i]
 		if l.valid && l.tag == tag {
-			victim = l // refill in place
+			victim = l // refill in place, even past a free way: no duplicates
 			break
 		}
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lastUse < victim.lastUse {
-			victim = l
+		if victim.valid && (!l.valid || l.lastUse < victim.lastUse) {
+			victim = l // the first free way, else the least recently used
 		}
 	}
 	var out Victim

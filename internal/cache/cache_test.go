@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -161,6 +162,7 @@ func TestGeometryValidation(t *testing.T) {
 		func() { New("x", 100, 2) }, // not a multiple of ways*LineSize
 		func() { New("x", 0, 2) },
 		func() { New("x", 1024, 0) },
+		func() { New("x", 256*LineSize, 256) }, // a way hint is one byte
 	} {
 		func() {
 			defer func() {
@@ -321,5 +323,184 @@ func TestWCBNoLostBytesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanCache is the linear-scan model the way hints are checked against: the
+// same geometry, LRU replacement and no-write-allocate rules as Cache, with
+// a nil-or-line slot per way, a full scan on every lookup, and none of the
+// hint, set-mask or in-place machinery.
+type scanCache struct {
+	sets, ways int
+	slots      [][]*scanLine // [set][way]; nil = invalid
+	tick       uint64
+	stats      Stats
+}
+
+type scanLine struct {
+	tag         uint32
+	mpbt, dirty bool
+	lastUse     uint64
+	data        [LineSize]byte
+}
+
+func newScanCache(size, ways int) *scanCache {
+	m := &scanCache{sets: size / (ways * LineSize), ways: ways}
+	m.slots = make([][]*scanLine, m.sets)
+	for i := range m.slots {
+		m.slots[i] = make([]*scanLine, ways)
+	}
+	return m
+}
+
+func (m *scanCache) set(paddr uint32) []*scanLine {
+	return m.slots[int(paddr/LineSize)%m.sets]
+}
+
+func (m *scanCache) find(paddr uint32) *scanLine {
+	for _, l := range m.set(paddr) {
+		if l != nil && l.tag == LineAddr(paddr) {
+			return l
+		}
+	}
+	return nil
+}
+
+func (m *scanCache) load(paddr uint32, dst []byte) bool {
+	m.tick++
+	l := m.find(paddr)
+	if l == nil {
+		m.stats.Misses++
+		return false
+	}
+	l.lastUse = m.tick
+	copy(dst, l.data[paddr%LineSize:])
+	m.stats.Hits++
+	return true
+}
+
+func (m *scanCache) fill(paddr uint32, data []byte, mpbt bool) Victim {
+	m.tick++
+	set := m.set(paddr)
+	way := -1
+	for i, l := range set { // refill in place
+		if l != nil && l.tag == LineAddr(paddr) {
+			way = i
+		}
+	}
+	for i, l := range set { // else the first free way
+		if way < 0 && l == nil {
+			way = i
+		}
+	}
+	var out Victim
+	if way < 0 { // else evict the least recently used
+		way = 0
+		for i, l := range set {
+			if l.lastUse < set[way].lastUse {
+				way = i
+			}
+		}
+		m.stats.Evictions++
+		out = Victim{Valid: true, Dirty: set[way].dirty, LineAddr: set[way].tag, Data: set[way].data}
+	}
+	m.stats.Fills++
+	set[way] = &scanLine{tag: LineAddr(paddr), mpbt: mpbt, lastUse: m.tick}
+	copy(set[way].data[:], data)
+	return out
+}
+
+func (m *scanCache) write(paddr uint32, src []byte, dirty bool) bool {
+	m.tick++
+	l := m.find(paddr)
+	if l == nil {
+		m.stats.WriteMisses++
+		return false
+	}
+	l.lastUse = m.tick
+	l.dirty = l.dirty || dirty
+	copy(l.data[paddr%LineSize:], src)
+	m.stats.WriteHits++
+	return true
+}
+
+// invalidate drops every line drop accepts.
+func (m *scanCache) invalidate(drop func(*scanLine) bool) {
+	for _, set := range m.slots {
+		for i, l := range set {
+			if l != nil && drop(l) {
+				set[i] = nil
+				m.stats.Invalidates++
+			}
+		}
+	}
+}
+
+// TestWayHintsMatchLinearScan drives Cache and the linear-scan model with
+// the same seeded operation sequence — loads, fills (after a miss and as
+// refills), both write policies, line/MPBT/full invalidations — over an
+// address range eight times the cache, so sets fill up and evict, and
+// demands the same hit/miss, bytes, victim and statistics at every step.
+// The third geometry has three sets and takes the division fallback of the
+// set selection.
+func TestWayHintsMatchLinearScan(t *testing.T) {
+	for _, g := range []struct{ size, ways int }{{1024, 2}, {4096, 4}, {3 * 8 * LineSize, 8}} {
+		c := New("hinted", g.size, g.ways)
+		m := newScanCache(g.size, g.ways)
+		rng := rand.New(rand.NewSource(int64(g.size)))
+		lines := uint32(8 * g.size / LineSize)
+		for op := 0; op < 200_000; op++ {
+			la := uint32(rng.Intn(int(lines))) * LineSize
+			n := 1 << rng.Intn(4) // 1, 2, 4 or 8 bytes, aligned: never crosses a line
+			paddr := la + uint32(rng.Intn(LineSize/n)*n)
+			var word, got, want [8]byte
+			rng.Read(word[:n])
+			switch k := rng.Intn(32); {
+			case k < 16:
+				hit, mhit := c.Load(paddr, got[:n]), m.load(paddr, want[:n])
+				if hit != mhit || got != want {
+					t.Fatalf("%+v op %d: Load(%#x, %d) = %v %x, model %v %x", g, op, paddr, n, hit, got[:n], mhit, want[:n])
+				}
+				if hit || rng.Intn(4) == 0 {
+					break
+				}
+				fallthrough // read allocate, as the core does after most misses
+			case k < 20:
+				var data [LineSize]byte
+				rng.Read(data[:])
+				mpbt := rng.Intn(2) == 0
+				if v, mv := c.Fill(paddr, data[:], mpbt), m.fill(paddr, data[:], mpbt); v != mv {
+					t.Fatalf("%+v op %d: Fill(%#x) displaced %+v, model %+v", g, op, paddr, v, mv)
+				}
+			case k < 24:
+				if hit, mhit := c.WriteThrough(paddr, word[:n]), m.write(paddr, word[:n], false); hit != mhit {
+					t.Fatalf("%+v op %d: WriteThrough(%#x) = %v, model %v", g, op, paddr, hit, mhit)
+				}
+			case k < 28:
+				if hit, mhit := c.WriteUpdate(paddr, word[:n]), m.write(paddr, word[:n], true); hit != mhit {
+					t.Fatalf("%+v op %d: WriteUpdate(%#x) = %v, model %v", g, op, paddr, hit, mhit)
+				}
+			case k < 31:
+				c.InvalidateLine(paddr)
+				m.invalidate(func(l *scanLine) bool { return l.tag == la })
+			case rng.Intn(64) == 0:
+				c.InvalidateMPBT()
+				m.invalidate(func(l *scanLine) bool { return l.mpbt })
+			case rng.Intn(64) == 0:
+				c.InvalidateAll()
+				m.invalidate(func(*scanLine) bool { return true })
+			}
+			if c.Stats() != m.stats {
+				t.Fatalf("%+v op %d: stats %+v, model %+v", g, op, c.Stats(), m.stats)
+			}
+		}
+		for la := uint32(0); la < lines*LineSize; la += LineSize {
+			if c.Contains(la) != (m.find(la) != nil) {
+				t.Fatalf("%+v: line %#x resident %v, model %v", g, la, c.Contains(la), m.find(la) != nil)
+			}
+		}
+		if s := c.Stats(); s.Evictions == 0 || s.Hits == 0 || s.WriteHits == 0 || s.Invalidates == 0 {
+			t.Fatalf("%+v: the sequence missed a path: %+v", g, s)
+		}
 	}
 }

@@ -15,7 +15,7 @@ func chaosLaplace(t *testing.T, fc *faults.Config) (sim.Time, laplace.Result, *M
 	t.Helper()
 	p := laplace.Params{Rows: 24, Cols: 16, Iters: 20, TopTemp: 100}
 	app := laplace.NewSVM(p, laplace.SVMOptions{})
-	m, err := NewMachine(Options{Chip: smallChip(), Members: FirstN(4), Faults: fc})
+	m, err := NewMachine(Options{Topology: smallChip(), Members: FirstN(4), Faults: fc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestChaosFaultedMatchesFaultFree(t *testing.T) {
 func TestWatchdogFiresOnStuckCluster(t *testing.T) {
 	var spec faults.Spec
 	spec.Routes[faults.Mail].DropPermille = 1000
-	m, err := NewMachine(Options{Chip: smallChip(), Members: []int{0, 1},
+	m, err := NewMachine(Options{Topology: smallChip(), Members: []int{0, 1},
 		Faults: &faults.Config{Seed: 1, Spec: spec, NoHarden: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestWatchdogFiresOnStuckCluster(t *testing.T) {
 func TestWatchdogDumpSections(t *testing.T) {
 	var spec faults.Spec
 	spec.Routes[faults.Mail].DropPermille = 400
-	m, err := NewMachine(Options{Chip: smallChip(), Members: []int{0, 1},
+	m, err := NewMachine(Options{Topology: smallChip(), Members: []int{0, 1},
 		Faults: &faults.Config{Seed: 1, Spec: spec, NoHarden: true}})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"metalsvm/internal/cpu"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
 	"metalsvm/internal/mailbox"
@@ -41,12 +40,8 @@ import (
 type Options struct {
 	// Topology selects the machine shape through the validated topology
 	// API — scc.PaperSCC, scc.Grid, scc.MultiChip, or a hand-built
-	// scc.Config. Nil keeps the paper's 48-core chip. Mutually exclusive
-	// with Chip.
+	// scc.Config. Nil keeps the paper's 48-core chip.
 	Topology *scc.Config
-	// Chip overrides the platform configuration. It predates Topology and
-	// is retained for existing callers; new code should set Topology.
-	Chip *scc.Config
 	// Kernel overrides the kernel configuration (mailbox mode, timer).
 	Kernel *kernel.Config
 	// SVM overrides the SVM configuration (consistency model, calibration).
@@ -66,8 +61,8 @@ type Options struct {
 	// that many host workers using the engine's conservative-PDES wave
 	// dispatch. Results — simulated timestamps, traces, checksums — are
 	// bit-identical to serial dispatch; only host wall-clock changes. Zero
-	// adopts the process default (fastpath.SetIntraWorkers, set by
-	// sccbench's -intra flag); 1 forces serial dispatch.
+	// adopts the process default (SetIntraWorkers, set by sccbench's -intra
+	// flag); 1 forces serial dispatch.
 	IntraParallel int
 	// ReplicatedDirectory, when non-nil, replaces the SVM system's
 	// single-copy ownership directory with the crash-fault-tolerant
@@ -109,8 +104,7 @@ func WireFaults(chip *scc.Chip, kcfg *kernel.Config, fc *faults.Config) {
 	}
 }
 
-// FirstN returns the member list {0, 1, ..., n-1}. AllCores is the
-// topology-aware replacement; FirstN stays for existing callers.
+// FirstN returns the member list {0, 1, ..., n-1}.
 func FirstN(n int) []int {
 	m := make([]int, n)
 	for i := range m {
@@ -175,13 +169,8 @@ func (m *Machine) Observability() *Observation { return m.obs }
 func NewMachine(opts Options) (*Machine, error) {
 	eng := sim.NewEngine()
 	ccfg := scc.DefaultConfig()
-	switch {
-	case opts.Topology != nil && opts.Chip != nil:
-		return nil, fmt.Errorf("core: set Options.Topology or Options.Chip, not both")
-	case opts.Topology != nil:
+	if opts.Topology != nil {
 		ccfg = *opts.Topology
-	case opts.Chip != nil:
-		ccfg = *opts.Chip
 	}
 	chip, err := scc.New(eng, ccfg)
 	if err != nil {
@@ -258,11 +247,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	m.obs = Observe(opts.Observe, chip, []*kernel.Cluster{cl}, []*svm.System{sys})
 	m.obs.AddDirectory(m.Dir)
 	m.Race = m.obs.Race()
-	intra := opts.IntraParallel
-	if intra == 0 {
-		intra = fastpath.IntraWorkers()
-	}
-	WireIntra(eng, chip, intra)
+	WireIntra(eng, chip, opts.IntraParallel)
 	return m, nil
 }
 
@@ -446,7 +431,7 @@ func NewBaseline(chipCfg *scc.Config, cores []int) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	WireIntra(eng, chip, fastpath.IntraWorkers())
+	WireIntra(eng, chip, 0)
 	return &Baseline{Engine: eng, Chip: chip, Comm: comm}, nil
 }
 

@@ -21,8 +21,8 @@ func exampleChip() *scc.Config {
 // cores.
 func ExampleMachine() {
 	m, err := core.NewMachine(core.Options{
-		Chip:    exampleChip(),
-		Members: []int{0, 30},
+		Topology: exampleChip(),
+		Members:  []int{0, 30},
 	})
 	if err != nil {
 		panic(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/scc"
@@ -16,17 +17,32 @@ import (
 // and checker access hooks installed later would miss the serialization
 // wrap below.
 
+// intraDefault is the process default for intra-run parallel dispatch: the
+// host worker count WireIntra uses when its caller passes 0. It is an atomic
+// because the host-parallel experiment runner builds machines on several
+// goroutines.
+var intraDefault atomic.Int32
+
+// SetIntraWorkers sets the process default for intra-run parallel dispatch
+// (sccbench -intra); 0 or 1 means serial, the initial value. Machines already
+// built are unaffected.
+func SetIntraWorkers(n int) { intraDefault.Store(int32(n)) }
+
 // WireIntra enables wave-parallel dispatch on the engine with the given
-// host worker count (n <= 1 is a no-op, preserving serial dispatch bit for
-// bit — trivially, since wave dispatch is bit-exact anyway). The chip's
-// tracer, when present, becomes the wave observer so its event stream is
-// spliced in serial order; checker access hooks, when present, are
-// serialized under a mutex because pure compute segments — where loads and
-// stores happen — run concurrently during a wave. For race-free workloads
-// (the SVM system's contract, enforced by sccbench -check) the checkers'
-// verdicts are unaffected; only the host-side order in which they observe
-// accesses varies.
+// host worker count; 0 adopts the process default (SetIntraWorkers), and a
+// resulting count <= 1 is a no-op, preserving serial dispatch bit for bit —
+// trivially, since wave dispatch is bit-exact anyway. The chip's tracer,
+// when present, becomes the wave observer so its event stream is spliced in
+// serial order; checker access hooks, when present, are serialized under a
+// mutex because pure compute segments — where loads and stores happen — run
+// concurrently during a wave. For race-free workloads (the SVM system's
+// contract, enforced by sccbench -check) the checkers' verdicts are
+// unaffected; only the host-side order in which they observe accesses
+// varies.
 func WireIntra(eng *sim.Engine, chip *scc.Chip, workers int) {
+	if workers == 0 {
+		workers = int(intraDefault.Load())
+	}
 	if workers <= 1 {
 		return
 	}

@@ -18,7 +18,7 @@ func observedWorkload(t *testing.T, inst Instrumentation) (sim.Time, *Machine) {
 	t.Helper()
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
-		Chip: smallChip(), SVM: &scfg, Members: []int{0, 47}, Observe: inst,
+		Topology: smallChip(), SVM: &scfg, Members: []int{0, 47}, Observe: inst,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPerfettoExportFromMachine(t *testing.T) {
 func TestRaceWiresThroughObservation(t *testing.T) {
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
-		Chip: smallChip(), SVM: &scfg, Members: []int{0, 1},
+		Topology: smallChip(), SVM: &scfg, Members: []int{0, 1},
 		Observe: Instrumentation{Race: &racecheck.Config{}},
 	})
 	if err != nil {

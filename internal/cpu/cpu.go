@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"metalsvm/internal/cache"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/sim"
@@ -156,9 +155,8 @@ type Core struct {
 	l2  *cache.Cache
 	wcb *cache.WCB
 
-	// tlb memoizes translations (nil when fast paths are disabled); see
-	// tlb.go for the invalidation contract.
-	tlb *tlb
+	// tlb memoizes translations; see tlb.go for the invalidation contract.
+	tlb tlb
 	// lineBuf is the scratch line for load fills and storeBuf the scratch
 	// for write-through transactions. Reusing them keeps the buffers off
 	// the heap: passing a stack array through the MemoryBus interface would
@@ -195,9 +193,6 @@ func New(id int, cfg Config, bus MemoryBus) *Core {
 		l1:         cache.New(fmt.Sprintf("core%d.l1", id), cfg.L1Size, cfg.L1Ways),
 		wcb:        cache.NewWCB(),
 		irqEnabled: true,
-	}
-	if fastpath.Enabled() {
-		c.tlb = new(tlb)
 	}
 	if cfg.L2Size > 0 {
 		c.l2 = cache.New(fmt.Sprintf("core%d.l2", id), cfg.L2Size, cfg.L2Ways)
@@ -352,20 +347,16 @@ func (c *Core) FlushWCB() {
 // translate returns a usable entry for the access, invoking the fault
 // handler until the translation permits it.
 func (c *Core) translate(vaddr uint32, write bool) pgtable.Entry {
-	if c.tlb != nil {
-		if e, ok := c.tlb.lookup(c.Table, vaddr); ok &&
-			(!write || e.Flags.Has(pgtable.Writable)) {
-			c.stats.TLBHits++
-			return e
-		}
-		c.stats.TLBMisses++
+	if e, ok := c.tlb.lookup(c.Table, vaddr); ok &&
+		(!write || e.Flags.Has(pgtable.Writable)) {
+		c.stats.TLBHits++
+		return e
 	}
+	c.stats.TLBMisses++
 	for tries := 0; ; tries++ {
 		e, ok := c.Table.Lookup(vaddr)
 		if ok && e.Flags.Has(pgtable.Present) && (!write || e.Flags.Has(pgtable.Writable)) {
-			if c.tlb != nil {
-				c.tlb.insert(c.Table, vaddr, e)
-			}
+			c.tlb.insert(c.Table, vaddr, e)
 			return e
 		}
 		if c.faultHandler == nil {

@@ -15,9 +15,9 @@ func TestReportAfterWorkload(t *testing.T) {
 	chipCfg.SharedMem = 16 << 20
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := core.NewMachine(core.Options{
-		Chip:    &chipCfg,
-		SVM:     &scfg,
-		Members: []int{0, 30},
+		Topology: &chipCfg,
+		SVM:      &scfg,
+		Members:  []int{0, 30},
 	})
 	if err != nil {
 		t.Fatal(err)

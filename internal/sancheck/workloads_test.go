@@ -31,10 +31,10 @@ func newMachine(t *testing.T, model svm.Model, members []int, obs core.Instrumen
 	t.Helper()
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Chip:    smallChip(),
-		SVM:     &scfg,
-		Members: members,
-		Observe: obs,
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  members,
+		Observe:  obs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,11 +137,11 @@ func (e *Engine) runWave(limit Time) {
 	// within the RunUntil limit. Popping in (time, seq) order guarantees
 	// every cohort wake precedes the first remaining queued event.
 	for {
-		head, ok := e.qHead()
+		head, ok := e.queue.head()
 		if !ok || head.at > limit || !waveEligible(head) {
 			break
 		}
-		ev := e.qPop()
+		ev := e.queue.pop()
 		p := ev.proc
 		p.waveWakeAt = ev.at
 		p.waveWakeSeq = ev.seq
@@ -160,7 +160,7 @@ func (e *Engine) runWave(limit Time) {
 	// dispatch itself would have driven quantum wakes.
 	const never = Time(^uint64(0))
 	rest := never
-	if head, ok := e.qHead(); ok {
+	if head, ok := e.queue.head(); ok {
 		rest = head.at
 	}
 	if limit != never && limit+1 < rest {
@@ -202,8 +202,8 @@ func (e *Engine) runWave(limit Time) {
 			run = append(run, p)
 			continue
 		}
-		e.pushEvent(event{at: p.waveWakeAt, seq: p.waveWakeSeq, proc: p,
-			wakeSeq: p.wakeSeq, pure: true})
+		e.queue.push(event{at: p.waveWakeAt, seq: p.waveWakeSeq, proc: p,
+			wakeSeq: p.wakeSeq, pure: true}, e.now)
 	}
 	cohort = run
 	is.cohort = cohort
@@ -248,7 +248,7 @@ func (e *Engine) runWave(limit Time) {
 		p.waveActIdx = 0
 		p.wavePrevMark = p.waveStartMark
 		q := p
-		e.pushEvent(event{at: q.waveWakeAt, seq: q.waveWakeSeq, fn: func() { e.replayStep(q) }})
+		e.queue.push(event{at: q.waveWakeAt, seq: q.waveWakeSeq, fn: func() { e.replayStep(q) }}, e.now)
 	}
 }
 
@@ -297,7 +297,7 @@ func (e *Engine) replayStep(p *Proc) {
 					a.at, e.now, p.name))
 			}
 			e.seq++
-			e.pushEvent(event{at: a.at, seq: e.seq, fn: a.fn})
+			e.queue.push(event{at: a.at, seq: e.seq, fn: a.fn}, e.now)
 			continue
 		}
 		// Segment boundary: flush its emissions, then schedule what the
@@ -309,11 +309,11 @@ func (e *Engine) replayStep(p *Proc) {
 		switch a.kind {
 		case actSkip:
 			e.seq++
-			e.pushEvent(event{at: a.at, seq: e.seq, fn: func() { e.replayStep(p) }})
+			e.queue.push(event{at: a.at, seq: e.seq, fn: func() { e.replayStep(p) }}, e.now)
 		case actParkPure, actParkEffect:
 			e.seq++
-			e.pushEvent(event{at: a.at, seq: e.seq, proc: p,
-				wakeSeq: p.wakeSeq, pure: a.kind == actParkPure})
+			e.queue.push(event{at: a.at, seq: e.seq, proc: p,
+				wakeSeq: p.wakeSeq, pure: a.kind == actParkPure}, e.now)
 		case actWait, actDone:
 			// No wake event: an indefinite Wait needs an external Wake, a
 			// finished body never runs again.

@@ -1,21 +1,13 @@
 package sim
 
-// The engine's pending-event set, in two interchangeable implementations
-// that dispatch in the identical total order (time, insertion sequence):
-//
-//   - quadQueue: the production fast path — an inlined, typed 4-ary min-heap
-//     plus an append-only FIFO for events scheduled at the engine's current
-//     dispatch time. No interface{} boxing, so scheduling an event performs
-//     no allocation beyond the occasional slice growth, and the common
-//     "schedule at the time being dispatched" case (interrupt posts, mailbox
-//     wakes, handler chains) is a plain append instead of a sift-up.
-//   - refQueue: the reference — a plain typed binary heap, structurally
-//     close to the original container/heap implementation but with direct
-//     typed push/pop methods instead of interface{} boxing.
-//
-// internal/fastpath selects between them at engine construction; the
-// equivalence tests run whole experiments on both and compare timestamps
-// bit-for-bit, and TestQueueEquivalence drives both against an oracle.
+// The engine's pending-event set, dispatched in the total order (time,
+// insertion sequence): quadQueue, an inlined, typed 4-ary min-heap plus an
+// append-only FIFO for events scheduled at the engine's current dispatch
+// time. No interface{} boxing, so scheduling an event performs no allocation
+// beyond the occasional slice growth, and the common "schedule at the time
+// being dispatched" case (interrupt posts, mailbox wakes, handler chains) is
+// a plain append instead of a sift-up. TestQueueEquivalence drives it
+// against a plain binary heap and a sorted-slice oracle.
 
 type event struct {
 	at  Time
@@ -39,8 +31,6 @@ func eventLess(a, b event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// --- quadQueue: 4-ary heap + now-FIFO ------------------------------------
 
 // quadQueue holds events not yet dispatched. Events whose time equals the
 // engine clock at push time go to the FIFO; all FIFO entries share that
@@ -130,61 +120,6 @@ func (q *quadQueue) popHeap() event {
 			if eventLess(h[c], h[best]) {
 				best = c
 			}
-		}
-		if !eventLess(h[best], h[i]) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	return top
-}
-
-// --- refQueue: typed binary heap ------------------------------------------
-
-type refQueue struct {
-	heap []event
-}
-
-func (q *refQueue) len() int { return len(q.heap) }
-
-func (q *refQueue) push(ev event) {
-	q.heap = append(q.heap, ev)
-	i := len(q.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(q.heap[i], q.heap[p]) {
-			break
-		}
-		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
-		i = p
-	}
-}
-
-func (q *refQueue) head() (event, bool) {
-	if len(q.heap) == 0 {
-		return event{}, false
-	}
-	return q.heap[0], true
-}
-
-func (q *refQueue) pop() event {
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{}
-	h = h[:n]
-	q.heap = h
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		best := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
-			best = r
 		}
 		if !eventLess(h[best], h[i]) {
 			break

@@ -67,6 +67,61 @@ func TestQueueEquivalence(t *testing.T) {
 	}
 }
 
+// refQueue is the test oracle's second opinion: a plain typed binary heap
+// with no now-FIFO, dispatching in the same (time, sequence) order.
+type refQueue struct {
+	heap []event
+}
+
+func (q *refQueue) len() int { return len(q.heap) }
+
+func (q *refQueue) push(ev event) {
+	q.heap = append(q.heap, ev)
+	i := len(q.heap) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(q.heap[i], q.heap[p]) {
+			break
+		}
+		q.heap[i], q.heap[p] = q.heap[p], q.heap[i]
+		i = p
+	}
+}
+
+func (q *refQueue) head() (event, bool) {
+	if len(q.heap) == 0 {
+		return event{}, false
+	}
+	return q.heap[0], true
+}
+
+func (q *refQueue) pop() event {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	q.heap = h
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		best := l
+		if r := l + 1; r < n && eventLess(h[r], h[l]) {
+			best = r
+		}
+		if !eventLess(h[best], h[i]) {
+			break
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+	return top
+}
+
 // sameEvent compares the ordering identity of two events (the fn field is
 // not comparable).
 func sameEvent(a, b event) bool { return a.at == b.at && a.seq == b.seq }
@@ -113,7 +168,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				e.After(Duration(i%7), nop)
-				ev := e.qPop()
+				ev := e.queue.pop()
 				e.now = ev.at
 			}
 		})
@@ -127,7 +182,7 @@ func BenchmarkEngineScheduleAtNow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(0, nop)
-		e.qPop()
+		e.queue.pop()
 	}
 }
 

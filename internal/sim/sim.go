@@ -18,8 +18,6 @@ package sim
 import (
 	"fmt"
 	"math"
-
-	"metalsvm/internal/fastpath"
 )
 
 // Time is a point in simulated time, in picoseconds.
@@ -68,12 +66,9 @@ func (c Clock) ToCycles(d Duration) uint64 { return uint64(d) / c.PeriodPS }
 // Engine is the central event queue and scheduler.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now Time
-	seq uint64
-	// Exactly one of fast/ref is non-nil; see queue.go. Both dispatch in the
-	// identical (time, sequence) order.
-	fast    *quadQueue
-	ref     *refQueue
+	now     Time
+	seq     uint64
+	queue   quadQueue // pending events in (time, sequence) order; see queue.go
 	procs   []*Proc
 	stopped bool
 	// running reports whether Run is currently dispatching events. Procs may
@@ -87,42 +82,8 @@ type Engine struct {
 	intra *intraState
 }
 
-// NewEngine returns an engine with its clock at zero. The event-queue
-// implementation is chosen by fastpath.Enabled() at this point and fixed
-// for the engine's lifetime.
-func NewEngine() *Engine {
-	e := &Engine{}
-	if fastpath.Enabled() {
-		e.fast = &quadQueue{}
-	} else {
-		e.ref = &refQueue{}
-	}
-	return e
-}
-
-// qLen returns the number of queued events.
-func (e *Engine) qLen() int {
-	if e.fast != nil {
-		return e.fast.len()
-	}
-	return e.ref.len()
-}
-
-// qHead returns the next event in dispatch order without removing it.
-func (e *Engine) qHead() (event, bool) {
-	if e.fast != nil {
-		return e.fast.head()
-	}
-	return e.ref.head()
-}
-
-// qPop removes and returns the next event in dispatch order.
-func (e *Engine) qPop() event {
-	if e.fast != nil {
-		return e.fast.pop()
-	}
-	return e.ref.pop()
-}
+// NewEngine returns an engine with its clock at zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current global simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -139,7 +100,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: event scheduled at %d before now %d%s", t, e.now, e.curName()))
 	}
 	e.seq++
-	e.pushEvent(event{at: t, seq: e.seq, fn: fn})
+	e.queue.push(event{at: t, seq: e.seq, fn: fn}, e.now)
 }
 
 // curName names the proc whose callback is executing, for panic messages.
@@ -148,15 +109,6 @@ func (e *Engine) curName() string {
 		return " by proc " + e.cur.name
 	}
 	return ""
-}
-
-// pushEvent inserts an event whose sequence number is already assigned.
-func (e *Engine) pushEvent(ev event) {
-	if e.fast != nil {
-		e.fast.push(ev, e.now)
-	} else {
-		e.ref.push(ev)
-	}
 }
 
 // scheduleSync enqueues a data-carrying wake for p at time at. Called from
@@ -168,7 +120,7 @@ func (e *Engine) scheduleSync(at Time, p *Proc, wakeSeq uint64, pure bool) {
 			at, e.now, p.name))
 	}
 	e.seq++
-	e.pushEvent(event{at: at, seq: e.seq, proc: p, wakeSeq: wakeSeq, pure: pure})
+	e.queue.push(event{at: at, seq: e.seq, proc: p, wakeSeq: wakeSeq, pure: pure}, e.now)
 }
 
 // After schedules fn to run d after the current time.
@@ -188,7 +140,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for !e.stopped {
-		head, ok := e.qHead()
+		head, ok := e.queue.head()
 		if !ok || head.at > limit {
 			break
 		}
@@ -196,7 +148,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 			e.runWave(limit)
 			continue
 		}
-		ev := e.qPop()
+		ev := e.queue.pop()
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: event at %d behind clock %d%s",
 				ev.at, e.now, e.curName()))
@@ -222,7 +174,7 @@ func (e *Engine) dispatchEvent(ev event) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.qLen() }
+func (e *Engine) Pending() int { return e.queue.len() }
 
 // Shutdown terminates all process goroutines that are still parked. It must
 // be called after Run returns when processes may still be blocked (for

@@ -37,10 +37,10 @@ func runLaplace(t *testing.T, model svm.Model, n int, replicated bool, fc *fault
 	chip := testChip()
 	scfg := svm.DefaultConfig(model)
 	opts := core.Options{
-		Chip:    &chip,
-		SVM:     &scfg,
-		Members: core.FirstN(n),
-		Faults:  fc,
+		Topology: &chip,
+		SVM:      &scfg,
+		Members:  core.FirstN(n),
+		Faults:   fc,
 	}
 	if replicated {
 		opts.ReplicatedDirectory = &repldir.Config{}
@@ -233,7 +233,7 @@ func TestOrphanedHandoffRecovers(t *testing.T) {
 		chip := testChip()
 		scfg := svm.DefaultConfig(svm.Strong)
 		m, err := core.NewMachine(core.Options{
-			Chip:                &chip,
+			Topology:            &chip,
 			SVM:                 &scfg,
 			Members:             core.FirstN(3),
 			Faults:              fc,

@@ -22,7 +22,6 @@ package metalsvm
 
 import (
 	"metalsvm/internal/core"
-	"metalsvm/internal/fastpath"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/metrics"
 	"metalsvm/internal/profile"
@@ -48,7 +47,7 @@ type Options = core.Options
 // SetIntraWorkers sets the process default for intra-run parallel dispatch,
 // applied to machines whose Options.IntraParallel is zero (0 or 1: serial).
 // Simulated results are bit-identical at any worker count.
-func SetIntraWorkers(n int) { fastpath.SetIntraWorkers(n) }
+func SetIntraWorkers(n int) { core.SetIntraWorkers(n) }
 
 // Env is what a workload function receives on each simulated core.
 type Env = core.Env
@@ -93,8 +92,7 @@ func MultiChip(chips int, base Topology) Topology { return scc.MultiChip(chips, 
 // the first problem found (NewMachine runs the same validation).
 func ValidateTopology(t Topology) error { return scc.Validate(t.Normalized()) }
 
-// AllCores returns every core id of a topology — the topology-aware
-// replacement for FirstN.
+// AllCores returns every core id of a topology.
 func AllCores(topo Topology) []int { return core.AllCores(topo) }
 
 // ChipCores returns chip ch's core-id range of a topology (global core ids
@@ -110,13 +108,7 @@ func NewBaselineOn(topo Topology, cores []int) (*Baseline, error) {
 	return core.NewBaseline(&topo, cores)
 }
 
-// NewBaseline builds the message-passing comparison system on the paper's
-// topology. It stays for existing callers; new code should use
-// NewBaselineOn with an explicit topology.
-func NewBaseline(cores []int) (*Baseline, error) { return core.NewBaseline(nil, cores) }
-
-// FirstN returns the member list {0, ..., n-1}. It stays for existing
-// callers; new code should use AllCores/ChipCores with a topology.
+// FirstN returns the member list {0, ..., n-1}.
 func FirstN(n int) []int { return core.FirstN(n) }
 
 // SVMConfig returns the calibrated SVM configuration for a model, ready to
