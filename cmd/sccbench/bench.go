@@ -9,7 +9,6 @@ import (
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/bench/runner"
-	"metalsvm/internal/core"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/stats"
 )
@@ -19,9 +18,9 @@ const benchReportFile = "BENCH_sim.json"
 
 // benchExperiment is one quick-configuration experiment the -bench mode
 // runs. run must be a pure function of its configuration — the bench
-// parallelism and the intra worker default may not change its result; simUS
-// converts that result to total simulated microseconds (for latency sweeps
-// this is reconstructed from the reported averages).
+// parallelism may not change its result; simUS converts that result to
+// total simulated microseconds (for latency sweeps this is reconstructed
+// from the reported averages).
 type benchExperiment struct {
 	name  string
 	run   func() any
@@ -75,8 +74,8 @@ func benchExperiments() []benchExperiment {
 }
 
 // benchSimRecord is one experiment's bit-exact simulated result: a pure
-// function of the experiment configuration, identical on every machine, at
-// every parallelism and intra worker count.
+// function of the experiment configuration, identical on every machine and
+// at every parallelism.
 type benchSimRecord struct {
 	Experiment  string  `json:"experiment"`
 	SimulatedUS float64 `json:"simulated_us"`
@@ -89,51 +88,38 @@ type benchReport struct {
 	Simulated []benchSimRecord `json:"simulated"`
 }
 
-// runBench runs each quick experiment serially, in parallel across
-// simulations and intra-parallel within each simulation, verifies the three
-// agree bit-exactly, prints the single-sample wall seconds, and writes the
-// simulated results to path. With baseline set, the fresh results are first
-// diffed bit-for-bit against the committed file (which is left untouched on
-// mismatch, so the drift stays inspectable). Returns the process exit code.
-func runBench(exps []benchExperiment, path string, workers, intra int, baseline bool) int {
-	if intra < 2 {
-		intra = 4 // a representative wave-dispatch width by default
-	}
-	core.SetIntraWorkers(0)
-	fmt.Printf("sccbench -bench: %d worker(s), %d intra worker(s) on GOMAXPROCS=%d\n",
-		runner.New(workers).Workers(), intra, runtime.GOMAXPROCS(0))
+// runBench runs each quick experiment serially and in parallel across
+// simulations, verifies the two agree bit-exactly, prints the single-sample
+// wall seconds, and writes the simulated results to path. With baseline set,
+// the fresh results are first diffed bit-for-bit against the committed file
+// (which is left untouched on mismatch, so the drift stays inspectable).
+// Returns the process exit code.
+func runBench(exps []benchExperiment, path string, workers int, baseline bool) int {
+	fmt.Printf("sccbench -bench: %d worker(s) on GOMAXPROCS=%d\n",
+		runner.New(workers).Workers(), runtime.GOMAXPROCS(0))
 	var report benchReport
-	t := stats.NewTable("experiment", "simulated [us]", "serial [s]", "parallel [s]", "intra [s]")
+	t := stats.NewTable("experiment", "simulated [us]", "serial [s]", "parallel [s]")
 	exit := 0
 	for _, ex := range exps {
-		var serial, par, wave any
+		var serial, par any
 		bench.SetParallelism(1)
 		serialSec := runner.Wall(func() { serial = ex.run() }).Seconds()
 		bench.SetParallelism(workers)
 		parSec := runner.Wall(func() { par = ex.run() }).Seconds()
-		bench.SetParallelism(1)
-		core.SetIntraWorkers(intra)
-		waveSec := runner.Wall(func() { wave = ex.run() }).Seconds()
-		core.SetIntraWorkers(0)
 
 		sim := benchSimRecord{Experiment: ex.name, SimulatedUS: ex.simUS(serial)}
 		report.Simulated = append(report.Simulated, sim)
 		t.AddRow(ex.name, fmt.Sprint(sim.SimulatedUS), fmt.Sprintf("%.2f", serialSec),
-			fmt.Sprintf("%.2f", parSec), fmt.Sprintf("%.2f", waveSec))
+			fmt.Sprintf("%.2f", parSec))
 		if !reflect.DeepEqual(serial, par) {
 			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: parallel run DIVERGES from the serial run\n", ex.name)
 			exit = 1
 		}
-		if !reflect.DeepEqual(serial, wave) {
-			fmt.Fprintf(os.Stderr, "sccbench -bench: %s: intra-parallel run DIVERGES from the serial run\n", ex.name)
-			exit = 1
-		}
 	}
-	bench.SetParallelism(workers)
 
 	fmt.Print(t)
 	if exit == 0 {
-		fmt.Println("all configurations bit-identical (serial, parallel runner, intra-parallel waves)")
+		fmt.Println("both configurations bit-identical (serial, parallel runner)")
 	}
 
 	if baseline {

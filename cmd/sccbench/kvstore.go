@@ -86,7 +86,6 @@ func runKVStore(requests int, seed uint64, topo *scc.Config, res *results) bool 
 			"put p50/p99/p999", "get p50/p99", "min goodput/window")
 	}
 	out := kvstoreResults{Requests: requests, Seed: seed, WindowUS: p.WindowUS}
-	ok := true
 	for _, schedule := range kvSchedules {
 		var fc *faults.Config
 		withDir := false
@@ -102,10 +101,19 @@ func runKVStore(requests int, seed uint64, topo *scc.Config, res *results) bool 
 		r := bench.RunKV(p, t, fc, withDir)
 		row := kvRow(schedule, t, p, r)
 		out.Schedules = append(out.Schedules, row)
-		ok = ok && row.OK
 		if res == nil {
 			kvPrintRow(row, r)
 		}
+	}
+	return reportKVStore(out, res)
+}
+
+// reportKVStore closes the kvstore report (or collects it for -json) and
+// returns its verdict: every schedule row passed its acceptance checks.
+func reportKVStore(out kvstoreResults, res *results) bool {
+	ok := true
+	for _, row := range out.Schedules {
+		ok = ok && row.OK
 	}
 	if res != nil {
 		res.KVStore = &out

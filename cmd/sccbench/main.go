@@ -23,16 +23,17 @@
 // machine — e.g. `sccbench -chips 4 -grid 8x8x2 scale` boots 512 cores.
 //
 // Independent simulations (one per sweep point) fan out across host CPUs
-// by default; -parallel 1 forces serial execution. -intra N additionally
-// spreads every single simulation over N host workers (conservative-PDES
-// wave dispatch over the mesh-hop lookahead). The results are bit-identical
-// either way — each simulation is a pure function of its configuration,
-// and the wave engine replays its bookkeeping in exact serial order.
-// -json emits machine-readable results instead of tables, and -bench runs
-// the quick experiments serially, under the parallel runner and under
-// intra-run wave dispatch, fails unless all three agree bit-exactly, and
+// by default; -parallel 1 forces serial execution. The results are
+// bit-identical either way — each simulation is a pure function of its
+// configuration and runs on one serial engine. -json emits machine-readable
+// results instead of tables, and -bench runs the quick experiments serially
+// and under the parallel runner, fails unless the two agree bit-exactly, and
 // writes their simulated results to BENCH_sim.json. -cpuprofile and
 // -memprofile write standard pprof profiles of the host process.
+//
+// The exit code is 0 on success, 1 when a run's own verdict fails (a race,
+// a sanitizer finding, a wrong checksum, a failed audit, a diverging or
+// drifted -bench) whatever the output format, and 2 on a usage error.
 package main
 
 import (
@@ -68,11 +69,10 @@ func run(args []string) int {
 	kvRequests := fs.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
 	kvSeed := fs.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
 	parallel := fs.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
-	intra := fs.Int("intra", 0, "host workers per single simulation (conservative-PDES wave dispatch; 0 or 1 = serial engine, results are bit-identical at any count)")
 	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write a host heap profile to `file` at exit")
 	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := fs.Bool("bench", false, "run the quick experiments serially, with the parallel runner and with intra-run waves, verify the three agree bit-exactly, and write their simulated results to BENCH_sim.json")
+	benchMode := fs.Bool("bench", false, "run the quick experiments serially and with the parallel runner, verify the two agree bit-exactly, and write their simulated results to BENCH_sim.json")
 	metricsFlag := fs.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
 	profileFlag := fs.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
 	perfettoOut := fs.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
@@ -123,7 +123,6 @@ func run(args []string) int {
 		}()
 	}
 	bench.SetParallelism(*parallel)
-	core.SetIntraWorkers(*intra)
 	if *check {
 		if !runCheck(*parallel, topo) {
 			return 1
@@ -131,6 +130,10 @@ func run(args []string) int {
 		return 0
 	}
 	if *sanitize {
+		if topo != nil {
+			fmt.Fprintf(os.Stderr, "sccbench: -sanitize checks the paper chip; drop -chips/-grid\n")
+			return 2
+		}
 		if !runSanitize(*parallel) {
 			return 1
 		}
@@ -144,7 +147,7 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "sccbench: -bench measures the committed paper-chip baseline; drop -chips/-grid\n")
 			return 2
 		}
-		return runBench(benchExperiments(), benchReportFile, *parallel, *intra, *baseline)
+		return runBench(benchExperiments(), benchReportFile, *parallel, *baseline)
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
@@ -175,6 +178,7 @@ func run(args []string) int {
 			return 2
 		}
 	}
+	ok := true
 	switch cmd {
 	case "fig6":
 		fig6(topo, *rounds, res)
@@ -185,15 +189,11 @@ func run(args []string) int {
 	case "fig9":
 		fig9(topo, n, res)
 	case "scale":
-		if !scale(topo, res) && res == nil {
-			return 1
-		}
+		ok = scale(topo, res)
 	case "ablation":
 		ablation(n, res)
 	case "kvstore":
-		if !runKVStore(*kvRequests, *kvSeed, topo, res) && res == nil {
-			return 1
-		}
+		ok = runKVStore(*kvRequests, *kvSeed, topo, res)
 	case "comm":
 		comm(*rounds, res)
 	case "all":
@@ -205,7 +205,7 @@ func run(args []string) int {
 		sep(res)
 		fig9(topo, n, res)
 		sep(res)
-		scale(topo, res)
+		ok = scale(topo, res)
 		sep(res)
 		ablation(n, res)
 		sep(res)
@@ -214,6 +214,14 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	return finish(res, ok)
+}
+
+// finish prints the collected -json results, if any, and turns the run's
+// verdict into the exit code. The verdict does not depend on the output
+// format: a failed checksum or audit exits 1 after its JSON as after its
+// tables.
+func finish(res *results, ok bool) int {
 	if res != nil {
 		out, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -221,6 +229,9 @@ func run(args []string) int {
 			return 1
 		}
 		fmt.Println(string(out))
+	}
+	if !ok {
+		return 1
 	}
 	return 0
 }
@@ -413,7 +424,12 @@ func scale(topo *scc.Config, res *results) bool {
 	if topo != nil {
 		cfg = *topo
 	}
-	r := bench.RunScale(cfg, bench.ScaleParams{Model: svm.LazyRelease})
+	return reportScale(bench.RunScale(cfg, bench.ScaleParams{Model: svm.LazyRelease}), res)
+}
+
+// reportScale prints one scale result (or collects it for -json) and returns
+// its verdict: both checksums exact.
+func reportScale(r bench.ScaleResult, res *results) bool {
 	ok := r.LaplaceOK && r.FarmOK
 	if res != nil {
 		res.Scale = &r

@@ -205,22 +205,28 @@ func engine() { go func() {}() }
 	wantFindings(t, msgs)
 }
 
-func TestSimDetSimWaveRunnerAnnotationAllowsSyncImports(t *testing.T) {
+// The engine package has no escape hatch: the host-parallel annotation is an
+// error there like in every other core package, and buys no exemption for
+// the sync imports under it.
+func TestSimDetSimAnnotationBuysNoSyncExemption(t *testing.T) {
 	msgs := check(t, SimDet, pkgSrc{path: "metalsvm/internal/sim", src: `
-//metalsvm:host-parallel — wave runner
+//metalsvm:host-parallel — worker pool
 package sim
 import (
 	"sync"
 	"sync/atomic"
 )
-func wave() {
+func pool() {
 	var wg sync.WaitGroup
 	var n atomic.Int64
 	n.Add(1)
 	wg.Wait()
 }
 `})
-	wantFindings(t, msgs)
+	wantFindings(t, msgs,
+		"//metalsvm:host-parallel is not allowed in core simulation package metalsvm/internal/sim",
+		`import "sync" in internal/sim`,
+		`import "sync/atomic" in internal/sim`)
 }
 
 func TestSimDetSimSyncImportRequiresAnnotation(t *testing.T) {
@@ -229,7 +235,7 @@ package sim
 import "sync"
 func sneaky() { var mu sync.Mutex; mu.Lock(); mu.Unlock() }
 `})
-	wantFindings(t, msgs, "outside the //metalsvm:host-parallel-annotated wave runner")
+	wantFindings(t, msgs, `import "sync" in internal/sim`)
 }
 
 func TestTraceNilFlagsEventLiteral(t *testing.T) {

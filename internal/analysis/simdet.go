@@ -15,13 +15,12 @@ import (
 // silent killer — Go randomizes it per run — so every `range` over a map is
 // flagged unless annotated with //metalsvm:deterministic (the collect-keys-
 // then-sort idiom). `go` statements are reserved for internal/sim, whose
-// engine dispatches one goroutine at a time serially and confines all real
-// host parallelism to its //metalsvm:host-parallel-annotated wave-runner
-// file (sync / sync/atomic imports elsewhere in the engine are flagged) —
+// engine runs exactly one goroutine at a time by construction (so a sync or
+// sync/atomic import there is flagged: nothing in the engine may need it) —
 // and for host-side packages annotated //metalsvm:host-parallel above the
 // package clause, which fan whole independent simulations across workers
 // (the annotation also unlocks the host clock for wall-time measurement,
-// and is itself an error inside any other core simulation package).
+// and is itself an error inside core simulation packages).
 var SimDet = &Analyzer{
 	Name: "simdet",
 	Doc: "forbid math/rand, go statements and unannotated map iteration " +
@@ -38,22 +37,19 @@ var simDetExempt = map[string]bool{
 	"metalsvm/cmd/metalsvm-vet":  true,
 }
 
-// simPkgPath is the engine package, which gets its own host-parallel rules:
-// the conservative-PDES wave runner is the one sanctioned engine-internal
-// use of host parallelism, marked by a file-level //metalsvm:host-parallel
-// annotation. Files in internal/sim that import the host concurrency
-// primitives (sync, sync/atomic) must carry that annotation; everywhere
-// else in the package the import — like the annotation in any other core
-// simulation package — is an error.
+// simPkgPath is the engine package. Its goroutines hand control to each
+// other through unbuffered channels, one running at a time, so its non-test
+// files have no use for the host concurrency primitives: importing sync or
+// sync/atomic there is a finding.
 const simPkgPath = "metalsvm/internal/sim"
 
 // hostParallelDenied lists the core simulation packages where the
 // //metalsvm:host-parallel annotation itself is an error: code on the
 // simulated side of the boundary must never spawn host goroutines, so the
 // annotation cannot be used to smuggle concurrency into the model. The
-// apps/ prefix (simulated workloads) is denied too. internal/sim is not
-// listed: it has the stricter file-scoped rule above.
+// apps/ prefix (simulated workloads) is denied too.
 var hostParallelDenied = map[string]bool{
+	"metalsvm/internal/sim":       true,
 	"metalsvm/internal/cpu":       true,
 	"metalsvm/internal/cache":     true,
 	"metalsvm/internal/pgtable":   true,
@@ -74,38 +70,26 @@ func hostParallelDeniedPath(path string) bool {
 	return hostParallelDenied[path] || strings.HasPrefix(path, "metalsvm/internal/apps/")
 }
 
-// fileHostParallelPos returns the position of a //metalsvm:host-parallel
-// annotation above one file's package clause, or token.NoPos.
-func fileHostParallelPos(f *ast.File) token.Pos {
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, HostParallelDirective) {
-				return c.Pos()
+// hostParallelPos returns the position of a //metalsvm:host-parallel
+// annotation above any file's package clause, or token.NoPos when the
+// package is not annotated.
+func hostParallelPos(files []*ast.File) token.Pos {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			if cg.Pos() >= f.Package {
+				continue
+			}
+			for _, c := range cg.List {
+				if strings.Contains(c.Text, HostParallelDirective) {
+					return c.Pos()
+				}
 			}
 		}
 	}
 	return token.NoPos
 }
 
-// hostParallelPos returns the position of a //metalsvm:host-parallel
-// annotation above any file's package clause, or token.NoPos when the
-// package is not annotated.
-func hostParallelPos(files []*ast.File) token.Pos {
-	for _, f := range files {
-		if pos := fileHostParallelPos(f); pos != token.NoPos {
-			return pos
-		}
-	}
-	return token.NoPos
-}
-
 func runSimDet(p *Pass) error {
-	if p.Pkg.Path() == simPkgPath {
-		return runSimDetSimPkg(p)
-	}
 	// The annotation check runs before the exemption return so that even
 	// always-exempt packages cannot carry a meaningless (and confusing)
 	// host-parallel marker if they are on the simulated side.
@@ -118,6 +102,9 @@ func runSimDet(p *Pass) error {
 		} else {
 			hostParallel = true
 		}
+	}
+	if p.Pkg.Path() == simPkgPath {
+		reportSimSyncImports(p)
 	}
 	if simDetExempt[p.Pkg.Path()] {
 		return nil
@@ -164,27 +151,20 @@ func runSimDet(p *Pass) error {
 	return nil
 }
 
-// runSimDetSimPkg applies the engine package's file-scoped rule: the wave
-// runner file is annotated //metalsvm:host-parallel and may use the host
-// concurrency primitives; any other file importing sync or sync/atomic is
-// smuggling host parallelism into the engine without declaring it.
-func runSimDetSimPkg(p *Pass) error {
+// reportSimSyncImports flags every sync or sync/atomic import in a non-test
+// file of the engine package.
+func reportSimSyncImports(p *Pass) {
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f.Pos()) {
-			continue
-		}
-		annotated := fileHostParallelPos(f) != token.NoPos
-		if annotated {
 			continue
 		}
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
 			if path == "sync" || path == "sync/atomic" {
-				p.Reportf(imp.Pos(), "import %q in internal/sim outside the "+
-					"//%s-annotated wave runner: host concurrency in the engine "+
-					"must be declared file by file", path, HostParallelDirective)
+				p.Reportf(imp.Pos(), "import %q in internal/sim: the engine runs "+
+					"one goroutine at a time and must not need host concurrency "+
+					"primitives", path)
 			}
 		}
 	}
-	return nil
 }

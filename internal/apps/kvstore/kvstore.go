@@ -231,8 +231,7 @@ type App struct {
 	clients int   // ranks [0, clients) are clients, [clients, ranks) servers
 	workers []int // worker core ids, indexed by rank
 
-	// Per-rank state, indexed by rank: disjoint between ranks so the
-	// intra-run parallel engine's host workers never contend.
+	// Per-rank state, indexed by rank and disjoint between ranks.
 	cl []clientState
 	sv []serverState
 

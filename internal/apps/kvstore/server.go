@@ -18,8 +18,7 @@ type queuedReq struct {
 }
 
 // serverState is one server rank's host-side bookkeeping. Only that rank's
-// kernel touches it, so the intra-run parallel engine's host workers never
-// contend on it.
+// kernel touches it.
 type serverState struct {
 	q       []queuedReq
 	stops   int

@@ -75,18 +75,11 @@ func TestReferencePhysics(t *testing.T) {
 
 func runSVMTest(t *testing.T, model svm.Model, members []int, p Params, opts SVMOptions) Result {
 	t.Helper()
-	return runSVMIntra(t, model, members, p, opts, 1)
-}
-
-// runSVMIntra is runSVMTest on the given number of host workers.
-func runSVMIntra(t *testing.T, model svm.Model, members []int, p Params, opts SVMOptions, workers int) Result {
-	t.Helper()
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
-		Topology:      smallChip(),
-		SVM:           &scfg,
-		Members:       members,
-		IntraParallel: workers,
+		Topology: smallChip(),
+		SVM:      &scfg,
+		Members:  members,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,23 +102,6 @@ func TestSVMMatchesReferenceBitExact(t *testing.T) {
 			if got.Elapsed == 0 {
 				t.Errorf("%v: zero elapsed time", model)
 			}
-		}
-	}
-}
-
-// TestSVMUnderWaveDispatch runs the ranks' compute segments concurrently on
-// two host workers: the app's shared bookkeeping must be race-free (this
-// test's job under `go test -race`) and no rank's report may be lost, so the
-// result equals the serial run's. Sixteen ranks with four rows each is the
-// smallest shape that reliably overlaps their epilogues.
-func TestSVMUnderWaveDispatch(t *testing.T) {
-	p := Params{Rows: 66, Cols: 32, Iters: 2, TopTemp: 100}
-	members := core.FirstN(16)
-	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-		serial := runSVMIntra(t, model, members, p, SVMOptions{}, 1)
-		wave := runSVMIntra(t, model, members, p, SVMOptions{}, 2)
-		if wave != serial {
-			t.Errorf("%v: wave dispatch gives %+v, serial %+v", model, wave, serial)
 		}
 	}
 }

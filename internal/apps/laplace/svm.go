@@ -1,8 +1,6 @@
 package laplace
 
 import (
-	"sync"
-
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
@@ -23,10 +21,8 @@ type SVMApp struct {
 	p    Params
 	opts SVMOptions
 
-	// Ranks run concurrently on the host under wave dispatch, so the first
-	// one to arrive sizes the shared state once and every rank then writes
-	// only its own slot and its own rows of the grid.
-	init  sync.Once
+	// The first rank to arrive sizes the shared state; every rank then
+	// writes only its own slot and its own rows of the grid.
 	grid  []float64 // final grid, assembled by the ranks
 	ranks []rankResult
 }
@@ -59,10 +55,10 @@ func (a *SVMApp) Main(h *svm.Handle) {
 	c := k.Core()
 	n := len(h.Workers())
 	rank := h.Rank()
-	a.init.Do(func() {
+	if a.grid == nil {
 		a.grid = make([]float64, p.Cells())
 		a.ranks = make([]rankResult, n)
-	})
+	}
 
 	// Collective allocation of the two arrays; all kernels receive the
 	// same bases.

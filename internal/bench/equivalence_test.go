@@ -3,10 +3,6 @@ package bench
 import (
 	"reflect"
 	"testing"
-
-	"metalsvm/internal/core"
-	"metalsvm/internal/faults"
-	"metalsvm/internal/svm"
 )
 
 // TestParallelEquivalence is the bit-exactness contract of the host-parallel
@@ -46,64 +42,6 @@ func TestParallelEquivalence(t *testing.T) {
 			par := h.run()
 			if !reflect.DeepEqual(serial, par) {
 				t.Errorf("parallel run diverges from serial:\nserial   = %+v\nparallel = %+v", serial, par)
-			}
-		})
-	}
-}
-
-// TestIntraParallelEquivalence is the bit-exactness contract of the
-// engine's intra-run wave dispatch: every harness must produce deep-equal
-// results when each single simulation is itself spread over four host
-// workers (conservative-PDES waves), with the cross-simulation runner kept
-// serial so any divergence is attributable to the wave engine. Under
-// `go test -race` this doubles as the race test of the wave worker pool.
-func TestIntraParallelEquivalence(t *testing.T) {
-	harnesses := []struct {
-		name string
-		run  func() any
-	}{
-		{"fig7", func() any { return Fig7(20, []int{2, 4}) }},
-		{"table1", func() any {
-			s, l := Table1Both()
-			return []Table1Result{s, l}
-		}},
-		{"fig9", func() any {
-			cfg := QuickFig9(2)
-			cfg.CoreCounts = []int{2, 4}
-			return Fig9(cfg)
-		}},
-		{"ablation-wcb", func() any {
-			with, without := AblationWCB(2, 4)
-			return []float64{with, without}
-		}},
-		{"chaos-light", func() any {
-			fc, err := faults.ParseConfig("7,light")
-			if err != nil {
-				panic(err)
-			}
-			return Fig7Chaos(20, 4, &fc)
-		}},
-		{"chaos-crash", func() any {
-			fc, err := faults.ParseConfig("7,crash")
-			if err != nil {
-				panic(err)
-			}
-			cfg := QuickFig9(4)
-			return Fig9CrashChaos(cfg, svm.Strong, 4, &fc)
-		}},
-	}
-	defer core.SetIntraWorkers(0)
-	defer SetParallelism(0)
-	SetParallelism(1)
-	for _, h := range harnesses {
-		t.Run(h.name, func(t *testing.T) {
-			core.SetIntraWorkers(0)
-			serial := h.run()
-
-			core.SetIntraWorkers(4)
-			intra := h.run()
-			if !reflect.DeepEqual(serial, intra) {
-				t.Errorf("intra-parallel run diverges from serial:\nserial = %+v\nintra  = %+v", serial, intra)
 			}
 		})
 	}

@@ -107,7 +107,6 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 		panic(err)
 	}
 	obs := core.Observe(inst, chip, []*kernel.Cluster{cl}, nil)
-	core.WireIntra(eng, chip, 0)
 
 	done := false
 	var elapsed sim.Duration

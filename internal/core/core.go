@@ -57,12 +57,12 @@ type Options struct {
 	// recovery protocols and the progress watchdog. Nil reproduces plain
 	// runs bit for bit.
 	Faults *faults.Config
-	// IntraParallel, when > 1, runs this machine's single simulation on
-	// that many host workers using the engine's conservative-PDES wave
-	// dispatch. Results — simulated timestamps, traces, checksums — are
-	// bit-identical to serial dispatch; only host wall-clock changes. Zero
-	// adopts the process default (SetIntraWorkers, set by sccbench's -intra
-	// flag); 1 forces serial dispatch.
+	// IntraParallel is accepted and ignored: there is one engine, and every
+	// value of this field gave bit-identical results while there were two,
+	// so no caller can observe the difference. It stays only because
+	// benchmark/workloads.go sets it and benchmark/ does not change together
+	// with other code; it goes once a benchmark-only change has dropped that
+	// trial (ROADMAP item 2(a)).
 	IntraParallel int
 	// ReplicatedDirectory, when non-nil, replaces the SVM system's
 	// single-copy ownership directory with the crash-fault-tolerant
@@ -247,7 +247,6 @@ func NewMachine(opts Options) (*Machine, error) {
 	m.obs = Observe(opts.Observe, chip, []*kernel.Cluster{cl}, []*svm.System{sys})
 	m.obs.AddDirectory(m.Dir)
 	m.Race = m.obs.Race()
-	WireIntra(eng, chip, opts.IntraParallel)
 	return m, nil
 }
 
@@ -431,7 +430,6 @@ func NewBaseline(chipCfg *scc.Config, cores []int) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	WireIntra(eng, chip, 0)
 	return &Baseline{Engine: eng, Chip: chip, Comm: comm}, nil
 }
 

@@ -208,14 +208,6 @@ func (c *Core) Bind(proc *sim.Proc) {
 	proc.SetQuantum(c.cfg.Quantum)
 	proc.SetSyncHook(c.deliverIRQs)
 	proc.SetPreWaitHook(c.deliverBeforeWait)
-	// Wave-parallel dispatch wiring: the core may only start a pure compute
-	// segment off the engine when resuming it would not deliver work — the
-	// exact complement of deliverIRQs' entry condition. Trace emissions
-	// route to the core's shard during waves.
-	proc.SetWaveReady(func() bool {
-		return c.inHandler || !c.irqEnabled || c.irqHandler == nil || c.pendingIRQ == 0
-	})
-	proc.SetWaveShard(c.id)
 }
 
 // deliverBeforeWait runs pending interrupt handlers instead of letting the
@@ -258,10 +250,6 @@ func (c *Core) SetIRQHandler(h IRQHandler) { c.irqHandler = h }
 
 // SetAccessHook installs the load/store observer; nil disables it.
 func (c *Core) SetAccessHook(h AccessHook) { c.accessHook = h }
-
-// AccessHook returns the installed load/store observer (nil when none).
-// Lets the intra-parallel wiring wrap an already-installed checker hook.
-func (c *Core) AccessHook() AccessHook { return c.accessHook }
 
 // SetProfiler installs the cycle-attribution profiler; nil disables it.
 // Like the access hook it charges no simulated time. When the memory bus

@@ -49,9 +49,10 @@ func DefaultConfig() Config {
 }
 
 // Validate checks the configuration. A zero PSPerByte (infinite bandwidth)
-// is allowed; a zero LatencyPS is not, because a free crossing would let
-// cross-chip influences outrun the conservative lookahead floor the
-// intra-run parallel engine derives from the local mesh.
+// is allowed; a zero LatencyPS is not: a crossing that costs nothing would
+// put a remote chip as near as the local system-interface port, and any
+// bound derived from the hop geometry may rely on cross-chip influences
+// taking strictly longer than local ones.
 func Validate(cfg Config) error {
 	if cfg.LatencyPS == 0 {
 		return fmt.Errorf("interchip: zero link latency (cross-chip influences must be slower than the local mesh)")
@@ -59,9 +60,8 @@ func Validate(cfg Config) error {
 	return nil
 }
 
-// Fabric answers latency questions for a fixed link configuration. It is
-// stateless and safe for concurrent use from wave-parallel compute
-// segments.
+// Fabric answers latency questions for a fixed link configuration; it is
+// stateless.
 type Fabric struct {
 	cfg Config
 }

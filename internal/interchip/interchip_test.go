@@ -53,9 +53,9 @@ func TestLatencyMonotoneInPayload(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsFreeCrossing: a zero fixed latency would let cross-chip
-// influences outrun the parallel engine's lookahead floor and must be
-// rejected; zero bandwidth cost is fine.
+// TestValidateRejectsFreeCrossing: a zero fixed latency would put a remote
+// chip as near as the local system-interface port and must be rejected; zero
+// bandwidth cost is fine.
 func TestValidateRejectsFreeCrossing(t *testing.T) {
 	if _, err := interchip.New(interchip.Config{LatencyPS: 0, PSPerByte: 62}); err == nil {
 		t.Error("zero-latency link accepted")

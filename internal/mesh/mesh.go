@@ -184,49 +184,6 @@ func (m *Mesh) MaxHops() int {
 	return (m.cfg.Width - 1) + (m.cfg.Height - 1)
 }
 
-// LookaheadMatrix returns the geometric base of the conservative-PDES
-// lookahead: entry [a][b] is the minimum simulated latency for any influence
-// to travel from core a's tile to core b's tile — one flit over the min-hop
-// XY route. Cores sharing a tile get zero (the mesh adds no delay between
-// them); the platform layer adds the fixed injection and ejection costs
-// (interrupt raise, controller processing) that apply even at zero hops.
-func (m *Mesh) LookaheadMatrix() [][]sim.Duration {
-	n := m.Cores()
-	mat := make([][]sim.Duration, n)
-	for a := 0; a < n; a++ {
-		row := make([]sim.Duration, n)
-		for b := 0; b < n; b++ {
-			if a != b {
-				row[b] = m.OneWay(m.HopsCores(a, b))
-			}
-		}
-		mat[a] = row
-	}
-	return mat
-}
-
-// MinHopLatency returns the smallest entry of the core's LookaheadMatrix row:
-// the minimum mesh latency before any other core can be influenced by (or
-// influence) this one. With more than one core per tile this is zero — the
-// same-tile sibling — so a useful wave horizon must come from the platform
-// layer's added fixed costs.
-func (m *Mesh) MinHopLatency(core int) sim.Duration {
-	m.checkCore(core)
-	min := sim.Duration(^uint64(0))
-	for b := 0; b < m.Cores(); b++ {
-		if b == core {
-			continue
-		}
-		if d := m.OneWay(m.HopsCores(core, b)); d < min {
-			min = d
-		}
-	}
-	if min == sim.Duration(^uint64(0)) {
-		return 0 // single-core mesh: nothing to influence
-	}
-	return min
-}
-
 // CoreAtDistance returns some core whose tile is exactly h hops away from
 // the tile of the given core, or -1 if no such core exists. Used by the
 // ping-pong distance sweep (Figure 6).

@@ -3,8 +3,6 @@ package mesh
 import (
 	"testing"
 	"testing/quick"
-
-	"metalsvm/internal/sim"
 )
 
 // gridMesh builds a w x h x c mesh with the paper's clocks — the shapes the
@@ -26,7 +24,7 @@ func gridMesh(t *testing.T, w, h, c int) *Mesh {
 	return m
 }
 
-// The hop-metric and lookahead properties must hold on every grid the
+// The hop-metric and latency properties must hold on every grid the
 // topology API can produce, not just the paper's 6x4x2.
 func testGrids(t *testing.T) map[string]*Mesh {
 	return map[string]*Mesh{
@@ -55,51 +53,30 @@ func TestHopsMetricPropertyOnGrids(t *testing.T) {
 	}
 }
 
-// LookaheadMatrix must agree with the hop geometry everywhere: symmetric,
-// zero exactly on same-tile pairs, equal to OneWay(hops) off-diagonal, and
-// row minima matching MinHopLatency.
+// The pairwise one-way latency — the mesh term of any lookahead bound
+// between two cores — must follow the hop geometry everywhere: symmetric,
+// and zero exactly on same-tile pairs.
 func TestLookaheadMatrixConsistencyOnGrids(t *testing.T) {
 	for name, m := range testGrids(t) {
-		mat := m.LookaheadMatrix()
 		n := m.Cores()
-		if len(mat) != n {
-			t.Fatalf("%s: matrix has %d rows, want %d", name, len(mat), n)
-		}
 		for a := 0; a < n; a++ {
-			min := sim.Duration(^uint64(0))
 			for b := 0; b < n; b++ {
-				if mat[a][b] != mat[b][a] {
-					t.Fatalf("%s: lookahead asymmetric at (%d,%d): %v vs %v",
-						name, a, b, mat[a][b], mat[b][a])
+				ab, ba := m.OneWay(m.HopsCores(a, b)), m.OneWay(m.HopsCores(b, a))
+				if ab != ba {
+					t.Fatalf("%s: one-way latency asymmetric at (%d,%d): %v vs %v",
+						name, a, b, ab, ba)
 				}
-				if want := m.OneWay(m.HopsCores(a, b)); a != b && mat[a][b] != want {
-					t.Fatalf("%s: lookahead[%d][%d] = %v, want OneWay(%d hops) = %v",
-						name, a, b, mat[a][b], m.HopsCores(a, b), want)
+				if (m.TileOfCore(a) == m.TileOfCore(b)) != (ab == 0) {
+					t.Fatalf("%s: one-way latency %d->%d = %v disagrees with tile sharing",
+						name, a, b, ab)
 				}
-				if a == b {
-					if mat[a][b] != 0 {
-						t.Fatalf("%s: nonzero self-lookahead at core %d", name, a)
-					}
-					continue
-				}
-				if (m.TileOfCore(a) == m.TileOfCore(b)) != (mat[a][b] == 0) {
-					t.Fatalf("%s: lookahead[%d][%d] = %v disagrees with tile sharing",
-						name, a, b, mat[a][b])
-				}
-				if mat[a][b] < min {
-					min = mat[a][b]
-				}
-			}
-			if n > 1 && m.MinHopLatency(a) != min {
-				t.Fatalf("%s: MinHopLatency(%d) = %v, want row minimum %v",
-					name, a, m.MinHopLatency(a), min)
 			}
 		}
 	}
 }
 
 // On a single-tile mesh every pair shares the tile: zero hops, zero
-// lookahead, and a CoreAtDistance sweep that stops at hop 0.
+// latency, and a CoreAtDistance sweep that stops at hop 0.
 func TestSingleTileMesh(t *testing.T) {
 	m := gridMesh(t, 1, 1, 2)
 	if m.MaxHops() != 0 {
@@ -108,8 +85,8 @@ func TestSingleTileMesh(t *testing.T) {
 	if m.HopsCores(0, 1) != 0 {
 		t.Fatalf("same-tile hops = %d, want 0", m.HopsCores(0, 1))
 	}
-	if m.MinHopLatency(0) != 0 {
-		t.Fatalf("same-tile lookahead = %v, want 0", m.MinHopLatency(0))
+	if d := m.OneWay(m.HopsCores(0, 1)); d != 0 {
+		t.Fatalf("same-tile one-way latency = %v, want 0", d)
 	}
 	if peer := m.CoreAtDistance(0, 0); peer != 1 {
 		t.Fatalf("CoreAtDistance(0,0) = %d, want the tile sibling 1", peer)

@@ -40,7 +40,7 @@ func (c *Comm) Isend(me int, data []byte, to int) *Request {
 	if me == to {
 		panic("rcce: isend to self")
 	}
-	c.stats[me].Sends++
+	c.stats.Sends++
 	return &Request{comm: c, kind: sendReq, me: me, peer: to, buf: data}
 }
 
@@ -50,7 +50,7 @@ func (c *Comm) Irecv(me int, buf []byte, from int) *Request {
 	if me == from {
 		panic("rcce: irecv from self")
 	}
-	c.stats[me].Recvs++
+	c.stats.Recvs++
 	return &Request{comm: c, kind: recvReq, me: me, peer: from, buf: buf, done: len(buf) == 0}
 }
 
@@ -86,7 +86,7 @@ func (r *Request) progress() bool {
 		}
 		c.stage(meCore, c.slotFor(r.me, r.peer), r.buf[r.off:end])
 		c.writeFlag(meCore, toCore, r.me, flagReady, uint16(end-r.off))
-		c.stats[r.me].Chunks++
+		c.stats.Chunks++
 		r.off = end
 		r.staged = true
 		return true

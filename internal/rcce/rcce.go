@@ -51,10 +51,7 @@ type Comm struct {
 	// barrierCount is the per-rank dissemination barrier epoch.
 	barrierCount []uint8
 
-	// stats is sharded by rank: each rank's core increments only its own
-	// slot, so counting stays race-free when the engine runs ranks
-	// concurrently inside a wave. Stats() sums the shards.
-	stats []Stats
+	stats Stats
 }
 
 // Stats counts communication events.
@@ -97,7 +94,6 @@ func New(chip *scc.Chip, cores []int) (*Comm, error) {
 		slotSize:     slot,
 		flagSig:      make([]*sim.Signal, chip.Cores()),
 		barrierCount: make([]uint8, len(cores)),
-		stats:        make([]Stats, len(cores)),
 	}
 	for i := range c.flagSig {
 		c.flagSig[i] = sim.NewSignal(chip.Engine())
@@ -122,17 +118,8 @@ func (c *Comm) RankOf(core int) int {
 // ChunkSize returns the staging slot size (bytes per chunk).
 func (c *Comm) ChunkSize() int { return c.slotSize }
 
-// Stats returns a snapshot of the counters, summed over all ranks.
-func (c *Comm) Stats() Stats {
-	var s Stats
-	for _, r := range c.stats {
-		s.Sends += r.Sends
-		s.Recvs += r.Recvs
-		s.Chunks += r.Chunks
-		s.Barriers += r.Barriers
-	}
-	return s
-}
+// Stats returns a snapshot of the counters.
+func (c *Comm) Stats() Stats { return c.stats }
 
 // flagAddr returns the offset of sender's flag record in receiver's MPB.
 func (c *Comm) flagAddr(senderRank int) int { return c.flagOff + senderRank*flagBytes }
@@ -210,7 +197,7 @@ func (c *Comm) Send(me int, data []byte, to int) {
 	if me == to {
 		panic("rcce: send to self")
 	}
-	c.stats[me].Sends++
+	c.stats.Sends++
 	meCore, toCore := c.cores[me], c.cores[to]
 	slot := c.slotFor(me, to)
 	for off := 0; off < len(data); off += c.slotSize {
@@ -222,7 +209,7 @@ func (c *Comm) Send(me int, data []byte, to int) {
 		c.waitFlag(meCore, toCore, me, flagIdle)
 		c.stage(meCore, slot, data[off:end])
 		c.writeFlag(meCore, toCore, me, flagReady, uint16(end-off))
-		c.stats[me].Chunks++
+		c.stats.Chunks++
 	}
 	// Block until the last chunk is consumed (synchronous completion).
 	c.waitFlag(meCore, toCore, me, flagIdle)
@@ -233,7 +220,7 @@ func (c *Comm) Recv(me int, buf []byte, from int) {
 	if me == from {
 		panic("rcce: recv from self")
 	}
-	c.stats[me].Recvs++
+	c.stats.Recvs++
 	meCore, fromCore := c.cores[me], c.cores[from]
 	slot := c.slotFor(from, me)
 	for off := 0; off < len(buf); {
@@ -252,7 +239,7 @@ func (c *Comm) Recv(me int, buf []byte, from int) {
 // through the flag records of a virtual "barrier sender" — we reuse the
 // flag array indexed by the partner rank with epoch numbers as payload).
 func (c *Comm) Barrier(me int) {
-	c.stats[me].Barriers++
+	c.stats.Barriers++
 	n := len(c.cores)
 	c.barrierCount[me]++
 	epoch := c.barrierCount[me]

@@ -187,12 +187,7 @@ type Chip struct {
 	// is the charged in-simulation read.
 	crashed []bool
 
-	// meshStats is sharded per core: the latency models mutate it from
-	// compute context (cache fetches, write-backs), which wave-parallel
-	// dispatch runs concurrently across cores. Each core's model only ever
-	// touches its own shard; engine-context paths (retransmission timers)
-	// charge the originating core's shard. MeshStats() sums them.
-	meshStats []MeshStats
+	meshStats MeshStats
 }
 
 // MeshStats counts mesh transactions by class, with the hop distribution.
@@ -213,30 +208,12 @@ type MeshStats struct {
 	HopHist [16]uint64
 }
 
-// MeshStats returns a snapshot of the chip's mesh transaction counters,
-// summed over the per-core shards.
-func (ch *Chip) MeshStats() MeshStats {
-	var s MeshStats
-	for c := range ch.meshStats {
-		cs := &ch.meshStats[c]
-		s.DDRReads += cs.DDRReads
-		s.DDRWrites += cs.DDRWrites
-		s.MPBAccesses += cs.MPBAccesses
-		s.TASAccesses += cs.TASAccesses
-		s.IPIs += cs.IPIs
-		s.LinkCrossings += cs.LinkCrossings
-		s.HopSum += cs.HopSum
-		for i := range cs.HopHist {
-			s.HopHist[i] += cs.HopHist[i]
-		}
-	}
-	return s
-}
+// MeshStats returns a snapshot of the chip's mesh transaction counters.
+func (ch *Chip) MeshStats() MeshStats { return ch.meshStats }
 
-// countHops records one mesh transaction of the given distance against the
-// issuing core's shard.
-func (ch *Chip) countHops(core, hops int) {
-	cs := &ch.meshStats[core]
+// countHops records one mesh transaction of the given distance.
+func (ch *Chip) countHops(hops int) {
+	cs := &ch.meshStats
 	cs.HopSum += uint64(hops)
 	if hops >= len(cs.HopHist) {
 		hops = len(cs.HopHist) - 1
@@ -265,7 +242,7 @@ func (ch *Chip) SetFaultInjector(in *faults.Injector, harden bool) {
 	ch.harden = in != nil && harden
 	// The compute-path fault classes (DDR/MPB delay, stalls) draw from
 	// per-core streams so their sequences do not depend on cross-core
-	// interleaving — the property wave-parallel dispatch relies on.
+	// interleaving.
 	in.BindCores(len(ch.cores))
 }
 
@@ -306,8 +283,8 @@ func (ch *Chip) CoreCrashed(id int) bool { return ch.crashed[id] }
 // Probing a core on another chip additionally crosses the link to that
 // chip's FPGA.
 func (ch *Chip) ProbeAlive(core, target int) bool {
-	ch.countHops(core, ch.gicHops(core))
-	ch.meshStats[core].TASAccesses++
+	ch.countHops(ch.gicHops(core))
+	ch.meshStats.TASAccesses++
 	lat := ch.coreClock().Cycles(ch.cfg.Lat.TASCoreCycles) +
 		ch.mesh.RoundTrip(ch.gicHops(core))
 	if !ch.SameChip(core, target) {
@@ -361,7 +338,6 @@ func New(eng *sim.Engine, cfg Config) (*Chip, error) {
 		mpbBytes:     cfg.MPBBytes,
 		lastMesh:     make([]sim.Duration, n),
 		crashed:      make([]bool, n),
-		meshStats:    make([]MeshStats, n),
 	}
 	if chips > 1 {
 		ch.link, err = interchip.New(cfg.Link)
@@ -450,7 +426,6 @@ func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 	proc := ch.eng.NewProc(fmt.Sprintf("core%d", id), 0, func(p *sim.Proc) {
 		body(c)
 	})
-	proc.SetWaveLookahead(ch.WaveLookahead(id))
 	c.Bind(proc)
 	base := ch.layout.PrivateBase(id)
 	for off := uint32(0); off < ch.cfg.PrivateMemPerCore; off += pgtable.PageSize {
@@ -458,27 +433,6 @@ func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 			pgtable.Present|pgtable.Writable|pgtable.WriteThrough)
 	}
 	return c
-}
-
-// WaveLookahead returns core id's conservative-PDES influence floor: the
-// minimum simulated delay between any other core initiating a cross-core
-// influence and that influence becoming observable at this core. On this
-// chip the cheapest influence is an IPI — mail deposits and shared-memory
-// stores only matter once the receiver is nudged or polls (polling parks
-// on its own sync points, which the wave horizon already bounds) — so the
-// floor is the sender's raise cost (with the sender, worst case, sitting
-// right at the GIC tile: zero raise hops), GIC processing, and one flit
-// from the GIC to this core's tile. The raise and GIC terms are fixed
-// costs that apply even at zero hops, so the floor is positive and the
-// engine can run this core's pure segments ahead of its peers' next wake
-// by at least this much. The formula needs no multi-chip term: an
-// influence from another chip pays the same raise and GIC costs plus a
-// link crossing, which Validate requires to be strictly positive, so the
-// single-chip floor remains a conservative lower bound.
-func (ch *Chip) WaveLookahead(core int) sim.Duration {
-	return ch.coreClock().Cycles(ch.cfg.Lat.IPIRaiseCoreCycles) +
-		ch.cfg.Mesh.Clock.Cycles(ch.cfg.Lat.GICCycles) +
-		ch.mesh.OneWay(ch.gicHops(core))
 }
 
 // --- Memory bus (cpu.MemoryBus): optimistic data path --------------------
@@ -497,11 +451,11 @@ func (ch *Chip) hopsToController(core, mc int) (hops int, cross bool) {
 	return ch.gicHops(core) + mesh.Hops(ch.cfg.GICPort, ch.mesh.MemoryController(localMC)), true
 }
 
-// linkCross records one inter-chip crossing on core's stats shard and
-// returns the fault-injected extra delay on the link route (zero without
-// an injector or with a zero Link spec).
+// linkCross records one inter-chip crossing and returns core's
+// fault-injected extra delay on the link route (zero without an injector or
+// with a zero Link spec).
 func (ch *Chip) linkCross(core int) sim.Duration {
-	ch.meshStats[core].LinkCrossings++
+	ch.meshStats.LinkCrossings++
 	return ch.injectDelay(core, faults.Link)
 }
 
@@ -511,8 +465,8 @@ func (ch *Chip) linkCross(core int) sim.Duration {
 func (ch *Chip) ddrReadLatency(core int, paddr uint32) sim.Duration {
 	mc := ch.layout.ControllerOf(paddr)
 	hops, cross := ch.hopsToController(core, mc)
-	ch.meshStats[core].DDRReads++
-	ch.countHops(core, hops)
+	ch.meshStats.DDRReads++
+	ch.countHops(hops)
 	mesh := ch.mesh.RoundTrip(hops)
 	if cross {
 		mesh += ch.link.RoundTrip(phys.CacheLine) + ch.linkCross(core)
@@ -531,8 +485,8 @@ func (ch *Chip) ddrReadLatency(core int, paddr uint32) sim.Duration {
 func (ch *Chip) ddrWordWriteLatency(core int, paddr uint32) sim.Duration {
 	mc := ch.layout.ControllerOf(paddr)
 	hops, cross := ch.hopsToController(core, mc)
-	ch.meshStats[core].DDRWrites++
-	ch.countHops(core, hops)
+	ch.meshStats.DDRWrites++
+	ch.countHops(hops)
 	mesh := ch.mesh.RoundTrip(hops)
 	if cross {
 		mesh += ch.link.RoundTrip(8) + ch.linkCross(core)
@@ -550,8 +504,8 @@ func (ch *Chip) ddrWordWriteLatency(core int, paddr uint32) sim.Duration {
 func (ch *Chip) ddrLineWriteLatency(core int, paddr uint32) sim.Duration {
 	mc := ch.layout.ControllerOf(paddr)
 	hops, cross := ch.hopsToController(core, mc)
-	ch.meshStats[core].DDRWrites++
-	ch.countHops(core, hops)
+	ch.meshStats.DDRWrites++
+	ch.countHops(hops)
 	mesh := ch.mesh.OneWay(hops)
 	if cross {
 		mesh += ch.link.OneWay(phys.CacheLine) + ch.linkCross(core)

@@ -70,8 +70,8 @@ func (ch *Chip) hopsCores(a, b int) (hops int, cross bool) {
 // owner adds a link round trip carrying one line.
 func (ch *Chip) mpbLatency(core, owner int) sim.Duration {
 	hops, cross := ch.hopsCores(core, owner)
-	ch.meshStats[core].MPBAccesses++
-	ch.countHops(core, hops)
+	ch.meshStats.MPBAccesses++
+	ch.countHops(hops)
 	lat := ch.coreClock().Cycles(ch.cfg.Lat.MPBCoreCycles) +
 		ch.mesh.RoundTrip(hops) +
 		ch.injectDelay(core, faults.MPB)
@@ -126,8 +126,8 @@ func (ch *Chip) MPBSetByte(core, owner, off int, v byte) {
 
 func (ch *Chip) tasLatency(core, reg int) sim.Duration {
 	hops, cross := ch.hopsCores(core, reg)
-	ch.meshStats[core].TASAccesses++
-	ch.countHops(core, hops)
+	ch.meshStats.TASAccesses++
+	ch.countHops(hops)
 	lat := ch.coreClock().Cycles(ch.cfg.Lat.TASCoreCycles) +
 		ch.mesh.RoundTrip(hops)
 	if cross {
@@ -249,8 +249,8 @@ func (ch *Chip) CheckMailCost(core int) {
 func (ch *Chip) RaiseIPI(from, to int) {
 	c := ch.cores[from]
 	ch.tracer.Emit(c.Now(), from, trace.KindIPI, uint64(to), 0)
-	ch.meshStats[from].IPIs++
-	ch.countHops(from, ch.gicHops(from)+ch.gicHops(to))
+	ch.meshStats.IPIs++
+	ch.countHops(ch.gicHops(from) + ch.gicHops(to))
 	c.Sync()
 	raise := ch.coreClock().Cycles(ch.cfg.Lat.IPIRaiseCoreCycles) +
 		ch.mesh.OneWay(ch.gicHops(from))
@@ -284,7 +284,7 @@ func (ch *Chip) RaiseIPI(from, to int) {
 				uint64(faults.Link), uint64(faults.Drop))
 			return
 		}
-		ch.meshStats[from].LinkCrossings++
+		ch.meshStats.LinkCrossings++
 		deliver += ch.link.OneWay(8)
 		if cyc := ch.faults.DelayCycles(faults.Link); cyc != 0 {
 			ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
@@ -312,12 +312,12 @@ func (ch *Chip) NudgeIPI(from, to int) {
 		ch.faults.NotePartitionDrop()
 		return
 	}
-	ch.meshStats[from].IPIs++
-	ch.countHops(from, ch.gicHops(from)+ch.gicHops(to))
+	ch.meshStats.IPIs++
+	ch.countHops(ch.gicHops(from) + ch.gicHops(to))
 	deliver := ch.cfg.Mesh.Clock.Cycles(ch.cfg.Lat.GICCycles) +
 		ch.mesh.OneWay(ch.gicHops(to))
 	if !ch.SameChip(from, to) {
-		ch.meshStats[from].LinkCrossings++
+		ch.meshStats.LinkCrossings++
 		deliver += ch.link.OneWay(8)
 	}
 	target := ch.cores[to]

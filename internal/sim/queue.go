@@ -14,14 +14,9 @@ type event struct {
 	seq uint64
 	fn  func()
 	// Data-carrying process wake (fn == nil): resumes proc if its wakeSeq
-	// still matches. pure marks quantum-bound wakes (Advance-triggered
-	// Sync): the process was parked only because its lookahead bound was
-	// exceeded, not because it is about to apply a globally ordered effect.
-	// Pure wakes are what the conservative-PDES wave runner (pdes.go) may
-	// dispatch concurrently.
+	// still matches.
 	proc    *Proc
 	wakeSeq uint64
-	pure    bool
 }
 
 // eventLess is the engine's dispatch order: time, then insertion sequence.

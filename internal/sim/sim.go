@@ -77,9 +77,6 @@ type Engine struct {
 	// cur is the proc whose event callback is currently executing, kept for
 	// diagnostics (panic messages name the offending process).
 	cur *Proc
-	// intra, when non-nil, switches RunUntil to conservative-PDES wave
-	// dispatch; see pdes.go. Nil keeps the engine strictly serial.
-	intra *intraState
 }
 
 // NewEngine returns an engine with its clock at zero.
@@ -92,10 +89,6 @@ func (e *Engine) Now() Time { return e.now }
 // it would violate causality and mask a modeling bug. Scheduling at the
 // current time takes the queue's append fast path (see queue.go).
 func (e *Engine) At(t Time, fn func()) {
-	if e.intra != nil && e.intra.active.Load() {
-		panic(fmt.Sprintf("sim: Engine.At(%d) from wave-parallel context; "+
-			"proc-context schedulers must use Proc.At", t))
-	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d before now %d%s", t, e.now, e.curName()))
 	}
@@ -114,13 +107,13 @@ func (e *Engine) curName() string {
 // scheduleSync enqueues a data-carrying wake for p at time at. Called from
 // the proc goroutine while the engine is blocked in its dispatch handshake,
 // so it observes a stable engine clock.
-func (e *Engine) scheduleSync(at Time, p *Proc, wakeSeq uint64, pure bool) {
+func (e *Engine) scheduleSync(at Time, p *Proc, wakeSeq uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d before now %d by proc %s",
 			at, e.now, p.name))
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, proc: p, wakeSeq: wakeSeq, pure: pure}, e.now)
+	e.queue.push(event{at: at, seq: e.seq, proc: p, wakeSeq: wakeSeq}, e.now)
 }
 
 // After schedules fn to run d after the current time.
@@ -133,9 +126,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // Stop is called. It returns the final simulated time.
 func (e *Engine) Run() Time { return e.RunUntil(Time(math.MaxUint64)) }
 
-// RunUntil dispatches events with timestamps <= limit, then returns.
-// The engine clock is left at the last dispatched event (or limit if the
-// queue drained earlier events only).
+// RunUntil dispatches events with timestamps <= limit, then returns the
+// engine clock, which is left at the last dispatched event: it never moves
+// to limit itself, and stays where it was when nothing was dispatched.
 func (e *Engine) RunUntil(limit Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
@@ -143,10 +136,6 @@ func (e *Engine) RunUntil(limit Time) Time {
 		head, ok := e.queue.head()
 		if !ok || head.at > limit {
 			break
-		}
-		if e.intra != nil && waveEligible(head) {
-			e.runWave(limit)
-			continue
 		}
 		ev := e.queue.pop()
 		if ev.at < e.now {

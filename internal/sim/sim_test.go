@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -429,5 +432,322 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// --- Serial golden scenarios ---
+//
+// The engine has one dispatch order, (time, seq), and nothing to compare it
+// against but itself. Each scenario below therefore pins three things to
+// constants: the final clock, the final sequence counter and an FNV-1a hash
+// of every observation made at a globally ordered point. A change to the
+// engine that moves any of them changed simulated behaviour. The constants
+// come from the serial run at the last commit that still had a second
+// dispatch engine agreeing with it; a failure prints the observed outcome in
+// the form of the literal, and the record log behind the hash.
+
+// recorder collects observation strings at globally ordered points (post-
+// Sync effect context, engine events).
+type recorder struct {
+	events []string
+}
+
+func (r *recorder) note(format string, args ...any) {
+	r.events = append(r.events, fmt.Sprintf(format, args...))
+}
+
+// golden is the outcome of one scenario run.
+type golden struct {
+	end  Time   // final engine clock
+	seq  uint64 // final sequence counter: one per event ever scheduled
+	hash uint64 // FNV-1a over the record log, one record per line
+}
+
+func (g golden) String() string {
+	return fmt.Sprintf("golden{end: %d, seq: %d, hash: %#x}", g.end, g.seq, g.hash)
+}
+
+// runScenario builds one scenario on a fresh engine, runs it to completion
+// and returns its outcome and record log. build may itself drive the engine
+// part of the way (the RunUntil scenario does).
+func runScenario(build func(e *Engine, rec *recorder)) (golden, []string) {
+	e := NewEngine()
+	rec := &recorder{}
+	build(e, rec)
+	end := e.Run()
+	e.Shutdown()
+	h := fnv.New64a()
+	for _, s := range rec.events {
+		h.Write([]byte(s))
+		h.Write([]byte{'\n'})
+	}
+	return golden{end: end, seq: e.seq, hash: h.Sum64()}, rec.events
+}
+
+// assertGolden runs the scenario twice and requires both runs to equal want.
+func assertGolden(t *testing.T, want golden, build func(e *Engine, rec *recorder)) {
+	t.Helper()
+	first, log := runScenario(build)
+	if second, _ := runScenario(build); first != second {
+		t.Fatalf("same scenario, two runs: %v then %v", first, second)
+	}
+	if first != want {
+		t.Fatalf("got %v, want %v; record log:\n%s", first, want, strings.Join(log, "\n"))
+	}
+}
+
+// TestGoldenUniformCompute: pure compute with periodic effect syncs — all
+// cores crunching between barriers.
+func TestGoldenUniformCompute(t *testing.T) {
+	assertGolden(t, golden{end: 13800, seq: 404, hash: 0x63ae550ae1612a25}, func(e *Engine, rec *recorder) {
+		for i := 0; i < 6; i++ {
+			i := i
+			step := Duration(30 + 17*i)
+			e.NewProc(fmt.Sprintf("p%d", i), 0, func(p *Proc) {
+				p.SetQuantum(100)
+				for k := 0; k < 120; k++ {
+					p.Advance(step)
+					if k%13 == 12 {
+						p.Sync() // effect park: globally ordered
+						rec.note("p%d effect k=%d now=%d local=%d", i, k, e.Now(), p.LocalTime())
+					}
+				}
+				p.Sync()
+				rec.note("p%d done now=%d", i, e.Now())
+			})
+		}
+	})
+}
+
+// TestGoldenProducersConsumer mixes pure compute with signal traffic and an
+// indefinitely waiting consumer.
+func TestGoldenProducersConsumer(t *testing.T) {
+	assertGolden(t, golden{end: 5280, seq: 183, hash: 0x36180b8f865fc3d0}, func(e *Engine, rec *recorder) {
+		sig := NewSignal(e)
+		mail := 0
+		for i := 0; i < 5; i++ {
+			i := i
+			step := Duration(40 + 23*i)
+			e.NewProc(fmt.Sprintf("prod%d", i), 0, func(p *Proc) {
+				p.SetQuantum(90)
+				for k := 0; k < 40; k++ {
+					p.Advance(step)
+					if k%9 == 8 {
+						p.Sync()
+						mail++
+						sig.Fire(p.LocalTime())
+						rec.note("prod%d fire mail=%d now=%d", i, mail, e.Now())
+					}
+				}
+			})
+		}
+		e.NewProc("consumer", 0, func(p *Proc) {
+			for mail < 20 {
+				sig.Wait(p)
+			}
+			rec.note("consumer saw %d at %d", mail, e.Now())
+		})
+	})
+}
+
+// TestGoldenHaltMidRun crash-halts one proc from an engine event while the
+// rest keep computing; the halt must land between the same two parks.
+func TestGoldenHaltMidRun(t *testing.T) {
+	assertGolden(t, golden{end: 3480, seq: 87, hash: 0x16496743a0d2edc3}, func(e *Engine, rec *recorder) {
+		var victim *Proc
+		for i := 0; i < 4; i++ {
+			i := i
+			pp := e.NewProc(fmt.Sprintf("w%d", i), 0, func(p *Proc) {
+				p.SetQuantum(80)
+				for k := 0; k < 60; k++ {
+					p.Advance(Duration(25 + 11*i))
+					if k%15 == 14 {
+						p.Sync()
+						rec.note("w%d effect k=%d now=%d", i, k, e.Now())
+					}
+				}
+			})
+			if i == 2 {
+				victim = pp
+			}
+		}
+		e.At(1200, func() {
+			victim.Halt()
+			rec.note("halt at %d", e.Now())
+		})
+	})
+}
+
+// TestGoldenCallbackFromProcContext schedules engine callbacks from a proc
+// that is running ahead of the engine clock (the WaitFor/WaitUntil deadline
+// pattern); each must take its sequence number at the request, not at the
+// proc's next park.
+func TestGoldenCallbackFromProcContext(t *testing.T) {
+	assertGolden(t, golden{end: 3700, seq: 104, hash: 0x7b0ab3aa9ec04e0f}, func(e *Engine, rec *recorder) {
+		for i := 0; i < 4; i++ {
+			i := i
+			e.NewProc(fmt.Sprintf("q%d", i), 0, func(p *Proc) {
+				p.SetQuantum(100)
+				for k := 0; k < 50; k++ {
+					p.Advance(Duration(35 + 13*i))
+					if k%11 == 7 {
+						at := p.LocalTime() + 500
+						k := k
+						e.At(at, func() {
+							rec.note("q%d deadline k=%d fires now=%d", i, k, e.Now())
+						})
+					}
+				}
+				p.Sync()
+				rec.note("q%d done now=%d", i, e.Now())
+			})
+		}
+	})
+}
+
+// TestGoldenZeroQuantumInterleaved: an unbounded (zero-quantum) proc parks
+// only at its effect syncs while bounded procs park every quantum; the
+// effect points must interleave in time order.
+func TestGoldenZeroQuantumInterleaved(t *testing.T) {
+	assertGolden(t, golden{end: 3330, seq: 102, hash: 0x8b758d0fd7d79d6b}, func(e *Engine, rec *recorder) {
+		e.NewProc("unbounded", 0, func(p *Proc) {
+			for k := 0; k < 10; k++ {
+				p.Advance(333)
+				p.Sync()
+				rec.note("unbounded effect k=%d now=%d", k, e.Now())
+			}
+		})
+		for i := 0; i < 3; i++ {
+			i := i
+			e.NewProc(fmt.Sprintf("b%d", i), 0, func(p *Proc) {
+				p.SetQuantum(70)
+				for k := 0; k < 80; k++ {
+					p.Advance(Duration(20 + 9*i))
+					if k%20 == 19 {
+						p.Sync()
+						rec.note("b%d effect k=%d now=%d", i, k, e.Now())
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestGoldenRunUntilBoundary stops at a finite RunUntil limit mid-run: the
+// clock, the pending count and every proc's local clock at the boundary are
+// observable state, and resuming with Run must finish the same way.
+func TestGoldenRunUntilBoundary(t *testing.T) {
+	assertGolden(t, golden{end: 4554, seq: 156, hash: 0x9b5693ff143d638a}, func(e *Engine, rec *recorder) {
+		var procs []*Proc
+		for i := 0; i < 3; i++ {
+			i := i
+			procs = append(procs, e.NewProc(fmt.Sprintf("r%d", i), 0, func(p *Proc) {
+				p.SetQuantum(50)
+				for k := 0; k < 100; k++ {
+					p.Advance(Duration(30 + 8*i))
+					if k%33 == 32 {
+						p.Sync()
+						rec.note("r%d effect now=%d", i, e.Now())
+					}
+				}
+			}))
+		}
+		mid := e.RunUntil(1000)
+		rec.note("mid clock=%d pending=%d", mid, e.Pending())
+		for i, p := range procs {
+			rec.note("mid r%d local=%d", i, p.LocalTime())
+		}
+	})
+}
+
+// --- Quantum/lookahead edge cases ---
+
+// TestSetQuantumMidAdvance changes the quantum between Advance calls; the
+// new bound must take effect for the very next Advance.
+func TestSetQuantumMidAdvance(t *testing.T) {
+	e := NewEngine()
+	var syncs []Time
+	e.NewProc("p", 0, func(p *Proc) {
+		p.SetQuantum(100)
+		p.Advance(150) // exceeds 100: parks at 150
+		p.SetQuantum(1000)
+		p.Advance(900) // lookahead 900 <= 1000: no park
+		if e.Now() != 150 {
+			syncs = append(syncs, ^Time(0))
+		}
+		p.Advance(200) // lookahead 1100 > 1000: parks at 1250
+		p.SetQuantum(50)
+		p.Advance(60) // new tight bound: parks at 1310
+		p.Sync()
+	})
+	trackSyncs := func() {}
+	_ = trackSyncs
+	e.Run()
+	if len(syncs) != 0 {
+		t.Fatal("quantum 1000 did not suppress the park")
+	}
+	if e.Now() != 1310 {
+		t.Fatalf("final clock %d, want 1310", e.Now())
+	}
+}
+
+// TestQuantumExactlyEqualToStep: a quantum exactly equal to the advance
+// step must not park (the bound is strict: lookahead > quantum), and two
+// steps must.
+func TestQuantumExactlyEqualToStep(t *testing.T) {
+	e := NewEngine()
+	parks := 0
+	e.NewProc("p", 0, func(p *Proc) {
+		p.SetSyncHook(func() { parks++ })
+		p.SetQuantum(100)
+		p.Advance(100) // lookahead == quantum: stays local
+		if e.Now() != 0 {
+			t.Errorf("engine advanced to %d on an exactly-quantum step", e.Now())
+		}
+		p.Advance(100) // lookahead 200 > 100: parks at 200
+		if e.Now() != 200 {
+			t.Errorf("engine at %d after second step, want 200", e.Now())
+		}
+	})
+	e.Run()
+	if parks != 1 {
+		t.Fatalf("parks = %d, want exactly 1", parks)
+	}
+}
+
+// TestZeroQuantumUnbounded: zero quantum means unbounded lookahead — the
+// proc must never park on Advance no matter how far it runs ahead, while a
+// bounded sibling interleaves normally.
+func TestZeroQuantumUnbounded(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.NewProc("free", 0, func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Advance(1000)
+		}
+		if e.Now() != 0 {
+			t.Errorf("unbounded proc advanced the engine to %d", e.Now())
+		}
+		p.Sync()
+		order = append(order, fmt.Sprintf("free@%d", e.Now()))
+	})
+	e.NewProc("tight", 0, func(p *Proc) {
+		p.SetQuantum(10)
+		for i := 0; i < 5; i++ {
+			p.Advance(100)
+			order = append(order, fmt.Sprintf("tight@%d", p.LocalTime()))
+		}
+	})
+	e.Run()
+	// tight parks at 100..500 and records after each park; free syncs at
+	// 1000000 last.
+	want := []string{"tight@100", "tight@200", "tight@300", "tight@400", "tight@500", "free@1000000"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v", order)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
 	}
 }

@@ -95,26 +95,11 @@ func (e Event) String() string {
 
 // Buffer is a bounded event ring. When full, the oldest events are
 // overwritten and Dropped counts them — a trace never stops a long run.
-//
-// Under the engine's wave-parallel dispatch the buffer doubles as the
-// sim.WaveObserver: during a wave's concurrent section each core's emissions
-// collect in that core's shard (one goroutine per shard — no locking), and
-// the engine's replay flushes them into the ring at the exact position
-// serial dispatch would have emitted them, so the retained stream is
-// bit-identical to a serial run's.
 type Buffer struct {
 	ring    []Event
 	next    int
 	wrapped bool
 	dropped uint64
-
-	// Wave sharding (EnableWaveShards). inWave routes Emit to the issuing
-	// core's shard; bases counts each shard's already-flushed emissions and
-	// offs its consumed prefix (storage is recycled once a shard drains).
-	inWave bool
-	shards [][]Event
-	bases  []int
-	offs   []int
 }
 
 // NewBuffer creates a ring holding up to capacity events.
@@ -131,17 +116,6 @@ func (b *Buffer) Emit(at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
 		return
 	}
 	e := Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2}
-	if b.inWave {
-		// Concurrent section: only core procs run, and every call site
-		// passes the issuing core, so this shard is ours alone.
-		b.shards[core] = append(b.shards[core], e)
-		return
-	}
-	b.insert(e)
-}
-
-// insert places one event in the ring with the overwrite-oldest policy.
-func (b *Buffer) insert(e Event) {
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, e)
 		return
@@ -150,68 +124,6 @@ func (b *Buffer) insert(e Event) {
 	b.next = (b.next + 1) % cap(b.ring)
 	b.wrapped = true
 	b.dropped++
-}
-
-// EnableWaveShards prepares n per-core emission shards so the buffer can
-// serve as the engine's wave observer. Must be called before the run.
-func (b *Buffer) EnableWaveShards(n int) {
-	if b == nil {
-		return
-	}
-	b.shards = make([][]Event, n)
-	b.bases = make([]int, n)
-	b.offs = make([]int, n)
-}
-
-// WaveBegin implements sim.WaveObserver: emissions route to shards until
-// WaveEnd.
-func (b *Buffer) WaveBegin() {
-	if b == nil {
-		return
-	}
-	b.inWave = true
-}
-
-// WaveEnd implements sim.WaveObserver.
-func (b *Buffer) WaveEnd() {
-	if b == nil {
-		return
-	}
-	b.inWave = false
-}
-
-// SegmentMark implements sim.WaveObserver: the shard's monotonic emission
-// position (flushed count plus pending count).
-func (b *Buffer) SegmentMark(shard int) int {
-	if b == nil {
-		return 0
-	}
-	return b.bases[shard] + len(b.shards[shard]) - b.offs[shard]
-}
-
-// SegmentFlush implements sim.WaveObserver: append the shard's emissions
-// [from, to) to the ring. The engine flushes every shard in order and
-// contiguously, so from always continues where the last flush stopped.
-func (b *Buffer) SegmentFlush(shard int, from, to int) {
-	if b == nil {
-		return
-	}
-	if from != b.bases[shard] {
-		panic(fmt.Sprintf("trace: non-contiguous wave flush of shard %d: [%d,%d) after %d",
-			shard, from, to, b.bases[shard]))
-	}
-	n := to - from
-	off := b.offs[shard]
-	for _, e := range b.shards[shard][off : off+n] {
-		b.insert(e)
-	}
-	b.offs[shard] = off + n
-	b.bases[shard] = to
-	if b.offs[shard] == len(b.shards[shard]) {
-		// Shard drained: recycle its storage.
-		b.shards[shard] = b.shards[shard][:0]
-		b.offs[shard] = 0
-	}
 }
 
 // Dropped reports how many events were overwritten.
