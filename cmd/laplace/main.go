@@ -70,7 +70,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		machine.Chip.SetTracer(tracer)
+		machine.Chip.Tracer().SetRing(tracer)
 		app := laplace.NewSVM(p, laplace.SVMOptions{})
 		machine.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		res = app.Result()
@@ -85,7 +85,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		b.Chip.SetTracer(tracer)
+		b.Chip.Tracer().SetRing(tracer)
 		app := laplace.NewBaseline(p, b.Comm)
 		b.Run(func(rank int, c *cpu.Core) { app.Main(rank, c) })
 		res = app.Result()

@@ -1,5 +1,5 @@
 // Command metalsvm-vet runs the repo's custom static analyzers (simdet,
-// tracenil — see internal/analysis).
+// simtime, tracenil, locksite — see internal/analysis).
 //
 // Standalone, over the whole module:
 //

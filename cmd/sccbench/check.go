@@ -120,7 +120,7 @@ func checkDomains(out io.Writer) bool {
 		fmt.Fprintf(out, "racecheck: domains: %v\n", err)
 		return false
 	}
-	k := ds.EnableRaceCheck(racecheck.Config{})
+	k := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}}).Race()
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)

@@ -17,7 +17,7 @@ import (
 // with the sanitizer suite enabled — shadow memory over the SVM window,
 // Eraser-style locksets and the lock-order graph — and reports the verdicts.
 // Representative mailbox harness cells (fig6/fig7) run sanitized too, proving
-// the hooks stay quiet on non-SVM traffic. Cells are independent simulations
+// the checkers stay quiet on non-SVM traffic. Cells are independent simulations
 // and fan out across the host pool exactly like -check; each writes into its
 // own buffer, so output order is stable at any parallelism. Returns false if
 // any cell reported a finding.

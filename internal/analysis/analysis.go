@@ -18,17 +18,15 @@
 //   - simtime: the host clock is banned from engine packages — no time.Now
 //     or time.Since, and no host-timer scheduling (time.Sleep, time.After,
 //     time.NewTimer, …); simulated time comes from the engine alone.
-//   - tracenil: trace emission must flow through the nil-guarded helper —
-//     (*trace.Buffer) methods keep their nil-receiver guard, and no package
+//   - tracenil: every observer hangs off the one event stream, so emission
+//     must flow through its nil-guarded helpers — (*trace.Stream) and
+//     (*trace.Buffer) methods keep their leading nil-receiver guard (an
+//     uninstrumented run cannot nil-deref an observer), and no package
 //     fabricates trace.Event values behind Emit's back.
 //   - locksite: the static half of the sanitizer's lock-order analysis —
 //     svm.Handle.Barrier must not be reached while a lock is held, and
 //     constant lock ids must be acquired in a consistent order across each
 //     package.
-//   - obshook: every call through a module-defined *Hook func or interface
-//     type must sit inside an `if <hook> != nil` guard — hooks are optional
-//     observers, and the guard is the zero-perturbation discipline made
-//     visible at the call site.
 package analysis
 
 import (
@@ -71,7 +69,7 @@ type Analyzer struct {
 }
 
 // All returns every analyzer in the suite.
-func All() []*Analyzer { return []*Analyzer{SimDet, SimTime, TraceNil, LockSite, ObsHook} }
+func All() []*Analyzer { return []*Analyzer{SimDet, SimTime, TraceNil, LockSite} }
 
 // Directive is the annotation that marks a map iteration as deliberately
 // order-insensitive (e.g. collecting keys for sorting). It must appear as a

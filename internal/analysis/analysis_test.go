@@ -274,6 +274,38 @@ func (b *Buffer) reset() { b.n = 0 } // unexported: no guard required
 	wantFindings(t, msgs, "(*Buffer).Emit lacks the leading nil-receiver guard")
 }
 
+// The stream is the emission path every observer hangs off: its guard may be
+// the first operand of an || chain (Emit folds the "nobody subscribed" check
+// into it), but it has to come first, and nothing else counts.
+func TestTraceNilRequiresStreamGuard(t *testing.T) {
+	msgs := check(t, TraceNil, pkgSrc{path: tracePkgPath, src: `
+package trace
+type Stream struct{ subs [4][]func() }
+func (s *Stream) Emit(kind int) {
+	if s == nil || len(s.subs[kind]) == 0 {
+		return
+	}
+}
+func (s *Stream) On(kind int) bool {
+	if len(s.subs[kind]) == 0 || s == nil {
+		return false
+	}
+	return true
+}
+func (s *Stream) Subscribe(fn func()) { s.subs[0] = append(s.subs[0], fn) }
+func (s *Stream) Ring() int {
+	if s != nil {
+		return 1
+	}
+	return 0
+}
+`})
+	wantFindings(t, msgs,
+		"(*Stream).On lacks the leading nil-receiver guard",
+		"(*Stream).Subscribe lacks the leading nil-receiver guard",
+		"(*Stream).Ring lacks the leading nil-receiver guard")
+}
+
 // TestTreeIsClean runs the whole suite over the real module: the repo must
 // stay free of determinism and tracing violations.
 func TestTreeIsClean(t *testing.T) {
@@ -433,81 +465,6 @@ func b(h *svm.Handle, id int) {
 	h.Unlock(id)
 	h.Barrier()
 }
-`})
-	wantFindings(t, msgs)
-}
-
-// fakeHooks stands in for a simulator package defining hook types.
-var fakeHooks = pkgSrc{path: "metalsvm/internal/hooks", src: `
-package hooks
-type MapHook func(v uint32)
-type SyncHook interface{ Locked(core int) }
-type plainFn func(v uint32)
-`}
-
-func TestObsHookFlagsUnguardedCalls(t *testing.T) {
-	msgs := check(t, ObsHook, fakeHooks, pkgSrc{path: "metalsvm/internal/demo", src: `
-package demo
-import "metalsvm/internal/hooks"
-type table struct {
-	mapHook hooks.MapHook
-	sync    hooks.SyncHook
-}
-func (t *table) bad(v uint32) {
-	t.mapHook(v)
-	t.sync.Locked(1)
-}
-`})
-	wantFindings(t, msgs, "t.mapHook is not nil-guarded", "t.sync is not nil-guarded")
-}
-
-func TestObsHookAcceptsGuardedCalls(t *testing.T) {
-	msgs := check(t, ObsHook, fakeHooks, pkgSrc{path: "metalsvm/internal/demo", src: `
-package demo
-import "metalsvm/internal/hooks"
-type table struct {
-	mapHook hooks.MapHook
-	sync    hooks.SyncHook
-}
-func (t *table) ok(v uint32, fresh bool) {
-	if t.mapHook != nil && fresh {
-		t.mapHook(v)
-	}
-	if t.sync != nil {
-		t.sync.Locked(1)
-	}
-	if h := t.mapHook; h != nil {
-		h(v)
-	}
-}
-`})
-	wantFindings(t, msgs)
-}
-
-func TestObsHookGuardDoesNotLeakIntoElseOrAfter(t *testing.T) {
-	msgs := check(t, ObsHook, fakeHooks, pkgSrc{path: "metalsvm/internal/demo", src: `
-package demo
-import "metalsvm/internal/hooks"
-type table struct{ mapHook hooks.MapHook }
-func (t *table) bad(v uint32) {
-	if t.mapHook != nil {
-		_ = v
-	} else {
-		t.mapHook(v)
-	}
-	if t.mapHook != nil {
-		_ = v
-	}
-	t.mapHook(v)
-}
-`})
-	wantFindings(t, msgs, "not nil-guarded", "not nil-guarded")
-}
-
-func TestObsHookIgnoresNonHookTypes(t *testing.T) {
-	msgs := check(t, ObsHook, fakeHooks, pkgSrc{path: "metalsvm/internal/demo", src: `
-package demo
-func run(f func(int)) { f(1) }
 `})
 	wantFindings(t, msgs)
 }

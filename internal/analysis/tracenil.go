@@ -2,19 +2,22 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// TraceNil guards the tracing discipline: layers emit through a
-// possibly-nil *trace.Buffer, so a disabled trace costs one branch and no
-// allocation. That only holds if (a) every exported Buffer method keeps its
+// TraceNil guards the instrumentation discipline: every layer emits through
+// a possibly-nil *trace.Stream and every observer — the ring *trace.Buffer,
+// the checkers — hangs off it, so an uninstrumented run costs one branch per
+// site, allocates nothing and cannot nil-deref an observer. That only holds
+// if (a) every exported Stream and Buffer method keeps its leading
 // nil-receiver guard, and (b) nobody fabricates trace.Event values outside
 // the trace package — events exist only because Emit created them, so a nil
-// buffer provably records nothing.
+// stream provably delivers nothing.
 var TraceNil = &Analyzer{
 	Name: "tracenil",
-	Doc: "trace emission must flow through the nil-guarded (*trace.Buffer) " +
-		"helpers",
+	Doc: "trace emission must flow through the nil-guarded (*trace.Stream) " +
+		"and (*trace.Buffer) helpers",
 	Run: runTraceNil,
 }
 
@@ -22,7 +25,7 @@ const tracePkgPath = "metalsvm/internal/trace"
 
 func runTraceNil(p *Pass) error {
 	if p.Pkg.Path() == tracePkgPath {
-		checkBufferGuards(p)
+		checkReceiverGuards(p)
 		return nil
 	}
 	for _, f := range p.Files {
@@ -43,7 +46,7 @@ func runTraceNil(p *Pass) error {
 				named.Obj().Pkg().Path() == tracePkgPath &&
 				named.Obj().Name() == "Event" {
 				p.Reportf(lit.Pos(), "trace.Event constructed outside the "+
-					"trace package; emit through the nil-guarded Buffer.Emit")
+					"trace package; emit through the nil-guarded Stream.Emit")
 			}
 			return true
 		})
@@ -51,10 +54,11 @@ func runTraceNil(p *Pass) error {
 	return nil
 }
 
-// checkBufferGuards requires every exported pointer-receiver method of
-// trace.Buffer to begin with an `if <recv> == nil` guard, keeping the whole
-// emission surface safe on a nil buffer.
-func checkBufferGuards(p *Pass) {
+// checkReceiverGuards requires every exported pointer-receiver method of
+// trace.Stream and trace.Buffer to begin with an `if <recv> == nil` guard
+// (alone or as the first operand of an || chain), keeping the whole emission
+// surface safe on a nil stream or ring.
+func checkReceiverGuards(p *Pass) {
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f.Pos()) {
 			continue
@@ -70,19 +74,19 @@ func checkBufferGuards(p *Pass) {
 				continue
 			}
 			ident, ok := star.X.(*ast.Ident)
-			if !ok || ident.Name != "Buffer" {
+			if !ok || (ident.Name != "Stream" && ident.Name != "Buffer") {
 				continue
 			}
 			if len(recv.Names) == 0 || !startsWithNilGuard(fd.Body, recv.Names[0].Name) {
-				p.Reportf(fd.Pos(), "(*Buffer).%s lacks the leading nil-receiver "+
-					"guard; callers hold possibly-nil buffers", fd.Name.Name)
+				p.Reportf(fd.Pos(), "(*%s).%s lacks the leading nil-receiver "+
+					"guard; callers hold possibly-nil values", ident.Name, fd.Name.Name)
 			}
 		}
 	}
 }
 
 // startsWithNilGuard reports whether the body's first statement is
-// `if <recv> == nil { ... }`.
+// `if <recv> == nil { ... }` or `if <recv> == nil || ... { ... }`.
 func startsWithNilGuard(body *ast.BlockStmt, recvName string) bool {
 	if len(body.List) == 0 {
 		return false
@@ -92,7 +96,10 @@ func startsWithNilGuard(body *ast.BlockStmt, recvName string) bool {
 		return false
 	}
 	cmp, ok := ifStmt.Cond.(*ast.BinaryExpr)
-	if !ok || cmp.Op.String() != "==" {
+	for ok && cmp.Op == token.LOR {
+		cmp, ok = cmp.X.(*ast.BinaryExpr)
+	}
+	if !ok || cmp.Op != token.EQL {
 		return false
 	}
 	isRecv := func(e ast.Expr) bool {

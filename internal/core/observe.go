@@ -20,11 +20,11 @@ import (
 
 // Instrumentation is the single configuration point for everything that
 // observes a run without perturbing it: event tracing, race checking, the
-// metrics registry, and the cycle-attribution profiler. Every observer
-// follows the same discipline — nil-checked hooks that charge no simulated
-// cycles — so a run with any combination enabled is bit-identical to an
-// uninstrumented one (asserted by the equivalence tests and sccbench
-// -check).
+// sanitizer, the metrics registry, and the cycle-attribution profiler. The
+// trace ring and the two checkers are subscribers of the chip's one event
+// stream; nothing an observer does charges simulated cycles, so a run with
+// any combination enabled is bit-identical to an uninstrumented one
+// (asserted by the equivalence tests and sccbench -check).
 //
 // Pass it via Options.Observe (or Domains.Observe); read the results from
 // the Observation after the run.
@@ -45,6 +45,10 @@ type Instrumentation struct {
 	// Config selects defaults.
 	Profile *profile.Config
 }
+
+// raceTraceCapacity sizes the ring installed when race checking is enabled
+// on a chip without one, so race reports can include a timeline.
+const raceTraceCapacity = 8192
 
 // enabled reports whether any observer is requested.
 func (i Instrumentation) enabled() bool {
@@ -81,16 +85,31 @@ func Observe(cfg Instrumentation, chip *scc.Chip,
 		return nil
 	}
 	o := &Observation{chip: chip, clusters: clusters, systems: systems, metrics: cfg.Metrics}
-	if cfg.TraceCapacity > 0 && chip.Tracer() == nil {
-		chip.SetTracer(trace.NewBuffer(cfg.TraceCapacity))
+	// Subscription order is delivery order: the ring, then the race checker,
+	// then the sanitizer.
+	events := chip.Tracer()
+	capacity := cfg.TraceCapacity
+	if capacity <= 0 && cfg.Race != nil {
+		capacity = raceTraceCapacity
+	}
+	if capacity > 0 && events.Ring() == nil {
+		events.SetRing(trace.NewBuffer(capacity))
+	}
+	// A core belongs to exactly one SVM system; the checkers scope lock and
+	// page keys by its index so coherency domains never alias.
+	space := make([]int, chip.Cores())
+	for i, sys := range systems {
+		for _, id := range sys.Cluster().Members() {
+			space[id] = i
+		}
 	}
 	if cfg.Race != nil {
-		o.race = wireRaceChecker(*cfg.Race, chip, clusters, systems)
+		o.race = racecheck.NewChecker(chip.Cores(), scc.VirtSharedBase, *cfg.Race)
+		o.race.Attach(events, space)
 	}
 	if cfg.Sanitize != nil {
-		// Wired after the race checker on purpose: the sanitizer's adapters
-		// take over the single-slot cpu and svm hooks and forward to it.
-		o.san = wireSanChecker(*cfg.Sanitize, chip, clusters, systems, o.race)
+		o.san = sancheck.NewChecker(chip.Cores(), scc.VirtSharedBase, *cfg.Sanitize)
+		o.san.Attach(events, space)
 	}
 	if cfg.Profile != nil {
 		o.prof = profile.New(chip.Cores(), *cfg.Profile)
@@ -191,7 +210,7 @@ func (o *Observation) TraceEvents() []trace.Event {
 	if o == nil {
 		return nil
 	}
-	return o.chip.Tracer().Events()
+	return o.chip.Tracer().Ring().Events()
 }
 
 // TraceSummary summarizes the retained trace events, including the ring's
@@ -200,7 +219,7 @@ func (o *Observation) TraceSummary() trace.Summary {
 	if o == nil {
 		return trace.Summary{}
 	}
-	return o.chip.Tracer().Summary()
+	return o.chip.Tracer().Ring().Summary()
 }
 
 // WritePerfetto exports the run as Chrome trace-event JSON (Perfetto-
@@ -329,7 +348,7 @@ func (o *Observation) harvest() *metrics.Snapshot {
 			r.Counter("faults.corruptions." + rt.String()).Add(fs.Corruptions[rt])
 		}
 	}
-	if tr := o.chip.Tracer(); tr != nil {
+	if tr := o.chip.Tracer().Ring(); tr != nil {
 		r.Counter("trace.events").Add(uint64(tr.Len()))
 		r.Counter("trace.dropped").Add(tr.Dropped())
 	}

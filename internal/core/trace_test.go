@@ -22,7 +22,7 @@ func tracedWorkload(t *testing.T, buf *trace.Buffer) sim.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Chip.SetTracer(buf)
+	m.Chip.Tracer().SetRing(buf)
 	return m.RunAll(func(env *Env) {
 		base := env.SVM.Alloc(4096)
 		if env.K.ID() == 0 {

@@ -18,6 +18,7 @@ import (
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/sim"
+	"metalsvm/internal/trace"
 )
 
 // IRQ identifies an interrupt source.
@@ -65,13 +66,6 @@ type FaultHandler func(c *Core, vaddr uint32, write bool, entry pgtable.Entry)
 
 // IRQHandler services a posted interrupt on the core's goroutine.
 type IRQHandler func(c *Core, irq IRQ)
-
-// AccessHook observes one virtual-memory access (a race checker, an access
-// profiler). It runs on the core's goroutine after translation succeeded —
-// so any page-fault protocol the access triggered has already completed —
-// and must not charge simulated time. A nil hook costs one branch on the
-// access path, mirroring the trace.Buffer discipline.
-type AccessHook func(c *Core, vaddr uint32, size int, write bool)
 
 // Config describes one core's microarchitecture.
 type Config struct {
@@ -168,7 +162,10 @@ type Core struct {
 
 	faultHandler FaultHandler
 	irqHandler   IRQHandler
-	accessHook   AccessHook
+
+	// events is the chip's event stream (nil for a core built without one):
+	// every load and store reports itself once translation has succeeded.
+	events *trace.Stream
 
 	// prof, when set, receives bucket transitions; meshBus is the bus's
 	// optional mesh-share view used to split memory stalls (see SetProfiler).
@@ -182,13 +179,15 @@ type Core struct {
 	stats Stats
 }
 
-// New creates a core attached to a memory bus. The core must be bound to a
+// New creates a core attached to a memory bus, reporting its accesses and
+// page-table changes to events (nil for none). The core must be bound to a
 // simulation process with Bind before any of its execution methods run.
-func New(id int, cfg Config, bus MemoryBus) *Core {
+func New(id int, cfg Config, bus MemoryBus, events *trace.Stream) *Core {
 	c := &Core{
 		id:         id,
 		cfg:        cfg,
 		bus:        bus,
+		events:     events,
 		Table:      pgtable.New(),
 		l1:         cache.New(fmt.Sprintf("core%d.l1", id), cfg.L1Size, cfg.L1Ways),
 		wcb:        cache.NewWCB(),
@@ -197,6 +196,7 @@ func New(id int, cfg Config, bus MemoryBus) *Core {
 	if cfg.L2Size > 0 {
 		c.l2 = cache.New(fmt.Sprintf("core%d.l2", id), cfg.L2Size, cfg.L2Ways)
 	}
+	c.Table.Observe(events, id, c.Now)
 	return c
 }
 
@@ -248,12 +248,9 @@ func (c *Core) SetFaultHandler(h FaultHandler) { c.faultHandler = h }
 // SetIRQHandler installs the interrupt handler (the kernel).
 func (c *Core) SetIRQHandler(h IRQHandler) { c.irqHandler = h }
 
-// SetAccessHook installs the load/store observer; nil disables it.
-func (c *Core) SetAccessHook(h AccessHook) { c.accessHook = h }
-
-// SetProfiler installs the cycle-attribution profiler; nil disables it.
-// Like the access hook it charges no simulated time. When the memory bus
-// implements MeshShareSource, memory stalls are split into cache-stall and
+// SetProfiler installs the cycle-attribution profiler; nil disables it. It
+// charges no simulated time. When the memory bus implements
+// MeshShareSource, memory stalls are split into cache-stall and
 // mesh-transit buckets; otherwise the whole stall counts as cache-stall.
 func (c *Core) SetProfiler(p *profile.Profiler) {
 	c.prof = p
@@ -391,9 +388,7 @@ func (c *Core) Load(vaddr uint32, dst []byte) {
 func (c *Core) loadChunk(vaddr uint32, dst []byte) {
 	c.stats.Loads++
 	e := c.translate(vaddr, false)
-	if c.accessHook != nil {
-		c.accessHook(c, vaddr, len(dst), false)
-	}
+	c.events.Emit(c.proc.LocalTime(), c.id, trace.KindLoad, uint64(vaddr), uint64(len(dst)))
 	paddr := e.PhysAddr(vaddr)
 	mpbt := e.Flags.Has(pgtable.MPBT)
 
@@ -450,9 +445,7 @@ func (c *Core) Store(vaddr uint32, src []byte) {
 func (c *Core) storeChunk(vaddr uint32, src []byte) {
 	c.stats.Stores++
 	e := c.translate(vaddr, true)
-	if c.accessHook != nil {
-		c.accessHook(c, vaddr, len(src), true)
-	}
+	c.events.Emit(c.proc.LocalTime(), c.id, trace.KindStore, uint64(vaddr), uint64(len(src)))
 	paddr := e.PhysAddr(vaddr)
 	c.Cycles(c.cfg.StoreCycles)
 

@@ -55,7 +55,7 @@ func testCore(t *testing.T, cfg Config, prep func(*Core, *fakeBus), body func(*C
 	eng := sim.NewEngine()
 	bus := newFakeBus()
 	done := false
-	c := New(0, cfg, bus)
+	c := New(0, cfg, bus, nil)
 	proc := eng.NewProc("core0", 0, func(p *sim.Proc) {
 		body(c, bus)
 		done = true

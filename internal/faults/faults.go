@@ -1,6 +1,6 @@
 // Package faults implements deterministic, seeded fault injection for the
-// simulated SCC platform. The injector follows the simulator's nil-checked
-// hook discipline: every decision method is safe on a nil *Injector and
+// simulated SCC platform. The injector follows the same discipline as the
+// event stream: every decision method is safe on a nil *Injector and
 // costs one branch, so a run without fault injection draws no random
 // numbers, charges no simulated time, and stays bit-identical to a plain
 // run.

@@ -100,10 +100,9 @@ type Kernel struct {
 	servicing bool // reentrancy guard for serviceSelf
 	stats     Stats
 
-	// tickHook, when set, runs on every timer tick on this kernel's
-	// goroutine — the replicated directory's failure detector lives here.
-	// Nil-checked per the hook discipline; a nil hook costs one branch.
-	tickHook func()
+	// onTick, when set, runs on every timer tick on this kernel's goroutine
+	// — the replicated directory's failure detector lives here.
+	onTick func()
 
 	// timerLCG drives the deterministic tick jitter (see armTimer).
 	timerLCG uint64
@@ -137,10 +136,6 @@ type Cluster struct {
 	// paths; it charges no simulated time.
 	prof *profile.Profiler
 
-	// barrierHook, when set, observes barrier completions per core (the
-	// sanitizer's epoch resets). Charges no simulated time.
-	barrierHook BarrierHook
-
 	// Progress watchdog state (armed only with an active fault injector).
 	diag      []func(io.Writer)
 	wdLast    uint64
@@ -148,14 +143,6 @@ type Cluster struct {
 	wdFired   bool
 	wdReport  string
 }
-
-// BarrierHook observes one core completing a dissemination barrier. It runs
-// on that core's goroutine and must not charge simulated time; a nil hook
-// costs one branch per barrier.
-type BarrierHook func(core int, at sim.Time)
-
-// SetBarrierHook installs the barrier observer; nil disables it.
-func (cl *Cluster) SetBarrierHook(h BarrierHook) { cl.barrierHook = h }
 
 // SetProfiler installs the cycle-attribution profiler on the cluster and
 // its mailbox layer; nil disables it.
@@ -464,7 +451,7 @@ func (k *Kernel) Dead() bool { return k.dead }
 // SetTickHook installs fn to run on every timer tick on this kernel's
 // goroutine (after the tick's mail servicing) — the replicated directory's
 // failure detector. Nil disables it.
-func (k *Kernel) SetTickHook(fn func()) { k.tickHook = fn }
+func (k *Kernel) SetTickHook(fn func()) { k.onTick = fn }
 
 // RegisterHandler installs the handler for a mail type. Installing twice
 // panics — handler wiring bugs should not hide.
@@ -540,8 +527,8 @@ func (k *Kernel) handleIRQ(c *cpu.Core, irq cpu.IRQ) {
 			// The kernel checks all receive buffers at every interrupt.
 			k.serviceAll()
 		}
-		if k.tickHook != nil {
-			k.tickHook()
+		if k.onTick != nil {
+			k.onTick()
 		}
 	case cpu.IRQIPI:
 		k.stats.IPIs++
@@ -688,9 +675,7 @@ func (k *Kernel) BarrierGroup(group []int) {
 			k.barrierUsed[from]++
 		}
 	}
-	if h := k.cluster.barrierHook; h != nil {
-		h(k.id, k.core.Now())
-	}
+	k.Chip().Tracer().Emit(k.core.Now(), k.id, trace.KindBarrierDone, k.stats.Barriers, 0)
 	k.cluster.prof.Exit(k.id, k.core.Proc().LocalTime())
 }
 
@@ -716,7 +701,9 @@ func (k *Kernel) barrierCrashTolerant(group []int, pos int) {
 	}
 }
 
-// installBarrierHandler is called lazily by Start via RegisterHandler.
+// handleBarrierMail is the MsgBarrier handler: it counts the sender's
+// notification for BarrierGroup's wait, including one that raced ahead into
+// the next barrier.
 func (k *Kernel) handleBarrierMail(_ *Kernel, m mailbox.Msg) {
 	k.barrierSeen[m.From]++
 }

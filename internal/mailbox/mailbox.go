@@ -134,17 +134,6 @@ func (e *FrameError) Error() string {
 		e.Sender, e.Receiver, e.Len, e.Reason)
 }
 
-// SyncHook observes the mailbox's synchronization behavior (a race checker
-// building happens-before edges). MailDeposited runs on the sender's
-// goroutine once the mail is in the receiver's MPB — at that point the
-// sender has also observed the slot free, i.e. the previous mail consumed.
-// MailConsumed runs on the receiver's goroutine when a mail is taken out.
-// Hooks must not charge simulated time; a nil hook costs one branch.
-type SyncHook interface {
-	MailDeposited(from, to int)
-	MailConsumed(from, to int)
-}
-
 // Stats counts mailbox events.
 type Stats struct {
 	Sends     uint64
@@ -188,7 +177,6 @@ type System struct {
 	lastRecv []uint16 // last in-order sequence consumed by the receiver
 	pending  []pendingMail
 
-	hook SyncHook
 	prof *profile.Profiler
 
 	// serviceHooks, indexed by core, drain a core's own inbox while its
@@ -229,9 +217,6 @@ func New(chip *scc.Chip, mode Mode) *System {
 
 // Mode returns the delivery mode.
 func (s *System) Mode() Mode { return s.mode }
-
-// SetSyncHook installs the synchronization observer; nil disables it.
-func (s *System) SetSyncHook(h SyncHook) { s.hook = h }
 
 // SetServiceHook installs the kernel's inbox-drain callback for one core;
 // only the hardened send path calls it (see serviceHooks).
@@ -337,9 +322,6 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 	copy(line[4:], payload)
 	s.deposit(from, to, off, &line)
 	s.stats.Sends++
-	if s.hook != nil {
-		s.hook.MailDeposited(from, to)
-	}
 	s.chip.Tracer().Emit(core.Proc().LocalTime(), from, trace.KindMailSend, uint64(to), uint64(typ))
 	now := core.Proc().LocalTime()
 	s.fullSig[s.pair(to, from)].Fire(now)
@@ -415,9 +397,6 @@ func (s *System) sendHardened(from, to int, typ byte, payload []byte) {
 	s.pending[p] = pendingMail{active: true, seq: seq, line: line}
 	s.deposit(from, to, off, &line)
 	s.stats.Sends++
-	if s.hook != nil {
-		s.hook.MailDeposited(from, to)
-	}
 	s.chip.Tracer().Emit(core.Proc().LocalTime(), from, trace.KindMailSend, uint64(to), uint64(typ))
 	now := core.Proc().LocalTime()
 	s.fullSig[p].Fire(now)
@@ -634,9 +613,6 @@ func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
 			Reason: fmt.Sprintf("length exceeds capacity %d", PayloadSize)}
 	}
 	s.stats.Recvs++
-	if s.hook != nil {
-		s.hook.MailConsumed(sender, receiver)
-	}
 	s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
 	msg := Msg{From: sender, Type: line[1]}
 	copy(msg.Payload[:], line[4:4+n])
@@ -687,9 +663,6 @@ func (s *System) receiveHardened(receiver, sender, off int) (Msg, bool, error) {
 	s.lastRecv[p] = seq
 	s.ackSlot(receiver, off, seq)
 	s.stats.Recvs++
-	if s.hook != nil {
-		s.hook.MailConsumed(sender, receiver)
-	}
 	s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
 	msg := Msg{From: sender, Type: line[1]}
 	copy(msg.Payload[:], line[8:8+n])

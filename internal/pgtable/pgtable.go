@@ -7,7 +7,12 @@
 // SVM system plays with: Present, Writable, WriteThrough and MPBT.
 package pgtable
 
-import "fmt"
+import (
+	"fmt"
+
+	"metalsvm/internal/sim"
+	"metalsvm/internal/trace"
+)
 
 // PageSize is the page size in bytes (4 KiB, as on the P54C).
 const PageSize = 4096
@@ -104,19 +109,19 @@ type Table struct {
 
 	mapped int
 
-	// mapHook, when set, observes entry installs and removals (the
-	// sanitizer's unmap audit). Charges no simulated time.
-	mapHook MapHook
+	// events receives a KindMap for every entry installed where there was
+	// none and a KindUnmap for every entry removed, as core's and stamped
+	// by now (see Observe).
+	events *trace.Stream
+	core   int
+	now    func() sim.Time
 }
 
-// MapHook observes page-table modifications: called with mapped=true when
-// an entry is installed for the page holding vaddr and mapped=false when
-// the entry is removed. The table does not know which core owns it, so the
-// installer captures that in a closure. A nil hook costs one branch.
-type MapHook func(vaddr uint32, mapped bool)
-
-// SetMapHook installs the modification observer; nil disables it.
-func (t *Table) SetMapHook(h MapHook) { t.mapHook = h }
+// Observe reports the table's installs and removals to s. The table knows
+// neither which core owns it nor what time it is, so its owner says both.
+func (t *Table) Observe(s *trace.Stream, core int, now func() sim.Time) {
+	t.events, t.core, t.now = s, core, now
+}
 
 // Version returns the modification counter: it changes on every Map, Unmap
 // and Update, so a cached Lookup result is valid iff the version at caching
@@ -171,8 +176,8 @@ func (t *Table) Map(vaddr, pfn uint32, flags Flags) {
 	tab[ti] = Entry{PFN: pfn, Flags: flags}
 	t.tlbValid = false
 	t.version++
-	if t.mapHook != nil && !existed {
-		t.mapHook(vaddr, true)
+	if !existed && t.events.On(trace.KindMap) {
+		t.events.Emit(t.now(), t.core, trace.KindMap, uint64(vaddr), 0)
 	}
 }
 
@@ -192,8 +197,8 @@ func (t *Table) Unmap(vaddr uint32) {
 	tab[ti] = Entry{}
 	t.tlbValid = false
 	t.version++
-	if t.mapHook != nil {
-		t.mapHook(vaddr, false)
+	if t.events.On(trace.KindUnmap) {
+		t.events.Emit(t.now(), t.core, trace.KindUnmap, uint64(vaddr), 0)
 	}
 }
 

@@ -14,11 +14,12 @@
 // accesses not ordered by that relation is reported with core ids, virtual
 // addresses, simulated timestamps, and the trace timeline around the race.
 //
-// The checker is wired in through nil-checkable hooks (cpu.Core.SetAccessHook,
-// mailbox.System.SetSyncHook, svm.System.SetSyncHook), so the disabled fast
-// path costs one predictable branch per memory access — the same discipline
-// the trace buffer uses. Enabling it never changes simulated time: hooks
-// charge no cycles, so a run is bit-identical with and without the checker.
+// The checker is a subscriber of the chip's event stream (Attach): it sees
+// the same loads, stores, mail, lock and ownership events every other
+// observer sees, and a run without it pays one predictable branch per
+// memory access for the unsubscribed kind. Enabling it never changes
+// simulated time: subscribers charge no cycles, so a run is bit-identical
+// with and without the checker.
 package racecheck
 
 import (
@@ -117,7 +118,8 @@ type Checker struct {
 	reported map[uint32]bool // granules with an already-reported race
 	dynamic  uint64          // all race observations, including suppressed
 
-	traceSrc func() []trace.Event
+	traceSrc func() []trace.Event // timeline source for reports (Attach: the stream's ring)
+	space    []int                // core -> index of its SVM system (see Attach)
 }
 
 // NewChecker creates a detector for an n-core chip whose checked (shared)
@@ -145,10 +147,6 @@ func NewChecker(n int, base uint32, cfg Config) *Checker {
 	return k
 }
 
-// SetTraceSource installs the event source used to attach a timeline to
-// each race (typically chip.Tracer().Events).
-func (k *Checker) SetTraceSource(src func() []trace.Event) { k.traceSrc = src }
-
 // Races returns the fully reported races, in detection order.
 func (k *Checker) Races() []Race { return k.races }
 
@@ -168,6 +166,69 @@ func (k *Checker) Report(w io.Writer) {
 	fmt.Fprintf(w, "racecheck: %d race observation(s), %d reported:\n", k.dynamic, len(k.races))
 	for _, r := range k.races {
 		fmt.Fprintf(w, "%v\n", r)
+	}
+}
+
+// --- Event intake -----------------------------------------------------------
+
+// Sync-object keys. Core ids are chip-global and a core belongs to exactly
+// one cluster, so a (from, to) pair names one mailbox slot on the whole
+// chip; lock words and pages belong to an SVM system, so they carry the
+// emitting core's system index and several systems on one chip (coherency
+// domains) never alias each other's locks.
+type (
+	mailKey struct {
+		free     bool // the slot-free edge back to the sender, not the deposit
+		from, to int
+	}
+	lockKey struct {
+		space int
+		word  uint64
+	}
+	pageKey struct {
+		space int
+		page  uint64
+	}
+)
+
+// Attach subscribes the checker to a chip's event stream and takes the
+// stream's ring as the timeline source for its reports. space maps each core
+// to the index of the SVM system it is a member of.
+func (k *Checker) Attach(s *trace.Stream, space []int) {
+	k.space = space
+	k.traceSrc = func() []trace.Event { return s.Ring().Events() }
+	s.Subscribe(k.onEvent, trace.KindLoad, trace.KindStore,
+		trace.KindMailSend, trace.KindMailRecv,
+		trace.KindLockAcquire, trace.KindLockRelease,
+		trace.KindOwnerYield, trace.KindOwnerAcquire)
+}
+
+// onEvent turns the stream's events into accesses and happens-before edges.
+// A deposit is a release of the sender's history into the slot; observing
+// the slot free first acquires the receiver's consumption (the sender's
+// busy-wait on the flag is real synchronization through uncached MPB
+// memory). A consume acquires the deposit and releases the slot back to the
+// sender. Kernel barriers and the ownership protocol's request/ack mails are
+// built from these sends, so their ordering falls out transitively.
+func (k *Checker) onEvent(e trace.Event) {
+	core, peer := int(e.Core), int(e.Arg1)
+	switch e.Kind {
+	case trace.KindLoad, trace.KindStore:
+		k.OnAccess(core, uint32(e.Arg1), int(e.Arg2), e.Kind == trace.KindStore, e.At)
+	case trace.KindMailSend:
+		k.Acquire(core, mailKey{true, core, peer})
+		k.Release(core, mailKey{false, core, peer})
+	case trace.KindMailRecv:
+		k.Acquire(core, mailKey{false, peer, core})
+		k.Release(core, mailKey{true, peer, core})
+	case trace.KindLockAcquire:
+		k.Acquire(core, lockKey{k.space[core], e.Arg1})
+	case trace.KindLockRelease:
+		k.Release(core, lockKey{k.space[core], e.Arg1})
+	case trace.KindOwnerYield:
+		k.Release(core, pageKey{k.space[core], e.Arg1})
+	case trace.KindOwnerAcquire:
+		k.Acquire(core, pageKey{k.space[core], e.Arg1})
 	}
 }
 

@@ -181,7 +181,7 @@ func TestTimelineAttached(t *testing.T) {
 	buf.Emit(5, 0, trace.KindFault, uint64(base), 0)
 	buf.Emit(sim.Microseconds(1000), 1, trace.KindBarrier, 1, 0) // far away
 	k := NewChecker(4, base, Config{Window: sim.Microseconds(1)})
-	k.SetTraceSource(buf.Events)
+	k.traceSrc = buf.Events
 	k.OnAccess(0, base, 8, true, 10)
 	k.OnAccess(1, base, 8, true, 20)
 	r := k.Races()[0]

@@ -5,6 +5,8 @@
 package racecheck_test
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -17,6 +19,28 @@ import (
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden report files")
+
+// wantGolden compares got with testdata/<name>.golden byte for byte. The
+// files were captured at the commit before the observer hooks were folded
+// into the event stream, so they pin what the checker saw through the hooks.
+func wantGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/" + name + ".golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("report differs from %s:\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
 
 func smallChip() *scc.Config {
 	cfg := scc.DefaultConfig()
@@ -73,6 +97,7 @@ func TestPositiveControlLockFreeLRC(t *testing.T) {
 	if !strings.Contains(b.String(), "RACE at") {
 		t.Fatalf("report: %q", b.String())
 	}
+	wantGolden(t, "lockfree_lrc", b.String())
 }
 
 // TestLockedVariantIsClean is the negative twin of the positive control: the
@@ -168,7 +193,7 @@ func TestDomainsRaceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ds.EnableRaceCheck(racecheck.Config{})
+	k := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}}).Race()
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -184,7 +209,7 @@ func TestDomainsRaceFree(t *testing.T) {
 		t.Fatalf("domain traffic flagged:\n%v", k.Races())
 	}
 	if k != ds.Race {
-		t.Fatal("EnableRaceCheck did not publish the checker")
+		t.Fatal("Observe did not publish the checker")
 	}
 }
 

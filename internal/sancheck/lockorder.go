@@ -19,7 +19,7 @@ import (
 //
 // The SVM layer itself never nests the scarce TAS registers (a register is
 // held only for the instant it takes to flip a lock word, and is released
-// before the lock-acquired hook fires), so svm→tas edges from faults inside
+// before the lock-acquire event fires), so svm→tas edges from faults inside
 // critical sections cannot close a cycle; cycles come from workload-level
 // SVM lock nesting.
 

@@ -31,11 +31,11 @@
 //     member must reach the barrier, so a contender for that lock deadlocks
 //     the rendezvous.
 //
-// The checker is wired through the same nil-checkable hooks as the race
-// checker and the trace buffer (cpu access hook, svm sync/mem hooks, the
-// pgtable map hook, the scc TAS hook, the kernel barrier hook), so enabling
-// it never changes simulated time: hooks charge no cycles, and a sanitized
-// run is bit-identical to a plain one (asserted by sccbench -check).
+// The checker is a subscriber of the chip's event stream (Attach), next to
+// the trace ring and the race checker: it rebuilds its state from the access,
+// map, lock, test-and-set, ownership, barrier and region events every layer
+// emits anyway. Subscribers charge no cycles, so a sanitized run is
+// bit-identical to a plain one (asserted by sccbench -check).
 package sancheck
 
 import (
@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	"metalsvm/internal/sim"
+	"metalsvm/internal/trace"
 )
 
 // Config tunes the suite. The zero value enables every checker class with
@@ -205,6 +206,8 @@ type Checker struct {
 	dynamic   uint64
 	counts    [numKinds]uint64
 	finalized bool
+
+	space []int // core -> index of its SVM system (see Attach)
 }
 
 // NewChecker creates a sanitizer for an n-core chip whose checked (shared)
@@ -305,7 +308,54 @@ const (
 	pageShift    = 12
 )
 
-// --- Event intake (wired through the subsystem hooks) ---------------------
+// --- Event intake -----------------------------------------------------------
+
+// Attach subscribes the checker to a chip's event stream. space maps each
+// core to the index of the SVM system it is a member of, so lock tokens of
+// different coherency domains never alias.
+func (k *Checker) Attach(s *trace.Stream, space []int) {
+	k.space = space
+	s.Subscribe(k.onEvent, trace.KindLoad, trace.KindStore, trace.KindMap, trace.KindUnmap,
+		trace.KindTASAcquire, trace.KindTASRelease, trace.KindLockAcquire, trace.KindLockRelease,
+		trace.KindOwnerAcquire, trace.KindBarrierDone,
+		trace.KindRegionAlloc, trace.KindRegionFree, trace.KindRegionProtect,
+		trace.KindBadFree, trace.KindInvalidAccess, trace.KindReadOnlyWrite)
+}
+
+// onEvent unpacks one event into the intake method for its kind.
+func (k *Checker) onEvent(e trace.Event) {
+	core, a, b := int(e.Core), uint32(e.Arg1), uint32(e.Arg2)
+	switch e.Kind {
+	case trace.KindLoad, trace.KindStore:
+		k.OnAccess(core, a, int(b), e.Kind == trace.KindStore, e.At)
+	case trace.KindMap, trace.KindUnmap:
+		k.OnMap(core, a, e.Kind == trace.KindMap)
+	case trace.KindTASAcquire:
+		k.OnTASAcquire(core, int(a), e.At)
+	case trace.KindTASRelease:
+		k.OnTASRelease(core, int(a), e.At)
+	case trace.KindLockAcquire:
+		k.OnLockAcquire(k.space[core], int(a), core, e.At)
+	case trace.KindLockRelease:
+		k.OnLockRelease(k.space[core], int(a), core, e.At)
+	case trace.KindOwnerAcquire:
+		k.OnOwnershipAcquired(k.space[core], core, a)
+	case trace.KindBarrierDone:
+		k.OnBarrier(core, e.At)
+	case trace.KindRegionAlloc:
+		k.OnRegionAlloc(core, a, b)
+	case trace.KindRegionFree:
+		k.OnRegionFree(core, a, b, e.At)
+	case trace.KindRegionProtect:
+		k.OnRegionProtect(core, a, b)
+	case trace.KindBadFree:
+		k.OnBadFree(core, a, e.At)
+	case trace.KindInvalidAccess:
+		k.OnInvalidAccess(core, a, b != 0, e.At)
+	case trace.KindReadOnlyWrite:
+		k.OnReadOnlyWrite(core, a, e.At)
+	}
+}
 
 // OnAccess records one simulated load or store. Accesses below the checked
 // base (private memory) are ignored.

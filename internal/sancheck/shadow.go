@@ -44,7 +44,7 @@ type shadowState struct {
 	regions []*shadowRegion
 	freed   []memSpan
 	// mapped tracks which cores currently map which shared pages, fed by
-	// the page-table hook: key = page base | core (pages are 4 KiB aligned,
+	// the page-table map/unmap events: key = page base | core (pages are 4 KiB aligned,
 	// so the low bits are free for the core id).
 	mapped map[uint64]bool
 	// reported dedups per-address findings.
@@ -156,7 +156,7 @@ func (s *shadowState) onMap(core int, vaddr uint32, mapped bool) {
 func (s *shadowState) onAccess(k *Checker, core int, vaddr uint32, size int, write bool, at sim.Time) {
 	r := s.find(vaddr)
 	if r == nil {
-		// Outside every live region. The cpu hook only fires after a
+		// Outside every live region. An access event only fires after a
 		// successful translation, so this is normally unreachable — the
 		// fault path panics first and OnInvalidAccess classifies it. Guard
 		// anyway: a protocol bug that leaves a stale mapping behind would

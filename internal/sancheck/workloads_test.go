@@ -3,10 +3,13 @@
 // must flag); every shipped workload must come back clean under both
 // consistency models; enabling the sanitizer must not move simulated time;
 // and enabling it together with the race checker must leave both working
-// (the wiring multiplexes the single-slot hooks).
+// (both subscribe to the chip's one event stream).
 package sancheck_test
 
 import (
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"metalsvm/internal/apps/laplace"
@@ -19,6 +22,31 @@ import (
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden report files")
+
+// wantGolden compares the sanitizer's full report with
+// testdata/<name>.golden byte for byte. The files were captured at the
+// commit before the observer hooks were folded into the event stream, so
+// they pin what the checker saw through the hooks.
+func wantGolden(t *testing.T, name string, san *sancheck.Checker) {
+	t.Helper()
+	var b strings.Builder
+	san.Report(&b)
+	path := "testdata/" + name + ".golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("report differs from %s:\n--- got\n%s--- want\n%s", path, b.String(), want)
+	}
+}
 
 func smallChip() *scc.Config {
 	cfg := scc.DefaultConfig()
@@ -100,10 +128,11 @@ func TestPositiveControlUninitRead(t *testing.T) {
 	if got := san.CountOf(sancheck.UninitRead); got == 0 {
 		t.Fatalf("uninitialized read not flagged; findings: %v", san.Findings())
 	}
+	wantGolden(t, "uninit_read", san)
 }
 
 // TestPositiveControlUseAfterFree: an access to a freed region traps in the
-// svm layer; the pre-panic hook must have classified it first.
+// svm layer; the pre-panic event must have classified it first.
 func TestPositiveControlUseAfterFree(t *testing.T) {
 	m := newMachine(t, svm.LazyRelease, []int{0, 1}, sanitized())
 	panicked := false
@@ -132,6 +161,7 @@ func TestPositiveControlUseAfterFree(t *testing.T) {
 	if got := san.CountOf(sancheck.UseAfterFree); got == 0 {
 		t.Fatalf("use-after-free not classified; findings: %v", san.Findings())
 	}
+	wantGolden(t, "use_after_free", san)
 }
 
 // TestPositiveControlDoubleFree: freeing a region twice is flagged as a
@@ -164,6 +194,7 @@ func TestPositiveControlDoubleFree(t *testing.T) {
 	if got := san.CountOf(sancheck.DoubleFree); got == 0 {
 		t.Fatalf("double free not classified; findings: %v", san.Findings())
 	}
+	wantGolden(t, "double_free", san)
 }
 
 // TestPositiveControlReadOnlyWrite: a store into a protected region traps;
@@ -196,6 +227,7 @@ func TestPositiveControlReadOnlyWrite(t *testing.T) {
 	if got := san.CountOf(sancheck.ReadOnlyWrite); got == 0 {
 		t.Fatalf("read-only write not classified; findings: %v", san.Findings())
 	}
+	wantGolden(t, "readonly_write", san)
 }
 
 // TestPositiveControlLocksetRace: two cores write the same word under
@@ -210,6 +242,7 @@ func TestPositiveControlLocksetRace(t *testing.T) {
 	if got := san.CountOf(sancheck.LocksetRace); got == 0 {
 		t.Fatalf("inconsistently locked writes not flagged; findings: %v", san.Findings())
 	}
+	wantGolden(t, "lockset_race", san)
 }
 
 // lockedWriterRounds is the lockset positive-control workload: both cores
@@ -275,6 +308,7 @@ func TestPositiveControlLockOrderCycle(t *testing.T) {
 	if got := san.CountOf(sancheck.LockOrderCycle); got == 0 {
 		t.Fatalf("ABBA lock nesting not flagged; findings: %v", san.Findings())
 	}
+	wantGolden(t, "lock_order_cycle", san)
 }
 
 // TestSanitizerDoesNotPerturbTime is the zero-perturbation criterion: a run
@@ -298,8 +332,8 @@ func TestSanitizerDoesNotPerturbTime(t *testing.T) {
 }
 
 // TestComposesWithRaceChecker: enabling the race checker and the sanitizer
-// together must leave both functional — the sanitizer's adapters forward the
-// single-slot cpu and svm hooks to the race checker.
+// together must leave both functional — each is one more subscriber of the
+// same stream, so both see every event.
 func TestComposesWithRaceChecker(t *testing.T) {
 	obs := core.Instrumentation{
 		Race:     &racecheck.Config{},

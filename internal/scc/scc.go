@@ -160,18 +160,14 @@ type Chip struct {
 	scratchOff int
 	rcceOff    int
 
-	// tracer, when set, records protocol events from every layer.
-	tracer *trace.Buffer
-
-	// tasHook, when set, observes test-and-set register transitions (the
-	// sanitizer's lock-order graph). Charges no simulated time.
-	tasHook TASHook
+	// tracer is the chip's event stream: every layer emits through it and
+	// every observer (trace ring, race checker, sanitizer) subscribes to it.
+	tracer *trace.Stream
 
 	// faults, when set, injects deterministic mesh/IPI/TAS faults into the
 	// synchronous primitives; harden selects the recovery protocols in the
 	// layers above (mailbox retransmission, retry backoff, rescue scans).
-	// Both follow the nil-checked hook discipline: a nil injector draws no
-	// randomness and charges no time.
+	// A nil injector draws no randomness and charges no time.
 	faults *faults.Injector
 	harden bool
 
@@ -224,15 +220,9 @@ func (ch *Chip) countHops(hops int) {
 // LastMeshShare implements cpu.MeshShareSource.
 func (ch *Chip) LastMeshShare(core int) sim.Duration { return ch.lastMesh[core] }
 
-// SetTracer installs an event buffer; nil disables tracing.
-func (ch *Chip) SetTracer(b *trace.Buffer) { ch.tracer = b }
-
-// SetTASHook installs the test-and-set observer; nil disables it.
-func (ch *Chip) SetTASHook(h TASHook) { ch.tasHook = h }
-
-// Tracer returns the installed event buffer (possibly nil; trace.Buffer
-// methods accept nil receivers).
-func (ch *Chip) Tracer() *trace.Buffer { return ch.tracer }
+// Tracer returns the chip's event stream (never nil). Layers emit through
+// it; Tracer().SetRing installs a trace ring, Tracer().Subscribe an observer.
+func (ch *Chip) Tracer() *trace.Stream { return ch.tracer }
 
 // SetFaultInjector installs a fault injector; nil disables injection.
 // harden selects the recovery protocols in the mailbox/kernel/SVM layers
@@ -338,6 +328,7 @@ func New(eng *sim.Engine, cfg Config) (*Chip, error) {
 		mpbBytes:     cfg.MPBBytes,
 		lastMesh:     make([]sim.Duration, n),
 		crashed:      make([]bool, n),
+		tracer:       new(trace.Stream),
 	}
 	if chips > 1 {
 		ch.link, err = interchip.New(cfg.Link)
@@ -356,7 +347,7 @@ func New(eng *sim.Engine, cfg Config) (*Chip, error) {
 			ch.rcceOff, cfg.MPBBytes)
 	}
 	for c := 0; c < n; c++ {
-		ch.cores[c] = cpu.New(c, cfg.Core, ch)
+		ch.cores[c] = cpu.New(c, cfg.Core, ch, ch.tracer)
 	}
 	return ch, nil
 }

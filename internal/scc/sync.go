@@ -16,18 +16,6 @@ import (
 // functional effect — so the effect lands exactly at its completion time
 // and every other synced observer sees a consistent order.
 
-// TASHook observes test-and-set register transitions: a successful
-// TestAndSet (the caller now holds the register) and the clear that lands.
-// Dropped requests and dropped clears are not transitions and are not
-// reported. Methods run on the issuing core's goroutine and must not charge
-// simulated time; a nil hook costs one branch per operation.
-type TASHook interface {
-	// TASAcquired: core's test-and-set of reg succeeded.
-	TASAcquired(core, reg int, at sim.Time)
-	// TASReleased: core's clear of reg landed.
-	TASReleased(core, reg int, at sim.Time)
-}
-
 func (ch *Chip) syncCharge(core int, lat sim.Duration) *cpu.Core {
 	c := ch.cores[core]
 	if cyc := ch.faults.StallCyclesOn(core); cyc != 0 {
@@ -149,8 +137,8 @@ func (ch *Chip) TASLock(core, reg int) bool {
 		return false
 	}
 	won := ch.tas.TestAndSet(reg)
-	if won && ch.tasHook != nil {
-		ch.tasHook.TASAcquired(core, reg, c.Now())
+	if won {
+		ch.tracer.Emit(c.Now(), core, trace.KindTASAcquire, uint64(reg), 0)
 	}
 	return won
 }
@@ -165,9 +153,7 @@ func (ch *Chip) TASUnlock(core, reg int) {
 		c := ch.syncCharge(core, ch.tasLatency(core, reg))
 		if !ch.faults.Drop(faults.TAS) {
 			ch.tas.Clear(reg)
-			if ch.tasHook != nil {
-				ch.tasHook.TASReleased(core, reg, c.Now())
-			}
+			ch.tracer.Emit(c.Now(), core, trace.KindTASRelease, uint64(reg), 0)
 			return
 		}
 		ch.tracer.Emit(c.Now(), core, trace.KindFaultInject,

@@ -41,19 +41,19 @@ type Proc struct {
 
 	body func(*Proc)
 
-	// syncHook, when set, runs on the proc's goroutine every time the proc
+	// onSync, when set, runs on the proc's goroutine every time the proc
 	// returns from a park (Sync, Wait). The CPU model uses it to deliver
 	// pending interrupts at well-defined points.
-	syncHook func()
+	onSync func()
 
-	// preWaitHook, when set, runs before an indefinite park (Wait). If it
+	// preWait, when set, runs before an indefinite park (Wait). If it
 	// returns true — it performed work, e.g. delivered an interrupt that
 	// was posted while the proc was running — the Wait returns immediately
 	// as a spurious wakeup instead of parking, so the caller's
 	// check-then-wait loop re-evaluates its condition. Without this hook an
 	// event posted between a condition check and the park could go
 	// unnoticed forever.
-	preWaitHook func() bool
+	preWait func() bool
 
 	// wakeSeq guards against stale wake events: each park increments it, and
 	// a wake event only resumes the proc if it still matches.
@@ -104,11 +104,11 @@ func (p *Proc) Lookahead() Duration {
 func (p *Proc) SetQuantum(q Duration) { p.quantum = q }
 
 // SetSyncHook registers fn to run (on the proc goroutine) after every park.
-func (p *Proc) SetSyncHook(fn func()) { p.syncHook = fn }
+func (p *Proc) SetSyncHook(fn func()) { p.onSync = fn }
 
 // SetPreWaitHook registers fn to run before every indefinite park; see the
-// preWaitHook field.
-func (p *Proc) SetPreWaitHook(fn func() bool) { p.preWaitHook = fn }
+// preWait field.
+func (p *Proc) SetPreWaitHook(fn func() bool) { p.preWait = fn }
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == procDone }
@@ -180,8 +180,8 @@ func (p *Proc) park(s procState) {
 	if p.eng.now > p.local {
 		p.local = p.eng.now
 	}
-	if p.syncHook != nil {
-		p.syncHook()
+	if p.onSync != nil {
+		p.onSync()
 	}
 }
 
@@ -201,8 +201,8 @@ func (p *Proc) Sync() {
 	if p.local <= p.eng.now {
 		// Already in step; still give the hook a chance so interrupt
 		// delivery cannot be starved by a proc that never runs ahead.
-		if p.syncHook != nil {
-			p.syncHook()
+		if p.onSync != nil {
+			p.onSync()
 		}
 		return
 	}
@@ -216,7 +216,7 @@ func (p *Proc) Sync() {
 // wakeups impossible (see Signal). Wait may return spuriously (for example
 // when a pending interrupt is delivered instead of parking).
 func (p *Proc) Wait() {
-	if p.preWaitHook != nil && p.preWaitHook() {
+	if p.preWait != nil && p.preWait() {
 		return
 	}
 	p.park(procWaiting)

@@ -110,7 +110,7 @@ func (d *legacyDirectory) FirstTouch(h *Handle, idx uint32) (frame uint32, alloc
 		frame = sf
 		allocated = true
 		h.stats.FirstTouches++
-		s.chip.Tracer().Emit(h.k.Core().Now(), me, trace.KindFirstTouch, uint64(idx), uint64(sf))
+		h.emit(trace.KindFirstTouch, uint64(idx), uint64(sf))
 	} else {
 		h.stats.MapExisting++
 		// Affinity-on-next-touch: if the page is armed for migration, this

@@ -1,6 +1,10 @@
 package svm
 
-import "fmt"
+import (
+	"fmt"
+
+	"metalsvm/internal/trace"
+)
 
 // Free is the collective release of a region previously returned by Alloc
 // (every member must call it with the region's base, like the other
@@ -16,16 +20,12 @@ func (h *Handle) Free(base uint32) {
 	s := h.sys
 	r := s.findRegion(base)
 	if r == nil {
-		if s.mem != nil {
-			s.mem.BadFree(h.k.ID(), base)
-		}
+		h.emit(trace.KindBadFree, uint64(base), 0)
 		panic(fmt.Sprintf("svm: Free of %#x, which is not a live allocation base", base))
 	}
 	first := s.pageIndex(base)
 	if s.inReadonly(first) {
-		if s.mem != nil {
-			s.mem.BadFree(h.k.ID(), base)
-		}
+		h.emit(trace.KindBadFree, uint64(base), 0)
 		panic(fmt.Sprintf("svm: Free of read-only region %#x", base))
 	}
 
@@ -60,9 +60,7 @@ func (h *Handle) Free(base uint32) {
 			s.alloc.Free(frame)
 		}
 		r.freed = true
-		if s.mem != nil {
-			s.mem.RegionFreed(h.k.ID(), r.base, r.pages)
-		}
+		h.emit(trace.KindRegionFree, uint64(r.base), uint64(r.pages))
 	}
 	h.groupBarrier()
 }

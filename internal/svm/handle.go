@@ -133,6 +133,11 @@ func (h *Handle) groupBarrier() { h.k.BarrierGroup(h.sys.workers) }
 func (h *Handle) CountFirstTouch()  { h.stats.FirstTouches++ }
 func (h *Handle) CountMapExisting() { h.stats.MapExisting++ }
 
+// emit reports one of this core's SVM events, stamped with its local time.
+func (h *Handle) emit(kind trace.Kind, arg1, arg2 uint64) {
+	h.sys.chip.Tracer().Emit(h.k.Core().Now(), h.k.ID(), kind, arg1, arg2)
+}
+
 // DebugString summarizes protocol wait state for diagnostics.
 func (h *Handle) DebugString() string {
 	return fmt.Sprintf("svm %d: inFault=%v acks=%v retries=%v", h.k.ID(), h.inFault, h.acks, h.retries)
@@ -154,9 +159,7 @@ func (h *Handle) Alloc(bytes uint32) uint32 {
 			panic(fmt.Sprintf("svm: out of shared address space (%d pages requested)", pages))
 		}
 		s.allocs = append(s.allocs, region{base: pageVaddr(s.nextPage), pages: pages})
-		if s.mem != nil {
-			s.mem.RegionAllocated(h.k.ID(), pageVaddr(s.nextPage), pages)
-		}
+		h.emit(trace.KindRegionAlloc, uint64(pageVaddr(s.nextPage)), uint64(pages))
 		s.nextPage += pages
 	}
 	r := s.allocs[h.allocSeq]
@@ -177,19 +180,19 @@ func (h *Handle) handleFault(vaddr uint32, write bool, e pgtable.Entry) {
 	s := h.sys
 	idx := s.pageIndex(vaddr)
 	if !s.inAllocated(idx) {
-		if s.mem != nil {
-			s.mem.InvalidAccess(h.k.ID(), vaddr, write)
+		var w uint64
+		if write {
+			w = 1
 		}
+		h.emit(trace.KindInvalidAccess, uint64(vaddr), w)
 		panic(fmt.Sprintf("svm: core %d touched unallocated shared address %#x", h.k.ID(), vaddr))
 	}
 	if write && s.inReadonly(idx) {
-		if s.mem != nil {
-			s.mem.ReadOnlyWrite(h.k.ID(), vaddr)
-		}
+		h.emit(trace.KindReadOnlyWrite, uint64(vaddr), 0)
 		panic(fmt.Sprintf("svm: core %d wrote read-only region at %#x", h.k.ID(), vaddr))
 	}
 	h.stats.Faults++
-	s.chip.Tracer().Emit(h.k.Core().Now(), h.k.ID(), trace.KindFault, uint64(vaddr), 0)
+	h.emit(trace.KindFault, uint64(vaddr), 0)
 	page := pgtable.PageBase(vaddr)
 
 	if e == (pgtable.Entry{}) {
@@ -271,15 +274,13 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 				h.acks[idx]--
 			}
 			s.dir.NoteAcquired(h, idx)
-			if s.hook != nil {
-				s.hook.OwnershipAcquired(me, idx)
-			}
+			h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 			return
 		case -1:
 			panic(fmt.Sprintf("svm: page %d mapped but unowned in strong model", idx))
 		}
 		h.stats.OwnerRequests++
-		s.chip.Tracer().Emit(h.k.Core().Now(), me, trace.KindOwnerRequest, uint64(idx), uint64(owner))
+		h.emit(trace.KindOwnerRequest, uint64(idx), uint64(owner))
 		acks, retries, noOwner := h.acks[idx], h.retries[idx], h.retryNoOwner[idx]
 		var p [8]byte
 		mailbox.PutU32(p[:], 0, idx)
@@ -301,9 +302,7 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 			if s.dir.ReclaimDead(h, idx, owner) {
 				mapMine()
 				s.dir.NoteAcquired(h, idx)
-				if s.hook != nil {
-					s.hook.OwnershipAcquired(me, idx)
-				}
+				h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 				return
 			}
 			// A racer reclaimed first (or the owner resurfaced to the
@@ -324,9 +323,7 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 			}
 			mapMine()
 			s.dir.NoteAcquired(h, idx)
-			if s.hook != nil {
-				s.hook.OwnershipAcquired(me, idx)
-			}
+			h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 			return
 		}
 		// Retry: the peer was mid-fault on the same page. Back off and
@@ -347,9 +344,7 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 				if s.dir.ReclaimOrphan(h, idx, owner) {
 					mapMine()
 					s.dir.NoteAcquired(h, idx)
-					if s.hook != nil {
-						s.hook.OwnershipAcquired(me, idx)
-					}
+					h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 					return
 				}
 				delete(h.orphanFrom, idx) // record moved on; re-read it
@@ -423,7 +418,7 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 		return
 	}
 	h.stats.OwnerServed++
-	s.chip.Tracer().Emit(h.k.Core().Now(), me, trace.KindOwnerTransfer, uint64(idx), uint64(requester))
+	h.emit(trace.KindOwnerTransfer, uint64(idx), uint64(requester))
 	h.k.Core().Cycles(s.cfg.OwnershipServeCycles)
 	// Revoke our access, publish our writes, drop our cached lines.
 	if _, ok := h.k.Core().Table.Lookup(page); ok {
@@ -433,9 +428,7 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 	}
 	h.k.Core().FlushWCB()
 	h.k.Core().CL1INVMB()
-	if s.hook != nil {
-		s.hook.OwnershipTransferred(me, requester, idx)
-	}
+	h.emit(trace.KindOwnerYield, uint64(idx), uint64(requester))
 	s.writeOwner(me, idx, requester)
 	var p [4]byte
 	mailbox.PutU32(p[:], 0, idx)
@@ -451,7 +444,6 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 // unconsumed in our inbox while we park sending to the manager).
 func (h *Handle) handleOwnerReqReplicated(idx uint32, requester int, page uint32) {
 	s := h.sys
-	me := h.k.ID()
 	if !s.dir.OwnedLocally(h, idx) {
 		// Stale request: the requester read an outdated owner. Unlike the
 		// legacy forwarding chain there is an authoritative directory to
@@ -466,7 +458,7 @@ func (h *Handle) handleOwnerReqReplicated(idx uint32, requester int, page uint32
 		return
 	}
 	h.stats.OwnerServed++
-	s.chip.Tracer().Emit(h.k.Core().Now(), me, trace.KindOwnerTransfer, uint64(idx), uint64(requester))
+	h.emit(trace.KindOwnerTransfer, uint64(idx), uint64(requester))
 	h.k.Core().Cycles(s.cfg.OwnershipServeCycles)
 	// Revoke our access, publish our writes, drop our cached lines.
 	if _, ok := h.k.Core().Table.Lookup(page); ok {
@@ -477,9 +469,7 @@ func (h *Handle) handleOwnerReqReplicated(idx uint32, requester int, page uint32
 	h.k.Core().FlushWCB()
 	h.k.Core().CL1INVMB()
 	epoch := s.dir.YieldPage(h, idx)
-	if s.hook != nil {
-		s.hook.OwnershipTransferred(me, requester, idx)
-	}
+	h.emit(trace.KindOwnerYield, uint64(idx), uint64(requester))
 	var p [8]byte
 	mailbox.PutU32(p[:], 0, idx)
 	mailbox.PutU32(p[:], 1, epoch)
@@ -514,8 +504,8 @@ func (h *Handle) Barrier() {
 func (h *Handle) Lock(id int) {
 	s := h.sys
 	me := h.k.ID()
-	reg := id % s.chip.Cores()
-	addr := s.lockAddr(id)
+	word := lockWord(id)
+	reg, addr := s.lockReg(word), s.lockAddr(word)
 	h.stats.Locks++
 	s.prof.Enter(me, profile.LockWait, h.k.Core().Proc().LocalTime())
 	for {
@@ -531,11 +521,9 @@ func (h *Handle) Lock(id int) {
 		// Taken: park until some Unlock fires this lock's signal, then
 		// compete again.
 		h.stats.LockWaits++
-		s.lockSig(id).Wait(h.k.Core().Proc())
+		s.lockSig(word).Wait(h.k.Core().Proc())
 	}
-	if s.hook != nil {
-		s.hook.LockAcquired(me, id)
-	}
+	h.emit(trace.KindLockAcquire, uint64(word), 0)
 	h.k.Core().CL1INVMB()
 	s.prof.Exit(me, h.k.Core().Proc().LocalTime())
 }
@@ -545,17 +533,16 @@ func (h *Handle) Lock(id int) {
 func (h *Handle) Unlock(id int) {
 	s := h.sys
 	me := h.k.ID()
-	if s.hook != nil {
-		s.hook.LockReleased(me, id)
-	}
+	word := lockWord(id)
+	h.emit(trace.KindLockRelease, uint64(word), 0)
 	s.prof.Enter(me, profile.LockWait, h.k.Core().Proc().LocalTime())
 	h.k.Core().FlushWCB()
-	addr := s.lockAddr(id)
+	addr := s.lockAddr(word)
 	if holder := s.chip.PhysRead32(me, addr); holder != uint32(me)+1 {
 		panic(fmt.Sprintf("svm: core %d unlocks lock %d held by %d", me, id, int(holder)-1))
 	}
 	s.chip.PhysWrite32(me, addr, 0)
-	s.lockSig(id).Fire(h.k.Core().Proc().LocalTime())
+	s.lockSig(word).Fire(h.k.Core().Proc().LocalTime())
 	s.prof.Exit(me, h.k.Core().Proc().LocalTime())
 }
 
@@ -570,9 +557,7 @@ func (h *Handle) ProtectReadOnly(base, bytes uint32) {
 	// One member records the region; everyone waits, then remaps.
 	if !s.inReadonly(first) {
 		s.readonly = append(s.readonly, region{base: pgtable.PageBase(base), pages: pages})
-		if s.mem != nil {
-			s.mem.RegionProtected(h.k.ID(), pgtable.PageBase(base), pages)
-		}
+		h.emit(trace.KindRegionProtect, uint64(pgtable.PageBase(base)), uint64(pages))
 	}
 	h.groupBarrier()
 	h.k.Core().FlushWCB()

@@ -131,7 +131,7 @@ func (h *Handle) maybeMigrate(idx, frame uint32) uint32 {
 			}
 			frame = newFrame
 			h.nextTouchStats.Migrations++
-			s.chip.Tracer().Emit(h.k.Core().Now(), me, trace.KindMigration, uint64(idx), uint64(newFrame))
+			h.emit(trace.KindMigration, uint64(idx), uint64(newFrame))
 		}
 	}
 	s.chip.PhysWrite32(me, s.migrateAddr(idx), 0)

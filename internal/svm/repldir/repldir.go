@@ -24,7 +24,8 @@
 //   - Zero-perturbation when absent: nothing here runs unless the facade
 //     installs the directory; the legacy single-copy path is untouched.
 //   - The observability surface (trace emissions, stats, diagnostics dump)
-//     charges no simulated time and is nil-safe per the obshook discipline.
+//     charges no simulated time; events go through the chip's nil-safe
+//     stream like every other layer's.
 package repldir
 
 import (

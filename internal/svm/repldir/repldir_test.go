@@ -12,6 +12,7 @@ import (
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/svm/repldir"
+	"metalsvm/internal/trace"
 )
 
 // testChip keeps the host footprint small; protocols are untouched.
@@ -202,22 +203,19 @@ func TestMetricsSurfaceDirCounters(t *testing.T) {
 }
 
 // yieldClock records when the first B→A ownership transfer leaves the owner
-// (the yield instant), for calibrating a crash into the handoff window.
+// (the yield instant), for calibrating a crash into the handoff window. It
+// subscribes to the one kind it needs.
 type yieldClock struct {
-	chip  *scc.Chip
 	owner int
 	reqer int
 	t     sim.Time
 	seen  bool
 }
 
-func (y *yieldClock) LockAcquired(core, lock int)             {}
-func (y *yieldClock) LockReleased(core, lock int)             {}
-func (y *yieldClock) OwnershipAcquired(core int, page uint32) {}
-func (y *yieldClock) OwnershipTransferred(owner, requester int, page uint32) {
-	if !y.seen && owner == y.owner && requester == y.reqer {
+func (y *yieldClock) onYield(e trace.Event) {
+	if !y.seen && int(e.Core) == y.owner && int(e.Arg2) == y.reqer {
 		y.seen = true
-		y.t = y.chip.Core(owner).Now()
+		y.t = e.At
 	}
 }
 
@@ -243,8 +241,7 @@ func TestOrphanedHandoffRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if clock != nil {
-			clock.chip = m.Chip
-			m.SVM.SetSyncHook(clock)
+			m.Chip.Tracer().Subscribe(clock.onYield, trace.KindOwnerYield)
 		}
 		var got uint64
 		m.Run(map[int]func(*core.Env){

@@ -65,47 +65,6 @@ const (
 	msgOwnerRetry = kernel.MsgUser + 2 // payload: page index
 )
 
-// SyncHook observes the SVM system's synchronization operations (a race
-// checker building happens-before edges). All methods run on the goroutine
-// of the core named first and must not charge simulated time; a nil hook
-// costs one branch per operation.
-type SyncHook interface {
-	// LockAcquired: core holds SVM lock `lock` (acquire edge).
-	LockAcquired(core, lock int)
-	// LockReleased: core is about to release SVM lock `lock` (release edge).
-	LockReleased(core, lock int)
-	// OwnershipTransferred: the owner hands page `page` to requester
-	// (release edge on the owner's goroutine).
-	OwnershipTransferred(owner, requester int, page uint32)
-	// OwnershipAcquired: core completed an ownership acquisition of `page`
-	// (acquire edge).
-	OwnershipAcquired(core int, page uint32)
-}
-
-// MemHook observes the SVM system's memory-lifecycle events (the sanitizer
-// layer's shadow memory): collective allocation, free and protection of
-// regions, plus the invalid operations the layer is about to trap on. The
-// pre-panic callbacks (BadFree, InvalidAccess, ReadOnlyWrite) fire before
-// the corresponding panic, so an observer can classify and record the bug
-// even though the faulting run is about to die. All methods run on the
-// acting core's goroutine and must not charge simulated time; a nil hook
-// costs one branch per event.
-type MemHook interface {
-	// RegionAllocated: the first arriver reserved a region of pages at base.
-	RegionAllocated(core int, base, pages uint32)
-	// RegionFreed: the region's frames were returned to the allocator.
-	RegionFreed(core int, base, pages uint32)
-	// RegionProtected: the region was marked read-only (ProtectReadOnly).
-	RegionProtected(core int, base, pages uint32)
-	// BadFree: Free of base, which is not a live allocation base (panics next).
-	BadFree(core int, base uint32)
-	// InvalidAccess: a fault on an address outside every live region
-	// (panics next).
-	InvalidAccess(core int, vaddr uint32, write bool)
-	// ReadOnlyWrite: a store faulted on a read-only region (panics next).
-	ReadOnlyWrite(core int, vaddr uint32)
-}
-
 // Config holds the SVM system's parameters, including the kernel-path cost
 // calibration (core cycles). The defaults are calibrated so the synthetic
 // benchmark of Section 7.2.1 lands in the region of the paper's Table 1.
@@ -193,38 +152,36 @@ type System struct {
 	workers []int
 	dir     OwnerDirectory
 
-	hook SyncHook
-	mem  MemHook
 	prof *profile.Profiler
 }
-
-// SetSyncHook installs the synchronization observer; nil disables it.
-func (s *System) SetSyncHook(h SyncHook) { s.hook = h }
-
-// SetMemHook installs the memory-lifecycle observer; nil disables it.
-func (s *System) SetMemHook(h MemHook) { s.mem = h }
 
 // SetProfiler installs the cycle-attribution profiler; nil disables it.
 // Owner-side request serving counts as fault handling; Lock/Unlock and
 // Barrier report lock-wait and barrier-wait time.
 func (s *System) SetProfiler(p *profile.Profiler) { s.prof = p }
 
-// LockCount is the number of distinct SVM lock words (lock ids are taken
-// modulo this).
+// LockCount is the number of distinct SVM lock words.
 const LockCount = 256
 
-// lockAddr returns the lock word for an id.
-func (s *System) lockAddr(id int) uint32 {
-	return s.lockBase + uint32(((id%LockCount)+LockCount)%LockCount)*4
-}
+// lockWord maps a lock id, negative ones included, to its lock word. Ids
+// that share a word are one lock, so the word's address, its release signal,
+// its guarding test-and-set register and the lock events all derive from
+// this index, never from the raw id.
+func lockWord(id int) int { return ((id % LockCount) + LockCount) % LockCount }
 
-// lockSig returns (creating on demand) the release signal for a lock id.
-func (s *System) lockSig(id int) *sim.Signal {
-	key := ((id % LockCount) + LockCount) % LockCount
-	sig, ok := s.lockSigs[key]
+// lockAddr returns the address of a lock word.
+func (s *System) lockAddr(word int) uint32 { return s.lockBase + uint32(word)*4 }
+
+// lockReg returns the test-and-set register held while a lock word is
+// inspected and flipped.
+func (s *System) lockReg(word int) int { return word % s.chip.Cores() }
+
+// lockSig returns (creating on demand) the release signal of a lock word.
+func (s *System) lockSig(word int) *sim.Signal {
+	sig, ok := s.lockSigs[word]
 	if !ok {
 		sig = sim.NewSignal(s.chip.Engine())
-		s.lockSigs[key] = sig
+		s.lockSigs[word] = sig
 	}
 	return sig
 }

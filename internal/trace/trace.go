@@ -1,11 +1,16 @@
-// Package trace records protocol-level events from a simulation run —
-// page faults, ownership transfers, mail, barriers, migrations — into a
-// bounded ring buffer, with summarization and timeline formatting for
-// debugging and for understanding where a workload's time goes.
+// Package trace is the simulator's one instrumentation path. Every layer
+// reports what it does — page faults, ownership transfers, mail, barriers,
+// loads and stores, lock and test-and-set transitions, region lifecycle —
+// as events on its chip's Stream, and everything that observes a run
+// subscribes to the kinds it needs: the bounded ring Buffer retains the
+// protocol kinds (with summarization and timeline formatting for debugging
+// and for understanding where a workload's time goes), the race checker and
+// the sanitizer rebuild their state from the rest.
 //
-// Tracing is optional: layers emit through a possibly-nil *Buffer, and a
-// nil buffer costs one branch. The buffer is not goroutine-safe, which is
-// fine — the simulator is single-threaded by construction.
+// Observation is optional and free of simulated cost: a nil *Stream, a nil
+// *Buffer and a kind nobody subscribed to each cost one branch. Nothing here
+// is goroutine-safe, which is fine — the simulator is single-threaded by
+// construction.
 package trace
 
 import (
@@ -30,11 +35,14 @@ const (
 	// KindOwnerTransfer: ownership was handed over (Arg1 = page index,
 	// Arg2 = new owner).
 	KindOwnerTransfer
-	// KindMailSend: a mail was deposited (Arg1 = receiver, Arg2 = type).
+	// KindMailSend: a mail was deposited in the receiver's MPB; the sender
+	// has then also seen the slot free, i.e. the previous mail consumed
+	// (Arg1 = receiver, Arg2 = type).
 	KindMailSend
 	// KindMailRecv: a mail was consumed (Arg1 = sender, Arg2 = type).
 	KindMailRecv
-	// KindBarrier: a kernel completed a barrier (Arg1 = barrier count).
+	// KindBarrier: a kernel entered a barrier (Arg1 = its barrier count,
+	// this one included). Leaving it is KindBarrierDone.
 	KindBarrier
 	// KindMigration: a frame migrated on next-touch (Arg1 = page index,
 	// Arg2 = new frame).
@@ -62,14 +70,65 @@ const (
 	// KindDirReclaim: the directory revoked a dead owner's page and
 	// reassigned it (Arg1 = page index, Arg2 = new owner).
 	KindDirReclaim
+
+	// The kinds from here on are what the checkers rebuild their state
+	// from. They fire far more often than the protocol kinds above (every
+	// load and store is one), so the ring never retains them.
+
+	// KindLoad / KindStore: an access passed translation — any page-fault
+	// protocol it triggered has completed (Arg1 = vaddr, Arg2 = bytes).
+	KindLoad
+	KindStore
+	// KindMap / KindUnmap: the core's page table gained an entry for a page
+	// that had none, or dropped one (Arg1 = vaddr).
+	KindMap
+	KindUnmap
+	// KindTASAcquire / KindTASRelease: a test-and-set succeeded, or the
+	// clear landed; dropped requests are not transitions (Arg1 = register).
+	KindTASAcquire
+	KindTASRelease
+	// KindLockAcquire / KindLockRelease: the core holds, or is about to
+	// release, an SVM lock (Arg1 = lock word, the id normalised).
+	KindLockAcquire
+	KindLockRelease
+	// KindOwnerYield: the owner flushed and invalidated and now hands the
+	// page over (Arg1 = page index, Arg2 = requester). KindOwnerTransfer
+	// marks the start of the same service, before those cycles are charged.
+	KindOwnerYield
+	// KindOwnerAcquire: the core completed an ownership acquisition
+	// (Arg1 = page index).
+	KindOwnerAcquire
+	// KindBarrierDone: the kernel left the barrier KindBarrier announced
+	// (Arg1 = the same count).
+	KindBarrierDone
+	// KindRegionAlloc / KindRegionFree / KindRegionProtect: a collective
+	// region was reserved, returned its frames, or became read-only
+	// (Arg1 = base vaddr, Arg2 = pages).
+	KindRegionAlloc
+	KindRegionFree
+	KindRegionProtect
+	// KindBadFree, KindInvalidAccess, KindReadOnlyWrite: the SVM layer is
+	// about to panic on a free of a non-region (Arg1 = base), a fault
+	// outside every live region (Arg1 = vaddr, Arg2 = 1 for a write) or a
+	// store to a read-only region (Arg1 = vaddr).
+	KindBadFree
+	KindInvalidAccess
+	KindReadOnlyWrite
 	kindCount
 )
+
+// ringKinds bounds the protocol kinds a Stream's ring retains.
+const ringKinds = KindLoad
 
 var kindNames = [kindCount]string{
 	"fault", "first-touch", "owner-req", "owner-transfer",
 	"mail-send", "mail-recv", "barrier", "migration", "ipi",
 	"fault-inject", "retransmit", "watchdog",
 	"crash", "dir-commit", "dir-failover", "dir-reclaim",
+	"load", "store", "map", "unmap", "tas-acquire", "tas-release",
+	"lock-acquire", "lock-release", "owner-yield", "owner-acquire",
+	"barrier-done", "region-alloc", "region-free", "region-protect",
+	"bad-free", "invalid-access", "readonly-write",
 }
 
 func (k Kind) String() string {
@@ -91,6 +150,87 @@ type Event struct {
 func (e Event) String() string {
 	return fmt.Sprintf("%12.3fus core%-2d %-14s %#x %#x",
 		e.At.Microseconds(), e.Core, e.Kind, e.Arg1, e.Arg2)
+}
+
+// Stream is one chip's event stream: the single path from the model to
+// whatever observes it. Subscribers of an event's kind are called in
+// subscription order on the emitting core's goroutine; they must not charge
+// simulated time, which is what keeps an observed run bit-identical to a
+// plain one. The zero value is a stream nobody listens to yet.
+type Stream struct {
+	subs [kindCount][]func(Event)
+	ring *Buffer
+}
+
+// Emit delivers an event to the subscribers of its kind. A nil stream and a
+// kind without subscribers are no-ops that cost one branch and allocate
+// nothing — loads and stores emit, so a run that only traces pays no
+// fan-out per access.
+func (s *Stream) Emit(at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
+	if s == nil || len(s.subs[kind]) == 0 {
+		return
+	}
+	s.deliver(at, core, kind, arg1, arg2)
+}
+
+// On reports whether anyone subscribed to kind, for the rare site whose
+// arguments cost more than a field read to compute.
+func (s *Stream) On(kind Kind) bool {
+	if s == nil {
+		return false
+	}
+	return len(s.subs[kind]) != 0
+}
+
+// deliver is Emit's slow path, kept out of line so the guard inlines into
+// every site.
+//
+//go:noinline
+func (s *Stream) deliver(at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
+	e := Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2}
+	for _, fn := range s.subs[kind] {
+		fn(e)
+	}
+}
+
+// Subscribe appends fn to the subscribers of each given kind. Wiring an
+// observer to a nil stream is a bug, not a quiet run: it panics.
+func (s *Stream) Subscribe(fn func(Event), kinds ...Kind) {
+	if s == nil {
+		panic("trace: Subscribe on a nil stream")
+	}
+	for _, k := range kinds {
+		s.subs[k] = append(s.subs[k], fn)
+	}
+}
+
+// SetRing makes b the stream's ring: the first subscriber, ahead of any
+// already present, of the protocol kinds up to KindDirReclaim — and of those
+// only, so the checkers' kinds never displace protocol events. A stream has
+// at most one ring; a nil b is a no-op.
+func (s *Stream) SetRing(b *Buffer) {
+	if s == nil {
+		panic("trace: SetRing on a nil stream")
+	}
+	if b == nil {
+		return
+	}
+	if s.ring != nil {
+		panic("trace: stream already has a ring")
+	}
+	s.ring = b
+	for k := range s.subs[:ringKinds] {
+		s.subs[k] = append([]func(Event){b.add}, s.subs[k]...)
+	}
+}
+
+// Ring returns the stream's ring (nil when none is installed or the stream
+// is nil; Buffer methods accept nil receivers).
+func (s *Stream) Ring() *Buffer {
+	if s == nil {
+		return nil
+	}
+	return s.ring
 }
 
 // Buffer is a bounded event ring. When full, the oldest events are
@@ -115,7 +255,10 @@ func (b *Buffer) Emit(at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
 	if b == nil {
 		return
 	}
-	e := Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2}
+	b.add(Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2})
+}
+
+func (b *Buffer) add(e Event) {
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, e)
 		return

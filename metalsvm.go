@@ -182,7 +182,7 @@ type TraceEvent = trace.Event
 // TraceKind classifies a trace event (fault, ownership transfer, mail, …).
 type TraceKind = trace.Kind
 
-// The trace event kinds.
+// The protocol kinds the trace ring retains.
 const (
 	TraceFault         = trace.KindFault
 	TraceFirstTouch    = trace.KindFirstTouch
