@@ -238,6 +238,14 @@ func (o *Observation) WritePerfetto(w io.Writer) error {
 func (o *Observation) harvest() *metrics.Snapshot {
 	r := metrics.NewRegistry()
 
+	es := o.chip.Engine().Stats()
+	r.Counter("sim.events").Add(es.Events)
+	r.Counter("sim.closure_events").Add(es.ClosureEvents)
+	r.Counter("sim.proc_switches").Add(es.ProcSwitches)
+	r.Counter("sim.self_wakes").Add(es.SelfWakes)
+	r.Counter("sim.run_throughs").Add(es.RunThroughs)
+	r.Counter("sim.sync_in_step").Add(es.SyncInStep)
+
 	ms := o.chip.MeshStats()
 	r.Counter("mesh.ddr_reads").Add(ms.DDRReads)
 	r.Counter("mesh.ddr_writes").Add(ms.DDRWrites)

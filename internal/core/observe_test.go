@@ -102,6 +102,8 @@ func TestMetricsSnapshotHarvest(t *testing.T) {
 		"cpu.loads", "cpu.stores", "cpu.faults", "cache.l1.hits",
 		"mailbox.sends", "mesh.ddr_reads", "svm.faults", "svm.locks",
 		"svm.barriers", "kernel.barriers", "trace.events",
+		"sim.events", "sim.closure_events", "sim.proc_switches",
+		"sim.self_wakes", "sim.run_throughs", "sim.sync_in_step",
 	} {
 		if s.Counter(name) == 0 {
 			t.Errorf("counter %q is zero", name)

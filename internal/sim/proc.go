@@ -1,13 +1,16 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 // procState tracks where a process goroutine currently is.
 type procState int
 
 const (
 	procNew     procState = iota // goroutine not started yet
-	procRunning                  // executing between engine handoffs
+	procRunning                  // holds the baton, executing its body
 	procParked                   // parked, wake already scheduled (Sync)
 	procWaiting                  // parked indefinitely, needs an external Wake
 	procDone                     // body returned
@@ -19,7 +22,23 @@ type shutdownError struct{}
 
 func (shutdownError) Error() string { return "sim: engine shutdown" }
 
-// Proc is a simulated process: a goroutine that the engine resumes in strict
+// staleWake is a wakeSeq no proc ever reaches: a wake record that is dead on
+// arrival.
+const staleWake = ^uint64(0)
+
+// ProcPanic is what RunUntil panics with after a panic on a proc's goroutine,
+// in its body or in an event callback it ran while parking.
+type ProcPanic struct {
+	Proc  string // the proc whose goroutine panicked
+	Value any    // the original panic value
+	Stack []byte // that goroutine's stack at the panic
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: panic on proc %s: %v\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// Proc is a simulated process: a goroutine that is resumed in strict
 // simulated-time order. A Proc models one hardware core (or any other active
 // entity).
 //
@@ -36,8 +55,7 @@ type Proc struct {
 	// unbounded lookahead.
 	quantum Duration
 
-	resume chan struct{} // engine -> proc: run
-	yield  chan struct{} // proc -> engine: parked or done
+	resume chan struct{} // baton holder -> parked proc: run (closed: unwind)
 
 	body func(*Proc)
 
@@ -55,8 +73,9 @@ type Proc struct {
 	// unnoticed forever.
 	preWait func() bool
 
-	// wakeSeq guards against stale wake events: each park increments it, and
-	// a wake event only resumes the proc if it still matches.
+	// wakeSeq guards against stale wake events: each park (and each Sync that
+	// runs through) increments it, and a wake event only resumes the proc if
+	// it still matches. A wake is thereby bound to one park.
 	wakeSeq uint64
 
 	// halted marks a crashed process: it stays parked forever and every
@@ -73,11 +92,10 @@ func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 		name:   name,
 		local:  start,
 		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 		body:   body,
 	}
 	e.procs = append(e.procs, p)
-	e.At(start, func() { p.dispatch() })
+	e.schedule(event{at: start, proc: p}) // wakeSeq 0: live until the first park
 	return p
 }
 
@@ -114,7 +132,7 @@ func (p *Proc) SetPreWaitHook(fn func() bool) { p.preWait = fn }
 func (p *Proc) Done() bool { return p.state == procDone }
 
 // Halt permanently stops the process: it models a crashed core. The call
-// must be made from the engine goroutine (an event callback) while the
+// must be made from an event callback or another process, while the
 // process is parked, waiting, or not yet started; from then on every
 // dispatch attempt is ignored and the body never runs again. Halting a
 // finished process is a no-op.
@@ -128,54 +146,54 @@ func (p *Proc) Halt() {
 // Halted reports whether the process was crash-halted.
 func (p *Proc) Halted() bool { return p.halted }
 
-// dispatch hands control to the proc goroutine and waits for it to park.
-// It runs on the engine goroutine, inside an event callback.
-func (p *Proc) dispatch() {
-	if p.halted {
-		return
-	}
-	prev := p.eng.cur
-	p.eng.cur = p
-	switch p.state {
-	case procDone:
-		p.eng.cur = prev
-		return
-	case procNew:
-		p.state = procRunning
-		go p.run()
-	default:
-		p.state = procRunning
-		p.resume <- struct{}{}
-	}
-	<-p.yield
-	p.eng.cur = prev
-}
-
-// run is the top of the proc goroutine.
+// run is the top of the proc goroutine. Whatever panics on it, the body or a
+// callback run while parking, ends the proc and returns the baton to the
+// engine's caller: RunUntil re-raises it, Shutdown takes it as the ack.
 func (p *Proc) run() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(shutdownError); ok {
-				p.yield <- struct{}{} // acknowledge Engine.Shutdown
-				return
-			}
-			panic(r)
+		r := recover()
+		if r == nil {
+			return
 		}
+		p.state = procDone
+		if _, ok := r.(shutdownError); !ok {
+			p.eng.fault = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
+		}
+		p.eng.idle <- struct{}{}
 	}()
 	p.body(p)
 	p.state = procDone
-	p.yield <- struct{}{}
+	p.handOff()
 }
 
-// park suspends the goroutine and returns control to the engine. On resume
-// the local clock is pulled up to the engine clock (a parked process does
-// not travel back in time) and the sync hook runs.
+// handOff runs the event loop on p's goroutine once p has parked or finished
+// and passes the baton to whoever is due next. It reports whether that is p
+// itself; if not, p must block on its resume channel or return.
+func (p *Proc) handOff() bool {
+	e := p.eng
+	switch next := e.advance(); next {
+	case p:
+		e.stats.SelfWakes++
+		p.state = procRunning
+		return true
+	case nil:
+		e.idle <- struct{}{}
+	default:
+		e.handTo(next)
+	}
+	return false
+}
+
+// park suspends the process until a wake for it is due. On resume the local
+// clock is pulled up to the engine clock (a parked process does not travel
+// back in time) and the sync hook runs.
 func (p *Proc) park(s procState) {
 	p.state = s
 	p.wakeSeq++
-	p.yield <- struct{}{}
-	if _, ok := <-p.resume; !ok {
-		panic(shutdownError{})
+	if !p.handOff() {
+		if _, ok := <-p.resume; !ok {
+			panic(shutdownError{})
+		}
 	}
 	if p.eng.now > p.local {
 		p.local = p.eng.now
@@ -198,17 +216,28 @@ func (p *Proc) Advance(d Duration) {
 // After Sync returns, engine time equals local time and any effects the
 // process applies are totally ordered against all other synced effects.
 func (p *Proc) Sync() {
-	if p.local <= p.eng.now {
+	e := p.eng
+	if p.local > e.now {
+		if at, ok := e.queue.headTime(); (ok && at <= p.local) || p.local > e.limit || e.stopped {
+			// park increments wakeSeq to the value the wake carries.
+			e.schedule(event{at: p.local, proc: p, wakeSeq: p.wakeSeq + 1})
+			p.park(procParked)
+			return
+		}
+		// The wake would be strictly first in the queue: the park would pop
+		// it straight back. Take its sequence number and its place instead.
+		e.stats.RunThroughs++
+		e.seq++
+		p.wakeSeq++
+		e.now = p.local
+	} else {
 		// Already in step; still give the hook a chance so interrupt
 		// delivery cannot be starved by a proc that never runs ahead.
-		if p.onSync != nil {
-			p.onSync()
-		}
-		return
+		e.stats.SyncInStep++
 	}
-	// park increments wakeSeq to the value the wake carries.
-	p.eng.scheduleSync(p.local, p, p.wakeSeq+1)
-	p.park(procParked)
+	if p.onSync != nil {
+		p.onSync()
+	}
 }
 
 // Wait parks the process indefinitely; some other entity must Wake it.
@@ -223,18 +252,21 @@ func (p *Proc) Wait() {
 }
 
 // Wake schedules the process to resume at time at (or the current engine
-// time if at is in the past). Waking a process that is not in Wait is a
-// no-op by the time the event fires, so spurious wakes are harmless.
+// time if at is in the past). It resumes the process only out of the Wait it
+// is in right now: waking a process that is running or parked in Sync is a
+// no-op, as is a wake that fires after the process has moved on, so spurious
+// wakes are harmless.
 func (p *Proc) Wake(at Time) {
 	if at < p.eng.now {
 		at = p.eng.now
 	}
 	seq := p.wakeSeq
-	p.eng.At(at, func() {
-		if p.wakeSeq == seq && p.state == procWaiting {
-			p.dispatch()
-		}
-	})
+	if p.state != procWaiting {
+		// Whatever p does next bumps wakeSeq, so this wake could never
+		// match; it still takes its sequence number and its queue slot.
+		seq = staleWake
+	}
+	p.eng.schedule(event{at: at, proc: p, wakeSeq: seq})
 }
 
 // shutdown unwinds a parked goroutine via panic so it does not leak.
@@ -242,13 +274,11 @@ func (p *Proc) shutdown() {
 	switch p.state {
 	case procParked, procWaiting:
 		p.state = procDone
-		// Resume the goroutine with a poisoned channel handshake: we cannot
-		// send a normal resume because the proc would continue executing its
-		// body. Instead close resume; the blocked receive returns and run()
-		// recovers the shutdown panic triggered in park via the closed
-		// channel read below.
+		// A normal resume would continue the body. Close resume instead:
+		// park's blocked receive fails and panics shutdownError, which run
+		// recovers and acknowledges on idle.
 		close(p.resume)
-		<-p.yield
+		<-p.eng.idle
 	}
 }
 

@@ -13,8 +13,8 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// Data-carrying process wake (fn == nil): resumes proc if its wakeSeq
-	// still matches.
+	// Typed process wake (fn == nil): a start, a Sync wake or a Wake. It
+	// resumes proc only if proc's wakeSeq still equals wakeSeq when popped.
 	proc    *Proc
 	wakeSeq uint64
 }
@@ -62,18 +62,16 @@ func (q *quadQueue) push(ev event, now Time) {
 	}
 }
 
-// head returns the next event to dispatch without removing it.
-func (q *quadQueue) head() (event, bool) {
-	have := q.fifoHead < len(q.fifo)
-	var m event
-	if have {
-		m = q.fifo[q.fifoHead]
+// headTime returns the time of the next event to dispatch. FIFO entries sit
+// at the engine clock, which no heap entry precedes.
+func (q *quadQueue) headTime() (Time, bool) {
+	if q.fifoHead < len(q.fifo) {
+		return q.fifo[q.fifoHead].at, true
 	}
-	if len(q.heap) > 0 && (!have || eventLess(q.heap[0], m)) {
-		m = q.heap[0]
-		have = true
+	if len(q.heap) > 0 {
+		return q.heap[0].at, true
 	}
-	return m, have
+	return 0, false
 }
 
 func (q *quadQueue) pop() event {

@@ -31,9 +31,9 @@ func TestQueueEquivalence(t *testing.T) {
 			sort.Slice(oracle, func(i, j int) bool { return eventLess(oracle[i], oracle[j]) })
 			want := oracle[0]
 			oracle = oracle[1:]
-			fh, okF := fast.head()
+			fh, okF := fast.headTime()
 			rh, okR := ref.head()
-			if !okF || !okR || !sameEvent(fh, want) || !sameEvent(rh, want) {
+			if !okF || !okR || fh != want.at || !sameEvent(rh, want) {
 				t.Fatalf("trial %d: head fast=%v(%v) ref=%v(%v), want %v", trial, fh, okF, rh, okR, want)
 			}
 			fp, rp := fast.pop(), ref.pop()

@@ -5,6 +5,12 @@
 // and pending events are ordered by (time, insertion sequence). Every run of
 // the same program therefore produces bit-identical simulated timestamps.
 //
+// There is no engine goroutine. Whoever holds the baton runs: a process that
+// parks pops events itself (Engine.advance), running callbacks in place,
+// until a process wake comes up, and then either carries on (the wake is its
+// own) or hands the baton to that process and blocks. Callbacks therefore run
+// on whichever goroutine holds the baton, still exactly one at a time.
+//
 // Processes own a local clock that may run ahead of the global engine clock
 // while they model compute or private-memory activity (Advance). Before any
 // operation whose effect must be globally ordered — a write to a shared
@@ -71,55 +77,51 @@ type Engine struct {
 	queue   quadQueue // pending events in (time, sequence) order; see queue.go
 	procs   []*Proc
 	stopped bool
-	// running reports whether Run is currently dispatching events. Procs may
-	// only execute while the engine runs.
-	running bool
-	// cur is the proc whose event callback is currently executing, kept for
-	// diagnostics (panic messages name the offending process).
-	cur *Proc
+	limit   Time          // RunUntil's bound: no event past it is dispatched
+	idle    chan struct{} // hands the baton back to RunUntil's (or Shutdown's) caller
+	fault   *ProcPanic    // a panic recovered on a proc's goroutine, for RunUntil to re-raise
+	stats   Stats
+}
+
+// Stats are exact, bit-reproducible counts of what the engine did.
+type Stats struct {
+	Events        uint64 // records popped from the queue
+	ClosureEvents uint64 // of those, callbacks (the rest are proc wakes, live or stale)
+	ProcSwitches  uint64 // batons handed to another goroutine: one host switch each
+	SelfWakes     uint64 // wakes the parking proc popped for itself: no switch
+	RunThroughs   uint64 // Syncs that would have been the queue head and did not park
+	SyncInStep    uint64 // Syncs with the local clock already at the engine clock
 }
 
 // NewEngine returns an engine with its clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{idle: make(chan struct{})} }
 
 // Now returns the current global simulated time.
 func (e *Engine) Now() Time { return e.now }
 
+// Stats returns the engine's counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would violate causality and mask a modeling bug. Scheduling at the
 // current time takes the queue's append fast path (see queue.go).
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d before now %d%s", t, e.now, e.curName()))
+func (e *Engine) At(t Time, fn func()) { e.schedule(event{at: t, fn: fn}) }
+
+// schedule gives ev the next sequence number and queues it.
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: event scheduled at %d before now %d", ev.at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: t, seq: e.seq, fn: fn}, e.now)
-}
-
-// curName names the proc whose callback is executing, for panic messages.
-func (e *Engine) curName() string {
-	if e.cur != nil {
-		return " by proc " + e.cur.name
-	}
-	return ""
-}
-
-// scheduleSync enqueues a data-carrying wake for p at time at. Called from
-// the proc goroutine while the engine is blocked in its dispatch handshake,
-// so it observes a stable engine clock.
-func (e *Engine) scheduleSync(at Time, p *Proc, wakeSeq uint64) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: event scheduled at %d before now %d by proc %s",
-			at, e.now, p.name))
-	}
-	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, proc: p, wakeSeq: wakeSeq}, e.now)
+	ev.seq = e.seq
+	e.queue.push(ev, e.now)
 }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Duration, fn func()) { e.At(e.now+d, fn) }
 
-// Stop makes Run return after the current event completes.
+// Stop makes Run return once the running proc parks or the current callback
+// completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run dispatches events in (time, sequence) order until the queue drains or
@@ -128,38 +130,58 @@ func (e *Engine) Run() Time { return e.RunUntil(Time(math.MaxUint64)) }
 
 // RunUntil dispatches events with timestamps <= limit, then returns the
 // engine clock, which is left at the last dispatched event: it never moves
-// to limit itself, and stays where it was when nothing was dispatched.
+// to limit itself, and stays where it was when nothing was dispatched. A
+// panic on a proc's goroutine is re-raised here as a *ProcPanic.
 func (e *Engine) RunUntil(limit Time) Time {
-	e.running = true
-	defer func() { e.running = false }()
-	for !e.stopped {
-		head, ok := e.queue.head()
-		if !ok || head.at > limit {
-			break
-		}
-		ev := e.queue.pop()
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: event at %d behind clock %d%s",
-				ev.at, e.now, e.curName()))
-		}
-		e.now = ev.at
-		e.dispatchEvent(ev)
+	e.limit = limit
+	if p := e.advance(); p != nil {
+		e.handTo(p)
+		<-e.idle
+	}
+	if f := e.fault; f != nil {
+		e.fault = nil
+		panic(f)
 	}
 	return e.now
 }
 
-// dispatchEvent runs one dequeued event: a closure, or a data-carrying
-// process wake (fn == nil) that resumes the process if the wake is still
-// live — the same guard the closure-based wakes apply.
-func (e *Engine) dispatchEvent(ev event) {
-	if ev.fn != nil {
-		ev.fn()
+// advance is the event loop. It pops events in (time, sequence) order, runs
+// callbacks in place and returns the first live proc wake; nil means the
+// queue is drained, past the limit or stopped. It runs on whichever
+// goroutine holds the baton: RunUntil's caller, or the proc that is parking.
+func (e *Engine) advance() *Proc {
+	for !e.stopped {
+		at, ok := e.queue.headTime()
+		if !ok || at > e.limit {
+			break
+		}
+		ev := e.queue.pop()
+		if ev.at < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: event at %d behind clock %d", ev.at, e.now))
+		}
+		e.now = ev.at
+		e.stats.Events++
+		if ev.fn != nil {
+			e.stats.ClosureEvents++
+			ev.fn()
+		} else if p := ev.proc; p.wakeSeq == ev.wakeSeq && p.state != procDone && !p.halted {
+			return p
+		}
+	}
+	return nil
+}
+
+// handTo passes the baton to p's goroutine. The caller must block (or
+// return) right after: exactly one goroutine runs at a time.
+func (e *Engine) handTo(p *Proc) {
+	e.stats.ProcSwitches++
+	if p.state == procNew {
+		p.state = procRunning
+		go p.run()
 		return
 	}
-	p := ev.proc
-	if p.wakeSeq == ev.wakeSeq && (p.state == procParked || p.state == procWaiting) {
-		p.dispatch()
-	}
+	p.state = procRunning
+	p.resume <- struct{}{}
 }
 
 // Pending reports the number of queued events.
