@@ -66,7 +66,7 @@ type Cache struct {
 	name  string
 	sets  int
 	ways  int
-	lines []line // sets*ways, set-major
+	lines []line // sets*ways, set-major; nil until the first Fill
 	tick  uint64
 	stats Stats
 
@@ -77,25 +77,21 @@ type Cache struct {
 	// hint caches the way of the last hit per set (way+1; 0 = no hint), so
 	// repeat hits skip the linear way scan. Functionally invisible: a hint
 	// probe returns exactly the line the scan would find, and LRU state
-	// advances identically.
+	// advances identically. Allocated with lines.
 	hint []uint8
 }
 
 // New creates a cache of the given total size and associativity.
 // size must be a multiple of ways*LineSize; ways is capped at 255 by the
-// one-byte way hints.
+// one-byte way hints. The line array is allocated by the first Fill, so a
+// core that never touches cached memory costs no host memory for it; until
+// then the cache answers exactly as an empty one.
 func New(name string, size, ways int) *Cache {
 	if ways <= 0 || ways > 255 || size <= 0 || size%(ways*LineSize) != 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d", name, size, ways))
 	}
 	sets := size / (ways * LineSize)
-	c := &Cache{
-		name:  name,
-		sets:  sets,
-		ways:  ways,
-		lines: make([]line, sets*ways),
-		hint:  make([]uint8, sets),
-	}
+	c := &Cache{name: name, sets: sets, ways: ways}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}
@@ -127,6 +123,9 @@ func (c *Cache) set(paddr uint32) []line {
 }
 
 func (c *Cache) find(paddr uint32) *line {
+	if c.lines == nil {
+		return nil // never filled
+	}
 	tag := LineAddr(paddr)
 	s := c.setIndex(paddr)
 	set := c.lines[s*c.ways : (s+1)*c.ways]
@@ -171,6 +170,10 @@ func (c *Cache) Contains(paddr uint32) bool { return c.find(paddr) != nil }
 func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) Victim {
 	if len(data) != LineSize {
 		panic(fmt.Sprintf("cache %s: fill with %d bytes", c.name, len(data)))
+	}
+	if c.lines == nil {
+		c.lines = make([]line, c.sets*c.ways)
+		c.hint = make([]uint8, c.sets)
 	}
 	tag := LineAddr(paddr)
 	c.tick++

@@ -132,6 +132,55 @@ func TestInvalidateAllAndLine(t *testing.T) {
 	}
 }
 
+// TestLinesAllocatedOnFirstFill pins the lazy line array: a never-filled
+// cache holds no lines and answers every operation exactly as a cache that
+// was filled and then emptied.
+func TestLinesAllocatedOnFirstFill(t *testing.T) {
+	fresh := New("l2", 4096, 4)
+	if fresh.lines != nil || fresh.hint != nil {
+		t.Fatal("New allocated the line array")
+	}
+	emptied := New("l2", 4096, 4)
+	emptied.Fill(0x100, fill32(1), true)
+	emptied.Fill(0x200, fill32(2), false)
+	emptied.InvalidateAll()
+	emptied.ResetStats()
+
+	for _, c := range []*Cache{fresh, emptied} {
+		var b [4]byte
+		if c.Load(0x100, b[:]) {
+			t.Fatalf("%p: Load hit", c)
+		}
+		if c.Contains(0x200) {
+			t.Fatalf("%p: Contains", c)
+		}
+		if c.WriteThrough(0x104, []byte{1, 2}) || c.WriteUpdate(0x204, []byte{3}) {
+			t.Fatalf("%p: write hit", c)
+		}
+		c.InvalidateAll()
+		c.InvalidateMPBT()
+		c.InvalidateLine(0x100)
+		c.FlushDirty(func(uint32, []byte) { t.Fatalf("%p: flushed a line", c) })
+		if n := c.ValidLines(); n != 0 {
+			t.Fatalf("%p: %d valid lines", c, n)
+		}
+	}
+	if fresh.lines != nil {
+		t.Fatal("an operation other than Fill allocated the line array")
+	}
+	if fs, es := fresh.Stats(), emptied.Stats(); fs != es {
+		t.Fatalf("never-filled stats %+v, filled-then-emptied %+v", fs, es)
+	}
+
+	fresh.Fill(0x100, fill32(7), false)
+	if len(fresh.lines) != 4096/LineSize || len(fresh.hint) != 4096/(4*LineSize) {
+		t.Fatalf("first Fill allocated %d lines and %d hints", len(fresh.lines), len(fresh.hint))
+	}
+	if !fresh.Contains(0x100) {
+		t.Fatal("first Fill did not install its line")
+	}
+}
+
 // TestStaleness is the heart of the non-coherence model: a cached line does
 // not observe later memory writes until invalidated.
 func TestStaleness(t *testing.T) {

@@ -93,11 +93,12 @@ func (g *Controller) Claim(core int) (from int, ok bool) {
 	return 0, false
 }
 
-// ClaimAll reads and clears the full origin set in ascending order.
-func (g *Controller) ClaimAll(core int) []int {
+// ClaimAll reads and clears the full origin set, appending it to origins in
+// ascending order. Passing a reused buffer's origins[:0] keeps the claim
+// free of allocation.
+func (g *Controller) ClaimAll(core int, origins []int) []int {
 	g.check(core)
 	set := g.set(core)
-	var origins []int
 	for w, word := range set {
 		if word == 0 {
 			continue

@@ -63,15 +63,20 @@ func TestClaimAll(t *testing.T) {
 	g := New(48)
 	g.Raise(1, 0)
 	g.Raise(47, 0)
-	all := g.ClaimAll(0)
+	all := g.ClaimAll(0, nil)
 	if len(all) != 2 || all[0] != 1 || all[1] != 47 {
 		t.Fatalf("ClaimAll = %v", all)
 	}
 	if g.Pending(0) {
 		t.Fatal("ClaimAll left pending bits")
 	}
-	if got := g.ClaimAll(0); got != nil {
-		t.Fatalf("second ClaimAll = %v, want nil", got)
+	if got := g.ClaimAll(0, all[:0]); len(got) != 0 {
+		t.Fatalf("second ClaimAll = %v, want empty", got)
+	}
+	// A reused buffer takes the next claim in place.
+	g.Raise(5, 0)
+	if got := g.ClaimAll(0, all[:0]); len(got) != 1 || got[0] != 5 || &got[0] != &all[0] {
+		t.Fatalf("ClaimAll into a reused buffer = %v", got)
 	}
 }
 
@@ -125,7 +130,7 @@ func TestMultiWordStatus(t *testing.T) {
 	}
 	g.Raise(100, 200)
 	g.Raise(500, 200)
-	all := g.ClaimAll(200)
+	all := g.ClaimAll(200, nil)
 	if len(all) != 2 || all[0] != 100 || all[1] != 500 {
 		t.Fatalf("ClaimAll = %v", all)
 	}

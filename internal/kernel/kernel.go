@@ -106,6 +106,9 @@ type Kernel struct {
 
 	// timerLCG drives the deterministic tick jitter (see armTimer).
 	timerLCG uint64
+
+	// claimed is handleIRQ's buffer for the GIC's origin set.
+	claimed []int
 }
 
 // Cluster boots and owns the kernels of the participating cores.
@@ -533,7 +536,9 @@ func (k *Kernel) handleIRQ(c *cpu.Core, irq cpu.IRQ) {
 	case cpu.IRQIPI:
 		k.stats.IPIs++
 		// The GIC names the raising cores: check exactly those buffers.
-		for _, from := range k.Chip().GIC().ClaimAll(k.id) {
+		// Handlers never nest (cpu.Core.inHandler), so the buffer is free.
+		k.claimed = k.Chip().GIC().ClaimAll(k.id, k.claimed[:0])
+		for _, from := range k.claimed {
 			k.serviceFrom(from)
 		}
 	}

@@ -448,6 +448,9 @@ func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
 		now := core.Proc().LocalTime()
 		tr.Emit(now, from, trace.KindFaultInject, uint64(faults.Mail), uint64(faults.Dup))
 		at := now + s.chip.Config().Core.Clock.Cycles(inj.DupDelayCycles())
+		// The closure gets its own copy, so only a duplicated frame moves a
+		// line to the heap.
+		ghost := wire
 		s.chip.Engine().At(at, func() {
 			// The stale copy lands only if the slot is free by then; the
 			// hardened receiver discards it by sequence number, the plain
@@ -459,7 +462,6 @@ func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
 			if s.chip.MPB().Byte(to, off) != 0 {
 				return
 			}
-			ghost := wire
 			s.chip.MPB().Write(to, off, ghost[:])
 			s.fullSig[s.pair(to, from)].Fire(at)
 			s.anyFull[to].Fire(at)

@@ -103,6 +103,42 @@ func TestSenderBusyWaitsOnFullSlot(t *testing.T) {
 	}
 }
 
+// TestPlainRoundAllocatesNothing: once warm, one plain send and its
+// receive allocate nothing.
+func TestPlainRoundAllocatesNothing(t *testing.T) {
+	eng, ch := newChip(t)
+	mb := New(ch, ModePolling)
+	payload := make([]byte, PayloadSize)
+	sender := ch.Boot(0, func(c *cpu.Core) {
+		for {
+			mb.Send(0, 30, 7, payload)
+			c.Proc().Wait()
+		}
+	})
+	received := 0
+	ch.Boot(30, func(c *cpu.Core) {
+		for {
+			if _, ok := mb.Check(30, 0); ok {
+				received++
+			} else {
+				mb.WaitAnySignal(30).Wait(c.Proc())
+			}
+		}
+	})
+	eng.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		sender.Proc().Wake(eng.Now())
+		eng.Run()
+	})
+	eng.Shutdown()
+	if received != 102 {
+		t.Fatalf("received %d mails, want 102", received)
+	}
+	if allocs != 0 {
+		t.Fatalf("a send/receive round allocates %v times, want 0", allocs)
+	}
+}
+
 func TestManySendersOneReceiver(t *testing.T) {
 	eng, ch := newChip(t)
 	mb := New(ch, ModePolling)

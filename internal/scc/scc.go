@@ -184,6 +184,9 @@ type Chip struct {
 	crashed []bool
 
 	meshStats MeshStats
+
+	// ipiFree holds IPI delivery records whose event has fired.
+	ipiFree []*ipiDelivery
 }
 
 // MeshStats counts mesh transactions by class, with the hop distribution.

@@ -229,6 +229,41 @@ func TestIPIDelivery(t *testing.T) {
 	}
 }
 
+// TestIPIAllocatesNothing: once a delivery record exists, raising an IPI and
+// delivering it to the target's handler allocates nothing.
+func TestIPIAllocatesNothing(t *testing.T) {
+	eng, ch := newChip(t)
+	delivered := 0
+	ch.Boot(30, func(c *cpu.Core) {
+		c.SetIRQHandler(func(c *cpu.Core, irq cpu.IRQ) {
+			if _, ok := ch.GIC().Claim(30); ok {
+				delivered++
+			}
+		})
+		for {
+			c.Proc().Wait()
+		}
+	})
+	sender := ch.Boot(0, func(c *cpu.Core) {
+		for {
+			ch.RaiseIPI(0, 30)
+			c.Proc().Wait()
+		}
+	})
+	eng.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		sender.Proc().Wake(eng.Now())
+		eng.Run()
+	})
+	eng.Shutdown()
+	if delivered != 102 {
+		t.Fatalf("delivered %d IPIs, want 102", delivered)
+	}
+	if allocs != 0 {
+		t.Fatalf("RaiseIPI plus delivery allocates %v times, want 0", allocs)
+	}
+}
+
 func TestZeroSharedFrameCostsLineWrites(t *testing.T) {
 	eng, ch := newChip(t)
 	var cost sim.Duration

@@ -278,11 +278,7 @@ func (ch *Chip) RaiseIPI(from, to int) {
 			deliver += ch.coreClock().Cycles(cyc)
 		}
 	}
-	target := ch.cores[to]
-	ch.eng.After(deliver, func() {
-		ch.gic.Raise(from, to)
-		target.PostInterrupt(cpu.IRQIPI)
-	})
+	ch.deliverIPI(from, to, deliver)
 }
 
 // NudgeIPI re-delivers the interrupt half of an IPI from engine context —
@@ -306,11 +302,40 @@ func (ch *Chip) NudgeIPI(from, to int) {
 		ch.meshStats.LinkCrossings++
 		deliver += ch.link.OneWay(8)
 	}
-	target := ch.cores[to]
-	ch.eng.After(deliver, func() {
-		ch.gic.Raise(from, to)
-		target.PostInterrupt(cpu.IRQIPI)
-	})
+	ch.deliverIPI(from, to, deliver)
+}
+
+// ipiDelivery is a scheduled IPI arrival at the target's GIC. Records are
+// recycled through Chip.ipiFree, so an IPI schedules without allocating.
+type ipiDelivery struct {
+	ch       *Chip
+	from, to int
+	run      func() // d.arrive, bound once per record
+}
+
+// deliverIPI schedules the interrupt from core from to land at core to
+// after d.
+func (ch *Chip) deliverIPI(from, to int, d sim.Duration) {
+	var rec *ipiDelivery
+	if n := len(ch.ipiFree); n > 0 {
+		rec = ch.ipiFree[n-1]
+		ch.ipiFree = ch.ipiFree[:n-1]
+	} else {
+		rec = &ipiDelivery{ch: ch}
+		rec.run = rec.arrive
+	}
+	rec.from, rec.to = from, to
+	ch.eng.After(d, rec.run)
+}
+
+// arrive raises the IPI and posts it to the target. Its fields are copied
+// out first, so the record is back on the free list before anything it
+// calls could schedule another IPI.
+func (d *ipiDelivery) arrive() {
+	ch, from, to := d.ch, d.from, d.to
+	ch.ipiFree = append(ch.ipiFree, d)
+	ch.gic.Raise(from, to)
+	ch.cores[to].PostInterrupt(cpu.IRQIPI)
 }
 
 // gicHops is the mesh distance between a core's tile and its own chip's

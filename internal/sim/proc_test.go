@@ -311,6 +311,31 @@ func BenchmarkProcBehindCallback(b *testing.B) {
 	reportBaton(b, e)
 }
 
+// BenchmarkSignalFire: a proc fires a signal another proc waits on, then
+// syncs past the fire. Each op is one Fire, its event, the waiter's wake and
+// two switches; after the first fire it allocates nothing.
+func BenchmarkSignalFire(b *testing.B) {
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.NewProc("waiter", 0, func(p *Proc) {
+		for {
+			sig.Wait(p)
+		}
+	})
+	e.NewProc("firer", 0, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			sig.Fire(p.LocalTime())
+			p.Advance(1000)
+			p.Sync()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	reportBaton(b, e)
+}
+
 // reportBaton prints where the baton went per Sync, so a run that stopped
 // measuring what its name says is visible in the output.
 func reportBaton(b *testing.B, e *Engine) {

@@ -25,6 +25,9 @@ type Signal struct {
 	// slot probe syncs) capture Seq first and use WaitSeq, which refuses to
 	// park if a Fire slipped into that window.
 	seq uint64
+	// fire is s.onFire, bound on the first Fire so later fires schedule it
+	// without allocating.
+	fire func()
 }
 
 // NewSignal returns a signal bound to the engine.
@@ -35,10 +38,15 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
 	p.Wait()
+	s.remove(p)
+}
+
+// remove unregisters p's first entry, preserving the others' order.
+func (s *Signal) remove(p *Proc) {
 	for i, w := range s.waiters {
 		if w == p {
 			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			break
+			return
 		}
 	}
 }
@@ -50,16 +58,19 @@ func (s *Signal) Fire(at Time) {
 	if at < s.eng.now {
 		at = s.eng.now
 	}
-	s.eng.At(at, func() {
-		s.seq++
-		// Snapshot: waiters registered after this event runs wait for the
-		// next Fire, which is correct under check-then-wait.
-		ws := make([]*Proc, len(s.waiters))
-		copy(ws, s.waiters)
-		for _, p := range ws {
-			p.Wake(s.eng.now)
-		}
-	})
+	if s.fire == nil {
+		s.fire = s.onFire
+	}
+	s.eng.At(at, s.fire)
+}
+
+// onFire is the Fire event. Wake only queues a record, so the waiter list
+// cannot change while it is walked.
+func (s *Signal) onFire() {
+	s.seq++
+	for _, p := range s.waiters {
+		p.Wake(s.eng.now)
+	}
 }
 
 // Seq returns the eventcount value; see WaitSeq.
@@ -101,11 +112,6 @@ func WaitAnySeq(p *Proc, sigs []*Signal, seqs []uint64) {
 	}
 	p.Wait()
 	for _, s := range sigs {
-		for i, w := range s.waiters {
-			if w == p {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				break
-			}
-		}
+		s.remove(p)
 	}
 }

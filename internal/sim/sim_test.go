@@ -318,6 +318,32 @@ func TestSignalMultipleWaitersWakeInOrder(t *testing.T) {
 	}
 }
 
+// TestSignalFireAllocatesNothing: once a signal has fired, a Fire and the
+// dispatch of its event and the waiter's wake allocate nothing.
+func TestSignalFireAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.NewProc("waiter", 0, func(p *Proc) {
+		for {
+			sig.Wait(p)
+		}
+	})
+	e.Run()
+	wakes := e.Stats().ProcSwitches
+	allocs := testing.AllocsPerRun(100, func() {
+		sig.Fire(e.Now())
+		e.Run()
+	})
+	wakes = e.Stats().ProcSwitches - wakes
+	e.Shutdown()
+	if wakes != 101 {
+		t.Fatalf("waiter resumed %d times over 101 fires", wakes)
+	}
+	if allocs != 0 {
+		t.Fatalf("Fire plus dispatch allocates %v times, want 0", allocs)
+	}
+}
+
 func TestShutdownUnblocksParkedProcs(t *testing.T) {
 	e := NewEngine()
 	p := e.NewProc("stuck", 0, func(p *Proc) {
