@@ -16,6 +16,7 @@ package kernel
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"metalsvm/internal/cpu"
@@ -54,8 +55,9 @@ type Config struct {
 	// trigger the watchdog.
 	WatchdogStrikes int
 	// RescuePeriod bounds how long a hardened kernel may stay parked in
-	// WaitFor without rechecking its slots — the recovery deadline for a
-	// wake-up lost to a dropped IPI. Zero disables rescue deadlines.
+	// WaitFor or WaitUntil without rechecking its slots — the recovery
+	// deadline for a wake-up lost to a dropped IPI. Zero disables rescue
+	// deadlines.
 	RescuePeriod sim.Duration
 }
 
@@ -465,9 +467,10 @@ func (k *Kernel) RegisterHandler(typ byte, h Handler) {
 	k.handlers[typ] = h
 }
 
-// Send mails another kernel (blocking while its slot is full, servicing
-// nothing meanwhile — slots drain quickly because receivers always consume
-// in their handlers).
+// Send mails another kernel, blocking while its slot is full (slots drain
+// quickly because receivers always consume in their handlers). Interrupts
+// are still taken while it waits; a hardened send also drains this
+// kernel's own inbox.
 func (k *Kernel) Send(to int, typ byte, payload []byte) {
 	k.cluster.mb.Send(k.id, to, typ, payload)
 }
@@ -512,15 +515,6 @@ func (k *Kernel) serviceSelf() bool {
 	return k.serviceAll()
 }
 
-// serviceFrom checks one specific sender's slot (IPI fast path).
-func (k *Kernel) serviceFrom(from int) bool {
-	if msg, ok := k.cluster.mb.Check(k.id, from); ok {
-		k.dispatch(msg)
-		return true
-	}
-	return false
-}
-
 // handleIRQ is the kernel's interrupt entry point.
 func (k *Kernel) handleIRQ(c *cpu.Core, irq cpu.IRQ) {
 	switch irq {
@@ -539,91 +533,70 @@ func (k *Kernel) handleIRQ(c *cpu.Core, irq cpu.IRQ) {
 		// Handlers never nest (cpu.Core.inHandler), so the buffer is free.
 		k.claimed = k.Chip().GIC().ClaimAll(k.id, k.claimed[:0])
 		for _, from := range k.claimed {
-			k.serviceFrom(from)
+			if msg, ok := k.cluster.mb.Check(k.id, from); ok {
+				k.dispatch(msg)
+			}
 		}
 	}
 }
+
+// never is the deadline of a wait that has none.
+const never = sim.Time(math.MaxUint64)
 
 // WaitFor blocks until cond() is true, servicing incoming mail the whole
 // time — this is what makes the ownership protocol deadlock-free: a kernel
 // waiting for an ownership reply still serves ownership requests aimed at
 // it. The condition is typically flipped by a registered handler.
-func (k *Kernel) WaitFor(cond func() bool) {
-	k.cluster.prof.EnterIfIdle(k.id, profile.MailboxWait, k.core.Proc().LocalTime())
-	defer func() { k.cluster.prof.Exit(k.id, k.core.Proc().LocalTime()) }()
-	sig := k.cluster.mb.WaitAnySignal(k.id)
-	hardened := k.Chip().FaultsHardened()
-	for !cond() {
-		// Capture the deposit eventcount before scanning: the scan parks
-		// at every slot probe, and a mail deposited into an already-probed
-		// slot during that window must not leave us sleeping.
-		seq := sig.Seq()
-		if k.cluster.cfg.Mode == mailbox.ModePolling {
-			if k.serviceAll() {
-				continue
-			}
-		} else if hardened {
-			// Rescue scan: in IPI mode a dropped interrupt leaves a
-			// deposited mail nobody will ever check for. Scan all slots
-			// before parking so the deposit's wake-up (or a retransmission
-			// nudge) always finds its mail.
-			if k.serviceAll() {
-				k.stats.Rescues++
-				continue
-			}
-		}
-		if hardened && k.cluster.cfg.RescuePeriod > 0 {
-			// Park with a deadline: if nothing wakes us within the rescue
-			// period (every notification packet lost), a one-shot engine
-			// event re-fires the signal and the loop rescans. Spurious
-			// wake-ups are absorbed by the cond/seq check.
-			at := k.core.Proc().LocalTime() + k.cluster.cfg.RescuePeriod
-			k.Chip().Engine().At(at, func() { sig.Fire(at) })
-		}
-		sig.WaitSeq(k.core.Proc(), seq)
-	}
-}
+func (k *Kernel) WaitFor(cond func() bool) { k.WaitUntil(cond, never) }
 
 // WaitUntil is WaitFor with a deadline in simulated time: it returns true
 // once cond() holds, or false when the deadline passes first, servicing
 // incoming mail the whole time. The replicated directory's client RPCs use
-// it — a request to a crashed manager must time out, not hang.
+// it — a request to a crashed manager must time out, not hang. It is the
+// kernel's one wait loop; WaitFor is WaitUntil(cond, never).
 func (k *Kernel) WaitUntil(cond func() bool, deadline sim.Time) bool {
-	k.cluster.prof.EnterIfIdle(k.id, profile.MailboxWait, k.core.Proc().LocalTime())
-	defer func() { k.cluster.prof.Exit(k.id, k.core.Proc().LocalTime()) }()
+	proc := k.core.Proc()
+	k.cluster.prof.EnterIfIdle(k.id, profile.MailboxWait, proc.LocalTime())
+	defer func() { k.cluster.prof.Exit(k.id, proc.LocalTime()) }()
 	sig := k.cluster.mb.WaitAnySignal(k.id)
+	polling := k.cluster.cfg.Mode == mailbox.ModePolling
 	hardened := k.Chip().FaultsHardened()
+	rescue := k.cluster.cfg.RescuePeriod
 	for !cond() {
-		if k.core.Proc().LocalTime() >= deadline {
+		if proc.LocalTime() >= deadline {
 			return false
 		}
+		// Capture the deposit eventcount before scanning: the scan parks
+		// at every slot probe, and a mail deposited into an already-probed
+		// slot during that window must not leave us sleeping.
 		seq := sig.Seq()
-		if k.cluster.cfg.Mode == mailbox.ModePolling {
-			if k.serviceAll() {
-				continue
-			}
-		} else if hardened {
-			if k.serviceAll() {
+		// Polling kernels scan every slot before parking. Hardened IPI
+		// kernels do too, as a rescue scan: a dropped interrupt leaves a
+		// deposited mail nobody would ever check for.
+		if (polling || hardened) && k.serviceAll() {
+			if !polling {
 				k.stats.Rescues++
-				continue
 			}
+			continue
 		}
-		// The rescue scan charges cycles per slot probe, so it can carry the
-		// local clock past the deadline; parking then would schedule a wake
-		// in the past. Recheck before parking.
-		if k.core.Proc().LocalTime() >= deadline {
+		// The scan charges cycles per slot probe, so it can carry the local
+		// clock past the deadline; parking then would schedule a wake in the
+		// past. Recheck before parking.
+		if proc.LocalTime() >= deadline {
 			return false
 		}
-		// Park with the deadline as a wake-up (bounded by the rescue period
-		// when hardened, like WaitFor), so the timeout is always observed.
+		// Park with the deadline as a wake-up, or the rescue period if that
+		// is sooner (hardened: every notification may have been lost).
+		// The cond/seq check absorbs spurious wake-ups; with neither bound
+		// nothing is scheduled.
 		at := deadline
-		if hardened && k.cluster.cfg.RescuePeriod > 0 {
-			if t := k.core.Proc().LocalTime() + k.cluster.cfg.RescuePeriod; t < at {
-				at = t
-			}
+		if hardened && rescue > 0 && proc.LocalTime()+rescue < at {
+			at = proc.LocalTime() + rescue
 		}
-		k.Chip().Engine().At(at, func() { sig.Fire(at) })
-		sig.WaitSeq(k.core.Proc(), seq)
+		if at != never {
+			sig.Deadline(at)
+		}
+		sig.WaitSeq(proc, seq)
 	}
 	return true
 }

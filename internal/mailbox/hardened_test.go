@@ -264,10 +264,13 @@ func TestHardenedDuplicatesDiscarded(t *testing.T) {
 }
 
 // TestHardenedStormDeterministic reruns a faulty mail storm with one seed
-// and checks end time and counters are bit-identical, then checks a second
-// seed actually draws a different schedule.
+// and checks end time and counters are bit-identical and equal to golden
+// values (which also pin every engine event the hardened send, receive and
+// retransmission paths schedule), then checks a second seed actually draws
+// a different schedule.
 func TestHardenedStormDeterministic(t *testing.T) {
-	run := func(seed uint64) (sim.Time, Stats, faults.Stats) {
+	var engA, engB sim.Stats
+	run := func(seed uint64, es *sim.Stats) (sim.Time, Stats, faults.Stats) {
 		var spec faults.Spec
 		spec.Routes[faults.Mail].DropPermille = 200
 		spec.Routes[faults.Mail].CorruptPermille = 100
@@ -293,17 +296,33 @@ func TestHardenedStormDeterministic(t *testing.T) {
 		}
 		end := eng.Run()
 		eng.Shutdown()
+		if es != nil {
+			*es = eng.Stats()
+		}
 		return end, mb.Stats(), ch.FaultInjector().Stats()
 	}
-	endA, mbA, fsA := run(11)
-	endB, mbB, fsB := run(11)
-	if endA != endB || mbA != mbB || fsA != fsB {
+	endA, mbA, fsA := run(11, &engA)
+	endB, mbB, fsB := run(11, &engB)
+	if endA != endB || mbA != mbB || fsA != fsB || engA != engB {
 		t.Fatalf("same seed diverged: %d vs %d, %+v vs %+v", endA, endB, mbA, mbB)
 	}
 	if fsA.Injected() == 0 {
 		t.Fatal("schedule injected nothing")
 	}
-	endC, _, fsC := run(12)
+	const wantEnd = sim.Time(565392600)
+	wantMB := Stats{Sends: 32, BusyWaits: 18, Checks: 63, Recvs: 32,
+		Retransmits: 15, Renudges: 5, CorruptDrops: 7, ShortFrames: 1}
+	wantFS := faults.Stats{Decisions: 129,
+		Drops:       [faults.NumRoutes]uint64{faults.Mail: 8},
+		Dups:        [faults.NumRoutes]uint64{faults.Mail: 3},
+		Corruptions: [faults.NumRoutes]uint64{faults.Mail: 7}}
+	wantEng := sim.Stats{Events: 431, ClosureEvents: 220, ProcSwitches: 201,
+		SelfWakes: 10, RunThroughs: 56, SyncInStep: 173}
+	if endA != wantEnd || mbA != wantMB || fsA != wantFS || engA != wantEng {
+		t.Fatalf("seed 11 moved:\nend %d want %d\nmailbox %+v\nwant    %+v\nfaults %+v\nwant   %+v\nengine %+v\nwant   %+v",
+			endA, wantEnd, mbA, wantMB, fsA, wantFS, engA, wantEng)
+	}
+	endC, _, fsC := run(12, nil)
 	if endA == endC && fsA == fsC {
 		t.Fatal("different seeds drew identical schedules")
 	}

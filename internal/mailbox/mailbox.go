@@ -21,16 +21,17 @@
 //     GIC; the receiver's handler asks the GIC which core raised it and
 //     checks only that slot.
 //
-// # Hardened protocol
+// # Hardened steps
 //
-// When the chip runs with fault injection in hardened mode
-// (scc.Chip.FaultsHardened), the frame additionally carries a per-pair
-// sequence number and a checksum, and the flag-clear becomes a cumulative
-// acknowledgement: the receiver publishes the last in-order sequence it
-// consumed in the freed slot's header. The sender keeps the last mail
-// buffered until it is acknowledged and retransmits it on a simulated-time
-// timeout with exponential backoff, so dropped deposits, dropped IPIs,
-// corrupted frames and stale duplicates all recover:
+// There is one protocol: Send is one probe-deposit-notify loop and Receive
+// one read-validate-release path. When the chip runs hardened
+// (scc.Chip.FaultsHardened), steps inside them change: the frame also
+// carries a per-pair sequence number and a checksum; the receiver's flag
+// clear also publishes the last in-order sequence it consumed, a cumulative
+// acknowledgement; the sender's probe also requires its previous mail
+// acknowledged; and the sender keeps that mail buffered and retransmits it
+// on a simulated-time timeout with exponential backoff. Every fault then
+// recovers:
 //
 //   - drop: the flag never lands; the retransmission timer redeposits.
 //   - corruption: the receiver's checksum fails; it frees the slot without
@@ -40,9 +41,9 @@
 //   - dropped IPI: the timer re-fires the notification for a deposited but
 //     unconsumed mail.
 //
-// The hardened frame costs the same simulated time as the plain one (MPB
-// transactions are size-independent below a line), so hardened fault-free
-// runs remain directly comparable; plain runs are untouched bit for bit.
+// An MPB operation costs the same simulated time whatever its size, so the
+// hardened frame costs what the plain one does, but the added steps do not:
+// forced on, they move fault-free results. The plain steps are the paper's.
 package mailbox
 
 import (
@@ -165,7 +166,8 @@ type System struct {
 	mode Mode
 	n    int
 
-	// fullSig[to*n+from] fires when a mail lands in (to,from);
+	// fullSig[to*n+from] fires when a mail lands in (to,from); nothing
+	// waits on it, but its fires are queue events pinned schedules count.
 	// freeSig[to*n+from] fires when the receiver consumes it.
 	fullSig []*sim.Signal
 	freeSig []*sim.Signal
@@ -219,7 +221,7 @@ func New(chip *scc.Chip, mode Mode) *System {
 func (s *System) Mode() Mode { return s.mode }
 
 // SetServiceHook installs the kernel's inbox-drain callback for one core;
-// only the hardened send path calls it (see serviceHooks).
+// Send calls it only when hardened, while blocked (see serviceHooks).
 func (s *System) SetServiceHook(core int, fn func() bool) { s.serviceHooks[core] = fn }
 
 // SetProfiler installs the cycle-attribution profiler; nil disables it.
@@ -262,6 +264,16 @@ func frameSum(line *[phys.CacheLine]byte) uint16 {
 	return uint16(sum)
 }
 
+// frameLayout returns where a frame's payload starts and how many payload
+// bytes it holds: after the flag, type and length header, plus the
+// sequence number and checksum when hardened.
+func frameLayout(hardened bool) (hdr, capacity int) {
+	if hardened {
+		return 8, HardenedPayloadSize
+	}
+	return 4, PayloadSize
+}
+
 // Send deposits a mail from core from to core to, busy-waiting while the
 // slot still holds an unconsumed mail. It runs on from's goroutine.
 func (s *System) Send(from, to int, typ byte, payload []byte) {
@@ -277,15 +289,15 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 		s.chip.MPBCharge(from, to)
 		return
 	}
-	if s.chip.FaultsHardened() {
-		s.sendHardened(from, to, typ, payload)
-		return
-	}
-	if len(payload) > PayloadSize {
-		panic(fmt.Sprintf("mailbox: payload %d exceeds %d bytes", len(payload), PayloadSize))
+	hardened := s.chip.FaultsHardened()
+	hdr, capacity := frameLayout(hardened)
+	if len(payload) > capacity {
+		panic(fmt.Sprintf("mailbox: payload %d exceeds %d bytes", len(payload), capacity))
 	}
 	core := s.chip.Core(from)
 	off := slotOff(from)
+	p := s.pair(to, from)
+	pend := &s.pending[p]
 	s.prof.EnterIfIdle(from, profile.MailboxWait, core.Proc().LocalTime())
 	defer func() { s.prof.Exit(from, core.Proc().LocalTime()) }()
 	// The probe-deposit-notify sequence must be atomic against this core's
@@ -304,97 +316,48 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 			return
 		}
 		core.SetInterruptsEnabled(false)
-		// Probe: has the receiver consumed the previous mail?
-		if s.chip.MPBByte(from, to, off) == 0 {
+		// Probe with one charged header read: has the receiver consumed the
+		// previous mail? A hardened sender's pending mail must also be
+		// acknowledged: a deposit lost in the mesh (or discarded as corrupt)
+		// leaves the flag clear too, and the sender waits for its
+		// retransmission rather than overwrite it.
+		var slot [8]byte
+		s.chip.MPBRead(from, to, off, slot[:])
+		if slot[0] == 0 && !(hardened && pend.active && seqAfter(pend.seq, binary.LittleEndian.Uint16(slot[4:]))) {
 			break
 		}
 		// Busy-wait with interrupts enabled so incoming requests are still
 		// serviced while we wait (deadlock freedom for cross sends).
 		core.SetInterruptsEnabled(prevIRQ)
 		s.stats.BusyWaits++
-		s.freeSig[s.pair(to, from)].Wait(core.Proc())
+		if hardened {
+			// The acknowledgement requires the peer to consume our mail —
+			// and the peer may itself be blocked right here, sending a reply
+			// from its interrupt handler (where nested delivery is off),
+			// with its unacknowledged mail sitting in our slot. Drain our
+			// own inbox before parking so that cycle always breaks.
+			if svc := s.serviceHooks[from]; svc != nil && svc() {
+				continue
+			}
+			// Park with a deadline: in polling mode nothing nudges a
+			// blocked sender when mail lands in its slot, so the scan above
+			// must rerun on retransmission cadence.
+			s.freeSig[p].Deadline(core.Proc().LocalTime() + s.retxTimeout(0))
+		}
+		s.freeSig[p].Wait(core.Proc())
 	}
 	// One combined line write carries header and payload.
 	var line [phys.CacheLine]byte
 	line[0] = 1
 	line[1] = typ
 	binary.LittleEndian.PutUint16(line[2:], uint16(len(payload)))
-	copy(line[4:], payload)
-	s.deposit(from, to, off, &line)
-	s.stats.Sends++
-	s.chip.Tracer().Emit(core.Proc().LocalTime(), from, trace.KindMailSend, uint64(to), uint64(typ))
-	now := core.Proc().LocalTime()
-	s.fullSig[s.pair(to, from)].Fire(now)
-	s.anyFull[to].Fire(now)
-	if s.mode == ModeIPI {
-		s.stats.IPIs++
-		s.chip.RaiseIPI(from, to)
+	copy(line[hdr:], payload)
+	if hardened {
+		s.sendSeq[p]++
+		binary.LittleEndian.PutUint16(line[4:], s.sendSeq[p])
+		binary.LittleEndian.PutUint16(line[6:], frameSum(&line))
+		*pend = pendingMail{active: true, seq: s.sendSeq[p], line: line}
 	}
-}
-
-// sendHardened is Send under the fault-tolerant protocol: the probe
-// additionally requires the previous mail acknowledged (not just the slot
-// flag clear — a deposit dropped in the mesh leaves the flag clear too),
-// the frame carries sequence and checksum, and a retransmission timer is
-// armed for the deposit.
-func (s *System) sendHardened(from, to int, typ byte, payload []byte) {
-	if len(payload) > HardenedPayloadSize {
-		panic(fmt.Sprintf("mailbox: payload %d exceeds hardened capacity %d bytes",
-			len(payload), HardenedPayloadSize))
-	}
-	core := s.chip.Core(from)
-	off := slotOff(from)
-	p := s.pair(to, from)
-	s.prof.EnterIfIdle(from, profile.MailboxWait, core.Proc().LocalTime())
-	defer func() { s.prof.Exit(from, core.Proc().LocalTime()) }()
-	prevIRQ := core.InterruptsEnabled()
-	defer core.SetInterruptsEnabled(prevIRQ)
-	for {
-		if s.chip.CoreCrashed(to) {
-			s.stats.DeadDrops++
-			return
-		}
-		core.SetInterruptsEnabled(false)
-		var slot [phys.CacheLine]byte
-		s.chip.MPBRead(from, to, off, slot[:])
-		if slot[0] == 0 {
-			pend := &s.pending[p]
-			if !pend.active || !seqAfter(pend.seq, binary.LittleEndian.Uint16(slot[4:])) {
-				pend.active = false
-				break
-			}
-			// Flag clear but the previous mail unacknowledged: its deposit
-			// was lost in the mesh (or discarded as corrupt). Wait for the
-			// retransmission timer to get it through rather than silently
-			// overwriting it.
-		}
-		core.SetInterruptsEnabled(prevIRQ)
-		s.stats.BusyWaits++
-		// The acknowledgement requires the peer to consume our mail — and
-		// the peer may itself be blocked right here, sending a reply from
-		// its interrupt handler (where nested delivery is off), with its
-		// unacknowledged mail sitting in our slot. Drain our own inbox
-		// before parking so that cycle always breaks.
-		if svc := s.serviceHooks[from]; svc != nil && svc() {
-			continue
-		}
-		// Park with a deadline: in polling mode nothing nudges a blocked
-		// sender when mail lands in its slot, so the scan above must rerun
-		// on retransmission cadence.
-		at := core.Proc().LocalTime() + s.chip.Config().Core.Clock.Cycles(RetxTimeoutCoreCycles)
-		s.chip.Engine().At(at, func() { s.freeSig[p].Fire(at) })
-		s.freeSig[p].Wait(core.Proc())
-	}
-	s.sendSeq[p]++
-	seq := s.sendSeq[p]
-	var line [phys.CacheLine]byte
-	line[0] = 1
-	line[1] = typ
-	binary.LittleEndian.PutUint16(line[2:], uint16(len(payload)))
-	binary.LittleEndian.PutUint16(line[4:], seq)
-	copy(line[8:], payload)
-	binary.LittleEndian.PutUint16(line[6:], frameSum(&line))
-	s.pending[p] = pendingMail{active: true, seq: seq, line: line}
 	s.deposit(from, to, off, &line)
 	s.stats.Sends++
 	s.chip.Tracer().Emit(core.Proc().LocalTime(), from, trace.KindMailSend, uint64(to), uint64(typ))
@@ -405,7 +368,9 @@ func (s *System) sendHardened(from, to int, typ byte, payload []byte) {
 		s.stats.IPIs++
 		s.chip.RaiseIPI(from, to)
 	}
-	s.armRetx(from, to, seq, now)
+	if hardened {
+		s.armRetx(from, to, pend.seq, now)
+	}
 }
 
 // deposit writes the line into the receiver's slot through the fault
@@ -463,12 +428,19 @@ func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
 				return
 			}
 			s.chip.MPB().Write(to, off, ghost[:])
-			s.fullSig[s.pair(to, from)].Fire(at)
-			s.anyFull[to].Fire(at)
-			if s.mode == ModeIPI {
-				s.chip.NudgeIPI(from, to)
-			}
+			s.renotify(from, to, at)
 		})
+	}
+}
+
+// renotify fires a deposit's wake-ups again from engine context at time at
+// (a duplicate landing, a retransmission or a renudge): fault-free, and
+// charging no core time.
+func (s *System) renotify(from, to int, at sim.Time) {
+	s.fullSig[s.pair(to, from)].Fire(at)
+	s.anyFull[to].Fire(at)
+	if s.mode == ModeIPI {
+		s.chip.NudgeIPI(from, to)
 	}
 }
 
@@ -484,100 +456,109 @@ func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
 // renudging mail the receiver never consumes (it may already be past
 // caring) would keep the event queue alive forever.
 func (s *System) armRetx(from, to int, seq uint16, start sim.Time) {
-	p := s.pair(to, from)
+	r := &retx{s: s, from: from, to: to, seq: seq, at: start + s.retxTimeout(0)}
+	r.run = r.fire
+	s.chip.Engine().At(r.at, r.run)
+}
+
+// retxTimeout is the retransmission timeout after attempt backoff doublings.
+func (s *System) retxTimeout(attempt int) sim.Duration {
+	return s.chip.Config().Core.Clock.Cycles(RetxTimeoutCoreCycles << attempt)
+}
+
+// retx is one hardened mail's retransmission timer (see armRetx).
+type retx struct {
+	s        *System
+	from, to int
+	seq      uint16
+	attempt  int      // backoff doublings so far
+	fires    int      // firings so far, bounded by RetxMaxFires
+	at       sim.Time // when the scheduled firing runs
+	run      func()   // r.fire, bound once
+}
+
+// rearm schedules the next firing, one doubled timeout later.
+func (r *retx) rearm() {
+	if r.fires >= RetxMaxFires {
+		return // give up; the watchdog reports the frozen pair
+	}
+	if r.attempt < RetxBackoffShiftCap {
+		r.attempt++
+	}
+	r.at += r.s.retxTimeout(r.attempt)
+	r.s.chip.Engine().At(r.at, r.run)
+}
+
+// fire is the timer event.
+func (r *retx) fire() {
+	s, from, to, seq, at := r.s, r.from, r.to, r.seq, r.at
+	r.fires++
+	pend := &s.pending[s.pair(to, from)]
+	if !pend.active || pend.seq != seq {
+		return // superseded: the sender observed the acknowledgement
+	}
+	if s.chip.CoreCrashed(to) {
+		// The receiver crashed: retransmitting to it would keep the event
+		// queue alive forever. Retire the timer and the pending mail; the
+		// sender's next send to this pair starts fresh.
+		pend.active = false
+		s.stats.DeadDrops++
+		return
+	}
+	inj := s.chip.FaultInjector()
+	if !s.chip.SameChip(from, to) && inj.LinkPartitioned(at) {
+		// The link is partitioned: nothing crosses until it heals. Keep the
+		// timer armed so a retransmission lands after the heal — retiring
+		// here (even on an intact remote frame) could strand a receiver
+		// whose every notification fell inside the window.
+		inj.NotePartitionDrop()
+		s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
+			uint64(faults.Link), uint64(faults.Drop))
+		r.rearm()
+		return
+	}
 	off := slotOff(from)
-	clock := s.chip.Config().Core.Clock
-	eng := s.chip.Engine()
-	attempt, fires := 0, 0
-	var fire func(at sim.Time)
-	rearm := func(at sim.Time) {
-		if fires >= RetxMaxFires {
-			return // give up; the watchdog reports the frozen pair
-		}
-		if attempt < RetxBackoffShiftCap {
-			attempt++
-		}
-		next := at + clock.Cycles(RetxTimeoutCoreCycles<<attempt)
-		eng.At(next, func() { fire(next) })
-	}
-	notify := func(at sim.Time) {
-		s.fullSig[p].Fire(at)
-		s.anyFull[to].Fire(at)
-		if s.mode == ModeIPI {
-			s.chip.NudgeIPI(from, to)
-		}
-	}
-	fire = func(at sim.Time) {
-		fires++
-		pend := &s.pending[p]
-		if !pend.active || pend.seq != seq {
-			return // superseded: the sender observed the acknowledgement
-		}
-		if s.chip.CoreCrashed(to) {
-			// The receiver crashed: retransmitting to it would keep the
-			// event queue alive forever. Retire the timer and the pending
-			// mail; the sender's next send to this pair starts fresh.
-			pend.active = false
-			s.stats.DeadDrops++
+	var line [phys.CacheLine]byte
+	s.chip.MPB().Read(to, off, line[:])
+	slotSeq := binary.LittleEndian.Uint16(line[4:])
+	if line[0] == 0 {
+		if !seqAfter(seq, slotSeq) {
+			pend.active = false // acknowledged
 			return
 		}
-		if inj := s.chip.FaultInjector(); !s.chip.SameChip(from, to) && inj.LinkPartitioned(at) {
-			// The link is partitioned: nothing crosses until it heals. Keep
-			// the timer armed so a retransmission lands after the heal —
-			// retiring here (even on an intact remote frame) could strand a
-			// receiver whose every notification fell inside the window.
-			inj.NotePartitionDrop()
+		// The deposit was lost or discarded: redeposit — itself subject to
+		// injection, so a retransmission can be lost or corrupted again and
+		// the next round recovers it.
+		s.stats.Retransmits++
+		s.chip.Tracer().Emit(at, from, trace.KindRetransmit, uint64(to), uint64(seq))
+		if inj.Drop(faults.Mail) {
 			s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
-				uint64(faults.Link), uint64(faults.Drop))
-			rearm(at)
+				uint64(faults.Mail), uint64(faults.Drop))
+			r.rearm()
 			return
 		}
-		var line [phys.CacheLine]byte
-		s.chip.MPB().Read(to, off, line[:])
-		slotSeq := binary.LittleEndian.Uint16(line[4:])
-		if line[0] == 0 {
-			if !seqAfter(seq, slotSeq) {
-				pend.active = false // acknowledged
-				return
-			}
-			// The deposit was lost or discarded: redeposit — itself subject
-			// to injection, so a retransmission can be lost or corrupted
-			// again and the next round recovers it.
-			inj := s.chip.FaultInjector()
-			s.stats.Retransmits++
-			s.chip.Tracer().Emit(at, from, trace.KindRetransmit, uint64(to), uint64(seq))
-			if inj.Drop(faults.Mail) {
-				s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
-					uint64(faults.Mail), uint64(faults.Drop))
-				rearm(at)
-				return
-			}
-			wire := pend.line
-			if inj.Corrupt(faults.Mail, wire[1:]) {
-				s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
-					uint64(faults.Mail), uint64(faults.Corrupt))
-			}
-			s.chip.MPB().Write(to, off, wire[:])
-			notify(at)
-			rearm(at)
-			return
+		wire := pend.line
+		if inj.Corrupt(faults.Mail, wire[1:]) {
+			s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
+				uint64(faults.Mail), uint64(faults.Corrupt))
 		}
-		if slotSeq == seq && binary.LittleEndian.Uint16(line[6:]) == frameSum(&line) {
-			// The frame is in the slot, intact: only the notification was
-			// lost. Renudge once and retire — delivery is now the receiver's
-			// scan loop's problem, and the nudge below is fault-free.
-			s.stats.Renudges++
-			s.chip.Tracer().Emit(at, from, trace.KindRetransmit, uint64(to), uint64(seq))
-			notify(at)
-			return
-		}
-		// A corrupted copy of this mail or a stale duplicate occupies the
-		// slot; the receiver discards it and this mail's fate shows up next
-		// round.
-		rearm(at)
+		s.chip.MPB().Write(to, off, wire[:])
+		s.renotify(from, to, at)
+		r.rearm()
+		return
 	}
-	first := start + clock.Cycles(RetxTimeoutCoreCycles)
-	eng.At(first, func() { fire(first) })
+	if slotSeq == seq && binary.LittleEndian.Uint16(line[6:]) == frameSum(&line) {
+		// The frame is in the slot, intact: only the notification was lost.
+		// Renudge once and retire — delivery is now the receiver's scan
+		// loop's problem, and the nudge is fault-free.
+		s.stats.Renudges++
+		s.chip.Tracer().Emit(at, from, trace.KindRetransmit, uint64(to), uint64(seq))
+		s.renotify(from, to, at)
+		return
+	}
+	// A corrupted copy of this mail or a stale duplicate occupies the slot;
+	// the receiver discards it and this mail's fate shows up next round.
+	r.rearm()
 }
 
 // Receive inspects one receive slot on behalf of the receiver, consuming
@@ -593,93 +574,68 @@ func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
 	s.chip.CheckMailCost(receiver)
 	s.stats.Checks++
 	off := slotOff(sender)
-	mpb := s.chip.MPB()
-	if mpb.Byte(receiver, off) == 0 {
+	if s.chip.MPB().Byte(receiver, off) == 0 {
 		return Msg{}, false, nil
 	}
-	if s.chip.FaultsHardened() {
-		return s.receiveHardened(receiver, sender, off)
-	}
-	// Read the line and clear the flag (a local MPB access).
-	var line [phys.CacheLine]byte
-	s.chip.MPBRead(receiver, receiver, off, line[:])
-	s.chip.MPBSetByte(receiver, receiver, off, 0)
-	n := int(binary.LittleEndian.Uint16(line[2:]))
-	if n > PayloadSize {
-		// A frame this long cannot have been sent; drop it rather than read
-		// out of bounds. The slot is genuinely free again, so the sender's
-		// flag probe proceeds as usual.
-		s.stats.ShortFrames++
-		s.freeSig[s.pair(receiver, sender)].Fire(core.Proc().LocalTime())
-		return Msg{}, false, &FrameError{Receiver: receiver, Sender: sender, Len: n,
-			Reason: fmt.Sprintf("length exceeds capacity %d", PayloadSize)}
-	}
-	s.stats.Recvs++
-	s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
-	msg := Msg{From: sender, Type: line[1]}
-	copy(msg.Payload[:], line[4:4+n])
-	s.freeSig[s.pair(receiver, sender)].Fire(core.Proc().LocalTime())
-	return msg, true, nil
-}
-
-// receiveHardened validates checksum, length and sequence before consuming.
-// The slot was already observed full; the caller charged the check cost.
-func (s *System) receiveHardened(receiver, sender, off int) (Msg, bool, error) {
-	core := s.chip.Core(receiver)
-	p := s.pair(receiver, sender)
 	var line [phys.CacheLine]byte
 	s.chip.MPBRead(receiver, receiver, off, line[:])
 	if line[0] == 0 {
 		// The mail vanished between the flag peek and the line read: this
 		// core's own interrupt handler serviced the slot while the read was
-		// in flight (the rescue scan and the IPI path may interleave). The
-		// earlier entrant consumed and acknowledged it; nothing is here.
+		// in flight (a scan and the interrupt path may interleave). The
+		// earlier entrant consumed it; only a stale copy is here.
 		return Msg{}, false, nil
 	}
+	hardened := s.chip.FaultsHardened()
+	hdr, capacity := frameLayout(hardened)
+	p := s.pair(receiver, sender)
 	n := int(binary.LittleEndian.Uint16(line[2:]))
 	seq := binary.LittleEndian.Uint16(line[4:])
-	sum := binary.LittleEndian.Uint16(line[6:])
-	if n > HardenedPayloadSize {
-		// Discard without advancing the acknowledgement: the sender's
-		// retransmission timer sees the frame unacknowledged and redeposits
-		// a clean copy.
+	var err error
+	fresh := false
+	switch {
+	case n > capacity:
+		// A frame this long cannot have been sent; drop it rather than read
+		// out of bounds.
 		s.stats.ShortFrames++
-		s.ackSlot(receiver, off, s.lastRecv[p])
-		return Msg{}, false, &FrameError{Receiver: receiver, Sender: sender, Len: n,
-			Reason: fmt.Sprintf("length exceeds hardened capacity %d", HardenedPayloadSize)}
-	}
-	if sum != frameSum(&line) {
+		err = &FrameError{Receiver: receiver, Sender: sender, Len: n,
+			Reason: fmt.Sprintf("length exceeds capacity %d", capacity)}
+	case hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
 		s.stats.CorruptDrops++
-		s.ackSlot(receiver, off, s.lastRecv[p])
-		return Msg{}, false, &FrameError{Receiver: receiver, Sender: sender, Len: n,
-			Reason: "checksum mismatch"}
-	}
-	if !seqAfter(seq, s.lastRecv[p]) {
+		err = &FrameError{Receiver: receiver, Sender: sender, Len: n, Reason: "checksum mismatch"}
+	case hardened && !seqAfter(seq, s.lastRecv[p]):
 		// Stale duplicate redelivery: drop it, re-acknowledge, and hand the
 		// slot back to the sender.
 		s.stats.DupFrames++
-		s.ackSlot(receiver, off, s.lastRecv[p])
-		s.freeSig[p].Fire(core.Proc().LocalTime())
-		return Msg{}, false, nil
+	default:
+		fresh = true
+		if hardened {
+			s.lastRecv[p] = seq
+		}
 	}
-	s.lastRecv[p] = seq
-	s.ackSlot(receiver, off, seq)
-	s.stats.Recvs++
-	s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
-	msg := Msg{From: sender, Type: line[1]}
-	copy(msg.Payload[:], line[8:8+n])
+	// Release the slot with one charged header write: the flag clears, and
+	// hardened, the sequence field carries the receiver's cumulative
+	// acknowledgement. A hardened discard leaves the frame unacknowledged:
+	// the sender's retransmission timer, not a wake-up, redeposits a clean
+	// copy.
+	var ack [8]byte
+	if hardened {
+		binary.LittleEndian.PutUint16(ack[4:], s.lastRecv[p])
+	}
+	s.chip.MPBWrite(receiver, receiver, off, ack[:])
+	if err != nil && hardened {
+		return Msg{}, false, err
+	}
+	var msg Msg
+	if fresh {
+		s.stats.Recvs++
+		s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
+		msg = Msg{From: sender, Type: line[1]}
+		copy(msg.Payload[:], line[hdr:hdr+n])
+	}
+	// The slot is free for the sender's next mail: wake its probe.
 	s.freeSig[p].Fire(core.Proc().LocalTime())
-	return msg, true, nil
-}
-
-// ackSlot clears the slot flag and publishes the receiver's cumulative
-// acknowledgement in the sequence field: one charged 8-byte MPB write, the
-// hardened counterpart of the plain protocol's one-byte flag clear (MPB
-// transactions below a line cost the same).
-func (s *System) ackSlot(receiver, off int, ack uint16) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint16(hdr[4:], ack)
-	s.chip.MPBWrite(receiver, receiver, off, hdr[:])
+	return msg, fresh, err
 }
 
 // Check inspects one receive slot, consuming and returning the mail if
@@ -687,20 +643,6 @@ func (s *System) ackSlot(receiver, off int, ack uint16) {
 func (s *System) Check(receiver, sender int) (Msg, bool) {
 	msg, ok, _ := s.Receive(receiver, sender)
 	return msg, ok
-}
-
-// HasMail peeks at a slot without consuming (no signal effects); it charges
-// the check cost.
-func (s *System) HasMail(receiver, sender int) bool {
-	s.checkPair(receiver, sender)
-	core := s.chip.Core(receiver)
-	s.prof.EnterIfIdle(receiver, profile.MailboxWait, core.Proc().LocalTime())
-	core.Sync()
-	s.chip.CheckMailCost(receiver)
-	s.stats.Checks++
-	full := s.chip.MPB().Byte(receiver, slotOff(sender)) != 0
-	s.prof.Exit(receiver, core.Proc().LocalTime())
-	return full
 }
 
 // WaitAnySignal returns the signal fired whenever any mail is deposited for
@@ -719,16 +661,9 @@ func (s *System) NoteCrashed(id int, at sim.Time) {
 		}
 		s.freeSig[s.pair(id, other)].Fire(at) // senders blocked sending to id
 		s.freeSig[s.pair(other, id)].Fire(at) // (symmetry; id's own sends are moot)
-		s.fullSig[s.pair(other, id)].Fire(at) // waiters on a reply from id
-		s.anyFull[other].Fire(at)             // kernel WaitFor scans
+		s.fullSig[s.pair(other, id)].Fire(at)
+		s.anyFull[other].Fire(at) // kernel WaitFor scans
 	}
-}
-
-// FullSignal returns the per-pair deposit signal (kernels waiting for a
-// specific reply park on it).
-func (s *System) FullSignal(receiver, sender int) *sim.Signal {
-	s.checkPair(receiver, sender)
-	return s.fullSig[s.pair(receiver, sender)]
 }
 
 // DumpInFlight writes the protocol's in-flight state — pending unacked

@@ -139,6 +139,46 @@ func TestPlainRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMailConsumedDuringLineReadDeliveredOnce posts an interrupt that lands
+// inside Receive's line read, after the flag peek: the handler consumes the
+// same slot, so the outer Receive finds the flag cleared under it and must
+// report no mail rather than deliver the stale line a second time.
+func TestMailConsumedDuringLineReadDeliveredOnce(t *testing.T) {
+	eng, ch := newChip(t)
+	mb := New(ch, ModePolling)
+	var types []byte
+	ch.Boot(0, func(c *cpu.Core) {
+		mb.Send(0, 1, 7, nil)
+	})
+	ch.Boot(1, func(c *cpu.Core) {
+		c.SetIRQHandler(func(c *cpu.Core, _ cpu.IRQ) {
+			if m, ok := mb.Check(1, 0); ok {
+				types = append(types, m.Type)
+			}
+		})
+		for ch.MPB().Byte(1, slotOff(0)) == 0 {
+			mb.WaitAnySignal(1).Wait(c.Proc())
+		}
+		c.Sync()
+		// Receive's own Sync runs in step at this time; the check cost
+		// then carries the clock past the interrupt, so it is delivered
+		// at the line read's first sync point.
+		at := c.Now() + 1
+		eng.At(at, func() { c.PostInterrupt(cpu.IRQTimer) })
+		if m, ok := mb.Check(1, 0); ok {
+			types = append(types, m.Type)
+		}
+	})
+	eng.Run()
+	eng.Shutdown()
+	if len(types) != 1 || types[0] != 7 {
+		t.Fatalf("delivered types %v, want the one mail [7]", types)
+	}
+	if st := mb.Stats(); st.Recvs != 1 {
+		t.Fatalf("Recvs = %d, want 1", st.Recvs)
+	}
+}
+
 func TestManySendersOneReceiver(t *testing.T) {
 	eng, ch := newChip(t)
 	mb := New(ch, ModePolling)

@@ -336,6 +336,31 @@ func BenchmarkSignalFire(b *testing.B) {
 	reportBaton(b, e)
 }
 
+// BenchmarkSignalDeadline: a proc parks with a deadline wake-up, the way a
+// kernel wait or a hardened sender parks, and the deadline resumes it. It
+// must read 0 allocs/op.
+func BenchmarkSignalDeadline(b *testing.B) {
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.NewProc("sleeper", 0, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			sig.Deadline(p.LocalTime() + 1000)
+			sig.Wait(p)
+		}
+	})
+	e.NewProc("neighbour", 0, func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Advance(1000)
+			p.Sync()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	reportBaton(b, e)
+}
+
 // reportBaton prints where the baton went per Sync, so a run that stopped
 // measuring what its name says is visible in the output.
 func reportBaton(b *testing.B, e *Engine) {

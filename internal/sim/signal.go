@@ -73,6 +73,37 @@ func (s *Signal) onFire() {
 	}
 }
 
+// Deadline schedules an event at time at whose body fires the signal then
+// (two queue events), so a waiter parked with a deadline re-checks its
+// condition once it passes. Event records are recycled through the engine:
+// a warm Deadline allocates nothing, and no second bound method value
+// pushes Signal out of its 48-byte allocation size class.
+func (s *Signal) Deadline(at Time) {
+	e := s.eng
+	var d *deadline
+	if n := len(e.deadlines); n > 0 {
+		d, e.deadlines = e.deadlines[n-1], e.deadlines[:n-1]
+	} else {
+		d = &deadline{}
+		d.run = d.fire
+	}
+	d.sig = s
+	e.At(at, d.run)
+}
+
+// deadline is one scheduled Deadline event.
+type deadline struct {
+	sig *Signal
+	run func() // d.fire, bound once per record
+}
+
+// fire returns the record to the free list, then fires its signal.
+func (d *deadline) fire() {
+	s := d.sig
+	s.eng.deadlines = append(s.eng.deadlines, d)
+	s.Fire(s.eng.now)
+}
+
 // Seq returns the eventcount value; see WaitSeq.
 func (s *Signal) Seq() uint64 { return s.seq }
 
@@ -89,16 +120,12 @@ func (s *Signal) WaitSeq(p *Proc, seq uint64) {
 // Waiters reports how many processes are currently registered.
 func (s *Signal) Waiters() int { return len(s.waiters) }
 
-// WaitAny parks p until any of the given signals fires (or any other Wake
-// reaches the process). Like Wait it may return spuriously; callers loop.
-func WaitAny(p *Proc, sigs ...*Signal) {
-	WaitAnySeq(p, sigs, nil)
-}
-
-// WaitAnySeq is WaitAny with eventcounts: if seqs is non-nil (parallel to
-// sigs) and any signal fired since its seq was captured, the call returns
-// immediately instead of parking. Use it when the caller performs parking
-// operations between its condition checks and this wait.
+// WaitAnySeq parks p until any of sigs fires (or any other Wake reaches the
+// process); like Wait it may return spuriously, and callers loop. If seqs
+// is non-nil (parallel to sigs) and any signal fired since its seq was
+// captured, the call returns immediately instead of parking. Use it when
+// the caller performs parking operations between its condition checks and
+// this wait.
 func WaitAnySeq(p *Proc, sigs []*Signal, seqs []uint64) {
 	if seqs != nil {
 		for i, s := range sigs {

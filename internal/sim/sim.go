@@ -81,6 +81,8 @@ type Engine struct {
 	idle    chan struct{} // hands the baton back to RunUntil's (or Shutdown's) caller
 	fault   *ProcPanic    // a panic recovered on a proc's goroutine, for RunUntil to re-raise
 	stats   Stats
+	// deadlines are Signal.Deadline's free event records.
+	deadlines []*deadline
 }
 
 // Stats are exact, bit-reproducible counts of what the engine did.

@@ -344,6 +344,76 @@ func TestSignalFireAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSignalDeadlineAllocatesNothing: once warm, arming a deadline and
+// running it to the waiter's wake allocates nothing, and each deadline is
+// three events (deadline, fire, wake).
+func TestSignalDeadlineAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	sig := NewSignal(e)
+	e.NewProc("waiter", 0, func(p *Proc) {
+		for {
+			sig.Wait(p)
+		}
+	})
+	e.Run()
+	before := e.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		sig.Deadline(e.Now() + 1000)
+		e.Run()
+	})
+	after := e.Stats()
+	e.Shutdown()
+	if n := after.ProcSwitches - before.ProcSwitches; n != 101 {
+		t.Fatalf("waiter resumed %d times over 101 deadlines", n)
+	}
+	if n := after.Events - before.Events; n != 3*101 {
+		t.Fatalf("101 deadlines popped %d events, want %d", n, 3*101)
+	}
+	if allocs != 0 {
+		t.Fatalf("Deadline plus dispatch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSignalDeadlineMatchesFireCallback: Deadline(at) schedules exactly what
+// a callback calling Fire(at) at time at schedules — same wake times, same
+// sequence numbers, same engine counters.
+func TestSignalDeadlineMatchesFireCallback(t *testing.T) {
+	run := func(arm func(sig *Signal, at Time)) (Time, uint64, Stats, []Time) {
+		e := NewEngine()
+		sig := NewSignal(e)
+		var woke []Time
+		e.NewProc("waiter", 0, func(p *Proc) {
+			for i := 0; i < 20; i++ {
+				p.Advance(Time(100 + 37*i))
+				arm(sig, p.LocalTime()+Time(500+i%3*250))
+				seq := sig.Seq()
+				p.Advance(90)
+				p.Sync()
+				sig.WaitSeq(p, seq)
+				woke = append(woke, p.LocalTime())
+			}
+		})
+		e.NewProc("firer", 0, func(p *Proc) {
+			for i := 0; i < 10; i++ {
+				p.Advance(Time(700 + 113*i))
+				p.Sync()
+				sig.Fire(p.LocalTime())
+			}
+		})
+		end := e.Run()
+		e.Shutdown()
+		return end, e.seq, e.Stats(), woke
+	}
+	endA, seqA, stA, wokeA := run(func(sig *Signal, at Time) {
+		sig.eng.At(at, func() { sig.Fire(at) })
+	})
+	endB, seqB, stB, wokeB := run(func(sig *Signal, at Time) { sig.Deadline(at) })
+	if endA != endB || seqA != seqB || stA != stB || fmt.Sprint(wokeA) != fmt.Sprint(wokeB) {
+		t.Fatalf("Deadline diverged from a Fire callback:\nend %d / %d seq %d / %d\nstats %+v\n      %+v\nwakes %v\n      %v",
+			endA, endB, seqA, seqB, stA, stB, wokeA, wokeB)
+	}
+}
+
 func TestShutdownUnblocksParkedProcs(t *testing.T) {
 	e := NewEngine()
 	p := e.NewProc("stuck", 0, func(p *Proc) {
