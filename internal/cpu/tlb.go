@@ -21,6 +21,12 @@ const (
 	tlbMask = tlbSize - 1
 )
 
+// tlbSlot is the entry a page maps to. Folding the page number's higher bits
+// into the index keeps arrays a multiple of 128 pages apart out of each
+// other's way: Laplace's old and new grids are 1 024 pages apart, and with
+// the low bits alone every cell's source row evicted its destination row.
+func tlbSlot(vpn uint32) uint32 { return (vpn ^ vpn>>tlbBits ^ vpn>>(2*tlbBits)) & tlbMask }
+
 type tlbEntry struct {
 	valid bool
 	vpn   uint32
@@ -41,7 +47,7 @@ func (t *tlb) lookup(table *pgtable.Table, vaddr uint32) (pgtable.Entry, bool) {
 		return pgtable.Entry{}, false
 	}
 	vpn := pgtable.VPN(vaddr)
-	e := &t.entries[vpn&tlbMask]
+	e := &t.entries[tlbSlot(vpn)]
 	if e.valid && e.vpn == vpn {
 		return e.entry, true
 	}
@@ -56,7 +62,7 @@ func (t *tlb) insert(table *pgtable.Table, vaddr uint32, entry pgtable.Entry) {
 		t.flush(v)
 	}
 	vpn := pgtable.VPN(vaddr)
-	t.entries[vpn&tlbMask] = tlbEntry{valid: true, vpn: vpn, entry: entry}
+	t.entries[tlbSlot(vpn)] = tlbEntry{valid: true, vpn: vpn, entry: entry}
 }
 
 func (t *tlb) flush(version uint64) {

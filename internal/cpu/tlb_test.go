@@ -11,14 +11,19 @@ import (
 // translations (fixed seed: the test is deterministic) and checks that every
 // answer of Core.translate — TLB hit, miss or post-fault retry — is the
 // entry a fresh pgtable.Table.Lookup returns and permits the access. Most
-// accesses go to a hot set whose pages collide in the direct-mapped TLB
-// (vpn and vpn+tlbSize share a slot), so hits, conflict replacement and the
-// version flush after every Map/Unmap/Update all occur.
+// accesses go to a hot set of eight pages that share two slots of the
+// direct-mapped TLB, so hits, conflict replacement and the version flush
+// after every Map/Unmap/Update all occur.
 func TestTLBMatchesTableWalk(t *testing.T) {
 	testCore(t, DefaultConfig(), nil, func(c *Core, _ *fakeBus) {
 		rng := rand.New(rand.NewSource(1))
 		const pages = 4 * tlbSize
-		hot := []uint32{0, 1, 2, 3, tlbSize, tlbSize + 1, tlbSize + 2, 3 * tlbSize}
+		var hot []uint32
+		for vpn := uint32(0); vpn < pages; vpn++ {
+			if tlbSlot(vpn) < 2 {
+				hot = append(hot, vpn)
+			}
+		}
 		page := func() uint32 {
 			vpn := uint32(rng.Intn(pages))
 			if rng.Intn(4) != 0 {
@@ -78,4 +83,30 @@ func TestTLBMatchesTableWalk(t *testing.T) {
 			t.Errorf("the sequence missed a path: %d TLB hits, %d misses, %d faults", s.TLBHits, s.TLBMisses, s.Faults)
 		}
 	})
+}
+
+// TestTLBArraysApartKeepTheirSlots pins the stencil pattern that used to
+// thrash the TLB: two 1 024-page arrays side by side, row r of one read
+// right after row r of the other. No two VPNs 1 024 apart share a slot
+// anywhere in the 20-bit page-number space, and in the stencil order both
+// rows stay cached.
+func TestTLBArraysApartKeepTheirSlots(t *testing.T) {
+	const apart = 1024
+	for vpn := uint32(0); vpn+apart < 1<<(32-pgtable.PageShift); vpn++ {
+		if tlbSlot(vpn) == tlbSlot(vpn+apart) {
+			t.Fatalf("VPNs %#x and %#x share TLB slot %d", vpn, vpn+apart, tlbSlot(vpn))
+		}
+	}
+
+	table := pgtable.New()
+	entry := pgtable.Entry{Flags: pgtable.Present | pgtable.WriteThrough}
+	var tl tlb
+	for row := uint32(0); row < apart; row++ {
+		old, cur := row*pgtable.PageSize, (row+apart)*pgtable.PageSize
+		tl.insert(table, old, entry)
+		tl.insert(table, cur, entry)
+		if _, ok := tl.lookup(table, old); !ok {
+			t.Fatalf("row %d: inserting page %#x evicted page %#x", row, cur, old)
+		}
+	}
 }

@@ -74,7 +74,7 @@ func (c Clock) ToCycles(d Duration) uint64 { return uint64(d) / c.PeriodPS }
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   quadQueue // pending events in (time, sequence) order; see queue.go
+	queue   radixQueue // pending events in (time, sequence) order; see queue.go
 	procs   []*Proc
 	stopped bool
 	limit   Time          // RunUntil's bound: no event past it is dispatched
@@ -105,8 +105,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would violate causality and mask a modeling bug. Scheduling at the
-// current time takes the queue's append fast path (see queue.go).
+// it would violate causality and mask a modeling bug.
 func (e *Engine) At(t Time, fn func()) { e.schedule(event{at: t, fn: fn}) }
 
 // schedule gives ev the next sequence number and queues it.
@@ -116,7 +115,7 @@ func (e *Engine) schedule(ev event) {
 	}
 	e.seq++
 	ev.seq = e.seq
-	e.queue.push(ev, e.now)
+	e.queue.push(ev)
 }
 
 // After schedules fn to run d after the current time.
@@ -152,12 +151,13 @@ func (e *Engine) RunUntil(limit Time) Time {
 // queue is drained, past the limit or stopped. It runs on whichever
 // goroutine holds the baton: RunUntil's caller, or the proc that is parking.
 func (e *Engine) advance() *Proc {
+	var ev event
 	for !e.stopped {
 		at, ok := e.queue.headTime()
 		if !ok || at > e.limit {
 			break
 		}
-		ev := e.queue.pop()
+		e.queue.pop(&ev)
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: event at %d behind clock %d", ev.at, e.now))
 		}
