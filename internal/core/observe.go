@@ -245,6 +245,7 @@ func (o *Observation) harvest() *metrics.Snapshot {
 	r.Counter("sim.self_wakes").Add(es.SelfWakes)
 	r.Counter("sim.run_throughs").Add(es.RunThroughs)
 	r.Counter("sim.sync_in_step").Add(es.SyncInStep)
+	r.Counter("sim.in_place_steps").Add(es.InPlaceSteps)
 
 	ms := o.chip.MeshStats()
 	r.Counter("mesh.ddr_reads").Add(ms.DDRReads)

@@ -29,6 +29,10 @@ func observedWorkload(t *testing.T, inst Instrumentation) (sim.Time, *Machine) {
 			env.Core().Store64(base, 1)
 		}
 		env.SVM.Barrier()
+		// Both cores leave the barrier together: one loses the lock's
+		// test-and-set and spins on it.
+		env.SVM.Lock(1)
+		env.SVM.Unlock(1)
 		if env.K.ID() == 47 {
 			env.Core().Store64(base, 2) // steal ownership from core 0
 		}
@@ -103,7 +107,7 @@ func TestMetricsSnapshotHarvest(t *testing.T) {
 		"mailbox.sends", "mesh.ddr_reads", "svm.faults", "svm.locks",
 		"svm.barriers", "kernel.barriers", "trace.events",
 		"sim.events", "sim.closure_events", "sim.proc_switches",
-		"sim.self_wakes", "sim.run_throughs", "sim.sync_in_step",
+		"sim.self_wakes", "sim.run_throughs", "sim.sync_in_step", "sim.in_place_steps",
 	} {
 		if s.Counter(name) == 0 {
 			t.Errorf("counter %q is zero", name)

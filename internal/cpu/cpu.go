@@ -206,15 +206,20 @@ func New(id int, cfg Config, bus MemoryBus, events *trace.Stream) *Core {
 func (c *Core) Bind(proc *sim.Proc) {
 	c.proc = proc
 	proc.SetQuantum(c.cfg.Quantum)
-	proc.SetSyncHook(c.deliverIRQs)
+	proc.SetSyncHook(c.deliverIRQs, c.irqIdle)
 	proc.SetPreWaitHook(c.deliverBeforeWait)
+}
+
+// irqIdle reports that deliverIRQs would deliver nothing now.
+func (c *Core) irqIdle() bool {
+	return c.pendingIRQ == 0 || c.inHandler || !c.irqEnabled || c.irqHandler == nil
 }
 
 // deliverBeforeWait runs pending interrupt handlers instead of letting the
 // core park with work outstanding (an IRQ posted while the core was briefly
 // running would otherwise be lost until the next unrelated wake).
 func (c *Core) deliverBeforeWait() bool {
-	if c.inHandler || !c.irqEnabled || c.irqHandler == nil || c.pendingIRQ == 0 {
+	if c.irqIdle() {
 		return false
 	}
 	c.deliverIRQs()
@@ -288,7 +293,7 @@ func (c *Core) PendingInterrupts() bool { return c.pendingIRQ != 0 }
 
 // deliverIRQs is the proc sync hook: it runs pending handlers inline.
 func (c *Core) deliverIRQs() {
-	if c.inHandler || !c.irqEnabled || c.irqHandler == nil {
+	if c.irqIdle() {
 		return
 	}
 	for c.pendingIRQ != 0 {

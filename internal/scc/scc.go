@@ -187,6 +187,9 @@ type Chip struct {
 
 	// ipiFree holds IPI delivery records whose event has fired.
 	ipiFree []*ipiDelivery
+
+	// spinners holds each core's TASSpin loop, made on its first spin.
+	spinners []*tasSpinner
 }
 
 // MeshStats counts mesh transactions by class, with the hop distribution.
@@ -331,6 +334,7 @@ func New(eng *sim.Engine, cfg Config) (*Chip, error) {
 		mpbBytes:     cfg.MPBBytes,
 		lastMesh:     make([]sim.Duration, n),
 		crashed:      make([]bool, n),
+		spinners:     make([]*tasSpinner, n),
 		tracer:       new(trace.Stream),
 	}
 	if chips > 1 {

@@ -1,14 +1,17 @@
 package scc
 
 import (
+	"reflect"
 	"testing"
 
 	"metalsvm/internal/cache"
 	"metalsvm/internal/cpu"
+	"metalsvm/internal/faults"
 	"metalsvm/internal/sim"
+	"metalsvm/internal/trace"
 )
 
-func newChip(t *testing.T) (*sim.Engine, *Chip) {
+func newChip(t testing.TB) (*sim.Engine, *Chip) {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
@@ -158,30 +161,124 @@ func TestMPBLatencyScalesWithDistance(t *testing.T) {
 	}
 }
 
-func TestTASMutualExclusion(t *testing.T) {
-	eng, ch := newChip(t)
-	holders := 0
-	maxHolders := 0
-	for id := 0; id < 4; id++ {
-		ch.Boot(id, func(c *cpu.Core) {
-			for i := 0; i < 10; i++ {
-				for !ch.TASLock(c.ID(), 7) {
-					c.Cycles(50)
+// tasLoop is the retry loop TASSpin runs as a sim.Proc.Spin, written out
+// with TASLock: probe, and on a loss back off (exponentially when hardened).
+func tasLoop(ch *Chip, c *cpu.Core, reg int) (backoffs uint64) {
+	attempt := uint(0)
+	for !ch.TASLock(c.ID(), reg) {
+		backoff := uint64(100)
+		if ch.FaultsHardened() {
+			backoff <<= min(attempt, 5)
+			attempt++
+			backoffs++
+		}
+		c.Cycles(backoff)
+	}
+	return backoffs
+}
+
+// TestTASSpinMatchesTASLockLoop: eight cores taking turns on one register
+// never hold it together, and get the same acquire times, hardened backoffs,
+// mesh counters and trace events from TASSpin as from the TASLock loop, with
+// and without injected TAS drops and core stalls.
+func TestTASSpinMatchesTASLockLoop(t *testing.T) {
+	type outcome struct {
+		acquired [][]sim.Time
+		backoffs uint64
+		mesh     MeshStats
+		events   []trace.Event
+		end      sim.Time
+	}
+	run := func(spin bool, spec *faults.Spec) (outcome, sim.Stats) {
+		eng, ch := newChip(t)
+		if spec != nil {
+			ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 3, Spec: *spec}), true)
+		}
+		o := outcome{acquired: make([][]sim.Time, 8)}
+		ch.Tracer().Subscribe(func(e trace.Event) { o.events = append(o.events, e) },
+			trace.KindTASAcquire, trace.KindTASRelease, trace.KindFaultInject)
+		holders := 0
+		for i := 0; i < 8; i++ {
+			i := i
+			ch.Boot(6*i, func(c *cpu.Core) {
+				for round := 0; round < 20; round++ {
+					if spin {
+						o.backoffs += ch.TASSpin(c.ID(), 7)
+					} else {
+						o.backoffs += tasLoop(ch, c, 7)
+					}
+					o.acquired[i] = append(o.acquired[i], c.Now())
+					if holders++; holders > 1 {
+						t.Errorf("core %d: %d concurrent holders", c.ID(), holders)
+					}
+					c.Cycles(uint64(150 + 20*i)) // critical section work
+					holders--
+					ch.TASUnlock(c.ID(), 7)
+					c.Cycles(uint64(40 * i))
 				}
-				holders++
-				if holders > maxHolders {
-					maxHolders = holders
-				}
-				c.Cycles(200) // critical section work
-				holders--
-				ch.TASUnlock(c.ID(), 7)
+			})
+		}
+		o.end = eng.Run()
+		eng.Shutdown()
+		o.mesh = ch.MeshStats()
+		return o, eng.Stats()
+	}
+	tasFaults := &faults.Spec{StallPermille: 100, StallCycles: 300}
+	tasFaults.Routes[faults.TAS] = faults.RouteSpec{DropPermille: 150}
+	for _, tc := range []struct {
+		name string
+		spec *faults.Spec
+	}{{"plain", nil}, {"tas drops and stalls, hardened", tasFaults}} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop, _ := run(false, tc.spec)
+			spin, st := run(true, tc.spec)
+			if !reflect.DeepEqual(loop, spin) {
+				t.Fatalf("TASSpin diverged from the TASLock loop:\nloop %+v\nspin %+v", loop, spin)
+			}
+			if st.InPlaceSteps == 0 {
+				t.Fatalf("no probe ran in place: %+v", st)
+			}
+			if tc.spec != nil && (spin.backoffs == 0 || len(spin.events) <= 2*8*20) {
+				t.Fatalf("no fault reached the spin: %d backoffs, %d events", spin.backoffs, len(spin.events))
 			}
 		})
 	}
+}
+
+// TestTASSpinAllocatesNothing: once a core has spun, a spin that loses to a
+// holder, probes until the release and then wins allocates nothing.
+func TestTASSpinAllocatesNothing(t *testing.T) {
+	eng, ch := newChip(t)
+	holder := ch.Boot(0, func(c *cpu.Core) {
+		for {
+			ch.TASSpin(0, 3)
+			c.Cycles(3000)
+			ch.TASUnlock(0, 3)
+			c.Proc().Wait()
+		}
+	})
+	spinner := ch.Boot(47, func(c *cpu.Core) {
+		for {
+			c.Cycles(200)
+			ch.TASSpin(47, 3)
+			ch.TASUnlock(47, 3)
+			c.Proc().Wait()
+		}
+	})
 	eng.Run()
+	before := ch.MeshStats().TASAccesses
+	allocs := testing.AllocsPerRun(100, func() {
+		holder.Proc().Wake(eng.Now())
+		spinner.Proc().Wake(eng.Now())
+		eng.Run()
+	})
+	probes := ch.MeshStats().TASAccesses - before
 	eng.Shutdown()
-	if maxHolders != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxHolders)
+	if probes < 101*10 {
+		t.Fatalf("%d test-and-set accesses over 101 rounds, want the spinner losing ~10 probes a round", probes)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm TASSpin allocates %v times, want 0", allocs)
 	}
 }
 
@@ -304,4 +401,32 @@ func TestDeterministicBoot(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
 	}
+}
+
+// BenchmarkTASSpin: eight cores take turns on one test-and-set register,
+// each holding it for 2 000 cycles while the other seven spin on it. One op
+// is one acquisition. The losers' probes in between are what the engine runs
+// in place: in-place/op counts them, switches/op the hand-offs left.
+func BenchmarkTASSpin(b *testing.B) {
+	eng, ch := newChip(b)
+	acquired := 0
+	for i := 0; i < 8; i++ {
+		ch.Boot(6*i, func(c *cpu.Core) {
+			for acquired < b.N {
+				ch.TASSpin(c.ID(), 7)
+				acquired++
+				c.Cycles(2000)
+				ch.TASUnlock(c.ID(), 7)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run()
+	b.StopTimer()
+	s := eng.Stats()
+	n := float64(b.N)
+	b.ReportMetric(float64(s.ProcSwitches)/n, "switches/op")
+	b.ReportMetric(float64(s.InPlaceSteps)/n, "in-place/op")
+	eng.Shutdown()
 }

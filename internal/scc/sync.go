@@ -18,15 +18,22 @@ import (
 
 func (ch *Chip) syncCharge(core int, lat sim.Duration) *cpu.Core {
 	c := ch.cores[core]
-	if cyc := ch.faults.StallCyclesOn(core); cyc != 0 {
-		ch.tracer.Emit(c.Now(), core, trace.KindFaultInject,
-			uint64(faults.NumRoutes), uint64(faults.Stall))
-		lat += ch.coreClock().Cycles(cyc)
-	}
+	lat = ch.stall(core, lat)
 	c.Sync()
 	c.Proc().Advance(lat)
 	c.Sync()
 	return c
+}
+
+// stall adds a fault-injected core stall to a synchronous transaction's
+// latency (zero without an injector) and traces the injection.
+func (ch *Chip) stall(core int, lat sim.Duration) sim.Duration {
+	if cyc := ch.faults.StallCyclesOn(core); cyc != 0 {
+		ch.tracer.Emit(ch.cores[core].Now(), core, trace.KindFaultInject,
+			uint64(faults.NumRoutes), uint64(faults.Stall))
+		lat += ch.coreClock().Cycles(cyc)
+	}
+	return lat
 }
 
 // injectDelay draws a fault-injected mesh delay for the route (zero without
@@ -130,17 +137,92 @@ func (ch *Chip) tasLatency(core, reg int) sim.Duration {
 // untouched and the attempt reads as contended, so the caller's existing
 // retry loop recovers naturally.
 func (ch *Chip) TASLock(core, reg int) bool {
-	c := ch.syncCharge(core, ch.tasLatency(core, reg))
+	ch.syncCharge(core, ch.tasLatency(core, reg))
+	return ch.tasAttempt(core, reg)
+}
+
+// tasAttempt is a test-and-set probe's effect, applied once its charge has
+// been synced in: a fault-injected drop, or the register's test-and-set.
+func (ch *Chip) tasAttempt(core, reg int) bool {
+	now := ch.cores[core].Now()
 	if ch.faults.Drop(faults.TAS) {
-		ch.tracer.Emit(c.Now(), core, trace.KindFaultInject,
+		ch.tracer.Emit(now, core, trace.KindFaultInject,
 			uint64(faults.TAS), uint64(faults.Drop))
 		return false
 	}
 	won := ch.tas.TestAndSet(reg)
 	if won {
-		ch.tracer.Emit(c.Now(), core, trace.KindTASAcquire, uint64(reg), 0)
+		ch.tracer.Emit(now, core, trace.KindTASAcquire, uint64(reg), 0)
 	}
 	return won
+}
+
+// TASSpin acquires the test-and-set register reg on behalf of core,
+// retrying after every lost attempt: a constant 100-cycle backoff in plain
+// runs and, under hardened fault injection, an exponential one (100 <<
+// attempt, capped at 3 200 cycles) so a burst of dropped requests cannot
+// congest the register's mesh path. It returns how many hardened backoffs
+// it took. Each attempt is TASLock's; the loop runs as a sim.Proc.Spin, so
+// the engine retries in place instead of switching to the core's goroutine.
+func (ch *Chip) TASSpin(core, reg int) (backoffs uint64) {
+	s := ch.spinners[core]
+	if s == nil {
+		s = &tasSpinner{ch: ch, core: core}
+		s.step = s.next
+		ch.spinners[core] = s
+	}
+	outer := *s // an interrupt handler may spin on this core inside this spin
+	s.reg, s.phase, s.attempt, s.backoffs = reg, tasCharge, 0, 0
+	ch.cores[core].Proc().Spin(s.step)
+	backoffs = s.backoffs
+	*s = outer
+	return backoffs
+}
+
+// tasSpinner is one core's TASSpin loop, reused from spin to spin, with its
+// step bound once so a spin allocates nothing.
+type tasSpinner struct {
+	ch        *Chip
+	core, reg int
+	phase     tasPhase
+	lat       sim.Duration // the charge of the attempt in flight
+	attempt   uint         // hardened backoff exponent
+	backoffs  uint64
+	step      func() (sim.Duration, bool, bool) // next, bound once
+}
+
+// tasPhase is where a TASSpin attempt stands: each is one Spin step, and
+// together they are TASLock followed by the backoff.
+type tasPhase uint8
+
+const (
+	tasCharge  tasPhase = iota // draw the charge, then Sync
+	tasTransit                 // Advance by the charge, then Sync
+	tasTry                     // test-and-set; on a loss, Advance by the backoff
+)
+
+func (s *tasSpinner) next() (d sim.Duration, sync, done bool) {
+	ch := s.ch
+	switch s.phase {
+	case tasCharge:
+		s.lat = ch.stall(s.core, ch.tasLatency(s.core, s.reg))
+		s.phase = tasTransit
+		return 0, true, false
+	case tasTransit:
+		s.phase = tasTry
+		return s.lat, true, false
+	}
+	if ch.tasAttempt(s.core, s.reg) {
+		return 0, false, true
+	}
+	s.phase = tasCharge
+	backoff := uint64(100)
+	if ch.harden {
+		backoff <<= min(s.attempt, 5)
+		s.attempt++
+		s.backoffs++
+	}
+	return ch.coreClock().Cycles(backoff), false, false
 }
 
 // TASUnlock releases the test-and-set register. A fault-injected drop loses

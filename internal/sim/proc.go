@@ -9,11 +9,12 @@ import (
 type procState int
 
 const (
-	procNew     procState = iota // goroutine not started yet
-	procRunning                  // holds the baton, executing its body
-	procParked                   // parked, wake already scheduled (Sync)
-	procWaiting                  // parked indefinitely, needs an external Wake
-	procDone                     // body returned
+	procNew      procState = iota // goroutine not started yet
+	procRunning                   // holds the baton, executing its body
+	procParked                    // parked, wake already scheduled (Sync)
+	procSpinning                  // parked in Spin's own Advance or Sync: steppable in place
+	procWaiting                   // parked indefinitely, needs an external Wake
+	procDone                      // body returned
 )
 
 // errShutdown is panicked into parked goroutines to unwind them when the
@@ -27,7 +28,8 @@ func (shutdownError) Error() string { return "sim: engine shutdown" }
 const staleWake = ^uint64(0)
 
 // ProcPanic is what RunUntil panics with after a panic on a proc's goroutine,
-// in its body or in an event callback it ran while parking.
+// in its body or in an event callback it ran while parking, or in a Spin
+// step the engine ran in place (then Proc names the spinning proc).
 type ProcPanic struct {
 	Proc  string // the proc whose goroutine panicked
 	Value any    // the original panic value
@@ -61,8 +63,10 @@ type Proc struct {
 
 	// onSync, when set, runs on the proc's goroutine every time the proc
 	// returns from a park (Sync, Wait). The CPU model uses it to deliver
-	// pending interrupts at well-defined points.
+	// pending interrupts at well-defined points. idle, when set, reports that
+	// onSync would do nothing right now; see SetSyncHook.
 	onSync func()
+	idle   func() bool
 
 	// preWait, when set, runs before an indefinite park (Wait). If it
 	// returns true — it performed work, e.g. delivered an interrupt that
@@ -77,6 +81,14 @@ type Proc struct {
 	// runs through) increments it, and a wake event only resumes the proc if
 	// it still matches. A wake is thereby bound to one park.
 	wakeSeq uint64
+
+	// spin is the step of the Spin loop the proc is in; nil outside one and
+	// once step has reported done. spinSync records that the current step
+	// still owes its Sync. The engine may carry the loop on while the
+	// goroutine is parked, so the loop's position lives here, not in Spin's
+	// locals.
+	spin     func() (Duration, bool, bool)
+	spinSync bool
 
 	// halted marks a crashed process: it stays parked forever and every
 	// dispatch attempt (wake, sync event, initial start) is ignored. Unlike
@@ -122,7 +134,13 @@ func (p *Proc) Lookahead() Duration {
 func (p *Proc) SetQuantum(q Duration) { p.quantum = q }
 
 // SetSyncHook registers fn to run (on the proc goroutine) after every park.
-func (p *Proc) SetSyncHook(fn func()) { p.onSync = fn }
+// idle, when not nil, must report whether fn would do nothing right now:
+// while it does, the engine may run a Spin loop's steps without the proc's
+// goroutine and skip fn. A nil idle means fn always has work.
+func (p *Proc) SetSyncHook(fn func(), idle func() bool) { p.onSync, p.idle = fn, idle }
+
+// hookIdle reports whether the sync hook would do nothing right now.
+func (p *Proc) hookIdle() bool { return p.onSync == nil || p.idle != nil && p.idle() }
 
 // SetPreWaitHook registers fn to run before every indefinite park; see the
 // preWait field.
@@ -156,7 +174,11 @@ func (p *Proc) run() {
 			return
 		}
 		p.state = procDone
-		if _, ok := r.(shutdownError); !ok {
+		switch r := r.(type) {
+		case shutdownError:
+		case *ProcPanic: // a Spin step this goroutine ran in place
+			p.eng.fault = r
+		default:
 			p.eng.fault = &ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()}
 		}
 		p.eng.idle <- struct{}{}
@@ -184,12 +206,10 @@ func (p *Proc) handOff() bool {
 	return false
 }
 
-// park suspends the process until a wake for it is due. On resume the local
-// clock is pulled up to the engine clock (a parked process does not travel
-// back in time) and the sync hook runs.
-func (p *Proc) park(s procState) {
-	p.state = s
-	p.wakeSeq++
+// block hands the baton on once the process has parked and returns when it
+// gets it back. The local clock is then pulled up to the engine clock: a
+// parked process does not travel back in time.
+func (p *Proc) block() {
 	if !p.handOff() {
 		if _, ok := <-p.resume; !ok {
 			panic(shutdownError{})
@@ -198,46 +218,144 @@ func (p *Proc) park(s procState) {
 	if p.eng.now > p.local {
 		p.local = p.eng.now
 	}
-	if p.onSync != nil {
-		p.onSync()
-	}
 }
 
 // Advance adds d to the local clock without engine interaction, unless the
 // lookahead bound is exceeded, in which case it syncs.
 func (p *Proc) Advance(d Duration) {
 	p.local += d
-	if p.quantum != 0 && p.local > p.eng.now && p.local-p.eng.now > p.quantum {
+	if p.overQuantum() {
 		p.Sync()
 	}
+}
+
+// overQuantum reports whether the lookahead exceeds the quantum.
+func (p *Proc) overQuantum() bool {
+	return p.quantum != 0 && p.local > p.eng.now && p.local-p.eng.now > p.quantum
 }
 
 // Sync parks the process until the engine clock reaches the local clock.
 // After Sync returns, engine time equals local time and any effects the
 // process applies are totally ordered against all other synced effects.
 func (p *Proc) Sync() {
-	e := p.eng
-	if p.local > e.now {
-		if at, ok := e.queue.headTime(); (ok && at <= p.local) || p.local > e.limit || e.stopped {
-			// park increments wakeSeq to the value the wake carries.
-			e.schedule(event{at: p.local, proc: p, wakeSeq: p.wakeSeq + 1})
-			p.park(procParked)
-			return
-		}
-		// The wake would be strictly first in the queue: the park would pop
-		// it straight back. Take its sequence number and its place instead.
-		e.stats.RunThroughs++
-		e.seq++
-		p.wakeSeq++
-		e.now = p.local
-	} else {
-		// Already in step; still give the hook a chance so interrupt
-		// delivery cannot be starved by a proc that never runs ahead.
-		e.stats.SyncInStep++
+	if p.syncInPlace(procParked) {
+		p.block()
 	}
 	if p.onSync != nil {
 		p.onSync()
 	}
+}
+
+// syncInPlace is Sync's decision, without blocking and without the hook.
+// When the process must park it schedules the wake, enters state s and
+// reports true. Otherwise the clocks end up in step: either the wake would
+// be strictly first in the queue, so the process takes its sequence number
+// and its place instead of parking (a run-through), or the local clock
+// already equals the engine clock.
+func (p *Proc) syncInPlace(s procState) bool {
+	e := p.eng
+	if p.local <= e.now {
+		// Already in step; Sync still gives the hook a chance so interrupt
+		// delivery cannot be starved by a proc that never runs ahead.
+		e.stats.SyncInStep++
+		return false
+	}
+	if at, ok := e.queue.headTime(); (ok && at <= p.local) || p.local > e.limit || e.stopped {
+		p.wakeSeq++
+		e.schedule(event{at: p.local, proc: p, wakeSeq: p.wakeSeq})
+		p.state = s
+		return true
+	}
+	e.stats.RunThroughs++
+	e.seq++
+	p.wakeSeq++
+	e.now = p.local
+	return false
+}
+
+// Spin runs a polling loop, one call of step per iteration. It is exactly
+//
+//	for {
+//		d, sync, done := step()
+//		if done {
+//			return
+//		}
+//		if d != 0 {
+//			p.Advance(d)
+//		}
+//		if sync {
+//			p.Sync()
+//		}
+//	}
+//
+// in simulated time, dispatch order and every value produced. Only the host
+// side differs: while the process is parked in the loop's own Advance or
+// Sync, the engine runs the following iterations itself, on whichever
+// goroutine pops the wake, until step reports done or the sync hook has
+// work, and only then hands the process the baton. A core that keeps losing
+// a test-and-set therefore costs no goroutine switch per retry. step may run
+// on any goroutine, always at its own point in the (time, seq) order.
+func (p *Proc) Spin(step func() (d Duration, sync, done bool)) {
+	outer, outerSync := p.spin, p.spinSync // the hook may spin inside a spin
+	p.spin, p.spinSync = step, false
+	for {
+		if p.spinRun() {
+			p.block()
+		}
+		if p.spin == nil {
+			break
+		}
+		// The hook has work. It runs here, on the goroutine, where a park
+		// of its own is an ordinary one.
+		p.onSync()
+	}
+	p.spin, p.spinSync = outer, outerSync
+}
+
+// spinRun carries the Spin loop on from where it stands, without blocking.
+// It reports true once the loop has parked in its own Advance or Sync, and
+// false when the goroutine must take over: step reported done (p.spin is
+// nil), or the hook has work.
+func (p *Proc) spinRun() bool {
+	for {
+		if p.spinSync {
+			p.spinSync = false
+		} else {
+			d, sync, done := p.spin()
+			if done {
+				p.spin = nil
+				return false
+			}
+			p.spinSync = sync
+			if d == 0 {
+				continue
+			}
+			p.local += d
+			if !p.overQuantum() { // Advance's rule
+				continue
+			}
+		}
+		if p.syncInPlace(procSpinning) {
+			return true
+		}
+		if !p.hookIdle() {
+			return false
+		}
+	}
+}
+
+// stepInPlace carries p's Spin loop on from the wake of its own park, on the
+// goroutine that popped the wake, and reports whether the loop parked again
+// without p's goroutine. A panic in step comes out as a *ProcPanic naming p,
+// whichever goroutine it ran on. (The park was a Sync, so the engine clock
+// is at the local clock already: there is nothing to pull up.)
+func (p *Proc) stepInPlace() bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	return p.hookIdle() && p.spinRun()
 }
 
 // Wait parks the process indefinitely; some other entity must Wake it.
@@ -248,7 +366,12 @@ func (p *Proc) Wait() {
 	if p.preWait != nil && p.preWait() {
 		return
 	}
-	p.park(procWaiting)
+	p.state = procWaiting
+	p.wakeSeq++
+	p.block()
+	if p.onSync != nil {
+		p.onSync()
+	}
 }
 
 // Wake schedules the process to resume at time at (or the current engine
@@ -272,10 +395,10 @@ func (p *Proc) Wake(at Time) {
 // shutdown unwinds a parked goroutine via panic so it does not leak.
 func (p *Proc) shutdown() {
 	switch p.state {
-	case procParked, procWaiting:
+	case procParked, procSpinning, procWaiting:
 		p.state = procDone
 		// A normal resume would continue the body. Close resume instead:
-		// park's blocked receive fails and panics shutdownError, which run
+		// block's receive fails and panics shutdownError, which run
 		// recovers and acknowledges on idle.
 		close(p.resume)
 		<-p.eng.idle

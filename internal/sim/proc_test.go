@@ -43,7 +43,7 @@ func TestSyncStrictlyFirstRunsThrough(t *testing.T) {
 	hooks := 0
 	e.At(101, func() {})
 	e.NewProc("p", 0, func(p *Proc) {
-		p.SetSyncHook(func() { hooks++ })
+		p.SetSyncHook(func() { hooks++ }, nil)
 		p.Advance(100)
 		seq, wake := e.seq, p.wakeSeq
 		p.Sync()

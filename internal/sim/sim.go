@@ -9,7 +9,10 @@
 // parks pops events itself (Engine.advance), running callbacks in place,
 // until a process wake comes up, and then either carries on (the wake is its
 // own) or hands the baton to that process and blocks. Callbacks therefore run
-// on whichever goroutine holds the baton, still exactly one at a time.
+// on whichever goroutine holds the baton, still exactly one at a time. So do
+// the steps of a polling loop run as Proc.Spin: the engine carries the loop
+// on in place, without switching to the process, until it is done or the
+// process has other work.
 //
 // Processes own a local clock that may run ahead of the global engine clock
 // while they model compute or private-memory activity (Advance). Before any
@@ -93,6 +96,7 @@ type Stats struct {
 	SelfWakes     uint64 // wakes the parking proc popped for itself: no switch
 	RunThroughs   uint64 // Syncs that would have been the queue head and did not park
 	SyncInStep    uint64 // Syncs with the local clock already at the engine clock
+	InPlaceSteps  uint64 // Spin wakes the engine ran on until the loop parked again: no switch
 }
 
 // NewEngine returns an engine with its clock at zero.
@@ -167,6 +171,10 @@ func (e *Engine) advance() *Proc {
 			e.stats.ClosureEvents++
 			ev.fn()
 		} else if p := ev.proc; p.wakeSeq == ev.wakeSeq && p.state != procDone && !p.halted {
+			if p.state == procSpinning && p.stepInPlace() {
+				e.stats.InPlaceSteps++
+				continue
+			}
 			return p
 		}
 	}

@@ -431,7 +431,7 @@ func TestSyncHookRunsAfterPark(t *testing.T) {
 	e := NewEngine()
 	hooks := 0
 	e.NewProc("p", 0, func(p *Proc) {
-		p.SetSyncHook(func() { hooks++ })
+		p.SetSyncHook(func() { hooks++ }, nil)
 		p.Advance(100)
 		p.Sync()
 		p.Advance(100)
@@ -565,8 +565,8 @@ type golden struct {
 }
 
 func (g golden) String() string {
-	return fmt.Sprintf("golden{end: %d, seq: %d, hash: %#x, st: Stats{%d, %d, %d, %d, %d, %d}}", g.end, g.seq, g.hash,
-		g.st.Events, g.st.ClosureEvents, g.st.ProcSwitches, g.st.SelfWakes, g.st.RunThroughs, g.st.SyncInStep)
+	return fmt.Sprintf("golden{end: %d, seq: %d, hash: %#x, st: Stats{%d, %d, %d, %d, %d, %d, %d}}", g.end, g.seq, g.hash,
+		g.st.Events, g.st.ClosureEvents, g.st.ProcSwitches, g.st.SelfWakes, g.st.RunThroughs, g.st.SyncInStep, g.st.InPlaceSteps)
 }
 
 // runScenario builds one scenario on a fresh engine, runs it to completion
@@ -601,7 +601,7 @@ func assertGolden(t *testing.T, want golden, build func(e *Engine, rec *recorder
 // TestGoldenUniformCompute: pure compute with periodic effect syncs — all
 // cores crunching between barriers.
 func TestGoldenUniformCompute(t *testing.T) {
-	assertGolden(t, golden{end: 13800, seq: 404, hash: 0x63ae550ae1612a25, st: Stats{374, 0, 374, 0, 30, 11}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 13800, seq: 404, hash: 0x63ae550ae1612a25, st: Stats{374, 0, 374, 0, 30, 11, 0}}, func(e *Engine, rec *recorder) {
 		for i := 0; i < 6; i++ {
 			i := i
 			step := Duration(30 + 17*i)
@@ -624,7 +624,7 @@ func TestGoldenUniformCompute(t *testing.T) {
 // TestGoldenProducersConsumer mixes pure compute with signal traffic and an
 // indefinitely waiting consumer.
 func TestGoldenProducersConsumer(t *testing.T) {
-	assertGolden(t, golden{end: 5280, seq: 183, hash: 0x36180b8f865fc3d0, st: Stats{176, 20, 156, 0, 7, 12}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 5280, seq: 183, hash: 0x36180b8f865fc3d0, st: Stats{176, 20, 156, 0, 7, 12, 0}}, func(e *Engine, rec *recorder) {
 		sig := NewSignal(e)
 		mail := 0
 		for i := 0; i < 5; i++ {
@@ -655,7 +655,7 @@ func TestGoldenProducersConsumer(t *testing.T) {
 // TestGoldenHaltMidRun crash-halts one proc from an engine event while the
 // rest keep computing; the halt must land between the same two parks.
 func TestGoldenHaltMidRun(t *testing.T) {
-	assertGolden(t, golden{end: 3480, seq: 87, hash: 0x16496743a0d2edc3, st: Stats{75, 1, 73, 0, 12, 4}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 3480, seq: 87, hash: 0x16496743a0d2edc3, st: Stats{75, 1, 73, 0, 12, 4, 0}}, func(e *Engine, rec *recorder) {
 		var victim *Proc
 		for i := 0; i < 4; i++ {
 			i := i
@@ -685,7 +685,7 @@ func TestGoldenHaltMidRun(t *testing.T) {
 // pattern); each must take its sequence number at the request, not at the
 // proc's next park.
 func TestGoldenCallbackFromProcContext(t *testing.T) {
-	assertGolden(t, golden{end: 3700, seq: 104, hash: 0x7b0ab3aa9ec04e0f, st: Stats{101, 16, 83, 2, 3, 2}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 3700, seq: 104, hash: 0x7b0ab3aa9ec04e0f, st: Stats{101, 16, 83, 2, 3, 2, 0}}, func(e *Engine, rec *recorder) {
 		for i := 0; i < 4; i++ {
 			i := i
 			e.NewProc(fmt.Sprintf("q%d", i), 0, func(p *Proc) {
@@ -711,7 +711,7 @@ func TestGoldenCallbackFromProcContext(t *testing.T) {
 // only at its effect syncs while bounded procs park every quantum; the
 // effect points must interleave in time order.
 func TestGoldenZeroQuantumInterleaved(t *testing.T) {
-	assertGolden(t, golden{end: 3330, seq: 102, hash: 0x8b758d0fd7d79d6b, st: Stats{92, 0, 92, 0, 10, 8}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 3330, seq: 102, hash: 0x8b758d0fd7d79d6b, st: Stats{92, 0, 92, 0, 10, 8, 0}}, func(e *Engine, rec *recorder) {
 		e.NewProc("unbounded", 0, func(p *Proc) {
 			for k := 0; k < 10; k++ {
 				p.Advance(333)
@@ -739,7 +739,7 @@ func TestGoldenZeroQuantumInterleaved(t *testing.T) {
 // clock, the pending count and every proc's local clock at the boundary are
 // observable state, and resuming with Run must finish the same way.
 func TestGoldenRunUntilBoundary(t *testing.T) {
-	assertGolden(t, golden{end: 4554, seq: 156, hash: 0x9b5693ff143d638a, st: Stats{137, 0, 137, 0, 19, 0}}, func(e *Engine, rec *recorder) {
+	assertGolden(t, golden{end: 4554, seq: 156, hash: 0x9b5693ff143d638a, st: Stats{137, 0, 137, 0, 19, 0, 0}}, func(e *Engine, rec *recorder) {
 		var procs []*Proc
 		for i := 0; i < 3; i++ {
 			i := i
@@ -800,7 +800,7 @@ func TestQuantumExactlyEqualToStep(t *testing.T) {
 	e := NewEngine()
 	parks := 0
 	e.NewProc("p", 0, func(p *Proc) {
-		p.SetSyncHook(func() { parks++ })
+		p.SetSyncHook(func() { parks++ }, nil)
 		p.SetQuantum(100)
 		p.Advance(100) // lookahead == quantum: stays local
 		if e.Now() != 0 {

@@ -398,25 +398,10 @@ func (s *System) scratchWrite(core int, idx, frame uint32) {
 	s.chip.MPBWrite16(core, home, off, uint16(frame))
 }
 
-// tasSpin acquires a test-and-set register for h, retrying with a constant
-// 100-cycle backoff in plain runs — and, under hardened fault injection,
-// an exponential backoff (100 << attempt, capped) so a burst of dropped
-// requests cannot congest the register's mesh path.
+// tasSpin acquires a test-and-set register for h (see scc.Chip.TASSpin for
+// the backoff).
 func (s *System) tasSpin(h *Handle, reg int) {
-	attempt := 0
-	for !s.chip.TASLock(h.k.ID(), reg) {
-		backoff := uint64(100)
-		if s.chip.FaultsHardened() {
-			shift := attempt
-			if shift > 5 {
-				shift = 5
-			}
-			backoff <<= shift
-			attempt++
-			h.stats.TASBackoffs++
-		}
-		h.k.Core().Cycles(backoff)
-	}
+	h.stats.TASBackoffs += s.chip.TASSpin(h.k.ID(), reg)
 }
 
 // scratchLock serializes first-touch racing via the test-and-set register
