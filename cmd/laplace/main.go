@@ -17,7 +17,6 @@ import (
 	"metalsvm/internal/apps/laplace"
 	"metalsvm/internal/core"
 	"metalsvm/internal/cpu"
-	"metalsvm/internal/report"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/trace"
@@ -30,7 +29,7 @@ func main() {
 	cores := flag.Int("cores", 8, "number of cores (1..48)")
 	model := flag.String("model", "lazy", "variant: strong | lazy | ircce")
 	doTrace := flag.Bool("trace", false, "record and summarize protocol events")
-	doStats := flag.Bool("stats", false, "print per-core cache/mailbox/SVM statistics")
+	doStats := flag.Bool("stats", false, "print the end-of-run metrics snapshot (engine, mesh, cache, mailbox and SVM counters)")
 	flag.Parse()
 
 	p := laplace.Params{Rows: *rows, Cols: *cols, Iters: *iters, TopTemp: 100}
@@ -53,7 +52,7 @@ func main() {
 	}
 
 	var res laplace.Result
-	var statsFn func()
+	var obs *core.Observation
 	switch *model {
 	case "strong", "lazy":
 		m := svm.Strong
@@ -65,6 +64,7 @@ func main() {
 			Topology: &chipCfg,
 			SVM:      &scfg,
 			Members:  core.FirstN(*cores),
+			Observe:  core.Instrumentation{Metrics: *doStats},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -74,11 +74,7 @@ func main() {
 		app := laplace.NewSVM(p, laplace.SVMOptions{})
 		machine.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		res = app.Result()
-		statsFn = func() {
-			report.WriteCores(os.Stdout, report.CollectCores(machine.Chip, machine.Cluster.Members()))
-			report.WriteMailbox(os.Stdout, machine.Cluster.Mailbox())
-			report.WriteSVM(os.Stdout, machine.Cluster, machine.SVM)
-		}
+		obs = machine.Observability()
 	case "ircce":
 		b, err := core.NewBaseline(&chipCfg, core.FirstN(*cores))
 		if err != nil {
@@ -86,12 +82,12 @@ func main() {
 			os.Exit(1)
 		}
 		b.Chip.Tracer().SetRing(tracer)
+		// No kernels or SVM here: the snapshot holds the engine and mesh counters.
+		obs = core.Observe(core.Instrumentation{Metrics: *doStats}, b.Chip, nil, nil)
 		app := laplace.NewBaseline(p, b.Comm)
 		b.Run(func(rank int, c *cpu.Core) { app.Main(rank, c) })
+		obs.Finish()
 		res = app.Result()
-		statsFn = func() {
-			report.WriteCores(os.Stdout, report.CollectCores(b.Chip, core.FirstN(*cores)))
-		}
 	default:
 		fmt.Fprintf(os.Stderr, "laplace: unknown model %q\n", *model)
 		os.Exit(2)
@@ -113,9 +109,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *doStats && statsFn != nil {
-		fmt.Println("\nstatistics:")
-		statsFn()
+	if *doStats {
+		fmt.Println("\nmetrics:")
+		obs.MetricsSnapshot().WriteText(os.Stdout)
 	}
 	if tracer != nil {
 		fmt.Println("\nprotocol trace:")

@@ -29,7 +29,7 @@ type benchExperiment struct {
 
 func benchExperiments() []benchExperiment {
 	const fig6Rounds = 50
-	fig9Cfg := bench.QuickFig9(3)
+	fig9Cfg := bench.PaperFig9(3)
 	fig9Cfg.CoreCounts = []int{4, 8}
 	return []benchExperiment{
 		{

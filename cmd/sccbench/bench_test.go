@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,24 +63,6 @@ func TestDiffBaseline(t *testing.T) {
 	}
 }
 
-// TestBenchRejectsTopologyFlags: -bench measures the committed paper-chip
-// baseline and -sanitize checks the paper chip, so combining either with
-// -chips or -grid is a usage error (exit code 2) caught before anything runs
-// or is written.
-func TestBenchRejectsTopologyFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "-chips", "2"},
-		{"-bench", "-grid", "2x2x2"},
-		{"-bench", "-baseline", "-chips", "2", "-grid", "2x2x1"},
-		{"-sanitize", "-chips", "2"},
-		{"-sanitize", "-grid", "2x2x2"},
-	} {
-		if code := run(args); code != 2 {
-			t.Errorf("sccbench %s: exit code %d, want 2", strings.Join(args, " "), code)
-		}
-	}
-}
-
 // TestBenchReportHoldsOnlyBitExactFields runs -bench's loop over stand-in
 // experiments and checks the written file key by key: experiment names and
 // simulated microseconds, nothing that depends on the host.
@@ -135,6 +118,25 @@ func TestBenchFailsOnDivergenceAndDrift(t *testing.T) {
 	}
 }
 
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	f()
+	os.Stdout = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestFailedVerdictExitsNonZeroInEveryFormat feeds scale and kvstore results
 // through the functions run reports them with: a wrong checksum or a failed
 // audit must exit 1 after its JSON exactly as after its tables.
@@ -156,12 +158,18 @@ func TestFailedVerdictExitsNonZeroInEveryFormat(t *testing.T) {
 			{"kvstore audited", func(res *results) bool { return reportKVStore(goodKV, res) }, 0},
 			{"kvstore failed audit", func(res *results) bool { return reportKVStore(badKV, res) }, 1},
 		} {
-			var res *results
+			var o options
 			if jsonOut {
-				res = &results{}
+				o.res = &results{}
 			}
-			if code := finish(res, tc.report(res)); code != tc.want {
+			report := func(o *options) bool { return tc.report(o.res) }
+			var code int
+			out := captureStdout(t, func() { code = harnesses(report)(&o) })
+			if code != tc.want {
 				t.Errorf("%s, -json=%v: exit code %d, want %d", tc.name, jsonOut, code, tc.want)
+			}
+			if jsonOut && !strings.HasPrefix(out, "{") {
+				t.Errorf("%s, -json: printed %q, want the JSON results", tc.name, out)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -47,31 +46,32 @@ type chaosJSON struct {
 // compute bit-exact results, the recovery counters show the faults were
 // real, and an identical seed replays bit-identically. On failure it writes
 // the diagnostic dump to chaos-dump.txt and returns a nonzero exit code.
-// A non-nil topo runs the application cells on that machine with a small
+// A -chips/-grid machine runs the application cells with a small
 // chip-spanning member set (see smokeMembers), putting the inter-chip link
 // under the same fault schedule; the single-chip mail cells are skipped
 // there, and the crash suite uses the topology's default worker split.
-// jsonOut replaces the table with a machine-readable summary that carries
+// -json replaces the table with a machine-readable summary that carries
 // each cell's per-route fault counts.
-func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int {
-	fc, err := faults.ParseConfig(arg)
+func runChaos(o *options) int {
+	schedule := chaosSpecName(o.chaos)
+	fc, err := faults.ParseConfig(o.chaos)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v (presets: %s)\n", err, strings.Join(faults.Presets(), ", "))
 		return 2
 	}
-	summary := chaosJSON{Seed: fc.Seed, Schedule: chaosSpecName(arg), OK: true}
+	summary := chaosJSON{Seed: fc.Seed, Schedule: schedule, OK: true}
 	say := func(format string, args ...any) {
-		if !jsonOut {
+		if !o.json {
 			fmt.Printf(format, args...)
 		}
 	}
-	say("chaos: seed %d, schedule %q\n", fc.Seed, chaosSpecName(arg))
-	appChip := chaosChip()
+	say("chaos: seed %d, schedule %q\n", fc.Seed, schedule)
+	appChip := bench.ShrunkChip(scc.PaperSCC())
 	members := core.FirstN(4)
 	dirWorkers := core.FirstN(4)
-	if topo != nil {
-		appChip = bench.ShrunkChip(*topo)
-		members = smokeMembers(*topo)
+	if o.topo != nil {
+		appChip = bench.ShrunkChip(*o.topo)
+		members = smokeMembers(*o.topo)
 		dirWorkers = nil // the default split: all cores minus each chip's manager trio
 		say("chaos: %d chip(s), %d cores\n", appChip.Chips, len(members))
 	}
@@ -137,12 +137,12 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 		pass(name, r.US, r)
 	}
 
-	if topo == nil {
+	if o.topo == nil {
 		// Figure 6 cell (IPI at maximum distance), with a bit-identical
 		// replay.
-		r6 := bench.Fig6Chaos(rounds, &fc)
+		r6 := bench.Fig6Chaos(o.rounds, &fc)
 		check("fig6 ipi", r6)
-		if r6b := bench.Fig6Chaos(rounds, &fc); r6b.US != r6.US || r6b.Faults != r6.Faults {
+		if r6b := bench.Fig6Chaos(o.rounds, &fc); r6b.US != r6.US || r6b.Faults != r6.Faults {
 			fail("fig6 replay", "same seed diverged: %.6f/%v vs %.6f/%v",
 				r6.US, r6.Faults.Injected(), r6b.US, r6b.Faults.Injected())
 		} else {
@@ -150,15 +150,13 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 		}
 
 		// Figure 7 cell (polling, 8 activated cores).
-		check("fig7 polling", bench.Fig7Chaos(rounds, 8, &fc))
+		check("fig7 polling", bench.Fig7Chaos(o.rounds, 8, &fc))
 	}
 
 	// Figure 9 / Laplace under both consistency models: the result must be
-	// the exact reference checksum despite the faults.
-	lp := laplace.Params{Rows: 64, Cols: 32, Iters: iters, TopTemp: 100}
-	if lp.Iters > 50 {
-		lp.Iters = 50 // the chaos sweep needs shape, not the full figure
-	}
+	// the exact reference checksum despite the faults. The chaos sweep needs
+	// shape, not the full figure.
+	lp := laplace.Params{Rows: 64, Cols: 32, Iters: min(o.iters, 50), TopTemp: 100}
 	lcfg := bench.Fig9Config{Params: lp, Chip: appChip}
 	want := laplace.ReferenceChecksum(lp)
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
@@ -198,10 +196,8 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 	// real failover (and, under the strong model, dead-owner reclaims), and
 	// the same seed must replay bit-identically.
 	if len(fc.Spec.Crashes) > 0 {
-		cp := laplace.Params{Rows: 16, Cols: 512, Iters: iters, TopTemp: 100}
-		if cp.Iters > 8 {
-			cp.Iters = 8 // one 4 KiB page per row is the point, not the length
-		}
+		// One 4 KiB page per row is the point, not the length.
+		cp := laplace.Params{Rows: 16, Cols: 512, Iters: min(o.iters, 8), TopTemp: 100}
 		ccfg := bench.Fig9Config{Params: cp, Chip: appChip}
 		cwant := laplace.ReferenceChecksum(cp)
 		for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
@@ -294,30 +290,13 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 		kp := kvstore.DefaultParams()
 		kp.Requests = 3000
 		kp.Seed = fc.Seed
-		var ktopo scc.Config
-		switch {
-		case topo != nil:
-			ktopo = *topo
-		case fc.Spec.HasPartitionMarker():
-			ktopo = scc.MultiChip(2, scc.Grid(2, 2, 2))
-		default:
-			ktopo = scc.Grid(4, 4, 1)
-		}
+		ktopo := kvTopology(o.topo, schedule)
 		withDir := len(fc.Spec.Crashes) > 0
 		kr := bench.RunKV(kp, ktopo, &fc, withDir)
-		switch {
-		case !kr.Completed:
-			fail("kvstore", "run froze; watchdog report follows")
-			fmt.Fprintln(&dump, kr.Watchdog)
-		case !kr.KV.AuditOK:
-			fail("kvstore", "exactly-once audit failed: %s", strings.Join(kr.KV.AuditErrors, "; "))
-		case kr.KV.Issued != kr.KV.Applied+kr.KV.Shed+kr.KV.Expired:
-			fail("kvstore", "outcome taxonomy leak: %+v", kr.KV)
-		case kr.MinGoodput() == 0:
-			fail("kvstore", "a goodput window stalled: %v", kr.KV.GoodputWindows)
-		case kr.Faults.Injected() == 0:
-			fail("kvstore", "schedule injected no faults")
-		default:
+		// The kvstore command's acceptance checks, under this schedule.
+		if row := kvRow(schedule, ktopo, kp, kr); !row.OK {
+			fail("kvstore", "%s", row.Err)
+		} else {
 			say("  %-16s %10.3f us   ok (%d applied, %d shed, %d expired, %d failovers, %d injected)\n",
 				"kvstore", kr.EndUS, kr.KV.Applied, kr.KV.Shed, kr.KV.Expired,
 				kr.KV.Failovers, kr.Faults.Injected())
@@ -332,17 +311,12 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 		}
 	}
 
-	if jsonOut {
-		out, err := json.MarshalIndent(summary, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
-		}
-		fmt.Println(string(out))
+	if o.json && !printJSON(summary) {
+		return 1
 	}
 	if !ok {
 		fmt.Fprintf(&dump, "\nchaos: seed %d schedule %q rounds %d iters %d\n",
-			fc.Seed, chaosSpecName(arg), rounds, iters)
+			fc.Seed, schedule, o.rounds, o.iters)
 		if err := os.WriteFile(chaosDumpFile, []byte(dump.String()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "sccbench: writing %s: %v\n", chaosDumpFile, err)
 		} else {
@@ -352,15 +326,6 @@ func runChaos(arg string, rounds, iters int, topo *scc.Config, jsonOut bool) int
 	}
 	say("chaos: all cells recovered; application results bit-exact\n")
 	return 0
-}
-
-// chaosChip is the platform for the chaos application cells: small memories
-// keep the host footprint down, the protocols are untouched.
-func chaosChip() scc.Config {
-	cfg := scc.DefaultConfig()
-	cfg.PrivateMemPerCore = 1 << 20
-	cfg.SharedMem = 16 << 20
-	return cfg
 }
 
 // chaosMatmul runs the matmul workload on a faulty machine.

@@ -21,92 +21,104 @@ import (
 	"metalsvm/internal/svm"
 )
 
-// runCheck executes every shipped workload under both consistency models
-// with the happens-before race checker enabled and reports the verdicts.
-// The cells of the matrix are independent simulations, so they fan out
-// across the host pool; each cell writes its report into its own buffer
+// suite is one whole-workload checker: the happens-before race checker
+// (-check) or the sanitizer suite (-sanitize: shadow memory over the SVM
+// window, Eraser-style locksets and the lock-order graph).
+type suite struct {
+	tool, title, clean string
+	inst               core.Instrumentation
+	paperCells         []func(io.Writer) bool // cells defined on the paper chip only
+}
+
+var raceSuite = suite{
+	tool:       "racecheck",
+	title:      "happens-before analysis of the shipped workloads",
+	clean:      "all workloads race-free",
+	inst:       core.Instrumentation{Race: &racecheck.Config{}},
+	paperCells: []func(io.Writer) bool{checkDomains, checkPerturbation},
+}
+
+var sanSuite = suite{
+	tool:       "sancheck",
+	title:      "shadow-memory, lockset and lock-order analysis of the shipped workloads",
+	clean:      "all workloads clean",
+	inst:       core.Instrumentation{Sanitize: &sancheck.Config{}},
+	paperCells: []func(io.Writer) bool{sanitizeHarnesses},
+}
+
+// run executes every shipped workload under both consistency models
+// with the suite's checker enabled, then the suite's paper-chip cells, and
+// reports the verdicts. The cells are independent simulations, so they fan
+// out across the host pool; each cell writes its report into its own buffer
 // and the buffers print in matrix order, so the output is identical at any
-// parallelism. It returns false if any workload raced. A non-nil topo runs
-// the application cells on that machine with a small chip-spanning member
-// set (see smokeMembers) instead of 8 cores of the paper chip.
-func runCheck(workers int, topo *scc.Config) bool {
-	fmt.Println("racecheck: happens-before analysis of the shipped workloads")
+// parallelism. It returns false if any cell reported a finding. A
+// -chips/-grid machine runs the application cells with a small
+// chip-spanning member set (see smokeMembers) instead of 8 cores of the
+// paper chip.
+func (s suite) run(o *options) bool {
+	fmt.Printf("%s: %s\n", s.tool, s.title)
 	members := core.FirstN(8)
-	if topo != nil {
-		members = smokeMembers(*topo)
-		fmt.Printf("racecheck: %d chip(s), %d cores activated\n", topo.Normalized().Chips, len(members))
+	if o.topo != nil {
+		members = smokeMembers(*o.topo)
+		fmt.Printf("%s: %d chip(s), %d cores activated\n", s.tool, o.topo.Normalized().Chips, len(members))
 	}
-	type cell struct {
-		run func(io.Writer) bool
-		out bytes.Buffer
-		ok  bool
-	}
-	var cells []*cell
+	var cells []func(io.Writer) bool
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-		for _, w := range []struct {
-			name string
-			main func() func(*core.Env)
-		}{
-			{"laplace", laplaceMain},
-			{"matmul", matmulMain},
-			{"taskfarm", taskfarmMain},
-		} {
-			name, main, model := w.name, w.main, model
-			cells = append(cells, &cell{run: func(out io.Writer) bool {
-				return checkOne(out, name, model, topo, members, main())
-			}})
+		for _, w := range checkedApps {
+			cells = append(cells, func(out io.Writer) bool {
+				return checkOne(out, s, w.name, model, o.topo, members, w.build())
+			})
 		}
 	}
-	if topo == nil {
-		// The domain and perturbation cells are defined on the paper chip.
-		cells = append(cells, &cell{run: checkDomains})
-		cells = append(cells, &cell{run: checkPerturbation})
+	if o.topo == nil {
+		cells = append(cells, s.paperCells...)
 	}
 
-	p := runner.New(workers)
-	p.Run(len(cells), func(i int) { cells[i].ok = cells[i].run(&cells[i].out) })
+	outs := make([]bytes.Buffer, len(cells))
+	oks := make([]bool, len(cells))
+	runner.New(o.parallel).Run(len(cells), func(i int) { oks[i] = cells[i](&outs[i]) })
 
 	ok := true
-	for _, c := range cells {
-		os.Stdout.Write(c.out.Bytes())
-		ok = ok && c.ok
+	for i := range cells {
+		os.Stdout.Write(outs[i].Bytes())
+		ok = ok && oks[i]
 	}
 	if ok {
-		fmt.Println("racecheck: all workloads race-free")
+		fmt.Printf("%s: %s\n", s.tool, s.clean)
 	}
 	return ok
 }
 
-func laplaceMain() func(*core.Env) {
-	app := laplace.NewSVM(laplace.Params{Rows: 32, Cols: 32, Iters: 10, TopTemp: 100},
-		laplace.SVMOptions{})
-	return func(env *core.Env) { app.Main(env.SVM) }
+// svmApp is a shipped application; every member core runs its Main.
+type svmApp interface{ Main(*svm.Handle) }
+
+// checkedApps are the application cells of -check and -sanitize. Each cell
+// builds its own instance.
+var checkedApps = []struct {
+	name  string
+	build func() svmApp
+}{
+	{"laplace", func() svmApp {
+		return laplace.NewSVM(laplace.Params{Rows: 32, Cols: 32, Iters: 10, TopTemp: 100}, laplace.SVMOptions{})
+	}},
+	{"matmul", func() svmApp { return matmul.New(matmul.Params{N: 16}) }},
+	{"taskfarm", func() svmApp { return taskfarm.New(taskfarm.DefaultParams()) }},
 }
 
-func matmulMain() func(*core.Env) {
-	app := matmul.New(matmul.Params{N: 16})
-	return func(env *core.Env) { app.Main(env.SVM) }
-}
-
-func taskfarmMain() func(*core.Env) {
-	app := taskfarm.New(taskfarm.DefaultParams())
-	return func(env *core.Env) { app.Main(env.SVM) }
-}
-
-func checkOne(out io.Writer, name string, model svm.Model, topo *scc.Config, members []int, main func(*core.Env)) bool {
+func checkOne(out io.Writer, s suite, name string, model svm.Model, topo *scc.Config, members []int, app svmApp) bool {
 	scfg := svm.DefaultConfig(model)
 	m, err := core.NewMachine(core.Options{
 		Topology: topo,
 		SVM:      &scfg,
 		Members:  members,
-		Observe:  core.Instrumentation{Race: &racecheck.Config{}},
+		Observe:  s.inst,
 	})
 	if err != nil {
-		fmt.Fprintf(out, "racecheck: %s under %v: %v\n", name, model, err)
+		fmt.Fprintf(out, "%s: %s under %v: %v\n", s.tool, name, model, err)
 		return false
 	}
-	m.RunAll(main)
-	return verdict(out, fmt.Sprintf("%-9s under %-12v", name, model), m.Race)
+	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+	return verdict(out, fmt.Sprintf("%-9s under %-12v", name, model), m.Observability())
 }
 
 // checkDomains runs barrier-ordered traffic in two independent coherency
@@ -120,7 +132,7 @@ func checkDomains(out io.Writer) bool {
 		fmt.Fprintf(out, "racecheck: domains: %v\n", err)
 		return false
 	}
-	k := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}}).Race()
+	obs := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}})
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -130,7 +142,7 @@ func checkDomains(out io.Writer) bool {
 		env.SVM.Barrier()
 		env.Core().Load64(base)
 	})
-	return verdict(out, "domains  (2 independent)  ", k)
+	return verdict(out, "domains  (2 independent)  ", obs)
 }
 
 // checkPerturbation enforces the observability contract on representative
@@ -168,7 +180,7 @@ func checkPerturbation(out io.Writer) bool {
 	t1o, _ := bench.Table1Observed(svm.Strong, inst)
 	verdict("table1", t1, t1o)
 
-	cfg := bench.QuickFig9(2)
+	cfg := bench.PaperFig9(2)
 	p9 := bench.Fig9RunSVM(cfg, svm.Strong, 2)
 	o9, _ := bench.Fig9Observed(cfg, svm.Strong, 2, inst)
 	verdict("fig9", p9, o9)
@@ -192,12 +204,37 @@ func checkPerturbation(out io.Writer) bool {
 	return ok
 }
 
-func verdict(out io.Writer, label string, k *racecheck.Checker) bool {
+// sanitizeHarnesses runs representative figure-harness cells sanitized: the
+// mailbox ping-pongs never touch the SVM window, so a clean verdict here
+// proves the checker does not misfire on private or MPB traffic.
+func sanitizeHarnesses(out io.Writer) bool {
+	inst := core.Instrumentation{Sanitize: &sancheck.Config{}}
+	_, o6 := bench.Fig6Observed(50, inst)
+	ok := verdict(out, "fig6      harness      ", o6)
+	_, o7 := bench.Fig7Observed(50, 8, inst)
+	return verdict(out, "fig7      harness      ", o7) && ok
+}
+
+// verdict prints one cell's line from whichever checker obs carries, plus
+// the checker's report when it found anything.
+func verdict(out io.Writer, label string, obs *core.Observation) bool {
+	var k interface {
+		Clean() bool
+		Dynamic() uint64
+		Report(io.Writer)
+	}
+	reported, bad := 0, "RACES"
+	if r := obs.Race(); r != nil {
+		k, reported = r, len(r.Races())
+	} else {
+		san := obs.San()
+		k, reported, bad = san, len(san.Findings()), "FINDINGS"
+	}
 	if k.Clean() {
-		fmt.Fprintf(out, "  %s  ok (%d reported, %d observed)\n", label, len(k.Races()), k.Dynamic())
+		fmt.Fprintf(out, "  %s  ok (%d reported, %d observed)\n", label, reported, k.Dynamic())
 		return true
 	}
-	fmt.Fprintf(out, "  %s  RACES: %d observation(s)\n", label, k.Dynamic())
+	fmt.Fprintf(out, "  %s  %s: %d observation(s)\n", label, bad, k.Dynamic())
 	k.Report(out)
 	return false
 }

@@ -49,8 +49,10 @@ var goldenRows = []struct {
 	{"chaos-crash", []string{"-rounds", "50", "-iters", "20", "-chaos", "4,crash"}},
 	{"metrics-fig6", []string{"-rounds", "50", "-metrics", "fig6"}},
 	{"kvstore", []string{"-kv-requests", "500", "kvstore"}},
+	{"info", []string{"info"}},
 
-	// Usage errors: exit 2 before anything runs, nothing on stdout.
+	// Usage errors: exit 2 before anything runs, nothing on stdout. A flag
+	// the selected mode does not read is one, -chips/-grid included.
 	{"reject-table1-chips", []string{"-chips", "2", "table1"}},
 	{"reject-bench-chips", []string{"-bench", "-chips", "2"}},
 	{"reject-bench-grid", []string{"-bench", "-grid", "2x2x2"}},
@@ -59,6 +61,10 @@ var goldenRows = []struct {
 	{"reject-sanitize-grid", []string{"-sanitize", "-grid", "2x2x2"}},
 	{"reject-metrics-chips", []string{"-metrics", "-chips", "2", "fig6"}},
 	{"reject-unknown-command", []string{"nosuch"}},
+	{"reject-check-sanitize", []string{"-check", "-sanitize"}},
+	{"reject-sanitize-json", []string{"-json", "-sanitize"}},
+	{"reject-fig6-baseline", []string{"-baseline", "-rounds", "20", "fig6"}},
+	{"reject-fig6-kv-seed", []string{"-kv-seed", "3", "fig6"}},
 }
 
 // TestGolden runs each row in a fresh working directory (the chaos harness

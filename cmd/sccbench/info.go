@@ -1,25 +1,21 @@
-// Command sccinfo prints the simulated platform's geometry and latency
-// reference — the quick orientation the SCC Programmer's Guide tables give
-// for the real chip.
-//
-//	sccinfo
 package main
 
 import (
 	"fmt"
 
+	"metalsvm/internal/bench"
 	"metalsvm/internal/cache"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/stats"
 )
 
-func main() {
-	eng := sim.NewEngine()
-	cfg := scc.DefaultConfig()
-	cfg.PrivateMemPerCore = 1 << 20
-	cfg.SharedMem = 16 << 20
-	chip, err := scc.New(eng, cfg)
+// info prints the simulated platform's geometry and latency reference — the
+// quick orientation the SCC Programmer's Guide tables give for the real
+// chip.
+func info(*options) bool {
+	cfg := bench.ShrunkChip(scc.PaperSCC())
+	chip, err := scc.New(sim.NewEngine(), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -88,4 +84,5 @@ func main() {
 	t.AddRow("shared (SVM pool)", fmt.Sprintf("%#x", chip.Layout().SharedBase()),
 		fmt.Sprintf("%d MiB (%d pages)", cfg.SharedMem>>20, chip.Layout().SharedFrames()))
 	fmt.Print(t)
+	return true
 }

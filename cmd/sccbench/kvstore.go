@@ -74,18 +74,17 @@ func kvTopology(topo *scc.Config, schedule string) scc.Config {
 // every window, and the report prints the latency quantiles and the
 // goodput-over-time curve so degradation under faults is visible next to
 // the fault-free baseline.
-func runKVStore(requests int, seed uint64, topo *scc.Config, res *results) bool {
+func runKVStore(o *options) bool {
 	p := kvstore.DefaultParams()
-	p.Requests = requests
-	p.Seed = seed
+	p.Requests, p.Seed = o.kvRequests, o.kvSeed
 
-	if res == nil {
-		fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", requests, seed)
+	if o.res == nil {
+		fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", p.Requests, p.Seed)
 		fmt.Printf("  %-10s %7s %7s %7s %5s | %22s | %18s | %s\n",
 			"schedule", "applied", "shed", "expired", "fails",
 			"put p50/p99/p999", "get p50/p99", "min goodput/window")
 	}
-	out := kvstoreResults{Requests: requests, Seed: seed, WindowUS: p.WindowUS}
+	out := kvstoreResults{Requests: p.Requests, Seed: p.Seed, WindowUS: p.WindowUS}
 	for _, schedule := range kvSchedules {
 		var fc *faults.Config
 		withDir := false
@@ -94,18 +93,18 @@ func runKVStore(requests int, seed uint64, topo *scc.Config, res *results) bool 
 			if !ok {
 				panic("kvstore: unknown preset " + schedule)
 			}
-			fc = &faults.Config{Seed: seed, Spec: spec}
+			fc = &faults.Config{Seed: p.Seed, Spec: spec}
 			withDir = len(spec.Crashes) > 0
 		}
-		t := kvTopology(topo, schedule)
+		t := kvTopology(o.topo, schedule)
 		r := bench.RunKV(p, t, fc, withDir)
 		row := kvRow(schedule, t, p, r)
 		out.Schedules = append(out.Schedules, row)
-		if res == nil {
+		if o.res == nil {
 			kvPrintRow(row, r)
 		}
 	}
-	return reportKVStore(out, res)
+	return reportKVStore(out, o.res)
 }
 
 // reportKVStore closes the kvstore report (or collects it for -json) and

@@ -2,15 +2,12 @@
 // evaluation (Section 7) on the simulated SCC platform, plus the ablation
 // studies DESIGN.md calls out.
 //
-// Usage:
-//
-//	sccbench fig6            mail latency vs mesh distance (Figure 6)
-//	sccbench fig7            mail latency vs activated cores (Figure 7)
-//	sccbench table1          SVM overheads (Table 1)
-//	sccbench fig9            Laplace runtimes (Figure 9)
-//	sccbench scale           Laplace + task farm completion on every core
-//	sccbench ablation        WCB / scratchpad / read-only-L2 studies
-//	sccbench all             everything above
+// Each mode is one row of the table in modes: a command word (fig6, fig7,
+// table1, fig9, scale, ablation, kvstore, comm, all, info) or a selecting
+// flag (-check, -sanitize, -chaos, -bench, -metrics/-profile/-perfetto),
+// the flags it reads, and whether it runs on a -chips/-grid machine.
+// `sccbench -h` prints the table. A flag the selected mode does not read
+// is a usage error, not silently ignored.
 //
 // Flags tune the measurement sizes; the defaults give the paper's shapes
 // in well under a coffee break. All times are simulated (533 MHz cores,
@@ -19,8 +16,8 @@
 // -chips and -grid select a different machine through the validated
 // topology API: -grid WxHxC reshapes each chip's tile grid and -chips N
 // couples N such chips over the inter-chip link. The topology-aware
-// harnesses (fig6, fig7, fig9, scale, -check, -chaos) then run on that
-// machine — e.g. `sccbench -chips 4 -grid 8x8x2 scale` boots 512 cores.
+// modes then run on that machine — e.g. `sccbench -chips 4 -grid 8x8x2
+// scale` boots 512 cores.
 //
 // Independent simulations (one per sweep point) fan out across host CPUs
 // by default; -parallel 1 forces serial execution. The results are
@@ -43,63 +40,172 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"metalsvm/internal/bench"
 	"metalsvm/internal/core"
 	"metalsvm/internal/scc"
-	"metalsvm/internal/stats"
-	"metalsvm/internal/svm"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
 
+// options holds the parsed flags plus what run derives from them: the
+// -chips/-grid machine (nil for the paper chip), the command word, and the
+// results collected for -json (nil for tables).
+type options struct {
+	rounds, chips, iters, kvRequests, parallel    int
+	kvSeed                                        uint64
+	grid, chaos, cpuprofile, memprofile, perfetto string
+	full, baseline, json, metrics, profile        bool
+
+	topo *scc.Config
+	cmd  string
+	res  *results
+}
+
+// mode is one row of the mode table.
+type mode struct {
+	name  string // the command word, or "-flag" (alternatives joined by '|') for a mode a flag selects
+	arg   string // the command word a flag-selected mode takes; empty: none
+	flags string // the flags the mode reads besides -parallel, -cpuprofile and -memprofile
+	topo  bool   // the mode runs on a -chips/-grid machine
+	help  string
+	run   func(o *options) int // returns the exit code
+}
+
+// reads lists the mode's flags, -chips and -grid included where it runs on
+// them.
+func (m *mode) reads() []string {
+	f := strings.Fields(m.flags)
+	if m.topo {
+		f = append(f, "chips", "grid")
+	}
+	return f
+}
+
+// modes is the mode table: run selects the first row whose flag is set,
+// else the row the command word names, and rejects every flag that row
+// does not read.
+var modes = []mode{
+	{name: "fig6", flags: "rounds json", topo: true, help: "mail latency vs mesh distance (Figure 6)", run: harnesses(fig6)},
+	{name: "fig7", flags: "rounds json", topo: true, help: "mail latency vs activated cores (Figure 7)", run: harnesses(fig7)},
+	{name: "table1", flags: "json", help: "SVM overheads (Table 1)", run: harnesses(table1)},
+	{name: "fig9", flags: "iters full json", topo: true, help: "Laplace runtimes (Figure 9)", run: harnesses(fig9)},
+	{name: "scale", flags: "json", topo: true, help: "Laplace + task farm completion on every core", run: harnesses(scale)},
+	{name: "ablation", flags: "iters full json", help: "WCB / scratchpad / next-touch / read-only-L2 studies", run: harnesses(ablation)},
+	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: harnesses(runKVStore)},
+	{name: "comm", flags: "rounds json", help: "RCCE transfer latency and bandwidth", run: harnesses(comm)},
+	{name: "all", flags: "rounds iters full json", help: "fig6 fig7 table1 fig9 scale ablation comm",
+		run: harnesses(fig6, fig7, table1, fig9, scale, ablation, comm)},
+	{name: "info", help: "platform geometry and latency reference", run: harnesses(info)},
+	{name: "-check", flags: "check", topo: true, help: "race checker and zero-perturbation cells over every workload",
+		run: harnesses(raceSuite.run)},
+	{name: "-sanitize", flags: "sanitize", help: "sanitizer suite over every workload", run: harnesses(sanSuite.run)},
+	{name: "-chaos", flags: "chaos rounds iters json", topo: true, help: "representative cells under deterministic fault injection",
+		run: runChaos},
+	{name: "-bench", flags: "bench baseline", help: "serial = parallel check, then write BENCH_sim.json",
+		run: func(o *options) int { return runBench(benchExperiments(), benchReportFile, o.parallel, o.baseline) }},
+	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters full",
+		help: "one instrumented cell per harness", run: runObserve},
+}
+
+// harnesses runs the harnesses in order (a blank line between their
+// tables), prints the collected -json results, if any, and turns the
+// verdicts into the exit code. The verdict does not depend on the output
+// format: a failed checksum or audit exits 1 after its JSON as after its
+// tables.
+func harnesses(hs ...func(o *options) bool) func(o *options) int {
+	return func(o *options) int {
+		ok := true
+		for i, h := range hs {
+			if i > 0 && o.res == nil {
+				fmt.Println()
+			}
+			ok = h(o) && ok
+		}
+		if o.res != nil && !printJSON(o.res) || !ok {
+			return 1
+		}
+		return 0
+	}
+}
+
 // run holds the real main so profile teardown runs before the process
 // exits (os.Exit skips deferred calls) and tests can drive the flag handling.
 func run(args []string) int {
+	var o options
 	fs := flag.NewFlagSet("sccbench", flag.ExitOnError)
-	rounds := fs.Int("rounds", 200, "ping-pong rounds per mailbox measurement")
-	chips := fs.Int("chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
-	grid := fs.String("grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
-	iters := fs.Int("iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
-	fullLaplace := fs.Bool("full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
-	check := fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
-	sanitize := fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
-	baseline := fs.Bool("baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
-	chaos := fs.String("chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
-	kvRequests := fs.Int("kv-requests", 20000, "with the kvstore command: total requests across all client cores")
-	kvSeed := fs.Uint64("kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
-	parallel := fs.Int("parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
-	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
-	memprofile := fs.String("memprofile", "", "write a host heap profile to `file` at exit")
-	jsonOut := fs.Bool("json", false, "emit results as JSON instead of tables")
-	benchMode := fs.Bool("bench", false, "run the quick experiments serially and with the parallel runner, verify the two agree bit-exactly, and write their simulated results to BENCH_sim.json")
-	metricsFlag := fs.Bool("metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
-	profileFlag := fs.Bool("profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
-	perfettoOut := fs.String("perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
+	fs.IntVar(&o.rounds, "rounds", 200, "ping-pong rounds per mailbox measurement")
+	fs.IntVar(&o.chips, "chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
+	fs.StringVar(&o.grid, "grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
+	fs.IntVar(&o.iters, "iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
+	fs.BoolVar(&o.full, "full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
+	fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
+	fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
+	fs.BoolVar(&o.baseline, "baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
+	fs.StringVar(&o.chaos, "chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
+	fs.IntVar(&o.kvRequests, "kv-requests", 20000, "with the kvstore command: total requests across all client cores")
+	fs.Uint64Var(&o.kvSeed, "kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
+	fs.IntVar(&o.parallel, "parallel", 0, "max simulations in flight (0 = one per host CPU, 1 = serial)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a host CPU profile to `file`")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a host heap profile to `file` at exit")
+	fs.BoolVar(&o.json, "json", false, "emit results as JSON instead of tables")
+	fs.Bool("bench", false, "run the quick experiments serially and with the parallel runner, verify the two agree bit-exactly, and write their simulated results to BENCH_sim.json")
+	fs.BoolVar(&o.metrics, "metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
+	fs.BoolVar(&o.profile, "profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
+	fs.StringVar(&o.perfetto, "perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sccbench [flags] fig6|fig7|table1|fig9|scale|ablation|kvstore|all\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-kv-requests N -kv-seed S] kvstore  (KV store SLO report under chaos)\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -chips N -grid WxHxC fig6|fig7|fig9|scale\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-chips N -grid WxHxC] -check\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -sanitize\n")
-		fmt.Fprintf(os.Stderr, "       sccbench [-chips N -grid WxHxC] -chaos seed[,spec]\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -bench [-baseline]\n")
-		fmt.Fprintf(os.Stderr, "       sccbench -metrics|-profile|-perfetto out.json fig6|fig7|table1|fig9|repldir|all\n")
+		fmt.Fprintf(os.Stderr, "usage: sccbench [flags] mode\nmodes, and the flags each reads besides -parallel, -cpuprofile and -memprofile:\n")
+		for _, m := range modes {
+			fmt.Fprintf(os.Stderr, "  sccbench %s\n      %s; reads: %s\n", strings.TrimSpace(m.name+" "+m.arg), m.help, strings.Join(m.reads(), " "))
+		}
 		fs.PrintDefaults()
 	}
 	fs.Parse(args) // ExitOnError: a bad flag prints the usage and exits 2
-	topo, err := parseTopology(*chips, *grid)
-	if err != nil {
+
+	m := selectMode(fs)
+	if m == nil {
+		fs.Usage()
+		return 2
+	}
+	accepts := append(m.reads(), "parallel", "cpuprofile", "memprofile")
+	unread := ""
+	fs.Visit(func(f *flag.Flag) {
+		if unread == "" && !slices.Contains(accepts, f.Name) {
+			unread = f.Name
+		}
+	})
+	if unread != "" {
+		fmt.Fprintf(os.Stderr, "sccbench: %s does not read -%s\n", m.name, unread)
+		return 2
+	}
+	// A command row's word is its argument; a flag-selected row takes one of
+	// the words in its arg, or none.
+	wantArg := m.name[0] != '-' || m.arg != ""
+	if fs.NArg() > 1 || (fs.NArg() == 1) != wantArg ||
+		m.arg != "" && !slices.Contains(strings.Split(m.arg, "|"), fs.Arg(0)) {
+		fs.Usage()
+		return 2
+	}
+	o.cmd = fs.Arg(0)
+	if o.full { // only the modes that run the Laplace benchmark read -full
+		o.iters = 5000
+	}
+	var err error
+	if o.topo, err = parseTopology(o.chips, o.grid); err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
 		return 2
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: -cpuprofile: %v\n", err)
-			return 1
+	if o.json {
+		o.res = &results{}
+	}
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "sccbench: -cpuprofile: %v\n", err)
 			return 1
 		}
@@ -108,9 +214,9 @@ func run(args []string) int {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sccbench: -memprofile: %v\n", err)
 				return
@@ -122,118 +228,40 @@ func run(args []string) int {
 			}
 		}()
 	}
-	bench.SetParallelism(*parallel)
-	if *check {
-		if !runCheck(*parallel, topo) {
-			return 1
-		}
-		return 0
-	}
-	if *sanitize {
-		if topo != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: -sanitize checks the paper chip; drop -chips/-grid\n")
-			return 2
-		}
-		if !runSanitize(*parallel) {
-			return 1
-		}
-		return 0
-	}
-	if *chaos != "" {
-		return runChaos(*chaos, *rounds, *iters, topo, *jsonOut)
-	}
-	if *benchMode {
-		if topo != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: -bench measures the committed paper-chip baseline; drop -chips/-grid\n")
-			return 2
-		}
-		return runBench(benchExperiments(), benchReportFile, *parallel, *baseline)
-	}
-	if fs.NArg() != 1 {
-		fs.Usage()
-		return 2
-	}
-	cmd := fs.Arg(0)
-	n := *iters
-	if *fullLaplace {
-		n = 5000
-	}
-	oc := observeConfig{metrics: *metricsFlag, profile: *profileFlag, perfetto: *perfettoOut}
-	if oc.enabled() {
-		if topo != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: the instrumented cells run on the paper chip; drop -chips/-grid\n")
-			return 2
-		}
-		return runObserve(cmd, *rounds, n, oc)
-	}
-	var res *results
-	if *jsonOut {
-		res = &results{}
-	}
-	if topo != nil {
-		switch cmd {
-		case "fig6", "fig7", "fig9", "scale", "kvstore":
-		default:
-			fmt.Fprintf(os.Stderr, "sccbench: %s is defined on the paper chip; use fig6|fig7|fig9|scale with -chips/-grid\n", cmd)
-			return 2
-		}
-	}
-	ok := true
-	switch cmd {
-	case "fig6":
-		fig6(topo, *rounds, res)
-	case "fig7":
-		fig7(topo, *rounds, res)
-	case "table1":
-		table1(res)
-	case "fig9":
-		fig9(topo, n, res)
-	case "scale":
-		ok = scale(topo, res)
-	case "ablation":
-		ablation(n, res)
-	case "kvstore":
-		ok = runKVStore(*kvRequests, *kvSeed, topo, res)
-	case "comm":
-		comm(*rounds, res)
-	case "all":
-		fig6(topo, *rounds, res)
-		sep(res)
-		fig7(topo, *rounds, res)
-		sep(res)
-		table1(res)
-		sep(res)
-		fig9(topo, n, res)
-		sep(res)
-		ok = scale(topo, res)
-		sep(res)
-		ablation(n, res)
-		sep(res)
-		comm(*rounds, res)
-	default:
-		fs.Usage()
-		return 2
-	}
-	return finish(res, ok)
+	bench.SetParallelism(o.parallel)
+	return m.run(&o)
 }
 
-// finish prints the collected -json results, if any, and turns the run's
-// verdict into the exit code. The verdict does not depend on the output
-// format: a failed checksum or audit exits 1 after its JSON as after its
-// tables.
-func finish(res *results, ok bool) int {
-	if res != nil {
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-			return 1
+// selectMode returns the first row one of whose selecting flags is on (not
+// false or empty), else the row named by the command word, else nil.
+func selectMode(fs *flag.FlagSet) *mode {
+	for i, m := range modes {
+		for _, sel := range strings.Split(m.name, "|") {
+			if name, isFlag := strings.CutPrefix(sel, "-"); isFlag {
+				if v := fs.Lookup(name).Value.String(); v != "false" && v != "" {
+					return &modes[i]
+				}
+			}
 		}
-		fmt.Println(string(out))
 	}
-	if !ok {
-		return 1
+	for i, m := range modes {
+		if m.name == fs.Arg(0) {
+			return &modes[i]
+		}
 	}
-	return 0
+	return nil
+}
+
+// printJSON prints v as indented JSON; it reports a marshalling failure on
+// stderr and returns false.
+func printJSON(v any) bool {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+		return false
+	}
+	fmt.Println(string(out))
+	return true
 }
 
 // parseTopology builds the machine configuration from the -chips and -grid
@@ -251,11 +279,10 @@ func parseTopology(chips int, grid string) (*scc.Config, error) {
 		}
 		base = scc.Grid(w, h, c)
 	}
-	cfg := base
 	if chips > 1 {
-		cfg = scc.MultiChip(chips, base)
+		base = scc.MultiChip(chips, base)
 	}
-	cfg = cfg.Normalized()
+	cfg := base.Normalized()
 	if err := scc.Validate(cfg); err != nil {
 		return nil, err
 	}
@@ -273,245 +300,10 @@ func parseTopology(chips int, grid string) (*scc.Config, error) {
 // regime the single-chip smoke runs in.
 func smokeMembers(topo scc.Config) []int {
 	cfg := topo.Normalized()
-	per := 4 / cfg.Chips
-	if per < 1 {
-		per = 1
-	}
-	if cpc := cfg.Mesh.Width * cfg.Mesh.Height * cfg.Mesh.CoresPerTile; per > cpc {
-		per = cpc
-	}
+	per := min(max(4/cfg.Chips, 1), cfg.Mesh.Width*cfg.Mesh.Height*cfg.Mesh.CoresPerTile)
 	var members []int
 	for ch := 0; ch < cfg.Chips; ch++ {
 		members = append(members, core.ChipCores(cfg, ch)[:per]...)
 	}
 	return members
-}
-
-// results collects experiment outputs when -json is set; a nil *results
-// selects the human-readable tables.
-type results struct {
-	Fig6     []bench.Fig6Point  `json:"fig6,omitempty"`
-	Fig7     []bench.Fig7Point  `json:"fig7,omitempty"`
-	Table1   *table1Results     `json:"table1,omitempty"`
-	Fig9     *fig9Results       `json:"fig9,omitempty"`
-	Scale    *bench.ScaleResult `json:"scale,omitempty"`
-	Ablation *ablationResults   `json:"ablation,omitempty"`
-	Comm     []bench.CommPoint  `json:"comm,omitempty"`
-	KVStore  *kvstoreResults    `json:"kvstore,omitempty"`
-}
-
-type table1Results struct {
-	Strong bench.Table1Result `json:"strong"`
-	Lazy   bench.Table1Result `json:"lazy"`
-}
-
-type fig9Results struct {
-	Iters  int               `json:"iters"`
-	Points []bench.Fig9Point `json:"points"`
-}
-
-type ablationResults struct {
-	WCBEnabledUS        float64 `json:"wcb_enabled_us"`
-	WCBDisabledUS       float64 `json:"wcb_disabled_us"`
-	ScratchpadMPBUS     float64 `json:"scratchpad_mpb_us"`
-	ScratchpadOffDieUS  float64 `json:"scratchpad_offdie_us"`
-	NextTouchRemoteUS   float64 `json:"nexttouch_remote_us"`
-	NextTouchLocalUS    float64 `json:"nexttouch_local_us"`
-	ReadOnlyWritableUS  float64 `json:"readonly_writable_us"`
-	ReadOnlyProtectedUS float64 `json:"readonly_protected_us"`
-}
-
-// sep prints the blank line between sections of `sccbench all` in table
-// mode only.
-func sep(res *results) {
-	if res == nil {
-		fmt.Println()
-	}
-}
-
-func fig6(topo *scc.Config, rounds int, res *results) {
-	var points []bench.Fig6Point
-	if topo != nil {
-		points = bench.Fig6On(*topo, rounds)
-	} else {
-		points = bench.Fig6(rounds)
-	}
-	if res != nil {
-		res.Fig6 = points
-		return
-	}
-	fmt.Println("Figure 6: average mail latency according to the distance")
-	fmt.Println("(half round-trip, two active cores, " + fmt.Sprint(rounds) + " rounds)")
-	t := stats.NewTable("hops", "peer core", "polling [us]", "IPI [us]")
-	for _, p := range points {
-		t.AddRow(fmt.Sprint(p.Hops), fmt.Sprint(p.Peer), stats.US(p.PollingUS), stats.US(p.IPIUS))
-	}
-	fmt.Print(t)
-	fmt.Println("expected shape: both curves linear in hops with a shallow slope;")
-	fmt.Println("the IPI curve sits a small constant (interrupt entry) above polling.")
-}
-
-func fig7(topo *scc.Config, rounds int, res *results) {
-	var points []bench.Fig7Point
-	if topo != nil {
-		points = bench.Fig7On(*topo, rounds, nil)
-	} else {
-		points = bench.Fig7(rounds, nil)
-	}
-	if res != nil {
-		res.Fig7 = points
-		return
-	}
-	peer, hops := 30, 5
-	if topo != nil {
-		peer, hops = bench.Fig7PeerOn(*topo)
-	}
-	fmt.Printf("Figure 7: average mail latency between core 0 and core %d (%d hops)\n", peer, hops)
-	t := stats.NewTable("cores", "polling [us]", "IPI [us]", "IPI+noise [us]")
-	for _, p := range points {
-		t.AddRow(fmt.Sprint(p.Cores), stats.US(p.PollingUS), stats.US(p.IPIUS), stats.US(p.IPINoiseUS))
-	}
-	fmt.Print(t)
-	fmt.Println("expected shape: polling grows linearly with the number of activated")
-	fmt.Println("cores (every buffer is checked); both IPI curves stay flat and close.")
-}
-
-func table1(res *results) {
-	s, l := bench.Table1Both()
-	if res != nil {
-		res.Table1 = &table1Results{Strong: s, Lazy: l}
-		return
-	}
-	fmt.Println("Table 1: average overhead by using the SVM system")
-	t := stats.NewTable("operation", "strong [us]", "lazy release [us]", "paper strong", "paper lazy")
-	t.AddRow("allocation of 4 MByte", stats.US(s.AllocUS), stats.US(l.AllocUS), "741.0", "741.0")
-	t.AddRow("physical allocation of a page frame", stats.US(s.PhysAllocUS), stats.US(l.PhysAllocUS), "112.301", "112.296")
-	t.AddRow("mapping of a page frame", stats.US(s.MapUS), stats.US(l.MapUS), "10.198", "2.418")
-	t.AddRow("retrieve the access permission", stats.US(s.RetrieveUS), "-", "8.990", "-")
-	fmt.Print(t)
-}
-
-func fig9(topo *scc.Config, iters int, res *results) {
-	cfg := bench.PaperFig9(iters)
-	if topo != nil {
-		cfg = bench.ScaledFig9(*topo, iters)
-	}
-	points := bench.Fig9(cfg)
-	if res != nil {
-		res.Fig9 = &fig9Results{Iters: iters, Points: points}
-		return
-	}
-	fmt.Printf("Figure 9: runtimes of the Laplace benchmark (1024x512 doubles, %d iterations)\n", iters)
-	if iters != 5000 {
-		fmt.Printf("(paper runs 5000 iterations; multiply by %.1f to compare absolute runtimes)\n",
-			5000/float64(iters))
-	}
-	t := stats.NewTable("cores", "iRCCE [ms]", "SVM strong [ms]", "SVM lazy [ms]")
-	for _, p := range points {
-		t.AddRow(fmt.Sprint(p.Cores), stats.MS(p.IRCCEUS), stats.MS(p.StrongUS), stats.MS(p.LazyUS))
-	}
-	fmt.Print(t)
-	fmt.Println("expected shape: both SVM curves nearly identical; SVM below iRCCE up to")
-	fmt.Println("32 cores (write-combine buffer); iRCCE superlinear past 32 cores (both")
-	fmt.Println("array slices fit its L2, which the SVM variants sacrifice for the WCB).")
-}
-
-// scale runs the multi-chip completion harness: the Laplace solver and the
-// task farm on every core of the topology (the stock chip when no -chips/
-// -grid is given), with exact checksum verification.
-func scale(topo *scc.Config, res *results) bool {
-	cfg := scc.PaperSCC()
-	if topo != nil {
-		cfg = *topo
-	}
-	return reportScale(bench.RunScale(cfg, bench.ScaleParams{Model: svm.LazyRelease}), res)
-}
-
-// reportScale prints one scale result (or collects it for -json) and returns
-// its verdict: both checksums exact.
-func reportScale(r bench.ScaleResult, res *results) bool {
-	ok := r.LaplaceOK && r.FarmOK
-	if res != nil {
-		res.Scale = &r
-		return ok
-	}
-	fmt.Printf("Scale-out: Laplace + task farm on all %d cores (%d chip(s), lazy release)\n",
-		r.Cores, r.Chips)
-	verdict := func(ok bool) string {
-		if ok {
-			return "exact"
-		}
-		return "WRONG"
-	}
-	t := stats.NewTable("workload", "loop [ms]", "result")
-	t.AddRow("laplace (1024x512, 2 iters)", stats.MS(r.LaplaceUS), verdict(r.LaplaceOK))
-	t.AddRow(fmt.Sprintf("task farm (%d tasks)", 2*r.Cores), stats.MS(r.FarmUS), verdict(r.FarmOK))
-	fmt.Print(t)
-	fmt.Printf("inter-chip link crossings: %d\n", r.LinkCrossings)
-	if !ok {
-		fmt.Println("scale: CHECKSUM MISMATCH")
-	}
-	return ok
-}
-
-func ablation(iters int, res *results) {
-	with, without := bench.AblationWCB(iters, 8)
-	mpb, offDie := bench.AblationScratchpad(256)
-	remote, local := bench.AblationNextTouch(16, 8)
-	writable, readonly := bench.AblationReadOnlyL2(16, 8)
-	if res != nil {
-		res.Ablation = &ablationResults{
-			WCBEnabledUS:        with,
-			WCBDisabledUS:       without,
-			ScratchpadMPBUS:     mpb,
-			ScratchpadOffDieUS:  offDie,
-			NextTouchRemoteUS:   remote,
-			NextTouchLocalUS:    local,
-			ReadOnlyWritableUS:  writable,
-			ReadOnlyProtectedUS: readonly,
-		}
-		return
-	}
-	fmt.Println("Ablation: write-combine buffer (lazy release, 8 cores)")
-	t := stats.NewTable("configuration", "laplace loop [ms]")
-	t.AddRow("WCB enabled (MetalSVM)", stats.MS(with))
-	t.AddRow("WCB disabled (plain write-through)", stats.MS(without))
-	fmt.Print(t)
-
-	fmt.Println("\nAblation: first-touch directory location (Section 6.3)")
-	t = stats.NewTable("scratchpad location", "map existing page [us]")
-	t.AddRow("on-die MPB (16-bit entries, 256 MiB cap)", stats.US(mpb))
-	t.AddRow("off-die DDR (no cap, slower lookups)", stats.US(offDie))
-	fmt.Print(t)
-
-	fmt.Println("\nAblation: affinity-on-next-touch (Section 8 outlook)")
-	t = stats.NewTable("frame placement", "cold scan of 16 pages [us]")
-	t.AddRow("remote controller (as first-touched)", stats.US(remote))
-	t.AddRow("local controller (after next-touch)", stats.US(local))
-	fmt.Print(t)
-
-	fmt.Println("\nAblation: read-only regions re-enable the L2 (Section 6.4)")
-	t = stats.NewTable("region state", "scan of 16 pages [us]")
-	t.AddRow("writable (MPBT: L1 only)", stats.US(writable))
-	t.AddRow("read-only (MPBT cleared: L2 enabled)", stats.US(readonly))
-	fmt.Print(t)
-
-	fmt.Println("\nAblation: mailbox IPI vs polling -> see fig6/fig7")
-
-}
-
-func comm(rounds int, res *results) {
-	points := bench.CommSweep(30, nil, rounds/4+1)
-	if res != nil {
-		res.Comm = points
-		return
-	}
-	fmt.Println("Supplementary: RCCE transfer path, core 0 -> core 30 (5 hops)")
-	t := stats.NewTable("bytes", "latency [us]", "bandwidth [MB/s]")
-	for _, p := range points {
-		t.AddRow(fmt.Sprint(p.Bytes), stats.US(p.LatencyUS), fmt.Sprintf("%.1f", p.MBPerSec))
-	}
-	fmt.Print(t)
-	fmt.Println("expected shape: flat latency until the staging slot fills, then")
-	fmt.Println("linear in size; bandwidth saturates at the MPB pull path's rate.")
 }

@@ -11,74 +11,58 @@ import (
 	"metalsvm/internal/svm"
 )
 
-// observeConfig selects the instrumentation surfaces requested on the
-// command line (-metrics, -profile, -perfetto).
-type observeConfig struct {
-	metrics  bool
-	profile  bool
-	perfetto string // output path; "" is off
-}
-
-func (oc observeConfig) enabled() bool {
-	return oc.metrics || oc.profile || oc.perfetto != ""
-}
-
-// instrumentation translates the flags into an Instrumentation. A Perfetto
-// export implies the profiler (timeline spans) and tracing (protocol
-// instants and flow arrows).
-func (oc observeConfig) instrumentation() core.Instrumentation {
-	inst := core.Instrumentation{Metrics: oc.metrics}
-	if oc.profile || oc.perfetto != "" {
+// instrumentation translates -metrics, -profile and -perfetto into an
+// Instrumentation. A Perfetto export implies the profiler (timeline spans)
+// and tracing (protocol instants and flow arrows).
+func instrumentation(o *options) core.Instrumentation {
+	inst := core.Instrumentation{Metrics: o.metrics}
+	if o.profile || o.perfetto != "" {
 		inst.Profile = &profile.Config{}
 	}
-	if oc.perfetto != "" {
+	if o.perfetto != "" {
 		inst.TraceCapacity = 1 << 16
 	}
 	return inst
 }
 
-// runObserve runs one representative instrumented cell per selected harness
-// and renders the requested artifacts. The instrumented runs are
-// bit-identical to the plain harness cells (enforced by -check), so the
-// profiles and metrics describe exactly the runs the tables report.
-func runObserve(cmd string, rounds, iters int, oc observeConfig) int {
+// runObserve runs one representative instrumented cell of the harness the
+// command names, or of each under "all", and renders the requested
+// artifacts. The instrumented runs are bit-identical to the plain harness
+// cells (enforced by -check), so the profiles and metrics describe exactly
+// the runs the tables report.
+func runObserve(o *options) int {
+	inst := instrumentation(o)
 	type harness struct {
 		name string
 		run  func() (string, *core.Observation)
 	}
-	harnesses := map[string]harness{
-		"fig6": {"fig6", func() (string, *core.Observation) {
-			us, obs := bench.Fig6Observed(rounds, oc.instrumentation())
+	var selected []harness
+	for _, h := range []harness{
+		{"fig6", func() (string, *core.Observation) {
+			us, obs := bench.Fig6Observed(o.rounds, inst)
 			return fmt.Sprintf("IPI ping-pong at maximum mesh distance: %.3f us half round trip", us), obs
 		}},
-		"fig7": {"fig7", func() (string, *core.Observation) {
-			us, obs := bench.Fig7Observed(rounds, 48, oc.instrumentation())
+		{"fig7", func() (string, *core.Observation) {
+			us, obs := bench.Fig7Observed(o.rounds, 48, inst)
 			return fmt.Sprintf("polling ping-pong with 48 activated cores: %.3f us half round trip", us), obs
 		}},
-		"table1": {"table1", func() (string, *core.Observation) {
-			res, obs := bench.Table1Observed(svm.Strong, oc.instrumentation())
+		{"table1", func() (string, *core.Observation) {
+			res, obs := bench.Table1Observed(svm.Strong, inst)
 			return fmt.Sprintf("strong-model overhead benchmark: map %.3f us, retrieve %.3f us",
 				res.MapUS, res.RetrieveUS), obs
 		}},
-		"fig9": {"fig9", func() (string, *core.Observation) {
-			us, obs := bench.Fig9Observed(bench.QuickFig9(iters), svm.Strong, 8, oc.instrumentation())
+		{"fig9", func() (string, *core.Observation) {
+			us, obs := bench.Fig9Observed(bench.PaperFig9(o.iters), svm.Strong, 8, inst)
 			return fmt.Sprintf("Laplace on 8 cores, strong model: %.1f us iteration loop", us), obs
 		}},
-		"repldir": {"repldir", func() (string, *core.Observation) {
-			us, obs := bench.Fig9DirObserved(bench.QuickFig9(iters), svm.Strong, 8, oc.instrumentation())
+		{"repldir", func() (string, *core.Observation) {
+			us, obs := bench.Fig9DirObserved(bench.PaperFig9(o.iters), svm.Strong, 8, inst)
 			return fmt.Sprintf("Laplace on 8 workers, strong model, replicated ownership directory: %.1f us iteration loop", us), obs
 		}},
-	}
-	var selected []harness
-	if cmd == "all" {
-		for _, name := range []string{"fig6", "fig7", "table1", "fig9", "repldir"} {
-			selected = append(selected, harnesses[name])
+	} {
+		if o.cmd == "all" || o.cmd == h.name {
+			selected = append(selected, h)
 		}
-	} else if h, ok := harnesses[cmd]; ok {
-		selected = append(selected, h)
-	} else {
-		fmt.Fprintf(os.Stderr, "sccbench: -metrics/-profile/-perfetto support fig6|fig7|table1|fig9|repldir|all, not %q\n", cmd)
-		return 2
 	}
 
 	for i, h := range selected {
@@ -87,16 +71,16 @@ func runObserve(cmd string, rounds, iters int, oc observeConfig) int {
 		}
 		desc, obs := h.run()
 		fmt.Printf("%s: %s\n", h.name, desc)
-		if oc.metrics {
+		if o.metrics {
 			fmt.Println("metrics:")
 			obs.MetricsSnapshot().WriteText(os.Stdout)
 		}
-		if oc.profile {
+		if o.profile {
 			fmt.Println("simulated-time profile:")
 			obs.ProfileReport().WriteText(os.Stdout)
 		}
-		if oc.perfetto != "" {
-			path := oc.perfetto
+		if o.perfetto != "" {
+			path := o.perfetto
 			if len(selected) > 1 {
 				path = suffixPath(path, h.name)
 			}

@@ -17,8 +17,8 @@ import (
 // write-through data is "extremely useful to increase the bandwidth").
 // Returns iteration-loop times in microseconds.
 func AblationWCB(iters, cores int) (withWCB, withoutWCB float64) {
-	cfg := QuickFig9(iters)
-	cfgNoWCB := QuickFig9(iters)
+	cfg := PaperFig9(iters)
+	cfgNoWCB := PaperFig9(iters)
 	cfgNoWCB.Chip.Core.DisableWCB = true
 	runTasks([]func(){
 		func() { withWCB = Fig9RunSVM(cfg, svm.LazyRelease, cores) },

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"metalsvm/internal/svm"
-)
+import "testing"
 
 // The tests here assert the SHAPE criteria from DESIGN.md: who wins, by
 // roughly what factor, and where crossovers fall. Absolute simulated times
@@ -104,7 +100,7 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
-// TestFig9Shape asserts the Laplace figure's ordering at three core counts
+// TestFig9Shape asserts the Laplace figure's ordering at two core counts
 // with a reduced iteration count (the per-iteration shape is iteration-
 // independent). The full sweep lives in cmd/sccbench and EXPERIMENTS.md.
 func TestFig9Shape(t *testing.T) {
@@ -112,36 +108,30 @@ func TestFig9Shape(t *testing.T) {
 		t.Skip("laplace sweep is expensive")
 	}
 	cfg := PaperFig9(12) // enough iterations to amortize the baseline's cold L2
-	type point struct{ ircce, strong, lazy float64 }
-	run := func(n int) point {
-		return point{
-			ircce:  Fig9RunBaseline(cfg, n),
-			strong: Fig9RunSVM(cfg, svm.Strong, n),
-			lazy:   Fig9RunSVM(cfg, svm.LazyRelease, n),
-		}
-	}
-	p8, p48 := run(8), run(48)
+	cfg.CoreCounts = []int{8, 48}
+	points := Fig9(cfg) // the six simulations fan out over the host pool
+	p8, p48 := points[0], points[1]
 
 	// Below the crossover the SVM variants win clearly (WCB vs word-granular
 	// write-through).
-	if p8.lazy >= p8.ircce || p8.strong >= p8.ircce {
-		t.Errorf("at 8 cores SVM (%v/%v) must beat iRCCE (%v)", p8.strong, p8.lazy, p8.ircce)
+	if p8.LazyUS >= p8.IRCCEUS || p8.StrongUS >= p8.IRCCEUS {
+		t.Errorf("at 8 cores SVM (%v/%v) must beat iRCCE (%v)", p8.StrongUS, p8.LazyUS, p8.IRCCEUS)
 	}
-	if p8.ircce < 1.5*p8.lazy {
-		t.Errorf("at 8 cores the SVM advantage should be pronounced: ircce %v vs lazy %v", p8.ircce, p8.lazy)
+	if p8.IRCCEUS < 1.5*p8.LazyUS {
+		t.Errorf("at 8 cores the SVM advantage should be pronounced: ircce %v vs lazy %v", p8.IRCCEUS, p8.LazyUS)
 	}
 	// Past the crossover the baseline's L2-resident working set wins.
-	if p48.ircce >= p48.lazy {
-		t.Errorf("at 48 cores iRCCE (%v) must beat SVM lazy (%v)", p48.ircce, p48.lazy)
+	if p48.IRCCEUS >= p48.LazyUS {
+		t.Errorf("at 48 cores iRCCE (%v) must beat SVM lazy (%v)", p48.IRCCEUS, p48.LazyUS)
 	}
 	// Both SVM curves stay close (paper: "nearly identical").
-	for _, p := range []point{p8, p48} {
-		if p.strong > 1.3*p.lazy {
-			t.Errorf("strong (%v) drifts from lazy (%v)", p.strong, p.lazy)
+	for _, p := range points {
+		if p.StrongUS > 1.3*p.LazyUS {
+			t.Errorf("strong (%v) drifts from lazy (%v)", p.StrongUS, p.LazyUS)
 		}
 	}
 	// iRCCE's 8->48 scaling is superlinear (better than 6x for 6x cores).
-	if sp := p8.ircce / p48.ircce; sp < 6 {
+	if sp := p8.IRCCEUS / p48.IRCCEUS; sp < 6 {
 		t.Errorf("iRCCE 8->48 speedup %v not superlinear", sp)
 	}
 }
@@ -233,7 +223,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 
 	// A reduced Fig9 point per variant: small grid, few iterations, 4 cores.
-	cfg := QuickFig9(3)
+	cfg := PaperFig9(3)
 	cfg.Params.Rows, cfg.Params.Cols = 32, 32
 	cfg.CoreCounts = []int{4}
 	f9a := Fig9(cfg)

@@ -23,7 +23,7 @@ func TestParallelEquivalence(t *testing.T) {
 			return []Table1Result{s, l}
 		}},
 		{"fig9", func() any {
-			cfg := QuickFig9(2)
+			cfg := PaperFig9(2)
 			cfg.CoreCounts = []int{2, 4}
 			return Fig9(cfg)
 		}},

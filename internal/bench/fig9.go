@@ -45,17 +45,6 @@ func PaperFig9(iters int) Fig9Config {
 	}
 }
 
-// QuickFig9 keeps the paper's exact grid geometry (1024x512 doubles, one
-// 4 KiB page per row — the property that bounds the strong model at two
-// ownership faults per iteration) and real cache sizes, and only reduces
-// the iteration count. Per-iteration cost does not depend on the iteration
-// count, so every crossover of Figure 9 appears unchanged; multiply
-// reported times by 5000/iters to compare against the paper's absolute
-// runtimes.
-func QuickFig9(iters int) Fig9Config {
-	return PaperFig9(iters)
-}
-
 // ScaledFig9 generalizes the Laplace study to an arbitrary topology: the
 // paper's grid geometry on the given machine, sweeping core counts that
 // double from 4 up to the machine's total (so a 4-chip 512-core topology

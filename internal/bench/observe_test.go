@@ -60,7 +60,7 @@ func TestObservedHarnessEquivalence(t *testing.T) {
 	})
 
 	t.Run("fig9", func(t *testing.T) {
-		cfg := QuickFig9(2)
+		cfg := PaperFig9(2)
 		plain := Fig9RunSVM(cfg, svm.Strong, 2)
 		got, obs := Fig9Observed(cfg, svm.Strong, 2, inst)
 		if got != plain {

@@ -1,53 +1,10 @@
-// Package stats provides the small numeric helpers the benchmark harness
-// uses to summarize latency samples and format result tables.
+// Package stats formats the benchmark harness's result tables.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
-
-// Summary describes a sample set.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-	Stddev         float64
-	P50            float64
-}
-
-// Summarize computes the summary of xs (empty input yields zeros).
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.Stddev = math.Sqrt(ss / float64(len(xs)-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = sorted[len(sorted)/2]
-	return s
-}
 
 // Table renders rows as an aligned text table with the given header.
 type Table struct {

@@ -1,55 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary %+v", s)
-	}
-	want := math.Sqrt((2.25 + 0.25 + 0.25 + 2.25) / 3)
-	if math.Abs(s.Stddev-want) > 1e-12 {
-		t.Fatalf("stddev = %v, want %v", s.Stddev, want)
-	}
-	if s.P50 != 3 { // median of sorted [1 2 3 4] at index 2
-		t.Fatalf("p50 = %v", s.P50)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Stddev != 0 || s.Min != 7 || s.Max != 7 {
-		t.Fatalf("single summary %+v", s)
-	}
-}
-
-// Property: min <= p50 <= max and min <= mean <= max for any sample set.
-func TestSummaryBoundsProperty(t *testing.T) {
-	f := func(raw []uint32) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		// Map to a bounded, well-conditioned range: summing must not lose
-		// the min/max ordering to floating-point pathology.
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)/1e3 - 2e6
-		}
-		s := Summarize(xs)
-		return s.Min <= s.P50 && s.P50 <= s.Max && s.Min <= s.Mean && s.Mean <= s.Max
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
