@@ -53,12 +53,12 @@ type chaosJSON struct {
 // -json replaces the table with a machine-readable summary that carries
 // each cell's per-route fault counts.
 func runChaos(o *options) int {
-	schedule := chaosSpecName(o.chaos)
 	fc, err := faults.ParseConfig(o.chaos)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v (presets: %s)\n", err, strings.Join(faults.Presets(), ", "))
 		return 2
 	}
+	_, schedule := faults.SplitArg(o.chaos)
 	summary := chaosJSON{Seed: fc.Seed, Schedule: schedule, OK: true}
 	say := func(format string, args ...any) {
 		if !o.json {
@@ -181,7 +181,7 @@ func runChaos(o *options) int {
 
 	// Matmul: a second application with cross-rank reads.
 	mp := matmul.Params{N: 16}
-	mres, msum := chaosMatmul(mp, appChip, members, &fc)
+	mres, msum := bench.MatmulChaos(mp, appChip, members, &fc)
 	if mres.Completed && msum != matmul.ReferenceChecksum(mp) {
 		fail("matmul strong", "checksum %v != reference %v", msum, matmul.ReferenceChecksum(mp))
 	} else {
@@ -326,43 +326,4 @@ func runChaos(o *options) int {
 	}
 	say("chaos: all cells recovered; application results bit-exact\n")
 	return 0
-}
-
-// chaosMatmul runs the matmul workload on a faulty machine.
-func chaosMatmul(p matmul.Params, chip scc.Config, members []int, fc *faults.Config) (bench.ChaosResult, float64) {
-	m, err := core.NewMachine(core.Options{
-		Topology: &chip,
-		Members:  members,
-		Faults:   fc,
-	})
-	if err != nil {
-		panic(err)
-	}
-	app := matmul.New(p)
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-	r := bench.ChaosResult{
-		Completed: !m.Cluster.WatchdogFired(),
-		Watchdog:  m.Cluster.WatchdogReport(),
-		Faults:    m.Chip.FaultInjector().Stats(),
-		Mailbox:   m.Cluster.Mailbox().Stats(),
-	}
-	for _, id := range m.Cluster.Members() {
-		if k := m.Cluster.Kernel(id); k != nil {
-			r.Rescues += k.Stats().Rescues
-		}
-	}
-	if !r.Completed {
-		return r, 0
-	}
-	res := app.Result()
-	r.US = res.Elapsed.Microseconds()
-	return r, res.Checksum
-}
-
-// chaosSpecName extracts the schedule name from a seed[,spec] argument.
-func chaosSpecName(arg string) string {
-	if i := strings.IndexByte(arg, ','); i >= 0 {
-		return arg[i+1:]
-	}
-	return "mixed"
 }

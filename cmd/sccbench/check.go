@@ -187,7 +187,7 @@ func checkPerturbation(out io.Writer) bool {
 
 	// A present-but-disabled fault injector (empty schedule, hardening off)
 	// must also reproduce the plain run bit for bit.
-	f9, _ := bench.Fig9Chaos(cfg, svm.Strong, 2, &faults.Config{Seed: 3, NoHarden: true})
+	f9, _ := bench.Fig9ChaosMembers(cfg, svm.Strong, core.FirstN(2), &faults.Config{Seed: 3, NoHarden: true})
 	verdict("faults", p9, f9.US)
 
 	// The kvstore under full instrumentation must reproduce the plain run's

@@ -65,6 +65,7 @@ var goldenRows = []struct {
 	{"reject-sanitize-json", []string{"-json", "-sanitize"}},
 	{"reject-fig6-baseline", []string{"-baseline", "-rounds", "20", "fig6"}},
 	{"reject-fig6-kv-seed", []string{"-kv-seed", "3", "fig6"}},
+	{"reject-chaos-bad-seed", []string{"-chaos", "0x10"}},
 }
 
 // TestGolden runs each row in a fresh working directory (the chaos harness

@@ -1,12 +1,13 @@
 package bench
 
 import (
-	"metalsvm/internal/apps/laplace"
+	"metalsvm/internal/apps/matmul"
 	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/mesh"
+	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/svm/repldir"
 )
@@ -81,28 +82,28 @@ func Fig7Chaos(rounds, n int, fc *faults.Config) ChaosResult {
 	return chaosResult(us, done, cl)
 }
 
-// Fig9Chaos runs one SVM Laplace cell under a fault schedule and returns
-// the post-mortem together with the application checksum (0 when the run
-// froze and the watchdog stopped it).
-func Fig9Chaos(cfg Fig9Config, model svm.Model, n int, fc *faults.Config) (ChaosResult, float64) {
-	return Fig9ChaosMembers(cfg, model, core.FirstN(n), fc)
+// Fig9ChaosMembers runs one SVM Laplace cell on the given members under a
+// fault schedule and returns the post-mortem together with the application
+// checksum (0 when the run froze and the watchdog stopped it).
+func Fig9ChaosMembers(cfg Fig9Config, model svm.Model, members []int, fc *faults.Config) (ChaosResult, float64) {
+	m, app := fig9Machine(cfg, model, core.Options{Members: members, Faults: fc})
+	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+	if m.Cluster.WatchdogFired() {
+		return chaosResult(0, false, m.Cluster), 0
+	}
+	res := app.Result()
+	return chaosResult(res.Elapsed.Microseconds(), true, m.Cluster), res.Checksum
 }
 
-// Fig9ChaosMembers is Fig9Chaos with an explicit member set — the
-// topology-aware chaos cells boot every core of a multi-chip machine.
-func Fig9ChaosMembers(cfg Fig9Config, model svm.Model, members []int, fc *faults.Config) (ChaosResult, float64) {
-	chip := cfg.Chip
-	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Topology: &chip,
-		SVM:      &scfg,
-		Members:  members,
-		Faults:   fc,
-	})
+// MatmulChaos runs the matmul workload (strong model) on the given members
+// under a fault schedule and returns the post-mortem together with the
+// application checksum (0 when the run froze).
+func MatmulChaos(p matmul.Params, chip scc.Config, members []int, fc *faults.Config) (ChaosResult, float64) {
+	m, err := core.NewMachine(core.Options{Topology: &chip, Members: members, Faults: fc})
 	if err != nil {
 		panic(err)
 	}
-	app := laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
+	app := matmul.New(p)
 	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 	if m.Cluster.WatchdogFired() {
 		return chaosResult(0, false, m.Cluster), 0
@@ -134,20 +135,15 @@ type DirChaosResult struct {
 // the audit's first load.
 const auditDelayCycles = 200_000
 
-// Fig9CrashChaos runs the SVM Laplace cell on a machine with the replicated
-// ownership directory under a crash schedule: the initial primary directory
-// manager is killed mid-computation (forcing a view-change failover) and the
-// last worker is killed right after it finishes (so the post-run audit must
-// revoke and reassign its pages). Crash times are calibrated from a
-// crash-free run of the same seed and schedule, keeping the whole cell a
-// deterministic function of the config.
-func Fig9CrashChaos(cfg Fig9Config, model svm.Model, n int, fc *faults.Config) DirChaosResult {
-	return Fig9CrashChaosMembers(cfg, model, core.FirstN(n), fc)
-}
-
-// Fig9CrashChaosMembers is Fig9CrashChaos with an explicit worker set; nil
-// selects the topology's default split (every core except each chip's
-// manager trio), which is what a multi-chip chaos cell wants.
+// Fig9CrashChaosMembers runs the SVM Laplace cell on a machine with the
+// replicated ownership directory under a crash schedule: the initial
+// primary directory manager is killed mid-computation (forcing a
+// view-change failover) and the last worker is killed right after it
+// finishes (so the post-run audit must revoke and reassign its pages).
+// Crash times are calibrated from a crash-free run of the same seed and
+// schedule, keeping the whole cell a deterministic function of the config.
+// A nil worker set selects the topology's default split (every core except
+// each chip's manager trio), which is what a multi-chip chaos cell wants.
 func Fig9CrashChaosMembers(cfg Fig9Config, model svm.Model, workers []int, fc *faults.Config) DirChaosResult {
 	cal := *fc
 	cal.Spec.Crashes = nil
@@ -165,19 +161,11 @@ func Fig9CrashChaosMembers(cfg Fig9Config, model svm.Model, workers []int, fc *f
 // in `sccbench -metrics repldir`. Returns the iteration-loop time and the
 // observation (nil when inst requests nothing).
 func Fig9DirObserved(cfg Fig9Config, model svm.Model, n int, inst core.Instrumentation) (float64, *core.Observation) {
-	chip := cfg.Chip
-	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Topology:            &chip,
-		SVM:                 &scfg,
+	m, app := fig9Machine(cfg, model, core.Options{
 		Members:             core.FirstN(n),
 		Observe:             inst,
 		ReplicatedDirectory: &repldir.Config{},
 	})
-	if err != nil {
-		panic(err)
-	}
-	app := laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
 	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 	return app.Result().Elapsed.Microseconds(), m.Observability()
 }
@@ -186,19 +174,11 @@ func Fig9DirObserved(cfg Fig9Config, model svm.Model, n int, inst core.Instrumen
 // cores plus each chip's manager trio, with rank 0 auditing the full grid
 // after the crash window.
 func runFig9Dir(cfg Fig9Config, model svm.Model, workers []int, fc *faults.Config) DirChaosResult {
-	chip := cfg.Chip
-	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Topology:            &chip,
-		SVM:                 &scfg,
+	m, app := fig9Machine(cfg, model, core.Options{
 		Members:             workers,
 		Faults:              fc,
 		ReplicatedDirectory: &repldir.Config{},
 	})
-	if err != nil {
-		panic(err)
-	}
-	app := laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
 	workers = m.SVM.Workers()
 	var audit float64
 	mains := make(map[int]func(*core.Env), len(workers))

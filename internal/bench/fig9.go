@@ -87,20 +87,23 @@ func Fig9RunSVM(cfg Fig9Config, model svm.Model, n int) float64 {
 // The runtime is bit-identical to an uninstrumented run (the equivalence
 // tests assert this); the observation is nil when inst requests nothing.
 func Fig9Observed(cfg Fig9Config, model svm.Model, n int, inst core.Instrumentation) (float64, *core.Observation) {
+	m, app := fig9Machine(cfg, model, core.Options{Members: core.FirstN(n), Observe: inst})
+	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+	return app.Result().Elapsed.Microseconds(), m.Observability()
+}
+
+// fig9Machine builds the SVM Laplace cell every Fig 9 variant runs: cfg's
+// chip, the model's default SVM configuration and the rest of opts, with
+// the application ready to run on every worker.
+func fig9Machine(cfg Fig9Config, model svm.Model, opts core.Options) (*core.Machine, *laplace.SVMApp) {
 	chip := cfg.Chip
 	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Topology: &chip,
-		SVM:      &scfg,
-		Members:  core.FirstN(n),
-		Observe:  inst,
-	})
+	opts.Topology, opts.SVM = &chip, &scfg
+	m, err := core.NewMachine(opts)
 	if err != nil {
 		panic(err)
 	}
-	app := laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-	return app.Result().Elapsed.Microseconds(), m.Observability()
+	return m, laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
 }
 
 // Fig9 runs the full sweep: one independent simulation per (variant, core

@@ -29,6 +29,7 @@ package faults
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"metalsvm/internal/sim"
@@ -648,15 +649,21 @@ func Presets() []string {
 	return names
 }
 
-// ParseConfig parses a "seed[,spec]" chaos argument into a Config. The spec
-// defaults to "mixed".
-func ParseConfig(arg string) (Config, error) {
-	seedStr, specName := arg, "mixed"
+// SplitArg splits a "seed[,spec]" chaos argument into the seed text and the
+// spec name, validating neither. The spec defaults to "mixed".
+func SplitArg(arg string) (seed, spec string) {
 	if i := strings.IndexByte(arg, ','); i >= 0 {
-		seedStr, specName = arg[:i], arg[i+1:]
+		return arg[:i], arg[i+1:]
 	}
-	var seed uint64
-	if _, err := fmt.Sscanf(seedStr, "%d", &seed); err != nil || seedStr == "" {
+	return arg, "mixed"
+}
+
+// ParseConfig parses a "seed[,spec]" chaos argument into a Config. The seed
+// is a decimal number (digits only) and the spec one of Presets.
+func ParseConfig(arg string) (Config, error) {
+	seedStr, specName := SplitArg(arg)
+	seed, err := strconv.ParseUint(seedStr, 10, 64)
+	if err != nil {
 		return Config{}, fmt.Errorf("faults: bad seed %q (want seed[,spec])", seedStr)
 	}
 	sp, ok := PresetSpec(specName)

@@ -150,9 +150,11 @@ func TestPresetsAndParse(t *testing.T) {
 }
 
 // TestParseConfigErrors walks the malformed-argument space: empty strings,
-// junk seeds, trailing commas, unknown preset names.
+// junk seeds (also ones with a numeric prefix, which a scanf-style parse
+// would accept), trailing commas, unknown preset names.
 func TestParseConfigErrors(t *testing.T) {
-	bad := []string{"", ",", ",mixed", "x", "-", "1,", "1,nope", "1,MIXED", "seed,mixed"}
+	bad := []string{"", ",", ",mixed", "x", "-", "1,", "1,nope", "1,MIXED", "seed,mixed",
+		"0x10", "1e3,light", "12abc,drops", " 5"}
 	for _, arg := range bad {
 		if cfg, err := ParseConfig(arg); err == nil {
 			t.Errorf("ParseConfig(%q) accepted: %+v", arg, cfg)

@@ -3,6 +3,7 @@ package svm
 import (
 	"testing"
 
+	"metalsvm/internal/mailbox"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/sim"
 )
@@ -60,4 +61,52 @@ func runForwardScenario(t *testing.T, staggerUS float64) bool {
 		forwards += r.sys.handles[id].Stats().Forwards
 	}
 	return forwards > 0
+}
+
+// TestDuplicateOwnerRequestAcked replays an ownership request the owner has
+// already served, as a second dispatch of the same mail frame would (the
+// plain mailbox can dispatch a frame twice). The old owner finds the owner
+// vector naming the requester and acks it again directly: it must neither
+// serve the page a second time nor forward the request to the requester
+// itself (a send to self).
+func TestDuplicateOwnerRequestAcked(t *testing.T) {
+	members := []int{0, 20}
+	r := newRig(t, DefaultConfig(Strong), members)
+	var idx uint32
+	var got uint64
+	extraAcks := 0
+	mains := map[int]func(*Handle){
+		0: func(h *Handle) {
+			base := h.Alloc(pgtable.PageSize)
+			h.Kernel().Core().Store64(base, 777)
+			h.Kernel().Barrier()
+			h.Kernel().Barrier()
+		},
+		20: func(h *Handle) {
+			base := h.Alloc(pgtable.PageSize)
+			h.Kernel().Barrier()
+			got = h.Kernel().Core().Load64(base) // acquires the page from core 0
+			idx = h.sys.pageIndex(base)
+			before := h.acks[idx]
+			var p [8]byte
+			mailbox.PutU32(p[:], 0, idx)
+			mailbox.PutU32(p[:], 1, uint32(h.k.ID()))
+			h.k.Send(0, msgOwnerReq, p[:])
+			h.k.WaitFor(func() bool { return h.acks[idx] > before })
+			extraAcks = h.acks[idx] - before
+			h.Kernel().Barrier()
+		},
+	}
+	r.run(t, mains)
+	if got != 777 {
+		t.Fatalf("core 20 read %d, want 777", got)
+	}
+	old, req := r.sys.handles[0].Stats(), r.sys.handles[20].Stats()
+	if old.OwnerServed != 1 || old.Forwards != 1 || req.OwnerServed != 0 || extraAcks != 1 {
+		t.Fatalf("duplicate request: owner served %d, forwarded %d; requester served %d, extra acks %d",
+			old.OwnerServed, old.Forwards, req.OwnerServed, extraAcks)
+	}
+	if owner := r.sys.dir.PeekOwner(idx); owner != 20 {
+		t.Fatalf("owner vector names core %d after the duplicate, want 20", owner)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/profile"
-	"metalsvm/internal/sim"
 	"metalsvm/internal/trace"
 )
 
@@ -80,7 +79,7 @@ func (s *System) Attach(k *kernel.Kernel) *Handle {
 	k.RegisterHandler(msgOwnerReq, h.handleOwnerReq)
 	k.RegisterHandler(msgOwnerAck, func(_ *kernel.Kernel, m mailbox.Msg) {
 		h.acks[m.U32(0)]++
-		h.ackEpoch[m.U32(0)] = m.U32(1) // zero for legacy 4-byte acks
+		h.ackEpoch[m.U32(0)] = m.U32(1) // always zero from the single-copy directory
 	})
 	k.RegisterHandler(msgOwnerRetry, func(_ *kernel.Kernel, m mailbox.Msg) {
 		h.retries[m.U32(0)]++
@@ -127,11 +126,6 @@ func (h *Handle) KernelBarrier() { h.groupBarrier() }
 // groupBarrier synchronizes the worker group (all members by default, in
 // which case it is exactly the cluster barrier).
 func (h *Handle) groupBarrier() { h.k.BarrierGroup(h.sys.workers) }
-
-// CountFirstTouch and CountMapExisting bump the fault-path placement
-// counters on behalf of an external directory implementation.
-func (h *Handle) CountFirstTouch()  { h.stats.FirstTouches++ }
-func (h *Handle) CountMapExisting() { h.stats.MapExisting++ }
 
 // emit reports one of this core's SVM events, stamped with its local time.
 func (h *Handle) emit(kind trace.Kind, arg1, arg2 uint64) {
@@ -222,6 +216,11 @@ func (h *Handle) firstTouch(idx, page uint32) (allocated bool) {
 	layout := s.chip.Layout()
 
 	frame, allocated := s.dir.FirstTouch(h, idx)
+	if allocated {
+		h.stats.FirstTouches++
+	} else {
+		h.stats.MapExisting++
+	}
 
 	paddr := layout.SharedFrameAddr(frame)
 	var flags pgtable.Flags
@@ -241,13 +240,10 @@ func (h *Handle) firstTouch(idx, page uint32) (allocated bool) {
 	return allocated
 }
 
-// ownerAckTimeoutUS bounds how long a replicated-directory requester waits
-// for an ownership ack before probing the owner's liveness. The legacy
-// single-copy directory waits unboundedly (a silent peer there means the
-// simulation is wedged anyway, and the watchdog reports it).
-const ownerAckTimeoutUS = 500
-
-// acquireOwnership runs the requester side of the strong model's transfer.
+// acquireOwnership runs the requester side of the strong model's transfer:
+// read the owner, mail it one request, wait for one ack or retry. The
+// directory decides where the transfer commits and how long a silent owner
+// is waited for.
 func (h *Handle) acquireOwnership(idx, page uint32) {
 	s := h.sys
 	me := h.k.ID()
@@ -257,24 +253,23 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		delete(h.ownerRetryRounds, idx)
 		delete(h.orphanFrom, idx)
 	}()
-	mapMine := func() {
+	acquired := func() {
 		h.k.Core().Cycles(s.cfg.MapCycles)
 		h.k.Core().Table.Update(page, func(e *pgtable.Entry) {
 			e.Flags |= pgtable.Present | pgtable.Writable
 		})
+		h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 	}
 	for {
 		owner := s.dir.Owner(h, idx)
 		switch owner {
 		case me:
-			// Transfer completed (ack handler may even have raced ahead).
-			mapMine()
-			// Consume a pending ack if one is queued for this page.
+			// Transfer completed (ack handler may even have raced ahead):
+			// consume a pending ack if one is queued for this page.
 			if h.acks[idx] > 0 {
 				h.acks[idx]--
 			}
-			s.dir.NoteAcquired(h, idx)
-			h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
+			acquired()
 			return
 		case -1:
 			panic(fmt.Sprintf("svm: page %d mapped but unowned in strong model", idx))
@@ -289,20 +284,16 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		answered := func() bool {
 			return h.acks[idx] > acks || h.retries[idx] > retries
 		}
-		if !s.dir.Replicated() {
-			h.k.WaitFor(answered)
-		} else if !h.k.WaitUntil(answered, h.k.Core().Proc().LocalTime()+sim.Microseconds(ownerAckTimeoutUS)) {
-			// No answer within the timeout. Probe the owner's liveness bit
-			// in the system FPGA: a slow owner gets more patience, a dead
-			// one triggers directory-driven reclamation.
+		if !h.k.WaitUntil(answered, s.dir.AckDeadline(h)) {
+			// No answer in time. Probe the owner's liveness bit in the
+			// system FPGA: a slow owner gets more patience, a dead one
+			// triggers directory-driven reclamation.
 			if s.chip.ProbeAlive(me, owner) {
 				h.ownerRetryBackoff(idx)
 				continue
 			}
 			if s.dir.ReclaimDead(h, idx, owner) {
-				mapMine()
-				s.dir.NoteAcquired(h, idx)
-				h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
+				acquired()
 				return
 			}
 			// A racer reclaimed first (or the owner resurfaced to the
@@ -311,27 +302,23 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		}
 		if h.acks[idx] > acks {
 			h.acks[idx]--
-			if s.dir.Replicated() {
-				// The previous owner yielded; commit the handoff at the
-				// directory, fenced by the epoch the ack carried. (Done here
-				// rather than in the owner's handler because this runs at
-				// top level, where a directory RPC can park safely.)
-				if !s.dir.TakeOwnership(h, idx, owner, h.ackEpoch[idx]) {
-					// Fenced: the record moved on under us; re-read it.
-					continue
-				}
+			// The previous owner yielded; commit the handoff, fenced by the
+			// epoch the ack carried. (Done here rather than in the owner's
+			// handler because this runs at top level, where a directory RPC
+			// can park safely.)
+			if !s.dir.TakeOwnership(h, idx, owner, h.ackEpoch[idx]) {
+				// Fenced: the record moved on under us; re-read it.
+				continue
 			}
-			mapMine()
-			s.dir.NoteAcquired(h, idx)
-			h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
+			acquired()
 			return
 		}
 		// Retry: the peer was mid-fault on the same page. Back off and
-		// re-read the owner vector. Under faults the backoff grows
-		// exponentially so a lost acknowledgement cannot turn into a
-		// request storm against the recovering owner.
+		// re-read the owner. Under faults the backoff grows exponentially
+		// so a lost acknowledgement cannot turn into a request storm
+		// against the recovering owner.
 		h.retries[idx]--
-		if h.retryNoOwner[idx] > noOwner && s.dir.Replicated() {
+		if h.retryNoOwner[idx] > noOwner {
 			// The recorded owner disowns the page: either a handoff is about
 			// to commit (transient — the record moves on), or the committer
 			// crashed after the yield and the record is orphaned. Two
@@ -342,9 +329,7 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 			// and it does commit late — that commit is refused, not lost).
 			if h.orphanFrom[idx] == owner+1 {
 				if s.dir.ReclaimOrphan(h, idx, owner) {
-					mapMine()
-					s.dir.NoteAcquired(h, idx)
-					h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
+					acquired()
 					return
 				}
 				delete(h.orphanFrom, idx) // record moved on; re-read it
@@ -396,23 +381,25 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 		h.k.Send(requester, msgOwnerRetry, p[:])
 		return
 	}
-	if s.dir.Replicated() {
-		h.handleOwnerReqReplicated(idx, requester, page)
-		return
-	}
-	owner := s.readOwner(me, idx)
-	if owner != me {
-		// Stale request: forward to the current owner (or ack directly if
-		// the requester has become the owner meanwhile).
+	var p [8]byte
+	mailbox.PutU32(p[:], 0, idx)
+	if owner := s.dir.LocalOwner(h, idx); owner != me {
+		// Stale request: the requester read an outdated owner.
 		h.stats.Forwards++
-		var p [8]byte
-		mailbox.PutU32(p[:], 0, idx)
-		mailbox.PutU32(p[:], 1, uint32(requester))
-		if owner == requester {
-			var q [4]byte
-			mailbox.PutU32(q[:], 0, idx)
-			h.k.Send(requester, msgOwnerAck, q[:])
-		} else {
+		switch owner {
+		case -1:
+			// The directory can only say "not mine": bounce the requester
+			// back to its authoritative read, flagged so that a requester
+			// that keeps landing here can detect an orphaned record (see
+			// acquireOwnership).
+			mailbox.PutU32(p[:], 1, 1)
+			h.k.Send(requester, msgOwnerRetry, p[:])
+		case requester:
+			// The request was served already and is seen a second time
+			// (the plain mailbox can dispatch a frame twice): ack again.
+			h.k.Send(requester, msgOwnerAck, p[:])
+		default:
+			mailbox.PutU32(p[:], 1, uint32(requester))
 			h.k.Send(owner, msgOwnerReq, p[:])
 		}
 		return
@@ -429,50 +416,7 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 	h.k.Core().FlushWCB()
 	h.k.Core().CL1INVMB()
 	h.emit(trace.KindOwnerYield, uint64(idx), uint64(requester))
-	s.writeOwner(me, idx, requester)
-	var p [4]byte
-	mailbox.PutU32(p[:], 0, idx)
-	h.k.Send(requester, msgOwnerAck, p[:])
-}
-
-// handleOwnerReqReplicated is the owner side of the strong model's transfer
-// when the replicated directory is in charge. The owner only yields its
-// local claim and acks with the page's epoch; the requester commits the
-// transfer at the directory itself. The commit cannot run here: this is a
-// mail handler, and a blocking directory RPC from inside it deadlocks the
-// mailbox slot graph (the manager's reply to our outer RPC can sit
-// unconsumed in our inbox while we park sending to the manager).
-func (h *Handle) handleOwnerReqReplicated(idx uint32, requester int, page uint32) {
-	s := h.sys
-	if !s.dir.OwnedLocally(h, idx) {
-		// Stale request: the requester read an outdated owner. Unlike the
-		// legacy forwarding chain there is an authoritative directory to
-		// re-consult, so bounce the requester back to it — flagged "not
-		// mine", so a requester that keeps landing here after re-reads can
-		// detect an orphaned record (see acquireOwnership).
-		h.stats.Forwards++
-		var p [8]byte
-		mailbox.PutU32(p[:], 0, idx)
-		mailbox.PutU32(p[:], 1, 1)
-		h.k.Send(requester, msgOwnerRetry, p[:])
-		return
-	}
-	h.stats.OwnerServed++
-	h.emit(trace.KindOwnerTransfer, uint64(idx), uint64(requester))
-	h.k.Core().Cycles(s.cfg.OwnershipServeCycles)
-	// Revoke our access, publish our writes, drop our cached lines.
-	if _, ok := h.k.Core().Table.Lookup(page); ok {
-		h.k.Core().Table.Update(page, func(e *pgtable.Entry) {
-			e.Flags &^= pgtable.Present | pgtable.Writable
-		})
-	}
-	h.k.Core().FlushWCB()
-	h.k.Core().CL1INVMB()
-	epoch := s.dir.YieldPage(h, idx)
-	h.emit(trace.KindOwnerYield, uint64(idx), uint64(requester))
-	var p [8]byte
-	mailbox.PutU32(p[:], 0, idx)
-	mailbox.PutU32(p[:], 1, epoch)
+	mailbox.PutU32(p[:], 1, s.dir.YieldPage(h, idx, requester))
 	h.k.Send(requester, msgOwnerAck, p[:])
 }
 

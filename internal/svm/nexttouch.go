@@ -57,9 +57,10 @@ func (h *Handle) NextTouch(base, bytes uint32) {
 	if s.inReadonly(first) {
 		panic(fmt.Sprintf("svm: NextTouch on read-only region %#x", base))
 	}
-	if s.dir.Replicated() {
-		// Migration rewrites the frame record behind the owner protocol's
-		// back; the replicated directory has no commit path for that yet.
+	if _, ok := s.dir.(*legacyDirectory); !ok {
+		// Migration rewrites the single-copy frame record and owner vector
+		// behind the owner protocol's back; a replicated directory has no
+		// commit path for that.
 		panic("svm: NextTouch is not supported with the replicated directory")
 	}
 

@@ -82,10 +82,11 @@ const (
 // Protocol timeouts (simulated microseconds). All deterministic: they only
 // decide when to consult the liveness register, never inject randomness.
 const (
-	requestTimeoutUS = 400 // client RPC before probing the primary
-	prepareTimeoutUS = 300 // primary waiting for a backup ack
-	changeRetryUS    = 600 // elected successor re-soliciting a stalled election
-	fetchRetryUS     = 350 // catch-up chain quiet time before the watchdog re-kicks
+	ownerAckTimeoutUS = 500 // requester waiting for an ownership ack
+	requestTimeoutUS  = 400 // client RPC before probing the primary
+	prepareTimeoutUS  = 300 // primary waiting for a backup ack
+	changeRetryUS     = 600 // elected successor re-soliciting a stalled election
+	fetchRetryUS      = 350 // catch-up chain quiet time before the watchdog re-kicks
 )
 
 // fetchGiveUpTries bounds watchdog re-kicks of a catch-up chain that keeps
@@ -393,7 +394,6 @@ func (d *System) FirstTouch(h *svm.Handle, idx uint32) (uint32, bool) {
 	rep := c.rpc(d, k, g, reqLookup, idx, 0, 0)
 	if rep.a != 0 {
 		c.epochs[idx] = rep.c
-		h.CountMapExisting()
 		return rep.a, false
 	}
 	sf, ok := d.svm.AllocFrame(me)
@@ -406,35 +406,52 @@ func (d *System) FirstTouch(h *svm.Handle, idx uint32) (uint32, bool) {
 	if rep.a == 1 {
 		c.owned[idx] = true
 		c.epochs[idx] = rep.c
-		h.CountFirstTouch()
 		d.chip.Tracer().Emit(k.Core().Now(), me, trace.KindFirstTouch, uint64(idx), uint64(sf))
 		return sf, true
 	}
 	// Lost the race: another core claimed the page first.
 	d.svm.FreeFrame(sf)
 	c.epochs[idx] = rep.c
-	h.CountMapExisting()
 	return rep.b, false
 }
 
+// Owner reads the page's record at the primary. A record naming the caller
+// is its claim, so the caller now holds the page locally.
 func (d *System) Owner(h *svm.Handle, idx uint32) int {
 	c := d.client(h)
 	rep := c.rpc(d, h.Kernel(), d.groupFor(idx), reqGetOwner, idx, 0, 0)
 	c.epochs[idx] = rep.b
-	return int(rep.a) - 1
+	owner := int(rep.a) - 1
+	if owner == h.Kernel().ID() {
+		c.owned[idx] = true
+	}
+	return owner
 }
 
-func (d *System) OwnedLocally(h *svm.Handle, idx uint32) bool {
-	return d.client(h).owned[idx]
+// LocalOwner answers from the caller's own claims, charging nothing: the
+// caller when it holds the page, otherwise -1 — the record lives at the
+// managers, so the requester is sent back to re-read it rather than
+// forwarded along a chain of guesses.
+func (d *System) LocalOwner(h *svm.Handle, idx uint32) int {
+	if d.client(h).owned[idx] {
+		return h.Kernel().ID()
+	}
+	return -1
 }
 
 // YieldPage runs in the owner's mail handler, so it must not block: it only
 // drops the local claim and reports the cached epoch (exact while we own the
 // page) for the requester's fenced commit.
-func (d *System) YieldPage(h *svm.Handle, idx uint32) uint32 {
+func (d *System) YieldPage(h *svm.Handle, idx uint32, _ int) uint32 {
 	c := d.client(h)
 	delete(c.owned, idx)
 	return c.epochs[idx]
+}
+
+// AckDeadline bounds the wait for an ownership ack; past it the requester
+// probes the owner's liveness.
+func (d *System) AckDeadline(h *svm.Handle) sim.Time {
+	return h.Kernel().Core().Proc().LocalTime() + sim.Microseconds(ownerAckTimeoutUS)
 }
 
 // TakeOwnership commits the requester side of an acknowledged handoff.
@@ -450,15 +467,8 @@ func (d *System) TakeOwnership(h *svm.Handle, idx uint32, prev int, epoch uint32
 }
 
 func (d *System) ReclaimDead(h *svm.Handle, idx uint32, dead int) bool {
-	c := d.client(h)
 	d.stats.Reclaims++
-	rep := c.rpc(d, h.Kernel(), d.groupFor(idx), reqReclaim, idx, enc(dead), 0)
-	if rep.status != repOK {
-		return false
-	}
-	c.owned[idx] = true
-	c.epochs[idx] = rep.a
-	return true
+	return d.reclaim(h, idx, reqReclaim, dead)
 }
 
 // ReclaimOrphan recovers a page whose recorded owner no longer holds it: the
@@ -467,18 +477,21 @@ func (d *System) ReclaimDead(h *svm.Handle, idx uint32, dead int) bool {
 // answering "not mine". The directory reassigns the page to the caller with
 // an epoch bump, fencing any still-in-flight stale handoff.
 func (d *System) ReclaimOrphan(h *svm.Handle, idx uint32, owner int) bool {
+	return d.reclaim(h, idx, reqOrphan, owner)
+}
+
+// reclaim runs one reassignment request (kind reqReclaim or reqOrphan)
+// against owner's record and, when the caller wins, claims the page at the
+// epoch the commit bumped it to.
+func (d *System) reclaim(h *svm.Handle, idx, kind uint32, owner int) bool {
 	c := d.client(h)
-	rep := c.rpc(d, h.Kernel(), d.groupFor(idx), reqOrphan, idx, enc(owner), 0)
+	rep := c.rpc(d, h.Kernel(), d.groupFor(idx), kind, idx, enc(owner), 0)
 	if rep.status != repOK {
 		return false
 	}
 	c.owned[idx] = true
 	c.epochs[idx] = rep.a
 	return true
-}
-
-func (d *System) NoteAcquired(h *svm.Handle, idx uint32) {
-	d.client(h).owned[idx] = true
 }
 
 func (d *System) ReleasePage(h *svm.Handle, idx uint32) uint32 {
@@ -498,8 +511,6 @@ func (d *System) PeekOwner(idx uint32) int {
 	}
 	return int(r.state[idx].owner) - 1
 }
-
-func (d *System) Replicated() bool { return true }
 
 // bestReplica picks the group's alive replica with the highest
 // (view, opnum) — the authority for host-side peeks.

@@ -113,7 +113,7 @@ func TestCrashFailoverAndReclaim(t *testing.T) {
 	lcfg := bench.Fig9Config{Params: lp, Chip: testChip()}
 	want := laplace.ReferenceChecksum(lp)
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-		r := bench.Fig9CrashChaos(lcfg, model, 4, &fc)
+		r := bench.Fig9CrashChaosMembers(lcfg, model, core.FirstN(4), &fc)
 		if !r.Completed {
 			t.Fatalf("%v froze:\n%s", model, r.Watchdog)
 		}
@@ -145,7 +145,7 @@ func TestCrashSeedSweepCompletes(t *testing.T) {
 	want := laplace.ReferenceChecksum(lp)
 	for seed := uint64(1); seed <= 6; seed++ {
 		fc := faults.Config{Seed: seed, Spec: mustPreset(t, "crash")}
-		r := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
+		r := bench.Fig9CrashChaosMembers(lcfg, svm.Strong, core.FirstN(4), &fc)
 		if !r.Completed {
 			t.Fatalf("seed %d froze:\n%s", seed, r.Watchdog)
 		}
@@ -171,8 +171,8 @@ func TestCrashReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	lcfg := bench.Fig9Config{Params: testParams(), Chip: testChip()}
-	a := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
-	b := bench.Fig9CrashChaos(lcfg, svm.Strong, 4, &fc)
+	a := bench.Fig9CrashChaosMembers(lcfg, svm.Strong, core.FirstN(4), &fc)
+	b := bench.Fig9CrashChaosMembers(lcfg, svm.Strong, core.FirstN(4), &fc)
 	if a.EndUS != b.EndUS || a.Sum != b.Sum || a.AuditSum != b.AuditSum ||
 		a.Dir != b.Dir || a.Faults != b.Faults {
 		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", a, b)

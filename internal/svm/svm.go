@@ -61,8 +61,8 @@ func (m Model) String() string {
 // Mail types used by the ownership protocol.
 const (
 	msgOwnerReq   = kernel.MsgUser + 0 // payload: page index, requester
-	msgOwnerAck   = kernel.MsgUser + 1 // payload: page index
-	msgOwnerRetry = kernel.MsgUser + 2 // payload: page index
+	msgOwnerAck   = kernel.MsgUser + 1 // payload: page index, epoch
+	msgOwnerRetry = kernel.MsgUser + 2 // payload: page index[, "not mine" flag]
 )
 
 // Config holds the SVM system's parameters, including the kernel-path cost
@@ -252,9 +252,6 @@ func (s *System) Config() Config { return s.cfg }
 
 // Workers returns the SVM collective participants (see Config.Workers).
 func (s *System) Workers() []int { return s.workers }
-
-// Directory returns the ownership directory in use.
-func (s *System) Directory() OwnerDirectory { return s.dir }
 
 // SetDirectory replaces the ownership directory. Must be called before any
 // kernel attaches; the replicated directory installs itself through this.
