@@ -76,8 +76,9 @@ func BenchmarkTable1Lazy(b *testing.B) {
 
 // --- Figure 9: Laplace runtimes -------------------------------------------
 
-// benchIters keeps bench runs quick; the per-iteration cost is constant, so
-// the figure's crossovers are independent of this value.
+// benchIters keeps bench runs quick; past a one-time warm-up the
+// per-iteration cost is constant, so the figure's crossovers are
+// independent of this value.
 const benchIters = 5
 
 func benchmarkLaplace(b *testing.B, variant string, cores int) {

@@ -15,8 +15,6 @@ import (
 	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/profile"
-	"metalsvm/internal/racecheck"
-	"metalsvm/internal/sancheck"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
 )
@@ -34,7 +32,7 @@ var raceSuite = suite{
 	tool:       "racecheck",
 	title:      "happens-before analysis of the shipped workloads",
 	clean:      "all workloads race-free",
-	inst:       core.Instrumentation{Race: &racecheck.Config{}},
+	inst:       core.Instrumentation{Race: true},
 	paperCells: []func(io.Writer) bool{checkDomains, checkPerturbation},
 }
 
@@ -42,7 +40,7 @@ var sanSuite = suite{
 	tool:       "sancheck",
 	title:      "shadow-memory, lockset and lock-order analysis of the shipped workloads",
 	clean:      "all workloads clean",
-	inst:       core.Instrumentation{Sanitize: &sancheck.Config{}},
+	inst:       core.Instrumentation{Sanitize: true},
 	paperCells: []func(io.Writer) bool{sanitizeHarnesses},
 }
 
@@ -132,7 +130,7 @@ func checkDomains(out io.Writer) bool {
 		fmt.Fprintf(out, "racecheck: domains: %v\n", err)
 		return false
 	}
-	obs := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}})
+	obs := ds.Observe(core.Instrumentation{Race: true})
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -152,8 +150,8 @@ func checkDomains(out io.Writer) bool {
 func checkPerturbation(out io.Writer) bool {
 	inst := core.Instrumentation{
 		TraceCapacity: 1 << 14,
-		Race:          &racecheck.Config{},
-		Sanitize:      &sancheck.Config{},
+		Race:          true,
+		Sanitize:      true,
 		Metrics:       true,
 		Profile:       &profile.Config{},
 	}
@@ -208,7 +206,7 @@ func checkPerturbation(out io.Writer) bool {
 // mailbox ping-pongs never touch the SVM window, so a clean verdict here
 // proves the checker does not misfire on private or MPB traffic.
 func sanitizeHarnesses(out io.Writer) bool {
-	inst := core.Instrumentation{Sanitize: &sancheck.Config{}}
+	inst := core.Instrumentation{Sanitize: true}
 	_, o6 := bench.Fig6Observed(50, inst)
 	ok := verdict(out, "fig6      harness      ", o6)
 	_, o7 := bench.Fig7Observed(50, 8, inst)

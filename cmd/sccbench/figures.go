@@ -123,8 +123,10 @@ func fig9(o *options) bool {
 	}
 	fmt.Printf("Figure 9: runtimes of the Laplace benchmark (1024x512 doubles, %d iterations)\n", o.iters)
 	if o.iters != 5000 {
-		fmt.Printf("(paper runs 5000 iterations; multiply by %.1f to compare absolute runtimes)\n",
-			5000/float64(o.iters))
+		fmt.Printf("(paper runs 5000 iterations; to compare absolute runtimes, add a run at -iters %d:\n"+
+			" T(5000) = T(%d) + %.4g x (T(%d) - T(%d)); the L2-regime iRCCE cells carry a warm-up\n"+
+			" that multiplying by %.4g would scale as well)\n",
+			2*o.iters, o.iters, 5000/float64(o.iters)-1, 2*o.iters, o.iters, 5000/float64(o.iters))
 	}
 	t := stats.NewTable("cores", "iRCCE [ms]", "SVM strong [ms]", "SVM lazy [ms]")
 	for _, p := range points {

@@ -48,6 +48,8 @@ var goldenRows = []struct {
 	{"chaos-drops", []string{"-rounds", "50", "-iters", "8", "-chaos", "2,drops"}},
 	{"chaos-crash", []string{"-rounds", "50", "-iters", "20", "-chaos", "4,crash"}},
 	{"metrics-fig6", []string{"-rounds", "50", "-metrics", "fig6"}},
+	{"profile-table1", []string{"-profile", "table1"}},
+	{"comm", []string{"-rounds", "20", "comm"}},
 	{"kvstore", []string{"-kv-requests", "500", "kvstore"}},
 	{"info", []string{"info"}},
 
@@ -66,6 +68,13 @@ var goldenRows = []struct {
 	{"reject-fig6-baseline", []string{"-baseline", "-rounds", "20", "fig6"}},
 	{"reject-fig6-kv-seed", []string{"-kv-seed", "3", "fig6"}},
 	{"reject-chaos-bad-seed", []string{"-chaos", "0x10"}},
+	// A size below 1, or a machine with fewer than two cores, is one too.
+	{"reject-grid-zero", []string{"-grid", "0x0x0", "fig6"}},
+	{"reject-chips-zero", []string{"-chips", "0", "fig6"}},
+	{"reject-grid-one-core", []string{"-grid", "1x1x1", "fig7"}},
+	{"reject-rounds-zero", []string{"-rounds", "0", "fig6"}},
+	{"reject-iters-zero", []string{"-iters", "0", "fig9"}},
+	{"reject-kv-requests-zero", []string{"-kv-requests", "0", "kvstore"}},
 }
 
 // TestGolden runs each row in a fresh working directory (the chaos harness

@@ -139,7 +139,7 @@ func run(args []string) int {
 	fs.IntVar(&o.rounds, "rounds", 200, "ping-pong rounds per mailbox measurement")
 	fs.IntVar(&o.chips, "chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
 	fs.StringVar(&o.grid, "grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
-	fs.IntVar(&o.iters, "iters", 50, "Laplace iterations (paper: 5000; per-iteration cost is constant, so crossovers are preserved)")
+	fs.IntVar(&o.iters, "iters", 50, "Laplace iterations (paper: 5000; a one-time warm-up plus a constant per-iteration cost, so crossovers are preserved)")
 	fs.BoolVar(&o.full, "full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
 	fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
 	fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
@@ -179,6 +179,15 @@ func run(args []string) int {
 	if unread != "" {
 		fmt.Fprintf(os.Stderr, "sccbench: %s does not read -%s\n", m.name, unread)
 		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"chips", o.chips}, {"rounds", o.rounds}, {"iters", o.iters}, {"kv-requests", o.kvRequests}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "sccbench: -%s %d: want at least 1\n", f.name, f.v)
+			return 2
+		}
 	}
 	// A command row's word is its argument; a flag-selected row takes one of
 	// the words in its arg, or none.
@@ -265,8 +274,9 @@ func printJSON(v any) bool {
 }
 
 // parseTopology builds the machine configuration from the -chips and -grid
-// flags. Both at their defaults returns nil — the stock paper chip, leaving
-// every legacy code path untouched.
+// flags and rejects one with fewer than two cores. Both at their defaults
+// returns nil — the stock paper chip, leaving every legacy code path
+// untouched.
 func parseTopology(chips int, grid string) (*scc.Config, error) {
 	if chips <= 1 && grid == "" {
 		return nil, nil
@@ -285,6 +295,10 @@ func parseTopology(chips int, grid string) (*scc.Config, error) {
 	cfg := base.Normalized()
 	if err := scc.Validate(cfg); err != nil {
 		return nil, err
+	}
+	// Every harness measures between at least two cores.
+	if n := cfg.Chips * cfg.Mesh.Width * cfg.Mesh.Height * cfg.Mesh.CoresPerTile; n < 2 {
+		return nil, fmt.Errorf("a %d-core machine: the harnesses need at least 2 cores", n)
 	}
 	return &cfg, nil
 }

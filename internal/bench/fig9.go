@@ -28,10 +28,13 @@ type Fig9Point struct {
 
 // PaperFig9 is the paper's configuration: 1024x512 doubles (4 MiB per
 // array, one row per page) on the stock platform. iters is configurable
-// because the paper's 5000 iterations take a while to simulate; the
-// per-iteration cost is iteration-independent, so a smaller count preserves
-// every crossover (scale the reported numbers by 5000/iters to compare
-// absolute runtimes).
+// because the paper's 5000 iterations take a while to simulate. A run of k
+// iterations costs a one-time warm-up W plus k times a steady per-iteration
+// cost, so a smaller count preserves every crossover, but scaling by
+// 5000/k multiplies W as well: the iRCCE cells in the L2 regime (32 and 48
+// cores) carry a W of 2.9 and 2.2 ms, which x100 overstates by 4.7 and
+// 6.6 % (EXPERIMENTS.md). Compare absolute runtimes with the two-point
+// rule T(5000) = T(50) + 99·(T(100) − T(50)).
 func PaperFig9(iters int) Fig9Config {
 	p := laplace.DefaultParams()
 	p.Iters = iters

@@ -7,7 +7,6 @@ import (
 
 	"metalsvm/internal/core"
 	"metalsvm/internal/profile"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/svm"
 )
 
@@ -16,7 +15,7 @@ import (
 func fullInstrumentation() core.Instrumentation {
 	return core.Instrumentation{
 		TraceCapacity: 1 << 14,
-		Race:          &racecheck.Config{},
+		Race:          true,
 		Metrics:       true,
 		Profile:       &profile.Config{},
 	}

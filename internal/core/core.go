@@ -42,8 +42,6 @@ type Options struct {
 	// API — scc.PaperSCC, scc.Grid, scc.MultiChip, or a hand-built
 	// scc.Config. Nil keeps the paper's 48-core chip.
 	Topology *scc.Config
-	// Kernel overrides the kernel configuration (mailbox mode, timer).
-	Kernel *kernel.Config
 	// SVM overrides the SVM configuration (consistency model, calibration).
 	SVM *svm.Config
 	// Members lists the cores to boot (sorted, distinct). Defaults to all.
@@ -177,9 +175,6 @@ func NewMachine(opts Options) (*Machine, error) {
 		return nil, err
 	}
 	kcfg := kernel.DefaultConfig()
-	if opts.Kernel != nil {
-		kcfg = *opts.Kernel
-	}
 	WireFaults(chip, &kcfg, opts.Faults)
 	members := opts.Members
 	var workers, managers []int

@@ -58,8 +58,6 @@ type DomainSpec struct {
 	// Members are the domain's cores (sorted, distinct; domains must be
 	// pairwise disjoint).
 	Members []int
-	// Kernel overrides the kernel configuration.
-	Kernel *kernel.Config
 	// SVM overrides the SVM configuration. Page ranges are assigned by
 	// NewDomains (an explicit PageLo/PageHi here is rejected — the split
 	// must partition).
@@ -99,11 +97,7 @@ func NewDomains(chipCfg *scc.Config, specs []DomainSpec) (*Domains, error) {
 	}
 	ds := &Domains{Engine: eng, Chip: chip}
 	for d, spec := range specs {
-		kcfg := kernel.DefaultConfig()
-		if spec.Kernel != nil {
-			kcfg = *spec.Kernel
-		}
-		cl, err := kernel.NewCluster(chip, kcfg, spec.Members)
+		cl, err := kernel.NewCluster(chip, kernel.DefaultConfig(), spec.Members)
 		if err != nil {
 			return nil, fmt.Errorf("core: domain %d: %w", d, err)
 		}

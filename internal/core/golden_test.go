@@ -8,8 +8,6 @@ import (
 	"metalsvm/internal/apps/laplace"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/profile"
-	"metalsvm/internal/racecheck"
-	"metalsvm/internal/sancheck"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/svm/repldir"
 	"metalsvm/internal/trace"
@@ -76,8 +74,8 @@ func TestGoldenTraceStrong(t *testing.T) {
 	checkGoldenTrace(t, goldenStrong(t, Instrumentation{TraceCapacity: 1 << 16}), events, hash)
 	checkGoldenTrace(t, goldenStrong(t, Instrumentation{
 		TraceCapacity: 1 << 16,
-		Race:          &racecheck.Config{},
-		Sanitize:      &sancheck.Config{},
+		Race:          true,
+		Sanitize:      true,
 		Metrics:       true,
 		Profile:       &profile.Config{},
 	}), events, hash)

@@ -32,12 +32,11 @@ type Instrumentation struct {
 	// TraceCapacity, when positive, installs a protocol-event ring buffer of
 	// that capacity on the chip (unless one is already present).
 	TraceCapacity int
-	// Race, when non-nil, enables the happens-before race checker.
-	Race *racecheck.Config
-	// Sanitize, when non-nil, enables the sanitizer suite: the SVM shadow-
-	// memory checker, the Eraser-style lockset checker and the lock-order
-	// graph. The zero Config enables every class.
-	Sanitize *sancheck.Config
+	// Race enables the happens-before race checker.
+	Race bool
+	// Sanitize enables the sanitizer suite: the SVM shadow-memory checker,
+	// the Eraser-style lockset checker and the lock-order graph.
+	Sanitize bool
 	// Metrics enables the end-of-run metrics snapshot harvested from every
 	// subsystem's counters.
 	Metrics bool
@@ -52,8 +51,7 @@ const raceTraceCapacity = 8192
 
 // enabled reports whether any observer is requested.
 func (i Instrumentation) enabled() bool {
-	return i.TraceCapacity > 0 || i.Race != nil || i.Sanitize != nil ||
-		i.Metrics || i.Profile != nil
+	return i.TraceCapacity > 0 || i.Race || i.Sanitize || i.Metrics || i.Profile != nil
 }
 
 // Observation carries a run's instrumentation state and, after Finish, its
@@ -89,7 +87,7 @@ func Observe(cfg Instrumentation, chip *scc.Chip,
 	// then the sanitizer.
 	events := chip.Tracer()
 	capacity := cfg.TraceCapacity
-	if capacity <= 0 && cfg.Race != nil {
+	if capacity <= 0 && cfg.Race {
 		capacity = raceTraceCapacity
 	}
 	if capacity > 0 && events.Ring() == nil {
@@ -103,12 +101,12 @@ func Observe(cfg Instrumentation, chip *scc.Chip,
 			space[id] = i
 		}
 	}
-	if cfg.Race != nil {
-		o.race = racecheck.NewChecker(chip.Cores(), scc.VirtSharedBase, *cfg.Race)
+	if cfg.Race {
+		o.race = racecheck.NewChecker(chip.Cores(), scc.VirtSharedBase)
 		o.race.Attach(events, space)
 	}
-	if cfg.Sanitize != nil {
-		o.san = sancheck.NewChecker(chip.Cores(), scc.VirtSharedBase, *cfg.Sanitize)
+	if cfg.Sanitize {
+		o.san = sancheck.NewChecker(chip.Cores(), scc.VirtSharedBase)
 		o.san.Attach(events, space)
 	}
 	if cfg.Profile != nil {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metalsvm/internal/profile"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 )
@@ -58,7 +57,7 @@ func TestZeroPerturbation(t *testing.T) {
 	}
 	full, mFull := observedWorkload(t, Instrumentation{
 		TraceCapacity: 8192,
-		Race:          &racecheck.Config{},
+		Race:          true,
 		Metrics:       true,
 		Profile:       &profile.Config{},
 	})
@@ -144,7 +143,7 @@ func TestRaceWiresThroughObservation(t *testing.T) {
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
 		Topology: smallChip(), SVM: &scfg, Members: []int{0, 1},
-		Observe: Instrumentation{Race: &racecheck.Config{}},
+		Observe: Instrumentation{Race: true},
 	})
 	if err != nil {
 		t.Fatal(err)

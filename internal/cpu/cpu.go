@@ -288,9 +288,6 @@ func (c *Core) InterruptsEnabled() bool { return c.irqEnabled }
 // anything that became pending meanwhile at the next sync point.
 func (c *Core) SetInterruptsEnabled(on bool) { c.irqEnabled = on }
 
-// PendingInterrupts reports whether any IRQ is waiting for delivery.
-func (c *Core) PendingInterrupts() bool { return c.pendingIRQ != 0 }
-
 // deliverIRQs is the proc sync hook: it runs pending handlers inline.
 func (c *Core) deliverIRQs() {
 	if c.irqIdle() {
@@ -312,9 +309,6 @@ func (c *Core) deliverIRQs() {
 		c.inHandler = false
 	}
 }
-
-// InHandler reports whether the core is currently inside an IRQ handler.
-func (c *Core) InHandler() bool { return c.inHandler }
 
 // --- Special instructions -----------------------------------------------
 

@@ -1,5 +1,5 @@
-// Package metrics provides the observability layer's registry of counters,
-// gauges and histograms. Instruments are charged no simulated cycles: they
+// Package metrics provides the observability layer's registry of counters
+// and histograms. Instruments are charged no simulated cycles: they
 // are plain host-side accumulators the subsystems bump (or the end-of-run
 // harvest fills from the subsystems' stats structs), so an instrumented run
 // is bit-identical to an uninstrumented one.
@@ -25,56 +25,12 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Inc increases the counter by one; nil-safe.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count; nil reads as zero.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge tracks a last-set value and the maximum it ever reached.
-type Gauge struct {
-	v, max int64
-	set    bool
-}
-
-// Set records a new value; nil-safe.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if !g.set || v > g.max {
-		g.max = v
-	}
-	g.set = true
-}
-
-// Add shifts the value by d; nil-safe.
-func (g *Gauge) Add(d int64) {
-	if g != nil {
-		g.Set(g.v + d)
-	}
-}
-
-// Value returns the last set value; nil reads as zero.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Max returns the maximum value ever set; nil reads as zero.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
 }
 
 // SubBuckets is the number of linear sub-buckets inside each power-of-two
@@ -254,7 +210,6 @@ func (h *Histogram) Sum() uint64 {
 // one-lined; names conventionally read "subsystem.metric".
 type Registry struct {
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -262,7 +217,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -275,16 +229,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -301,12 +245,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 type CounterPoint struct {
 	Name  string
 	Value uint64
-}
-
-// GaugePoint is one gauge in a snapshot.
-type GaugePoint struct {
-	Name       string
-	Value, Max int64
 }
 
 // HistogramPoint is one histogram in a snapshot.
@@ -342,7 +280,6 @@ func (h HistogramPoint) P999() uint64 { return h.Quantile(0.999) }
 // Snapshot is an immutable, name-sorted view of a registry.
 type Snapshot struct {
 	Counters   []CounterPoint
-	Gauges     []GaugePoint
 	Histograms []HistogramPoint
 }
 
@@ -355,11 +292,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Counters = append(s.Counters, CounterPoint{Name: name, Value: c.v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	//metalsvm:deterministic — keys are collected, then sorted below
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Value: g.v, Max: g.max})
-	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	//metalsvm:deterministic — keys are collected, then sorted below
 	for name, h := range r.histograms {
 		s.Histograms = append(s.Histograms, HistogramPoint{
@@ -390,11 +322,6 @@ func (s *Snapshot) WriteText(w io.Writer) {
 			width = len(c.Name)
 		}
 	}
-	for _, g := range s.Gauges {
-		if len(g.Name) > width {
-			width = len(g.Name)
-		}
-	}
 	for _, h := range s.Histograms {
 		if len(h.Name) > width {
 			width = len(h.Name)
@@ -402,9 +329,6 @@ func (s *Snapshot) WriteText(w io.Writer) {
 	}
 	for _, c := range s.Counters {
 		fmt.Fprintf(w, "%-*s %12d\n", width, c.Name, c.Value)
-	}
-	for _, g := range s.Gauges {
-		fmt.Fprintf(w, "%-*s %12d (max %d)\n", width, g.Name, g.Value, g.Max)
 	}
 	for _, h := range s.Histograms {
 		fmt.Fprintf(w, "%-*s %12d samples, mean %.2f, min %d, max %d, p50 %d, p99 %d, p999 %d\n",

@@ -8,15 +8,8 @@ import (
 func TestNilInstrumentsSafe(t *testing.T) {
 	var c *Counter
 	c.Add(3)
-	c.Inc()
 	if c.Value() != 0 {
 		t.Fatal("nil counter misbehaves")
-	}
-	var g *Gauge
-	g.Set(5)
-	g.Add(2)
-	if g.Value() != 0 || g.Max() != 0 {
-		t.Fatal("nil gauge misbehaves")
 	}
 	var h *Histogram
 	h.Observe(7)
@@ -28,22 +21,12 @@ func TestNilInstrumentsSafe(t *testing.T) {
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.b")
-	c.Inc()
+	c.Add(1)
 	if r.Counter("a.b") != c || r.Counter("a.b").Value() != 1 {
 		t.Fatal("counter identity lost")
 	}
-	if r.Gauge("g") != r.Gauge("g") || r.Histogram("h") != r.Histogram("h") {
-		t.Fatal("gauge/histogram identity lost")
-	}
-}
-
-func TestGaugeMax(t *testing.T) {
-	var g Gauge
-	g.Set(-3)
-	g.Set(10)
-	g.Add(-4)
-	if g.Value() != 6 || g.Max() != 10 {
-		t.Fatalf("value %d max %d", g.Value(), g.Max())
+	if r.Histogram("h") != r.Histogram("h") {
+		t.Fatal("histogram identity lost")
 	}
 }
 
@@ -62,7 +45,6 @@ func TestSnapshotSortedAndLookup(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(2)
 	r.Counter("a.first").Add(1)
-	r.Gauge("depth").Set(4)
 	r.Histogram("hops").Observe(3)
 	s := r.Snapshot()
 	if len(s.Counters) != 2 || s.Counters[0].Name != "a.first" || s.Counters[1].Name != "z.last" {
@@ -77,7 +59,7 @@ func TestSnapshotSortedAndLookup(t *testing.T) {
 	var sb strings.Builder
 	s.WriteText(&sb)
 	out := sb.String()
-	for _, want := range []string{"a.first", "z.last", "depth", "hops", "mean 3.00"} {
+	for _, want := range []string{"a.first", "z.last", "hops", "mean 3.00"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text output lacks %q:\n%s", want, out)
 		}

@@ -61,12 +61,6 @@ func (l *Layout) Cores() int { return l.cores }
 // Controllers returns the memory controller count.
 func (l *Layout) Controllers() int { return l.controllers }
 
-// PrivateSize returns the per-core private region size.
-func (l *Layout) PrivateSize() uint32 { return l.privateSize }
-
-// SharedSize returns the shared region size.
-func (l *Layout) SharedSize() uint32 { return l.sharedSize }
-
 // Total returns the size of the whole physical address space.
 func (l *Layout) Total() uint64 {
 	return uint64(l.privateSize)*uint64(l.cores) + uint64(l.sharedSize)

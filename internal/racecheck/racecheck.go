@@ -37,16 +37,13 @@ import (
 // the protocol's visibility unit far more closely than it misses.
 const granuleShift = 2
 
-// Config tunes the checker. The zero value is usable; NewChecker fills in
-// defaults.
-type Config struct {
-	// MaxRaces bounds the number of fully reported races (default 16).
-	// Further dynamic race observations only increment Suppressed.
-	MaxRaces int
-	// Window is the half-width of the trace timeline captured around each
-	// race (default 20 simulated microseconds).
-	Window sim.Duration
-}
+// maxRaces bounds the number of fully reported races. Further dynamic race
+// observations only count towards Dynamic.
+const maxRaces = 16
+
+// timelineWindow is the half-width of the trace timeline captured around
+// each race: 20 simulated microseconds.
+const timelineWindow sim.Duration = 20e6
 
 // Access is one side of a reported race.
 type Access struct {
@@ -106,7 +103,6 @@ type readSlot struct {
 // Checker is one chip's race detector. It is not goroutine-safe, which is
 // fine: the simulator runs exactly one process at a time.
 type Checker struct {
-	cfg  Config
 	n    int    // cores
 	base uint32 // lowest checked virtual address (the shared region)
 
@@ -124,15 +120,8 @@ type Checker struct {
 
 // NewChecker creates a detector for an n-core chip whose checked (shared)
 // region starts at base.
-func NewChecker(n int, base uint32, cfg Config) *Checker {
-	if cfg.MaxRaces == 0 {
-		cfg.MaxRaces = 16
-	}
-	if cfg.Window == 0 {
-		cfg.Window = sim.Microseconds(20)
-	}
+func NewChecker(n int, base uint32) *Checker {
 	k := &Checker{
-		cfg:      cfg,
 		n:        n,
 		base:     base,
 		clocks:   make([]vclock, n),
@@ -151,7 +140,7 @@ func NewChecker(n int, base uint32, cfg Config) *Checker {
 func (k *Checker) Races() []Race { return k.races }
 
 // Dynamic returns the total number of race observations, including ones
-// suppressed after MaxRaces or after a granule's first report.
+// suppressed after maxRaces or after a granule's first report.
 func (k *Checker) Dynamic() uint64 { return k.dynamic }
 
 // Clean reports whether no race was observed.
@@ -320,7 +309,7 @@ func (k *Checker) onGranule(core int, addr uint32, write bool, at sim.Time) {
 
 func (k *Checker) report(addr uint32, first, second Access) {
 	k.dynamic++
-	if k.reported[addr] || len(k.races) >= k.cfg.MaxRaces {
+	if k.reported[addr] || len(k.races) >= maxRaces {
 		return
 	}
 	k.reported[addr] = true
@@ -330,12 +319,12 @@ func (k *Checker) report(addr uint32, first, second Access) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		if lo > k.cfg.Window {
-			lo -= k.cfg.Window
+		if lo > timelineWindow {
+			lo -= timelineWindow
 		} else {
 			lo = 0
 		}
-		r.Timeline = trace.Filter(k.traceSrc(), trace.Between(lo, hi+k.cfg.Window+1))
+		r.Timeline = trace.Filter(k.traceSrc(), trace.Between(lo, hi+timelineWindow+1))
 	}
 	k.races = append(k.races, r)
 }

@@ -12,7 +12,7 @@ const base = 0x8000_0000
 
 func mk(t *testing.T) *Checker {
 	t.Helper()
-	return NewChecker(4, base, Config{})
+	return NewChecker(4, base)
 }
 
 func TestUnorderedWriteWriteRaces(t *testing.T) {
@@ -163,16 +163,17 @@ func TestGranuleReportedOnce(t *testing.T) {
 }
 
 func TestMaxRacesCap(t *testing.T) {
-	k := NewChecker(4, base, Config{MaxRaces: 3})
-	for i := uint32(0); i < 10; i++ {
+	k := mk(t)
+	const granules = maxRaces + 4
+	for i := uint32(0); i < granules; i++ {
 		k.OnAccess(0, base+i*4, 4, true, 1)
 		k.OnAccess(1, base+i*4, 4, true, 2)
 	}
-	if len(k.Races()) != 3 {
+	if len(k.Races()) != maxRaces {
 		t.Fatalf("cap not applied: %d races reported", len(k.Races()))
 	}
-	if k.Dynamic() != 10 {
-		t.Fatalf("want 10 dynamic observations, got %d", k.Dynamic())
+	if k.Dynamic() != granules {
+		t.Fatalf("want %d dynamic observations, got %d", granules, k.Dynamic())
 	}
 }
 
@@ -180,7 +181,7 @@ func TestTimelineAttached(t *testing.T) {
 	buf := trace.NewBuffer(64)
 	buf.Emit(5, 0, trace.KindFault, uint64(base), 0)
 	buf.Emit(sim.Microseconds(1000), 1, trace.KindBarrier, 1, 0) // far away
-	k := NewChecker(4, base, Config{Window: sim.Microseconds(1)})
+	k := mk(t)
 	k.traceSrc = buf.Events
 	k.OnAccess(0, base, 8, true, 10)
 	k.OnAccess(1, base, 8, true, 20)

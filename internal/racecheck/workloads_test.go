@@ -14,7 +14,6 @@ import (
 	"metalsvm/internal/apps/matmul"
 	"metalsvm/internal/apps/taskfarm"
 	"metalsvm/internal/core"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
@@ -56,7 +55,7 @@ func newMachine(t *testing.T, model svm.Model, members []int) *core.Machine {
 		Topology: smallChip(),
 		SVM:      &scfg,
 		Members:  members,
-		Observe:  core.Instrumentation{Race: &racecheck.Config{}},
+		Observe:  core.Instrumentation{Race: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +192,7 @@ func TestDomainsRaceFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ds.Observe(core.Instrumentation{Race: &racecheck.Config{}}).Race()
+	k := ds.Observe(core.Instrumentation{Race: true}).Race()
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -217,7 +216,7 @@ func TestDomainsRaceFree(t *testing.T) {
 // other side: a run with the checker enabled must finish at the bit-identical
 // simulated time, with the bit-identical result, as a run without it.
 func TestCheckerDoesNotPerturbTime(t *testing.T) {
-	run := func(race *racecheck.Config) (sim.Time, float64) {
+	run := func(race bool) (sim.Time, float64) {
 		scfg := svm.DefaultConfig(svm.LazyRelease)
 		m, err := core.NewMachine(core.Options{
 			Topology: smallChip(),
@@ -232,8 +231,8 @@ func TestCheckerDoesNotPerturbTime(t *testing.T) {
 		end := m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		return end, app.Result().Checksum
 	}
-	plainEnd, plainSum := run(nil)
-	checkedEnd, checkedSum := run(&racecheck.Config{})
+	plainEnd, plainSum := run(false)
+	checkedEnd, checkedSum := run(true)
 	if plainEnd != checkedEnd {
 		t.Fatalf("checker moved simulated time: %v vs %v", plainEnd, checkedEnd)
 	}

@@ -32,9 +32,6 @@ type Request struct {
 	done   bool
 }
 
-// Done reports completion without driving progress (use Test to drive).
-func (r *Request) Done() bool { return r.done }
-
 // Isend starts a non-blocking send of data from rank me to rank to.
 func (c *Comm) Isend(me int, data []byte, to int) *Request {
 	if me == to {
@@ -108,78 +105,6 @@ func (r *Request) progress() bool {
 		return true
 	}
 	return false
-}
-
-// Test drives one progress step and reports completion.
-func (c *Comm) Test(me int, r *Request) bool {
-	if r.me != me {
-		panic("rcce: testing a foreign request")
-	}
-	r.progress()
-	return r.done
-}
-
-// TestAll drives one progress pass over all requests and reports whether
-// every one has completed (iRCCE_test_all).
-func (c *Comm) TestAll(me int, reqs ...*Request) bool {
-	all := true
-	for _, r := range reqs {
-		if r.me != me {
-			panic("rcce: testing a foreign request")
-		}
-		for r.progress() {
-		}
-		if !r.done {
-			all = false
-		}
-	}
-	return all
-}
-
-// WaitAnyOf blocks until at least one request completes and returns its
-// index (iRCCE_wait_any). Completed requests found first win; ties go to
-// the lowest index.
-func (c *Comm) WaitAnyOf(me int, reqs ...*Request) int {
-	if len(reqs) == 0 {
-		panic("rcce: WaitAnyOf with no requests")
-	}
-	meCore := c.chip.Core(c.cores[me])
-	sigs := make([]*sim.Signal, 0, len(reqs))
-	seen := map[*sim.Signal]bool{}
-	for _, r := range reqs {
-		if r.me != me {
-			panic("rcce: waiting on a foreign request")
-		}
-		var s *sim.Signal
-		if r.kind == sendReq {
-			s = c.flagSig[c.cores[r.peer]]
-		} else {
-			s = c.flagSig[c.cores[r.me]]
-		}
-		if !seen[s] {
-			seen[s] = true
-			sigs = append(sigs, s)
-		}
-	}
-	seqs := make([]uint64, len(sigs))
-	for {
-		for i, s := range sigs {
-			seqs[i] = s.Seq()
-		}
-		progressed := false
-		for i, r := range reqs {
-			for r.progress() {
-				progressed = true
-			}
-			if r.done {
-				return i
-			}
-		}
-		if progressed {
-			continue
-		}
-		sim.WaitAnySeq(meCore.Proc(), sigs, seqs)
-	}
 }
 
 // Wait blocks rank me until every request completes, driving progress on

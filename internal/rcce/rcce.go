@@ -39,7 +39,6 @@ const (
 type Comm struct {
 	chip  *scc.Chip
 	cores []int
-	rank  map[int]int
 
 	flagOff  int // receiver-side flag array, indexed by sender rank
 	slotOff  int
@@ -68,15 +67,15 @@ func New(chip *scc.Chip, cores []int) (*Comm, error) {
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("rcce: empty core list")
 	}
-	rank := make(map[int]int, len(cores))
-	for r, c := range cores {
+	seen := make(map[int]bool, len(cores))
+	for _, c := range cores {
 		if c < 0 || c >= chip.Cores() {
 			return nil, fmt.Errorf("rcce: core %d out of range", c)
 		}
-		if _, dup := rank[c]; dup {
+		if seen[c] {
 			return nil, fmt.Errorf("rcce: duplicate core %d", c)
 		}
-		rank[c] = r
+		seen[c] = true
 	}
 	general := chip.GeneralMPBSize()
 	flagArea := (len(cores)*flagBytes + phys.CacheLine - 1) &^ (phys.CacheLine - 1)
@@ -88,7 +87,6 @@ func New(chip *scc.Chip, cores []int) (*Comm, error) {
 	c := &Comm{
 		chip:         chip,
 		cores:        append([]int(nil), cores...),
-		rank:         rank,
 		flagOff:      chip.GeneralMPBOffset(),
 		slotOff:      chip.GeneralMPBOffset() + flagArea,
 		slotSize:     slot,
@@ -106,14 +104,6 @@ func (c *Comm) Size() int { return len(c.cores) }
 
 // CoreOf returns the core running rank r.
 func (c *Comm) CoreOf(r int) int { return c.cores[r] }
-
-// RankOf returns the rank of a core (-1 if not participating).
-func (c *Comm) RankOf(core int) int {
-	if r, ok := c.rank[core]; ok {
-		return r
-	}
-	return -1
-}
 
 // ChunkSize returns the staging slot size (bytes per chunk).
 func (c *Comm) ChunkSize() int { return c.slotSize }
@@ -273,36 +263,4 @@ func (c *Comm) waitBarrier(meCore int, fromRank int, epoch uint8) {
 		}
 		c.flagSig[meCore].Wait(c.chip.Core(meCore).Proc())
 	}
-}
-
-// Bcast distributes root's buf to every rank (linear fan-out, like RCCE's
-// naive bcast).
-func (c *Comm) Bcast(me, root int, buf []byte) {
-	if me == root {
-		for r := range c.cores {
-			if r != root {
-				c.Send(me, buf, r)
-			}
-		}
-		return
-	}
-	c.Recv(me, buf, root)
-}
-
-// Put writes data one-sidedly into slot 0 of the target core's staging
-// area (the RCCE_put primitive; the target must coordinate use of the
-// window itself).
-func (c *Comm) Put(me, target, off int, data []byte) {
-	if off < 0 || off+len(data) > c.slotSize {
-		panic("rcce: put outside window")
-	}
-	c.chip.MPBWrite(c.cores[me], c.cores[target], c.slotAddr(0)+off, data)
-}
-
-// Get reads one-sidedly from slot 0 of the target core's staging area.
-func (c *Comm) Get(me, target, off int, buf []byte) {
-	if off < 0 || off+len(buf) > c.slotSize {
-		panic("rcce: get outside window")
-	}
-	c.chip.MPBRead(c.cores[me], c.cores[target], c.slotAddr(0)+off, buf)
 }

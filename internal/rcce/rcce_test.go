@@ -220,49 +220,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	cores := []int{0, 1, 2, 30}
-	eng, chip, comm := newComm(t, cores)
-	want := pattern(300, 77)
-	got := make([][]byte, len(cores))
-	for r := range cores {
-		r := r
-		got[r] = make([]byte, 300)
-		chip.Boot(cores[r], func(c *cpu.Core) {
-			if r == 0 {
-				copy(got[0], want)
-			}
-			comm.Bcast(r, 0, got[r])
-		})
-	}
-	eng.Run()
-	eng.Shutdown()
-	for r := range cores {
-		if !bytes.Equal(got[r], want) {
-			t.Fatalf("rank %d bcast corrupted", r)
-		}
-	}
-}
-
-func TestPutGet(t *testing.T) {
-	eng, chip, comm := newComm(t, []int{0, 30})
-	want := pattern(64, 42)
-	got := make([]byte, 64)
-	chip.Boot(0, func(c *cpu.Core) {
-		comm.Put(0, 1, 0, want)
-	})
-	chip.Boot(30, func(c *cpu.Core) {
-		c.Proc().Advance(sim.Microseconds(50))
-		c.Sync()
-		comm.Get(1, 1, 0, got)
-	})
-	eng.Run()
-	eng.Shutdown()
-	if !bytes.Equal(got, want) {
-		t.Fatal("put/get corrupted")
-	}
-}
-
 func TestTransferLatencyScalesWithDistance(t *testing.T) {
 	elapse := func(peer int) sim.Duration {
 		eng, chip, comm := newComm(t, []int{0, peer})

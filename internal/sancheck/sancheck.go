@@ -47,19 +47,9 @@ import (
 	"metalsvm/internal/trace"
 )
 
-// Config tunes the suite. The zero value enables every checker class with
-// default bounds.
-type Config struct {
-	// MaxFindings bounds the number of fully recorded findings (default 32).
-	// Further observations only increment Dynamic.
-	MaxFindings int
-	// NoShadow disables the shadow-memory checker.
-	NoShadow bool
-	// NoLockset disables the Eraser-style lockset checker.
-	NoLockset bool
-	// NoLockOrder disables the lock-order-graph analyzer.
-	NoLockOrder bool
-}
+// maxFindings bounds the number of fully recorded findings. Further
+// observations only count towards Dynamic.
+const maxFindings = 32
 
 // Kind classifies a finding.
 type Kind int
@@ -183,7 +173,6 @@ func fmtSet(set []token) string {
 // Checker is one chip's sanitizer. It is not goroutine-safe, which is fine:
 // the simulator runs exactly one process at a time.
 type Checker struct {
-	cfg  Config
 	n    int    // cores
 	base uint32 // lowest checked virtual address (the shared region)
 
@@ -212,28 +201,17 @@ type Checker struct {
 
 // NewChecker creates a sanitizer for an n-core chip whose checked (shared)
 // region starts at base.
-func NewChecker(n int, base uint32, cfg Config) *Checker {
-	if cfg.MaxFindings == 0 {
-		cfg.MaxFindings = 32
-	}
-	k := &Checker{
-		cfg:      cfg,
+func NewChecker(n int, base uint32) *Checker {
+	return &Checker{
 		n:        n,
 		base:     base,
 		held:     make([][]token, n),
 		epoch:    make([]uint32, n),
 		ownEpoch: make(map[uint32]uint32),
+		shadow:   newShadowState(),
+		ls:       newLocksetState(),
+		lo:       newLockOrderState(),
 	}
-	if !cfg.NoShadow {
-		k.shadow = newShadowState()
-	}
-	if !cfg.NoLockset {
-		k.ls = newLocksetState()
-	}
-	if !cfg.NoLockOrder {
-		k.lo = newLockOrderState()
-	}
-	return k
 }
 
 // Findings returns the recorded findings (running Finalize first so graph
@@ -244,7 +222,7 @@ func (k *Checker) Findings() []Finding {
 }
 
 // Dynamic returns the total number of bug observations, including ones
-// suppressed after MaxFindings or after a site's first report.
+// suppressed after maxFindings or after a site's first report.
 func (k *Checker) Dynamic() uint64 {
 	k.Finalize()
 	return k.dynamic
@@ -273,9 +251,7 @@ func (k *Checker) Finalize() {
 		return
 	}
 	k.finalized = true
-	if k.lo != nil {
-		k.lo.finalize(k)
-	}
+	k.lo.finalize(k)
 }
 
 // Report writes a human-readable summary.
@@ -291,11 +267,11 @@ func (k *Checker) Report(w io.Writer) {
 	}
 }
 
-// report books one finding, bounded by MaxFindings.
+// report books one finding, bounded by maxFindings.
 func (k *Checker) report(f Finding) {
 	k.dynamic++
 	k.counts[f.Kind]++
-	if len(k.findings) < k.cfg.MaxFindings {
+	if len(k.findings) < maxFindings {
 		k.findings = append(k.findings, f)
 	}
 }
@@ -363,58 +339,42 @@ func (k *Checker) OnAccess(core int, vaddr uint32, size int, write bool, at sim.
 	if vaddr < k.base || size <= 0 {
 		return
 	}
-	if k.shadow != nil {
-		k.shadow.onAccess(k, core, vaddr, size, write, at)
-	}
-	if k.ls != nil {
-		k.ls.onAccess(k, core, vaddr, size, write, at)
-	}
+	k.shadow.onAccess(k, core, vaddr, size, write, at)
+	k.ls.onAccess(k, core, vaddr, size, write, at)
 }
 
 // OnRegionAlloc records a collective allocation of pages starting at base.
 func (k *Checker) OnRegionAlloc(core int, base, pages uint32) {
-	if k.shadow != nil {
-		k.shadow.onAlloc(base, pages)
-	}
+	k.shadow.onAlloc(base, pages)
 }
 
 // OnRegionFree records the collective free of the region at base.
 func (k *Checker) OnRegionFree(core int, base, pages uint32, at sim.Time) {
-	if k.shadow != nil {
-		k.shadow.onFree(k, core, base, pages, at)
-	}
+	k.shadow.onFree(k, core, base, pages, at)
 }
 
 // OnRegionProtect records a ProtectReadOnly of the region at base.
 func (k *Checker) OnRegionProtect(core int, base, pages uint32) {
-	if k.shadow != nil {
-		k.shadow.onProtect(base, pages)
-	}
+	k.shadow.onProtect(base, pages)
 }
 
 // OnBadFree records a Free whose base is not a live allocation (the svm
 // layer is about to panic; the finding classifies it first).
 func (k *Checker) OnBadFree(core int, base uint32, at sim.Time) {
-	if k.shadow != nil {
-		k.shadow.onBadFree(k, core, base, at)
-	}
+	k.shadow.onBadFree(k, core, base, at)
 }
 
 // OnInvalidAccess records a fault on an address outside every live region
 // (the svm layer is about to panic).
 func (k *Checker) OnInvalidAccess(core int, vaddr uint32, write bool, at sim.Time) {
-	if k.shadow != nil {
-		k.shadow.onInvalidAccess(k, core, vaddr, write, at)
-	}
+	k.shadow.onInvalidAccess(k, core, vaddr, write, at)
 }
 
 // OnReadOnlyWrite records a store into a read-only region (the svm layer is
 // about to panic).
 func (k *Checker) OnReadOnlyWrite(core int, vaddr uint32, at sim.Time) {
-	if k.shadow != nil {
-		k.report(Finding{Kind: ReadOnlyWrite, Core: core, Addr: vaddr, At: at,
-			Detail: fmt.Sprintf("write to read-only region at %#x", vaddr)})
-	}
+	k.report(Finding{Kind: ReadOnlyWrite, Core: core, Addr: vaddr, At: at,
+		Detail: fmt.Sprintf("write to read-only region at %#x", vaddr)})
 }
 
 // OnMap records a page-table install (mapped=true) or removal of the page
@@ -423,9 +383,7 @@ func (k *Checker) OnMap(core int, vaddr uint32, mapped bool) {
 	if vaddr < k.base {
 		return
 	}
-	if k.shadow != nil {
-		k.shadow.onMap(core, vaddr, mapped)
-	}
+	k.shadow.onMap(core, vaddr, mapped)
 }
 
 // OnLockAcquire records core acquiring SVM lock `lock` of system `space`.
@@ -455,9 +413,7 @@ func (k *Checker) OnBarrier(core int, at sim.Time) {
 		return
 	}
 	k.epoch[core]++
-	if k.lo != nil {
-		k.lo.onBarrier(k, core, at)
-	}
+	k.lo.onBarrier(k, core, at)
 }
 
 // OnOwnershipAcquired records a strong-model ownership acquisition of the
@@ -471,9 +427,7 @@ func (k *Checker) acquireToken(core int, t token, at sim.Time) {
 	if core < 0 || core >= k.n {
 		return
 	}
-	if k.lo != nil {
-		k.lo.onAcquire(k, core, t, at)
-	}
+	k.lo.onAcquire(k, core, t, at)
 	k.held[core] = append(k.held[core], t)
 }
 

@@ -14,14 +14,26 @@ import (
 
 const base = 0x8000_0000
 
-func shadowOnly() Config  { return Config{NoLockset: true, NoLockOrder: true} }
-func locksetOnly() Config { return Config{NoShadow: true, NoLockOrder: true} }
-func orderOnly() Config   { return Config{NoShadow: true, NoLockset: true} }
+// The kinds each class reports. Every checker runs all three classes, so a
+// test of one class counts only that class's kinds.
+var (
+	shadowKinds  = []Kind{UninitRead, UseAfterFree, DoubleFree, BadFree, ReadOnlyWrite, WildAccess}
+	locksetKinds = []Kind{LocksetRace}
+	orderKinds   = []Kind{LockOrderCycle, LockAcrossBarrier}
+)
+
+func countOf(k *Checker, kinds []Kind) uint64 {
+	var n uint64
+	for _, kind := range kinds {
+		n += k.CountOf(kind)
+	}
+	return n
+}
 
 func at(us int) sim.Time { return sim.Microseconds(float64(us)) }
 
 func TestUninitReadFlaggedOnceAndWriteSilences(t *testing.T) {
-	k := NewChecker(4, base, shadowOnly())
+	k := NewChecker(4, base)
 	k.OnRegionAlloc(0, base, 1)
 	k.OnAccess(0, base+8, 8, false, at(1)) // read-before-write: 2 granules
 	if got := k.CountOf(UninitRead); got != 2 {
@@ -42,17 +54,17 @@ func TestUninitReadFlaggedOnceAndWriteSilences(t *testing.T) {
 }
 
 func TestSubWordWriteMarksWholeGranule(t *testing.T) {
-	k := NewChecker(2, base, shadowOnly())
+	k := NewChecker(2, base)
 	k.OnRegionAlloc(0, base, 1)
 	k.OnAccess(0, base+1, 1, true, at(1)) // one byte marks the granule
 	k.OnAccess(1, base, 4, false, at(2))
-	if !k.Clean() {
+	if countOf(k, shadowKinds) != 0 {
 		t.Fatalf("coarsened granule flagged: %v", k.Findings())
 	}
 }
 
 func TestFreeClassification(t *testing.T) {
-	k := NewChecker(2, base, shadowOnly())
+	k := NewChecker(2, base)
 	k.OnRegionAlloc(0, base, 2)
 	k.OnAccess(0, base, 8, true, at(1))
 	k.OnRegionFree(0, base, 2, at(2))
@@ -76,7 +88,7 @@ func TestFreeClassification(t *testing.T) {
 }
 
 func TestFreeWithLiveMappingFlagged(t *testing.T) {
-	k := NewChecker(3, base, shadowOnly())
+	k := NewChecker(3, base)
 	k.OnRegionAlloc(0, base, 2)
 	k.OnMap(1, base, true)
 	k.OnMap(1, base+4096, true)
@@ -95,20 +107,20 @@ func TestFreeWithLiveMappingFlagged(t *testing.T) {
 }
 
 func TestCleanFreeAfterUnmapIsSilent(t *testing.T) {
-	k := NewChecker(2, base, shadowOnly())
+	k := NewChecker(2, base)
 	k.OnRegionAlloc(0, base, 1)
 	k.OnMap(0, base, true)
 	k.OnMap(1, base, true)
 	k.OnMap(0, base, false)
 	k.OnMap(1, base, false)
 	k.OnRegionFree(0, base, 1, at(5))
-	if !k.Clean() {
+	if countOf(k, shadowKinds) != 0 {
 		t.Fatalf("disciplined free flagged: %v", k.Findings())
 	}
 }
 
 func TestReadOnlyWrite(t *testing.T) {
-	k := NewChecker(2, base, shadowOnly())
+	k := NewChecker(2, base)
 	k.OnRegionAlloc(0, base, 1)
 	k.OnRegionProtect(0, base, 1)
 	k.OnReadOnlyWrite(1, base+12, at(3))
@@ -118,7 +130,7 @@ func TestReadOnlyWrite(t *testing.T) {
 }
 
 func TestLocksetPositiveUnlockedWriters(t *testing.T) {
-	k := NewChecker(2, base, locksetOnly())
+	k := NewChecker(2, base)
 	k.OnAccess(0, base, 8, true, at(1))
 	k.OnAccess(1, base, 8, true, at(2)) // same epoch, no locks held
 	if got := k.CountOf(LocksetRace); got == 0 {
@@ -127,7 +139,7 @@ func TestLocksetPositiveUnlockedWriters(t *testing.T) {
 }
 
 func TestLocksetPositiveInconsistentLocks(t *testing.T) {
-	k := NewChecker(2, base, locksetOnly())
+	k := NewChecker(2, base)
 	k.OnLockAcquire(0, 1, 0, at(1))
 	k.OnAccess(0, base, 4, true, at(2))
 	k.OnLockRelease(0, 1, 0, at(3))
@@ -145,7 +157,7 @@ func TestLocksetPositiveInconsistentLocks(t *testing.T) {
 }
 
 func TestLocksetConsistentLockIsClean(t *testing.T) {
-	k := NewChecker(2, base, locksetOnly())
+	k := NewChecker(2, base)
 	for i := 0; i < 3; i++ {
 		core := i % 2
 		k.OnLockAcquire(0, 7, core, at(10*i))
@@ -153,19 +165,19 @@ func TestLocksetConsistentLockIsClean(t *testing.T) {
 		k.OnAccess(core, base, 8, false, at(10*i+2))
 		k.OnLockRelease(0, 7, core, at(10*i+3))
 	}
-	if !k.Clean() {
+	if countOf(k, locksetKinds) != 0 {
 		t.Fatalf("consistently locked accesses flagged: %v", k.Findings())
 	}
 }
 
 func TestLocksetBarrierEpochReset(t *testing.T) {
-	k := NewChecker(2, base, locksetOnly())
+	k := NewChecker(2, base)
 	k.OnAccess(0, base, 8, true, at(1)) // init phase, no locks
 	k.OnBarrier(0, at(2))
 	k.OnBarrier(1, at(2))
 	k.OnAccess(1, base, 8, true, at(3)) // next phase: ordered by the barrier
 	k.OnAccess(1, base, 8, false, at(4))
-	if !k.Clean() {
+	if countOf(k, locksetKinds) != 0 {
 		t.Fatalf("barrier-phased accesses flagged: %v", k.Findings())
 	}
 	// But within the second phase, an unlocked second writer still races.
@@ -176,11 +188,11 @@ func TestLocksetBarrierEpochReset(t *testing.T) {
 }
 
 func TestLocksetOwnershipEpochReset(t *testing.T) {
-	k := NewChecker(2, base, locksetOnly())
+	k := NewChecker(2, base)
 	k.OnAccess(0, base+4096, 8, true, at(1))
 	k.OnOwnershipAcquired(0, 1, 1) // page index 1 handed to core 1
 	k.OnAccess(1, base+4096, 8, true, at(2))
-	if !k.Clean() {
+	if countOf(k, locksetKinds) != 0 {
 		t.Fatalf("ownership-ordered accesses flagged: %v", k.Findings())
 	}
 	// A different page saw no transfer: concurrent writers there race.
@@ -192,7 +204,7 @@ func TestLocksetOwnershipEpochReset(t *testing.T) {
 }
 
 func TestLocksetSharedReadOnlyIsClean(t *testing.T) {
-	k := NewChecker(3, base, locksetOnly())
+	k := NewChecker(3, base)
 	k.OnAccess(0, base, 8, true, at(1))
 	k.OnBarrier(0, at(2))
 	k.OnBarrier(1, at(2))
@@ -201,13 +213,13 @@ func TestLocksetSharedReadOnlyIsClean(t *testing.T) {
 	k.OnAccess(1, base, 8, false, at(3))
 	k.OnAccess(2, base, 8, false, at(4))
 	k.OnAccess(0, base, 8, false, at(5))
-	if !k.Clean() {
+	if countOf(k, locksetKinds) != 0 {
 		t.Fatalf("read-shared granule flagged: %v", k.Findings())
 	}
 }
 
 func TestLockOrderCycleReported(t *testing.T) {
-	k := NewChecker(2, base, orderOnly())
+	k := NewChecker(2, base)
 	// Core 0: A then B. Core 1: B then A. The run completes (the test feeds
 	// a serialized interleaving), but the order graph has a cycle.
 	k.OnLockAcquire(0, 1, 0, at(1))
@@ -228,7 +240,7 @@ func TestLockOrderCycleReported(t *testing.T) {
 }
 
 func TestLockOrderNestingWithoutCycleIsClean(t *testing.T) {
-	k := NewChecker(2, base, orderOnly())
+	k := NewChecker(2, base)
 	for core := 0; core < 2; core++ {
 		k.OnLockAcquire(0, 1, core, at(4*core+1))
 		k.OnLockAcquire(0, 2, core, at(4*core+2))
@@ -237,13 +249,13 @@ func TestLockOrderNestingWithoutCycleIsClean(t *testing.T) {
 		k.OnLockRelease(0, 2, core, at(4*core+4))
 		k.OnLockRelease(0, 1, core, at(4*core+4))
 	}
-	if !k.Clean() {
+	if countOf(k, orderKinds) != 0 {
 		t.Fatalf("consistent nesting flagged: %v", k.Findings())
 	}
 }
 
 func TestLockAcrossBarrierFlagged(t *testing.T) {
-	k := NewChecker(2, base, orderOnly())
+	k := NewChecker(2, base)
 	k.OnLockAcquire(0, 3, 0, at(1))
 	k.OnBarrier(0, at(2))
 	if got := k.CountOf(LockAcrossBarrier); got != 1 {
@@ -256,21 +268,22 @@ func TestLockAcrossBarrierFlagged(t *testing.T) {
 }
 
 func TestMaxFindingsBoundsReportNotDynamic(t *testing.T) {
-	k := NewChecker(2, base, Config{MaxFindings: 2, NoLockset: true, NoLockOrder: true})
+	k := NewChecker(2, base)
 	k.OnRegionAlloc(0, base, 1)
-	for i := uint32(0); i < 5; i++ {
+	const reads = maxFindings + 3
+	for i := uint32(0); i < reads; i++ {
 		k.OnAccess(0, base+i*4, 4, false, at(int(i)))
 	}
-	if len(k.Findings()) != 2 {
-		t.Fatalf("recorded %d findings, want 2", len(k.Findings()))
+	if len(k.Findings()) != maxFindings {
+		t.Fatalf("recorded %d findings, want %d", len(k.Findings()), maxFindings)
 	}
-	if k.Dynamic() != 5 {
-		t.Fatalf("dynamic = %d, want 5", k.Dynamic())
+	if k.Dynamic() != reads {
+		t.Fatalf("dynamic = %d, want %d", k.Dynamic(), reads)
 	}
 }
 
 func TestReportFormat(t *testing.T) {
-	k := NewChecker(2, base, shadowOnly())
+	k := NewChecker(2, base)
 	var b strings.Builder
 	k.Report(&b)
 	if !strings.Contains(b.String(), "no findings") {
@@ -283,17 +296,5 @@ func TestReportFormat(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "SANCHECK [uninit-read] core 1") {
 		t.Fatalf("report: %q", out)
-	}
-}
-
-func TestDisabledClassesStaySilent(t *testing.T) {
-	k := NewChecker(2, base, Config{NoShadow: true, NoLockset: true, NoLockOrder: true})
-	k.OnRegionAlloc(0, base, 1)
-	k.OnAccess(0, base, 8, false, at(1))
-	k.OnAccess(1, base, 8, true, at(2))
-	k.OnLockAcquire(0, 1, 0, at(3))
-	k.OnBarrier(0, at(4))
-	if !k.Clean() {
-		t.Fatalf("disabled checker found: %v", k.Findings())
 	}
 }

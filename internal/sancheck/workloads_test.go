@@ -16,7 +16,6 @@ import (
 	"metalsvm/internal/apps/matmul"
 	"metalsvm/internal/apps/taskfarm"
 	"metalsvm/internal/core"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/sancheck"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
@@ -71,7 +70,7 @@ func newMachine(t *testing.T, model svm.Model, members []int, obs core.Instrumen
 }
 
 func sanitized() core.Instrumentation {
-	return core.Instrumentation{Sanitize: &sancheck.Config{}}
+	return core.Instrumentation{Sanitize: true}
 }
 
 // TestWorkloadsCleanUnderSanitizer: every shipped workload, under both
@@ -336,8 +335,8 @@ func TestSanitizerDoesNotPerturbTime(t *testing.T) {
 // same stream, so both see every event.
 func TestComposesWithRaceChecker(t *testing.T) {
 	obs := core.Instrumentation{
-		Race:     &racecheck.Config{},
-		Sanitize: &sancheck.Config{},
+		Race:     true,
+		Sanitize: true,
 	}
 	m := newMachine(t, svm.LazyRelease, []int{0, 1}, obs)
 	m.RunAll(lockedWriterRounds)

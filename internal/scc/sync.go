@@ -252,19 +252,6 @@ func (ch *Chip) uncachedLatency(core int, paddr uint32) sim.Duration {
 	return ch.ddrReadLatency(core, paddr)
 }
 
-// PhysRead64 synchronously reads an uncached 64-bit word of physical
-// memory.
-func (ch *Chip) PhysRead64(core int, paddr uint32) uint64 {
-	ch.syncCharge(core, ch.uncachedLatency(core, paddr))
-	return ch.mem.Read64(paddr)
-}
-
-// PhysWrite64 synchronously writes an uncached 64-bit word.
-func (ch *Chip) PhysWrite64(core int, paddr uint32, v uint64) {
-	ch.syncCharge(core, ch.uncachedLatency(core, paddr))
-	ch.mem.Write64(paddr, v)
-}
-
 // PhysRead32 synchronously reads an uncached 32-bit word.
 func (ch *Chip) PhysRead32(core int, paddr uint32) uint32 {
 	ch.syncCharge(core, ch.uncachedLatency(core, paddr))

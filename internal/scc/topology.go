@@ -37,10 +37,11 @@ func Grid(w, h, coresPerTile int) Config {
 	cfg.Mesh.CoresPerTile = coresPerTile
 	cfg.Mesh.MemoryControllers = cornerControllers(w, h)
 	cfg.GICPort = mesh.Coord{X: w / 2, Y: 0}
-	cores := w * h * coresPerTile
-	cfg.PrivateMemPerCore = defaultPrivateMem(cores)
-	cfg.SharedMem = alignShared(cfg.SharedMem, len(cfg.Mesh.MemoryControllers))
-	cfg.MPBBytes = defaultMPBBytes(cores, cfg.SharedMem)
+	if cores := machineCores(1, w, h, coresPerTile); cores > 0 {
+		cfg.PrivateMemPerCore = defaultPrivateMem(cores)
+		cfg.SharedMem = alignShared(cfg.SharedMem, len(cfg.Mesh.MemoryControllers))
+		cfg.MPBBytes = defaultMPBBytes(cores, cfg.SharedMem)
+	}
 	return cfg
 }
 
@@ -54,7 +55,10 @@ func MultiChip(chips int, base Config) Config {
 	if chips > 1 && base.Link == (interchip.Config{}) {
 		base.Link = interchip.DefaultConfig()
 	}
-	total := chips * base.Mesh.Width * base.Mesh.Height * base.Mesh.CoresPerTile
+	total := machineCores(chips, base.Mesh.Width, base.Mesh.Height, base.Mesh.CoresPerTile)
+	if total == 0 {
+		return base
+	}
 	if def := defaultPrivateMem(total); base.PrivateMemPerCore > def {
 		base.PrivateMemPerCore = def
 	}
@@ -63,6 +67,18 @@ func MultiChip(chips int, base Config) Config {
 		base.MPBBytes = need
 	}
 	return base
+}
+
+// machineCores returns chips x w x h x c, or 0 when a factor is below 1 or
+// above MaxCores: Validate rejects that shape, so there is nothing to size,
+// and the product could be zero or overflow.
+func machineCores(chips, w, h, c int) int {
+	for _, f := range [...]int{chips, w, h, c} {
+		if f < 1 || f > MaxCores {
+			return 0
+		}
+	}
+	return chips * w * h * c
 }
 
 // cornerControllers places one memory controller on each grid corner,
@@ -174,6 +190,10 @@ func Validate(cfg Config) error {
 	if cfg.Chips < 1 {
 		return fmt.Errorf("scc: chip count %d (Normalized resolves 0 to 1)", cfg.Chips)
 	}
+	if f := max(cfg.Chips, cfg.Mesh.Width, cfg.Mesh.Height, cfg.Mesh.CoresPerTile); f > MaxCores {
+		return fmt.Errorf("scc: %d chips of %dx%dx%d tiles exceed the %d-core ceiling",
+			cfg.Chips, cfg.Mesh.Width, cfg.Mesh.Height, cfg.Mesh.CoresPerTile, MaxCores)
+	}
 	total := cfg.Chips * m.Cores()
 	if total > MaxCores {
 		return fmt.Errorf("scc: %d chips x %d cores = %d cores exceeds the %d-core ceiling",
@@ -191,7 +211,7 @@ func Validate(cfg Config) error {
 		return fmt.Errorf("scc: shared region size %d not a positive page multiple", cfg.SharedMem)
 	}
 	controllers := cfg.Chips * m.ControllerCount()
-	if cfg.SharedMem%(uint32(controllers)*pgtable.PageSize) != 0 {
+	if uint64(cfg.SharedMem)%(uint64(controllers)*pgtable.PageSize) != 0 {
 		return fmt.Errorf("scc: shared region size %d does not stripe over %d controllers in page multiples (see scc.Grid/MultiChip for auto-alignment)",
 			cfg.SharedMem, controllers)
 	}

@@ -64,11 +64,6 @@ func MHz(f float64) Clock {
 // Cycles returns the duration of n clock cycles.
 func (c Clock) Cycles(n uint64) Duration { return Duration(n * c.PeriodPS) }
 
-// CyclesFloat returns the duration of a fractional cycle count, rounded.
-func (c Clock) CyclesFloat(n float64) Duration {
-	return Duration(math.Round(n * float64(c.PeriodPS)))
-}
-
 // ToCycles converts a duration into whole cycles of this clock (rounded down).
 func (c Clock) ToCycles(d Duration) uint64 { return uint64(d) / c.PeriodPS }
 

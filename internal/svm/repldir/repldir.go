@@ -11,7 +11,7 @@
 //
 // On a multi-chip machine the directory runs one independent replica group
 // of ReplicaCount managers per chip. A page's record lives with the group
-// of its home chip (svm.System.PageHome's first level), so directory
+// of its home chip (svm.System.HomeChip), so directory
 // traffic for chip-local pages never crosses the inter-chip link; groups
 // share the mail-type space safely because manager cores are disjoint
 // across groups and all handlers are per-core.
@@ -101,15 +101,12 @@ type Config struct {
 	// first, each group in view order). The facade picks the highest
 	// non-worker cores of each chip when nil.
 	Managers []int
-	// ServeCycles is the primary-side bookkeeping charged per served
-	// request (directory lookup, log append). Zero selects the default.
-	ServeCycles uint64
 }
 
-// DefaultServeCycles is the primary's per-request bookkeeping cost — a
-// fraction of the owner-side OwnershipServeCycles, since the directory
-// touches a table entry rather than flushing caches.
-const DefaultServeCycles = 400
+// serveCycles is the primary's per-request bookkeeping cost (directory
+// lookup, log append) — a fraction of the owner-side OwnershipServeCycles,
+// since the directory touches a table entry rather than flushing caches.
+const serveCycles = 400
 
 // Stats counts the directory's protocol events (system-wide).
 type Stats struct {
@@ -155,10 +152,9 @@ type System struct {
 	cl   *kernel.Cluster
 	chip *scc.Chip
 
-	managers    []int // flat, chip 0's group first (view order within a group)
-	groups      []*group
-	groupOf     map[int]*group // manager core → its replica group
-	serveCycles uint64
+	managers []int // flat, chip 0's group first (view order within a group)
+	groups   []*group
+	groupOf  map[int]*group // manager core → its replica group
 
 	replicas map[int]*replica // per manager core
 	clients  map[int]*client  // per worker core
@@ -198,19 +194,14 @@ func New(sys *svm.System, cfg Config) (*System, error) {
 				m, chip.ChipOfCore(m), want)
 		}
 	}
-	serve := cfg.ServeCycles
-	if serve == 0 {
-		serve = DefaultServeCycles
-	}
 	d := &System{
-		svm:         sys,
-		cl:          cl,
-		chip:        chip,
-		managers:    append([]int(nil), cfg.Managers...),
-		groupOf:     make(map[int]*group),
-		serveCycles: serve,
-		replicas:    make(map[int]*replica),
-		clients:     make(map[int]*client),
+		svm:      sys,
+		cl:       cl,
+		chip:     chip,
+		managers: append([]int(nil), cfg.Managers...),
+		groupOf:  make(map[int]*group),
+		replicas: make(map[int]*replica),
+		clients:  make(map[int]*client),
 	}
 	for gi := 0; gi < chips; gi++ {
 		g := &group{index: gi, managers: d.managers[gi*ReplicaCount : (gi+1)*ReplicaCount]}

@@ -181,7 +181,7 @@ func (d *System) handleRequest(k *kernel.Kernel, r *replica, m mailbox.Msg) {
 		return
 	}
 	d.stats.Requests++
-	k.Core().Cycles(d.serveCycles)
+	k.Core().Cycles(serveCycles)
 	switch kind {
 	case reqLookup:
 		d.stats.Lookups++

@@ -277,9 +277,6 @@ func (s *System) Handle(core int) *Handle { return s.handles[core] }
 // Cluster returns the owning cluster.
 func (s *System) Cluster() *kernel.Cluster { return s.cl }
 
-// SharedPages returns the number of shared pages the system manages.
-func (s *System) SharedPages() uint32 { return s.chip.Layout().SharedFrames() }
-
 // pageIndex converts a shared virtual address to its page index.
 func (s *System) pageIndex(vaddr uint32) uint32 {
 	if vaddr < scc.VirtSharedBase {
@@ -359,16 +356,6 @@ func (s *System) scratchHome(idx uint32) int { return int(idx) % s.chip.Cores() 
 // core). The replicated directory routes each page's requests to the
 // manager group of its home chip.
 func (s *System) HomeChip(idx uint32) int { return s.chip.ChipOfCore(s.scratchHome(idx)) }
-
-// PageHome returns the two-level home of page idx: the chip whose
-// directory serves it and the core whose MPB holds its first-touch entry.
-// The page's current *owner* (the core with access rights under the Strong
-// model) is dynamic and lives in the ownership directory; the home only
-// names where the metadata resides.
-func (s *System) PageHome(idx uint32) (chip, core int) {
-	core = s.scratchHome(idx)
-	return s.chip.ChipOfCore(core), core
-}
 
 // scratchRead returns the frame recorded for the page (0 = unallocated).
 func (s *System) scratchRead(core int, idx uint32) uint32 {

@@ -407,12 +407,3 @@ func OfKind(kind Kind) func(Event) bool {
 func Between(lo, hi sim.Time) func(Event) bool {
 	return func(e Event) bool { return e.At >= lo && e.At < hi }
 }
-
-// WriteTimeline dumps events one per line, in the order given — for a
-// buffer's Events() that is emission order (see the Events contract), so
-// timestamps may interleave non-monotonically across cores.
-func WriteTimeline(w io.Writer, events []Event) {
-	for _, e := range events {
-		fmt.Fprintln(w, e)
-	}
-}

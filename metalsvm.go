@@ -107,25 +107,16 @@ func FirstN(n int) []int { return core.FirstN(n) }
 // be customized and passed through Options.SVM.
 func SVMConfig(m Model) svm.Config { return svm.DefaultConfig(m) }
 
-// RaceConfig configures the happens-before race checker; pass a pointer
-// through Instrumentation.Race to enable it (the zero value selects the
-// defaults).
-type RaceConfig = racecheck.Config
-
 // RaceChecker is the detector attached to Machine.Race when race checking
-// is enabled; inspect it after the run with Races, Dynamic, Clean, or
-// Report.
+// is enabled (Instrumentation.Race); inspect it after the run with Races,
+// Dynamic, Clean, or Report.
 type RaceChecker = racecheck.Checker
 
-// SanitizeConfig configures the sanitizer suite — the SVM shadow-memory
-// checker, the Eraser-style lockset checker and the lock-order graph; pass
-// a pointer through Instrumentation.Sanitize to enable it (the zero value
-// enables every class).
-type SanitizeConfig = sancheck.Config
-
 // Sanitizer is the checker attached to the observation when sanitizing is
-// enabled; read it with Machine.Observability().San() and inspect it with
-// Findings, Dynamic, Clean, or Report.
+// enabled (Instrumentation.Sanitize): the SVM shadow-memory checker, the
+// Eraser-style lockset checker and the lock-order graph. Read it with
+// Machine.Observability().San() and inspect it with Findings, Dynamic,
+// Clean, or Report.
 type Sanitizer = sancheck.Checker
 
 // SanFinding is one sanitizer finding; SanKind classifies it.
@@ -172,7 +163,7 @@ const (
 	BucketLockWait      = profile.LockWait
 )
 
-// MetricsSnapshot is the end-of-run registry snapshot (counters, gauges,
+// MetricsSnapshot is the end-of-run registry snapshot (counters and
 // histograms, sorted by name); render it with WriteText.
 type MetricsSnapshot = metrics.Snapshot
 
