@@ -75,6 +75,11 @@ var goldenRows = []struct {
 	{"reject-rounds-zero", []string{"-rounds", "0", "fig6"}},
 	{"reject-iters-zero", []string{"-iters", "0", "fig9"}},
 	{"reject-kv-requests-zero", []string{"-kv-requests", "0", "kvstore"}},
+	// So is a kvstore machine without a worker for each server plus a
+	// client; on the crash schedule each chip's directory managers are not
+	// workers (six cores leave three).
+	{"reject-kv-small-grid", []string{"-grid", "1x2x1", "kvstore"}},
+	{"reject-kv-crash-managers", []string{"-grid", "2x3x1", "kvstore"}},
 }
 
 // TestGolden runs each row in a fresh working directory (the chaos harness

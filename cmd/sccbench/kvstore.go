@@ -2,12 +2,14 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"metalsvm/internal/apps/kvstore"
 	"metalsvm/internal/bench"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/scc"
+	"metalsvm/internal/svm/repldir"
 )
 
 // kvSchedules is the SLO sweep: the same seeded workload under no faults
@@ -68,16 +70,65 @@ func kvTopology(topo *scc.Config, schedule string) scc.Config {
 	return scc.Grid(4, 4, 1)
 }
 
-// runKVStore is the kvstore command: the SVM-backed KV store's SLO report.
-// One seeded request load runs under every schedule in kvSchedules; each
-// run must complete with an exact exactly-once audit and nonzero goodput in
-// every window, and the report prints the latency quantiles and the
-// goodput-over-time curve so degradation under faults is visible next to
-// the fault-free baseline.
-func runKVStore(o *options) bool {
+// kvRun is one schedule of the kvstore sweep: its faults, whether it runs
+// the replicated directory, and its machine.
+type kvRun struct {
+	schedule string
+	fc       *faults.Config
+	withDir  bool
+	topo     scc.Config
+}
+
+// kvPlan lays out the sweep over kvSchedules and checks, before anything
+// runs, that every schedule's machine hosts p's servers plus at least one
+// client. Every core is a worker, except each chip's directory manager
+// group on the schedules that run the replicated directory.
+func kvPlan(topo *scc.Config, p kvstore.Params) ([]kvRun, error) {
+	plan := make([]kvRun, 0, len(kvSchedules))
+	for _, schedule := range kvSchedules {
+		r := kvRun{schedule: schedule, topo: kvTopology(topo, schedule)}
+		if schedule != "none" {
+			spec, ok := faults.PresetSpec(schedule)
+			if !ok {
+				panic("kvstore: unknown preset " + schedule)
+			}
+			r.fc = &faults.Config{Seed: p.Seed, Spec: spec}
+			r.withDir = len(spec.Crashes) > 0
+		}
+		t := r.topo.Normalized()
+		perChip := t.Mesh.Width * t.Mesh.Height * t.Mesh.CoresPerTile
+		workers := perChip
+		if r.withDir {
+			workers = max(perChip-repldir.ReplicaCount, 0)
+		}
+		if workers *= t.Chips; workers < p.Servers+1 {
+			return nil, fmt.Errorf("kvstore: the %s schedule's %d-core machine has %d workers, want at least %d (%d servers plus a client)",
+				schedule, perChip*t.Chips, workers, p.Servers+1, p.Servers)
+		}
+		plan = append(plan, r)
+	}
+	return plan, nil
+}
+
+// kvstoreMode is the kvstore command. A machine too small for any schedule
+// is a usage error, reported before anything prints.
+func kvstoreMode(o *options) int {
 	p := kvstore.DefaultParams()
 	p.Requests, p.Seed = o.kvRequests, o.kvSeed
+	plan, err := kvPlan(o.topo, p)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+		return 2
+	}
+	return harnesses(func(o *options) bool { return runKVStore(o, p, plan) })(o)
+}
 
+// runKVStore runs the SVM-backed KV store's SLO report. One seeded request
+// load runs under every schedule of the plan; each run must complete with
+// an exact exactly-once audit and nonzero goodput in every window, and the
+// report prints the latency quantiles and the goodput-over-time curve so
+// degradation under faults is visible next to the fault-free baseline.
+func runKVStore(o *options, p kvstore.Params, plan []kvRun) bool {
 	if o.res == nil {
 		fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", p.Requests, p.Seed)
 		fmt.Printf("  %-10s %7s %7s %7s %5s | %22s | %18s | %s\n",
@@ -85,20 +136,9 @@ func runKVStore(o *options) bool {
 			"put p50/p99/p999", "get p50/p99", "min goodput/window")
 	}
 	out := kvstoreResults{Requests: p.Requests, Seed: p.Seed, WindowUS: p.WindowUS}
-	for _, schedule := range kvSchedules {
-		var fc *faults.Config
-		withDir := false
-		if schedule != "none" {
-			spec, ok := faults.PresetSpec(schedule)
-			if !ok {
-				panic("kvstore: unknown preset " + schedule)
-			}
-			fc = &faults.Config{Seed: p.Seed, Spec: spec}
-			withDir = len(spec.Crashes) > 0
-		}
-		t := kvTopology(o.topo, schedule)
-		r := bench.RunKV(p, t, fc, withDir)
-		row := kvRow(schedule, t, p, r)
+	for _, run := range plan {
+		r := bench.RunKV(p, run.topo, run.fc, run.withDir)
+		row := kvRow(run.schedule, run.topo, p, r)
 		out.Schedules = append(out.Schedules, row)
 		if o.res == nil {
 			kvPrintRow(row, r)

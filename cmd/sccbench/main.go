@@ -94,7 +94,7 @@ var modes = []mode{
 	{name: "fig9", flags: "iters full json", topo: true, help: "Laplace runtimes (Figure 9)", run: harnesses(fig9)},
 	{name: "scale", flags: "json", topo: true, help: "Laplace + task farm completion on every core", run: harnesses(scale)},
 	{name: "ablation", flags: "iters full json", help: "WCB / scratchpad / next-touch / read-only-L2 studies", run: harnesses(ablation)},
-	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: harnesses(runKVStore)},
+	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: kvstoreMode},
 	{name: "comm", flags: "rounds json", help: "RCCE transfer latency and bandwidth", run: harnesses(comm)},
 	{name: "all", flags: "rounds iters full json", help: "fig6 fig7 table1 fig9 scale ablation comm",
 		run: harnesses(fig6, fig7, table1, fig9, scale, ablation, comm)},

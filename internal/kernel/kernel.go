@@ -141,6 +141,10 @@ type Cluster struct {
 	// paths; it charges no simulated time.
 	prof *profile.Profiler
 
+	// scanLoop, when set, replaces serviceAll's body: the tests run the
+	// scan as a literal probe loop with it, to hold mailbox.Scan to it.
+	scanLoop func(*Kernel) bool
+
 	// Progress watchdog state (armed only with an active fault injector).
 	diag      []func(io.Writer)
 	wdLast    uint64
@@ -486,19 +490,24 @@ func (k *Kernel) dispatch(m mailbox.Msg) {
 
 // serviceAll scans every other member's slot once, dispatching what it
 // finds, and reports whether anything was processed. This is the
-// polling-mode cost center: each slot check costs ~100 cycles.
+// polling-mode cost center: each slot check costs ~100 cycles. The probes
+// of empty slots run in place (mailbox.Scan); the goroutine takes over for
+// each mail found, so handlers run here.
 func (k *Kernel) serviceAll() bool {
+	if k.cluster.scanLoop != nil {
+		return k.cluster.scanLoop(k)
+	}
+	mb, members := k.cluster.mb, k.cluster.members
 	progress := false
-	for _, m := range k.cluster.members {
-		if m == k.id {
-			continue
+	for i := 0; ; i++ {
+		if i = mb.Scan(k.id, members, i, k.id); i == len(members) {
+			return progress
 		}
-		if msg, ok := k.cluster.mb.Check(k.id, m); ok {
+		if msg, ok, _ := mb.Take(k.id, members[i]); ok {
 			k.dispatch(msg)
 			progress = true
 		}
 	}
-	return progress
 }
 
 // serviceSelf is the mailbox's blocked-sender callback: a kernel whose

@@ -188,6 +188,9 @@ type System struct {
 	// an ack only the other can publish.
 	serviceHooks []func() bool
 
+	// scanners holds each receiver's slot scan, made on its first probe.
+	scanners []*scanner
+
 	stats Stats
 }
 
@@ -205,6 +208,7 @@ func New(chip *scc.Chip, mode Mode) *System {
 		lastRecv:     make([]uint16, n*n),
 		pending:      make([]pendingMail, n*n),
 		serviceHooks: make([]func() bool, n),
+		scanners:     make([]*scanner, n),
 	}
 	eng := chip.Engine()
 	for i := range s.fullSig {
@@ -564,19 +568,109 @@ func (r *retx) fire() {
 // Receive inspects one receive slot on behalf of the receiver, consuming
 // and returning the mail if present. Cost: the paper's ~100-cycle slot
 // check, plus the MPB line read and flag clear when a mail is found. A
-// malformed frame is discarded and reported as a *FrameError.
+// malformed frame is discarded and reported as a *FrameError. It is a
+// one-slot Scan followed by Take.
 func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
-	s.checkPair(receiver, sender)
-	core := s.chip.Core(receiver)
-	s.prof.EnterIfIdle(receiver, profile.MailboxWait, core.Proc().LocalTime())
-	defer func() { s.prof.Exit(receiver, core.Proc().LocalTime()) }()
-	core.Sync()
-	s.chip.CheckMailCost(receiver)
-	s.stats.Checks++
-	off := slotOff(sender)
-	if s.chip.MPB().Byte(receiver, off) == 0 {
+	if s.scan(receiver, nil, sender, 0, -1) != 0 {
 		return Msg{}, false, nil
 	}
+	return s.Take(receiver, sender)
+}
+
+// Check inspects one receive slot, consuming and returning the mail if
+// present; malformed frames read as no mail (Receive reports them).
+func (s *System) Check(receiver, sender int) (Msg, bool) {
+	msg, ok, _ := s.Receive(receiver, sender)
+	return msg, ok
+}
+
+// Scan probes the receiver's slots for senders[from:], in order and
+// skipping the core skip, at the paper's ~100 cycles a probe. It returns
+// the index of the first slot that holds mail, which the caller consumes
+// with Take, or len(senders) when none does. The probes run as the steps
+// of a sim.Proc.Spin: while the core's interrupts are idle the engine runs
+// them in place, so an empty slot costs no goroutine switch.
+func (s *System) Scan(receiver int, senders []int, from, skip int) int {
+	return s.scan(receiver, senders, -1, from, skip)
+}
+
+// scan is Scan; with sender not negative it probes that one slot instead.
+func (s *System) scan(receiver int, senders []int, sender, from, skip int) int {
+	sc := s.scanners[receiver]
+	if sc == nil {
+		sc = &scanner{s: s, receiver: receiver}
+		sc.step = sc.next
+		s.scanners[receiver] = sc
+	}
+	outer := *sc // a handler may scan on this core inside this scan
+	if sender >= 0 {
+		sc.one[0] = sender
+		senders = sc.one[:]
+	}
+	sc.senders, sc.skip, sc.i, sc.phase = senders, skip, from, scanEnter
+	s.chip.Core(receiver).Proc().Spin(sc.step)
+	i := sc.i
+	*sc = outer
+	return i
+}
+
+// scanner is one receiver core's slot scan, reused from scan to scan, with
+// its step bound once so a scan allocates nothing.
+type scanner struct {
+	s        *System
+	receiver int
+	senders  []int
+	skip     int
+	i        int // the slot being probed, an index into senders
+	phase    scanPhase
+	one      [1]int                            // Receive's senders
+	step     func() (sim.Duration, bool, bool) // next, bound once
+}
+
+// scanPhase is where a slot probe stands: each is one Spin step, and
+// together they are the paper's slot check.
+type scanPhase uint8
+
+const (
+	scanEnter  scanPhase = iota // enter the next slot's profiler context, then Sync
+	scanCharge                  // Advance by the check's charge
+	scanPeek                    // count the check and peek at the flag
+)
+
+func (sc *scanner) next() (d sim.Duration, sync, done bool) {
+	s, r := sc.s, sc.receiver
+	switch sc.phase {
+	case scanCharge:
+		sc.phase = scanPeek
+		return s.chip.MailCheckLatency(), false, false
+	case scanPeek:
+		s.stats.Checks++
+		if s.chip.MPB().Byte(r, slotOff(sc.senders[sc.i])) != 0 {
+			return 0, false, true // Take exits the context
+		}
+		s.prof.Exit(r, s.chip.Core(r).Proc().LocalTime())
+		sc.i++
+	}
+	if sc.i < len(sc.senders) && sc.senders[sc.i] == sc.skip {
+		sc.i++
+	}
+	if sc.i == len(sc.senders) {
+		return 0, false, true
+	}
+	s.checkPair(r, sc.senders[sc.i])
+	s.prof.EnterIfIdle(r, profile.MailboxWait, s.chip.Core(r).Proc().LocalTime())
+	sc.phase = scanCharge
+	return 0, true, false
+}
+
+// Take consumes the mail in the receiver's slot for sender that Scan has
+// just found: the MPB line read, the frame checks, the flag clear and the
+// sender's wake-up. A malformed frame is discarded and reported as a
+// *FrameError.
+func (s *System) Take(receiver, sender int) (Msg, bool, error) {
+	core := s.chip.Core(receiver)
+	defer func() { s.prof.Exit(receiver, core.Proc().LocalTime()) }()
+	off := slotOff(sender)
 	var line [phys.CacheLine]byte
 	s.chip.MPBRead(receiver, receiver, off, line[:])
 	if line[0] == 0 {
@@ -636,13 +730,6 @@ func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
 	// The slot is free for the sender's next mail: wake its probe.
 	s.freeSig[p].Fire(core.Proc().LocalTime())
 	return msg, fresh, err
-}
-
-// Check inspects one receive slot, consuming and returning the mail if
-// present; malformed frames read as no mail (Receive reports them).
-func (s *System) Check(receiver, sender int) (Msg, bool) {
-	msg, ok, _ := s.Receive(receiver, sender)
-	return msg, ok
 }
 
 // WaitAnySignal returns the signal fired whenever any mail is deposited for

@@ -291,10 +291,10 @@ func (ch *Chip) FrameCopyLatency(core int, src, dst uint32) sim.Duration {
 	return total
 }
 
-// CheckMailCost charges the fixed cost of inspecting one mailbox slot
-// (about 100 core cycles on the SCC, per the paper).
-func (ch *Chip) CheckMailCost(core int) {
-	ch.cores[core].Cycles(ch.cfg.Lat.MailCheckCycles)
+// MailCheckLatency is the fixed cost of inspecting one mailbox slot (about
+// 100 core cycles on the SCC, per the paper).
+func (ch *Chip) MailCheckLatency() sim.Duration {
+	return ch.coreClock().Cycles(ch.cfg.Lat.MailCheckCycles)
 }
 
 // RaiseIPI sends an inter-processor interrupt from core to core through

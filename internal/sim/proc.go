@@ -293,8 +293,10 @@ func (p *Proc) syncInPlace(s procState) bool {
 // Sync, the engine runs the following iterations itself, on whichever
 // goroutine pops the wake, until step reports done or the sync hook has
 // work, and only then hands the process the baton. A core that keeps losing
-// a test-and-set therefore costs no goroutine switch per retry. step may run
-// on any goroutine, always at its own point in the (time, seq) order.
+// a test-and-set (scc.Chip.TASSpin) therefore costs no goroutine switch per
+// retry, nor does a kernel per empty mailbox slot it probes
+// (mailbox.System.Scan). step may run on any goroutine, always at its own
+// point in the (time, seq) order.
 func (p *Proc) Spin(step func() (d Duration, sync, done bool)) {
 	outer, outerSync := p.spin, p.spinSync // the hook may spin inside a spin
 	p.spin, p.spinSync = step, false
