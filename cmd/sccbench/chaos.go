@@ -40,290 +40,259 @@ type chaosJSON struct {
 	Cells    []chaosCellJSON `json:"cells"`
 }
 
-// runChaos is the chaos harness: it reruns representative cells of the
-// evaluation under a deterministic fault schedule and verifies that the
-// hardened protocols recover — the measurements complete, the applications
-// compute bit-exact results, the recovery counters show the faults were
-// real, and an identical seed replays bit-identically. On failure it writes
-// the diagnostic dump to chaos-dump.txt and returns a nonzero exit code.
-// A -chips/-grid machine runs the application cells with a small
-// chip-spanning member set (see smokeMembers), putting the inter-chip link
-// under the same fault schedule; the single-chip mail cells are skipped
-// there, and the crash suite uses the topology's default worker split.
-// -json replaces the table with a machine-readable summary that carries
-// each cell's per-route fault counts.
-func runChaos(o *options) int {
+// planChaos lays out the chaos harness: representative cells of the
+// evaluation rerun under a deterministic fault schedule must complete with
+// bit-exact results, show real faults in their recovery counters, and
+// replay bit-identically (a replay is a second cell whose row compares the
+// two runs). A failure writes the diagnostic dump to chaos-dump.txt. A
+// -chips/-grid machine skips the single-chip mail cells and runs the rest
+// on a small chip-spanning member set (see smokeMembers). Planning fails
+// when the machine cannot host the crash cells' directory managers
+// (core.DirectoryWorkers) or the KV cell's servers (kvFits).
+func planChaos(o *options) ([]cell, error) {
 	fc, err := faults.ParseConfig(o.chaos)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccbench: %v (presets: %s)\n", err, strings.Join(faults.Presets(), ", "))
-		return 2
+		return nil, err
 	}
 	_, schedule := faults.SplitArg(o.chaos)
+	crashes := len(fc.Spec.Crashes) > 0
+	appChip := bench.ShrunkChip(scc.PaperSCC())
+	members, dirWorkers := core.FirstN(4), core.FirstN(4)
+	if o.topo != nil {
+		appChip = bench.ShrunkChip(*o.topo)
+		members = smokeMembers(*o.topo)
+		if crashes {
+			if dirWorkers, err = core.DirectoryWorkers(appChip); err != nil {
+				return nil, fmt.Errorf("chaos: the directory cells: %v", err)
+			}
+		}
+	}
+	kp := kvstore.DefaultParams()
+	kp.Requests, kp.Seed = 3000, fc.Seed
+	ktopo := kvTopology(o.topo, schedule)
+	if err := kvFits(kp, ktopo, crashes); err != nil {
+		return nil, fmt.Errorf("chaos: the kvstore cell: %v", err)
+	}
+
+	// The reports fill in the -json summary and the dump, in cell order.
 	summary := chaosJSON{Seed: fc.Seed, Schedule: schedule, OK: true}
+	var dump strings.Builder
 	say := func(format string, args ...any) {
 		if !o.json {
 			fmt.Printf(format, args...)
 		}
 	}
-	say("chaos: seed %d, schedule %q\n", fc.Seed, schedule)
-	appChip := bench.ShrunkChip(scc.PaperSCC())
-	members := core.FirstN(4)
-	dirWorkers := core.FirstN(4)
-	if o.topo != nil {
-		appChip = bench.ShrunkChip(*o.topo)
-		members = smokeMembers(*o.topo)
-		dirWorkers = nil // the default split: all cores minus each chip's manager trio
-		say("chaos: %d chip(s), %d cores\n", appChip.Chips, len(members))
-	}
-
-	var dump strings.Builder
-	ok := true
-	record := func(cell chaosCellJSON) {
+	record := func(cell chaosCellJSON) bool {
 		summary.Cells = append(summary.Cells, cell)
 		summary.OK = summary.OK && cell.OK
+		return cell.OK
 	}
-	fail := func(name, format string, args ...any) {
-		ok = false
+	fail := func(name, format string, args ...any) bool {
 		msg := fmt.Sprintf(format, args...)
 		say("  %-16s FAILED: %s\n", name, msg)
 		fmt.Fprintf(&dump, "=== %s: %s\n", name, msg)
-		record(chaosCellJSON{Name: name, Err: msg})
+		return record(chaosCellJSON{Name: name, Err: msg})
 	}
-	passStats := func(name string, us float64, fs faults.Stats) {
-		record(chaosCellJSON{
-			Name: name, OK: true, US: us,
-			Injected:       fs.Injected(),
-			Crashes:        fs.Crashes,
-			PartitionDrops: fs.PartitionDrops,
-			Faults:         fs.PerRoute(),
-		})
+	froze := func(name, watchdog string) bool {
+		fail(name, "run froze; watchdog report follows")
+		fmt.Fprintln(&dump, watchdog)
+		return false
 	}
-	pass := func(name string, us float64, r bench.ChaosResult) {
-		say("  %-16s %10.3f us   ok (%d injected, %d retx, %d renudge, %d corrupt, %d dup, %d rescues)\n",
-			name, us, r.Faults.Injected(), r.Mailbox.Retransmits, r.Mailbox.Renudges,
-			r.Mailbox.CorruptDrops, r.Mailbox.DupFrames, r.Rescues)
-		passStats(name, us, r.Faults)
+	pass := func(name string, us float64, fs faults.Stats, format string, args ...any) bool {
+		say("  %-16s %10.3f us   ok ("+format+")\n", append([]any{name, us}, args...)...)
+		return record(chaosCellJSON{Name: name, OK: true, US: us, Injected: fs.Injected(),
+			Crashes: fs.Crashes, PartitionDrops: fs.PartitionDrops, Faults: fs.PerRoute()})
 	}
-	identical := func(name string) {
+	// replay is a replay row: a and b, the results of two same-seed runs,
+	// must be equal; the dump gets both when they are not.
+	replay := func(name string, a, b any) bool {
+		if a != b {
+			fail(name, "same seed diverged")
+			fmt.Fprintf(&dump, "%+v\n%+v\n", a, b)
+			return false
+		}
 		say("  %-16s %10s      ok (bit-identical)\n", name, "")
-		record(chaosCellJSON{Name: name, OK: true})
+		return record(chaosCellJSON{Name: name, OK: true})
 	}
-	// recovered reports whether the run shows recovery activity matching the
-	// schedule: a mail/IPI fault schedule must leave traces in the recovery
-	// counters, otherwise the faults were not actually exercised.
-	mailFaults := fc.Spec.Routes[faults.Mail]
-	wantRecovery := mailFaults.DropPermille > 0 || mailFaults.CorruptPermille > 0
-	recovered := func(r bench.ChaosResult) bool {
-		if !wantRecovery {
-			return true
-		}
-		return r.Mailbox.Retransmits+r.Mailbox.Renudges+r.Mailbox.CorruptDrops+
-			r.Mailbox.DupFrames+r.Rescues > 0
+	// appResult is a mail or application cell's result: the post-mortem and
+	// the application checksum (0 for the mail cells).
+	type appResult struct {
+		bench.ChaosResult
+		sum float64
 	}
-	check := func(name string, r bench.ChaosResult) {
-		if !r.Completed {
-			fail(name, "run froze; watchdog report follows")
-			fmt.Fprintln(&dump, r.Watchdog)
-			return
+	withSum := func(r bench.ChaosResult, sum float64) appResult { return appResult{r, sum} }
+	// check is such a cell's verdict: it completed with the reference
+	// checksum, and faults were injected and, under a mail/IPI fault
+	// schedule, recovered from.
+	mail := fc.Spec.Routes[faults.Mail]
+	check := func(name string, r appResult, want float64) bool {
+		switch {
+		case !r.Completed:
+			return froze(name, r.Watchdog)
+		case r.sum != want:
+			return fail(name, "checksum %v != reference %v", r.sum, want)
+		case r.Faults.Injected() == 0:
+			return fail(name, "schedule injected no faults (%d decisions)", r.Faults.Decisions)
+		case (mail.DropPermille > 0 || mail.CorruptPermille > 0) &&
+			r.Mailbox.Retransmits+r.Mailbox.Renudges+r.Mailbox.CorruptDrops+r.Mailbox.DupFrames+r.Rescues == 0:
+			return fail(name, "no recovery activity despite %d injected faults", r.Faults.Injected())
 		}
-		if r.Faults.Injected() == 0 {
-			fail(name, "schedule injected no faults (%d decisions)", r.Faults.Decisions)
-			return
-		}
-		if !recovered(r) {
-			fail(name, "no recovery activity despite %d injected faults", r.Faults.Injected())
-			return
-		}
-		pass(name, r.US, r)
+		return pass(name, r.US, r.Faults, "%d injected, %d retx, %d renudge, %d corrupt, %d dup, %d rescues",
+			r.Faults.Injected(), r.Mailbox.Retransmits, r.Mailbox.Renudges,
+			r.Mailbox.CorruptDrops, r.Mailbox.DupFrames, r.Rescues)
 	}
+	// private gives each cell's run its own copy of the schedule.
+	private := func() *faults.Config { c := fc; return &c }
+
+	cells := []cell{{report: func() bool {
+		say("chaos: seed %d, schedule %q\n", fc.Seed, schedule)
+		if o.topo != nil {
+			say("chaos: %d chip(s), %d cores\n", appChip.Chips, len(members))
+		}
+		return true
+	}}}
 
 	if o.topo == nil {
 		// Figure 6 cell (IPI at maximum distance), with a bit-identical
-		// replay.
-		r6 := bench.Fig6Chaos(o.rounds, &fc)
-		check("fig6 ipi", r6)
-		if r6b := bench.Fig6Chaos(o.rounds, &fc); r6b.US != r6.US || r6b.Faults != r6.Faults {
-			fail("fig6 replay", "same seed diverged: %.6f/%v vs %.6f/%v",
-				r6.US, r6.Faults.Injected(), r6b.US, r6b.Faults.Injected())
-		} else {
-			identical("fig6 replay")
-		}
-
-		// Figure 7 cell (polling, 8 activated cores).
-		check("fig7 polling", bench.Fig7Chaos(o.rounds, 8, &fc))
+		// replay, and the Figure 7 cell (polling, 8 activated cores).
+		var r6, r6b, r7 appResult
+		cells = append(cells,
+			cell{func() { r6.ChaosResult = bench.Fig6Chaos(o.rounds, private()) },
+				func() bool { return check("fig6 ipi", r6, 0) }},
+			cell{func() { r6b.ChaosResult = bench.Fig6Chaos(o.rounds, private()) },
+				func() bool { return replay("fig6 replay", r6, r6b) }},
+			cell{func() { r7.ChaosResult = bench.Fig7Chaos(o.rounds, 8, private()) },
+				func() bool { return check("fig7 polling", r7, 0) }})
 	}
 
-	// Figure 9 / Laplace under both consistency models: the result must be
-	// the exact reference checksum despite the faults. The chaos sweep needs
-	// shape, not the full figure.
+	// Figure 9 / Laplace under both consistency models, then a replay of
+	// the strong run: the result must be the exact reference checksum
+	// despite the faults. The chaos sweep needs shape, not the full figure.
 	lp := laplace.Params{Rows: 64, Cols: 32, Iters: min(o.iters, 50), TopTemp: 100}
 	lcfg := bench.Fig9Config{Params: lp, Chip: appChip}
 	want := laplace.ReferenceChecksum(lp)
-	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-		name := fmt.Sprintf("laplace %v", model)
-		r, sum := bench.Fig9ChaosMembers(lcfg, model, members, &fc)
-		if r.Completed && sum != want {
-			fail(name, "checksum %v != reference %v", sum, want)
-			continue
-		}
-		check(name, r)
-	}
-
-	// Laplace determinism: an identical seed must replay bit-identically.
-	rA, sumA := bench.Fig9ChaosMembers(lcfg, svm.Strong, members, &fc)
-	rB, sumB := bench.Fig9ChaosMembers(lcfg, svm.Strong, members, &fc)
-	if rA.US != rB.US || sumA != sumB || rA.Faults != rB.Faults {
-		fail("laplace replay", "same seed diverged: %.3f us/%v vs %.3f us/%v",
-			rA.US, sumA, rB.US, sumB)
-	} else {
-		identical("laplace replay")
+	var lap [3]appResult
+	for i, model := range []svm.Model{svm.Strong, svm.LazyRelease, svm.Strong} {
+		cells = append(cells, cell{
+			func() { lap[i] = withSum(bench.Fig9ChaosMembers(lcfg, model, members, private())) },
+			func() bool {
+				if i == 2 {
+					return replay("laplace replay", lap[0], lap[2])
+				}
+				return check(fmt.Sprintf("laplace %v", model), lap[i], want)
+			}})
 	}
 
 	// Matmul: a second application with cross-rank reads.
 	mp := matmul.Params{N: 16}
-	mres, msum := bench.MatmulChaos(mp, appChip, members, &fc)
-	if mres.Completed && msum != matmul.ReferenceChecksum(mp) {
-		fail("matmul strong", "checksum %v != reference %v", msum, matmul.ReferenceChecksum(mp))
-	} else {
-		check("matmul strong", mres)
-	}
+	var mm appResult
+	cells = append(cells, cell{
+		func() { mm = withSum(bench.MatmulChaos(mp, appChip, members, private())) },
+		func() bool { return check("matmul strong", mm, matmul.ReferenceChecksum(mp)) }})
 
-	// Crash suite: when the schedule carries crash faults (the crash and
-	// mixed presets), rerun Laplace on the replicated ownership directory
-	// with the primary manager killed mid-run and a page owner killed right
-	// after it finishes. The cooperative result and the post-crash audit
-	// must both be the exact reference checksum, the counters must show a
-	// real failover (and, under the strong model, dead-owner reclaims), and
-	// the same seed must replay bit-identically.
-	if len(fc.Spec.Crashes) > 0 {
+	// Crash suite (the crash and mixed presets): Laplace on the replicated
+	// ownership directory, the primary manager killed mid-run and a page
+	// owner right after it finishes. The result and the post-crash audit
+	// must be exact, with a real failover (and, under the strong model,
+	// dead-owner reclaims).
+	if crashes {
 		// One 4 KiB page per row is the point, not the length.
 		cp := laplace.Params{Rows: 16, Cols: 512, Iters: min(o.iters, 8), TopTemp: 100}
 		ccfg := bench.Fig9Config{Params: cp, Chip: appChip}
 		cwant := laplace.ReferenceChecksum(cp)
-		for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
-			name := fmt.Sprintf("dir %v", model)
-			r := bench.Fig9CrashChaosMembers(ccfg, model, dirWorkers, &fc)
-			switch {
-			case !r.Completed:
-				fail(name, "run froze; watchdog report follows")
-				fmt.Fprintln(&dump, r.Watchdog)
-			case r.Sum != cwant:
-				fail(name, "checksum %v != reference %v", r.Sum, cwant)
-			case r.AuditSum != cwant:
-				fail(name, "audit checksum %v != reference %v", r.AuditSum, cwant)
-			case r.Faults.Crashes == 0:
-				fail(name, "schedule crashed nobody")
-			case r.Dir.ViewChanges == 0:
-				fail(name, "no failover despite primary crash: %+v", r.Dir)
-			case model == svm.Strong && r.Dir.Reconstructions == 0:
-				fail(name, "audit forced no dead-owner reclaims: %+v", r.Dir)
-			default:
-				say("  %-16s %10.3f us   ok (%d crashed, %d failovers, %d reclaims, %d commits, %d fenced)\n",
-					name, r.US, r.Faults.Crashes, r.Dir.ViewChanges, r.Dir.Reconstructions,
-					r.Dir.Commits, r.Dir.Fenced)
-				passStats(name, r.US, r.Faults)
-			}
-		}
-		dA := bench.Fig9CrashChaosMembers(ccfg, svm.Strong, dirWorkers, &fc)
-		dB := bench.Fig9CrashChaosMembers(ccfg, svm.Strong, dirWorkers, &fc)
-		if dA.EndUS != dB.EndUS || dA.Sum != dB.Sum || dA.AuditSum != dB.AuditSum ||
-			dA.Dir != dB.Dir || dA.Faults != dB.Faults {
-			fail("dir replay", "same seed diverged: %.3f us/%v vs %.3f us/%v",
-				dA.EndUS, dA.Sum, dB.EndUS, dB.Sum)
-		} else {
-			identical("dir replay")
+		var dir [3]bench.DirChaosResult
+		for i, model := range []svm.Model{svm.Strong, svm.LazyRelease, svm.Strong} {
+			cells = append(cells, cell{
+				func() { dir[i] = bench.Fig9CrashChaosMembers(ccfg, model, dirWorkers, private()) },
+				func() bool {
+					r, name := dir[i], fmt.Sprintf("dir %v", model)
+					switch {
+					case i == 2:
+						return replay("dir replay", dir[0], r)
+					case !r.Completed:
+						return froze(name, r.Watchdog)
+					case r.Sum != cwant:
+						return fail(name, "checksum %v != reference %v", r.Sum, cwant)
+					case r.AuditSum != cwant:
+						return fail(name, "audit checksum %v != reference %v", r.AuditSum, cwant)
+					case r.Faults.Crashes == 0:
+						return fail(name, "schedule crashed nobody")
+					case r.Dir.ViewChanges == 0:
+						return fail(name, "no failover despite primary crash: %+v", r.Dir)
+					case model == svm.Strong && r.Dir.Reconstructions == 0:
+						return fail(name, "audit forced no dead-owner reclaims: %+v", r.Dir)
+					}
+					return pass(name, r.US, r.Faults, "%d crashed, %d failovers, %d reclaims, %d commits, %d fenced",
+						r.Faults.Crashes, r.Dir.ViewChanges, r.Dir.Reconstructions, r.Dir.Commits, r.Dir.Fenced)
+				}})
 		}
 	}
 
-	// Partition suite: when the schedule carries a link-outage window (the
-	// partition preset), run Laplace across two chips through the outage.
-	// The marker window is calibrated against an outage-free run of the
-	// same seed, then the partitioned run must complete with the exact
-	// reference checksum — cross-chip results stay bit-exact after the
-	// link heals — and the same seed must replay bit-identically.
+	// Partition suite (the partition preset): Laplace across two chips
+	// through a link outage, which Fig9ChaosMembers calibrates; cross-chip
+	// results must stay bit-exact after the link heals.
 	if fc.Spec.HasPartitionMarker() {
 		ptopo := scc.MultiChip(2, scc.Grid(2, 2, 2))
-		pchip := bench.ShrunkChip(ptopo)
+		pcfg := bench.Fig9Config{Params: lp, Chip: bench.ShrunkChip(ptopo)}
 		pmembers := smokeMembers(ptopo)
-		plp := lp
-		pcfg := bench.Fig9Config{Params: plp, Chip: pchip}
-		pwant := laplace.ReferenceChecksum(plp)
-		cal := fc
-		cal.Spec.Partitions = nil
-		calR, _ := bench.Fig9ChaosMembers(pcfg, svm.Strong, pmembers, &cal)
-		if !calR.Completed {
-			fail("partition heal", "calibration froze; watchdog report follows")
-			fmt.Fprintln(&dump, calR.Watchdog)
-		} else {
-			run := fc
-			run.Spec.Partitions = bench.ResolvePartitions(fc.Spec.Partitions, calR.US)
-			pr, psum := bench.Fig9ChaosMembers(pcfg, svm.Strong, pmembers, &run)
-			switch {
-			case !pr.Completed:
-				fail("partition heal", "run froze; watchdog report follows")
-				fmt.Fprintln(&dump, pr.Watchdog)
-			case psum != pwant:
-				fail("partition heal", "checksum %v != reference %v after heal", psum, pwant)
-			case pr.Faults.PartitionDrops == 0:
-				fail("partition heal", "outage window dropped nothing (%d injected)", pr.Faults.Injected())
-			default:
-				say("  %-16s %10.3f us   ok (%d partition drops, %d injected, bit-exact after heal)\n",
-					"partition heal", pr.US, pr.Faults.PartitionDrops, pr.Faults.Injected())
-				passStats("partition heal", pr.US, pr.Faults)
-			}
-			qr, qsum := bench.Fig9ChaosMembers(pcfg, svm.Strong, pmembers, &run)
-			if qr.US != pr.US || qsum != psum || qr.Faults != pr.Faults {
-				fail("partition replay", "same seed diverged: %.3f us/%v vs %.3f us/%v",
-					pr.US, psum, qr.US, qsum)
+		var part [2]appResult
+		for i := range part {
+			cells = append(cells, cell{
+				func() { part[i] = withSum(bench.Fig9ChaosMembers(pcfg, svm.Strong, pmembers, private())) },
+				func() bool {
+					const name = "partition heal"
+					r := part[0]
+					switch {
+					case i == 1:
+						return replay("partition replay", r, part[1])
+					case !r.Completed:
+						return froze(name, r.Watchdog)
+					case r.sum != want:
+						return fail(name, "checksum %v != reference %v after heal", r.sum, want)
+					case r.Faults.PartitionDrops == 0:
+						return fail(name, "outage window dropped nothing (%d injected)", r.Faults.Injected())
+					}
+					return pass(name, r.US, r.Faults, "%d partition drops, %d injected, bit-exact after heal",
+						r.Faults.PartitionDrops, r.Faults.Injected())
+				}})
+		}
+	}
+
+	// KV store cell: the serving workload must pass the kvstore command's
+	// row checks. Crash schedules get the replicated directory (dead-owner
+	// reclaim), the partition schedule a two-chip machine (kvTopology).
+	var kv [2]bench.KVReport
+	for i := range kv {
+		cells = append(cells, cell{
+			func() { kv[i] = bench.RunKV(kp, ktopo, private(), crashes) },
+			func() bool {
+				r := kv[0]
+				if i == 1 {
+					b := kv[1]
+					return replay("kvstore replay", [3]any{r.KV.Checksum, r.EndUS, r.Faults}, [3]any{b.KV.Checksum, b.EndUS, b.Faults})
+				}
+				if row := kvRow(schedule, ktopo, kp, r); !row.OK {
+					return fail("kvstore", "%s", row.Err)
+				}
+				return pass("kvstore", r.EndUS, r.Faults, "%d applied, %d shed, %d expired, %d failovers, %d injected",
+					r.KV.Applied, r.KV.Shed, r.KV.Expired, r.KV.Failovers, r.Faults.Injected())
+			}})
+	}
+
+	return append(cells, cell{report: func() bool {
+		if o.json && !printJSON(summary) {
+			return false
+		}
+		if !summary.OK {
+			fmt.Fprintf(&dump, "\nchaos: seed %d schedule %q rounds %d iters %d\n", fc.Seed, schedule, o.rounds, o.iters)
+			if err := os.WriteFile(chaosDumpFile, []byte(dump.String()), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "sccbench: writing %s: %v\n", chaosDumpFile, err)
 			} else {
-				identical("partition replay")
+				say("chaos: diagnostic dump written to %s\n", chaosDumpFile)
 			}
+			return false
 		}
-	}
-
-	// KV store cell: the serving workload under the same schedule. The run
-	// must complete with an exact exactly-once audit, nonzero goodput in
-	// every window, and a bit-identical replay. Crash schedules get the
-	// replicated directory (dead-owner reclaim); the partition schedule
-	// gets a two-chip machine so the outage actually cuts traffic.
-	{
-		kp := kvstore.DefaultParams()
-		kp.Requests = 3000
-		kp.Seed = fc.Seed
-		ktopo := kvTopology(o.topo, schedule)
-		withDir := len(fc.Spec.Crashes) > 0
-		kr := bench.RunKV(kp, ktopo, &fc, withDir)
-		// The kvstore command's acceptance checks, under this schedule.
-		if row := kvRow(schedule, ktopo, kp, kr); !row.OK {
-			fail("kvstore", "%s", row.Err)
-		} else {
-			say("  %-16s %10.3f us   ok (%d applied, %d shed, %d expired, %d failovers, %d injected)\n",
-				"kvstore", kr.EndUS, kr.KV.Applied, kr.KV.Shed, kr.KV.Expired,
-				kr.KV.Failovers, kr.Faults.Injected())
-			passStats("kvstore", kr.EndUS, kr.Faults)
-		}
-		kb := bench.RunKV(kp, ktopo, &fc, withDir)
-		if kb.KV.Checksum != kr.KV.Checksum || kb.EndUS != kr.EndUS || kb.Faults != kr.Faults {
-			fail("kvstore replay", "same seed diverged: %#x/%.3f vs %#x/%.3f",
-				kr.KV.Checksum, kr.EndUS, kb.KV.Checksum, kb.EndUS)
-		} else {
-			identical("kvstore replay")
-		}
-	}
-
-	if o.json && !printJSON(summary) {
-		return 1
-	}
-	if !ok {
-		fmt.Fprintf(&dump, "\nchaos: seed %d schedule %q rounds %d iters %d\n",
-			fc.Seed, schedule, o.rounds, o.iters)
-		if err := os.WriteFile(chaosDumpFile, []byte(dump.String()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sccbench: writing %s: %v\n", chaosDumpFile, err)
-		} else {
-			say("chaos: diagnostic dump written to %s\n", chaosDumpFile)
-		}
-		return 1
-	}
-	say("chaos: all cells recovered; application results bit-exact\n")
-	return 0
+		say("chaos: all cells recovered; application results bit-exact\n")
+		return true
+	}}), nil
 }

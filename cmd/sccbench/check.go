@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"metalsvm/internal/apps/matmul"
 	"metalsvm/internal/apps/taskfarm"
 	"metalsvm/internal/bench"
-	"metalsvm/internal/bench/runner"
 	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/profile"
@@ -25,7 +23,7 @@ import (
 type suite struct {
 	tool, title, clean string
 	inst               core.Instrumentation
-	paperCells         []func(io.Writer) bool // cells defined on the paper chip only
+	paperCells         func() []cell // cells defined on the paper chip only
 }
 
 var raceSuite = suite{
@@ -33,7 +31,7 @@ var raceSuite = suite{
 	title:      "happens-before analysis of the shipped workloads",
 	clean:      "all workloads race-free",
 	inst:       core.Instrumentation{Race: true},
-	paperCells: []func(io.Writer) bool{checkDomains, checkPerturbation},
+	paperCells: func() []cell { return []cell{checkDomains(), checkPerturbation()} },
 }
 
 var sanSuite = suite{
@@ -41,50 +39,63 @@ var sanSuite = suite{
 	title:      "shadow-memory, lockset and lock-order analysis of the shipped workloads",
 	clean:      "all workloads clean",
 	inst:       core.Instrumentation{Sanitize: true},
-	paperCells: []func(io.Writer) bool{sanitizeHarnesses},
+	paperCells: sanitizeHarnesses,
 }
 
-// run executes every shipped workload under both consistency models
-// with the suite's checker enabled, then the suite's paper-chip cells, and
-// reports the verdicts. The cells are independent simulations, so they fan
-// out across the host pool; each cell writes its report into its own buffer
-// and the buffers print in matrix order, so the output is identical at any
-// parallelism. It returns false if any cell reported a finding. A
-// -chips/-grid machine runs the application cells with a small
-// chip-spanning member set (see smokeMembers) instead of 8 cores of the
-// paper chip.
+// run reports the suite's cells in matrix order (runCells) and returns
+// false if any reported a finding.
 func (s suite) run(o *options) bool {
 	fmt.Printf("%s: %s\n", s.tool, s.title)
-	members := core.FirstN(8)
 	if o.topo != nil {
-		members = smokeMembers(*o.topo)
-		fmt.Printf("%s: %d chip(s), %d cores activated\n", s.tool, o.topo.Normalized().Chips, len(members))
+		fmt.Printf("%s: %d chip(s), %d cores activated\n", s.tool, o.topo.Normalized().Chips, len(smokeMembers(*o.topo)))
 	}
-	var cells []func(io.Writer) bool
+	if !runCells(o.parallel, s.cells(o.topo)) {
+		return false
+	}
+	fmt.Printf("%s: %s\n", s.tool, s.clean)
+	return true
+}
+
+// cells is every shipped workload under both consistency models with the
+// suite's checker enabled, then the suite's paper-chip cells. A
+// -chips/-grid machine runs the workloads on a small chip-spanning member
+// set (see smokeMembers) instead of 8 cores of the paper chip.
+func (s suite) cells(topo *scc.Config) []cell {
+	members := core.FirstN(8)
+	if topo != nil {
+		members = smokeMembers(*topo)
+	}
+	var cells []cell
 	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
 		for _, w := range checkedApps {
-			cells = append(cells, func(out io.Writer) bool {
-				return checkOne(out, s, w.name, model, o.topo, members, w.build())
-			})
+			cells = append(cells, checked(fmt.Sprintf("%-9s under %-12v", w.name, model), func() *core.Observation {
+				scfg := svm.DefaultConfig(model)
+				m, err := core.NewMachine(core.Options{
+					Topology: topo,
+					SVM:      &scfg,
+					Members:  members,
+					Observe:  s.inst,
+				})
+				if err != nil {
+					panic(err) // parseTopology validated the topology; members come from it
+				}
+				app := w.build()
+				m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+				return m.Observability()
+			}))
 		}
 	}
-	if o.topo == nil {
-		cells = append(cells, s.paperCells...)
+	if topo == nil {
+		cells = append(cells, s.paperCells()...)
 	}
+	return cells
+}
 
-	outs := make([]bytes.Buffer, len(cells))
-	oks := make([]bool, len(cells))
-	runner.New(o.parallel).Run(len(cells), func(i int) { oks[i] = cells[i](&outs[i]) })
-
-	ok := true
-	for i := range cells {
-		os.Stdout.Write(outs[i].Bytes())
-		ok = ok && oks[i]
-	}
-	if ok {
-		fmt.Printf("%s: %s\n", s.tool, s.clean)
-	}
-	return ok
+// checked is a cell that runs one instrumented simulation and reports its
+// checker's verdict under label.
+func checked(label string, run func() *core.Observation) cell {
+	var obs *core.Observation
+	return cell{run: func() { obs = run() }, report: func() bool { return verdict(label, obs) }}
 }
 
 // svmApp is a shipped application; every member core runs its Main.
@@ -103,119 +114,111 @@ var checkedApps = []struct {
 	{"taskfarm", func() svmApp { return taskfarm.New(taskfarm.DefaultParams()) }},
 }
 
-func checkOne(out io.Writer, s suite, name string, model svm.Model, topo *scc.Config, members []int, app svmApp) bool {
-	scfg := svm.DefaultConfig(model)
-	m, err := core.NewMachine(core.Options{
-		Topology: topo,
-		SVM:      &scfg,
-		Members:  members,
-		Observe:  s.inst,
-	})
-	if err != nil {
-		fmt.Fprintf(out, "%s: %s under %v: %v\n", s.tool, name, model, err)
-		return false
-	}
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-	return verdict(out, fmt.Sprintf("%-9s under %-12v", name, model), m.Observability())
-}
-
 // checkDomains runs barrier-ordered traffic in two independent coherency
 // domains under one chip-wide checker.
-func checkDomains(out io.Writer) bool {
-	ds, err := core.NewDomains(nil, []core.DomainSpec{
-		{Members: []int{0, 1, 2, 3}},
-		{Members: []int{24, 25, 30, 31}},
-	})
-	if err != nil {
-		fmt.Fprintf(out, "racecheck: domains: %v\n", err)
-		return false
-	}
-	obs := ds.Observe(core.Instrumentation{Race: true})
-	first := []int{0, 24}
-	ds.RunAll(func(domain int, env *core.Env) {
-		base := env.SVM.Alloc(4096)
-		if env.K.ID() == first[domain] {
-			env.Core().Store64(base, uint64(domain+1))
+func checkDomains() cell {
+	return checked("domains  (2 independent)  ", func() *core.Observation {
+		ds, err := core.NewDomains(nil, []core.DomainSpec{
+			{Members: []int{0, 1, 2, 3}},
+			{Members: []int{24, 25, 30, 31}},
+		})
+		if err != nil {
+			panic(err) // fixed domains of the paper chip
 		}
-		env.SVM.Barrier()
-		env.Core().Load64(base)
+		obs := ds.Observe(core.Instrumentation{Race: true})
+		first := []int{0, 24}
+		ds.RunAll(func(domain int, env *core.Env) {
+			base := env.SVM.Alloc(4096)
+			if env.K.ID() == first[domain] {
+				env.Core().Store64(base, uint64(domain+1))
+			}
+			env.SVM.Barrier()
+			env.Core().Load64(base)
+		})
+		return obs
 	})
-	return verdict(out, "domains  (2 independent)  ", obs)
 }
 
 // checkPerturbation enforces the observability contract on representative
 // cells of every figure harness: a run with tracing, race checking, the
 // sanitizer suite, metrics and the profiler all enabled must reproduce the
 // uninstrumented result bit for bit.
-func checkPerturbation(out io.Writer) bool {
-	inst := core.Instrumentation{
-		TraceCapacity: 1 << 14,
-		Race:          true,
-		Sanitize:      true,
-		Metrics:       true,
-		Profile:       &profile.Config{},
+func checkPerturbation() cell {
+	type pair struct {
+		name            string
+		plain, observed any
 	}
-	ok := true
-	verdict := func(name string, plain, observed any) {
-		if plain == observed {
-			fmt.Fprintf(out, "  zero-perturbation %-8s  ok (instrumented run bit-identical)\n", name)
-			return
-		}
-		fmt.Fprintf(out, "  zero-perturbation %-8s  FAILED:\n    plain    = %+v\n    observed = %+v\n",
-			name, plain, observed)
-		ok = false
+	var pairs []pair
+	return cell{
+		run: func() {
+			inst := core.Instrumentation{
+				TraceCapacity: 1 << 14,
+				Race:          true,
+				Sanitize:      true,
+				Metrics:       true,
+				Profile:       &profile.Config{},
+			}
+			p6, _ := bench.Fig6Observed(50, core.Instrumentation{})
+			o6, _ := bench.Fig6Observed(50, inst)
+			pairs = append(pairs, pair{"fig6", p6, o6})
+
+			p7, _ := bench.Fig7Observed(50, 8, core.Instrumentation{})
+			o7, _ := bench.Fig7Observed(50, 8, inst)
+			pairs = append(pairs, pair{"fig7", p7, o7})
+
+			t1o, _ := bench.Table1Observed(svm.Strong, inst)
+			pairs = append(pairs, pair{"table1", bench.Table1(svm.Strong), t1o})
+
+			cfg := bench.PaperFig9(2)
+			p9 := bench.Fig9RunSVM(cfg, svm.Strong, 2)
+			o9, _ := bench.Fig9Observed(cfg, svm.Strong, 2, inst)
+			pairs = append(pairs, pair{"fig9", p9, o9})
+
+			// A present-but-disabled fault injector (empty schedule,
+			// hardening off) must also reproduce the plain run bit for bit.
+			f9, _ := bench.Fig9ChaosMembers(cfg, svm.Strong, core.FirstN(2), &faults.Config{Seed: 3, NoHarden: true})
+			pairs = append(pairs, pair{"faults", p9, f9.US})
+
+			// The kvstore under full instrumentation must reproduce the
+			// plain run's audit checksum and end time. (KVReport holds
+			// slices, so compare the scalar fingerprint, not the struct.)
+			kp := kvstore.DefaultParams()
+			kp.Requests = 2000
+			ktopo := scc.Grid(4, 4, 1)
+			pk := bench.RunKV(kp, ktopo, nil, false)
+			okv := bench.RunKVObserved(kp, ktopo, nil, false, inst)
+			pairs = append(pairs, pair{"kvstore", [2]any{pk.KV.Checksum, pk.EndUS}, [2]any{okv.KV.Checksum, okv.EndUS}})
+		},
+		report: func() bool {
+			ok := true
+			for _, p := range pairs {
+				if p.plain == p.observed {
+					fmt.Printf("  zero-perturbation %-8s  ok (instrumented run bit-identical)\n", p.name)
+					continue
+				}
+				fmt.Printf("  zero-perturbation %-8s  FAILED:\n    plain    = %+v\n    observed = %+v\n",
+					p.name, p.plain, p.observed)
+				ok = false
+			}
+			return ok
+		},
 	}
-
-	p6, _ := bench.Fig6Observed(50, core.Instrumentation{})
-	o6, _ := bench.Fig6Observed(50, inst)
-	verdict("fig6", p6, o6)
-
-	p7, _ := bench.Fig7Observed(50, 8, core.Instrumentation{})
-	o7, _ := bench.Fig7Observed(50, 8, inst)
-	verdict("fig7", p7, o7)
-
-	t1 := bench.Table1(svm.Strong)
-	t1o, _ := bench.Table1Observed(svm.Strong, inst)
-	verdict("table1", t1, t1o)
-
-	cfg := bench.PaperFig9(2)
-	p9 := bench.Fig9RunSVM(cfg, svm.Strong, 2)
-	o9, _ := bench.Fig9Observed(cfg, svm.Strong, 2, inst)
-	verdict("fig9", p9, o9)
-
-	// A present-but-disabled fault injector (empty schedule, hardening off)
-	// must also reproduce the plain run bit for bit.
-	f9, _ := bench.Fig9ChaosMembers(cfg, svm.Strong, core.FirstN(2), &faults.Config{Seed: 3, NoHarden: true})
-	verdict("faults", p9, f9.US)
-
-	// The kvstore under full instrumentation must reproduce the plain run's
-	// audit checksum and end time. (KVReport holds slices, so compare the
-	// scalar fingerprint, not the struct.)
-	kp := kvstore.DefaultParams()
-	kp.Requests = 2000
-	ktopo := scc.Grid(4, 4, 1)
-	pk := bench.RunKV(kp, ktopo, nil, false)
-	okv := bench.RunKVObserved(kp, ktopo, nil, false, inst)
-	verdict("kvstore",
-		[2]any{pk.KV.Checksum, pk.EndUS},
-		[2]any{okv.KV.Checksum, okv.EndUS})
-	return ok
 }
 
 // sanitizeHarnesses runs representative figure-harness cells sanitized: the
 // mailbox ping-pongs never touch the SVM window, so a clean verdict here
 // proves the checker does not misfire on private or MPB traffic.
-func sanitizeHarnesses(out io.Writer) bool {
+func sanitizeHarnesses() []cell {
 	inst := core.Instrumentation{Sanitize: true}
-	_, o6 := bench.Fig6Observed(50, inst)
-	ok := verdict(out, "fig6      harness      ", o6)
-	_, o7 := bench.Fig7Observed(50, 8, inst)
-	return verdict(out, "fig7      harness      ", o7) && ok
+	return []cell{
+		checked("fig6      harness      ", func() *core.Observation { _, obs := bench.Fig6Observed(50, inst); return obs }),
+		checked("fig7      harness      ", func() *core.Observation { _, obs := bench.Fig7Observed(50, 8, inst); return obs }),
+	}
 }
 
 // verdict prints one cell's line from whichever checker obs carries, plus
 // the checker's report when it found anything.
-func verdict(out io.Writer, label string, obs *core.Observation) bool {
+func verdict(label string, obs *core.Observation) bool {
 	var k interface {
 		Clean() bool
 		Dynamic() uint64
@@ -229,10 +232,10 @@ func verdict(out io.Writer, label string, obs *core.Observation) bool {
 		k, reported, bad = san, len(san.Findings()), "FINDINGS"
 	}
 	if k.Clean() {
-		fmt.Fprintf(out, "  %s  ok (%d reported, %d observed)\n", label, reported, k.Dynamic())
+		fmt.Printf("  %s  ok (%d reported, %d observed)\n", label, reported, k.Dynamic())
 		return true
 	}
-	fmt.Fprintf(out, "  %s  %s: %d observation(s)\n", label, bad, k.Dynamic())
-	k.Report(out)
+	fmt.Printf("  %s  %s: %d observation(s)\n", label, bad, k.Dynamic())
+	k.Report(os.Stdout)
 	return false
 }

@@ -2,14 +2,13 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"metalsvm/internal/apps/kvstore"
 	"metalsvm/internal/bench"
+	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/scc"
-	"metalsvm/internal/svm/repldir"
 )
 
 // kvSchedules is the SLO sweep: the same seeded workload under no faults
@@ -70,81 +69,64 @@ func kvTopology(topo *scc.Config, schedule string) scc.Config {
 	return scc.Grid(4, 4, 1)
 }
 
-// kvRun is one schedule of the kvstore sweep: its faults, whether it runs
-// the replicated directory, and its machine.
-type kvRun struct {
-	schedule string
-	fc       *faults.Config
-	withDir  bool
-	topo     scc.Config
-}
-
-// kvPlan lays out the sweep over kvSchedules and checks, before anything
-// runs, that every schedule's machine hosts p's servers plus at least one
-// client. Every core is a worker, except each chip's directory manager
-// group on the schedules that run the replicated directory.
-func kvPlan(topo *scc.Config, p kvstore.Params) ([]kvRun, error) {
-	plan := make([]kvRun, 0, len(kvSchedules))
-	for _, schedule := range kvSchedules {
-		r := kvRun{schedule: schedule, topo: kvTopology(topo, schedule)}
-		if schedule != "none" {
-			spec, ok := faults.PresetSpec(schedule)
-			if !ok {
-				panic("kvstore: unknown preset " + schedule)
-			}
-			r.fc = &faults.Config{Seed: p.Seed, Spec: spec}
-			r.withDir = len(spec.Crashes) > 0
+// kvFits checks that topo's machine has an SVM worker for each of p's
+// servers plus a client: every core is a worker, except each chip's
+// directory manager group when withDir runs the replicated directory.
+func kvFits(p kvstore.Params, topo scc.Config, withDir bool) error {
+	workers := core.AllCores(topo)
+	if withDir {
+		var err error
+		if workers, err = core.DirectoryWorkers(topo); err != nil {
+			return err
 		}
-		t := r.topo.Normalized()
-		perChip := t.Mesh.Width * t.Mesh.Height * t.Mesh.CoresPerTile
-		workers := perChip
-		if r.withDir {
-			workers = max(perChip-repldir.ReplicaCount, 0)
-		}
-		if workers *= t.Chips; workers < p.Servers+1 {
-			return nil, fmt.Errorf("kvstore: the %s schedule's %d-core machine has %d workers, want at least %d (%d servers plus a client)",
-				schedule, perChip*t.Chips, workers, p.Servers+1, p.Servers)
-		}
-		plan = append(plan, r)
 	}
-	return plan, nil
+	return p.FitsWorkers(len(workers))
 }
 
-// kvstoreMode is the kvstore command. A machine too small for any schedule
-// is a usage error, reported before anything prints.
-func kvstoreMode(o *options) int {
+// kvPlan lays out the kvstore command's SLO report: one seeded request load
+// under every schedule of kvSchedules, each row an exactly-once audit with
+// live goodput, its latency quantiles and its goodput curve, between a
+// header and a footer cell. A machine too small for any schedule (kvFits)
+// is a usage error.
+func kvPlan(o *options) ([]cell, error) {
 	p := kvstore.DefaultParams()
 	p.Requests, p.Seed = o.kvRequests, o.kvSeed
-	plan, err := kvPlan(o.topo, p)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
-		return 2
-	}
-	return harnesses(func(o *options) bool { return runKVStore(o, p, plan) })(o)
-}
-
-// runKVStore runs the SVM-backed KV store's SLO report. One seeded request
-// load runs under every schedule of the plan; each run must complete with
-// an exact exactly-once audit and nonzero goodput in every window, and the
-// report prints the latency quantiles and the goodput-over-time curve so
-// degradation under faults is visible next to the fault-free baseline.
-func runKVStore(o *options, p kvstore.Params, plan []kvRun) bool {
-	if o.res == nil {
-		fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", p.Requests, p.Seed)
-		fmt.Printf("  %-10s %7s %7s %7s %5s | %22s | %18s | %s\n",
-			"schedule", "applied", "shed", "expired", "fails",
-			"put p50/p99/p999", "get p50/p99", "min goodput/window")
-	}
 	out := kvstoreResults{Requests: p.Requests, Seed: p.Seed, WindowUS: p.WindowUS}
-	for _, run := range plan {
-		r := bench.RunKV(p, run.topo, run.fc, run.withDir)
-		row := kvRow(run.schedule, run.topo, p, r)
-		out.Schedules = append(out.Schedules, row)
+	cells := []cell{{report: func() bool {
 		if o.res == nil {
-			kvPrintRow(row, r)
+			fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", p.Requests, p.Seed)
+			fmt.Printf("  %-10s %7s %7s %7s %5s | %22s | %18s | %s\n",
+				"schedule", "applied", "shed", "expired", "fails",
+				"put p50/p99/p999", "get p50/p99", "min goodput/window")
 		}
+		return true
+	}}}
+	for _, schedule := range kvSchedules {
+		var fc *faults.Config
+		spec, preset := faults.PresetSpec(schedule) // "none" is no preset
+		if preset {
+			fc = &faults.Config{Seed: p.Seed, Spec: spec}
+		}
+		topo, withDir := kvTopology(o.topo, schedule), len(spec.Crashes) > 0
+		if err := kvFits(p, topo, withDir); err != nil {
+			return nil, fmt.Errorf("the %s schedule: %v", schedule, err)
+		}
+		var r bench.KVReport
+		cells = append(cells, cell{
+			func() { r = bench.RunKV(p, topo, fc, withDir) },
+			func() bool {
+				row := kvRow(schedule, topo, p, r)
+				out.Schedules = append(out.Schedules, row)
+				if o.res == nil {
+					kvPrintRow(row, r)
+				}
+				return row.OK
+			}})
 	}
-	return reportKVStore(out, o.res)
+	return append(cells, cell{report: func() bool {
+		ok := reportKVStore(out, o.res)
+		return (o.res == nil || printJSON(o.res)) && ok
+	}}), nil
 }
 
 // reportKVStore closes the kvstore report (or collects it for -json) and
@@ -171,7 +153,6 @@ func kvRow(schedule string, t scc.Config, p kvstore.Params, r bench.KVReport) kv
 		Schedule: schedule,
 		Chips:    norm.Chips,
 		Cores:    norm.Mesh.Width * norm.Mesh.Height * norm.Mesh.CoresPerTile * norm.Chips,
-		OK:       true,
 		Issued:   r.KV.Issued,
 		Applied:  r.KV.Applied,
 		Shed:     r.KV.Shed,
@@ -195,26 +176,21 @@ func kvRow(schedule string, t scc.Config, p kvstore.Params, r bench.KVReport) kv
 	if len(r.Faults.PerRoute()) > 0 {
 		row.Faults = r.Faults.PerRoute()
 	}
-	fail := func(format string, args ...any) {
-		row.OK = false
-		if row.Err == "" {
-			row.Err = fmt.Sprintf(format, args...)
-		}
-	}
 	switch {
 	case !r.Completed:
-		fail("run froze: %s", r.Watchdog)
+		row.Err = "run froze: " + r.Watchdog
 	case !r.KV.AuditOK:
-		fail("audit failed: %s", strings.Join(r.KV.AuditErrors, "; "))
+		row.Err = "audit failed: " + strings.Join(r.KV.AuditErrors, "; ")
 	case r.KV.Issued != r.KV.Applied+r.KV.Shed+r.KV.Expired:
-		fail("outcome taxonomy leak")
+		row.Err = "outcome taxonomy leak"
 	case r.MinGoodput() == 0:
-		fail("a goodput window stalled: %v", r.KV.GoodputWindows)
+		row.Err = fmt.Sprintf("a goodput window stalled: %v", r.KV.GoodputWindows)
 	case schedule != "none" && r.Faults.Injected() == 0:
-		fail("schedule injected no faults")
+		row.Err = "schedule injected no faults"
 	case schedule == "partition" && r.Faults.PartitionDrops == 0:
-		fail("partition window dropped nothing")
+		row.Err = "partition window dropped nothing"
 	}
+	row.OK = row.Err == ""
 	return row
 }
 

@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	"metalsvm/internal/bench"
+	"metalsvm/internal/bench/runner"
 	"metalsvm/internal/core"
 	"metalsvm/internal/scc"
 )
@@ -94,7 +95,7 @@ var modes = []mode{
 	{name: "fig9", flags: "iters full json", topo: true, help: "Laplace runtimes (Figure 9)", run: harnesses(fig9)},
 	{name: "scale", flags: "json", topo: true, help: "Laplace + task farm completion on every core", run: harnesses(scale)},
 	{name: "ablation", flags: "iters full json", help: "WCB / scratchpad / next-touch / read-only-L2 studies", run: harnesses(ablation)},
-	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: kvstoreMode},
+	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: cellMode(kvPlan)},
 	{name: "comm", flags: "rounds json", help: "RCCE transfer latency and bandwidth", run: harnesses(comm)},
 	{name: "all", flags: "rounds iters full json", help: "fig6 fig7 table1 fig9 scale ablation comm",
 		run: harnesses(fig6, fig7, table1, fig9, scale, ablation, comm)},
@@ -103,7 +104,7 @@ var modes = []mode{
 		run: harnesses(raceSuite.run)},
 	{name: "-sanitize", flags: "sanitize", help: "sanitizer suite over every workload", run: harnesses(sanSuite.run)},
 	{name: "-chaos", flags: "chaos rounds iters json", topo: true, help: "representative cells under deterministic fault injection",
-		run: runChaos},
+		run: cellMode(planChaos)},
 	{name: "-bench", flags: "bench baseline", help: "serial = parallel check, then write BENCH_sim.json",
 		run: func(o *options) int { return runBench(benchExperiments(), benchReportFile, o.parallel, o.baseline) }},
 	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters full",
@@ -125,6 +126,48 @@ func harnesses(hs ...func(o *options) bool) func(o *options) int {
 			ok = h(o) && ok
 		}
 		if o.res != nil && !printJSON(o.res) || !ok {
+			return 1
+		}
+		return 0
+	}
+}
+
+// cell is one independent simulation of a multi-cell mode (-check,
+// -sanitize, -chaos, kvstore). run writes only the cell's own result
+// variables; report, called after every run has finished, prints the cell's
+// row (or records it for -json) and returns its verdict. A cell with no run
+// only reports: a header or a footer.
+type cell struct {
+	run    func()
+	report func() bool
+}
+
+// runCells runs every cell through the host pool, then reports them in list
+// order, so the output is identical at any parallelism. It returns whether
+// every verdict held.
+func runCells(parallel int, cells []cell) bool {
+	runner.New(parallel).Run(len(cells), func(i int) {
+		if run := cells[i].run; run != nil {
+			run()
+		}
+	})
+	ok := true
+	for _, c := range cells {
+		ok = c.report() && ok
+	}
+	return ok
+}
+
+// cellMode runs a multi-cell mode: a plan error exits 2 before anything
+// prints, else the cells run (runCells) and any failed verdict exits 1.
+func cellMode(plan func(o *options) ([]cell, error)) func(o *options) int {
+	return func(o *options) int {
+		cells, err := plan(o)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)
+			return 2
+		}
+		if !runCells(o.parallel, cells) {
 			return 1
 		}
 		return 0

@@ -168,6 +168,15 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// FitsWorkers checks that n SVM workers host p's servers plus at least one
+// client.
+func (p Params) FitsWorkers(n int) error {
+	if n < p.Servers+1 {
+		return fmt.Errorf("kvstore: %d workers cannot host %d servers plus a client", n, p.Servers)
+	}
+	return nil
+}
+
 // keyCount is the mutable key space size.
 func (p Params) keyCount() int { return p.Shards * p.SlotsPerShard }
 
@@ -269,9 +278,8 @@ func (a *App) Main(h *svm.Handle) {
 	rank := h.Rank()
 	if a.cl == nil {
 		a.ranks = len(h.Workers())
-		if a.ranks < p.Servers+1 {
-			panic(fmt.Sprintf("kvstore: %d workers cannot host %d servers plus clients",
-				a.ranks, p.Servers))
+		if err := p.FitsWorkers(a.ranks); err != nil {
+			panic(err)
 		}
 		a.workers = append([]int(nil), h.Workers()...)
 		a.clients = a.ranks - p.Servers

@@ -84,8 +84,21 @@ func Fig7Chaos(rounds, n int, fc *faults.Config) ChaosResult {
 
 // Fig9ChaosMembers runs one SVM Laplace cell on the given members under a
 // fault schedule and returns the post-mortem together with the application
-// checksum (0 when the run froze and the watchdog stopped it).
+// checksum (0 when the run froze and the watchdog stopped it). Marker
+// partitions are resolved against a calibration run of the same seed with
+// the partitions stripped, as RunKV resolves its markers; a frozen
+// calibration is reported as-is.
 func Fig9ChaosMembers(cfg Fig9Config, model svm.Model, members []int, fc *faults.Config) (ChaosResult, float64) {
+	if fc != nil && fc.Spec.HasPartitionMarker() {
+		run := *fc
+		run.Spec.Partitions = nil
+		cal, sum := Fig9ChaosMembers(cfg, model, members, &run)
+		if !cal.Completed {
+			return cal, sum
+		}
+		run.Spec.Partitions = resolvePartitions(fc.Spec.Partitions, cal.US)
+		fc = &run
+	}
 	m, app := fig9Machine(cfg, model, core.Options{Members: members, Faults: fc})
 	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 	if m.Cluster.WatchdogFired() {
@@ -142,8 +155,6 @@ const auditDelayCycles = 200_000
 // finishes (so the post-run audit must revoke and reassign its pages).
 // Crash times are calibrated from a crash-free run of the same seed and
 // schedule, keeping the whole cell a deterministic function of the config.
-// A nil worker set selects the topology's default split (every core except
-// each chip's manager trio), which is what a multi-chip chaos cell wants.
 func Fig9CrashChaosMembers(cfg Fig9Config, model svm.Model, workers []int, fc *faults.Config) DirChaosResult {
 	cal := *fc
 	cal.Spec.Crashes = nil

@@ -23,7 +23,10 @@ func TestParallelEquivalence(t *testing.T) {
 			return []Table1Result{s, l}
 		}},
 		{"fig9", func() any {
+			// Runner equivalence does not depend on the grid's size, so
+			// a 64x64 grid keeps all three variants and both core counts.
 			cfg := PaperFig9(2)
+			cfg.Params.Rows, cfg.Params.Cols = 64, 64
 			cfg.CoreCounts = []int{2, 4}
 			return Fig9(cfg)
 		}},

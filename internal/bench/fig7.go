@@ -70,7 +70,9 @@ func Fig7PeerOn(topo scc.Config) (peer, hops int) {
 		panic(err)
 	}
 	peer = fig7Peer(m)
-	return peer, m.HopsCores(0, peer)
+	// fig7Peer's fallback, core 1, is off this mesh only on one-core chips,
+	// where every route is zero hops.
+	return peer, m.HopsCores(0, peer%m.Cores())
 }
 
 // Fig7On is the activated-cores sweep on an arbitrary topology: the pair

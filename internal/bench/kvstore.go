@@ -63,7 +63,7 @@ func RunKV(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool) K
 		}
 		run := *fc
 		run.Spec.Crashes = kvResolveCrashes(fc.Spec.Crashes, calR.EndUS)
-		run.Spec.Partitions = ResolvePartitions(fc.Spec.Partitions, calR.EndUS)
+		run.Spec.Partitions = resolvePartitions(fc.Spec.Partitions, calR.EndUS)
 		r := runKV(p, topo, &run, withDir, core.Instrumentation{})
 		r.CalEndUS = calR.EndUS
 		return r
@@ -116,11 +116,11 @@ func kvResolveCrashes(crashes []faults.Crash, endUS float64) []faults.Crash {
 	return out
 }
 
-// ResolvePartitions pins marker partition windows (zero from/to) to a
+// resolvePartitions pins marker partition windows (zero from/to) to a
 // concrete mid-run outage derived from a calibrated run length: the window
-// opens at 35% of the run and lasts a quarter of it, capped. Shared by the
-// kvstore harness and the chaos partition cells.
-func ResolvePartitions(parts []faults.Partition, endUS float64) []faults.Partition {
+// opens at 35% of the run and lasts a quarter of it, capped. Shared by
+// RunKV and Fig9ChaosMembers.
+func resolvePartitions(parts []faults.Partition, endUS float64) []faults.Partition {
 	out := make([]faults.Partition, 0, len(parts))
 	for _, pt := range parts {
 		if pt.FromUS == 0 && pt.ToUS == 0 {

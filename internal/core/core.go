@@ -20,7 +20,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/faults"
@@ -192,16 +192,19 @@ func NewMachine(opts Options) (*Machine, error) {
 	if rcfg != nil {
 		workers = members
 		if workers == nil {
-			workers = defaultWorkers(chip)
-		}
-		managers = rcfg.Managers
-		if managers == nil {
-			managers, err = pickManagers(chip, workers)
-			if err != nil {
+			if workers, err = DirectoryWorkers(ccfg); err != nil {
 				return nil, err
 			}
 		}
-		members = sortedUnion(workers, managers)
+		managers = rcfg.Managers
+		if managers == nil {
+			if managers, err = pickManagers(chip, workers); err != nil {
+				return nil, err
+			}
+		}
+		members = slices.Concat(workers, managers)
+		slices.Sort(members)
+		members = slices.Compact(members)
 	}
 	if members == nil {
 		members = FirstN(chip.Cores())
@@ -245,36 +248,35 @@ func NewMachine(opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// defaultWorkers is the worker set used when a replicated-directory machine
-// gives no members: every core except the ReplicaCount highest of each chip,
-// which are reserved for that chip's manager group.
-func defaultWorkers(chip *scc.Chip) []int {
-	per := chip.CoresPerChip()
-	var workers []int
-	for ch := 0; ch < chip.Chips(); ch++ {
-		base := ch * per
-		for id := base; id < base+per-repldir.ReplicaCount; id++ {
-			workers = append(workers, id)
-		}
+// DirectoryWorkers is the SVM worker set of a replicated-directory machine
+// on topo that lists no members: every core except the ReplicaCount highest
+// of each chip, which are reserved for that chip's manager group. A chip
+// with no core left over for a worker is an error.
+func DirectoryWorkers(topo scc.Config) ([]int, error) {
+	topo = topo.Normalized()
+	per := topo.Mesh.Width * topo.Mesh.Height * topo.Mesh.CoresPerTile
+	if per <= repldir.ReplicaCount {
+		return nil, fmt.Errorf("core: a %d-core chip has no SVM worker beside its %d directory managers",
+			per, repldir.ReplicaCount)
 	}
-	return workers
+	var workers []int
+	for ch := 0; ch < topo.Chips; ch++ {
+		workers = append(workers, ChipCores(topo, ch)[:per-repldir.ReplicaCount]...)
+	}
+	return workers, nil
 }
 
 // pickManagers selects each chip's highest cores that are not SVM workers
 // as that chip's manager group, listed chip by chip (chip 0's group first)
 // with each group in ascending order (group[0] is its initial primary).
 func pickManagers(chip *scc.Chip, workers []int) ([]int, error) {
-	inWorkers := make(map[int]bool, len(workers))
-	for _, w := range workers {
-		inWorkers[w] = true
-	}
 	per := chip.CoresPerChip()
 	var managers []int
 	for ch := 0; ch < chip.Chips(); ch++ {
 		base := ch * per
 		var picked []int
 		for id := base + per - 1; id >= base && len(picked) < repldir.ReplicaCount; id-- {
-			if !inWorkers[id] {
+			if !slices.Contains(workers, id) {
 				picked = append(picked, id)
 			}
 		}
@@ -282,33 +284,10 @@ func pickManagers(chip *scc.Chip, workers []int) ([]int, error) {
 			return nil, fmt.Errorf("core: no %d free cores for chip %d's directory managers (workers %v, %d cores per chip)",
 				repldir.ReplicaCount, ch, workers, per)
 		}
-		// picked is descending; view order wants ascending.
-		for i, j := 0, len(picked)-1; i < j; i, j = i+1, j-1 {
-			picked[i], picked[j] = picked[j], picked[i]
-		}
+		slices.Reverse(picked) // view order wants ascending
 		managers = append(managers, picked...)
 	}
 	return managers, nil
-}
-
-// sortedUnion merges two distinct-sorted member lists.
-func sortedUnion(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	var out []int
-	for _, id := range a {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	for _, id := range b {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // resolveCrashes installs the fault schedule's permanent crashes on the

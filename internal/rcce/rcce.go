@@ -162,10 +162,14 @@ func (c *Comm) pull(receiverCore, senderCore, slot int, dst []byte) {
 	c.chip.MPBRead(receiverCore, senderCore, c.slotAddr(slot), dst)
 	lines := (len(dst) + phys.CacheLine - 1) / phys.CacheLine
 	if lines > 1 {
-		// Per-line mesh traffic for the remaining lines, charged in bulk.
-		hops := c.chip.Mesh().HopsCores(receiverCore, senderCore)
+		// Per-line traffic for the remaining lines along the chip's route
+		// (plus the link for a remote-chip sender), charged in bulk.
+		hops, cross := c.chip.HopsCores(receiverCore, senderCore)
 		per := c.chip.Config().Core.Clock.Cycles(c.chip.Config().Lat.MPBCoreCycles) +
 			c.chip.Mesh().RoundTrip(hops)
+		if cross {
+			per += c.chip.Link().RoundTrip(phys.CacheLine)
+		}
 		c.chip.Core(receiverCore).Proc().Advance(per * sim.Duration(lines-1))
 	}
 }

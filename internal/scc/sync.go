@@ -48,11 +48,11 @@ func (ch *Chip) injectDelay(core int, r faults.Route) sim.Duration {
 	return ch.coreClock().Cycles(cyc)
 }
 
-// hopsCores returns the mesh hop count between two global core ids and
+// HopsCores returns the mesh hop count between two global core ids and
 // whether the path crosses the inter-chip link: same-chip transactions
 // take the direct XY route; crossings travel the local mesh to the
 // system-interface port, the link, and the remote mesh from that port.
-func (ch *Chip) hopsCores(a, b int) (hops int, cross bool) {
+func (ch *Chip) HopsCores(a, b int) (hops int, cross bool) {
 	if ch.SameChip(a, b) {
 		return ch.mesh.HopsCores(ch.localCore(a), ch.localCore(b)), false
 	}
@@ -64,7 +64,7 @@ func (ch *Chip) hopsCores(a, b int) (hops int, cross bool) {
 // local fixed cost still applies, as measured on the SCC). A remote-chip
 // owner adds a link round trip carrying one line.
 func (ch *Chip) mpbLatency(core, owner int) sim.Duration {
-	hops, cross := ch.hopsCores(core, owner)
+	hops, cross := ch.HopsCores(core, owner)
 	ch.meshStats.MPBAccesses++
 	ch.countHops(hops)
 	lat := ch.coreClock().Cycles(ch.cfg.Lat.MPBCoreCycles) +
@@ -120,7 +120,7 @@ func (ch *Chip) MPBSetByte(core, owner, off int, v byte) {
 }
 
 func (ch *Chip) tasLatency(core, reg int) sim.Duration {
-	hops, cross := ch.hopsCores(core, reg)
+	hops, cross := ch.HopsCores(core, reg)
 	ch.meshStats.TASAccesses++
 	ch.countHops(hops)
 	lat := ch.coreClock().Cycles(ch.cfg.Lat.TASCoreCycles) +
