@@ -50,6 +50,8 @@ var goldenRows = []struct {
 	{"chaos-crash", []string{"-rounds", "50", "-iters", "20", "-chaos", "4,crash"}},
 	{"chaos-crash-json", []string{"-rounds", "50", "-iters", "8", "-chaos", "4,crash", "-json"}},
 	{"metrics-fig6", []string{"-rounds", "50", "-metrics", "fig6"}},
+	{"metrics-all", []string{"-rounds", "50", "-iters", "1", "-metrics", "all"}},
+	{"fig7-paper", []string{"-rounds", "400", "fig7"}},
 	{"profile-table1", []string{"-profile", "table1"}},
 	{"comm", []string{"-rounds", "20", "comm"}},
 	{"kvstore", []string{"-kv-requests", "500", "kvstore"}},
