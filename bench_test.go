@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"metalsvm/internal/bench"
+	"metalsvm/internal/core"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/svm"
 )
@@ -56,7 +57,7 @@ func BenchmarkFig7ActiveCores48(b *testing.B) { benchmarkFig7(b, 48) }
 func BenchmarkTable1Strong(b *testing.B) {
 	var r bench.Table1Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Table1(svm.Strong)
+		r, _ = bench.Table1(svm.Strong, core.Instrumentation{})
 	}
 	b.ReportMetric(r.AllocUS, "alloc4MiB_us")
 	b.ReportMetric(r.PhysAllocUS, "physalloc_us")
@@ -67,7 +68,7 @@ func BenchmarkTable1Strong(b *testing.B) {
 func BenchmarkTable1Lazy(b *testing.B) {
 	var r bench.Table1Result
 	for i := 0; i < b.N; i++ {
-		r = bench.Table1(svm.LazyRelease)
+		r, _ = bench.Table1(svm.LazyRelease, core.Instrumentation{})
 	}
 	b.ReportMetric(r.AllocUS, "alloc4MiB_us")
 	b.ReportMetric(r.PhysAllocUS, "physalloc_us")
@@ -84,14 +85,18 @@ const benchIters = 5
 func benchmarkLaplace(b *testing.B, variant string, cores int) {
 	cfg := bench.PaperFig9(benchIters)
 	var us float64
+	svmUS := func(model svm.Model) float64 {
+		r, _ := bench.Fig9Cell(cfg, model, core.Options{Members: core.FirstN(cores)})
+		return r.US
+	}
 	for i := 0; i < b.N; i++ {
 		switch variant {
 		case "ircce":
 			us = bench.Fig9RunBaseline(cfg, cores)
 		case "strong":
-			us = bench.Fig9RunSVM(cfg, svm.Strong, cores)
+			us = svmUS(svm.Strong)
 		case "lazy":
-			us = bench.Fig9RunSVM(cfg, svm.LazyRelease, cores)
+			us = svmUS(svm.LazyRelease)
 		}
 	}
 	b.ReportMetric(us, "simulated_us")

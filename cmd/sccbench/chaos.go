@@ -114,23 +114,16 @@ func planChaos(o *options) ([]cell, error) {
 		say("  %-16s %10s      ok (bit-identical)\n", name, "")
 		return record(chaosCellJSON{Name: name, OK: true})
 	}
-	// appResult is a mail or application cell's result: the post-mortem and
-	// the application checksum (0 for the mail cells).
-	type appResult struct {
-		bench.ChaosResult
-		sum float64
-	}
-	withSum := func(r bench.ChaosResult, sum float64) appResult { return appResult{r, sum} }
-	// check is such a cell's verdict: it completed with the reference
-	// checksum, and faults were injected and, under a mail/IPI fault
-	// schedule, recovered from.
+	// check is a mail or application cell's verdict: it completed with the
+	// reference checksum (0 for the mail cells), and faults were injected
+	// and, under a mail/IPI fault schedule, recovered from.
 	mail := fc.Spec.Routes[faults.Mail]
-	check := func(name string, r appResult, want float64) bool {
+	check := func(name string, r bench.Run, want float64) bool {
 		switch {
 		case !r.Completed:
 			return froze(name, r.Watchdog)
-		case r.sum != want:
-			return fail(name, "checksum %v != reference %v", r.sum, want)
+		case r.Sum != want:
+			return fail(name, "checksum %v != reference %v", r.Sum, want)
 		case r.Faults.Injected() == 0:
 			return fail(name, "schedule injected no faults (%d decisions)", r.Faults.Decisions)
 		case (mail.DropPermille > 0 || mail.CorruptPermille > 0) &&
@@ -155,13 +148,13 @@ func planChaos(o *options) ([]cell, error) {
 	if o.topo == nil {
 		// Figure 6 cell (IPI at maximum distance), with a bit-identical
 		// replay, and the Figure 7 cell (polling, 8 activated cores).
-		var r6, r6b, r7 appResult
+		var r6, r6b, r7 bench.Run
 		cells = append(cells,
-			cell{func() { r6.ChaosResult = bench.Fig6Chaos(o.rounds, private()) },
+			cell{func() { r6, _ = bench.Fig6Cell(o.rounds, private(), core.Instrumentation{}) },
 				func() bool { return check("fig6 ipi", r6, 0) }},
-			cell{func() { r6b.ChaosResult = bench.Fig6Chaos(o.rounds, private()) },
+			cell{func() { r6b, _ = bench.Fig6Cell(o.rounds, private(), core.Instrumentation{}) },
 				func() bool { return replay("fig6 replay", r6, r6b) }},
-			cell{func() { r7.ChaosResult = bench.Fig7Chaos(o.rounds, 8, private()) },
+			cell{func() { r7, _ = bench.Fig7Cell(o.rounds, 8, private(), core.Instrumentation{}) },
 				func() bool { return check("fig7 polling", r7, 0) }})
 	}
 
@@ -171,10 +164,10 @@ func planChaos(o *options) ([]cell, error) {
 	lp := laplace.Params{Rows: 64, Cols: 32, Iters: min(o.iters, 50), TopTemp: 100}
 	lcfg := bench.Fig9Config{Params: lp, Chip: appChip}
 	want := laplace.ReferenceChecksum(lp)
-	var lap [3]appResult
+	var lap [3]bench.Run
 	for i, model := range []svm.Model{svm.Strong, svm.LazyRelease, svm.Strong} {
 		cells = append(cells, cell{
-			func() { lap[i] = withSum(bench.Fig9ChaosMembers(lcfg, model, members, private())) },
+			func() { lap[i], _ = bench.Fig9Cell(lcfg, model, core.Options{Members: members, Faults: private()}) },
 			func() bool {
 				if i == 2 {
 					return replay("laplace replay", lap[0], lap[2])
@@ -185,9 +178,11 @@ func planChaos(o *options) ([]cell, error) {
 
 	// Matmul: a second application with cross-rank reads.
 	mp := matmul.Params{N: 16}
-	var mm appResult
+	var mm bench.Run
 	cells = append(cells, cell{
-		func() { mm = withSum(bench.MatmulChaos(mp, appChip, members, private())) },
+		func() {
+			mm, _ = bench.MatmulCell(mp, core.Options{Topology: &appChip, Members: members, Faults: private()})
+		},
 		func() bool { return check("matmul strong", mm, matmul.ReferenceChecksum(mp)) }})
 
 	// Crash suite (the crash and mixed presets): Laplace on the replicated
@@ -229,16 +224,18 @@ func planChaos(o *options) ([]cell, error) {
 	}
 
 	// Partition suite (the partition preset): Laplace across two chips
-	// through a link outage, which Fig9ChaosMembers calibrates; cross-chip
+	// through a link outage, which Fig9Cell calibrates; cross-chip
 	// results must stay bit-exact after the link heals.
 	if fc.Spec.HasPartitionMarker() {
 		ptopo := scc.MultiChip(2, scc.Grid(2, 2, 2))
 		pcfg := bench.Fig9Config{Params: lp, Chip: bench.ShrunkChip(ptopo)}
 		pmembers := smokeMembers(ptopo)
-		var part [2]appResult
+		var part [2]bench.Run
 		for i := range part {
 			cells = append(cells, cell{
-				func() { part[i] = withSum(bench.Fig9ChaosMembers(pcfg, svm.Strong, pmembers, private())) },
+				func() {
+					part[i], _ = bench.Fig9Cell(pcfg, svm.Strong, core.Options{Members: pmembers, Faults: private()})
+				},
 				func() bool {
 					const name = "partition heal"
 					r := part[0]
@@ -247,8 +244,8 @@ func planChaos(o *options) ([]cell, error) {
 						return replay("partition replay", r, part[1])
 					case !r.Completed:
 						return froze(name, r.Watchdog)
-					case r.sum != want:
-						return fail(name, "checksum %v != reference %v after heal", r.sum, want)
+					case r.Sum != want:
+						return fail(name, "checksum %v != reference %v after heal", r.Sum, want)
 					case r.Faults.PartitionDrops == 0:
 						return fail(name, "outage window dropped nothing (%d injected)", r.Faults.Injected())
 					}
@@ -264,7 +261,7 @@ func planChaos(o *options) ([]cell, error) {
 	var kv [2]bench.KVReport
 	for i := range kv {
 		cells = append(cells, cell{
-			func() { kv[i] = bench.RunKV(kp, ktopo, private(), crashes) },
+			func() { kv[i], _ = bench.KVCell(kp, ktopo, crashes, private(), core.Instrumentation{}) },
 			func() bool {
 				r := kv[0]
 				if i == 1 {

@@ -158,36 +158,40 @@ func checkPerturbation() cell {
 				Metrics:       true,
 				Profile:       &profile.Config{},
 			}
-			p6, _ := bench.Fig6Observed(50, core.Instrumentation{})
-			o6, _ := bench.Fig6Observed(50, inst)
+			none := core.Instrumentation{}
+			p6, _ := bench.Fig6Cell(50, nil, none)
+			o6, _ := bench.Fig6Cell(50, nil, inst)
 			pairs = append(pairs, pair{"fig6", p6, o6})
 
-			p7, _ := bench.Fig7Observed(50, 8, core.Instrumentation{})
-			o7, _ := bench.Fig7Observed(50, 8, inst)
+			p7, _ := bench.Fig7Cell(50, 8, nil, none)
+			o7, _ := bench.Fig7Cell(50, 8, nil, inst)
 			pairs = append(pairs, pair{"fig7", p7, o7})
 
-			t1o, _ := bench.Table1Observed(svm.Strong, inst)
-			pairs = append(pairs, pair{"table1", bench.Table1(svm.Strong), t1o})
+			t1p, _ := bench.Table1(svm.Strong, none)
+			t1o, _ := bench.Table1(svm.Strong, inst)
+			pairs = append(pairs, pair{"table1", t1p, t1o})
 
 			cfg := bench.PaperFig9(2)
-			p9 := bench.Fig9RunSVM(cfg, svm.Strong, 2)
-			o9, _ := bench.Fig9Observed(cfg, svm.Strong, 2, inst)
+			p9, _ := bench.Fig9Cell(cfg, svm.Strong, core.Options{Members: core.FirstN(2)})
+			o9, _ := bench.Fig9Cell(cfg, svm.Strong, core.Options{Members: core.FirstN(2), Observe: inst})
 			pairs = append(pairs, pair{"fig9", p9, o9})
 
 			// A present-but-disabled fault injector (empty schedule,
 			// hardening off) must also reproduce the plain run bit for bit.
-			f9, _ := bench.Fig9ChaosMembers(cfg, svm.Strong, core.FirstN(2), &faults.Config{Seed: 3, NoHarden: true})
-			pairs = append(pairs, pair{"faults", p9, f9.US})
+			f9, _ := bench.Fig9Cell(cfg, svm.Strong, core.Options{
+				Members: core.FirstN(2), Faults: &faults.Config{Seed: 3, NoHarden: true},
+			})
+			pairs = append(pairs, pair{"faults", p9.US, f9.US})
 
 			// The kvstore under full instrumentation must reproduce the
-			// plain run's audit checksum and end time. (KVReport holds
-			// slices, so compare the scalar fingerprint, not the struct.)
+			// plain run's record, audit checksum and end time. (KVReport
+			// holds slices, so compare that fingerprint, not the struct.)
 			kp := kvstore.DefaultParams()
 			kp.Requests = 2000
 			ktopo := scc.Grid(4, 4, 1)
-			pk := bench.RunKV(kp, ktopo, nil, false)
-			okv := bench.RunKVObserved(kp, ktopo, nil, false, inst)
-			pairs = append(pairs, pair{"kvstore", [2]any{pk.KV.Checksum, pk.EndUS}, [2]any{okv.KV.Checksum, okv.EndUS}})
+			pk, _ := bench.KVCell(kp, ktopo, false, nil, none)
+			okv, _ := bench.KVCell(kp, ktopo, false, nil, inst)
+			pairs = append(pairs, pair{"kvstore", [3]any{pk.Run, pk.KV.Checksum, pk.EndUS}, [3]any{okv.Run, okv.KV.Checksum, okv.EndUS}})
 		},
 		report: func() bool {
 			ok := true
@@ -211,8 +215,8 @@ func checkPerturbation() cell {
 func sanitizeHarnesses() []cell {
 	inst := core.Instrumentation{Sanitize: true}
 	return []cell{
-		checked("fig6      harness      ", func() *core.Observation { _, obs := bench.Fig6Observed(50, inst); return obs }),
-		checked("fig7      harness      ", func() *core.Observation { _, obs := bench.Fig7Observed(50, 8, inst); return obs }),
+		checked("fig6      harness      ", func() *core.Observation { _, obs := bench.Fig6Cell(50, nil, inst); return obs }),
+		checked("fig7      harness      ", func() *core.Observation { _, obs := bench.Fig7Cell(50, 8, nil, inst); return obs }),
 	}
 }
 

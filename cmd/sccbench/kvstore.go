@@ -113,7 +113,7 @@ func kvPlan(o *options) ([]cell, error) {
 		}
 		var r bench.KVReport
 		cells = append(cells, cell{
-			func() { r = bench.RunKV(p, topo, fc, withDir) },
+			func() { r, _ = bench.KVCell(p, topo, withDir, fc, core.Instrumentation{}) },
 			func() bool {
 				row := kvRow(schedule, topo, p, r)
 				out.Schedules = append(out.Schedules, row)

@@ -9,6 +9,7 @@ import (
 	"metalsvm/internal/core"
 	"metalsvm/internal/profile"
 	"metalsvm/internal/svm"
+	"metalsvm/internal/svm/repldir"
 )
 
 // instrumentation translates -metrics, -profile and -perfetto into an
@@ -39,25 +40,27 @@ func runObserve(o *options) int {
 	var selected []harness
 	for _, h := range []harness{
 		{"fig6", func() (string, *core.Observation) {
-			us, obs := bench.Fig6Observed(o.rounds, inst)
-			return fmt.Sprintf("IPI ping-pong at maximum mesh distance: %.3f us half round trip", us), obs
+			r, obs := bench.Fig6Cell(o.rounds, nil, inst)
+			return fmt.Sprintf("IPI ping-pong at maximum mesh distance: %.3f us half round trip", r.US), obs
 		}},
 		{"fig7", func() (string, *core.Observation) {
-			us, obs := bench.Fig7Observed(o.rounds, 48, inst)
-			return fmt.Sprintf("polling ping-pong with 48 activated cores: %.3f us half round trip", us), obs
+			r, obs := bench.Fig7Cell(o.rounds, 48, nil, inst)
+			return fmt.Sprintf("polling ping-pong with 48 activated cores: %.3f us half round trip", r.US), obs
 		}},
 		{"table1", func() (string, *core.Observation) {
-			res, obs := bench.Table1Observed(svm.Strong, inst)
+			res, obs := bench.Table1(svm.Strong, inst)
 			return fmt.Sprintf("strong-model overhead benchmark: map %.3f us, retrieve %.3f us",
 				res.MapUS, res.RetrieveUS), obs
 		}},
 		{"fig9", func() (string, *core.Observation) {
-			us, obs := bench.Fig9Observed(bench.PaperFig9(o.iters), svm.Strong, 8, inst)
-			return fmt.Sprintf("Laplace on 8 cores, strong model: %.1f us iteration loop", us), obs
+			r, obs := bench.Fig9Cell(bench.PaperFig9(o.iters), svm.Strong, core.Options{Members: core.FirstN(8), Observe: inst})
+			return fmt.Sprintf("Laplace on 8 cores, strong model: %.1f us iteration loop", r.US), obs
 		}},
 		{"repldir", func() (string, *core.Observation) {
-			us, obs := bench.Fig9DirObserved(bench.PaperFig9(o.iters), svm.Strong, 8, inst)
-			return fmt.Sprintf("Laplace on 8 workers, strong model, replicated ownership directory: %.1f us iteration loop", us), obs
+			r, obs := bench.Fig9Cell(bench.PaperFig9(o.iters), svm.Strong, core.Options{
+				Members: core.FirstN(8), Observe: inst, ReplicatedDirectory: &repldir.Config{},
+			})
+			return fmt.Sprintf("Laplace on 8 workers, strong model, replicated ownership directory: %.1f us iteration loop", r.US), obs
 		}},
 	} {
 		if o.cmd == "all" || o.cmd == h.name {

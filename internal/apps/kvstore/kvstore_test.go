@@ -5,6 +5,7 @@ import (
 
 	"metalsvm/internal/apps/kvstore"
 	"metalsvm/internal/bench"
+	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/scc"
 )
@@ -43,7 +44,7 @@ func requireClean(t *testing.T, r bench.KVReport, wantIssued uint64) {
 
 func TestKVClosedLoopAudit(t *testing.T) {
 	p := smallParams()
-	r := bench.RunKV(p, smallTopo(), nil, false)
+	r, _ := bench.KVCell(p, smallTopo(), false, nil, core.Instrumentation{})
 	requireClean(t, r, uint64(p.Requests))
 	if r.KV.Applied == 0 || r.KV.ServerApplied == 0 {
 		t.Fatalf("nothing applied: %+v", r.KV)
@@ -67,8 +68,8 @@ func TestKVClosedLoopAudit(t *testing.T) {
 // topology, schedule) — same seed, same everything.
 func TestKVReplayBitIdentical(t *testing.T) {
 	p := smallParams()
-	a := bench.RunKV(p, smallTopo(), nil, false)
-	b := bench.RunKV(p, smallTopo(), nil, false)
+	a, _ := bench.KVCell(p, smallTopo(), false, nil, core.Instrumentation{})
+	b, _ := bench.KVCell(p, smallTopo(), false, nil, core.Instrumentation{})
 	if a.KV.Checksum != b.KV.Checksum || a.EndUS != b.EndUS {
 		t.Fatalf("replay diverged: %#x/%.3f vs %#x/%.3f",
 			a.KV.Checksum, a.EndUS, b.KV.Checksum, b.EndUS)
@@ -83,7 +84,7 @@ func TestKVOpenLoopSheds(t *testing.T) {
 	p.ArrivalUS = 0.5
 	p.ServiceCycles = 5000
 	p.QueueBound = 2
-	r := bench.RunKV(p, smallTopo(), nil, false)
+	r, _ := bench.KVCell(p, smallTopo(), false, nil, core.Instrumentation{})
 	requireClean(t, r, uint64(p.Requests))
 	if r.KV.Shed == 0 || r.KV.ServerShed == 0 {
 		t.Fatalf("overload shed nothing: %+v", r.KV)
@@ -100,7 +101,7 @@ func TestKVCrashFailover(t *testing.T) {
 	p := smallParams()
 	spec, _ := faults.PresetSpec("crash")
 	fc := &faults.Config{Seed: 7, Spec: spec}
-	r := bench.RunKV(p, smallTopo(), fc, true)
+	r, _ := bench.KVCell(p, smallTopo(), true, fc, core.Instrumentation{})
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.Crashes == 0 {
 		t.Fatalf("crash schedule crashed nobody: %+v", r.Faults)
@@ -120,7 +121,7 @@ func TestKVDropsRecovers(t *testing.T) {
 	p := smallParams()
 	spec, _ := faults.PresetSpec("drops")
 	fc := &faults.Config{Seed: 11, Spec: spec}
-	r := bench.RunKV(p, smallTopo(), fc, false)
+	r, _ := bench.KVCell(p, smallTopo(), false, fc, core.Instrumentation{})
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.Injected() == 0 {
 		t.Fatalf("drops schedule injected nothing: %+v", r.Faults)
@@ -136,7 +137,7 @@ func TestKVPartitionHeals(t *testing.T) {
 	spec, _ := faults.PresetSpec("partition")
 	fc := &faults.Config{Seed: 13, Spec: spec}
 	topo := scc.MultiChip(2, scc.Grid(2, 2, 2))
-	r := bench.RunKV(p, topo, fc, false)
+	r, _ := bench.KVCell(p, topo, false, fc, core.Instrumentation{})
 	requireClean(t, r, uint64(p.Requests))
 	if r.Faults.PartitionDrops == 0 {
 		t.Fatalf("partition window dropped nothing: %+v", r.Faults)

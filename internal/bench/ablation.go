@@ -21,8 +21,8 @@ func AblationWCB(iters, cores int) (withWCB, withoutWCB float64) {
 	cfgNoWCB := PaperFig9(iters)
 	cfgNoWCB.Chip.Core.DisableWCB = true
 	runTasks([]func(){
-		func() { withWCB = Fig9RunSVM(cfg, svm.LazyRelease, cores) },
-		func() { withoutWCB = Fig9RunSVM(cfgNoWCB, svm.LazyRelease, cores) },
+		func() { withWCB = fig9SVM(cfg, svm.LazyRelease, cores) },
+		func() { withoutWCB = fig9SVM(cfgNoWCB, svm.LazyRelease, cores) },
 	})
 	return withWCB, withoutWCB
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"metalsvm/internal/core"
+	"metalsvm/internal/faults"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/mesh"
 	"metalsvm/internal/scc"
@@ -54,22 +56,41 @@ func fig6Run(chip *scc.Config, rounds int) []Fig6Point {
 	var tasks []func()
 	for i := range out {
 		p := &out[i]
-		members := []int{0, p.Peer}
-		if members[0] > members[1] {
-			members[0], members[1] = members[1], members[0]
+		poll := pingPongConfig{
+			mode: mailbox.ModePolling, b: p.Peer, members: []int{0, p.Peer},
+			rounds: rounds, chip: chip,
 		}
-		tasks = append(tasks, func() {
-			p.PollingUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModePolling, a: 0, b: p.Peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPIUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: p.Peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		})
+		ipi := poll
+		ipi.mode = mailbox.ModeIPI
+		tasks = append(tasks, latencyTask(&p.PollingUS, poll), latencyTask(&p.IPIUS, ipi))
 	}
 	runTasks(tasks)
 	return out
+}
+
+// Fig6Cell runs Figure 6's representative cell, the IPI ping-pong at the
+// mesh's maximum distance, under the fault schedule fc (nil: none) with
+// inst's observers attached. It returns the record, whose US is the
+// half-round-trip latency, and the observation (nil when inst requests
+// nothing).
+func Fig6Cell(rounds int, fc *faults.Config, inst core.Instrumentation) (Run, *core.Observation) {
+	m, err := mesh.New(mesh.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	peer := -1
+	for h := m.MaxHops(); h >= 0 && peer < 0; h-- {
+		peer = m.CoreAtDistance(0, h)
+	}
+	return pingPong(pingPongConfig{
+		mode: mailbox.ModeIPI, b: peer, members: []int{0, peer},
+		rounds: rounds, faults: fc, inst: inst,
+	})
+}
+
+// Fig6Chaos is Fig6Cell without observers, for the benchmark module.
+// ROADMAP item 1 moves that module onto Fig6Cell and deletes this shim.
+func Fig6Chaos(rounds int, fc *faults.Config) Run {
+	r, _ := Fig6Cell(rounds, fc, core.Instrumentation{})
+	return r
 }

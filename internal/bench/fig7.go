@@ -3,6 +3,8 @@ package bench
 import (
 	"sort"
 
+	"metalsvm/internal/core"
+	"metalsvm/internal/faults"
 	"metalsvm/internal/mailbox"
 	"metalsvm/internal/mesh"
 	"metalsvm/internal/scc"
@@ -102,24 +104,37 @@ func fig7Run(chip *scc.Config, peer, rounds int, coreCounts []int) []Fig7Point {
 	for i, n := range coreCounts {
 		p := &out[i]
 		p.Cores = n
-		members := fig7MembersOn(peer, n)
-		tasks = append(tasks, func() {
-			p.PollingUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModePolling, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPIUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, chip: chip,
-			})
-		}, func() {
-			p.IPINoiseUS = runPingPong(pingPongConfig{
-				mode: mailbox.ModeIPI, a: 0, b: peer, members: members,
-				rounds: rounds, warmup: rounds / 4, noise: true, chip: chip,
-			})
-		})
+		poll := pingPongConfig{
+			mode: mailbox.ModePolling, b: peer, members: fig7MembersOn(peer, n),
+			rounds: rounds, chip: chip,
+		}
+		ipi := poll
+		ipi.mode = mailbox.ModeIPI
+		noise := ipi
+		noise.noise = true
+		tasks = append(tasks, latencyTask(&p.PollingUS, poll), latencyTask(&p.IPIUS, ipi),
+			latencyTask(&p.IPINoiseUS, noise))
 	}
 	runTasks(tasks)
 	return out
+}
+
+// Fig7Cell runs Figure 7's polling cell at n activated cores, where
+// idle-core mailbox sweeps dominate, under the fault schedule fc (nil:
+// none) with inst's observers attached. It returns the record, whose US is
+// the half-round-trip latency, and the observation (nil when inst requests
+// nothing).
+func Fig7Cell(rounds, n int, fc *faults.Config, inst core.Instrumentation) (Run, *core.Observation) {
+	return pingPong(pingPongConfig{
+		mode: mailbox.ModePolling, b: 30, members: fig7Members(n),
+		rounds: rounds, faults: fc, inst: inst,
+	})
+}
+
+// Fig7Observed is Fig7Cell's latency without faults, for the benchmark
+// module. ROADMAP item 1 moves that module onto Fig7Cell and deletes this
+// shim.
+func Fig7Observed(rounds, n int, inst core.Instrumentation) (float64, *core.Observation) {
+	r, obs := Fig7Cell(rounds, n, nil, inst)
+	return r.US, obs
 }

@@ -80,19 +80,36 @@ func Fig9RunBaseline(cfg Fig9Config, n int) float64 {
 	return app.Result().Elapsed.Microseconds()
 }
 
-// Fig9RunSVM runs one SVM variant on n cores.
-func Fig9RunSVM(cfg Fig9Config, model svm.Model, n int) float64 {
-	us, _ := Fig9Observed(cfg, model, n, core.Instrumentation{})
-	return us
+// Fig9Cell runs the SVM Laplace cell under the model on the machine opts
+// describe (members, fault schedule, instrumentation, replicated
+// directory; cfg supplies the chip) and returns the record and the
+// observation (nil when opts.Observe requests nothing). US is the
+// iteration-loop time. Marker partitions are resolved against an
+// uninstrumented calibration run of the same seed with the partitions
+// stripped, as KVCell resolves its markers; a frozen calibration is
+// reported as-is, without an observation.
+func Fig9Cell(cfg Fig9Config, model svm.Model, opts core.Options) (Run, *core.Observation) {
+	if fc := opts.Faults; fc != nil && fc.Spec.HasPartitionMarker() {
+		run := *fc
+		run.Spec.Partitions = nil
+		calOpts := opts
+		calOpts.Faults, calOpts.Observe = &run, core.Instrumentation{}
+		cal, _ := Fig9Cell(cfg, model, calOpts)
+		if !cal.Completed {
+			return cal, nil
+		}
+		run.Spec.Partitions = resolvePartitions(fc.Spec.Partitions, cal.US)
+		opts.Faults = &run
+	}
+	m, app := fig9Machine(cfg, model, opts)
+	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+	return fig9Result(m, app), m.Observability()
 }
 
-// Fig9Observed is Fig9RunSVM with instrumentation wired into the machine.
-// The runtime is bit-identical to an uninstrumented run (the equivalence
-// tests assert this); the observation is nil when inst requests nothing.
-func Fig9Observed(cfg Fig9Config, model svm.Model, n int, inst core.Instrumentation) (float64, *core.Observation) {
-	m, app := fig9Machine(cfg, model, core.Options{Members: core.FirstN(n), Observe: inst})
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-	return app.Result().Elapsed.Microseconds(), m.Observability()
+// fig9SVM is the iteration-loop time of one SVM variant on n cores.
+func fig9SVM(cfg Fig9Config, model svm.Model, n int) float64 {
+	r, _ := Fig9Cell(cfg, model, core.Options{Members: core.FirstN(n)})
+	return r.US
 }
 
 // fig9Machine builds the SVM Laplace cell every Fig 9 variant runs: cfg's
@@ -109,6 +126,16 @@ func fig9Machine(cfg Fig9Config, model svm.Model, opts core.Options) (*core.Mach
 	return m, laplace.NewSVM(cfg.Params, laplace.SVMOptions{})
 }
 
+// fig9Result is a Laplace cell's record once its machine has run.
+func fig9Result(m *core.Machine, app *laplace.SVMApp) Run {
+	r := postMortem(m.Cluster)
+	if r.Completed {
+		res := app.Result()
+		r.US, r.Sum = res.Elapsed.Microseconds(), res.Checksum
+	}
+	return r
+}
+
 // Fig9 runs the full sweep: one independent simulation per (variant, core
 // count) cell, fanned across the host pool. Each simulation is a pure
 // function of (cfg, variant, n) and writes one field of one pre-assigned
@@ -121,8 +148,8 @@ func Fig9(cfg Fig9Config) []Fig9Point {
 		p.Cores = n
 		tasks = append(tasks,
 			func() { p.IRCCEUS = Fig9RunBaseline(cfg, n) },
-			func() { p.StrongUS = Fig9RunSVM(cfg, svm.Strong, n) },
-			func() { p.LazyUS = Fig9RunSVM(cfg, svm.LazyRelease, n) },
+			func() { p.StrongUS = fig9SVM(cfg, svm.Strong, n) },
+			func() { p.LazyUS = fig9SVM(cfg, svm.LazyRelease, n) },
 		)
 	}
 	runTasks(tasks)

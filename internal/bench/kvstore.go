@@ -4,26 +4,22 @@ import (
 	"metalsvm/internal/apps/kvstore"
 	"metalsvm/internal/core"
 	"metalsvm/internal/faults"
-	"metalsvm/internal/mailbox"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
 	"metalsvm/internal/svm/repldir"
 )
 
-// KVReport is one kvstore run's post-mortem: the application's audited
-// result plus the harness-level record (watchdog, fault and mailbox
-// counters). CalEndUS is the calibration run's end time when the fault
-// schedule carried marker crashes or partitions that had to be resolved to
-// concrete times first (zero otherwise).
+// KVReport is one kvstore run's post-mortem: the harness-level record
+// (watchdog, fault and mailbox counters; its US and Sum stay zero) plus the
+// application's audited result and end time. CalEndUS is the calibration
+// run's end time when the fault schedule carried marker crashes or
+// partitions that had to be resolved to concrete times first (zero
+// otherwise).
 type KVReport struct {
-	KV        kvstore.Result
-	Completed bool
-	Watchdog  string
-	Faults    faults.Stats
-	Mailbox   mailbox.Stats
-	Rescues   uint64
-	EndUS     float64
-	CalEndUS  float64
+	Run
+	KV       kvstore.Result
+	EndUS    float64
+	CalEndUS float64
 }
 
 // Crash-marker resolution fractions: the primary directory manager dies
@@ -45,41 +41,65 @@ const (
 	kvPartitionMaxUS    = 1500
 )
 
-// RunKV runs the kvstore under a topology and fault schedule. Marker
-// crashes (zero-time sentinels) and marker partitions (zero windows) are
-// resolved against a calibration run of the same seed with the schedule
-// stripped — the whole cell stays a deterministic function of (params,
-// topology, config). withDir wires the replicated ownership directory,
+// KVCell runs the kvstore under a topology and fault schedule with inst's
+// observers attached, and returns the report and the observation (nil when
+// inst requests nothing). withDir wires the replicated ownership directory,
 // required for any schedule that crashes cores (dead-owner reclaim needs
-// it).
-func RunKV(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool) KVReport {
+// it). Marker crashes (zero-time sentinels) and marker partitions (zero
+// windows) are resolved against an uninstrumented calibration run of the
+// same seed with the schedule stripped, so the whole cell stays a
+// deterministic function of (params, topology, config) and only the armed
+// run is observed. A frozen calibration is reported as-is, without an
+// observation.
+func KVCell(p kvstore.Params, topo scc.Config, withDir bool, fc *faults.Config, inst core.Instrumentation) (KVReport, *core.Observation) {
+	var calEndUS float64
 	if fc != nil && kvNeedsCalibration(fc.Spec) {
 		cal := *fc
 		cal.Spec.Crashes = nil
 		cal.Spec.Partitions = nil
-		calR := runKV(p, topo, &cal, withDir, core.Instrumentation{})
+		calR, _ := KVCell(p, topo, withDir, &cal, core.Instrumentation{})
 		if !calR.Completed {
-			return calR // calibration froze; report it as-is
+			return calR, nil
 		}
 		run := *fc
 		run.Spec.Crashes = kvResolveCrashes(fc.Spec.Crashes, calR.EndUS)
 		run.Spec.Partitions = resolvePartitions(fc.Spec.Partitions, calR.EndUS)
-		r := runKV(p, topo, &run, withDir, core.Instrumentation{})
-		r.CalEndUS = calR.EndUS
-		return r
+		fc, calEndUS = &run, calR.EndUS
 	}
-	return runKV(p, topo, fc, withDir, core.Instrumentation{})
+	chip := topo.Normalized()
+	scfg := svm.DefaultConfig(svm.Strong)
+	opts := core.Options{
+		Topology: &chip,
+		SVM:      &scfg,
+		Faults:   fc,
+		Observe:  inst,
+	}
+	if withDir {
+		// Members nil: the machine carves each chip's manager trio out of
+		// the core set and the rest become SVM workers.
+		opts.ReplicatedDirectory = &repldir.Config{}
+	} else {
+		opts.Members = core.AllCores(chip)
+	}
+	m, err := core.NewMachine(opts)
+	if err != nil {
+		panic(err)
+	}
+	app := kvstore.New(p)
+	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
+	r := KVReport{Run: postMortem(m.Cluster), CalEndUS: calEndUS}
+	if r.Completed {
+		r.KV = app.Result()
+		r.EndUS = r.KV.EndUS
+	}
+	return r, m.Observability()
 }
 
-// RunKVObserved is RunKV with instrumentation attached — the
-// zero-perturbation contract requires the observed run to reproduce the
-// plain run's checksum and end time bit for bit. Only schedules without
-// markers are supported (the calibration split would double-instrument).
-func RunKVObserved(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool, inst core.Instrumentation) KVReport {
-	if fc != nil && kvNeedsCalibration(fc.Spec) {
-		panic("bench: RunKVObserved does not support marker schedules")
-	}
-	return runKV(p, topo, fc, withDir, inst)
+// RunKV is KVCell without observers, for the benchmark module. ROADMAP
+// item 1 moves that module onto KVCell and deletes this shim.
+func RunKV(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool) KVReport {
+	r, _ := KVCell(p, topo, withDir, fc, core.Instrumentation{})
+	return r
 }
 
 // kvNeedsCalibration reports whether the schedule carries any marker that
@@ -119,7 +139,7 @@ func kvResolveCrashes(crashes []faults.Crash, endUS float64) []faults.Crash {
 // resolvePartitions pins marker partition windows (zero from/to) to a
 // concrete mid-run outage derived from a calibrated run length: the window
 // opens at 35% of the run and lasts a quarter of it, capped. Shared by
-// RunKV and Fig9ChaosMembers.
+// KVCell and Fig9Cell.
 func resolvePartitions(parts []faults.Partition, endUS float64) []faults.Partition {
 	out := make([]faults.Partition, 0, len(parts))
 	for _, pt := range parts {
@@ -134,49 +154,6 @@ func resolvePartitions(parts []faults.Partition, endUS float64) []faults.Partiti
 		out = append(out, pt)
 	}
 	return out
-}
-
-// runKV is one machine boot and run.
-func runKV(p kvstore.Params, topo scc.Config, fc *faults.Config, withDir bool, inst core.Instrumentation) KVReport {
-	chip := topo.Normalized()
-	scfg := svm.DefaultConfig(svm.Strong)
-	opts := core.Options{
-		Topology: &chip,
-		SVM:      &scfg,
-		Faults:   fc,
-		Observe:  inst,
-	}
-	if withDir {
-		// Members nil: the machine carves each chip's manager trio out of
-		// the core set and the rest become SVM workers.
-		opts.ReplicatedDirectory = &repldir.Config{}
-	} else {
-		opts.Members = core.AllCores(chip)
-	}
-	m, err := core.NewMachine(opts)
-	if err != nil {
-		panic(err)
-	}
-	app := kvstore.New(p)
-	m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-
-	r := KVReport{
-		Watchdog: m.Cluster.WatchdogReport(),
-		Faults:   m.Chip.FaultInjector().Stats(),
-		Mailbox:  m.Cluster.Mailbox().Stats(),
-	}
-	for _, id := range m.Cluster.Members() {
-		if k := m.Cluster.Kernel(id); k != nil {
-			r.Rescues += k.Stats().Rescues
-		}
-	}
-	if m.Cluster.WatchdogFired() {
-		return r
-	}
-	r.Completed = true
-	r.KV = app.Result()
-	r.EndUS = r.KV.EndUS
-	return r
 }
 
 // MinGoodput returns the smallest per-window applied count of a report

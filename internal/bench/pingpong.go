@@ -22,13 +22,13 @@ const (
 	msgDone  = kernel.MsgUser + 11
 )
 
-// pingPongConfig describes one mailbox latency measurement.
+// pingPongConfig describes one mailbox latency measurement: rounds
+// ping-pongs between core 0 and core b, after rounds/4 warm-up rounds.
 type pingPongConfig struct {
 	mode    mailbox.Mode
-	a, b    int   // the measuring pair
-	members []int // all activated cores (must contain a and b)
+	b       int   // the measuring pair's far end
+	members []int // all activated cores (must contain 0 and b)
 	rounds  int
-	warmup  int
 	// chip overrides the platform (the topology-aware sweeps); nil selects
 	// benchChip(), the paper's chip with small memories.
 	chip *scc.Config
@@ -38,6 +38,8 @@ type pingPongConfig struct {
 	// faults, when non-nil, runs the measurement under deterministic fault
 	// injection (the chaos harness); nil leaves the run untouched.
 	faults *faults.Config
+	// inst attaches observers; the zero value attaches none.
+	inst core.Instrumentation
 }
 
 // benchChip returns the default platform with small memories (the mailbox
@@ -70,26 +72,13 @@ func benchChipOn(topo scc.Config) scc.Config {
 	return cfg
 }
 
-// runPingPong boots the member set, runs warmup+rounds ping-pongs between a
-// and b, and returns the mean half-round-trip latency in microseconds.
-func runPingPong(cfg pingPongConfig) float64 {
-	us, _ := runPingPongObserved(cfg, core.Instrumentation{})
-	return us
-}
-
-// runPingPongObserved is runPingPong with instrumentation wired in. The
-// latency is bit-identical to an uninstrumented run (the equivalence tests
-// assert this); the observation is nil when inst requests nothing.
-func runPingPongObserved(cfg pingPongConfig, inst core.Instrumentation) (float64, *core.Observation) {
-	us, _, _, obs := runPingPongFull(cfg, inst)
-	return us, obs
-}
-
-// runPingPongFull is the full harness: it additionally reports whether the
-// measurement completed (a faulty unhardened run can freeze until the
-// watchdog stops it) and exposes the cluster for the chaos harness's
-// post-mortem.
-func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bool, *kernel.Cluster, *core.Observation) {
+// pingPong boots the member set and runs the measurement. The record's US
+// is the mean half-round-trip latency in microseconds, and Completed
+// reports whether the measurement finished (a faulty unhardened run can
+// freeze until the watchdog stops it). The observation is nil when cfg.inst
+// requests nothing; instrumentation leaves the record bit-identical.
+func pingPong(cfg pingPongConfig) (Run, *core.Observation) {
+	const a = 0
 	eng := sim.NewEngine()
 	ccfg := benchChip()
 	if cfg.chip != nil {
@@ -106,13 +95,13 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 	if err != nil {
 		panic(err)
 	}
-	obs := core.Observe(inst, chip, []*kernel.Cluster{cl}, nil)
+	obs := core.Observe(cfg.inst, chip, []*kernel.Cluster{cl}, nil)
 
 	done := false
 	var elapsed sim.Duration
 
 	pongs := 0
-	cl.Start(cfg.a, func(k *kernel.Kernel) {
+	cl.Start(a, func(k *kernel.Kernel) {
 		k.RegisterHandler(msgPong, func(k *kernel.Kernel, m mailbox.Msg) { pongs++ })
 		k.RegisterHandler(msgDone, func(k *kernel.Kernel, m mailbox.Msg) {})
 		k.RegisterHandler(msgNoise, func(k *kernel.Kernel, m mailbox.Msg) {})
@@ -123,14 +112,14 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 				k.WaitFor(func() bool { return pongs >= want })
 			}
 		}
-		run(cfg.warmup)
+		run(cfg.rounds / 4)
 		start := k.Core().Now()
 		run(cfg.rounds)
 		elapsed = k.Core().Now() - start
 		done = true
 		// Wake everybody that waits on the done flag.
 		for _, m := range cfg.members {
-			if m != cfg.a {
+			if m != a {
 				k.Send(m, msgDone, nil)
 			}
 		}
@@ -140,7 +129,7 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 	cl.Start(cfg.b, func(k *kernel.Kernel) {
 		k.RegisterHandler(msgPing, func(k *kernel.Kernel, m mailbox.Msg) {
 			pings++
-			k.Send(cfg.a, msgPong, nil)
+			k.Send(a, msgPong, nil)
 		})
 		k.RegisterHandler(msgDone, func(k *kernel.Kernel, m mailbox.Msg) {})
 		k.RegisterHandler(msgNoise, func(k *kernel.Kernel, m mailbox.Msg) {})
@@ -150,7 +139,7 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 	// Filler cores: pure idle, or pairwise noise traffic.
 	fillers := make([]int, 0, len(cfg.members))
 	for _, m := range cfg.members {
-		if m != cfg.a && m != cfg.b {
+		if m != a && m != cfg.b {
 			fillers = append(fillers, m)
 		}
 	}
@@ -201,5 +190,16 @@ func runPingPongFull(cfg pingPongConfig, inst core.Instrumentation) (float64, bo
 	eng.Run()
 	eng.Shutdown()
 	obs.Finish()
-	return elapsed.Microseconds() / float64(2*cfg.rounds), done, cl, obs
+	r := postMortem(cl)
+	r.US, r.Completed = elapsed.Microseconds()/float64(2*cfg.rounds), done
+	return r, obs
+}
+
+// latencyTask is a sweep task: it runs one ping-pong and stores the
+// latency in dst.
+func latencyTask(dst *float64, cfg pingPongConfig) func() {
+	return func() {
+		r, _ := pingPong(cfg)
+		*dst = r.US
+	}
 }

@@ -36,16 +36,10 @@ type Table1Result struct {
 // Table1Bytes is the region size the paper uses.
 const Table1Bytes uint32 = 4 << 20
 
-// Table1 runs the synthetic benchmark for one model.
-func Table1(model svm.Model) Table1Result {
-	res, _ := Table1Observed(model, core.Instrumentation{})
-	return res
-}
-
-// Table1Observed is Table1 with instrumentation wired into the machine. The
-// result is bit-identical to an uninstrumented run (the equivalence tests
-// assert this); the observation is nil when inst requests nothing.
-func Table1Observed(model svm.Model, inst core.Instrumentation) (Table1Result, *core.Observation) {
+// Table1 runs the synthetic benchmark for one model with inst's observers
+// attached and returns the result and the observation (nil when inst
+// requests nothing). Instrumentation leaves the result bit-identical.
+func Table1(model svm.Model, inst core.Instrumentation) (Table1Result, *core.Observation) {
 	scfg := svm.DefaultConfig(model)
 	ccfg := benchChip()
 	ccfg.PrivateMemPerCore = 1 << 20
@@ -105,8 +99,8 @@ func Table1Observed(model svm.Model, inst core.Instrumentation) (Table1Result, *
 // as two independent simulations across the host pool.
 func Table1Both() (strong, lazy Table1Result) {
 	runTasks([]func(){
-		func() { strong = Table1(svm.Strong) },
-		func() { lazy = Table1(svm.LazyRelease) },
+		func() { strong, _ = Table1(svm.Strong, core.Instrumentation{}) },
+		func() { lazy, _ = Table1(svm.LazyRelease, core.Instrumentation{}) },
 	})
 	return strong, lazy
 }

@@ -430,7 +430,8 @@ func (in *Injector) DelayCyclesOn(core int, r Route) uint64 {
 	return rs.DelayCycles
 }
 
-// StallCyclesOn is StallCycles drawn from the given core's private stream.
+// StallCyclesOn returns the length of an injected transient core stall (in
+// core cycles), or zero, drawn from the given core's private stream.
 // Requires BindCores; nil-safe.
 func (in *Injector) StallCyclesOn(core int) uint64 {
 	if in == nil {
@@ -534,19 +535,6 @@ func (in *Injector) NotePartitionDrop() {
 	}
 	in.stats.Drops[Link]++
 	in.stats.PartitionDrops++
-}
-
-// StallCycles returns the length of an injected transient core stall (in
-// core cycles), or zero. Nil-safe.
-func (in *Injector) StallCycles() uint64 {
-	if in == nil {
-		return 0
-	}
-	if !in.roll(in.cfg.Spec.StallPermille) {
-		return 0
-	}
-	in.stats.Stalls++
-	return in.cfg.Spec.StallCycles
 }
 
 // --- Named presets --------------------------------------------------------

@@ -16,7 +16,7 @@ func TestNilInjectorSafe(t *testing.T) {
 	if in.Drop(Mail) || in.Dup(Mail) {
 		t.Fatal("nil injector injected")
 	}
-	if in.DelayCycles(DDR) != 0 || in.StallCycles() != 0 || in.DupDelayCycles() != 0 {
+	if in.DelayCycles(DDR) != 0 || in.StallCyclesOn(0) != 0 || in.DupDelayCycles() != 0 {
 		t.Fatal("nil injector returned nonzero delay")
 	}
 	buf := []byte{1, 2, 3}
@@ -47,10 +47,11 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	run := func(seed uint64) ([]bool, Stats) {
 		in := NewInjector(Config{Seed: seed, Spec: spec})
+		in.BindCores(1)
 		var out []bool
 		for i := 0; i < 2000; i++ {
 			out = append(out, in.Drop(Mail), in.Dup(Mail), in.Drop(IPI),
-				in.DelayCycles(DDR) != 0, in.StallCycles() != 0)
+				in.DelayCycles(DDR) != 0, in.StallCyclesOn(0) != 0)
 		}
 		return out, in.Stats()
 	}
@@ -100,10 +101,11 @@ func TestCorruptFlips(t *testing.T) {
 // the stream, so enabling one class never perturbs another's schedule.
 func TestZeroProbabilityDrawsNothing(t *testing.T) {
 	in := NewInjector(Config{Seed: 9})
+	in.BindCores(1)
 	for i := 0; i < 100; i++ {
 		in.Drop(Mail)
 		in.DelayCycles(DDR)
-		in.StallCycles()
+		in.StallCyclesOn(0)
 	}
 	if d := in.Stats().Decisions; d != 0 {
 		t.Fatalf("zero spec consumed %d draws", d)

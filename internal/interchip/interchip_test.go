@@ -92,17 +92,18 @@ func TestFaultsDisabledPathBitIdentical(t *testing.T) {
 	lp := laplace.Params{Rows: 64, Cols: 32, Iters: 2, TopTemp: 100}
 	lcfg := bench.Fig9Config{Params: lp, Chip: topo}
 
-	plain, plainSum := bench.Fig9ChaosMembers(lcfg, svm.Strong, members, nil)
-	empty, emptySum := bench.Fig9ChaosMembers(lcfg, svm.Strong, members,
-		&faults.Config{Seed: 42, NoHarden: true})
+	plain, _ := bench.Fig9Cell(lcfg, svm.Strong, core.Options{Members: members})
+	empty, _ := bench.Fig9Cell(lcfg, svm.Strong, core.Options{
+		Members: members, Faults: &faults.Config{Seed: 42, NoHarden: true},
+	})
 	if !plain.Completed || !empty.Completed {
 		t.Fatalf("runs did not complete: plain %+v, empty %+v", plain, empty)
 	}
 	if empty.Faults.Injected() != 0 || empty.Faults.Decisions != 0 {
 		t.Fatalf("empty spec drew randomness or injected: %+v", empty.Faults)
 	}
-	if plain.US != empty.US || plainSum != emptySum {
+	if plain.US != empty.US || plain.Sum != empty.Sum {
 		t.Errorf("disabled-faults path diverged: %.6f us/%v vs %.6f us/%v",
-			plain.US, plainSum, empty.US, emptySum)
+			plain.US, plain.Sum, empty.US, empty.Sum)
 	}
 }

@@ -117,9 +117,6 @@ func (s *Signal) WaitSeq(p *Proc, seq uint64) {
 	s.Wait(p)
 }
 
-// Waiters reports how many processes are currently registered.
-func (s *Signal) Waiters() int { return len(s.waiters) }
-
 // WaitAnySeq parks p until any of sigs fires (or any other Wake reaches the
 // process); like Wait it may return spuriously, and callers loop. If seqs
 // is non-nil (parallel to sigs) and any signal fired since its seq was

@@ -272,8 +272,8 @@ func TestSignalCheckThenWait(t *testing.T) {
 	if sawAt != 5000 {
 		t.Fatalf("consumer saw condition at %d, want 5000", sawAt)
 	}
-	if sig.Waiters() != 0 {
-		t.Fatalf("waiters = %d, want 0", sig.Waiters())
+	if n := len(sig.waiters); n != 0 {
+		t.Fatalf("waiters = %d, want 0", n)
 	}
 }
 

@@ -183,7 +183,9 @@ func TestCrashReplayDeterminism(t *testing.T) {
 // dir.* counters, consistent with the directory's own stats.
 func TestMetricsSurfaceDirCounters(t *testing.T) {
 	lcfg := bench.Fig9Config{Params: testParams(), Chip: testChip()}
-	_, obs := bench.Fig9DirObserved(lcfg, svm.Strong, 4, core.Instrumentation{Metrics: true})
+	_, obs := bench.Fig9Cell(lcfg, svm.Strong, core.Options{
+		Members: core.FirstN(4), Observe: core.Instrumentation{Metrics: true}, ReplicatedDirectory: &repldir.Config{},
+	})
 	if obs == nil {
 		t.Fatal("no observation despite Metrics: true")
 	}
