@@ -115,7 +115,7 @@ func BenchmarkFig9LaplaceLazy48(b *testing.B)   { benchmarkLaplace(b, "lazy", 48
 func BenchmarkAblationWCB(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		with, without = bench.AblationWCB(benchIters, 8)
+		with, without = bench.AblationWCB(bench.PaperFig9(benchIters), 8)
 	}
 	b.ReportMetric(with, "wcb_on_us")
 	b.ReportMetric(without, "wcb_off_us")

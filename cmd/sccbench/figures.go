@@ -178,7 +178,7 @@ func reportScale(r bench.ScaleResult, res *results) bool {
 }
 
 func ablation(o *options) bool {
-	with, without := bench.AblationWCB(o.iters, 8)
+	with, without := bench.AblationWCB(bench.PaperFig9(o.iters), 8)
 	mpb, offDie := bench.AblationScratchpad(256)
 	remote, local := bench.AblationNextTouch(16, 8)
 	writable, readonly := bench.AblationReadOnlyL2(16, 8)

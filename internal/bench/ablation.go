@@ -15,10 +15,10 @@ import (
 // AblationWCB measures the Laplace iteration loop under lazy release with
 // the write-combine buffer on vs off (Section 3's claim that combining
 // write-through data is "extremely useful to increase the bandwidth").
-// Returns iteration-loop times in microseconds.
-func AblationWCB(iters, cores int) (withWCB, withoutWCB float64) {
-	cfg := PaperFig9(iters)
-	cfgNoWCB := PaperFig9(iters)
+// Returns iteration-loop times in microseconds, on cfg's grid (the paper's
+// is PaperFig9).
+func AblationWCB(cfg Fig9Config, cores int) (withWCB, withoutWCB float64) {
+	cfgNoWCB := cfg
 	cfgNoWCB.Chip.Core.DisableWCB = true
 	runTasks([]func(){
 		func() { withWCB = fig9SVM(cfg, svm.LazyRelease, cores) },

@@ -137,7 +137,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestAblationWCBShape(t *testing.T) {
-	with, without := AblationWCB(3, 8)
+	with, without := AblationWCB(PaperFig9(3), 8)
 	// The write-combine buffer must help substantially — the paper calls
 	// it "extremely useful to increase the bandwidth".
 	if without < 1.3*with {

@@ -3,6 +3,11 @@ package bench
 import (
 	"reflect"
 	"testing"
+
+	"metalsvm/internal/apps/kvstore"
+	"metalsvm/internal/core"
+	"metalsvm/internal/faults"
+	"metalsvm/internal/scc"
 )
 
 // TestParallelEquivalence is the bit-exactness contract of the host-parallel
@@ -10,8 +15,15 @@ import (
 // fanning the simulations over four workers must produce deep-equal results,
 // down to the last simulated picosecond. Under `go test -race` this doubles
 // as the race test of the parallel runner: four workers drive whole
-// simulations concurrently.
+// simulations concurrently. The contract does not depend on a cell's size,
+// so each harness runs reduced: few rounds, a 64x64 Laplace grid, a 500
+// request KV load.
 func TestParallelEquivalence(t *testing.T) {
+	small := PaperFig9(2)
+	small.Params.Rows, small.Params.Cols = 64, 64
+	kp := kvstore.DefaultParams()
+	kp.Requests = 500
+	crash, _ := faults.PresetSpec("crash")
 	harnesses := []struct {
 		name string
 		run  func() any
@@ -23,16 +35,25 @@ func TestParallelEquivalence(t *testing.T) {
 			return []Table1Result{s, l}
 		}},
 		{"fig9", func() any {
-			// Runner equivalence does not depend on the grid's size, so
-			// a 64x64 grid keeps all three variants and both core counts.
-			cfg := PaperFig9(2)
-			cfg.Params.Rows, cfg.Params.Cols = 64, 64
+			cfg := small
 			cfg.CoreCounts = []int{2, 4}
 			return Fig9(cfg)
 		}},
 		{"ablation-wcb", func() any {
-			with, without := AblationWCB(2, 4)
+			with, without := AblationWCB(small, 4)
 			return []float64{with, without}
+		}},
+		{"kvstore", func() any {
+			// The plain row and the crash row, whose cell calibrates and
+			// then runs armed.
+			out := make([]KVReport, 2)
+			runTasks([]func(){
+				func() { out[0], _ = KVCell(kp, scc.Grid(4, 4, 1), false, nil, core.Instrumentation{}) },
+				func() {
+					out[1], _ = KVCell(kp, scc.Grid(4, 4, 1), true, &faults.Config{Seed: 1, Spec: crash}, core.Instrumentation{})
+				},
+			})
+			return out
 		}},
 	}
 	defer SetParallelism(0)

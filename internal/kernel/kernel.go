@@ -142,7 +142,7 @@ type Cluster struct {
 	prof *profile.Profiler
 
 	// scanLoop, when set, replaces serviceAll's body: the tests run the
-	// scan as a literal probe loop with it, to hold mailbox.Scan to it.
+	// scan as a literal probe loop with it, to hold mailbox.ScanTake to it.
 	scanLoop func(*Kernel) bool
 
 	// Progress watchdog state (armed only with an active fault injector).
@@ -279,10 +279,6 @@ func (cl *Cluster) isDead(id int) bool {
 	k := cl.kernels[id]
 	return k != nil && k.dead
 }
-
-// DeadCount returns the number of members that crash-halted before
-// finishing.
-func (cl *Cluster) DeadCount() int { return cl.deadCount }
 
 // --- Crash faults ---------------------------------------------------------
 
@@ -491,8 +487,9 @@ func (k *Kernel) dispatch(m mailbox.Msg) {
 // serviceAll scans every other member's slot once, dispatching what it
 // finds, and reports whether anything was processed. This is the
 // polling-mode cost center: each slot check costs ~100 cycles. The probes
-// of empty slots run in place (mailbox.Scan); the goroutine takes over for
-// each mail found, so handlers run here.
+// of empty slots and the take of a full one run in place
+// (mailbox.ScanTake); the goroutine takes over for each mail taken, so
+// handlers run here.
 func (k *Kernel) serviceAll() bool {
 	if k.cluster.scanLoop != nil {
 		return k.cluster.scanLoop(k)
@@ -500,13 +497,15 @@ func (k *Kernel) serviceAll() bool {
 	mb, members := k.cluster.mb, k.cluster.members
 	progress := false
 	for i := 0; ; i++ {
-		if i = mb.Scan(k.id, members, i, k.id); i == len(members) {
+		j, msg, ok := mb.ScanTake(k.id, members, i, k.id)
+		if j == len(members) {
 			return progress
 		}
-		if msg, ok, _ := mb.Take(k.id, members[i]); ok {
+		if ok {
 			k.dispatch(msg)
 			progress = true
 		}
+		i = j
 	}
 }
 

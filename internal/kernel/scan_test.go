@@ -140,11 +140,11 @@ func runScanScenario(t *testing.T, mode mailbox.Mode, spec *faults.Spec, loop bo
 	return o, st, oracle
 }
 
-// TestServiceAllMatchesLoop: serviceAll over mailbox.Scan and Take produces
+// TestServiceAllMatchesLoop: serviceAll over mailbox.ScanTake produces
 // the same trace, end time, mailbox, kernel and profiler counters, and
 // engine counts as the literal probe loop, in polling mode and in hardened
 // IPI and polling modes, with timer-tick scans nested in scans and blocked
-// hardened sends draining their inbox; only the empty probes now run in
+// hardened sends draining their inbox; only the probes and takes run in
 // place instead of switching to the kernel's goroutine.
 func TestServiceAllMatchesLoop(t *testing.T) {
 	ipiDrops := &faults.Spec{}

@@ -177,8 +177,8 @@ func TestHardenedRescueScenarioPinned(t *testing.T) {
 		{IPIs: 5, Dispatched: 6, Rescues: 1},
 		{IPIs: 2, Dispatched: 6, Rescues: 4},
 	}
-	wantEng := sim.Stats{Events: 522, ClosureEvents: 273, ProcSwitches: 199,
-		SelfWakes: 24, RunThroughs: 115, SyncInStep: 163, InPlaceSteps: 11}
+	wantEng := sim.Stats{Events: 522, ClosureEvents: 273, ProcSwitches: 165,
+		SelfWakes: 23, RunThroughs: 115, SyncInStep: 163, InPlaceSteps: 46}
 	for i := range members {
 		if ks[i] != wantKernels[i] {
 			t.Errorf("kernel %d stats %+v, want %+v", members[i], ks[i], wantKernels[i])

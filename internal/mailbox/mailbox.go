@@ -168,7 +168,9 @@ type System struct {
 
 	// fullSig[to*n+from] fires when a mail lands in (to,from); nothing
 	// waits on it, but its fires are queue events pinned schedules count.
-	// freeSig[to*n+from] fires when the receiver consumes it.
+	// freeSig[to*n+from] fires when the receiver consumes it. Both are
+	// made on first use (signal): most pairs of a large machine never
+	// exchange mail.
 	fullSig []*sim.Signal
 	freeSig []*sim.Signal
 	// anyFull[to] fires on every deposit for to (poll-mode idle wakeup).
@@ -188,8 +190,8 @@ type System struct {
 	// an ack only the other can publish.
 	serviceHooks []func() bool
 
-	// scanners holds each receiver's slot scan, made on its first probe.
-	scanners []*scanner
+	// mailers holds each core's free chain records (see mailer).
+	mailers []*mailer
 
 	stats Stats
 }
@@ -204,21 +206,25 @@ func New(chip *scc.Chip, mode Mode) *System {
 		fullSig:      make([]*sim.Signal, n*n),
 		freeSig:      make([]*sim.Signal, n*n),
 		anyFull:      make([]*sim.Signal, n),
+		serviceHooks: make([]func() bool, n),
 		sendSeq:      make([]uint16, n*n),
 		lastRecv:     make([]uint16, n*n),
 		pending:      make([]pendingMail, n*n),
-		serviceHooks: make([]func() bool, n),
-		scanners:     make([]*scanner, n),
+		mailers:      make([]*mailer, n),
 	}
 	eng := chip.Engine()
-	for i := range s.fullSig {
-		s.fullSig[i] = sim.NewSignal(eng)
-		s.freeSig[i] = sim.NewSignal(eng)
-	}
 	for i := range s.anyFull {
 		s.anyFull[i] = sim.NewSignal(eng)
 	}
 	return s
+}
+
+// signal returns tab[i], made on first use.
+func (s *System) signal(tab []*sim.Signal, i int) *sim.Signal {
+	if tab[i] == nil {
+		tab[i] = sim.NewSignal(s.chip.Engine())
+	}
+	return tab[i]
 }
 
 // Mode returns the delivery mode.
@@ -279,7 +285,8 @@ func frameLayout(hardened bool) (hdr, capacity int) {
 }
 
 // Send deposits a mail from core from to core to, busy-waiting while the
-// slot still holds an unconsumed mail. It runs on from's goroutine.
+// slot still holds an unconsumed mail. It runs on from's goroutine. Each
+// round's probe, deposit and notification run as one step chain (mailer).
 func (s *System) Send(from, to int, typ byte, payload []byte) {
 	s.checkPair(to, from)
 	// The kernel consults its cached copy of the liveness register before
@@ -290,7 +297,7 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 	// faults, so the branch perturbs nothing.
 	if s.chip.CoreCrashed(to) {
 		s.stats.DeadDrops++
-		s.chip.MPBCharge(from, to)
+		s.chip.Core(from).Proc().Charge(s.chip.MPBAccess(from, to))
 		return
 	}
 	hardened := s.chip.FaultsHardened()
@@ -298,12 +305,16 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 	if len(payload) > capacity {
 		panic(fmt.Sprintf("mailbox: payload %d exceeds %d bytes", len(payload), capacity))
 	}
-	core := s.chip.Core(from)
-	off := slotOff(from)
-	p := s.pair(to, from)
-	pend := &s.pending[p]
-	s.prof.EnterIfIdle(from, profile.MailboxWait, core.Proc().LocalTime())
-	defer func() { s.prof.Exit(from, core.Proc().LocalTime()) }()
+	m := s.mailer(from)
+	*m = mailer{s: s, core: from, step: m.step, to: to, typ: typ, hardened: hardened}
+	// One combined line write carries header and payload; a hardened
+	// frame gets its sequence number and checksum once the probe passes.
+	m.line[0], m.line[1] = 1, typ
+	binary.LittleEndian.PutUint16(m.line[2:], uint16(len(payload)))
+	copy(m.line[hdr:], payload)
+	core, free := s.chip.Core(from), s.signal(s.freeSig, s.pair(to, from))
+	proc := core.Proc()
+	s.prof.EnterIfIdle(from, profile.MailboxWait, proc.LocalTime())
 	// The probe-deposit-notify sequence must be atomic against this core's
 	// own interrupt handler: if the handler ran between the deposit and the
 	// IPI and itself sent to the same destination, it would block on a slot
@@ -311,23 +322,10 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 	// raised yet) — a deadlock a real kernel prevents exactly this way,
 	// with interrupts disabled around the send path.
 	prevIRQ := core.InterruptsEnabled()
-	defer core.SetInterruptsEnabled(prevIRQ)
 	for {
-		// Re-check liveness each round: the receiver may crash while we
-		// wait on a slot it will never drain.
-		if s.chip.CoreCrashed(to) {
-			s.stats.DeadDrops++
-			return
-		}
-		core.SetInterruptsEnabled(false)
-		// Probe with one charged header read: has the receiver consumed the
-		// previous mail? A hardened sender's pending mail must also be
-		// acknowledged: a deposit lost in the mesh (or discarded as corrupt)
-		// leaves the flag clear too, and the sender waits for its
-		// retransmission rather than overwrite it.
-		var slot [8]byte
-		s.chip.MPBRead(from, to, off, slot[:])
-		if slot[0] == 0 && !(hardened && pend.active && seqAfter(pend.seq, binary.LittleEndian.Uint16(slot[4:]))) {
+		m.phase = sendProbe
+		proc.Spin(m.step)
+		if m.phase != sendBusy {
 			break
 		}
 		// Busy-wait with interrupts enabled so incoming requests are still
@@ -344,104 +342,22 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 				continue
 			}
 			// Park with a deadline: in polling mode nothing nudges a
-			// blocked sender when mail lands in its slot, so the scan above
+			// blocked sender when mail lands in its slot, so the probe
 			// must rerun on retransmission cadence.
-			s.freeSig[p].Deadline(core.Proc().LocalTime() + s.retxTimeout(0))
+			free.Deadline(proc.LocalTime() + s.retxTimeout(0))
 		}
-		s.freeSig[p].Wait(core.Proc())
+		free.Wait(proc)
 	}
-	// One combined line write carries header and payload.
-	var line [phys.CacheLine]byte
-	line[0] = 1
-	line[1] = typ
-	binary.LittleEndian.PutUint16(line[2:], uint16(len(payload)))
-	copy(line[hdr:], payload)
-	if hardened {
-		s.sendSeq[p]++
-		binary.LittleEndian.PutUint16(line[4:], s.sendSeq[p])
-		binary.LittleEndian.PutUint16(line[6:], frameSum(&line))
-		*pend = pendingMail{active: true, seq: s.sendSeq[p], line: line}
-	}
-	s.deposit(from, to, off, &line)
-	s.stats.Sends++
-	s.chip.Tracer().Emit(core.Proc().LocalTime(), from, trace.KindMailSend, uint64(to), uint64(typ))
-	now := core.Proc().LocalTime()
-	s.fullSig[p].Fire(now)
-	s.anyFull[to].Fire(now)
-	if s.mode == ModeIPI {
-		s.stats.IPIs++
-		s.chip.RaiseIPI(from, to)
-	}
-	if hardened {
-		s.armRetx(from, to, pend.seq, now)
-	}
-}
-
-// deposit writes the line into the receiver's slot through the fault
-// injector: the deposit may be delayed, dropped in the mesh (the sender
-// pays the access but the frame never lands), corrupted in flight, or
-// redelivered later as a stale duplicate. Without an injector it is exactly
-// one MPB line write.
-func (s *System) deposit(from, to, off int, line *[phys.CacheLine]byte) {
-	inj := s.chip.FaultInjector()
-	core := s.chip.Core(from)
-	tr := s.chip.Tracer()
-	if !s.chip.SameChip(from, to) && inj.LinkPartitioned(core.Proc().LocalTime()) {
-		// The inter-chip link is partitioned: the frame cannot cross. The
-		// sender pays the access; the retransmission timer redelivers after
-		// the heal.
-		inj.NotePartitionDrop()
-		tr.Emit(core.Proc().LocalTime(), from, trace.KindFaultInject,
-			uint64(faults.Link), uint64(faults.Drop))
-		s.chip.MPBCharge(from, to)
-		return
-	}
-	if cyc := inj.DelayCycles(faults.Mail); cyc != 0 {
-		tr.Emit(core.Proc().LocalTime(), from, trace.KindFaultInject,
-			uint64(faults.Mail), uint64(faults.Delay))
-		core.Cycles(cyc)
-	}
-	if inj.Drop(faults.Mail) {
-		tr.Emit(core.Proc().LocalTime(), from, trace.KindFaultInject,
-			uint64(faults.Mail), uint64(faults.Drop))
-		s.chip.MPBCharge(from, to)
-		return
-	}
-	wire := *line
-	if inj.Corrupt(faults.Mail, wire[1:]) {
-		tr.Emit(core.Proc().LocalTime(), from, trace.KindFaultInject,
-			uint64(faults.Mail), uint64(faults.Corrupt))
-	}
-	s.chip.MPBWrite(from, to, off, wire[:])
-	if inj.Dup(faults.Mail) {
-		now := core.Proc().LocalTime()
-		tr.Emit(now, from, trace.KindFaultInject, uint64(faults.Mail), uint64(faults.Dup))
-		at := now + s.chip.Config().Core.Clock.Cycles(inj.DupDelayCycles())
-		// The closure gets its own copy, so only a duplicated frame moves a
-		// line to the heap.
-		ghost := wire
-		s.chip.Engine().At(at, func() {
-			// The stale copy lands only if the slot is free by then; the
-			// hardened receiver discards it by sequence number, the plain
-			// one consumes it as a fresh (wrong) mail.
-			if !s.chip.SameChip(from, to) && inj.LinkPartitioned(at) {
-				inj.NotePartitionDrop()
-				return
-			}
-			if s.chip.MPB().Byte(to, off) != 0 {
-				return
-			}
-			s.chip.MPB().Write(to, off, ghost[:])
-			s.renotify(from, to, at)
-		})
-	}
+	core.SetInterruptsEnabled(prevIRQ)
+	s.prof.Exit(from, proc.LocalTime())
+	m.free, s.mailers[from] = s.mailers[from], m
 }
 
 // renotify fires a deposit's wake-ups again from engine context at time at
 // (a duplicate landing, a retransmission or a renudge): fault-free, and
 // charging no core time.
 func (s *System) renotify(from, to int, at sim.Time) {
-	s.fullSig[s.pair(to, from)].Fire(at)
+	s.signal(s.fullSig, s.pair(to, from)).Fire(at)
 	s.anyFull[to].Fire(at)
 	if s.mode == ModeIPI {
 		s.chip.NudgeIPI(from, to)
@@ -566,15 +482,11 @@ func (r *retx) fire() {
 }
 
 // Receive inspects one receive slot on behalf of the receiver, consuming
-// and returning the mail if present. Cost: the paper's ~100-cycle slot
-// check, plus the MPB line read and flag clear when a mail is found. A
-// malformed frame is discarded and reported as a *FrameError. It is a
-// one-slot Scan followed by Take.
+// and returning the mail if present: one-slot ScanTake, which reports a
+// discarded malformed frame as a *FrameError.
 func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
-	if s.scan(receiver, nil, sender, 0, -1) != 0 {
-		return Msg{}, false, nil
-	}
-	return s.Take(receiver, sender)
+	_, msg, ok, err := s.receive(receiver, nil, sender, 0, -1, scanEnter, true)
+	return msg, ok, err
 }
 
 // Check inspects one receive slot, consuming and returning the mail if
@@ -585,151 +497,61 @@ func (s *System) Check(receiver, sender int) (Msg, bool) {
 }
 
 // Scan probes the receiver's slots for senders[from:], in order and
-// skipping the core skip, at the paper's ~100 cycles a probe. It returns
-// the index of the first slot that holds mail, which the caller consumes
-// with Take, or len(senders) when none does. The probes run as the steps
-// of a sim.Proc.Spin: while the core's interrupts are idle the engine runs
-// them in place, so an empty slot costs no goroutine switch.
+// skipping the core skip, at the paper's ~100 cycles a probe (steps the
+// engine runs in place). It returns the index of the first slot that holds
+// mail, which the caller consumes with Take, or len(senders) when none does.
 func (s *System) Scan(receiver int, senders []int, from, skip int) int {
-	return s.scan(receiver, senders, -1, from, skip)
-}
-
-// scan is Scan; with sender not negative it probes that one slot instead.
-func (s *System) scan(receiver int, senders []int, sender, from, skip int) int {
-	sc := s.scanners[receiver]
-	if sc == nil {
-		sc = &scanner{s: s, receiver: receiver}
-		sc.step = sc.next
-		s.scanners[receiver] = sc
-	}
-	outer := *sc // a handler may scan on this core inside this scan
-	if sender >= 0 {
-		sc.one[0] = sender
-		senders = sc.one[:]
-	}
-	sc.senders, sc.skip, sc.i, sc.phase = senders, skip, from, scanEnter
-	s.chip.Core(receiver).Proc().Spin(sc.step)
-	i := sc.i
-	*sc = outer
+	i, _, _, _ := s.receive(receiver, senders, -1, from, skip, scanEnter, false)
 	return i
 }
 
-// scanner is one receiver core's slot scan, reused from scan to scan, with
-// its step bound once so a scan allocates nothing.
-type scanner struct {
-	s        *System
-	receiver int
-	senders  []int
-	skip     int
-	i        int // the slot being probed, an index into senders
-	phase    scanPhase
-	one      [1]int                            // Receive's senders
-	step     func() (sim.Duration, bool, bool) // next, bound once
+// ScanTake is Scan and then Take of the slot it finds, as one step chain;
+// malformed frames read as no mail.
+func (s *System) ScanTake(receiver int, senders []int, from, skip int) (int, Msg, bool) {
+	i, msg, ok, _ := s.receive(receiver, senders, -1, from, skip, scanEnter, true)
+	return i, msg, ok
 }
 
-// scanPhase is where a slot probe stands: each is one Spin step, and
-// together they are the paper's slot check.
-type scanPhase uint8
-
-const (
-	scanEnter  scanPhase = iota // enter the next slot's profiler context, then Sync
-	scanCharge                  // Advance by the check's charge
-	scanPeek                    // count the check and peek at the flag
-)
-
-func (sc *scanner) next() (d sim.Duration, sync, done bool) {
-	s, r := sc.s, sc.receiver
-	switch sc.phase {
-	case scanCharge:
-		sc.phase = scanPeek
-		return s.chip.MailCheckLatency(), false, false
-	case scanPeek:
-		s.stats.Checks++
-		if s.chip.MPB().Byte(r, slotOff(sc.senders[sc.i])) != 0 {
-			return 0, false, true // Take exits the context
-		}
-		s.prof.Exit(r, s.chip.Core(r).Proc().LocalTime())
-		sc.i++
-	}
-	if sc.i < len(sc.senders) && sc.senders[sc.i] == sc.skip {
-		sc.i++
-	}
-	if sc.i == len(sc.senders) {
-		return 0, false, true
-	}
-	s.checkPair(r, sc.senders[sc.i])
-	s.prof.EnterIfIdle(r, profile.MailboxWait, s.chip.Core(r).Proc().LocalTime())
-	sc.phase = scanCharge
-	return 0, true, false
-}
-
-// Take consumes the mail in the receiver's slot for sender that Scan has
-// just found: the MPB line read, the frame checks, the flag clear and the
-// sender's wake-up. A malformed frame is discarded and reported as a
-// *FrameError.
+// Take consumes the mail Scan has just found in the receiver's slot for
+// sender: line read, frame checks, flag clear, the sender's wake-up. A
+// malformed frame is discarded and reported as a *FrameError.
 func (s *System) Take(receiver, sender int) (Msg, bool, error) {
-	core := s.chip.Core(receiver)
-	defer func() { s.prof.Exit(receiver, core.Proc().LocalTime()) }()
-	off := slotOff(sender)
-	var line [phys.CacheLine]byte
-	s.chip.MPBRead(receiver, receiver, off, line[:])
-	if line[0] == 0 {
-		// The mail vanished between the flag peek and the line read: this
-		// core's own interrupt handler serviced the slot while the read was
-		// in flight (a scan and the interrupt path may interleave). The
-		// earlier entrant consumed it; only a stale copy is here.
-		return Msg{}, false, nil
+	_, msg, ok, err := s.receive(receiver, nil, sender, 0, -1, takeRead, true)
+	return msg, ok, err
+}
+
+// receive runs the receiver's chain from phase over senders, or the one
+// slot sender if it is not negative; take goes on from a found slot.
+func (s *System) receive(receiver int, senders []int, sender, from, skip int, phase chainPhase, take bool) (int, Msg, bool, error) {
+	m := s.mailer(receiver)
+	*m = mailer{s: s, core: receiver, step: m.step, senders: senders, skip: skip, i: from, phase: phase, take: take}
+	if sender >= 0 {
+		m.one[0] = sender
+		m.senders = m.one[:]
 	}
-	hardened := s.chip.FaultsHardened()
-	hdr, capacity := frameLayout(hardened)
-	p := s.pair(receiver, sender)
-	n := int(binary.LittleEndian.Uint16(line[2:]))
-	seq := binary.LittleEndian.Uint16(line[4:])
-	var err error
-	fresh := false
-	switch {
-	case n > capacity:
-		// A frame this long cannot have been sent; drop it rather than read
-		// out of bounds.
-		s.stats.ShortFrames++
-		err = &FrameError{Receiver: receiver, Sender: sender, Len: n,
-			Reason: fmt.Sprintf("length exceeds capacity %d", capacity)}
-	case hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
-		s.stats.CorruptDrops++
-		err = &FrameError{Receiver: receiver, Sender: sender, Len: n, Reason: "checksum mismatch"}
-	case hardened && !seqAfter(seq, s.lastRecv[p]):
-		// Stale duplicate redelivery: drop it, re-acknowledge, and hand the
-		// slot back to the sender.
-		s.stats.DupFrames++
-	default:
-		fresh = true
-		if hardened {
-			s.lastRecv[p] = seq
-		}
-	}
-	// Release the slot with one charged header write: the flag clears, and
-	// hardened, the sequence field carries the receiver's cumulative
-	// acknowledgement. A hardened discard leaves the frame unacknowledged:
-	// the sender's retransmission timer, not a wake-up, redeposits a clean
-	// copy.
-	var ack [8]byte
-	if hardened {
-		binary.LittleEndian.PutUint16(ack[4:], s.lastRecv[p])
-	}
-	s.chip.MPBWrite(receiver, receiver, off, ack[:])
-	if err != nil && hardened {
-		return Msg{}, false, err
-	}
+	s.chip.Core(receiver).Proc().Spin(m.step)
 	var msg Msg
-	if fresh {
-		s.stats.Recvs++
-		s.chip.Tracer().Emit(core.Proc().LocalTime(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
-		msg = Msg{From: sender, Type: line[1]}
-		copy(msg.Payload[:], line[hdr:hdr+n])
+	if m.ok {
+		hdr, _ := frameLayout(m.hardened)
+		n := int(binary.LittleEndian.Uint16(m.line[2:]))
+		msg = Msg{From: m.senders[m.i], Type: m.line[1]}
+		copy(msg.Payload[:], m.line[hdr:hdr+n])
 	}
-	// The slot is free for the sender's next mail: wake its probe.
-	s.freeSig[p].Fire(core.Proc().LocalTime())
-	return msg, fresh, err
+	m.free, s.mailers[receiver] = s.mailers[receiver], m
+	return m.i, msg, m.ok, m.err
+}
+
+// mailer takes a chain record for an operation on core off its free list;
+// the operation puts it back when done. A handler may run an operation
+// inside another, so each nesting level gets a record of its own.
+func (s *System) mailer(core int) *mailer {
+	m := s.mailers[core]
+	if m == nil {
+		m = &mailer{}
+		m.step = m.next
+	}
+	s.mailers[core] = m.free
+	return m
 }
 
 // WaitAnySignal returns the signal fired whenever any mail is deposited for
@@ -746,9 +568,9 @@ func (s *System) NoteCrashed(id int, at sim.Time) {
 		if other == id {
 			continue
 		}
-		s.freeSig[s.pair(id, other)].Fire(at) // senders blocked sending to id
-		s.freeSig[s.pair(other, id)].Fire(at) // (symmetry; id's own sends are moot)
-		s.fullSig[s.pair(other, id)].Fire(at)
+		s.signal(s.freeSig, s.pair(id, other)).Fire(at) // senders blocked sending to id
+		s.signal(s.freeSig, s.pair(other, id)).Fire(at) // (symmetry; id's own sends are moot)
+		s.signal(s.fullSig, s.pair(other, id)).Fire(at)
 		s.anyFull[other].Fire(at) // kernel WaitFor scans
 	}
 }

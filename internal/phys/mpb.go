@@ -35,9 +35,6 @@ func NewMPB(cores, bytesPerCore int) *MPB {
 // Cores returns the number of buffers.
 func (b *MPB) Cores() int { return len(b.data) }
 
-// SizePerCore returns the per-core buffer size in bytes.
-func (b *MPB) SizePerCore() int { return b.perCore }
-
 func (b *MPB) slice(core, off, n int) []byte {
 	if core < 0 || core >= len(b.data) {
 		panic(fmt.Sprintf("phys: MPB core %d out of range", core))
@@ -61,11 +58,6 @@ func (b *MPB) Write(core, off int, src []byte) {
 // Byte returns the byte at off in core's buffer.
 func (b *MPB) Byte(core, off int) byte {
 	return b.slice(core, off, 1)[0]
-}
-
-// SetByte stores v at off in core's buffer.
-func (b *MPB) SetByte(core, off int, v byte) {
-	b.slice(core, off, 1)[0] = v
 }
 
 // Read16 reads a little-endian uint16 at off in core's buffer.

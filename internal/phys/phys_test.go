@@ -100,8 +100,8 @@ func TestMemLastWriteWinsProperty(t *testing.T) {
 
 func TestMPBReadWrite(t *testing.T) {
 	b := NewMPB(48, MPBBytesPerCore)
-	if b.Cores() != 48 || b.SizePerCore() != 8192 {
-		t.Fatalf("geometry %d cores x %d", b.Cores(), b.SizePerCore())
+	if b.Cores() != 48 || b.perCore != 8192 {
+		t.Fatalf("geometry %d cores x %d", b.Cores(), b.perCore)
 	}
 	b.Write(30, 100, []byte{9, 8, 7})
 	got := make([]byte, 3)
@@ -122,7 +122,7 @@ func TestMPBWord16(t *testing.T) {
 	if v := b.Read16(2, 10); v != 0xbeef {
 		t.Fatalf("Read16 = %#x", v)
 	}
-	b.SetByte(1, 0, 0x5a)
+	b.Write(1, 0, []byte{0x5a})
 	if v := b.Byte(1, 0); v != 0x5a {
 		t.Fatalf("Byte = %#x", v)
 	}

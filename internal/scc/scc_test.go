@@ -126,11 +126,13 @@ func TestSyncMPBOrdering(t *testing.T) {
 	var sawByCore1 byte
 	ch.Boot(0, func(c *cpu.Core) {
 		c.Proc().Advance(sim.Microseconds(1))
-		ch.MPBSetByte(0, 1, 100, 7) // write core 1's MPB at ~1us
+		ch.MPBWrite(0, 1, 100, []byte{7}) // write core 1's MPB at ~1us
 	})
 	ch.Boot(1, func(c *cpu.Core) {
 		c.Proc().Advance(sim.Microseconds(10)) // well after the write lands
-		sawByCore1 = ch.MPBByte(1, 1, 100)
+		var b [1]byte
+		ch.MPBRead(1, 1, 100, b[:])
+		sawByCore1 = b[0]
 	})
 	eng.Run()
 	eng.Shutdown()
@@ -144,10 +146,10 @@ func TestMPBLatencyScalesWithDistance(t *testing.T) {
 	var near, far sim.Duration
 	ch.Boot(0, func(c *cpu.Core) {
 		start := c.Now()
-		ch.MPBByte(0, 1, 0) // same tile
+		ch.MPBRead(0, 1, 0, make([]byte, 1)) // same tile
 		near = c.Now() - start
 		start = c.Now()
-		ch.MPBByte(0, 47, 0) // 8 hops away
+		ch.MPBRead(0, 47, 0, make([]byte, 1)) // 8 hops away
 		far = c.Now() - start
 	})
 	eng.Run()
@@ -297,6 +299,13 @@ func TestPhysWordAccess(t *testing.T) {
 	}
 }
 
+// raiseIPI sends an inter-processor interrupt from core to core: the
+// sender pays IPICharge, then IPIEffect delivers it.
+func raiseIPI(ch *Chip, from, to int) {
+	ch.Core(from).Proc().Charge(ch.IPICharge(from, to))
+	ch.IPIEffect(from, to)
+}
+
 func TestIPIDelivery(t *testing.T) {
 	eng, ch := newChip(t)
 	var origin int
@@ -314,7 +323,7 @@ func TestIPIDelivery(t *testing.T) {
 	})
 	ch.Boot(0, func(c *cpu.Core) {
 		c.Proc().Advance(sim.Microseconds(5))
-		ch.RaiseIPI(0, 30)
+		raiseIPI(ch, 0, 30)
 	})
 	eng.Run()
 	eng.Shutdown()
@@ -343,7 +352,7 @@ func TestIPIAllocatesNothing(t *testing.T) {
 	})
 	sender := ch.Boot(0, func(c *cpu.Core) {
 		for {
-			ch.RaiseIPI(0, 30)
+			raiseIPI(ch, 0, 30)
 			c.Proc().Wait()
 		}
 	})
@@ -357,7 +366,7 @@ func TestIPIAllocatesNothing(t *testing.T) {
 		t.Fatalf("delivered %d IPIs, want 102", delivered)
 	}
 	if allocs != 0 {
-		t.Fatalf("RaiseIPI plus delivery allocates %v times, want 0", allocs)
+		t.Fatalf("an IPI and its delivery allocate %v times, want 0", allocs)
 	}
 }
 
@@ -389,7 +398,7 @@ func TestDeterministicBoot(t *testing.T) {
 		for id := 0; id < 8; id++ {
 			ch.Boot(id, func(c *cpu.Core) {
 				for i := 0; i < 20; i++ {
-					ch.MPBSetByte(c.ID(), (c.ID()+1)%8, 0, byte(i))
+					ch.MPBWrite(c.ID(), (c.ID()+1)%8, 0, []byte{byte(i)})
 					c.Cycles(uint64(100 * (c.ID() + 1)))
 				}
 			})

@@ -12,16 +12,13 @@ import (
 // This file holds the chip's synchronous primitives: operations whose
 // effects must be globally ordered (mailbox flags, test-and-set, ownership
 // metadata, IPIs). Each one syncs the issuing core to global time, charges
-// the transaction latency, syncs again, and only then applies the
-// functional effect — so the effect lands exactly at its completion time
-// and every other synced observer sees a consistent order.
+// the transaction latency, syncs again (sim.Proc.Charge), and only then
+// applies the functional effect — so the effect lands exactly at its
+// completion time and every other synced observer sees a consistent order.
 
 func (ch *Chip) syncCharge(core int, lat sim.Duration) *cpu.Core {
 	c := ch.cores[core]
-	lat = ch.stall(core, lat)
-	c.Sync()
-	c.Proc().Advance(lat)
-	c.Sync()
+	c.Proc().Charge(ch.stall(core, lat))
 	return c
 }
 
@@ -29,11 +26,15 @@ func (ch *Chip) syncCharge(core int, lat sim.Duration) *cpu.Core {
 // latency (zero without an injector) and traces the injection.
 func (ch *Chip) stall(core int, lat sim.Duration) sim.Duration {
 	if cyc := ch.faults.StallCyclesOn(core); cyc != 0 {
-		ch.tracer.Emit(ch.cores[core].Now(), core, trace.KindFaultInject,
-			uint64(faults.NumRoutes), uint64(faults.Stall))
+		ch.traceFault(ch.cores[core].Now(), core, faults.NumRoutes, faults.Stall)
 		lat += ch.coreClock().Cycles(cyc)
 	}
 	return lat
+}
+
+// traceFault traces a fault injected into core's transaction at time at.
+func (ch *Chip) traceFault(at sim.Time, core int, r faults.Route, k faults.Kind) {
+	ch.tracer.Emit(at, core, trace.KindFaultInject, uint64(r), uint64(k))
 }
 
 // injectDelay draws a fault-injected mesh delay for the route (zero without
@@ -43,8 +44,7 @@ func (ch *Chip) injectDelay(core int, r faults.Route) sim.Duration {
 	if cyc == 0 {
 		return 0
 	}
-	ch.tracer.Emit(ch.cores[core].Now(), core, trace.KindFaultInject,
-		uint64(r), uint64(faults.Delay))
+	ch.traceFault(ch.cores[core].Now(), core, r, faults.Delay)
 	return ch.coreClock().Cycles(cyc)
 }
 
@@ -76,11 +76,12 @@ func (ch *Chip) mpbLatency(core, owner int) sim.Duration {
 	return lat
 }
 
-// MPBCharge charges core one MPB access to owner's buffer without a
-// functional effect — the cost of a deposit whose packet the fault injector
-// dropped in the mesh.
-func (ch *Chip) MPBCharge(core, owner int) {
-	ch.syncCharge(core, ch.mpbLatency(core, owner))
+// MPBAccess is the charge of one MPB access from core to owner's buffer,
+// with its accounting and fault draws, for a caller that syncs it in
+// (sim.Proc.Charge, or a step chain's sim.Charge) and then applies the
+// effect through MPB(), or none: a deposit the mesh lost.
+func (ch *Chip) MPBAccess(core, owner int) sim.Duration {
+	return ch.stall(core, ch.mpbLatency(core, owner))
 }
 
 // MPBRead synchronously reads from owner's MPB on behalf of core.
@@ -105,18 +106,6 @@ func (ch *Chip) MPBRead16(core, owner, off int) uint16 {
 func (ch *Chip) MPBWrite16(core, owner, off int, v uint16) {
 	ch.syncCharge(core, ch.mpbLatency(core, owner))
 	ch.mpb.Write16(owner, off, v)
-}
-
-// MPBByte reads one byte from owner's MPB (flag checks).
-func (ch *Chip) MPBByte(core, owner, off int) byte {
-	ch.syncCharge(core, ch.mpbLatency(core, owner))
-	return ch.mpb.Byte(owner, off)
-}
-
-// MPBSetByte writes one byte to owner's MPB (flag toggles).
-func (ch *Chip) MPBSetByte(core, owner, off int, v byte) {
-	ch.syncCharge(core, ch.mpbLatency(core, owner))
-	ch.mpb.SetByte(owner, off, v)
 }
 
 func (ch *Chip) tasLatency(core, reg int) sim.Duration {
@@ -146,8 +135,7 @@ func (ch *Chip) TASLock(core, reg int) bool {
 func (ch *Chip) tasAttempt(core, reg int) bool {
 	now := ch.cores[core].Now()
 	if ch.faults.Drop(faults.TAS) {
-		ch.tracer.Emit(now, core, trace.KindFaultInject,
-			uint64(faults.TAS), uint64(faults.Drop))
+		ch.traceFault(now, core, faults.TAS, faults.Drop)
 		return false
 	}
 	won := ch.tas.TestAndSet(reg)
@@ -172,7 +160,7 @@ func (ch *Chip) TASSpin(core, reg int) (backoffs uint64) {
 		ch.spinners[core] = s
 	}
 	outer := *s // an interrupt handler may spin on this core inside this spin
-	s.reg, s.phase, s.attempt, s.backoffs = reg, tasCharge, 0, 0
+	s.reg, s.charged, s.charge, s.attempt, s.backoffs = reg, false, sim.Charge{}, 0, 0
 	ch.cores[core].Proc().Spin(s.step)
 	backoffs = s.backoffs
 	*s = outer
@@ -184,38 +172,28 @@ func (ch *Chip) TASSpin(core, reg int) (backoffs uint64) {
 type tasSpinner struct {
 	ch        *Chip
 	core, reg int
-	phase     tasPhase
-	lat       sim.Duration // the charge of the attempt in flight
-	attempt   uint         // hardened backoff exponent
+	charged   bool       // the attempt's charge has begun: test-and-set next
+	charge    sim.Charge // the attempt in flight
+	attempt   uint       // hardened backoff exponent
 	backoffs  uint64
 	step      func() (sim.Duration, bool, bool) // next, bound once
 }
 
-// tasPhase is where a TASSpin attempt stands: each is one Spin step, and
-// together they are TASLock followed by the backoff.
-type tasPhase uint8
-
-const (
-	tasCharge  tasPhase = iota // draw the charge, then Sync
-	tasTransit                 // Advance by the charge, then Sync
-	tasTry                     // test-and-set; on a loss, Advance by the backoff
-)
-
+// next is one step of TASSpin: together they are TASLock's charge and
+// test-and-set, then on a loss the backoff.
 func (s *tasSpinner) next() (d sim.Duration, sync, done bool) {
 	ch := s.ch
-	switch s.phase {
-	case tasCharge:
-		s.lat = ch.stall(s.core, ch.tasLatency(s.core, s.reg))
-		s.phase = tasTransit
-		return 0, true, false
-	case tasTransit:
-		s.phase = tasTry
-		return s.lat, true, false
+	if d, ok := s.charge.Transit(); ok {
+		return d, true, false
 	}
+	if !s.charged {
+		s.charged = true
+		return s.charge.Begin(ch.stall(s.core, ch.tasLatency(s.core, s.reg)))
+	}
+	s.charged = false
 	if ch.tasAttempt(s.core, s.reg) {
 		return 0, false, true
 	}
-	s.phase = tasCharge
 	backoff := uint64(100)
 	if ch.harden {
 		backoff <<= min(s.attempt, 5)
@@ -238,29 +216,23 @@ func (ch *Chip) TASUnlock(core, reg int) {
 			ch.tracer.Emit(c.Now(), core, trace.KindTASRelease, uint64(reg), 0)
 			return
 		}
-		ch.tracer.Emit(c.Now(), core, trace.KindFaultInject,
-			uint64(faults.TAS), uint64(faults.Drop))
+		ch.traceFault(c.Now(), core, faults.TAS, faults.Drop)
 		if !ch.harden {
 			return
 		}
 	}
 }
 
-// uncachedLatency is a synchronous uncached DDR access (the SVM metadata —
-// ownership vector — lives in uncached shared memory).
-func (ch *Chip) uncachedLatency(core int, paddr uint32) sim.Duration {
-	return ch.ddrReadLatency(core, paddr)
-}
-
-// PhysRead32 synchronously reads an uncached 32-bit word.
+// PhysRead32 synchronously reads an uncached 32-bit word (the SVM metadata
+// — ownership vector — lives in uncached shared memory).
 func (ch *Chip) PhysRead32(core int, paddr uint32) uint32 {
-	ch.syncCharge(core, ch.uncachedLatency(core, paddr))
+	ch.syncCharge(core, ch.ddrReadLatency(core, paddr))
 	return ch.mem.Read32(paddr)
 }
 
 // PhysWrite32 synchronously writes an uncached 32-bit word.
 func (ch *Chip) PhysWrite32(core int, paddr uint32, v uint32) {
-	ch.syncCharge(core, ch.uncachedLatency(core, paddr))
+	ch.syncCharge(core, ch.ddrReadLatency(core, paddr))
 	ch.mem.Write32(paddr, v)
 }
 
@@ -297,53 +269,51 @@ func (ch *Chip) MailCheckLatency() sim.Duration {
 	return ch.coreClock().Cycles(ch.cfg.Lat.MailCheckCycles)
 }
 
-// RaiseIPI sends an inter-processor interrupt from core to core through
-// the GIC: the sender pays the register write to the system interface; the
-// interrupt is delivered to the target after FPGA processing and mesh
-// traversal, asynchronously.
-func (ch *Chip) RaiseIPI(from, to int) {
-	c := ch.cores[from]
-	ch.tracer.Emit(c.Now(), from, trace.KindIPI, uint64(to), 0)
+// IPICharge starts an inter-processor interrupt through the GIC: the trace
+// event, the mesh accounting, and the sender's charge it returns (the
+// register write and the trip to the system interface). Once the sender
+// has synced that in, IPIEffect delivers the interrupt asynchronously.
+func (ch *Chip) IPICharge(from, to int) sim.Duration {
+	ch.tracer.Emit(ch.cores[from].Now(), from, trace.KindIPI, uint64(to), 0)
 	ch.meshStats.IPIs++
 	ch.countHops(ch.gicHops(from) + ch.gicHops(to))
-	c.Sync()
-	raise := ch.coreClock().Cycles(ch.cfg.Lat.IPIRaiseCoreCycles) +
+	return ch.coreClock().Cycles(ch.cfg.Lat.IPIRaiseCoreCycles) +
 		ch.mesh.OneWay(ch.gicHops(from))
-	c.Proc().Advance(raise)
-	c.Sync()
+}
+
+// IPIEffect is the second half of the interrupt IPICharge starts: the fault
+// draws on its way to the target's GIC and, unless it is lost, its
+// delivery.
+func (ch *Chip) IPIEffect(from, to int) {
+	now := ch.cores[from].Now()
 	if ch.faults.Drop(faults.IPI) {
 		// The interrupt packet vanished between the system interface and the
 		// target: the sender already paid the raise and learns nothing.
-		ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
-			uint64(faults.IPI), uint64(faults.Drop))
+		ch.traceFault(now, from, faults.IPI, faults.Drop)
 		return
 	}
 	deliver := ch.cfg.Mesh.Clock.Cycles(ch.cfg.Lat.GICCycles) +
 		ch.mesh.OneWay(ch.gicHops(to))
 	if cyc := ch.faults.DelayCycles(faults.IPI); cyc != 0 {
-		ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
-			uint64(faults.IPI), uint64(faults.Delay))
+		ch.traceFault(now, from, faults.IPI, faults.Delay)
 		deliver += ch.coreClock().Cycles(cyc)
 	}
 	if !ch.SameChip(from, to) {
 		// The interrupt crosses to the target chip's GIC over the link; it
 		// can be lost or delayed there independently of the IPI route.
-		if ch.faults.LinkPartitioned(c.Now()) {
+		if ch.faults.LinkPartitioned(now) {
 			ch.faults.NotePartitionDrop()
-			ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
-				uint64(faults.Link), uint64(faults.Drop))
+			ch.traceFault(now, from, faults.Link, faults.Drop)
 			return
 		}
 		if ch.faults.Drop(faults.Link) {
-			ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
-				uint64(faults.Link), uint64(faults.Drop))
+			ch.traceFault(now, from, faults.Link, faults.Drop)
 			return
 		}
 		ch.meshStats.LinkCrossings++
 		deliver += ch.link.OneWay(8)
 		if cyc := ch.faults.DelayCycles(faults.Link); cyc != 0 {
-			ch.tracer.Emit(c.Now(), from, trace.KindFaultInject,
-				uint64(faults.Link), uint64(faults.Delay))
+			ch.traceFault(now, from, faults.Link, faults.Delay)
 			deliver += ch.coreClock().Cycles(cyc)
 		}
 	}

@@ -90,6 +90,11 @@ type Proc struct {
 	spin     func() (Duration, bool, bool)
 	spinSync bool
 
+	// charge is the transit of the Charge in flight, and chargeStep its
+	// Spin step (chargeNext, bound once).
+	charge     Charge
+	chargeStep func() (Duration, bool, bool)
+
 	// halted marks a crashed process: it stays parked forever and every
 	// dispatch attempt (wake, sync event, initial start) is ignored. Unlike
 	// procDone the goroutine may still exist, parked; Engine.Shutdown
@@ -106,6 +111,7 @@ func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 		resume: make(chan struct{}),
 		body:   body,
 	}
+	p.chargeStep = p.chargeNext
 	e.procs = append(e.procs, p)
 	e.schedule(event{at: start, proc: p}) // wakeSeq 0: live until the first park
 	return p
@@ -120,14 +126,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // LocalTime returns the process-local clock, which is >= the engine clock
 // whenever the process is running.
 func (p *Proc) LocalTime() Time { return p.local }
-
-// Lookahead returns how far the local clock runs ahead of the engine clock.
-func (p *Proc) Lookahead() Duration {
-	if p.local <= p.eng.now {
-		return 0
-	}
-	return p.local - p.eng.now
-}
 
 // SetQuantum bounds local-clock lookahead; Advance will Sync whenever the
 // lookahead exceeds q. Zero disables the bound.
@@ -160,9 +158,6 @@ func (p *Proc) Halt() {
 	}
 	p.halted = true
 }
-
-// Halted reports whether the process was crash-halted.
-func (p *Proc) Halted() bool { return p.halted }
 
 // run is the top of the proc goroutine. Whatever panics on it, the body or a
 // callback run while parking, ends the proc and returns the baton to the
@@ -294,24 +289,94 @@ func (p *Proc) syncInPlace(s procState) bool {
 // goroutine pops the wake, until step reports done or the sync hook has
 // work, and only then hands the process the baton. A core that keeps losing
 // a test-and-set (scc.Chip.TASSpin) therefore costs no goroutine switch per
-// retry, nor does a kernel per empty mailbox slot it probes
-// (mailbox.System.Scan). step may run on any goroutine, always at its own
-// point in the (time, seq) order.
+// retry, nor does a kernel per empty mailbox slot it probes, and a charged
+// mail operation (mailbox.System.Send, Take, Receive) costs one switch
+// however many Syncs it holds: each is a step chain, a loop that runs once.
+// step may run on any goroutine, always at its own point in the (time, seq)
+// order. Until a Sync parks, the loop runs on the goroutine as written.
 func (p *Proc) Spin(step func() (d Duration, sync, done bool)) {
-	outer, outerSync := p.spin, p.spinSync // the hook may spin inside a spin
-	p.spin, p.spinSync = step, false
 	for {
-		if p.spinRun() {
-			p.block()
+		d, sync, done := step()
+		if done {
+			return
 		}
-		if p.spin == nil {
-			break
+		if d != 0 {
+			p.local += d
+			if p.overQuantum() && p.spinSyncs(step, sync) { // Advance's rule
+				return
+			}
 		}
+		if sync && p.spinSyncs(step, false) {
+			return
+		}
+	}
+}
+
+// spinSyncs is a Sync of a Spin loop of step that has not parked yet, with
+// owed the Sync the current step still owes after it. It reports false when
+// the Sync ran through or was in step (the hook has then run, as after any
+// Sync), and true once it has parked and the loop has run to its end.
+func (p *Proc) spinSyncs(step func() (Duration, bool, bool), owed bool) bool {
+	if !p.syncInPlace(procSpinning) {
+		if p.onSync != nil {
+			p.onSync()
+		}
+		return false
+	}
+	outer, outerSync := p.spin, p.spinSync // the hook may spin inside a spin
+	p.spin, p.spinSync = step, owed
+	for p.block(); p.spin != nil; {
 		// The hook has work. It runs here, on the goroutine, where a park
 		// of its own is an ordinary one.
 		p.onSync()
+		if p.spinRun() {
+			p.block()
+		}
 	}
 	p.spin, p.spinSync = outer, outerSync
+	return true
+}
+
+// Charge is Sync, Advance(d), Sync: a synchronous transaction whose effect
+// the caller applies next. If the first Sync parks, the rest is a Spin step
+// the engine runs in place, and the goroutine takes the baton once, at
+// completion; if not, Charge is the three calls as written.
+func (p *Proc) Charge(d Duration) {
+	outer := p.charge // the hook may charge inside a charge
+	p.charge.Begin(d)
+	if !p.spinSyncs(p.chargeStep, false) {
+		p.Advance(d)
+		p.Sync()
+	}
+	p.charge = outer
+}
+
+// chargeNext is Charge's step after its first Sync.
+func (p *Proc) chargeNext() (Duration, bool, bool) {
+	d, owed := p.charge.Transit()
+	return d, owed, !owed
+}
+
+// Charge is a charge inside a Spin step machine. The step that starts it
+// returns Begin's result, the first Sync; the machine's next step returns
+// the transit while Transit reports one, and the step after applies the
+// transaction's effect.
+type Charge struct {
+	d    Duration
+	owed bool
+}
+
+// Begin starts a charge of d and returns its first Sync as a step.
+func (c *Charge) Begin(d Duration) (Duration, bool, bool) {
+	c.d, c.owed = d, true
+	return 0, true, false
+}
+
+// Transit returns the charge's Advance and second Sync, once per Begin.
+func (c *Charge) Transit() (Duration, bool) {
+	owed := c.owed
+	c.owed = false
+	return c.d, owed
 }
 
 // spinRun carries the Spin loop on from where it stands, without blocking.

@@ -311,6 +311,35 @@ func BenchmarkProcBehindCallback(b *testing.B) {
 	reportBaton(b, e)
 }
 
+// BenchmarkChargeRunThrough: one proc, nothing else queued, so both Syncs
+// of every charge run through. Charge takes its fast path: no Spin state is
+// saved and no step is called, so it costs what the literal Sync, Advance,
+// Sync beside it costs.
+func BenchmarkChargeRunThrough(b *testing.B) {
+	for _, form := range []struct {
+		name   string
+		charge func(p *Proc)
+	}{
+		{"Charge", func(p *Proc) { p.Charge(1000) }},
+		{"literal", func(p *Proc) { p.Sync(); p.Advance(1000); p.Sync() }},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			e := NewEngine()
+			e.NewProc("a", 0, func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Advance(1000)
+					form.charge(p)
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.StopTimer()
+			reportBaton(b, e)
+		})
+	}
+}
+
 // BenchmarkSignalFire: a proc fires a signal another proc waits on, then
 // syncs past the fire. Each op is one Fire, its event, the waiter's wake and
 // two switches; after the first fire it allocates nothing.

@@ -12,7 +12,9 @@
 // on whichever goroutine holds the baton, still exactly one at a time. So do
 // the steps of a polling loop run as Proc.Spin: the engine carries the loop
 // on in place, without switching to the process, until it is done or the
-// process has other work.
+// process has other work. A step chain, a Spin that runs once, does the same
+// for an operation made of several synchronous accesses (a charged access,
+// Proc.Charge, is the shortest), so the process resumes once, at its end.
 //
 // Processes own a local clock that may run ahead of the global engine clock
 // while they model compute or private-memory activity (Advance). Before any

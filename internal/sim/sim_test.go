@@ -127,7 +127,7 @@ func TestProcQuantumForcesSync(t *testing.T) {
 		p.SetQuantum(100)
 		for i := 0; i < 50; i++ {
 			p.Advance(30)
-			if la := p.Lookahead(); la > maxLookahead {
+			if la := p.local - p.eng.now; p.local > p.eng.now && la > maxLookahead {
 				maxLookahead = la
 			}
 		}
@@ -195,7 +195,7 @@ func TestHaltStopsProcForever(t *testing.T) {
 	})
 	e.At(1000, func() { p.Halt() })
 	e.Run()
-	if !p.Halted() {
+	if !p.halted {
 		t.Fatal("proc not marked halted")
 	}
 	if p.Done() {
@@ -221,7 +221,7 @@ func TestHaltFinishedProcIsNoOp(t *testing.T) {
 	p := e.NewProc("done", 0, func(p *Proc) { p.Advance(10) })
 	e.Run()
 	p.Halt()
-	if p.Halted() {
+	if p.halted {
 		t.Fatal("halting a finished proc must be a no-op")
 	}
 	if !p.Done() {

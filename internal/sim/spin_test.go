@@ -62,8 +62,13 @@ func runSpinScenario(spin spinMode, build func(e *Engine, rec *recorder, spin sp
 // returns the Spin run's outcome for scenario-specific checks.
 func assertSpinMatchesLoop(t *testing.T, build func(e *Engine, rec *recorder, spin spinMode)) spinOutcome {
 	t.Helper()
-	loop := runSpinScenario(literalSpin, build)
-	spin := runSpinScenario(engineSpin, build)
+	return assertSameRun(t, runSpinScenario(literalSpin, build), runSpinScenario(engineSpin, build))
+}
+
+// assertSameRun compares a run of the literal form with a run through Spin
+// and returns the latter.
+func assertSameRun(t *testing.T, loop, spin spinOutcome) spinOutcome {
+	t.Helper()
 	for i := 0; i < len(loop.log) || i < len(spin.log); i++ {
 		var l, s string
 		if i < len(loop.log) {
@@ -348,5 +353,63 @@ func TestSpinMatchesLoop(t *testing.T) {
 				t.Fatalf("the step did not run in place:\n%s", spin.Stack)
 			}
 		})
+	}
+}
+
+// TestChargeMatchesLiteral: Proc.Charge gives what Sync, Advance(d), Sync
+// gives, whether its first Sync parks, runs through or finds the clocks in
+// step, whether the transit crosses the quantum, and when the hook gets work
+// mid-charge and charges inside the charge.
+func TestChargeMatchesLiteral(t *testing.T) {
+	literal := func(p *Proc, d Duration) {
+		p.Sync()
+		p.Advance(d)
+		p.Sync()
+	}
+	charged := func(p *Proc, d Duration) { p.Charge(d) }
+	build := func(charge func(*Proc, Duration)) func(*Engine, *recorder, spinMode) {
+		return func(e *Engine, rec *recorder, _ spinMode) {
+			for i := 0; i < 4; i++ {
+				i := i
+				e.NewProc(fmt.Sprintf("c%d", i), Time(11*i), func(p *Proc) {
+					p.SetQuantum(Duration(150 * (i % 2)))
+					for k := 0; k < 8; k++ {
+						p.Advance(Duration(40 + 70*((i+k)%4)))
+						charge(p, Duration(30+60*((i*3+k)%5)))
+						rec.note("%s charged k=%d now=%d seq=%d local=%d", p.name, k, e.now, e.seq, p.local)
+					}
+				})
+			}
+			pending, inHook := 0, false
+			h := e.NewProc("h", 3, func(p *Proc) {
+				for k := 0; k < 10; k++ {
+					p.Advance(35)
+					charge(p, 90)
+					rec.note("h charged k=%d now=%d seq=%d local=%d", k, e.now, e.seq, p.local)
+				}
+				for k := 0; k < 5; k++ { // alone by now: the syncs run through
+					charge(p, 25)
+				}
+			})
+			h.SetSyncHook(func() {
+				if pending == 0 || inHook {
+					return
+				}
+				pending--
+				inHook = true
+				defer func() { inHook = false }()
+				rec.note("hook now=%d seq=%d local=%d", e.now, e.seq, h.local)
+				h.Advance(60)
+				charge(h, 45)
+			}, func() bool { return pending == 0 || inHook })
+			for _, at := range []Time{150, 400, 401, 900} {
+				e.At(at, func() { pending++; rec.note("post now=%d", e.now) })
+			}
+			e.Run()
+		}
+	}
+	out := assertSameRun(t, runSpinScenario(nil, build(literal)), runSpinScenario(nil, build(charged)))
+	if out.st.RunThroughs == 0 || out.st.SyncInStep == 0 {
+		t.Fatalf("no charge ran through or found the clocks in step: %+v", out.st)
 	}
 }
