@@ -4,7 +4,7 @@
 //
 // Each mode is one row of the table in modes: a command word (fig6, fig7,
 // table1, fig9, scale, ablation, kvstore, comm, all, info) or a selecting
-// flag (-check, -sanitize, -chaos, -bench, -metrics/-profile/-perfetto),
+// flag (-check, -sanitize, -chaos, -metrics/-profile/-perfetto),
 // the flags it reads, and whether it runs on a -chips/-grid machine.
 // `sccbench -h` prints the table. A flag the selected mode does not read
 // is a usage error, not silently ignored.
@@ -23,14 +23,12 @@
 // by default; -parallel 1 forces serial execution. The results are
 // bit-identical either way — each simulation is a pure function of its
 // configuration and runs on one serial engine. -json emits machine-readable
-// results instead of tables, and -bench runs the quick experiments serially
-// and under the parallel runner, fails unless the two agree bit-exactly, and
-// writes their simulated results to BENCH_sim.json. -cpuprofile and
+// results instead of tables, at full float64 precision. -cpuprofile and
 // -memprofile write standard pprof profiles of the host process.
 //
 // The exit code is 0 on success, 1 when a run's own verdict fails (a race,
-// a sanitizer finding, a wrong checksum, a failed audit, a diverging or
-// drifted -bench) whatever the output format, and 2 on a usage error.
+// a sanitizer finding, a wrong checksum, a failed audit) whatever the
+// output format, and 2 on a usage error.
 package main
 
 import (
@@ -58,7 +56,7 @@ type options struct {
 	rounds, chips, iters, kvRequests, parallel    int
 	kvSeed                                        uint64
 	grid, chaos, cpuprofile, memprofile, perfetto string
-	full, baseline, json, metrics, profile        bool
+	full, json, metrics, profile                  bool
 
 	topo *scc.Config
 	cmd  string
@@ -105,8 +103,6 @@ var modes = []mode{
 	{name: "-sanitize", flags: "sanitize", help: "sanitizer suite over every workload", run: harnesses(sanSuite.run)},
 	{name: "-chaos", flags: "chaos rounds iters json", topo: true, help: "representative cells under deterministic fault injection",
 		run: cellMode(planChaos)},
-	{name: "-bench", flags: "bench baseline", help: "serial = parallel check, then write BENCH_sim.json",
-		run: func(o *options) int { return runBench(benchExperiments(), benchReportFile, o.parallel, o.baseline) }},
 	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters full",
 		help: "one instrumented cell per harness", run: runObserve},
 }
@@ -186,7 +182,6 @@ func run(args []string) int {
 	fs.BoolVar(&o.full, "full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
 	fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
 	fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
-	fs.BoolVar(&o.baseline, "baseline", false, "with -bench: require simulated results to match the committed BENCH_sim.json bit for bit")
 	fs.StringVar(&o.chaos, "chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
 	fs.IntVar(&o.kvRequests, "kv-requests", 20000, "with the kvstore command: total requests across all client cores")
 	fs.Uint64Var(&o.kvSeed, "kv-seed", 1, "with the kvstore command: workload seed (same seed replays bit-identically)")
@@ -194,7 +189,6 @@ func run(args []string) int {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a host CPU profile to `file`")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a host heap profile to `file` at exit")
 	fs.BoolVar(&o.json, "json", false, "emit results as JSON instead of tables")
-	fs.Bool("bench", false, "run the quick experiments serially and with the parallel runner, verify the two agree bit-exactly, and write their simulated results to BENCH_sim.json")
 	fs.BoolVar(&o.metrics, "metrics", false, "run one representative instrumented cell of the chosen harness and print the metrics snapshot")
 	fs.BoolVar(&o.profile, "profile", false, "run one representative instrumented cell of the chosen harness and print the simulated-time profile")
 	fs.StringVar(&o.perfetto, "perfetto", "", "write the instrumented run as Chrome trace-event JSON to this `file` (Perfetto-loadable; 'all' adds a per-harness suffix)")
@@ -326,8 +320,11 @@ func parseTopology(chips int, grid string) (*scc.Config, error) {
 	}
 	base := scc.PaperSCC()
 	if grid != "" {
+		// Sscanf stops after the third number; the round trip rejects
+		// whatever follows it (2x2x1junk, 8x8x2x4).
 		var w, h, c int
-		if n, err := fmt.Sscanf(grid, "%dx%dx%d", &w, &h, &c); n != 3 || err != nil {
+		if n, err := fmt.Sscanf(grid, "%dx%dx%d", &w, &h, &c); n != 3 || err != nil ||
+			fmt.Sprintf("%dx%dx%d", w, h, c) != grid {
 			return nil, fmt.Errorf("-grid %q: want WxHxC, e.g. 8x8x2", grid)
 		}
 		base = scc.Grid(w, h, c)

@@ -30,12 +30,19 @@ func (b *Buffer) Emit(arg uint64) {
 }
 `}
 
+// fset and std are shared by every check: the source importer
+// type-checks each standard package (time, math/rand, sync) once per test
+// binary and caches it, instead of once per test. The tests do not run in
+// parallel, so the importer is never used concurrently.
+var (
+	fset = token.NewFileSet()
+	std  = importer.ForCompiler(fset, "source", nil)
+)
+
 // check typechecks the packages in order and runs the analyzer over the
 // last one, returning the diagnostic messages.
 func check(t *testing.T, a *Analyzer, pkgs ...pkgSrc) []string {
 	t.Helper()
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
 	loaded := map[string]*types.Package{}
 	var last *Pass
 	for _, ps := range pkgs {

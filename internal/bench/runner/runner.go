@@ -10,10 +10,9 @@
 //
 // This package lives on the HOST side of the simulator boundary and is
 // annotated accordingly: the //metalsvm:host-parallel directive below tells
-// the simdet analyzer that go statements and host-clock reads are
-// deliberate here. The annotation is itself rejected inside the core
-// simulation packages, so it cannot be used to smuggle host concurrency
-// into the model.
+// the simdet analyzer that go statements are deliberate here. The
+// annotation is itself rejected inside the core simulation packages, so it
+// cannot be used to smuggle host concurrency into the model.
 //
 //metalsvm:host-parallel
 package runner
@@ -22,7 +21,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Pool bounds the number of simulations in flight at once.
@@ -38,9 +36,6 @@ func New(workers int) *Pool {
 	}
 	return &Pool{workers: workers}
 }
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
 
 // Run invokes fn(i) for every i in [0, n), spreading calls across the
 // pool's workers. Each fn(i) must be independent of the others; callers
@@ -99,13 +94,4 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	if panicked {
 		panic(panicVal)
 	}
-}
-
-// Wall measures fn's wall-clock duration on the host. Simulated time is
-// unaffected — this exists for the benchmark mode's host-side speedup
-// reporting only.
-func Wall(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

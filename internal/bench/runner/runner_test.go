@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -30,11 +31,11 @@ func TestRunZeroAndNegative(t *testing.T) {
 }
 
 func TestNewDefaultsToHostParallelism(t *testing.T) {
-	if New(0).Workers() < 1 {
-		t.Fatal("default pool has no workers")
+	if got, want := New(0).workers, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default pool has %d workers, want GOMAXPROCS = %d", got, want)
 	}
-	if got := New(3).Workers(); got != 3 {
-		t.Fatalf("Workers() = %d, want 3", got)
+	if got := New(3).workers; got != 3 {
+		t.Fatalf("New(3) has %d workers, want 3", got)
 	}
 }
 
@@ -70,16 +71,5 @@ func TestRunSerialOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("serial order = %v", order)
 		}
-	}
-}
-
-func TestWallIsPositive(t *testing.T) {
-	ran := false
-	d := Wall(func() { ran = true })
-	if !ran {
-		t.Fatal("Wall did not invoke fn")
-	}
-	if d < 0 {
-		t.Fatalf("negative duration %v", d)
 	}
 }
