@@ -32,17 +32,21 @@ const lineMask = LineSize - 1
 // LineAddr returns the line-aligned base of paddr.
 func LineAddr(paddr uint32) uint32 { return paddr &^ uint32(lineMask) }
 
-type line struct {
-	valid   bool
-	mpbt    bool
-	dirty   bool   // write-back levels only; write-through levels never set it
-	tag     uint32 // line-aligned physical address
-	lastUse uint64
-	data    [LineSize]byte
-}
+// Tag word flags. Tags are line-aligned addresses, so the low five bits of
+// a packed tag word are free to carry the line's state.
+const (
+	tagValid uint32 = 1 << iota
+	tagMPBT
+	tagDirty // write-back levels only; write-through levels never set it
+
+	// tagState is every flag that does not take part in a lookup.
+	tagState = tagMPBT | tagDirty
+)
 
 // Victim describes a line displaced by Fill. When Dirty, the caller owes a
-// write-back transaction to the next level.
+// write-back transaction to the next level, and Data holds the line's
+// bytes; a clean victim owes nothing and carries none, so the write-through
+// L1's fills copy no bytes out.
 type Victim struct {
 	Valid    bool
 	Dirty    bool
@@ -66,28 +70,31 @@ type Cache struct {
 	name  string
 	sets  int
 	ways  int
-	lines []line // sets*ways, set-major; nil until the first Fill
 	tick  uint64
 	stats Stats
+
+	// tags holds one packed word per way, set-major: the line address ORed
+	// with tagValid, tagMPBT and tagDirty. Lookups, victim choice and the
+	// whole-cache walks read only this array; lastUse (the LRU stamps) and
+	// data (the line bytes) run parallel to it. All three are nil until
+	// the first Fill.
+	tags    []uint32
+	lastUse []uint64
+	data    [][LineSize]byte
 
 	// setMask replaces the modulo in set selection when sets is a power of
 	// two (it always is for the modeled geometries); 0 selects the division
 	// fallback.
 	setMask uint32
-	// hint caches the way of the last hit per set (way+1; 0 = no hint), so
-	// repeat hits skip the linear way scan. Functionally invisible: a hint
-	// probe returns exactly the line the scan would find, and LRU state
-	// advances identically. Allocated with lines.
-	hint []uint8
 }
 
 // New creates a cache of the given total size and associativity.
-// size must be a multiple of ways*LineSize; ways is capped at 255 by the
-// one-byte way hints. The line array is allocated by the first Fill, so a
-// core that never touches cached memory costs no host memory for it; until
-// then the cache answers exactly as an empty one.
+// size must be a multiple of ways*LineSize. The line arrays are allocated
+// by the first Fill, so a core that never touches cached memory costs no
+// host memory for them; until then the cache answers exactly as an empty
+// one.
 func New(name string, size, ways int) *Cache {
-	if ways <= 0 || ways > 255 || size <= 0 || size%(ways*LineSize) != 0 {
+	if ways <= 0 || size <= 0 || size%(ways*LineSize) != 0 {
 		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d", name, size, ways))
 	}
 	sets := size / (ways * LineSize)
@@ -110,37 +117,27 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the event counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) setIndex(paddr uint32) int {
+// setBase returns the index of the first way of paddr's set.
+func (c *Cache) setBase(paddr uint32) int {
 	if c.setMask != 0 {
-		return int((paddr / LineSize) & c.setMask)
+		return int((paddr/LineSize)&c.setMask) * c.ways
 	}
-	return int(paddr/LineSize) % c.sets
+	return int(paddr/LineSize) % c.sets * c.ways
 }
 
-func (c *Cache) set(paddr uint32) []line {
-	s := c.setIndex(paddr)
-	return c.lines[s*c.ways : (s+1)*c.ways]
-}
-
-func (c *Cache) find(paddr uint32) *line {
-	if c.lines == nil {
-		return nil // never filled
-	}
-	tag := LineAddr(paddr)
-	s := c.setIndex(paddr)
-	set := c.lines[s*c.ways : (s+1)*c.ways]
-	if w := c.hint[s]; w != 0 {
-		if l := &set[w-1]; l.valid && l.tag == tag {
-			return l
+// find returns the way index holding paddr's line, or -1. It inlines into
+// every access.
+func (c *Cache) find(paddr uint32) int {
+	if c.tags != nil { // else never filled
+		want := LineAddr(paddr) | tagValid
+		base := c.setBase(paddr)
+		for i, t := range c.tags[base : base+c.ways] {
+			if t&^tagState == want {
+				return base + i
+			}
 		}
 	}
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.hint[s] = uint8(i + 1)
-			return &set[i]
-		}
-	}
-	return nil
+	return -1
 }
 
 // Load copies len(dst) bytes at paddr from the cache if the line is present,
@@ -148,10 +145,10 @@ func (c *Cache) find(paddr uint32) *line {
 func (c *Cache) Load(paddr uint32, dst []byte) bool {
 	checkWithinLine(paddr, len(dst))
 	c.tick++
-	if l := c.find(paddr); l != nil {
-		l.lastUse = c.tick
-		o := int(paddr & lineMask)
-		CopySmall(dst, l.data[o:o+len(dst)])
+	if i := c.find(paddr); i >= 0 {
+		c.lastUse[i] = c.tick
+		o := paddr & lineMask
+		CopySmall(dst, c.data[i][o:o+uint32(len(dst))])
 		c.stats.Hits++
 		return true
 	}
@@ -161,46 +158,51 @@ func (c *Cache) Load(paddr uint32, dst []byte) bool {
 
 // Contains reports whether the line holding paddr is cached, without
 // touching LRU state or statistics.
-func (c *Cache) Contains(paddr uint32) bool { return c.find(paddr) != nil }
+func (c *Cache) Contains(paddr uint32) bool { return c.find(paddr) >= 0 }
 
 // Fill installs a whole line (fetched from the next level) and returns the
 // displaced victim, if any. A write-through level never produces dirty
 // victims; a write-back level's dirty victim must be written to the next
 // level by the caller.
-func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) Victim {
+func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) (out Victim) {
 	if len(data) != LineSize {
 		panic(fmt.Sprintf("cache %s: fill with %d bytes", c.name, len(data)))
 	}
-	if c.lines == nil {
-		c.lines = make([]line, c.sets*c.ways)
-		c.hint = make([]uint8, c.sets)
+	if c.tags == nil {
+		n := c.sets * c.ways
+		c.tags = make([]uint32, n)
+		c.lastUse = make([]uint64, n)
+		c.data = make([][LineSize]byte, n)
 	}
 	tag := LineAddr(paddr)
 	c.tick++
-	set := c.set(paddr)
-	victim := &set[0]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			victim = l // refill in place, even past a free way: no duplicates
+	base := c.setBase(paddr)
+	tags, stamps := c.tags[base:base+c.ways], c.lastUse[base:base+c.ways]
+	v, free, stamp := 0, tags[0]&tagValid == 0, stamps[0]
+	for i, t := range tags {
+		if t&^tagState == tag|tagValid {
+			v = i // refill in place, even past a free way: no duplicates
 			break
 		}
-		if victim.valid && (!l.valid || l.lastUse < victim.lastUse) {
-			victim = l // the first free way, else the least recently used
+		if !free && (t&tagValid == 0 || stamps[i] < stamp) {
+			v, free, stamp = i, t&tagValid == 0, stamps[i] // the first free way, else the least recently used
 		}
 	}
-	var out Victim
-	if victim.valid && victim.tag != tag {
+	v += base
+	if old := c.tags[v]; old&tagValid != 0 && old&^lineMask != tag {
 		c.stats.Evictions++
-		out = Victim{Valid: true, Dirty: victim.dirty, LineAddr: victim.tag, Data: victim.data}
+		out.Valid, out.LineAddr = true, old&^lineMask
+		if old&tagDirty != 0 {
+			out.Dirty, out.Data = true, c.data[v]
+		}
 	}
 	c.stats.Fills++
-	victim.valid = true
-	victim.mpbt = mpbt
-	victim.dirty = false
-	victim.tag = tag
-	victim.lastUse = c.tick
-	copy(victim.data[:], data)
+	c.tags[v] = tag | tagValid
+	if mpbt {
+		c.tags[v] |= tagMPBT
+	}
+	c.lastUse[v] = c.tick
+	c.data[v] = [LineSize]byte(data)
 	return out
 }
 
@@ -209,16 +211,7 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) Victim {
 // always also writes memory; this call only keeps a present line coherent
 // with the core's own store stream.
 func (c *Cache) WriteThrough(paddr uint32, src []byte) bool {
-	checkWithinLine(paddr, len(src))
-	c.tick++
-	if l := c.find(paddr); l != nil {
-		l.lastUse = c.tick
-		CopySmall(l.data[paddr&lineMask:], src)
-		c.stats.WriteHits++
-		return true
-	}
-	c.stats.WriteMisses++
-	return false
+	return c.write(paddr, src, 0)
 }
 
 // WriteUpdate applies a store to a present line under write-back policy,
@@ -226,12 +219,17 @@ func (c *Cache) WriteThrough(paddr uint32, src []byte) bool {
 // write allocate — the P54C cannot update cache entries on a write miss);
 // the caller forwards the store to the next level instead.
 func (c *Cache) WriteUpdate(paddr uint32, src []byte) bool {
+	return c.write(paddr, src, tagDirty)
+}
+
+// write is WriteThrough (mark 0) and WriteUpdate (mark tagDirty).
+func (c *Cache) write(paddr uint32, src []byte, mark uint32) bool {
 	checkWithinLine(paddr, len(src))
 	c.tick++
-	if l := c.find(paddr); l != nil {
-		l.lastUse = c.tick
-		l.dirty = true
-		CopySmall(l.data[paddr&lineMask:], src)
+	if i := c.find(paddr); i >= 0 {
+		c.lastUse[i] = c.tick
+		c.tags[i] |= mark
+		CopySmall(c.data[i][paddr&lineMask:], src)
 		c.stats.WriteHits++
 		return true
 	}
@@ -243,30 +241,25 @@ func (c *Cache) WriteUpdate(paddr uint32, src []byte) bool {
 // level) and marks them clean. Used when another agent must observe memory
 // (host-side extraction, explicit flush routines).
 func (c *Cache) FlushDirty(fn func(lineAddr uint32, data []byte)) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.valid && l.dirty {
-			fn(l.tag, l.data[:])
-			l.dirty = false
+	for i, t := range c.tags {
+		if t&(tagValid|tagDirty) == tagValid|tagDirty {
+			fn(t&^lineMask, c.data[i][:])
+			c.tags[i] = t &^ tagDirty
 		}
 	}
 }
 
 // InvalidateMPBT drops every MPBT-tagged line: the CL1INVMB instruction.
-func (c *Cache) InvalidateMPBT() {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].mpbt {
-			c.lines[i].valid = false
-			c.stats.Invalidates++
-		}
-	}
-}
+func (c *Cache) InvalidateMPBT() { c.invalidate(tagValid | tagMPBT) }
 
 // InvalidateAll drops every line.
-func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			c.lines[i].valid = false
+func (c *Cache) InvalidateAll() { c.invalidate(tagValid) }
+
+// invalidate drops every line whose tag word has all the flags in has.
+func (c *Cache) invalidate(has uint32) {
+	for i, t := range c.tags {
+		if t&has == has {
+			c.tags[i] = t &^ tagValid
 			c.stats.Invalidates++
 		}
 	}
@@ -274,8 +267,8 @@ func (c *Cache) InvalidateAll() {
 
 // InvalidateLine drops the line containing paddr if present.
 func (c *Cache) InvalidateLine(paddr uint32) {
-	if l := c.find(paddr); l != nil {
-		l.valid = false
+	if i := c.find(paddr); i >= 0 {
+		c.tags[i] &^= tagValid
 		c.stats.Invalidates++
 	}
 }
@@ -283,8 +276,8 @@ func (c *Cache) InvalidateLine(paddr uint32) {
 // ValidLines counts resident lines (diagnostics).
 func (c *Cache) ValidLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, t := range c.tags {
+		if t&tagValid != 0 {
 			n++
 		}
 	}
@@ -314,6 +307,10 @@ func checkWithinLine(paddr uint32, n int) {
 	}
 }
 
+// panicCrossesLine must not inline: inlined, its formatting pushes
+// checkWithinLine over the inlining budget.
+//
+//go:noinline
 func panicCrossesLine(paddr uint32, n int) {
 	panic(fmt.Sprintf("cache: access [%#x,+%d) crosses a line boundary", paddr, n))
 }

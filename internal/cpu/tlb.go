@@ -11,10 +11,11 @@ import "metalsvm/internal/pgtable"
 // Coherence is by generation number, not by shootdown: every PTE write
 // (Map, Unmap, Update — including the protocol's CL1INVMB-adjacent
 // permission downgrades on ownership transfer) bumps the owning table's
-// version counter, and the TLB compares that counter on every access,
-// flushing itself wholesale when it changed. A core only ever modifies its
-// own table (the paper keeps page tables in private memory), so the version
-// check is the entire invalidation protocol.
+// version counter, and the TLB compares that counter on every access: a
+// changed counter misses every entry, and the next insert flushes them
+// wholesale. A core only ever modifies its own table (the paper keeps page
+// tables in private memory), so the version check is the entire
+// invalidation protocol.
 const (
 	tlbBits = 7 // 128 entries, direct-mapped
 	tlbSize = 1 << tlbBits
@@ -40,15 +41,13 @@ type tlb struct {
 
 // lookup returns the cached entry for vaddr if it is current. table is the
 // core's page table; the hit is only valid while the table's version
-// matches the one observed when the entry was installed.
+// matches the one observed when the entry was installed. A changed version
+// makes every entry miss until the walk's insert flushes them, so the
+// lookup itself never writes and inlines.
 func (t *tlb) lookup(table *pgtable.Table, vaddr uint32) (pgtable.Entry, bool) {
-	if v := table.Version(); v != t.version {
-		t.flush(v)
-		return pgtable.Entry{}, false
-	}
 	vpn := pgtable.VPN(vaddr)
 	e := &t.entries[tlbSlot(vpn)]
-	if e.valid && e.vpn == vpn {
+	if e.valid && e.vpn == vpn && table.Version() == t.version {
 		return e.entry, true
 	}
 	return pgtable.Entry{}, false

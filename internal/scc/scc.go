@@ -190,6 +190,11 @@ type Chip struct {
 
 	// spinners holds each core's TASSpin loop, made on its first spin.
 	spinners []*tasSpinner
+
+	// routes holds every (global core, global controller) pair's DDR path,
+	// core-major, so a DDR transaction reads its hops instead of redoing
+	// the mesh arithmetic.
+	routes []route
 }
 
 // MeshStats counts mesh transactions by class, with the hop distribution.
@@ -353,8 +358,13 @@ func New(eng *sim.Engine, cfg Config) (*Chip, error) {
 		return nil, fmt.Errorf("scc: MPB overcommitted: mailboxes+scratchpad need %d of %d bytes (raise MPBBytes or shrink SharedMem)",
 			ch.rcceOff, cfg.MPBBytes)
 	}
+	mcs := chips * mcPerChip
+	ch.routes = make([]route, n*mcs)
 	for c := 0; c < n; c++ {
 		ch.cores[c] = cpu.New(c, cfg.Core, ch, ch.tracer)
+		for mc := 0; mc < mcs; mc++ {
+			ch.routes[c*mcs+mc] = ch.routeToController(c, mc)
+		}
 	}
 	return ch, nil
 }
@@ -437,16 +447,30 @@ func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 
 func (ch *Chip) coreClock() sim.Clock { return ch.cfg.Core.Clock }
 
-// hopsToController returns the mesh hop count between a global core and a
-// global controller id, and whether the path crosses the inter-chip link.
-// A crossing travels the core's local mesh to the system-interface port,
-// the link, and the remote mesh from that port to the controller.
-func (ch *Chip) hopsToController(core, mc int) (hops int, cross bool) {
+// route is one (core, controller) pair's DDR path: its mesh hop count and
+// whether it crosses the inter-chip link.
+type route struct {
+	hops  uint16 // a crossing route is at most two grid diameters, < 2*MaxCores
+	cross bool
+}
+
+// routeToController computes the DDR path between a global core and a
+// global controller id. A crossing travels the core's local mesh to the
+// system-interface port, the link, and the remote mesh from that port to
+// the controller. New tabulates it for every pair.
+func (ch *Chip) routeToController(core, mc int) route {
 	mcChip, localMC := mc/ch.mcPerChip, mc%ch.mcPerChip
 	if mcChip == ch.ChipOfCore(core) {
-		return ch.mesh.HopsToController(ch.localCore(core), localMC), false
+		return route{hops: uint16(ch.mesh.HopsToController(ch.localCore(core), localMC))}
 	}
-	return ch.gicHops(core) + mesh.Hops(ch.cfg.GICPort, ch.mesh.MemoryController(localMC)), true
+	return route{hops: uint16(ch.gicHops(core) + mesh.Hops(ch.cfg.GICPort, ch.mesh.MemoryController(localMC))), cross: true}
+}
+
+// hopsToController returns the mesh hop count between a global core and a
+// global controller id, and whether the path crosses the inter-chip link.
+func (ch *Chip) hopsToController(core, mc int) (hops int, cross bool) {
+	r := ch.routes[core*ch.chips*ch.mcPerChip+mc]
+	return int(r.hops), r.cross
 }
 
 // linkCross records one inter-chip crossing and returns core's
@@ -528,11 +552,16 @@ func (ch *Chip) WriteMem(core int, paddr uint32, data []byte) sim.Duration {
 }
 
 // WriteMaskedLine implements cpu.MemoryBus: one transaction for a combined
-// line, regardless of how many bytes it carries.
+// line, regardless of how many bytes it carries. A full line goes straight
+// to memory; only a partial one is read, merged and written back.
 func (ch *Chip) WriteMaskedLine(core int, f cache.Flushed) sim.Duration {
-	var line [cache.LineSize]byte
-	ch.mem.Read(f.LineAddr, line[:])
-	f.Apply(line[:])
-	ch.mem.Write(f.LineAddr, line[:])
+	if f.Full() {
+		ch.mem.Write(f.LineAddr, f.Data[:])
+	} else {
+		var line [cache.LineSize]byte
+		ch.mem.Read(f.LineAddr, line[:])
+		f.Apply(line[:])
+		ch.mem.Write(f.LineAddr, line[:])
+	}
 	return ch.ddrLineWriteLatency(core, f.LineAddr)
 }
