@@ -1,0 +1,87 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden stdout files")
+
+// goldenEnv, when set, makes the test binary act as laplace itself: TestMain
+// hands over to main, so every row goes through the real flag handling and
+// prints to a real stdout.
+const goldenEnv = "LAPLACE_GOLDEN_RUN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(goldenEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// goldenRows are the invocations whose stdout and exit code are pinned in
+// testdata/<name>.golden; simulated time is bit-deterministic, so any
+// difference is a real change.
+var goldenRows = []struct {
+	name string
+	args []string
+}{
+	{"strong", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "strong"}},
+	{"lazy", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "lazy"}},
+	{"ircce", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "ircce"}},
+	{"strong-trace-stats", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "strong", "-trace", "-stats"}},
+
+	// Usage errors: exit 2 before anything runs, nothing on stdout.
+	{"reject-cores-zero", []string{"-cores", "0"}},
+	{"reject-unknown-model", []string{"-model", "nosuch"}},
+}
+
+// TestGolden compares each row's exit code and stdout bytes with its golden
+// file. go test ./cmd/laplace -update rewrites the files.
+func TestGolden(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range goldenRows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command(exe, row.args...)
+			cmd.Env = append(os.Environ(), goldenEnv+"=1")
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			code := 0
+			var exit *exec.ExitError
+			if err := cmd.Run(); errors.As(err, &exit) {
+				code = exit.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("exit %d\n%s", code, stdout.Bytes())
+
+			path := filepath.Join("testdata", row.name+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if got != string(want) {
+				t.Errorf("laplace %s differs from %s\ngot:\n%s\nwant:\n%s\nstderr:\n%s",
+					strings.Join(row.args, " "), path, got, want, stderr.Bytes())
+			}
+		})
+	}
+}
