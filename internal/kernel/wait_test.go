@@ -177,7 +177,7 @@ func TestHardenedRescueScenarioPinned(t *testing.T) {
 		{IPIs: 5, Dispatched: 6, Rescues: 1},
 		{IPIs: 2, Dispatched: 6, Rescues: 4},
 	}
-	wantEng := sim.Stats{Events: 522, ClosureEvents: 273, ProcSwitches: 165,
+	wantEng := sim.Stats{Events: 498, ClosureEvents: 249, ProcSwitches: 165,
 		SelfWakes: 23, RunThroughs: 115, SyncInStep: 163, InPlaceSteps: 46}
 	for i := range members {
 		if ks[i] != wantKernels[i] {

@@ -94,7 +94,7 @@ func (m *mailer) next() (sim.Duration, bool, bool) {
 				ch.Tracer().Emit(now, m.core, trace.KindMailRecv, uint64(sender), uint64(m.line[1]))
 			}
 			// The slot is free for the sender's next mail: wake its probe.
-			s.signal(s.freeSig, s.pair(m.core, sender)).Fire(now)
+			s.freeSignal(s.pair(m.core, sender)).Fire(now)
 		}
 		s.prof.Exit(m.core, now)
 		return 0, false, true
@@ -279,7 +279,6 @@ func (m *mailer) notify() (sim.Duration, bool, bool) {
 	s.stats.Sends++
 	m.now = ch.Core(m.core).Now()
 	ch.Tracer().Emit(m.now, m.core, trace.KindMailSend, uint64(m.to), uint64(m.typ))
-	s.signal(s.fullSig, s.pair(m.to, m.core)).Fire(m.now)
 	s.anyFull[m.to].Fire(m.now)
 	if s.mode != ModeIPI {
 		return m.finish()

@@ -69,9 +69,9 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 			if svc := s.serviceHooks[from]; svc != nil && svc() {
 				continue
 			}
-			s.signal(s.freeSig, p).Deadline(core.Now() + s.retxTimeout(0))
+			s.freeSignal(p).Deadline(core.Now() + s.retxTimeout(0))
 		}
-		s.signal(s.freeSig, p).Wait(core.Proc())
+		s.freeSignal(p).Wait(core.Proc())
 	}
 	var line [phys.CacheLine]byte
 	line[0], line[1] = 1, typ
@@ -87,7 +87,6 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 	s.stats.Sends++
 	s.chip.Tracer().Emit(core.Now(), from, trace.KindMailSend, uint64(to), uint64(typ))
 	now := core.Now()
-	s.signal(s.fullSig, p).Fire(now)
 	s.anyFull[to].Fire(now)
 	if s.mode == ModeIPI {
 		s.stats.IPIs++
@@ -209,7 +208,7 @@ func literalTake(s *System, receiver, sender int) (Msg, bool, error) {
 		msg = Msg{From: sender, Type: line[1]}
 		copy(msg.Payload[:], line[hdr:hdr+n])
 	}
-	s.signal(s.freeSig, p).Fire(core.Now())
+	s.freeSignal(p).Fire(core.Now())
 	return msg, fresh, err
 }
 

@@ -316,7 +316,7 @@ func TestHardenedStormDeterministic(t *testing.T) {
 		Drops:       [faults.NumRoutes]uint64{faults.Mail: 8},
 		Dups:        [faults.NumRoutes]uint64{faults.Mail: 3},
 		Corruptions: [faults.NumRoutes]uint64{faults.Mail: 7}}
-	wantEng := sim.Stats{Events: 431, ClosureEvents: 220, ProcSwitches: 122,
+	wantEng := sim.Stats{Events: 380, ClosureEvents: 169, ProcSwitches: 122,
 		SelfWakes: 12, RunThroughs: 56, SyncInStep: 173, InPlaceSteps: 77}
 	if endA != wantEnd || mbA != wantMB || fsA != wantFS || engA != wantEng {
 		t.Fatalf("seed 11 moved:\nend %d want %d\nmailbox %+v\nwant    %+v\nfaults %+v\nwant   %+v\nengine %+v\nwant   %+v",

@@ -166,12 +166,9 @@ type System struct {
 	mode Mode
 	n    int
 
-	// fullSig[to*n+from] fires when a mail lands in (to,from); nothing
-	// waits on it, but its fires are queue events pinned schedules count.
-	// freeSig[to*n+from] fires when the receiver consumes it. Both are
-	// made on first use (signal): most pairs of a large machine never
-	// exchange mail.
-	fullSig []*sim.Signal
+	// freeSig[to*n+from] fires when the receiver consumes the mail in
+	// (to,from). It is made on first use (freeSignal): most pairs of a large
+	// machine never exchange mail.
 	freeSig []*sim.Signal
 	// anyFull[to] fires on every deposit for to (poll-mode idle wakeup).
 	anyFull []*sim.Signal
@@ -203,7 +200,6 @@ func New(chip *scc.Chip, mode Mode) *System {
 		chip:         chip,
 		mode:         mode,
 		n:            n,
-		fullSig:      make([]*sim.Signal, n*n),
 		freeSig:      make([]*sim.Signal, n*n),
 		anyFull:      make([]*sim.Signal, n),
 		serviceHooks: make([]func() bool, n),
@@ -219,12 +215,12 @@ func New(chip *scc.Chip, mode Mode) *System {
 	return s
 }
 
-// signal returns tab[i], made on first use.
-func (s *System) signal(tab []*sim.Signal, i int) *sim.Signal {
-	if tab[i] == nil {
-		tab[i] = sim.NewSignal(s.chip.Engine())
+// freeSignal returns freeSig[p], made on first use.
+func (s *System) freeSignal(p int) *sim.Signal {
+	if s.freeSig[p] == nil {
+		s.freeSig[p] = sim.NewSignal(s.chip.Engine())
 	}
-	return tab[i]
+	return s.freeSig[p]
 }
 
 // Mode returns the delivery mode.
@@ -312,7 +308,7 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 	m.line[0], m.line[1] = 1, typ
 	binary.LittleEndian.PutUint16(m.line[2:], uint16(len(payload)))
 	copy(m.line[hdr:], payload)
-	core, free := s.chip.Core(from), s.signal(s.freeSig, s.pair(to, from))
+	core, free := s.chip.Core(from), s.freeSignal(s.pair(to, from))
 	proc := core.Proc()
 	s.prof.EnterIfIdle(from, profile.MailboxWait, proc.LocalTime())
 	// The probe-deposit-notify sequence must be atomic against this core's
@@ -357,7 +353,6 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 // (a duplicate landing, a retransmission or a renudge): fault-free, and
 // charging no core time.
 func (s *System) renotify(from, to int, at sim.Time) {
-	s.signal(s.fullSig, s.pair(to, from)).Fire(at)
 	s.anyFull[to].Fire(at)
 	if s.mode == ModeIPI {
 		s.chip.NudgeIPI(from, to)
@@ -568,10 +563,9 @@ func (s *System) NoteCrashed(id int, at sim.Time) {
 		if other == id {
 			continue
 		}
-		s.signal(s.freeSig, s.pair(id, other)).Fire(at) // senders blocked sending to id
-		s.signal(s.freeSig, s.pair(other, id)).Fire(at) // (symmetry; id's own sends are moot)
-		s.signal(s.fullSig, s.pair(other, id)).Fire(at)
-		s.anyFull[other].Fire(at) // kernel WaitFor scans
+		s.freeSignal(s.pair(id, other)).Fire(at) // senders blocked sending to id
+		s.freeSignal(s.pair(other, id)).Fire(at) // (symmetry; id's own sends are moot)
+		s.anyFull[other].Fire(at)                // kernel WaitFor scans
 	}
 }
 
