@@ -70,7 +70,7 @@ func planChaos(o *options) ([]cell, error) {
 	kp := kvstore.DefaultParams()
 	kp.Requests, kp.Seed = 3000, fc.Seed
 	ktopo := kvTopology(o.topo, schedule)
-	if err := kvFits(kp, ktopo, crashes); err != nil {
+	if err := kvFits(ktopo, crashes); err != nil {
 		return nil, fmt.Errorf("chaos: the kvstore cell: %v", err)
 	}
 

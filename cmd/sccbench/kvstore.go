@@ -69,10 +69,10 @@ func kvTopology(topo *scc.Config, schedule string) scc.Config {
 	return scc.Grid(4, 4, 1)
 }
 
-// kvFits checks that topo's machine has an SVM worker for each of p's
-// servers plus a client: every core is a worker, except each chip's
+// kvFits checks that topo's machine has an SVM worker for each kvstore
+// server plus a client: every core is a worker, except each chip's
 // directory manager group when withDir runs the replicated directory.
-func kvFits(p kvstore.Params, topo scc.Config, withDir bool) error {
+func kvFits(topo scc.Config, withDir bool) error {
 	workers := core.AllCores(topo)
 	if withDir {
 		var err error
@@ -80,7 +80,7 @@ func kvFits(p kvstore.Params, topo scc.Config, withDir bool) error {
 			return err
 		}
 	}
-	return p.FitsWorkers(len(workers))
+	return kvstore.FitsWorkers(len(workers))
 }
 
 // kvPlan lays out the kvstore command's SLO report: one seeded request load
@@ -91,7 +91,7 @@ func kvFits(p kvstore.Params, topo scc.Config, withDir bool) error {
 func kvPlan(o *options) ([]cell, error) {
 	p := kvstore.DefaultParams()
 	p.Requests, p.Seed = o.kvRequests, o.kvSeed
-	out := kvstoreResults{Requests: p.Requests, Seed: p.Seed, WindowUS: p.WindowUS}
+	out := kvstoreResults{Requests: p.Requests, Seed: p.Seed, WindowUS: kvstore.WindowUS}
 	cells := []cell{{report: func() bool {
 		if o.res == nil {
 			fmt.Printf("kvstore: %d requests, seed %d (p50/p99/p999 in simulated ns)\n", p.Requests, p.Seed)
@@ -108,7 +108,7 @@ func kvPlan(o *options) ([]cell, error) {
 			fc = &faults.Config{Seed: p.Seed, Spec: spec}
 		}
 		topo, withDir := kvTopology(o.topo, schedule), len(spec.Crashes) > 0
-		if err := kvFits(p, topo, withDir); err != nil {
+		if err := kvFits(topo, withDir); err != nil {
 			return nil, fmt.Errorf("the %s schedule: %v", schedule, err)
 		}
 		var r bench.KVReport

@@ -67,12 +67,12 @@ func (a *App) runClient(h *svm.Handle, rank int, mutBase, hotBase uint32) {
 	c := k.Core()
 	st := &a.cl[rank]
 	st.rng.s = mix64(p.Seed ^ (0x6b76 + uint64(rank)*0x9e3779b97f4a7c15))
-	for key := rank; key < p.keyCount(); key += a.clients {
+	for key := rank; key < keyCount; key += a.clients {
 		st.keys = append(st.keys, uint32(key))
 	}
 	st.nextSeq = make([]uint64, len(st.keys))
 	st.audit = make([]keyAudit, len(st.keys))
-	st.chainPos = make([]int, p.Shards)
+	st.chainPos = make([]int, shards)
 
 	share := p.Requests / a.clients
 	if rank < p.Requests%a.clients {
@@ -90,20 +90,20 @@ func (a *App) runClient(h *svm.Handle, rank int, mutBase, hotBase uint32) {
 			if at := start + sim.Microseconds(st.nextArrivalUS); c.Now() < at {
 				k.WaitUntil(func() bool { return false }, at)
 			}
-		} else if p.ThinkCycles > 0 {
-			c.Cycles(st.rng.next() % p.ThinkCycles)
+		} else {
+			c.Cycles(st.rng.next() % thinkCycles)
 		}
 
 		roll := st.rng.permille()
 		switch {
-		case roll < p.HotPermille:
+		case roll < hotPermille:
 			a.doHotGet(st, k, hotBase)
-		case roll < p.HotPermille+p.PutPermille && len(st.keys) > 0:
+		case roll < hotPermille+putPermille && len(st.keys) > 0:
 			ki := int(st.rng.next() % uint64(len(st.keys)))
 			st.nextSeq[ki]++
 			a.doPut(st, k, ki)
 		default:
-			key := uint32(st.rng.next() % uint64(p.keyCount()))
+			key := uint32(st.rng.next() % uint64(keyCount))
 			a.doGet(st, k, key)
 		}
 	}
@@ -111,7 +111,7 @@ func (a *App) runClient(h *svm.Handle, rank int, mutBase, hotBase uint32) {
 
 	// Tell every server this client is done; servers drain their queues and
 	// leave their serve loops once all clients have said so.
-	for si := 0; si < p.Servers; si++ {
+	for si := 0; si < servers; si++ {
 		k.Send(a.workers[a.clients+si], msgKVStop, nil)
 	}
 }
@@ -119,11 +119,11 @@ func (a *App) runClient(h *svm.Handle, rank int, mutBase, hotBase uint32) {
 // record books one resolved request: outcome counters, the goodput window
 // and the latency histogram (applied outcomes only — tail latency of work
 // that succeeded).
-func (st *clientState) record(p Params, out outcome, issue, end sim.Time, hist *metrics.Histogram) {
+func (st *clientState) record(out outcome, issue, end sim.Time, hist *metrics.Histogram) {
 	switch out {
 	case oApplied:
 		st.Applied++
-		w := int((end.Microseconds() - st.startUS) / p.WindowUS)
+		w := int((end.Microseconds() - st.startUS) / WindowUS)
 		for len(st.windows) <= w {
 			st.windows = append(st.windows, 0)
 		}
@@ -142,7 +142,7 @@ func (a *App) doPut(st *clientState, k *kernel.Kernel, ki int) {
 	key, seq := st.keys[ki], st.nextSeq[ki]
 	issue := k.Core().Now()
 	out, anyTimeout, _ := a.execute(st, k, opPut, key, seq)
-	st.record(a.p, out, issue, k.Core().Now(), &st.latPut)
+	st.record(out, issue, k.Core().Now(), &st.latPut)
 
 	ka := &st.audit[ki]
 	switch {
@@ -165,7 +165,7 @@ func (a *App) doPut(st *clientState, k *kernel.Kernel, ki int) {
 func (a *App) doGet(st *clientState, k *kernel.Kernel, key uint32) {
 	issue := k.Core().Now()
 	out, _, word := a.execute(st, k, opGet, key, 0)
-	st.record(a.p, out, issue, k.Core().Now(), &st.latGet)
+	st.record(out, issue, k.Core().Now(), &st.latGet)
 	if out == oApplied && word != 0 && word != encode(key, wordSeq(word)) {
 		st.ReadErrors++
 	}
@@ -175,17 +175,16 @@ func (a *App) doGet(st *clientState, k *kernel.Kernel, key uint32) {
 // replica, or through a server with the replica as the hedge when the
 // server misses the attempt timeout.
 func (a *App) doHotGet(st *clientState, k *kernel.Kernel, hotBase uint32) {
-	p := a.p
 	c := k.Core()
-	key := uint32(st.rng.next() % uint64(p.keyCount()))
+	key := uint32(st.rng.next() % uint64(keyCount))
 	issue := c.Now()
-	if st.rng.permille() >= p.HedgePermille {
+	if st.rng.permille() >= hedgePermille {
 		// Direct replica read: no ownership, no messages — the L2 path.
 		st.DirectReads++
 		if c.Load64(hotBase+key*8) != hotValue(key) {
 			st.ReadErrors++
 		}
-		st.record(p, oApplied, issue, c.Now(), &st.latHot)
+		st.record(oApplied, issue, c.Now(), &st.latHot)
 		return
 	}
 	out, _, word := a.execute(st, k, opHotGet, key, 0)
@@ -198,7 +197,7 @@ func (a *App) doHotGet(st *clientState, k *kernel.Kernel, hotBase uint32) {
 	if out == oApplied && word != hotValue(key) {
 		st.ReadErrors++
 	}
-	st.record(p, out, issue, c.Now(), &st.latHot)
+	st.record(out, issue, c.Now(), &st.latHot)
 }
 
 // maxBackoffShift caps the exponential backoff doubling.
@@ -211,10 +210,9 @@ const maxBackoffShift = 5
 // attempt timed out (the "maybe applied" signal for puts), and the reply
 // word.
 func (a *App) execute(st *clientState, k *kernel.Kernel, op int, key uint32, seq uint64) (outcome, bool, uint64) {
-	p := a.p
 	c := k.Core()
-	shard := p.shardOf(key)
-	overall := c.Now() + sim.Microseconds(p.DeadlineUS)
+	shard := shardOf(key)
+	overall := c.Now() + sim.Microseconds(deadlineUS)
 
 	st.tokens++
 	st.reply = replyState{token: st.tokens}
@@ -235,7 +233,7 @@ func (a *App) execute(st *clientState, k *kernel.Kernel, op int, key uint32, seq
 		}
 		// A blocking Send or the previous backoff may already have burned
 		// the deadline; never schedule a wait in the past.
-		attDl := c.Now() + sim.Microseconds(p.AttemptUS)
+		attDl := c.Now() + sim.Microseconds(attemptUS)
 		if attDl > overall {
 			attDl = overall
 		}
@@ -250,7 +248,7 @@ func (a *App) execute(st *clientState, k *kernel.Kernel, op int, key uint32, seq
 		}
 		anyTimeout = true
 		st.Timeouts++
-		if c.Now() >= overall || attempt >= p.Retries {
+		if c.Now() >= overall || attempt >= retries {
 			return oExpired, anyTimeout, 0
 		}
 		// Failover: only when the probe says the target is dead — a slow
@@ -265,13 +263,13 @@ func (a *App) execute(st *clientState, k *kernel.Kernel, op int, key uint32, seq
 		if shift > maxBackoffShift {
 			shift = maxBackoffShift
 		}
-		boff := p.BackoffCycles << uint(shift)
+		boff := backoffCycles << uint(shift)
 		c.Cycles(boff/2 + st.rng.next()%(boff/2+1))
 	}
 }
 
 // serverCore returns the core id of the shard's current chain server.
 func (a *App) serverCore(st *clientState, shard int) int {
-	si := (a.p.primaryOf(shard) + st.chainPos[shard]) % a.p.Servers
+	si := (primaryOf(shard) + st.chainPos[shard]) % servers
 	return a.workers[a.clients+si]
 }

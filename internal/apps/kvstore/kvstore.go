@@ -64,17 +64,47 @@ const (
 	statusShed = 1
 )
 
-// Params describes one kvstore run.
-type Params struct {
-	// Shards is the number of mutable shards; shard i's slots are owned by
-	// server i mod Servers.
-	Shards int
-	// SlotsPerShard is the number of 8-byte key slots per shard.
-	SlotsPerShard int
-	// Servers is the number of server ranks. Servers occupy the *highest*
+// The service's shape and its robustness policy. Every run uses these
+// values; Params holds what callers vary.
+const (
+	// shards is the number of mutable shards; shard i's slots are owned by
+	// server i mod servers.
+	shards = 8
+	// slotsPerShard is the number of 8-byte key slots per shard.
+	slotsPerShard = 64
+	// keyCount is the mutable key space size.
+	keyCount = shards * slotsPerShard
+	// servers is the number of server ranks. Servers occupy the *highest*
 	// ranks of the worker group, so a "crash the last worker" schedule
 	// kills a server and exercises failover.
-	Servers int
+	servers = 4
+
+	// thinkCycles bounds a closed-loop client's uniform think time after
+	// each resolution.
+	thinkCycles uint64 = 400
+
+	// putPermille and hotPermille split the op mix: puts to the mutable
+	// store, reads of the hot read-only replica region, remainder are gets
+	// through a server. hedgePermille of hot reads go to the server first
+	// and hedge to the replica on timeout.
+	putPermille   = 300
+	hotPermille   = 300
+	hedgePermille = 500
+
+	// deadlineUS is the overall per-request deadline; attemptUS the
+	// per-attempt timeout; retries the attempt bound. backoffCycles is the
+	// base of the jittered exponential backoff between attempts.
+	deadlineUS           = 400.0
+	attemptUS            = 120.0
+	retries              = 4
+	backoffCycles uint64 = 2000
+)
+
+// WindowUS is the goodput reporting window in simulated microseconds.
+const WindowUS = 200.0
+
+// Params describes one kvstore run.
+type Params struct {
 	// Requests is the total request count across all clients.
 	Requests int
 	// Seed drives every client's operation mix, key choice, arrival
@@ -85,26 +115,9 @@ type Params struct {
 	// arrival schedule (mean ArrivalUS between requests per client),
 	// regardless of completion times — the overload-generating mode.
 	// False is closed-loop: the next request follows the previous
-	// resolution, after a uniform think time in [0, ThinkCycles).
-	OpenLoop    bool
-	ArrivalUS   float64
-	ThinkCycles uint64
-
-	// PutPermille and HotPermille split the op mix: puts to the mutable
-	// store, reads of the hot read-only replica region, remainder are gets
-	// through a server. HedgePermille of hot reads go to the server first
-	// and hedge to the replica on timeout.
-	PutPermille   int
-	HotPermille   int
-	HedgePermille int
-
-	// DeadlineUS is the overall per-request deadline; AttemptUS the
-	// per-attempt timeout; Retries the attempt bound. BackoffCycles is the
-	// base of the jittered exponential backoff between attempts.
-	DeadlineUS    float64
-	AttemptUS     float64
-	Retries       int
-	BackoffCycles uint64
+	// resolution, after a uniform think time in [0, thinkCycles).
+	OpenLoop  bool
+	ArrivalUS float64
 
 	// ServiceCycles is a server's compute cost per applied request.
 	// QueueBound is the admission-control bound: a request arriving at a
@@ -112,52 +125,24 @@ type Params struct {
 	// with a cheap refusal before any state change.
 	ServiceCycles uint64
 	QueueBound    int
-
-	// WindowUS is the goodput reporting window.
-	WindowUS float64
 }
 
 // DefaultParams returns a small but fully-featured configuration (tests and
 // smoke runs scale Requests up or down).
 func DefaultParams() Params {
 	return Params{
-		Shards:        8,
-		SlotsPerShard: 64,
-		Servers:       4,
 		Requests:      20000,
 		Seed:          1,
 		ArrivalUS:     3,
-		ThinkCycles:   400,
-		PutPermille:   300,
-		HotPermille:   300,
-		HedgePermille: 500,
-		DeadlineUS:    400,
-		AttemptUS:     120,
-		Retries:       4,
-		BackoffCycles: 2000,
 		ServiceCycles: 600,
 		QueueBound:    16,
-		WindowUS:      200,
 	}
 }
 
 // Validate checks the parameters.
 func (p Params) Validate() error {
-	if p.Shards < 1 || p.SlotsPerShard < 1 {
-		return fmt.Errorf("kvstore: %d shards x %d slots", p.Shards, p.SlotsPerShard)
-	}
-	if p.Servers < 1 {
-		return fmt.Errorf("kvstore: %d servers", p.Servers)
-	}
 	if p.Requests < 1 {
 		return fmt.Errorf("kvstore: %d requests", p.Requests)
-	}
-	if p.DeadlineUS <= 0 || p.AttemptUS <= 0 || p.Retries < 1 {
-		return fmt.Errorf("kvstore: bad robustness knobs (deadline %v, attempt %v, retries %d)",
-			p.DeadlineUS, p.AttemptUS, p.Retries)
-	}
-	if p.WindowUS <= 0 {
-		return fmt.Errorf("kvstore: bad goodput window %v", p.WindowUS)
 	}
 	if p.QueueBound < 1 {
 		return fmt.Errorf("kvstore: queue bound %d", p.QueueBound)
@@ -168,17 +153,14 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// FitsWorkers checks that n SVM workers host p's servers plus at least one
+// FitsWorkers checks that n SVM workers host the servers plus at least one
 // client.
-func (p Params) FitsWorkers(n int) error {
-	if n < p.Servers+1 {
-		return fmt.Errorf("kvstore: %d workers cannot host %d servers plus a client", n, p.Servers)
+func FitsWorkers(n int) error {
+	if n < servers+1 {
+		return fmt.Errorf("kvstore: %d workers cannot host %d servers plus a client", n, servers)
 	}
 	return nil
 }
-
-// keyCount is the mutable key space size.
-func (p Params) keyCount() int { return p.Shards * p.SlotsPerShard }
 
 // --- Deterministic value encoding ----------------------------------------
 
@@ -268,23 +250,22 @@ func New(p Params) *App {
 // crash schedule land first.
 const auditDelayCycles = 200_000
 
-// Main is the per-kernel body. Rank layout: the highest p.Servers ranks are
+// Main is the per-kernel body. Rank layout: the highest ranks are the
 // servers; everyone else is a client. All ranks participate in the
 // collective allocations, the read-only protection and the barriers.
 func (a *App) Main(h *svm.Handle) {
-	p := a.p
 	k := h.Kernel()
 	c := k.Core()
 	rank := h.Rank()
 	if a.cl == nil {
 		a.ranks = len(h.Workers())
-		if err := p.FitsWorkers(a.ranks); err != nil {
+		if err := FitsWorkers(a.ranks); err != nil {
 			panic(err)
 		}
 		a.workers = append([]int(nil), h.Workers()...)
-		a.clients = a.ranks - p.Servers
+		a.clients = a.ranks - servers
 		a.cl = make([]clientState, a.clients)
-		a.sv = make([]serverState, p.Servers)
+		a.sv = make([]serverState, servers)
 		a.arrived = make([]bool, a.ranks)
 	}
 
@@ -314,12 +295,12 @@ func (a *App) Main(h *svm.Handle) {
 
 	// Shared layout: one collective allocation per region. Mutable slots
 	// start zeroed (sequence 0 = never written).
-	mutBytes := uint32(p.keyCount()) * 8
-	hotBytes := uint32(p.keyCount()) * 8
+	mutBytes := uint32(keyCount) * 8
+	hotBytes := uint32(keyCount) * 8
 	mutBase := h.Alloc(mutBytes)
 	hotBase := h.Alloc(hotBytes)
 	if rank == 0 {
-		for i := 0; i < p.keyCount(); i++ {
+		for i := 0; i < keyCount; i++ {
 			c.Store64(hotBase+uint32(i)*8, hotValue(uint32(i)))
 		}
 	}
@@ -343,7 +324,7 @@ func (a *App) Main(h *svm.Handle) {
 		// dead server's pages — the same access path a recovering service
 		// would use.
 		c.Cycles(auditDelayCycles)
-		words := make([]uint64, p.keyCount())
+		words := make([]uint64, keyCount)
 		var sum uint64
 		for i := range words {
 			w := c.Load64(mutBase + uint32(i)*8)
@@ -360,8 +341,8 @@ func (a *App) Main(h *svm.Handle) {
 
 // shardOf maps a key to its shard; primaryOf maps a shard to the server
 // *index* (0-based within the server group) at the head of its chain.
-func (p Params) shardOf(key uint32) int  { return int(key) / p.SlotsPerShard }
-func (p Params) primaryOf(shard int) int { return shard % p.Servers }
+func shardOf(key uint32) int  { return int(key) / slotsPerShard }
+func primaryOf(shard int) int { return shard % servers }
 
 // slotAddr is the mutable slot address of a key.
 func slotAddr(base, key uint32) uint32 { return base + key*8 }

@@ -47,7 +47,6 @@ const shedCycles = 60
 // arrivals past QueueBound are shed with a cheap reply before any state
 // change.
 func (a *App) runServer(h *svm.Handle, idx int, mutBase, hotBase uint32) {
-	p := a.p
 	k := h.Kernel()
 	c := k.Core()
 	st := &a.sv[idx]
@@ -56,12 +55,12 @@ func (a *App) runServer(h *svm.Handle, idx int, mutBase, hotBase uint32) {
 	// the serve path mutates owned pages without ownership traffic. (A
 	// failover successor still faults and reclaims on first touch — in its
 	// serve loop, where blocking is fine.)
-	for shard := 0; shard < p.Shards; shard++ {
-		if p.primaryOf(shard) != idx {
+	for shard := 0; shard < shards; shard++ {
+		if primaryOf(shard) != idx {
 			continue
 		}
-		for s := 0; s < p.SlotsPerShard; s++ {
-			c.Store64(slotAddr(mutBase, uint32(shard*p.SlotsPerShard+s)), 0)
+		for s := 0; s < slotsPerShard; s++ {
+			c.Store64(slotAddr(mutBase, uint32(shard*slotsPerShard+s)), 0)
 		}
 	}
 
