@@ -1,16 +1,14 @@
 // Command metalsvm-vet runs the repo's custom static analyzers (simdet,
-// simtime, tracenil, locksite — see internal/analysis).
+// simtime, tracenil, locksite — see internal/analysis) as a vet tool,
+// speaking cmd/go's unitchecker protocol:
 //
-// Standalone, over the whole module:
-//
-//	metalsvm-vet ./...
-//
-// Or as a vet tool, speaking cmd/go's unitchecker protocol:
-//
+//	go install ./cmd/metalsvm-vet
 //	go vet -vettool=$(which metalsvm-vet) ./...
 //
-// Exit status: 0 clean, 1 findings or errors (2 for findings in vettool
-// mode, matching vet convention).
+// cmd/go loads the packages and runs the tool once per package; a finding
+// makes the tool, and so go vet, exit non-zero. benchmark/ is a module of
+// its own, so it takes a second run from inside that directory. Run any
+// other way, the tool prints its usage and exits 2.
 package main
 
 import (
@@ -32,88 +30,16 @@ func main() {
 	args := os.Args[1:]
 	// cmd/go probes the tool before using it: -V=full asks for a version
 	// stamp (cache key), -flags for the tool's flag schema.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
+	switch {
+	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
 		fmt.Printf("metalsvm-vet version v1.0.0\n")
-		return
-	}
-	if len(args) == 1 && args[0] == "-flags" {
+	case len(args) == 1 && args[0] == "-flags":
 		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args))
-}
-
-// standalone loads the whole module from source and analyzes every package.
-// Any argument form is accepted ("./..." or nothing); the tool always
-// analyzes the full tree rooted at the working directory's module.
-func standalone(args []string) int {
-	// The scan is always module-wide, but a mistyped path must not look
-	// like a clean pass.
-	for _, a := range args {
-		p := strings.TrimSuffix(strings.TrimSuffix(a, "..."), "/")
-		if p == "" || p == "." || p == "./" {
-			continue
-		}
-		if _, err := os.Stat(p); err != nil {
-			fmt.Fprintf(os.Stderr, "metalsvm-vet: %s: no such file or directory\n", a)
-			return 1
-		}
-	}
-	root, err := moduleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	l, err := analysis.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	pkgs, err := l.LoadTree()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	found := 0
-	for _, pkg := range pkgs {
-		diags, err := pkg.Analyze(analysis.All())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Printf("%s: %s\n", l.Fset.Position(d.Pos), d.Message)
-			found++
-		}
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "metalsvm-vet: %d finding(s)\n", found)
-		return 1
-	}
-	return 0
-}
-
-// moduleRoot walks up from the working directory to the containing go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(dir + "/go.mod"); err == nil {
-			return dir, nil
-		}
-		parent := dir[:strings.LastIndex(dir, "/")+1]
-		if parent == dir || parent == "" {
-			return "", fmt.Errorf("metalsvm-vet: no go.mod above the working directory")
-		}
-		dir = strings.TrimSuffix(parent, "/")
-		if dir == "" {
-			dir = "/"
-		}
+	default:
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which metalsvm-vet) [packages]")
+		os.Exit(2)
 	}
 }
 
@@ -183,12 +109,7 @@ func unitcheck(cfgPath string) int {
 			return os.Open(file)
 		}),
 	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
+	info := analysis.NewInfo()
 	tpkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {

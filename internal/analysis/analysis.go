@@ -4,8 +4,9 @@
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library alone, since the module
-// deliberately has no dependencies. cmd/metalsvm-vet drives the analyzers
-// both standalone (metalsvm-vet ./...) and as a `go vet -vettool`.
+// deliberately has no dependencies. cmd/metalsvm-vet runs the analyzers as
+// a vet tool: `go vet -vettool=$(which metalsvm-vet) ./...`, where cmd/go
+// loads and type-checks each package and hands it over.
 //
 // Analyzers:
 //
@@ -36,6 +37,47 @@ import (
 	"go/types"
 	"strings"
 )
+
+// Package is one parsed, type-checked package ready for analysis.
+type Package struct {
+	Path  string
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
+}
+
+// NewInfo allocates the types.Info maps the analyzers read.
+func NewInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+}
+
+// Analyze runs every analyzer over the package and returns the findings.
+func (p *Package) Analyze(analyzers []*Analyzer) ([]Diagnostic, error) {
+	var out []Diagnostic
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     p.Fset,
+			Files:    p.Files,
+			Pkg:      p.Pkg,
+			Info:     p.Info,
+			Report: func(d Diagnostic) {
+				d.Message = d.Message + " [" + a.Name + "]"
+				out = append(out, d)
+			},
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, p.Path, err)
+		}
+	}
+	return out, nil
+}
 
 // Diagnostic is one reported finding.
 type Diagnostic struct {

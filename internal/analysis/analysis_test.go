@@ -51,7 +51,7 @@ func check(t *testing.T, a *Analyzer, pkgs ...pkgSrc) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info := newInfo()
+		info := NewInfo()
 		cfg := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 			if p, ok := loaded[path]; ok {
 				return p, nil
@@ -311,34 +311,6 @@ func (s *Stream) Ring() int {
 		"(*Stream).On lacks the leading nil-receiver guard",
 		"(*Stream).Subscribe lacks the leading nil-receiver guard",
 		"(*Stream).Ring lacks the leading nil-receiver guard")
-}
-
-// TestTreeIsClean runs the whole suite over the real module: the repo must
-// stay free of determinism and tracing violations.
-func TestTreeIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full tree")
-	}
-	l, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.LoadTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loader found only %d packages", len(pkgs))
-	}
-	for _, pkg := range pkgs {
-		diags, err := pkg.Analyze(All())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s", l.Fset.Position(d.Pos), d.Message)
-		}
-	}
 }
 
 func TestSimDetHostParallelAllowsGoAndClock(t *testing.T) {
