@@ -62,8 +62,10 @@ var goldenRows = []struct {
 	// Usage errors: exit 2 before anything runs, nothing on stdout. A flag
 	// the selected mode does not read is one, -chips/-grid included, and so
 	// is a flag sccbench does not define: the four rows named after bench or
-	// baseline pin that the retired benchmark mode's flags stay rejected.
+	// baseline pin that the retired benchmark mode's flags stay rejected, and
+	// reject-full pins the same for the retired -full (now -iters 5000).
 	{"reject-table1-chips", []string{"-chips", "2", "table1"}},
+	{"reject-full", []string{"-full", "-iters", "7", "fig9"}},
 	{"reject-bench-chips", []string{"-bench", "-chips", "2"}},
 	{"reject-bench-grid", []string{"-bench", "-grid", "2x2x2"}},
 	{"reject-bench-baseline-topology", []string{"-bench", "-baseline", "-chips", "2", "-grid", "2x2x1"}},

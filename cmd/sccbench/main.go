@@ -56,7 +56,7 @@ type options struct {
 	rounds, chips, iters, kvRequests, parallel    int
 	kvSeed                                        uint64
 	grid, chaos, cpuprofile, memprofile, perfetto string
-	full, json, metrics, profile                  bool
+	json, metrics, profile                        bool
 
 	topo *scc.Config
 	cmd  string
@@ -90,12 +90,12 @@ var modes = []mode{
 	{name: "fig6", flags: "rounds json", topo: true, help: "mail latency vs mesh distance (Figure 6)", run: harnesses(fig6)},
 	{name: "fig7", flags: "rounds json", topo: true, help: "mail latency vs activated cores (Figure 7)", run: harnesses(fig7)},
 	{name: "table1", flags: "json", help: "SVM overheads (Table 1)", run: harnesses(table1)},
-	{name: "fig9", flags: "iters full json", topo: true, help: "Laplace runtimes (Figure 9)", run: harnesses(fig9)},
+	{name: "fig9", flags: "iters json", topo: true, help: "Laplace runtimes (Figure 9)", run: harnesses(fig9)},
 	{name: "scale", flags: "json", topo: true, help: "Laplace + task farm completion on every core", run: harnesses(scale)},
-	{name: "ablation", flags: "iters full json", help: "WCB / scratchpad / next-touch / read-only-L2 studies", run: harnesses(ablation)},
+	{name: "ablation", flags: "iters json", help: "WCB / scratchpad / next-touch / read-only-L2 studies", run: harnesses(ablation)},
 	{name: "kvstore", flags: "kv-requests kv-seed json", topo: true, help: "KV store SLO report under chaos", run: cellMode(kvPlan)},
 	{name: "comm", flags: "rounds json", help: "RCCE transfer latency and bandwidth", run: harnesses(comm)},
-	{name: "all", flags: "rounds iters full json", help: "fig6 fig7 table1 fig9 scale ablation comm",
+	{name: "all", flags: "rounds iters json", help: "fig6 fig7 table1 fig9 scale ablation comm",
 		run: harnesses(fig6, fig7, table1, fig9, scale, ablation, comm)},
 	{name: "info", help: "platform geometry and latency reference", run: harnesses(info)},
 	{name: "-check", flags: "check", topo: true, help: "race checker and zero-perturbation cells over every workload",
@@ -103,7 +103,7 @@ var modes = []mode{
 	{name: "-sanitize", flags: "sanitize", help: "sanitizer suite over every workload", run: harnesses(sanSuite.run)},
 	{name: "-chaos", flags: "chaos rounds iters json", topo: true, help: "representative cells under deterministic fault injection",
 		run: cellMode(planChaos)},
-	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters full",
+	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters",
 		help: "one instrumented cell per harness", run: runObserve},
 }
 
@@ -179,7 +179,6 @@ func run(args []string) int {
 	fs.IntVar(&o.chips, "chips", 1, "number of chips coupled by the inter-chip link (1 = the paper's single chip)")
 	fs.StringVar(&o.grid, "grid", "", "per-chip tile grid as `WxHxC` (width x height x cores per tile; empty = the paper's 6x4x2)")
 	fs.IntVar(&o.iters, "iters", 50, "Laplace iterations (paper: 5000; a one-time warm-up plus a constant per-iteration cost, so crossovers are preserved)")
-	fs.BoolVar(&o.full, "full", false, "run the Laplace benchmark with the paper's full 5000 iterations (slow)")
 	fs.Bool("check", false, "run the happens-before race checker over every workload and exit non-zero on races")
 	fs.Bool("sanitize", false, "run the sanitizer suite (shadow memory, locksets, lock-order graph) over every workload and exit non-zero on findings")
 	fs.StringVar(&o.chaos, "chaos", "", "run the chaos harness with `seed[,spec]`: representative cells under deterministic fault injection (specs: corrupt, crash, delays, drops, light, mixed, partition; crash and mixed also run the replicated-directory failover cells; partition adds the link-outage cells)")
@@ -235,9 +234,6 @@ func run(args []string) int {
 		return 2
 	}
 	o.cmd = fs.Arg(0)
-	if o.full { // only the modes that run the Laplace benchmark read -full
-		o.iters = 5000
-	}
 	var err error
 	if o.topo, err = parseTopology(o.chips, o.grid); err != nil {
 		fmt.Fprintf(os.Stderr, "sccbench: %v\n", err)

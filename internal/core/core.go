@@ -59,8 +59,8 @@ type Options struct {
 	// value of this field gave bit-identical results while there were two,
 	// so no caller can observe the difference. It stays only because
 	// benchmark/workloads.go sets it and benchmark/ does not change together
-	// with other code; it goes once a benchmark-only change has dropped that
-	// trial (ROADMAP item 2(a)).
+	// with other code. A benchmark-only change drops that trial (ROADMAP
+	// item 1(a)); the change after it deletes this field (item 8(a)).
 	IntraParallel int
 	// ReplicatedDirectory, when non-nil, replaces the SVM system's
 	// single-copy ownership directory with the crash-fault-tolerant

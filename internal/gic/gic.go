@@ -63,36 +63,6 @@ func (g *Controller) Raise(from, to int) {
 	g.set(to)[from/64] |= 1 << uint(from%64)
 }
 
-// Pending reports whether core has unclaimed IPIs.
-func (g *Controller) Pending(core int) bool {
-	g.check(core)
-	for _, w := range g.set(core) {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Claim atomically reads and clears the lowest-numbered origin bit,
-// returning the originating core. ok is false when nothing is pending.
-func (g *Controller) Claim(core int) (from int, ok bool) {
-	g.check(core)
-	set := g.set(core)
-	for w, word := range set {
-		if word == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if word&(1<<uint(b)) != 0 {
-				set[w] &^= 1 << uint(b)
-				return w*64 + b, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // ClaimAll reads and clears the full origin set, appending it to origins in
 // ascending order. Passing a reused buffer's origins[:0] keeps the claim
 // free of allocation.

@@ -1,25 +1,21 @@
 package gic
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRaiseClaim(t *testing.T) {
 	g := New(48)
-	if g.Pending(30) {
-		t.Fatal("fresh controller pending")
+	if got := g.ClaimAll(30, nil); len(got) != 0 {
+		t.Fatalf("fresh controller pending: %v", got)
 	}
 	g.Raise(0, 30)
-	if !g.Pending(30) {
-		t.Fatal("raise not recorded")
+	if got := g.ClaimAll(30, nil); !slices.Equal(got, []int{0}) {
+		t.Fatalf("claim = %v, want [0]", got)
 	}
-	from, ok := g.Claim(30)
-	if !ok || from != 0 {
-		t.Fatalf("claim = (%d, %v)", from, ok)
-	}
-	if g.Pending(30) {
-		t.Fatal("claim did not clear the bit")
-	}
-	if _, ok := g.Claim(30); ok {
-		t.Fatal("claim of empty status succeeded")
+	if got := g.ClaimAll(30, nil); len(got) != 0 {
+		t.Fatalf("claim did not clear the bit: second claim = %v", got)
 	}
 }
 
@@ -27,11 +23,11 @@ func TestRaiseIdempotent(t *testing.T) {
 	g := New(48)
 	g.Raise(5, 7)
 	g.Raise(5, 7)
-	if _, ok := g.Claim(7); !ok {
-		t.Fatal("first claim failed")
+	if got := g.ClaimAll(7, nil); !slices.Equal(got, []int{5}) {
+		t.Fatalf("claim = %v, want [5] (status is a bit, not a counter)", got)
 	}
-	if _, ok := g.Claim(7); ok {
-		t.Fatal("double raise produced two claims (status is a bit, not a counter)")
+	if got := g.ClaimAll(7, nil); len(got) != 0 {
+		t.Fatalf("second claim = %v, want empty", got)
 	}
 }
 
@@ -40,22 +36,8 @@ func TestClaimOrderIsAscending(t *testing.T) {
 	g.Raise(9, 3)
 	g.Raise(2, 3)
 	g.Raise(40, 3)
-	var got []int
-	for {
-		f, ok := g.Claim(3)
-		if !ok {
-			break
-		}
-		got = append(got, f)
-	}
-	want := []int{2, 9, 40}
-	if len(got) != len(want) {
-		t.Fatalf("claims = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("claims = %v, want %v", got, want)
-		}
+	if got, want := g.ClaimAll(3, nil), []int{2, 9, 40}; !slices.Equal(got, want) {
+		t.Fatalf("claims = %v, want %v", got, want)
 	}
 }
 
@@ -67,11 +49,8 @@ func TestClaimAll(t *testing.T) {
 	if len(all) != 2 || all[0] != 1 || all[1] != 47 {
 		t.Fatalf("ClaimAll = %v", all)
 	}
-	if g.Pending(0) {
-		t.Fatal("ClaimAll left pending bits")
-	}
 	if got := g.ClaimAll(0, all[:0]); len(got) != 0 {
-		t.Fatalf("second ClaimAll = %v, want empty", got)
+		t.Fatalf("ClaimAll left pending bits: second ClaimAll = %v", got)
 	}
 	// A reused buffer takes the next claim in place.
 	g.Raise(5, 0)
@@ -83,8 +62,11 @@ func TestClaimAll(t *testing.T) {
 func TestTargetsIndependent(t *testing.T) {
 	g := New(4)
 	g.Raise(0, 1)
-	if g.Pending(2) {
-		t.Fatal("raise leaked to another target")
+	if got := g.ClaimAll(2, nil); len(got) != 0 {
+		t.Fatalf("raise leaked to another target: %v", got)
+	}
+	if got := g.ClaimAll(1, nil); !slices.Equal(got, []int{0}) {
+		t.Fatalf("target's claim = %v, want [0]", got)
 	}
 }
 
@@ -108,25 +90,8 @@ func TestMultiWordStatus(t *testing.T) {
 	g.Raise(511, 0)
 	g.Raise(64, 0)
 	g.Raise(63, 0)
-	if !g.Pending(0) {
-		t.Fatal("high-origin raise not recorded")
-	}
-	var got []int
-	for {
-		f, ok := g.Claim(0)
-		if !ok {
-			break
-		}
-		got = append(got, f)
-	}
-	want := []int{63, 64, 511}
-	if len(got) != len(want) {
-		t.Fatalf("claims = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("claims = %v, want %v", got, want)
-		}
+	if got, want := g.ClaimAll(0, nil), []int{63, 64, 511}; !slices.Equal(got, want) {
+		t.Fatalf("claims = %v, want %v", got, want)
 	}
 	g.Raise(100, 200)
 	g.Raise(500, 200)
@@ -134,7 +99,7 @@ func TestMultiWordStatus(t *testing.T) {
 	if len(all) != 2 || all[0] != 100 || all[1] != 500 {
 		t.Fatalf("ClaimAll = %v", all)
 	}
-	if g.Pending(200) {
-		t.Fatal("ClaimAll left pending bits")
+	if got := g.ClaimAll(200, nil); len(got) != 0 {
+		t.Fatalf("ClaimAll left pending bits: %v", got)
 	}
 }

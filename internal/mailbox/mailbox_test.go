@@ -225,11 +225,7 @@ func TestIPIModeRaisesInterrupts(t *testing.T) {
 				return
 			}
 			gotIRQ = true
-			for {
-				f, ok := ch.GIC().Claim(30)
-				if !ok {
-					break
-				}
+			for _, f := range ch.GIC().ClaimAll(30, nil) {
 				origin = f
 				if m, ok := mb.Check(30, f); ok {
 					msg = m

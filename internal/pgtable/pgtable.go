@@ -221,13 +221,3 @@ func (t *Table) Update(vaddr uint32, fn func(*Entry)) {
 	t.tlbValid = false
 	t.version++
 }
-
-// SetFlags ors bits into the entry for vaddr.
-func (t *Table) SetFlags(vaddr uint32, bits Flags) {
-	t.Update(vaddr, func(e *Entry) { e.Flags |= bits })
-}
-
-// ClearFlags clears bits in the entry for vaddr.
-func (t *Table) ClearFlags(vaddr uint32, bits Flags) {
-	t.Update(vaddr, func(e *Entry) { e.Flags &^= bits })
-}

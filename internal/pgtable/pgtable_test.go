@@ -57,15 +57,15 @@ func TestUpdateFlagsInvalidatesTLB(t *testing.T) {
 	if e, _ := tb.Lookup(0x2000); !e.Flags.Has(Writable) {
 		t.Fatal("setup")
 	}
-	tb.ClearFlags(0x2000, Writable)
+	tb.Update(0x2000, func(e *Entry) { e.Flags &^= Writable })
 	e, _ := tb.Lookup(0x2000)
 	if e.Flags.Has(Writable) {
 		t.Fatal("stale translation cache: Writable still visible")
 	}
-	tb.SetFlags(0x2000, Writable)
+	tb.Update(0x2000, func(e *Entry) { e.Flags |= Writable })
 	e, _ = tb.Lookup(0x2000)
 	if !e.Flags.Has(Writable) {
-		t.Fatal("SetFlags not visible")
+		t.Fatal("set Writable not visible")
 	}
 }
 
@@ -84,7 +84,7 @@ func TestNonPresentEntryPreserved(t *testing.T) {
 	// a later re-acquire doesn't need the scratchpad again.
 	tb := New()
 	tb.Map(0x3000, 42, Present|Writable)
-	tb.ClearFlags(0x3000, Present|Writable)
+	tb.Update(0x3000, func(e *Entry) { e.Flags &^= Present | Writable })
 	e, ok := tb.Lookup(0x3000)
 	if !ok {
 		t.Fatal("revoked entry vanished")
@@ -111,9 +111,9 @@ func TestMappedCountAcrossTransitions(t *testing.T) {
 	if tb.Mapped() != 0 {
 		t.Fatalf("mapped = %d after downgrade", tb.Mapped())
 	}
-	tb.SetFlags(0x1000, Present)
+	tb.Update(0x1000, func(e *Entry) { e.Flags |= Present })
 	if tb.Mapped() != 1 {
-		t.Fatalf("mapped = %d after SetFlags(Present)", tb.Mapped())
+		t.Fatalf("mapped = %d after setting Present", tb.Mapped())
 	}
 }
 

@@ -150,18 +150,13 @@ type FrameAllocator struct {
 	free   [][]uint32 // per controller, LIFO of shared frame indices
 }
 
-// NewFrameAllocator builds an allocator over the layout's whole shared
-// region. Shared frame 0 is never handed out: the scratchpad directory
-// uses frame value 0 to mean "unallocated" (a 16-bit representation per
-// page, as in the paper), so it must not be a valid allocation.
-func NewFrameAllocator(l *Layout) *FrameAllocator {
-	return NewFrameAllocatorRange(l, 0, l.SharedFrames())
-}
-
 // NewFrameAllocatorRange builds an allocator over the shared-frame index
 // range [rangeLo, rangeHi) — the mechanism behind coherency domains, which
 // partition the shared region so independent SVM systems can coexist on
-// one chip. Frame 0 stays reserved regardless of the range.
+// one chip. Shared frame 0 is never handed out, whatever the range: the
+// scratchpad directory uses frame value 0 to mean "unallocated" (a 16-bit
+// representation per page, as in the paper), so it must not be a valid
+// allocation.
 func NewFrameAllocatorRange(l *Layout, rangeLo, rangeHi uint32) *FrameAllocator {
 	if rangeLo > rangeHi || rangeHi > l.SharedFrames() {
 		panic(fmt.Sprintf("phys: invalid frame range [%d,%d)", rangeLo, rangeHi))

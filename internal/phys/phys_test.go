@@ -264,7 +264,7 @@ func TestLayoutValidation(t *testing.T) {
 
 func TestFrameAllocatorAffinityAndSpill(t *testing.T) {
 	l := testLayout(t)
-	a := NewFrameAllocator(l)
+	a := NewFrameAllocatorRange(l, 0, l.SharedFrames())
 	lo1, hi1 := l.SharedChunkFrames(1)
 	f, ok := a.Alloc(1)
 	if !ok || f < lo1 || f >= hi1 {
@@ -284,7 +284,7 @@ func TestFrameAllocatorAffinityAndSpill(t *testing.T) {
 
 func TestFrameAllocatorNeverReturnsZero(t *testing.T) {
 	l := testLayout(t)
-	a := NewFrameAllocator(l)
+	a := NewFrameAllocatorRange(l, 0, l.SharedFrames())
 	seen := make(map[uint32]bool)
 	for {
 		f, ok := a.Alloc(0)
@@ -306,7 +306,7 @@ func TestFrameAllocatorNeverReturnsZero(t *testing.T) {
 
 func TestFrameAllocatorFree(t *testing.T) {
 	l := testLayout(t)
-	a := NewFrameAllocator(l)
+	a := NewFrameAllocatorRange(l, 0, l.SharedFrames())
 	before := a.FreeFrames()
 	f, _ := a.Alloc(2)
 	if a.FreeFrames() != before-1 {

@@ -203,38 +203,44 @@ func (k *Checker) onEvent(e trace.Event) {
 	core, peer := int(e.Core), int(e.Arg1)
 	switch e.Kind {
 	case trace.KindLoad, trace.KindStore:
-		k.OnAccess(core, uint32(e.Arg1), int(e.Arg2), e.Kind == trace.KindStore, e.At)
+		// Accesses below the checked base (private memory) are ignored.
+		vaddr, size := uint32(e.Arg1), uint32(e.Arg2)
+		if vaddr < k.base || size == 0 {
+			return
+		}
+		last := (vaddr + size - 1) >> granuleShift
+		for g := vaddr >> granuleShift; g <= last; g++ {
+			k.onGranule(core, g<<granuleShift, e.Kind == trace.KindStore, e.At)
+		}
 	case trace.KindMailSend:
-		k.Acquire(core, mailKey{true, core, peer})
-		k.Release(core, mailKey{false, core, peer})
+		k.acquire(core, mailKey{true, core, peer})
+		k.release(core, mailKey{false, core, peer})
 	case trace.KindMailRecv:
-		k.Acquire(core, mailKey{false, peer, core})
-		k.Release(core, mailKey{true, peer, core})
+		k.acquire(core, mailKey{false, peer, core})
+		k.release(core, mailKey{true, peer, core})
 	case trace.KindLockAcquire:
-		k.Acquire(core, lockKey{k.space[core], e.Arg1})
+		k.acquire(core, lockKey{k.space[core], e.Arg1})
 	case trace.KindLockRelease:
-		k.Release(core, lockKey{k.space[core], e.Arg1})
+		k.release(core, lockKey{k.space[core], e.Arg1})
 	case trace.KindOwnerYield:
-		k.Release(core, pageKey{k.space[core], e.Arg1})
+		k.release(core, pageKey{k.space[core], e.Arg1})
 	case trace.KindOwnerAcquire:
-		k.Acquire(core, pageKey{k.space[core], e.Arg1})
+		k.acquire(core, pageKey{k.space[core], e.Arg1})
 	}
 }
 
-// --- Synchronization edges ------------------------------------------------
-
-// Acquire orders the sync object keyed by key before core's subsequent
+// acquire orders the sync object keyed by key before core's subsequent
 // accesses (lock acquired, mail consumed, ownership received).
-func (k *Checker) Acquire(core int, key any) {
+func (k *Checker) acquire(core int, key any) {
 	if vc, ok := k.sync[key]; ok {
 		k.clocks[core].join(vc)
 	}
 }
 
-// Release orders core's past accesses before whatever later Acquires key
+// release orders core's past accesses before whatever later acquires key
 // (lock released, mail deposited, ownership handed over), then starts a new
 // epoch for the core.
-func (k *Checker) Release(core int, key any) {
+func (k *Checker) release(core int, key any) {
 	vc, ok := k.sync[key]
 	if !ok {
 		vc = newVClock(k.n)
@@ -244,22 +250,8 @@ func (k *Checker) Release(core int, key any) {
 	k.clocks[core][core]++
 }
 
-// --- Access checking ------------------------------------------------------
-
-// OnAccess records one simulated memory access of size bytes at vaddr and
-// reports races against the shadow state. Accesses below the checked base
-// (private memory) are ignored.
-func (k *Checker) OnAccess(core int, vaddr uint32, size int, write bool, at sim.Time) {
-	if vaddr < k.base || size <= 0 {
-		return
-	}
-	first := vaddr >> granuleShift
-	last := (vaddr + uint32(size) - 1) >> granuleShift
-	for g := first; g <= last; g++ {
-		k.onGranule(core, g<<granuleShift, write, at)
-	}
-}
-
+// onGranule checks one access to the granule at addr against its shadow
+// state and records it.
 func (k *Checker) onGranule(core int, addr uint32, write bool, at sim.Time) {
 	s := k.shadow[addr]
 	if s == nil {

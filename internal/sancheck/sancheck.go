@@ -298,129 +298,55 @@ func (k *Checker) Attach(s *trace.Stream, space []int) {
 		trace.KindBadFree, trace.KindInvalidAccess, trace.KindReadOnlyWrite)
 }
 
-// onEvent unpacks one event into the intake method for its kind.
+// onEvent feeds one event to the analyses that use its kind. Accesses and
+// page-table changes below the checked base (private memory) are ignored.
 func (k *Checker) onEvent(e trace.Event) {
-	core, a, b := int(e.Core), uint32(e.Arg1), uint32(e.Arg2)
+	core, a, b, at := int(e.Core), uint32(e.Arg1), uint32(e.Arg2), e.At
 	switch e.Kind {
 	case trace.KindLoad, trace.KindStore:
-		k.OnAccess(core, a, int(b), e.Kind == trace.KindStore, e.At)
+		if a < k.base || b == 0 {
+			return
+		}
+		write := e.Kind == trace.KindStore
+		k.shadow.onAccess(k, core, a, int(b), write, at)
+		k.ls.onAccess(k, core, a, int(b), write, at)
 	case trace.KindMap, trace.KindUnmap:
-		k.OnMap(core, a, e.Kind == trace.KindMap)
+		if a >= k.base {
+			k.shadow.onMap(core, a, e.Kind == trace.KindMap)
+		}
 	case trace.KindTASAcquire:
-		k.OnTASAcquire(core, int(a), e.At)
+		k.acquireToken(core, token{kind: tokTAS, id: int(a)}, at)
 	case trace.KindTASRelease:
-		k.OnTASRelease(core, int(a), e.At)
+		k.releaseToken(core, token{kind: tokTAS, id: int(a)})
 	case trace.KindLockAcquire:
-		k.OnLockAcquire(k.space[core], int(a), core, e.At)
+		k.acquireToken(core, token{kind: tokSVM, space: k.space[core], id: int(a)}, at)
 	case trace.KindLockRelease:
-		k.OnLockRelease(k.space[core], int(a), core, e.At)
+		k.releaseToken(core, token{kind: tokSVM, space: k.space[core], id: int(a)})
 	case trace.KindOwnerAcquire:
-		k.OnOwnershipAcquired(k.space[core], core, a)
+		// A strong-model transfer of shared page index a orders the
+		// previous owner's accesses before the new owner's.
+		k.ownEpoch[a]++
 	case trace.KindBarrierDone:
-		k.OnBarrier(core, e.At)
+		// The core's epoch advances, and holding any lock here is a
+		// potential deadlock (every member must arrive).
+		if core >= 0 && core < k.n {
+			k.epoch[core]++
+			k.lo.onBarrier(k, core, at)
+		}
 	case trace.KindRegionAlloc:
-		k.OnRegionAlloc(core, a, b)
+		k.shadow.onAlloc(a, b)
 	case trace.KindRegionFree:
-		k.OnRegionFree(core, a, b, e.At)
+		k.shadow.onFree(k, core, a, b, at)
 	case trace.KindRegionProtect:
-		k.OnRegionProtect(core, a, b)
+		k.shadow.onProtect(a, b)
 	case trace.KindBadFree:
-		k.OnBadFree(core, a, e.At)
+		k.shadow.onBadFree(k, core, a, at)
 	case trace.KindInvalidAccess:
-		k.OnInvalidAccess(core, a, b != 0, e.At)
+		k.shadow.onInvalidAccess(k, core, a, b != 0, at)
 	case trace.KindReadOnlyWrite:
-		k.OnReadOnlyWrite(core, a, e.At)
+		k.report(Finding{Kind: ReadOnlyWrite, Core: core, Addr: a, At: at,
+			Detail: fmt.Sprintf("write to read-only region at %#x", a)})
 	}
-}
-
-// OnAccess records one simulated load or store. Accesses below the checked
-// base (private memory) are ignored.
-func (k *Checker) OnAccess(core int, vaddr uint32, size int, write bool, at sim.Time) {
-	if vaddr < k.base || size <= 0 {
-		return
-	}
-	k.shadow.onAccess(k, core, vaddr, size, write, at)
-	k.ls.onAccess(k, core, vaddr, size, write, at)
-}
-
-// OnRegionAlloc records a collective allocation of pages starting at base.
-func (k *Checker) OnRegionAlloc(core int, base, pages uint32) {
-	k.shadow.onAlloc(base, pages)
-}
-
-// OnRegionFree records the collective free of the region at base.
-func (k *Checker) OnRegionFree(core int, base, pages uint32, at sim.Time) {
-	k.shadow.onFree(k, core, base, pages, at)
-}
-
-// OnRegionProtect records a ProtectReadOnly of the region at base.
-func (k *Checker) OnRegionProtect(core int, base, pages uint32) {
-	k.shadow.onProtect(base, pages)
-}
-
-// OnBadFree records a Free whose base is not a live allocation (the svm
-// layer is about to panic; the finding classifies it first).
-func (k *Checker) OnBadFree(core int, base uint32, at sim.Time) {
-	k.shadow.onBadFree(k, core, base, at)
-}
-
-// OnInvalidAccess records a fault on an address outside every live region
-// (the svm layer is about to panic).
-func (k *Checker) OnInvalidAccess(core int, vaddr uint32, write bool, at sim.Time) {
-	k.shadow.onInvalidAccess(k, core, vaddr, write, at)
-}
-
-// OnReadOnlyWrite records a store into a read-only region (the svm layer is
-// about to panic).
-func (k *Checker) OnReadOnlyWrite(core int, vaddr uint32, at sim.Time) {
-	k.report(Finding{Kind: ReadOnlyWrite, Core: core, Addr: vaddr, At: at,
-		Detail: fmt.Sprintf("write to read-only region at %#x", vaddr)})
-}
-
-// OnMap records a page-table install (mapped=true) or removal of the page
-// holding vaddr on core's private table. Private pages are ignored.
-func (k *Checker) OnMap(core int, vaddr uint32, mapped bool) {
-	if vaddr < k.base {
-		return
-	}
-	k.shadow.onMap(core, vaddr, mapped)
-}
-
-// OnLockAcquire records core acquiring SVM lock `lock` of system `space`.
-func (k *Checker) OnLockAcquire(space, lock, core int, at sim.Time) {
-	k.acquireToken(core, token{kind: tokSVM, space: space, id: lock}, at)
-}
-
-// OnLockRelease records core releasing SVM lock `lock` of system `space`.
-func (k *Checker) OnLockRelease(space, lock, core int, at sim.Time) {
-	k.releaseToken(core, token{kind: tokSVM, space: space, id: lock})
-}
-
-// OnTASAcquire records core winning test-and-set register reg.
-func (k *Checker) OnTASAcquire(core, reg int, at sim.Time) {
-	k.acquireToken(core, token{kind: tokTAS, id: reg}, at)
-}
-
-// OnTASRelease records core clearing test-and-set register reg.
-func (k *Checker) OnTASRelease(core, reg int, at sim.Time) {
-	k.releaseToken(core, token{kind: tokTAS, id: reg})
-}
-
-// OnBarrier records core leaving a kernel barrier: its epoch advances, and
-// holding any lock here is a potential deadlock (every member must arrive).
-func (k *Checker) OnBarrier(core int, at sim.Time) {
-	if core < 0 || core >= k.n {
-		return
-	}
-	k.epoch[core]++
-	k.lo.onBarrier(k, core, at)
-}
-
-// OnOwnershipAcquired records a strong-model ownership acquisition of the
-// shared page index `page`: the previous owner's accesses are ordered
-// before the new owner's.
-func (k *Checker) OnOwnershipAcquired(space, core int, page uint32) {
-	k.ownEpoch[page]++
 }
 
 func (k *Checker) acquireToken(core int, t token, at sim.Time) {

@@ -158,7 +158,7 @@ func (s *shadowState) onAccess(k *Checker, core int, vaddr uint32, size int, wri
 	if r == nil {
 		// Outside every live region. An access event only fires after a
 		// successful translation, so this is normally unreachable — the
-		// fault path panics first and OnInvalidAccess classifies it. Guard
+		// fault path panics first and KindInvalidAccess classifies it. Guard
 		// anyway: a protocol bug that leaves a stale mapping behind would
 		// surface here instead of being silently ignored.
 		g := vaddr &^ ((1 << granuleShift) - 1)
