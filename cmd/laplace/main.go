@@ -70,12 +70,22 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		if need, free := p.SVMPages(), machine.SVM.FreeFrames(); need > uint64(free) {
+			fmt.Fprintf(os.Stderr, "laplace: a %dx%d grid needs %d shared pages, the SVM has %d free\n",
+				p.Rows, p.Cols, need, free)
+			os.Exit(2)
+		}
 		machine.Chip.Tracer().SetRing(tracer)
 		app := laplace.NewSVM(p, laplace.SVMOptions{})
 		machine.RunAll(func(env *core.Env) { app.Main(env.SVM) })
 		res = app.Result()
 		obs = machine.Observability()
 	case "ircce":
+		if need, have := p.BaselineBytes(*cores), chipCfg.PrivateMemPerCore; need > uint64(have) {
+			fmt.Fprintf(os.Stderr, "laplace: a %dx%d grid on %d cores needs %d bytes of private memory a core, each has %d\n",
+				p.Rows, p.Cols, *cores, need, have)
+			os.Exit(2)
+		}
 		b, err := core.NewBaseline(&chipCfg, core.FirstN(*cores))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,10 @@ var update = flag.Bool("update", false, "rewrite the golden stdout files")
 // hands over to main, so every row goes through the real flag handling and
 // prints to a real stdout.
 const goldenEnv = "LAPLACE_GOLDEN_RUN"
+
+// crash matches what a Go panic leaves on stderr: the panic line or a
+// goroutine header of its stack dump.
+var crash = regexp.MustCompile(`panic: |goroutine \d+ \[`)
 
 func TestMain(m *testing.M) {
 	if os.Getenv(goldenEnv) != "" {
@@ -39,9 +44,13 @@ var goldenRows = []struct {
 	{"ircce", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "ircce"}},
 	{"strong-trace-stats", []string{"-rows", "32", "-cols", "32", "-iters", "5", "-cores", "4", "-model", "strong", "-trace", "-stats"}},
 
-	// Usage errors: exit 2 before anything runs, nothing on stdout.
+	// Usage errors: exit 2 before anything runs, nothing on stdout. The
+	// misfit rows' grid overflows the SVM's shared pages and an iRCCE
+	// rank's private memory.
 	{"reject-cores-zero", []string{"-cores", "0"}},
 	{"reject-unknown-model", []string{"-model", "nosuch"}},
+	{"reject-svm-misfit", []string{"-rows", "2048", "-cols", "2048", "-cores", "2"}},
+	{"reject-ircce-misfit", []string{"-rows", "2048", "-cols", "2048", "-cores", "2", "-model", "ircce"}},
 }
 
 // TestGolden compares each row's exit code and stdout bytes with its golden
@@ -64,6 +73,10 @@ func TestGolden(t *testing.T) {
 				code = exit.ExitCode()
 			} else if err != nil {
 				t.Fatal(err)
+			}
+			// A Go panic exits 2 as a usage error does: the stack tells them apart.
+			if crash.Match(stderr.Bytes()) {
+				t.Fatalf("laplace %s crashed:\n%s", strings.Join(row.args, " "), stderr.Bytes())
 			}
 			got := fmt.Sprintf("exit %d\n%s", code, stdout.Bytes())
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,10 @@ var update = flag.Bool("update", false, "rewrite the golden stdout files")
 // hands the arguments to run, so every golden row goes through the real flag
 // handling and prints to a real stdout.
 const goldenEnv = "SCCBENCH_GOLDEN_RUN"
+
+// crash matches what a Go panic leaves on stderr: the panic line or a
+// goroutine header of its stack dump.
+var crash = regexp.MustCompile(`panic: |goroutine \d+ \[`)
 
 func TestMain(m *testing.M) {
 	if os.Getenv(goldenEnv) != "" {
@@ -123,6 +128,10 @@ func TestGolden(t *testing.T) {
 				code = exit.ExitCode()
 			} else if err != nil {
 				t.Fatal(err)
+			}
+			// A Go panic exits 2 as a usage error does: the stack tells them apart.
+			if crash.Match(stderr.Bytes()) {
+				t.Fatalf("sccbench %s crashed:\n%s", strings.Join(row.args, " "), stderr.Bytes())
 			}
 			got := fmt.Sprintf("exit %d\n%s", code, stdout.Bytes())
 

@@ -2,7 +2,6 @@ package laplace
 
 import (
 	"encoding/binary"
-	"math"
 
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/pgtable"
@@ -29,6 +28,21 @@ type BaselineApp struct {
 // space (clear of the kernel image area by convention).
 const privateHeapBase uint32 = 1 << 20
 
+// BaselineBytes returns how far into its private memory the busiest rank
+// of the baseline over ranks cores reaches: its two blocks above
+// privateHeapBase.
+func (p Params) BaselineBytes(ranks int) uint64 {
+	lo, hi := p.Partition(0, ranks) // rank 0 holds the most rows
+	return uint64(privateHeapBase) + 2*p.blockBytes(hi-lo)
+}
+
+// blockBytes is the size of a rank's array block of rows interior rows
+// plus two halo rows, in whole pages.
+func (p Params) blockBytes(rows int) uint64 {
+	const page = pgtable.PageSize
+	return (uint64(rows+2)*uint64(p.RowBytes()) + page - 1) &^ (page - 1)
+}
+
 // NewBaseline prepares a run over the communicator's ranks.
 func NewBaseline(p Params, comm *rcce.Comm) *BaselineApp {
 	if err := p.Validate(); err != nil {
@@ -50,7 +64,7 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 	myRows := hi - lo
 	blockRows := myRows + 2 // plus halo rows
 	rowB := p.RowBytes()
-	blockBytes := (uint32(blockRows)*rowB + pgtable.PageSize - 1) &^ (pgtable.PageSize - 1)
+	blockBytes := uint32(p.blockBytes(myRows))
 
 	oldBase := privateHeapBase
 	newBase := privateHeapBase + blockBytes
@@ -181,15 +195,3 @@ func (a *BaselineApp) Result() Result {
 
 // Grid returns the assembled final grid (valid after the run).
 func (a *BaselineApp) Grid() []float64 { return a.grid }
-
-// almostEqual helps tests compare checksums with a tiny tolerance where
-// exactness is not guaranteed (not normally needed — variants are
-// bit-exact).
-func almostEqual(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d <= 1e-12*m
-}

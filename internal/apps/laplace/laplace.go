@@ -20,6 +20,7 @@ package laplace
 import (
 	"fmt"
 
+	"metalsvm/internal/pgtable"
 	"metalsvm/internal/sim"
 )
 
@@ -47,14 +48,25 @@ func (p Params) Validate() error {
 	if p.Iters < 1 {
 		return fmt.Errorf("laplace: %d iterations", p.Iters)
 	}
+	if p.Cols > maxCells/p.Rows {
+		return fmt.Errorf("laplace: grid %dx%d does not fit the 4 GiB address space", p.Rows, p.Cols)
+	}
 	return nil
 }
+
+// maxCells bounds Rows*Cols so that an array's byte size fits in uint32.
+const maxCells = (1<<32 - 1) / 8
 
 // Cells returns the total cell count.
 func (p Params) Cells() int { return p.Rows * p.Cols }
 
 // ArrayBytes returns the byte size of one grid array.
 func (p Params) ArrayBytes() uint32 { return uint32(p.Cells() * 8) }
+
+// SVMPages returns the shared pages the SVM variants' two arrays take.
+func (p Params) SVMPages() uint64 {
+	return 2 * ((uint64(p.ArrayBytes()) + pgtable.PageSize - 1) / pgtable.PageSize)
+}
 
 // RowBytes returns the byte size of one row.
 func (p Params) RowBytes() uint32 { return uint32(p.Cols * 8) }

@@ -34,6 +34,13 @@ func TestParamsValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("zero iterations accepted")
 	}
+	// An array of Rows*Cols doubles must stay below 4 GiB.
+	if err := (Params{Rows: 32768, Cols: 16383, Iters: 1}).Validate(); err != nil {
+		t.Fatalf("largest grid rejected: %v", err)
+	}
+	if (Params{Rows: 32768, Cols: 16384, Iters: 1}).Validate() == nil {
+		t.Fatal("a 4 GiB array accepted")
+	}
 }
 
 func TestPartitionCoversInterior(t *testing.T) {
@@ -195,14 +202,5 @@ func TestFullChip48Cores(t *testing.T) {
 	b.Run(func(rank int, c *cpu.Core) { app.Main(rank, c) })
 	if got := app.Result().Checksum; got != want {
 		t.Errorf("baseline on 48 cores: checksum %v, want %v", got, want)
-	}
-}
-
-func TestAlmostEqualHelper(t *testing.T) {
-	if !almostEqual(1.0, 1.0) {
-		t.Fatal("identity")
-	}
-	if almostEqual(1.0, 1.1) {
-		t.Fatal("10% apart considered equal")
 	}
 }

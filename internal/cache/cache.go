@@ -62,7 +62,7 @@ type Stats struct {
 	Evictions   uint64
 	WriteHits   uint64 // write-through writes that also updated a line
 	WriteMisses uint64 // write-through writes that bypassed (no allocate)
-	Invalidates uint64 // lines dropped by invalidation operations
+	Invalidates uint64 // lines dropped by CL1INVMB
 }
 
 // Cache is one set-associative, write-through, no-write-allocate level.
@@ -75,7 +75,7 @@ type Cache struct {
 
 	// tags holds one packed word per way, set-major: the line address ORed
 	// with tagValid, tagMPBT and tagDirty. Lookups, victim choice and the
-	// whole-cache walks read only this array; lastUse (the LRU stamps) and
+	// CL1INVMB walk read only this array; lastUse (the LRU stamps) and
 	// data (the line bytes) run parallel to it. All three are nil until
 	// the first Fill.
 	tags    []uint32
@@ -113,9 +113,6 @@ func (c *Cache) Size() int { return c.sets * c.ways * LineSize }
 
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the event counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // setBase returns the index of the first way of paddr's set.
 func (c *Cache) setBase(paddr uint32) int {
@@ -237,51 +234,15 @@ func (c *Cache) write(paddr uint32, src []byte, mark uint32) bool {
 	return false
 }
 
-// FlushDirty drains every dirty line through fn (write-back to the next
-// level) and marks them clean. Used when another agent must observe memory
-// (host-side extraction, explicit flush routines).
-func (c *Cache) FlushDirty(fn func(lineAddr uint32, data []byte)) {
+// InvalidateMPBT drops every MPBT-tagged line: the CL1INVMB instruction,
+// the one invalidation the SCC's software has.
+func (c *Cache) InvalidateMPBT() {
 	for i, t := range c.tags {
-		if t&(tagValid|tagDirty) == tagValid|tagDirty {
-			fn(t&^lineMask, c.data[i][:])
-			c.tags[i] = t &^ tagDirty
-		}
-	}
-}
-
-// InvalidateMPBT drops every MPBT-tagged line: the CL1INVMB instruction.
-func (c *Cache) InvalidateMPBT() { c.invalidate(tagValid | tagMPBT) }
-
-// InvalidateAll drops every line.
-func (c *Cache) InvalidateAll() { c.invalidate(tagValid) }
-
-// invalidate drops every line whose tag word has all the flags in has.
-func (c *Cache) invalidate(has uint32) {
-	for i, t := range c.tags {
-		if t&has == has {
+		if t&(tagValid|tagMPBT) == tagValid|tagMPBT {
 			c.tags[i] = t &^ tagValid
 			c.stats.Invalidates++
 		}
 	}
-}
-
-// InvalidateLine drops the line containing paddr if present.
-func (c *Cache) InvalidateLine(paddr uint32) {
-	if i := c.find(paddr); i >= 0 {
-		c.tags[i] &^= tagValid
-		c.stats.Invalidates++
-	}
-}
-
-// ValidLines counts resident lines (diagnostics).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for _, t := range c.tags {
-		if t&tagValid != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // CopySmall copies len(src) bytes into dst (which must be at least as

@@ -100,9 +100,20 @@ func TestRefillInPlace(t *testing.T) {
 	if b[0] != 2 {
 		t.Fatalf("refill did not replace data: %v", b[0])
 	}
-	if c.ValidLines() != 1 {
-		t.Fatalf("valid lines = %d, want 1", c.ValidLines())
+	if n := validLines(c); n != 1 {
+		t.Fatalf("valid lines = %d, want 1", n)
 	}
+}
+
+// validLines counts c's resident lines.
+func validLines(c *Cache) int {
+	n := 0
+	for _, t := range c.tags {
+		if t&tagValid != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCL1INVMBDropsOnlyMPBTLines(t *testing.T) {
@@ -118,20 +129,6 @@ func TestCL1INVMBDropsOnlyMPBTLines(t *testing.T) {
 	}
 }
 
-func TestInvalidateAllAndLine(t *testing.T) {
-	c := New("l1", 1024, 2)
-	c.Fill(0x100, fill32(1), false)
-	c.Fill(0x200, fill32(2), true)
-	c.InvalidateLine(0x204)
-	if c.Contains(0x200) {
-		t.Fatal("InvalidateLine missed")
-	}
-	c.InvalidateAll()
-	if c.ValidLines() != 0 {
-		t.Fatal("InvalidateAll left lines")
-	}
-}
-
 // TestLinesAllocatedOnFirstFill pins the lazy line arrays: a never-filled
 // cache holds no tags, LRU stamps or line bytes and answers every operation
 // exactly as a cache that was filled and then emptied.
@@ -142,9 +139,9 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 	}
 	emptied := New("l2", 4096, 4)
 	emptied.Fill(0x100, fill32(1), true)
-	emptied.Fill(0x200, fill32(2), false)
-	emptied.InvalidateAll()
-	emptied.ResetStats()
+	emptied.Fill(0x200, fill32(2), true)
+	emptied.InvalidateMPBT()
+	emptied.stats = Stats{}
 
 	for _, c := range []*Cache{fresh, emptied} {
 		var b [4]byte
@@ -157,11 +154,8 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 		if c.WriteThrough(0x104, []byte{1, 2}) || c.WriteUpdate(0x204, []byte{3}) {
 			t.Fatalf("%p: write hit", c)
 		}
-		c.InvalidateAll()
 		c.InvalidateMPBT()
-		c.InvalidateLine(0x100)
-		c.FlushDirty(func(uint32, []byte) { t.Fatalf("%p: flushed a line", c) })
-		if n := c.ValidLines(); n != 0 {
+		if n := validLines(c); n != 0 {
 			t.Fatalf("%p: %d valid lines", c, n)
 		}
 	}
@@ -296,7 +290,7 @@ func TestWCBDrainsOnLineChange(t *testing.T) {
 	if drain.LineAddr != 0x100 || drain.Mask != 1 || drain.Data[0] != 0xaa {
 		t.Fatalf("drained %+v", drain)
 	}
-	if !w.Valid() {
+	if !w.valid {
 		t.Fatal("new line not buffered")
 	}
 }
@@ -476,26 +470,13 @@ func (m *scanCache) write(paddr uint32, src []byte, dirty bool) bool {
 	return true
 }
 
-// invalidate drops every line drop accepts.
-func (m *scanCache) invalidate(drop func(*scanLine) bool) {
+// invalidateMPBT drops every MPBT line: CL1INVMB.
+func (m *scanCache) invalidateMPBT() {
 	for _, set := range m.slots {
 		for i, l := range set {
-			if l != nil && drop(l) {
+			if l != nil && l.mpbt {
 				set[i] = nil
 				m.stats.Invalidates++
-			}
-		}
-	}
-}
-
-// flush drains every dirty line in set-major, way order, the order
-// Cache.FlushDirty walks its tags in, and marks it clean.
-func (m *scanCache) flush(fn func(lineAddr uint32, data []byte)) {
-	for _, set := range m.slots {
-		for _, l := range set {
-			if l != nil && l.dirty {
-				fn(l.tag, l.data[:])
-				l.dirty = false
 			}
 		}
 	}
@@ -513,66 +494,52 @@ func (m *scanCache) validLines() int {
 	return n
 }
 
-// flushed is one line a FlushDirty handed out.
-type flushed struct {
-	lineAddr uint32
-	data     [LineSize]byte
-}
-
-func collectFlush(flush func(func(uint32, []byte))) []flushed {
-	var out []flushed
-	flush(func(la uint32, data []byte) { out = append(out, flushed{la, [LineSize]byte(data)}) })
-	return out
-}
-
 // scanInput is one seeded run of TestWayHintsMatchLinearScan: a geometry,
 // the address range in multiples of the cache size, the number of
 // operations and the weight of each operation kind.
 type scanInput struct {
-	name                            string
-	size, ways                      int
-	span                            int // address range / cache size
-	ops                             int
-	load, fill, through, update     int
-	invLine, flush, invMPBT, invAll int
-	mpbtPercent                     int // share of fills tagged MPBT
+	name                                 string
+	size, ways                           int
+	span                                 int // address range / cache size
+	ops                                  int
+	load, fill, through, update, invMPBT int
+	mpbtPercent                          int // share of fills tagged MPBT
 }
 
 // TestWayHintsMatchLinearScan drives Cache's packed tag words and the
 // linear-scan model with the same seeded operation sequences — loads, fills
-// (after a miss and as refills in place), both write policies, dirty
-// drains, line/MPBT/full invalidations — and demands the same hit/miss,
-// bytes, victim, drained lines and statistics at every step. The first
-// three inputs spread the operations evenly over eight times the cache, so
-// sets fill up and evict; "three-sets" and "five-sets" take the division
-// fallback of the set selection. The rest concentrate on the state bits:
-// "mixed" interleaves MPBT and write-back dirty lines, "update-flush"
-// drains WriteUpdate's dirty lines, "refill" refills resident (often dirty)
-// lines in place, and "clmpbt" runs CL1INVMB over mixed lines.
+// (after a miss and as refills in place), both write policies and CL1INVMB
+// — and demands the same hit/miss, bytes, victim (a dirty one with its
+// bytes) and statistics at every step. The first three inputs spread the
+// operations evenly over eight times the cache, so sets fill up and evict;
+// "three-sets" and "five-sets" take the division fallback of the set
+// selection. The rest concentrate on the state bits: "mixed" interleaves
+// MPBT and write-back dirty lines, "update-flush" flushes WriteUpdate's
+// dirty lines out as victims, "refill" refills resident (often dirty) lines
+// in place, and "clmpbt" runs CL1INVMB over mixed lines.
 func TestWayHintsMatchLinearScan(t *testing.T) {
 	// The spread-out inputs keep the long-standing mix: of every 2 048
-	// operations 1 024 loads, 256 fills, 256 of each write policy and 192
-	// line invalidations, with one CL1INVMB and one full invalidation, so
-	// sets stay full between clears and every fill past the first few
-	// chooses its victim by LRU; 16 dirty drains ride along.
+	// operations 1 024 loads, 256 fills and 256 of each write policy, with
+	// one CL1INVMB, so sets stay full between clears and every fill past
+	// the first few chooses its victim by LRU.
 	even := func(name string, size, ways int) scanInput {
 		return scanInput{name: name, size: size, ways: ways, span: 8, ops: 200_000,
-			load: 1024, fill: 256, through: 256, update: 256, invLine: 192, flush: 16, invMPBT: 1, invAll: 1, mpbtPercent: 50}
+			load: 1024, fill: 256, through: 256, update: 256, invMPBT: 1, mpbtPercent: 50}
 	}
 	for _, in := range []scanInput{
 		even("2-way", 1024, 2),
 		even("4-way", 4096, 4),
 		even("three-sets", 3*8*LineSize, 8),
 		{name: "mixed", size: 4096, ways: 4, span: 2, ops: 100_000,
-			load: 8, fill: 8, through: 4, update: 8, invLine: 1, flush: 2, invMPBT: 2, mpbtPercent: 50},
+			load: 8, fill: 8, through: 4, update: 8, invMPBT: 2, mpbtPercent: 50},
 		{name: "update-flush", size: 2048, ways: 4, span: 2, ops: 100_000,
-			load: 4, fill: 6, update: 12, flush: 4, mpbtPercent: 10},
+			load: 4, fill: 6, update: 12, invMPBT: 1, mpbtPercent: 10},
 		{name: "refill", size: 1024, ways: 4, span: 2, ops: 100_000,
-			load: 4, fill: 12, update: 8, flush: 1, invLine: 1, mpbtPercent: 30},
+			load: 4, fill: 12, update: 8, invMPBT: 1, mpbtPercent: 30},
 		{name: "clmpbt", size: 4096, ways: 4, span: 2, ops: 100_000,
-			load: 8, fill: 8, through: 4, update: 4, invMPBT: 3, flush: 1, mpbtPercent: 60},
+			load: 8, fill: 8, through: 4, update: 4, invMPBT: 3, mpbtPercent: 60},
 		{name: "five-sets", size: 5 * 4 * LineSize, ways: 4, span: 4, ops: 100_000,
-			load: 8, fill: 8, through: 2, update: 6, invLine: 2, flush: 2, invMPBT: 2, invAll: 1, mpbtPercent: 50},
+			load: 8, fill: 8, through: 2, update: 6, invMPBT: 2, mpbtPercent: 50},
 	} {
 		t.Run(in.name, func(t *testing.T) { runScanInput(t, in) })
 	}
@@ -583,12 +550,12 @@ func runScanInput(t *testing.T, in scanInput) {
 	m := newScanCache(in.size, in.ways)
 	rng := rand.New(rand.NewSource(int64(in.size*in.ways + in.span)))
 	lines := uint32(in.span * in.size / LineSize)
-	weights := []int{in.load, in.fill, in.through, in.update, in.invLine, in.flush, in.invMPBT, in.invAll}
+	weights := []int{in.load, in.fill, in.through, in.update, in.invMPBT}
 	total := 0
 	for _, w := range weights {
 		total += w
 	}
-	var refills, dirtyRefills, mpbtDrops, drained int
+	var refills, dirtyRefills, dirtyVictims, mpbtDrops int
 	for op := 0; op < in.ops; op++ {
 		la := uint32(rng.Intn(int(lines))) * LineSize
 		n := 1 << rng.Intn(4) // 1, 2, 4 or 8 bytes, aligned: never crosses a line
@@ -620,8 +587,12 @@ func runScanInput(t *testing.T, in scanInput) {
 			var data [LineSize]byte
 			rng.Read(data[:])
 			mpbt := rng.Intn(100) < in.mpbtPercent
-			if v, mv := c.Fill(paddr, data[:], mpbt), m.fill(paddr, data[:], mpbt); v != mv {
+			v, mv := c.Fill(paddr, data[:], mpbt), m.fill(paddr, data[:], mpbt)
+			if v != mv {
 				t.Fatalf("op %d: Fill(%#x) displaced %+v, model %+v", op, paddr, v, mv)
+			}
+			if mv.Dirty {
+				dirtyVictims++
 			}
 		case 2:
 			if hit, mhit := c.WriteThrough(paddr, word[:n]), m.write(paddr, word[:n], false); hit != mhit {
@@ -632,27 +603,10 @@ func runScanInput(t *testing.T, in scanInput) {
 				t.Fatalf("op %d: WriteUpdate(%#x) = %v, model %v", op, paddr, hit, mhit)
 			}
 		case 4:
-			c.InvalidateLine(paddr)
-			m.invalidate(func(l *scanLine) bool { return l.tag == la })
-		case 5:
-			got, want := collectFlush(c.FlushDirty), collectFlush(m.flush)
-			if len(got) != len(want) {
-				t.Fatalf("op %d: FlushDirty drained %d lines, model %d", op, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("op %d: FlushDirty line %d = %+v, model %+v", op, i, got[i], want[i])
-				}
-			}
-			drained += len(got)
-		case 6:
 			before := m.stats.Invalidates
 			c.InvalidateMPBT()
-			m.invalidate(func(l *scanLine) bool { return l.mpbt })
+			m.invalidateMPBT()
 			mpbtDrops += int(m.stats.Invalidates - before)
-		case 7:
-			c.InvalidateAll()
-			m.invalidate(func(*scanLine) bool { return true })
 		}
 		if c.Stats() != m.stats {
 			t.Fatalf("op %d: stats %+v, model %+v", op, c.Stats(), m.stats)
@@ -663,17 +617,16 @@ func runScanInput(t *testing.T, in scanInput) {
 			t.Fatalf("line %#x resident %v, model %v", la, c.Contains(la), m.find(la) != nil)
 		}
 	}
-	if c.ValidLines() != m.validLines() {
-		t.Fatalf("%d valid lines, model %d", c.ValidLines(), m.validLines())
+	if n := validLines(c); n != m.validLines() {
+		t.Fatalf("%d valid lines, model %d", n, m.validLines())
 	}
 	// An eviction is an LRU choice among a full set's valid ways; every
 	// input must make one at least once in 32 operations, so frequent
 	// invalidations cannot leave the victim choice nearly untested.
-	if s := c.Stats(); s.Evictions < uint64(in.ops/32) || s.Hits == 0 || s.Invalidates == 0 && in.invLine+in.invMPBT+in.invAll > 0 ||
-		s.WriteHits == 0 || refills == 0 ||
-		in.update > 0 && (drained == 0 && in.flush > 0 || dirtyRefills == 0) ||
-		in.invMPBT > 0 && mpbtDrops == 0 {
-		t.Fatalf("the sequence missed a path: %+v, %d refills (%d dirty), %d drained, %d CL1INVMB drops",
-			s, refills, dirtyRefills, drained, mpbtDrops)
+	if s := c.Stats(); s.Evictions < uint64(in.ops/32) || s.Hits == 0 || s.WriteHits == 0 || refills == 0 ||
+		in.update > 0 && (dirtyVictims == 0 || dirtyRefills == 0) ||
+		in.invMPBT > 0 && (s.Invalidates == 0 || mpbtDrops == 0) {
+		t.Fatalf("the sequence missed a path: %+v, %d refills (%d dirty), %d dirty victims, %d CL1INVMB drops",
+			s, refills, dirtyRefills, dirtyVictims, mpbtDrops)
 	}
 }

@@ -39,12 +39,6 @@ func NewWCB() *WCB { return &WCB{} }
 // Stats returns a snapshot of the counters.
 func (w *WCB) Stats() WCBStats { return w.stats }
 
-// ResetStats clears the counters.
-func (w *WCB) ResetStats() { w.stats = WCBStats{} }
-
-// Valid reports whether the buffer holds pending bytes.
-func (w *WCB) Valid() bool { return w.valid }
-
 // Write merges a store into the buffer. If the store touches a different
 // line than the one currently buffered, the old line is returned for the
 // caller to write to memory (one transaction). The store must not cross a

@@ -48,7 +48,7 @@ func (o *scanOracle) serviceAll(k *Kernel) bool {
 			prof.Exit(k.id, c.Now())
 			continue
 		}
-		if msg, ok, _ := k.cluster.mb.Take(k.id, m); ok {
+		if msg, ok := k.cluster.mb.Take(k.id, m); ok {
 			k.dispatch(msg)
 			progress = true
 		}

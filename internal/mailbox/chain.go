@@ -2,7 +2,6 @@ package mailbox
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"metalsvm/internal/faults"
 	"metalsvm/internal/phys"
@@ -20,9 +19,9 @@ type mailer struct {
 	s        *System
 	core     int
 	phase    chainPhase
-	take     bool   // receive: take the mail the probes find
 	hardened bool   // the frame's protocol
 	ok       bool   // receive: a fresh mail was taken
+	discard  bool   // receive: the frame was malformed and dropped
 	typ      byte   // send: the mail's type
 	ack      uint16 // receive: the release write's acknowledgement
 	senders  []int  // receive: the slots to probe
@@ -32,7 +31,6 @@ type mailer struct {
 	now      sim.Time
 	charge   sim.Charge // the MPB access or IPI raise in flight
 	line     [phys.CacheLine]byte
-	err      error                             // receive: the frame's *FrameError
 	step     func() (sim.Duration, bool, bool) // next, bound once
 	free     *mailer                           // the next free record
 }
@@ -69,9 +67,6 @@ func (m *mailer) next() (sim.Duration, bool, bool) {
 	case scanPeek:
 		s.stats.Checks++
 		if ch.MPB().Byte(m.core, slotOff(m.senders[m.i])) != 0 {
-			if !m.take {
-				return 0, false, true // Take exits the context
-			}
 			return m.access(m.core, takeCheck)
 		}
 		s.prof.Exit(m.core, ch.Core(m.core).Now())
@@ -88,7 +83,7 @@ func (m *mailer) next() (sim.Duration, bool, bool) {
 		}
 		ch.MPB().Write(m.core, slotOff(sender), ack[:])
 		now := ch.Core(m.core).Now()
-		if m.err == nil || !m.hardened {
+		if !m.discard || !m.hardened {
 			if m.ok { // the caller copies the payload out of the line
 				s.stats.Recvs++
 				ch.Tracer().Emit(now, m.core, trace.KindMailRecv, uint64(sender), uint64(m.line[1]))
@@ -179,11 +174,10 @@ func (m *mailer) check() (sim.Duration, bool, bool) {
 		// A frame this long cannot have been sent; drop it rather than read
 		// out of bounds.
 		s.stats.ShortFrames++
-		m.err = &FrameError{Receiver: r, Sender: sender, Len: n,
-			Reason: fmt.Sprintf("length exceeds capacity %d", capacity)}
+		m.discard = true
 	case m.hardened && binary.LittleEndian.Uint16(m.line[6:]) != frameSum(&m.line):
 		s.stats.CorruptDrops++
-		m.err = &FrameError{Receiver: r, Sender: sender, Len: n, Reason: "checksum mismatch"}
+		m.discard = true
 	case m.hardened && !seqAfter(seq, s.lastRecv[p]):
 		// Stale duplicate redelivery: drop it, re-acknowledge, and hand the
 		// slot back to the sender.

@@ -2,7 +2,6 @@ package mailbox
 
 import (
 	"encoding/binary"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +17,7 @@ import (
 
 // --- The step chains against the goroutine code they replace ---
 //
-// Send, Take, Receive and ScanTake run as sim.Proc.Spin step chains. Below,
+// Send, Check, ScanTake and Take run as sim.Proc.Spin step chains. Below,
 // the same operations are written out as the goroutine sequences they are
 // defined as: every charged access a literal Sync, Advance, Sync, the IPI
 // raise likewise. A scenario runs once with each form and must produce the
@@ -143,7 +142,7 @@ func literalDeposit(s *System, from, to, off int, wire [phys.CacheLine]byte) {
 }
 
 // literalProbe is one slot check, written out; it reports a full slot,
-// leaving the profiler context for Take to exit.
+// leaving the profiler context for the take to exit.
 func literalProbe(s *System, receiver, sender int) bool {
 	s.checkPair(receiver, sender)
 	c := s.chip.Core(receiver)
@@ -159,7 +158,7 @@ func literalProbe(s *System, receiver, sender int) bool {
 }
 
 // literalTake is Take as goroutine code.
-func literalTake(s *System, receiver, sender int) (Msg, bool, error) {
+func literalTake(s *System, receiver, sender int) (Msg, bool) {
 	core := s.chip.Core(receiver)
 	defer func() { s.prof.Exit(receiver, core.Now()) }()
 	off := slotOff(sender)
@@ -167,23 +166,21 @@ func literalTake(s *System, receiver, sender int) (Msg, bool, error) {
 	access(s.chip, receiver, receiver)
 	s.chip.MPB().Read(receiver, off, line[:])
 	if line[0] == 0 {
-		return Msg{}, false, nil
+		return Msg{}, false
 	}
 	hardened := s.chip.FaultsHardened()
 	hdr, capacity := frameLayout(hardened)
 	p := s.pair(receiver, sender)
 	n := int(binary.LittleEndian.Uint16(line[2:]))
 	seq := binary.LittleEndian.Uint16(line[4:])
-	var err error
-	fresh := false
+	discard, fresh := false, false
 	switch {
 	case n > capacity:
 		s.stats.ShortFrames++
-		err = &FrameError{Receiver: receiver, Sender: sender, Len: n,
-			Reason: fmt.Sprintf("length exceeds capacity %d", capacity)}
+		discard = true
 	case hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
 		s.stats.CorruptDrops++
-		err = &FrameError{Receiver: receiver, Sender: sender, Len: n, Reason: "checksum mismatch"}
+		discard = true
 	case hardened && !seqAfter(seq, s.lastRecv[p]):
 		s.stats.DupFrames++
 	default:
@@ -198,8 +195,8 @@ func literalTake(s *System, receiver, sender int) (Msg, bool, error) {
 	}
 	access(s.chip, receiver, receiver)
 	s.chip.MPB().Write(receiver, off, ack[:])
-	if err != nil && hardened {
-		return Msg{}, false, err
+	if discard && hardened {
+		return Msg{}, false
 	}
 	var msg Msg
 	if fresh {
@@ -209,51 +206,54 @@ func literalTake(s *System, receiver, sender int) (Msg, bool, error) {
 		copy(msg.Payload[:], line[hdr:hdr+n])
 	}
 	s.freeSignal(p).Fire(core.Now())
-	return msg, fresh, err
+	return msg, fresh
 }
 
 // mailOps is one form of the operations a scenario runs.
 type mailOps struct {
 	send    func(s *System, from, to int, typ byte, payload []byte)
-	receive func(s *System, receiver, sender int) (Msg, bool, error)
+	receive func(s *System, receiver, sender int) (Msg, bool)
 	// next consumes the first mail in senders[from:], skipping skip, and
 	// returns its index (len(senders) when there is none).
 	next func(s *System, receiver int, senders []int, from, skip int) (int, Msg, bool)
 }
 
+// chainOps runs the chains. Odd receivers probe with the written-out
+// loop and take with the chain, as the kernel's scan oracle does.
 var chainOps = mailOps{
 	send:    (*System).Send,
-	receive: (*System).Receive,
+	receive: (*System).Check,
 	next: func(s *System, r int, senders []int, from, skip int) (int, Msg, bool) {
 		if r%2 == 0 {
 			return s.ScanTake(r, senders, from, skip)
 		}
-		i := s.Scan(r, senders, from, skip)
-		if i == len(senders) {
-			return i, Msg{}, false
-		}
-		msg, ok, _ := s.Take(r, senders[i])
-		return i, msg, ok
+		return literalNext(s, r, senders, from, skip, (*System).Take)
 	},
 }
 
 var literalOps = mailOps{
 	send: literalSend,
-	receive: func(s *System, r, sender int) (Msg, bool, error) {
+	receive: func(s *System, r, sender int) (Msg, bool) {
 		if !literalProbe(s, r, sender) {
-			return Msg{}, false, nil
+			return Msg{}, false
 		}
 		return literalTake(s, r, sender)
 	},
 	next: func(s *System, r int, senders []int, from, skip int) (int, Msg, bool) {
-		for i := from; i < len(senders); i++ {
-			if senders[i] != skip && literalProbe(s, r, senders[i]) {
-				msg, ok, _ := literalTake(s, r, senders[i])
-				return i, msg, ok
-			}
-		}
-		return len(senders), Msg{}, false
+		return literalNext(s, r, senders, from, skip, literalTake)
 	},
+}
+
+// literalNext probes senders[from:], skipping skip, with the written-out
+// loop and consumes the first full slot with take.
+func literalNext(s *System, r int, senders []int, from, skip int, take func(s *System, receiver, sender int) (Msg, bool)) (int, Msg, bool) {
+	for i := from; i < len(senders); i++ {
+		if senders[i] != skip && literalProbe(s, r, senders[i]) {
+			msg, ok := take(s, r, senders[i])
+			return i, msg, ok
+		}
+	}
+	return len(senders), Msg{}, false
 }
 
 // chainOutcome is everything a scenario may move.
@@ -270,7 +270,7 @@ type chainOutcome struct {
 
 // runChainScenario runs six cores that request from each other round after
 // round, like kernels: requests are answered from the IPI handler (with a
-// Receive per raising core), from a 15 µs timer tick's drain or from the
+// Check per raising core), from a 15 µs timer tick's drain or from the
 // main loop's (the next op); replies are sent from handlers while the outer
 // operation may be mid-chain or blocked, and a hardened blocked sender
 // drains its inbox. A non-nil spec runs the hardened protocols under it.
@@ -341,7 +341,7 @@ func runChainScenario(t *testing.T, ops mailOps, mode Mode, spec *faults.Spec) c
 				}
 				claimed = ch.GIC().ClaimAll(id, claimed[:0])
 				for _, from := range claimed {
-					if m, ok, _ := ops.receive(mb, id, from); ok {
+					if m, ok := ops.receive(mb, id, from); ok {
 						handle(c, m)
 					}
 				}
@@ -405,7 +405,7 @@ func runChainScenario(t *testing.T, ops mailOps, mode Mode, spec *faults.Spec) c
 	return o
 }
 
-// TestChainsMatchGoroutineCode: Send, Take, Receive and ScanTake as step
+// TestChainsMatchGoroutineCode: Send, Check, ScanTake and Take as step
 // chains produce what the goroutine sequences produce, on a plain machine
 // in both modes and under a hardened schedule that drops, duplicates,
 // corrupts and delays mail, drops IPIs and stalls cores; only who runs the

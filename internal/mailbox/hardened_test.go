@@ -2,7 +2,6 @@ package mailbox
 
 import (
 	"encoding/binary"
-	"errors"
 	"testing"
 
 	"metalsvm/internal/cpu"
@@ -20,53 +19,22 @@ func hardenedChip(t *testing.T, seed uint64, spec faults.Spec) (*sim.Engine, *sc
 	return eng, ch
 }
 
-// TestFrameErrorFormat pins the diagnostic string: harness logs grep for
-// the "from <sender> to <receiver>" order, so it is part of the contract.
-func TestFrameErrorFormat(t *testing.T) {
-	err := &FrameError{Receiver: 3, Sender: 7, Len: 99, Reason: "checksum mismatch"}
-	const want = "mailbox: bad frame from 7 to 3 (len 99): checksum mismatch"
-	if got := err.Error(); got != want {
-		t.Fatalf("Error() = %q, want %q", got, want)
-	}
-	var e error = err
-	if e.Error() != want {
-		t.Fatal("Error() via the error interface diverges")
-	}
-}
-
 // TestTruncatedFrameIsError is the regression test for the length check: a
-// frame claiming an impossible payload length must surface as a *FrameError,
-// not a panic or an out-of-bounds read.
+// frame claiming an impossible payload length is dropped and counted as a
+// short frame, not a panic or an out-of-bounds read, and its slot is freed.
 func TestTruncatedFrameIsError(t *testing.T) {
-	eng, ch := newChip(t)
-	mb := New(ch, ModePolling)
-	// Forge a frame in core 0's receive slot for sender 1 whose length field
-	// exceeds the line's capacity (a truncated/garbled deposit).
 	var line [phys.CacheLine]byte
-	line[0] = 1
 	line[1] = 7
 	binary.LittleEndian.PutUint16(line[2:], uint16(PayloadSize+3))
-	ch.MPB().Write(0, slotOff(1), line[:])
-	var msg Msg
-	var ok bool
-	var err error
-	ch.Boot(0, func(c *cpu.Core) {
-		msg, ok, err = mb.Receive(0, 1)
-	})
-	eng.Run()
-	eng.Shutdown()
+	msg, ok, mb := receiveForged(t, line, false)
 	if ok {
 		t.Fatalf("truncated frame consumed as mail: %+v", msg)
 	}
-	var fe *FrameError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FrameError", err)
+	if st := mb.Stats(); st.ShortFrames != 1 || st.Recvs != 0 {
+		t.Fatalf("stats %+v, want one short frame and no receive", st)
 	}
-	if fe.Sender != 1 || fe.Receiver != 0 || fe.Len != PayloadSize+3 {
-		t.Fatalf("FrameError = %+v", fe)
-	}
-	if mb.Stats().ShortFrames != 1 {
-		t.Fatalf("ShortFrames = %d", mb.Stats().ShortFrames)
+	if mb.chip.MPB().Byte(1, slotOff(0)) != 0 {
+		t.Fatal("the slot is still full after the drop")
 	}
 }
 
@@ -74,28 +42,36 @@ func TestTruncatedFrameIsError(t *testing.T) {
 // discards a bad-length frame without advancing its acknowledgement, so the
 // sender's retransmission timer still owns recovery.
 func TestHardenedTruncatedFrameHeldForRetransmit(t *testing.T) {
-	eng, ch := hardenedChip(t, 1, faults.Spec{})
-	mb := New(ch, ModePolling)
 	var line [phys.CacheLine]byte
-	line[0] = 1
 	binary.LittleEndian.PutUint16(line[2:], uint16(HardenedPayloadSize+1))
-	ch.MPB().Write(0, slotOff(1), line[:])
-	var err error
-	ch.Boot(0, func(c *cpu.Core) {
-		_, _, err = mb.Receive(0, 1)
-	})
-	eng.Run()
-	eng.Shutdown()
-	var fe *FrameError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FrameError", err)
+	checkHeldForRetransmit(t, line, func(st Stats) uint64 { return st.ShortFrames })
+}
+
+// TestHardenedBadChecksumHeldForRetransmit: a frame whose checksum does not
+// match is discarded and counted as corrupt the same way.
+func TestHardenedBadChecksumHeldForRetransmit(t *testing.T) {
+	var line [phys.CacheLine]byte
+	line[0], line[1] = 1, 7
+	binary.LittleEndian.PutUint16(line[2:], 4)
+	binary.LittleEndian.PutUint16(line[4:], 1) // the first sequence number
+	binary.LittleEndian.PutUint16(line[6:], frameSum(&line)+1)
+	checkHeldForRetransmit(t, line, func(st Stats) uint64 { return st.CorruptDrops })
+}
+
+// checkHeldForRetransmit has a hardened receiver Check the forged line and
+// demands a drop that count sees once, no receive, and a freed slot whose
+// acknowledgement is still 0.
+func checkHeldForRetransmit(t *testing.T, line [phys.CacheLine]byte, count func(Stats) uint64) {
+	t.Helper()
+	msg, ok, mb := receiveForged(t, line, true)
+	if ok {
+		t.Fatalf("discarded frame consumed as mail: %+v", msg)
 	}
-	if mb.Stats().ShortFrames != 1 {
-		t.Fatalf("ShortFrames = %d", mb.Stats().ShortFrames)
+	if st := mb.Stats(); count(st) != 1 || st.Recvs != 0 {
+		t.Fatalf("stats %+v, want the drop counted once and no receive", st)
 	}
-	// The slot must be freed (flag clear) but the ack left at 0.
 	var hdr [8]byte
-	ch.MPB().Read(0, slotOff(1), hdr[:])
+	mb.chip.MPB().Read(1, slotOff(0), hdr[:])
 	if hdr[0] != 0 || binary.LittleEndian.Uint16(hdr[4:]) != 0 {
 		t.Fatalf("slot header after discard = %v", hdr)
 	}

@@ -23,15 +23,15 @@
 //
 // # Hardened steps
 //
-// There is one protocol: Send is one probe-deposit-notify loop and Receive
-// one read-validate-release path. When the chip runs hardened
-// (scc.Chip.FaultsHardened), steps inside them change: the frame also
-// carries a per-pair sequence number and a checksum; the receiver's flag
-// clear also publishes the last in-order sequence it consumed, a cumulative
-// acknowledgement; the sender's probe also requires its previous mail
-// acknowledged; and the sender keeps that mail buffered and retransmits it
-// on a simulated-time timeout with exponential backoff. Every fault then
-// recovers:
+// There is one protocol: Send is one probe-deposit-notify loop and the
+// receive chain (Check, ScanTake, Take) one read-validate-release path.
+// When the chip runs hardened (scc.Chip.FaultsHardened), steps inside them
+// change: the frame also carries a per-pair sequence number and a checksum;
+// the receiver's flag clear also publishes the last in-order sequence it
+// consumed, a cumulative acknowledgement; the sender's probe also requires
+// its previous mail acknowledged; and the sender keeps that mail buffered
+// and retransmits it on a simulated-time timeout with exponential backoff.
+// Every fault then recovers:
 //
 //   - drop: the flag never lands; the retransmission timer redeposits.
 //   - corruption: the receiver's checksum fails; it frees the slot without
@@ -116,23 +116,6 @@ func (m *Msg) U32(i int) uint32 {
 // PutU32 writes the i-th little-endian uint32 into a payload buffer.
 func PutU32(p []byte, i int, v uint32) {
 	binary.LittleEndian.PutUint32(p[4*i:], v)
-}
-
-// FrameError reports a malformed receive frame (impossible length or, in
-// hardened mode, a checksum mismatch). The frame is discarded; in hardened
-// mode the sender's retransmission recovers it, in plain mode it is lost.
-type FrameError struct {
-	Receiver int
-	Sender   int
-	// Len is the frame's claimed payload length.
-	Len int
-	// Reason describes the validation failure.
-	Reason string
-}
-
-func (e *FrameError) Error() string {
-	return fmt.Sprintf("mailbox: bad frame from %d to %d (len %d): %s",
-		e.Sender, e.Receiver, e.Len, e.Reason)
 }
 
 // Stats counts mailbox events.
@@ -476,50 +459,36 @@ func (r *retx) fire() {
 	r.rearm()
 }
 
-// Receive inspects one receive slot on behalf of the receiver, consuming
-// and returning the mail if present: one-slot ScanTake, which reports a
-// discarded malformed frame as a *FrameError.
-func (s *System) Receive(receiver, sender int) (Msg, bool, error) {
-	_, msg, ok, err := s.receive(receiver, nil, sender, 0, -1, scanEnter, true)
-	return msg, ok, err
-}
-
 // Check inspects one receive slot, consuming and returning the mail if
-// present; malformed frames read as no mail (Receive reports them).
+// present: one-slot ScanTake. A malformed frame reads as no mail; it is
+// counted (ShortFrames, CorruptDrops) and dropped.
 func (s *System) Check(receiver, sender int) (Msg, bool) {
-	msg, ok, _ := s.Receive(receiver, sender)
+	_, msg, ok := s.receive(receiver, nil, sender, 0, -1, scanEnter)
 	return msg, ok
 }
 
-// Scan probes the receiver's slots for senders[from:], in order and
-// skipping the core skip, at the paper's ~100 cycles a probe (steps the
-// engine runs in place). It returns the index of the first slot that holds
-// mail, which the caller consumes with Take, or len(senders) when none does.
-func (s *System) Scan(receiver int, senders []int, from, skip int) int {
-	i, _, _, _ := s.receive(receiver, senders, -1, from, skip, scanEnter, false)
-	return i
-}
-
-// ScanTake is Scan and then Take of the slot it finds, as one step chain;
-// malformed frames read as no mail.
+// ScanTake probes the receiver's slots for senders[from:], in order and
+// skipping the core skip, at the paper's ~100 cycles a probe, and consumes
+// the mail in the first full slot, as one step chain the engine runs in
+// place. It returns that slot's index, or len(senders) when none holds
+// mail; malformed frames read as no mail.
 func (s *System) ScanTake(receiver int, senders []int, from, skip int) (int, Msg, bool) {
-	i, msg, ok, _ := s.receive(receiver, senders, -1, from, skip, scanEnter, true)
-	return i, msg, ok
+	return s.receive(receiver, senders, -1, from, skip, scanEnter)
 }
 
-// Take consumes the mail Scan has just found in the receiver's slot for
-// sender: line read, frame checks, flag clear, the sender's wake-up. A
-// malformed frame is discarded and reported as a *FrameError.
-func (s *System) Take(receiver, sender int) (Msg, bool, error) {
-	_, msg, ok, err := s.receive(receiver, nil, sender, 0, -1, takeRead, true)
-	return msg, ok, err
+// Take consumes the mail the caller's own probe has just found in the
+// receiver's slot for sender: line read, frame checks, flag clear, the
+// sender's wake-up. A malformed frame reads as no mail.
+func (s *System) Take(receiver, sender int) (Msg, bool) {
+	_, msg, ok := s.receive(receiver, nil, sender, 0, -1, takeRead)
+	return msg, ok
 }
 
 // receive runs the receiver's chain from phase over senders, or the one
-// slot sender if it is not negative; take goes on from a found slot.
-func (s *System) receive(receiver int, senders []int, sender, from, skip int, phase chainPhase, take bool) (int, Msg, bool, error) {
+// slot sender if it is not negative.
+func (s *System) receive(receiver int, senders []int, sender, from, skip int, phase chainPhase) (int, Msg, bool) {
 	m := s.mailer(receiver)
-	*m = mailer{s: s, core: receiver, step: m.step, senders: senders, skip: skip, i: from, phase: phase, take: take}
+	*m = mailer{s: s, core: receiver, step: m.step, senders: senders, skip: skip, i: from, phase: phase}
 	if sender >= 0 {
 		m.one[0] = sender
 		m.senders = m.one[:]
@@ -533,7 +502,7 @@ func (s *System) receive(receiver int, senders []int, sender, from, skip int, ph
 		copy(msg.Payload[:], m.line[hdr:hdr+n])
 	}
 	m.free, s.mailers[receiver] = s.mailers[receiver], m
-	return m.i, msg, m.ok, m.err
+	return m.i, msg, m.ok
 }
 
 // mailer takes a chain record for an operation on core off its free list;

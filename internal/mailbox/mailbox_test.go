@@ -140,8 +140,8 @@ func TestPlainRoundAllocatesNothing(t *testing.T) {
 }
 
 // TestMailConsumedDuringLineReadDeliveredOnce posts an interrupt that lands
-// inside Receive's line read, after the flag peek: the handler consumes the
-// same slot, so the outer Receive finds the flag cleared under it and must
+// inside Check's line read, after the flag peek: the handler consumes the
+// same slot, so the outer Check finds the flag cleared under it and must
 // report no mail rather than deliver the stale line a second time.
 func TestMailConsumedDuringLineReadDeliveredOnce(t *testing.T) {
 	eng, ch := newChip(t)
@@ -160,7 +160,7 @@ func TestMailConsumedDuringLineReadDeliveredOnce(t *testing.T) {
 			mb.WaitAnySignal(1).Wait(c.Proc())
 		}
 		c.Sync()
-		// Receive's own Sync runs in step at this time; the check cost
+		// Check's own Sync runs in step at this time; the check cost
 		// then carries the clock past the interrupt, so it is delivered
 		// at the line read's first sync point.
 		at := c.Now() + 1

@@ -3,7 +3,6 @@ package mailbox
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"testing"
 
 	"metalsvm/internal/cpu"
@@ -13,9 +12,9 @@ import (
 	"metalsvm/internal/sim"
 )
 
-// TestScanAllocatesNothing: once a receiver has scanned, a scan over eight
-// slots that skips the receiver's own, finds one mail, takes it and scans
-// on to the end allocates nothing, and its empty probes run in place (the
+// TestScanAllocatesNothing: once a receiver has scanned, a ScanTake round
+// over eight slots that skips the receiver's own, finds one mail, takes it
+// and scans on to the end allocates nothing, and its empty probes run in place (the
 // sender keeps syncing meanwhile, so the probes park rather than run
 // through).
 func TestScanAllocatesNothing(t *testing.T) {
@@ -40,10 +39,11 @@ func TestScanAllocatesNothing(t *testing.T) {
 			seq := sig.Seq()
 			got := false
 			for i := 0; ; i++ {
-				if i = mb.Scan(30, senders, i, 30); i == len(senders) {
+				var ok bool
+				if i, _, ok = mb.ScanTake(30, senders, i, 30); i == len(senders) {
 					break
 				}
-				if _, ok, _ := mb.Take(30, senders[i]); ok {
+				if ok {
 					received++
 					got = true
 				}
@@ -70,57 +70,72 @@ func TestScanAllocatesNothing(t *testing.T) {
 	}
 }
 
+// receiveForged puts line, its flag forced set, in core 1's receive slot
+// for core 0 on a two-core chip, plain or hardened, and has core 1 Check
+// the slot.
+func receiveForged(t *testing.T, line [phys.CacheLine]byte, hardened bool) (Msg, bool, *System) {
+	t.Helper()
+	line[0] = 1
+	eng := sim.NewEngine()
+	ch, err := scc.New(eng, scc.Grid(1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hardened {
+		ch.SetFaultInjector(faults.NewInjector(faults.Config{}), true)
+	}
+	mb := New(ch, ModePolling)
+	ch.MPB().Write(1, slotOff(0), line[:])
+	var msg Msg
+	var ok bool
+	ch.Boot(1, func(c *cpu.Core) { msg, ok = mb.Check(1, 0) })
+	eng.Run()
+	eng.Shutdown()
+	return msg, ok, mb
+}
+
 // FuzzFrame checks the receive path's frame decoder on arbitrary lines: the
 // first 32 bytes of raw, flag forced set, sit in core 1's slot for core 0
-// and core 1 receives them, plain or hardened. Receive never panics; a
-// delivered mail has no error, a length within the frame's capacity, the
-// line's type and payload, and, hardened, a matching checksum; a refused
-// frame's error is a *FrameError; and the slot is free afterwards. The seed
+// and core 1 Checks them, plain or hardened. Check never panics; a
+// delivered mail is counted as a receive and nothing else, and has a length
+// within the frame's capacity, the line's type and payload, and, hardened, a
+// matching checksum; a refused frame is counted as exactly one short,
+// corrupt or duplicate frame, short when it is over-long and corrupt when
+// only its checksum is wrong; and the slot is free afterwards. The seed
 // corpus in testdata/fuzz holds a clean frame of each kind, an over-long
 // frame, a bad checksum and a stale sequence number.
 func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, hardened bool) {
 		var line [phys.CacheLine]byte
 		copy(line[:], raw)
-		if line[0] == 0 {
-			line[0] = 1
-		}
-		eng := sim.NewEngine()
-		ch, err := scc.New(eng, scc.Grid(1, 1, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hardened {
-			ch.SetFaultInjector(faults.NewInjector(faults.Config{}), true)
-		}
-		mb := New(ch, ModePolling)
-		ch.MPB().Write(1, slotOff(0), line[:])
-		var msg Msg
-		var ok bool
-		var rerr error
-		ch.Boot(1, func(c *cpu.Core) { msg, ok, rerr = mb.Receive(1, 0) })
-		eng.Run()
-		eng.Shutdown()
+		msg, ok, mb := receiveForged(t, line, hardened)
+		line[0] = 1
 
 		hdr, capacity := frameLayout(hardened)
 		n := int(binary.LittleEndian.Uint16(line[2:]))
-		var fe *FrameError
+		badSum := hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line)
+		st := mb.Stats()
+		drops := st.ShortFrames + st.CorruptDrops + st.DupFrames
 		switch {
-		case ok && rerr != nil:
-			t.Fatalf("delivered with error %v", rerr)
+		case ok && (drops != 0 || st.Recvs != 1):
+			t.Fatalf("delivered, but counted %+v", st)
+		case !ok && (drops != 1 || st.Recvs != 0):
+			t.Fatalf("refused, but counted %+v", st)
 		case ok && n > capacity:
 			t.Fatalf("delivered a %d-byte payload, capacity %d", n, capacity)
-		case ok && hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
+		case ok && badSum:
 			t.Fatal("delivered a hardened frame whose checksum does not match")
 		case ok && (msg.From != 0 || msg.Type != line[1] ||
 			!bytes.Equal(msg.Payload[:n], line[hdr:hdr+n]) ||
 			!bytes.Equal(msg.Payload[n:], make([]byte, PayloadSize-n))):
 			t.Fatalf("delivered %+v from line %x", msg, line)
-		case rerr != nil && !errors.As(rerr, &fe):
-			t.Fatalf("error %v is not a *FrameError", rerr)
+		case n > capacity && st.ShortFrames != 1:
+			t.Fatalf("an over-long frame was not counted short: %+v", st)
+		case n <= capacity && badSum && st.CorruptDrops != 1:
+			t.Fatalf("a bad checksum was not counted corrupt: %+v", st)
 		}
-		if ch.MPB().Byte(1, slotOff(0)) != 0 {
-			t.Fatal("the slot is still full after Receive")
+		if mb.chip.MPB().Byte(1, slotOff(0)) != 0 {
+			t.Fatal("the slot is still full after Check")
 		}
 	})
 }

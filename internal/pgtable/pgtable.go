@@ -107,8 +107,6 @@ type Table struct {
 	// having to know about them.
 	version uint64
 
-	mapped int
-
 	// events receives a KindMap for every entry installed where there was
 	// none and a KindUnmap for every entry removed, as core's and stamped
 	// by now (see Observe).
@@ -130,9 +128,6 @@ func (t *Table) Version() uint64 { return t.version }
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
-
-// Mapped returns the number of present entries.
-func (t *Table) Mapped() int { return t.mapped }
 
 func split(vpn uint32) (di, ti uint32) { return vpn >> tableBits, vpn & (tableSize - 1) }
 
@@ -167,11 +162,6 @@ func (t *Table) Map(vaddr, pfn uint32, flags Flags) {
 		tab = new([tableSize]Entry)
 		t.dir[di] = tab
 	}
-	if !tab[ti].Flags.Has(Present) && flags.Has(Present) {
-		t.mapped++
-	} else if tab[ti].Flags.Has(Present) && !flags.Has(Present) {
-		t.mapped--
-	}
 	existed := tab[ti] != (Entry{})
 	tab[ti] = Entry{PFN: pfn, Flags: flags}
 	t.tlbValid = false
@@ -191,9 +181,6 @@ func (t *Table) Unmap(vaddr uint32) {
 	if tab[ti] == (Entry{}) {
 		return
 	}
-	if tab[ti].Flags.Has(Present) {
-		t.mapped--
-	}
 	tab[ti] = Entry{}
 	t.tlbValid = false
 	t.version++
@@ -210,14 +197,7 @@ func (t *Table) Update(vaddr uint32, fn func(*Entry)) {
 	if tab == nil || tab[ti] == (Entry{}) {
 		panic(fmt.Sprintf("pgtable: update of unmapped page %#x", vaddr))
 	}
-	was := tab[ti].Flags.Has(Present)
 	fn(&tab[ti])
-	now := tab[ti].Flags.Has(Present)
-	if was && !now {
-		t.mapped--
-	} else if !was && now {
-		t.mapped++
-	}
 	t.tlbValid = false
 	t.version++
 }

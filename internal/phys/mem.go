@@ -134,14 +134,3 @@ func (m *Mem) ZeroFrame(pfn uint32) {
 		clear(*f)
 	}
 }
-
-// BackedFrames reports how many frames are materialized (test/diagnostics).
-func (m *Mem) BackedFrames() int {
-	n := 0
-	for _, f := range m.frames {
-		if f != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -82,7 +82,7 @@ type Config struct {
 	// SpanCapacity bounds how many non-compute spans are retained for
 	// timeline export. Zero selects DefaultSpanCapacity; negative disables
 	// span recording entirely (the bucket totals are unaffected). When the
-	// capacity is reached the earliest spans are kept and SpansDropped
+	// capacity is reached the earliest spans are kept and Report.SpansDropped
 	// counts the rest — a timeline shows a run's beginning.
 	SpanCapacity int
 }
@@ -259,14 +259,6 @@ func (p *Profiler) Spans() []Span {
 		return nil
 	}
 	return p.spans
-}
-
-// SpansDropped reports how many spans the capacity bound discarded.
-func (p *Profiler) SpansDropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.spansDropped
 }
 
 // CoreReport is one core's breakdown.

@@ -14,7 +14,7 @@ func TestNilProfilerSafe(t *testing.T) {
 	p.Exit(0, 30)
 	p.Stall(0, 5, 1, 40)
 	p.Finish(0, 50)
-	if p.Spans() != nil || p.SpansDropped() != 0 || p.Report() != nil {
+	if p.Spans() != nil || p.Report() != nil {
 		t.Fatal("nil profiler misbehaves")
 	}
 }
@@ -137,8 +137,8 @@ func TestSpanCapacity(t *testing.T) {
 	if len(p.Spans()) != 1 || p.Spans()[0].Bucket != BarrierWait {
 		t.Fatalf("spans = %v", p.Spans())
 	}
-	if p.SpansDropped() != 1 {
-		t.Fatalf("dropped = %d", p.SpansDropped())
+	if p.spansDropped != 1 {
+		t.Fatalf("dropped = %d", p.spansDropped)
 	}
 	if p.Report().SpansDropped != 1 {
 		t.Fatal("report does not carry the drop count")
@@ -149,8 +149,8 @@ func TestSpanCapacity(t *testing.T) {
 	q.Enter(0, BarrierWait, 0)
 	q.Exit(0, 10)
 	q.Finish(0, 10)
-	if len(q.Spans()) != 0 || q.SpansDropped() != 0 {
-		t.Fatalf("spans = %v dropped = %d", q.Spans(), q.SpansDropped())
+	if len(q.Spans()) != 0 || q.spansDropped != 0 {
+		t.Fatalf("spans = %v dropped = %d", q.Spans(), q.spansDropped)
 	}
 	if q.Report().Cores[0].Buckets[BarrierWait] != 10 {
 		t.Fatal("disabling spans lost bucket time")

@@ -15,13 +15,6 @@ func (a vclock) join(b vclock) {
 	}
 }
 
-// clone returns an independent copy.
-func (a vclock) clone() vclock {
-	out := make(vclock, len(a))
-	copy(out, a)
-	return out
-}
-
 // epoch is one core's scalar clock value — the FastTrack compression of a
 // full vector for the common single-accessor case. The zero epoch means
 // "no access recorded" (core clocks start at 1).

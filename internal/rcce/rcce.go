@@ -105,9 +105,6 @@ func (c *Comm) Size() int { return len(c.cores) }
 // CoreOf returns the core running rank r.
 func (c *Comm) CoreOf(r int) int { return c.cores[r] }
 
-// ChunkSize returns the staging slot size (bytes per chunk).
-func (c *Comm) ChunkSize() int { return c.slotSize }
-
 // Stats returns a snapshot of the counters.
 func (c *Comm) Stats() Stats { return c.stats }
 

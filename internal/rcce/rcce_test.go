@@ -65,7 +65,7 @@ func TestSendRecvSmall(t *testing.T) {
 
 func TestSendRecvMultiChunk(t *testing.T) {
 	eng, chip, comm := newComm(t, []int{0, 47})
-	n := comm.ChunkSize()*3 + 123 // force multiple chunks + ragged tail
+	n := comm.slotSize*3 + 123 // force multiple chunks + ragged tail
 	want := pattern(n, 9)
 	got := make([]byte, n)
 	chip.Boot(0, func(c *cpu.Core) { comm.Send(0, want, 1) })
@@ -105,7 +105,7 @@ func TestBidirectionalExchangeWithIsend(t *testing.T) {
 	// The symmetric exchange that deadlocks with blocking sends: both
 	// ranks isend to each other, then wait. iRCCE must complete it.
 	eng, chip, comm := newComm(t, []int{0, 30})
-	n := comm.ChunkSize() + 17
+	n := comm.slotSize + 17
 	a2b, b2a := pattern(n, 5), pattern(n, 11)
 	gotB, gotA := make([]byte, n), make([]byte, n)
 	chip.Boot(0, func(c *cpu.Core) {

@@ -290,7 +290,7 @@ func (p *Proc) syncInPlace(s procState) bool {
 // work, and only then hands the process the baton. A core that keeps losing
 // a test-and-set (scc.Chip.TASSpin) therefore costs no goroutine switch per
 // retry, nor does a kernel per empty mailbox slot it probes, and a charged
-// mail operation (mailbox.System.Send, Take, Receive) costs one switch
+// mail operation (mailbox.System.Send, Check, ScanTake) costs one switch
 // however many Syncs it holds: each is a step chain, a loop that runs once.
 // step may run on any goroutine, always at its own point in the (time, seq)
 // order. Until a Sync parks, the loop runs on the goroutine as written.

@@ -70,8 +70,8 @@ func TestSyncPastLimitParks(t *testing.T) {
 		p.Sync()
 		resumedAt = e.Now()
 	})
-	if end := e.RunUntil(200); end != 0 || e.Pending() != 1 || e.seq != 2 {
-		t.Fatalf("RunUntil(200): end=%d pending=%d seq=%d, want 0, 1, 2", end, e.Pending(), e.seq)
+	if end := e.RunUntil(200); end != 0 || e.queue.len() != 1 || e.seq != 2 {
+		t.Fatalf("RunUntil(200): end=%d pending=%d seq=%d, want 0, 1, 2", end, e.queue.len(), e.seq)
 	}
 	if resumedAt != 0 {
 		t.Fatalf("proc ran past the limit, to %d", resumedAt)
@@ -134,8 +134,8 @@ func TestHaltWithStartAndWakeQueued(t *testing.T) {
 		waiter.Halt()
 	})
 	e.Run()
-	if ran != 0 || e.Pending() != 0 {
-		t.Fatalf("halted procs ran %d times, %d events left", ran, e.Pending())
+	if ran != 0 || e.queue.len() != 0 {
+		t.Fatalf("halted procs ran %d times, %d events left", ran, e.queue.len())
 	}
 	e.Shutdown()
 }

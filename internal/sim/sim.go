@@ -191,9 +191,6 @@ func (e *Engine) handTo(p *Proc) {
 	p.resume <- struct{}{}
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.queue.len() }
-
 // Shutdown terminates all process goroutines that are still parked. It must
 // be called after Run returns when processes may still be blocked (for
 // example an idle loop waiting for mail that will never arrive), otherwise

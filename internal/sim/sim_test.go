@@ -80,8 +80,8 @@ func TestRunUntil(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.queue.len() != 1 {
+		t.Fatalf("pending = %d, want 1", e.queue.len())
 	}
 	e.Run()
 	if fired != 3 {
@@ -755,7 +755,7 @@ func TestGoldenRunUntilBoundary(t *testing.T) {
 			}))
 		}
 		mid := e.RunUntil(1000)
-		rec.note("mid clock=%d pending=%d", mid, e.Pending())
+		rec.note("mid clock=%d pending=%d", mid, e.queue.len())
 		for i, p := range procs {
 			rec.note("mid r%d local=%d", i, p.LocalTime())
 		}

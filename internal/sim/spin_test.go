@@ -294,9 +294,9 @@ func TestSpinMatchesLoop(t *testing.T) {
 				})
 			}
 			e.At(4000, e.Stop)
-			rec.note("until %d pending=%d", e.RunUntil(1500), e.Pending())
+			rec.note("until %d pending=%d", e.RunUntil(1500), e.queue.len())
 			for i := 0; i < 2; i++ {
-				rec.note("stopped at %d pending=%d", e.Run(), e.Pending())
+				rec.note("stopped at %d pending=%d", e.Run(), e.queue.len())
 				e.stopped = false
 			}
 			rec.note("end %d", e.Run())

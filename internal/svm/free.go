@@ -64,15 +64,3 @@ func (h *Handle) Free(base uint32) {
 	}
 	h.groupBarrier()
 }
-
-// LiveRegions reports the number of live (not freed) collective
-// allocations (diagnostics).
-func (s *System) LiveRegions() int {
-	n := 0
-	for _, r := range s.allocs {
-		if !r.freed {
-			n++
-		}
-	}
-	return n
-}

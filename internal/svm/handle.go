@@ -53,8 +53,8 @@ type Handle struct {
 	// while an acquisition keeps being answered with retries.
 	ownerRetryRounds map[uint32]int
 
-	stats          Stats
-	nextTouchStats NextTouchStats
+	stats      Stats
+	migrations uint64 // next-touch frame migrations this core made
 }
 
 // Attach registers kernel k with the SVM system: mail handlers for the

@@ -99,7 +99,7 @@ func TestKitchenSinkScenario(t *testing.T) {
 								t.Errorf("[%v] post-migration A[%d] = %d, want %d", model, p, v, want)
 							}
 						}
-						if h.NextTouchStats().Migrations == 0 {
+						if h.migrations == 0 {
 							t.Errorf("[%v] no migrations recorded", model)
 						}
 					}

@@ -38,11 +38,6 @@ type nextTouchState struct {
 	tableBase uint32
 }
 
-// NextTouchStats counts migration events (per handle).
-type NextTouchStats struct {
-	Migrations uint64
-}
-
 // migrateAddr returns the migration-table slot for a page.
 func (s *System) migrateAddr(idx uint32) uint32 { return s.nextTouch.tableBase + idx*4 }
 
@@ -131,7 +126,7 @@ func (h *Handle) maybeMigrate(idx, frame uint32) uint32 {
 				s.writeOwner(me, idx, me)
 			}
 			frame = newFrame
-			h.nextTouchStats.Migrations++
+			h.migrations++
 			h.emit(trace.KindMigration, uint64(idx), uint64(newFrame))
 		}
 	}
@@ -151,6 +146,3 @@ func (s *System) copyFrame(h *Handle, oldAddr, newAddr uint32) {
 	chip.Mem().Write(newAddr, buf)
 	h.k.Core().Proc().Advance(chip.FrameCopyLatency(me, oldAddr, newAddr))
 }
-
-// NextTouchStats returns this handle's migration counters.
-func (h *Handle) NextTouchStats() NextTouchStats { return h.nextTouchStats }

@@ -45,7 +45,7 @@ func TestNextTouchMigratesFrames(t *testing.T) {
 						}
 						paddrAfter[p] = e.PhysAddr(base + p*pgtable.PageSize)
 					}
-					migrations = h.NextTouchStats().Migrations
+					migrations = h.migrations
 					h.Kernel().Barrier()
 					h.Kernel().Barrier()
 				},
@@ -83,7 +83,7 @@ func TestNextTouchSameControllerNoMigration(t *testing.T) {
 			h.Barrier()
 			h.NextTouch(base, pgtable.PageSize)
 			got = h.Kernel().Core().Load64(base)
-			migrations = h.NextTouchStats().Migrations
+			migrations = h.migrations
 			h.Kernel().Barrier()
 		},
 	}

@@ -271,6 +271,9 @@ func (s *System) AllocFrame(core int) (uint32, bool) {
 // FreeFrame returns a shared frame to the allocator (external directories).
 func (s *System) FreeFrame(sf uint32) { s.alloc.Free(sf) }
 
+// FreeFrames returns how many shared frames are free for data.
+func (s *System) FreeFrames() int { return s.alloc.FreeFrames() }
+
 // Handle returns the attached handle for a core (nil if never attached).
 func (s *System) Handle(core int) *Handle { return s.handles[core] }
 
