@@ -118,14 +118,13 @@ var checkedApps = []struct {
 // domains under one chip-wide checker.
 func checkDomains() cell {
 	return checked("domains  (2 independent)  ", func() *core.Observation {
-		ds, err := core.NewDomains(nil, []core.DomainSpec{
+		ds, err := core.NewDomains(nil, core.Instrumentation{Race: true}, []core.DomainSpec{
 			{Members: []int{0, 1, 2, 3}},
 			{Members: []int{24, 25, 30, 31}},
 		})
 		if err != nil {
 			panic(err) // fixed domains of the paper chip
 		}
-		obs := ds.Observe(core.Instrumentation{Race: true})
 		first := []int{0, 24}
 		ds.RunAll(func(domain int, env *core.Env) {
 			base := env.SVM.Alloc(4096)
@@ -135,7 +134,7 @@ func checkDomains() cell {
 			env.SVM.Barrier()
 			env.Core().Load64(base)
 		})
-		return obs
+		return ds.Observability()
 	})
 }
 

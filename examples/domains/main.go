@@ -24,7 +24,7 @@ func main() {
 
 	strongCfg := svm.DefaultConfig(svm.Strong)
 	lazyCfg := svm.DefaultConfig(svm.LazyRelease)
-	ds, err := core.NewDomains(&chipCfg, []core.DomainSpec{
+	ds, err := core.NewDomains(&chipCfg, core.Instrumentation{}, []core.DomainSpec{
 		{Members: []int{0, 1, 2, 3}, SVM: &strongCfg},   // west side of the chip
 		{Members: []int{40, 41, 46, 47}, SVM: &lazyCfg}, // east side
 	})

@@ -165,19 +165,36 @@ func (m *Machine) Observability() *Observation { return m.obs }
 
 // NewMachine builds the platform, cluster and SVM system.
 func NewMachine(opts Options) (*Machine, error) {
-	eng := sim.NewEngine()
-	ccfg := scc.DefaultConfig()
-	if opts.Topology != nil {
-		ccfg = *opts.Topology
-	}
-	chip, err := scc.New(eng, ccfg)
+	chip, err := newPlatform(opts.Topology)
 	if err != nil {
 		return nil, err
 	}
+	m, err := assemble(chip, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.observe(Observe(opts.Observe, chip, []*kernel.Cluster{m.Cluster}, []*svm.System{m.SVM}))
+	return m, nil
+}
+
+// newPlatform builds an engine and a chip of topo (nil: the paper's chip).
+func newPlatform(topo *scc.Config) (*scc.Chip, error) {
+	ccfg := scc.DefaultConfig()
+	if topo != nil {
+		ccfg = *topo
+	}
+	return scc.New(sim.NewEngine(), ccfg)
+}
+
+// assemble boots opts' cluster, SVM system and replicated directory on a
+// built chip, which may carry other machines on disjoint cores. It reads
+// every field of opts but Topology and Observe.
+func assemble(chip *scc.Chip, opts Options) (*Machine, error) {
 	kcfg := kernel.DefaultConfig()
 	WireFaults(chip, &kcfg, opts.Faults)
 	members := opts.Members
 	var workers, managers []int
+	var err error
 	rcfg := opts.ReplicatedDirectory
 	if rcfg != nil && !chip.FaultsHardened() {
 		// The replication kernel's managers send from their interrupt
@@ -192,7 +209,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	if rcfg != nil {
 		workers = members
 		if workers == nil {
-			if workers, err = DirectoryWorkers(ccfg); err != nil {
+			if workers, err = DirectoryWorkers(chip.Config()); err != nil {
 				return nil, err
 			}
 		}
@@ -224,7 +241,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Engine: eng, Chip: chip, Cluster: cl, SVM: sys}
+	m := &Machine{Engine: chip.Engine(), Chip: chip, Cluster: cl, SVM: sys}
 	if rcfg != nil {
 		dcfg := *rcfg
 		dcfg.Managers = managers
@@ -242,10 +259,14 @@ func NewMachine(opts Options) (*Machine, error) {
 		}
 		m.resolveCrashes(opts.Faults)
 	}
-	m.obs = Observe(opts.Observe, chip, []*kernel.Cluster{cl}, []*svm.System{sys})
-	m.obs.AddDirectory(m.Dir)
-	m.Race = m.obs.Race()
 	return m, nil
+}
+
+// observe hands the machine the observation covering it.
+func (m *Machine) observe(obs *Observation) {
+	m.obs = obs
+	obs.AddDirectory(m.Dir)
+	m.Race = obs.Race()
 }
 
 // DirectoryWorkers is the SVM worker set of a replicated-directory machine
@@ -337,6 +358,31 @@ func (m *Machine) resolveCrashes(fc *faults.Config) {
 // Run boots each member with its main (every member must have one) and
 // drives the simulation to completion, returning the final simulated time.
 func (m *Machine) Run(mains map[int]func(*Env)) sim.Time {
+	m.start(mains)
+	return run(m.Engine, m.obs)
+}
+
+// RunAll runs the same main on every SVM worker (every member when the
+// legacy directory is in place; directory managers keep their service loop).
+func (m *Machine) RunAll(main func(*Env)) sim.Time {
+	return m.Run(m.workerMains(main))
+}
+
+// workerMains maps every SVM worker to main.
+func (m *Machine) workerMains(main func(*Env)) map[int]func(*Env) {
+	ids := m.Cluster.Members()
+	if m.Dir != nil {
+		ids = m.SVM.Workers()
+	}
+	mains := make(map[int]func(*Env), len(ids))
+	for _, id := range ids {
+		mains[id] = main
+	}
+	return mains
+}
+
+// start boots each member with its main; the engine runs them later.
+func (m *Machine) start(mains map[int]func(*Env)) {
 	if m.started {
 		panic("core: machine already run")
 	}
@@ -357,24 +403,14 @@ func (m *Machine) Run(mains map[int]func(*Env)) sim.Time {
 			main(&Env{K: k, SVM: m.SVM.Attach(k)})
 		})
 	}
-	end := m.Engine.Run()
-	m.Engine.Shutdown()
-	m.obs.Finish()
-	return end
 }
 
-// RunAll runs the same main on every SVM worker (every member when the
-// legacy directory is in place; directory managers keep their service loop).
-func (m *Machine) RunAll(main func(*Env)) sim.Time {
-	ids := m.Cluster.Members()
-	if m.Dir != nil {
-		ids = m.SVM.Workers()
-	}
-	mains := make(map[int]func(*Env), len(ids))
-	for _, id := range ids {
-		mains[id] = main
-	}
-	return m.Run(mains)
+// run drives a booted engine to completion, then closes it and obs out.
+func run(eng *sim.Engine, obs *Observation) sim.Time {
+	end := eng.Run()
+	eng.Shutdown()
+	obs.Finish()
+	return end
 }
 
 // Baseline is the comparison system: bare cores (think "SCC Linux") with
@@ -391,12 +427,7 @@ type Baseline struct {
 // NewBaseline builds the platform with an RCCE communicator over the given
 // cores (rank order).
 func NewBaseline(chipCfg *scc.Config, cores []int) (*Baseline, error) {
-	eng := sim.NewEngine()
-	ccfg := scc.DefaultConfig()
-	if chipCfg != nil {
-		ccfg = *chipCfg
-	}
-	chip, err := scc.New(eng, ccfg)
+	chip, err := newPlatform(chipCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -404,7 +435,7 @@ func NewBaseline(chipCfg *scc.Config, cores []int) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Baseline{Engine: eng, Chip: chip, Comm: comm}, nil
+	return &Baseline{Engine: chip.Engine(), Chip: chip, Comm: comm}, nil
 }
 
 // Run boots every rank with main(rank, core) and drives the simulation.
@@ -419,9 +450,7 @@ func (b *Baseline) Run(main func(rank int, c *cpu.Core)) sim.Time {
 			main(r, c)
 		})
 	}
-	end := b.Engine.Run()
-	b.Engine.Shutdown()
-	return end
+	return run(b.Engine, nil)
 }
 
 // Mode returns the cluster's mailbox mode (for reporting).

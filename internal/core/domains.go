@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"metalsvm/internal/kernel"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
@@ -12,45 +11,23 @@ import (
 
 // Domains realizes the coherency-domain partitioning from the paper's
 // introduction: the chip's computing resources split into several
-// independent clusters, each with its own MetalSVM kernel set and its own
+// independent Machines, each with its own MetalSVM kernel set and its own
 // SVM system over a private slice of the shared memory. Mailbox slots are
 // keyed by (sender, receiver) pairs and the SVM metadata lives in each
-// domain's own frame slice, so the domains share nothing but the silicon.
+// domain's own frame slice, so the domains share nothing but the silicon
+// and its one engine. Run them together with RunAll, never one by one.
 type Domains struct {
-	Engine *sim.Engine
-	Chip   *scc.Chip
-	// Race is the chip-wide happens-before checker, non-nil after Observe
-	// with Instrumentation.Race set. One checker covers all domains: their
-	// core sets and page ranges are disjoint, so cross-domain conflicts
-	// cannot arise, and sync objects are keyed per SVM system.
-	Race *racecheck.Checker
+	// Machines holds domain d's machine at index d.
+	Machines []*Machine
 
-	clusters []*kernel.Cluster
-	systems  []*svm.System
-
-	obs     *Observation
-	started bool
+	obs *Observation
 }
 
-// Observe wires instrumentation covering every domain. It must be called
-// before Run, at most once; the observation (also available later through
-// Observability) is returned.
-func (ds *Domains) Observe(cfg Instrumentation) *Observation {
-	if ds.started {
-		panic("core: Observe after Run")
-	}
-	if ds.obs != nil {
-		panic("core: Observe called twice")
-	}
-	ds.obs = Observe(cfg, ds.Chip, ds.clusters, ds.systems)
-	if r := ds.obs.Race(); r != nil {
-		ds.Race = r
-	}
-	return ds.obs
-}
-
-// Observability returns the domains' observation (nil when Observe was not
-// called or requested nothing).
+// Observability returns the chip-wide observation covering every domain
+// (nil when NewDomains' instrumentation requested nothing). One race
+// checker serves all domains: their core sets and page ranges are disjoint,
+// so cross-domain conflicts cannot arise, and sync objects are keyed per
+// SVM system.
 func (ds *Domains) Observability() *Observation { return ds.obs }
 
 // DomainSpec describes one coherency domain.
@@ -64,25 +41,19 @@ type DomainSpec struct {
 	SVM *svm.Config
 }
 
-// NewDomains builds one chip carrying len(specs) independent MetalSVM
-// instances. The shared region is split into equal contiguous page ranges,
-// one per domain.
-func NewDomains(chipCfg *scc.Config, specs []DomainSpec) (*Domains, error) {
+// NewDomains builds one chip of topo (nil: the paper's chip) carrying
+// len(specs) independent MetalSVM machines, observed together as inst asks.
+// The shared region is split into equal contiguous page ranges, one per
+// domain.
+func NewDomains(topo *scc.Config, inst Instrumentation, specs []DomainSpec) (*Domains, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no domains")
 	}
-	eng := sim.NewEngine()
-	ccfg := scc.DefaultConfig()
-	if chipCfg != nil {
-		ccfg = *chipCfg
-	}
-	chip, err := scc.New(eng, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	// Disjointness check across domains.
 	owner := make(map[int]int)
 	for d, spec := range specs {
+		if len(spec.Members) == 0 {
+			return nil, fmt.Errorf("core: domain %d has no members", d)
+		}
 		for _, m := range spec.Members {
 			if prev, dup := owner[m]; dup {
 				return nil, fmt.Errorf("core: core %d in domains %d and %d", m, prev, d)
@@ -90,17 +61,18 @@ func NewDomains(chipCfg *scc.Config, specs []DomainSpec) (*Domains, error) {
 			owner[m] = d
 		}
 	}
-	totalPages := chip.Layout().SharedFrames()
-	perDomain := totalPages / uint32(len(specs))
+	chip, err := newPlatform(topo)
+	if err != nil {
+		return nil, err
+	}
+	perDomain := chip.Layout().SharedFrames() / uint32(len(specs))
 	if perDomain == 0 {
 		return nil, fmt.Errorf("core: shared region too small for %d domains", len(specs))
 	}
-	ds := &Domains{Engine: eng, Chip: chip}
+	ds := &Domains{}
+	var clusters []*kernel.Cluster
+	var systems []*svm.System
 	for d, spec := range specs {
-		cl, err := kernel.NewCluster(chip, kernel.DefaultConfig(), spec.Members)
-		if err != nil {
-			return nil, fmt.Errorf("core: domain %d: %w", d, err)
-		}
 		scfg := svm.DefaultConfig(svm.Strong)
 		if spec.SVM != nil {
 			scfg = *spec.SVM
@@ -113,62 +85,26 @@ func NewDomains(chipCfg *scc.Config, specs []DomainSpec) (*Domains, error) {
 		if scfg.PageLo == 0 {
 			scfg.PageLo = 1 // frame 0 is the directory's "unallocated" mark
 		}
-		sys, err := svm.New(cl, scfg)
+		m, err := assemble(chip, Options{Members: spec.Members, SVM: &scfg})
 		if err != nil {
 			return nil, fmt.Errorf("core: domain %d: %w", d, err)
 		}
-		ds.clusters = append(ds.clusters, cl)
-		ds.systems = append(ds.systems, sys)
+		ds.Machines = append(ds.Machines, m)
+		clusters = append(clusters, m.Cluster)
+		systems = append(systems, m.SVM)
+	}
+	ds.obs = Observe(inst, chip, clusters, systems)
+	for _, m := range ds.Machines {
+		m.observe(ds.obs)
 	}
 	return ds, nil
 }
 
-// Count returns the number of domains.
-func (ds *Domains) Count() int { return len(ds.clusters) }
-
-// Cluster returns domain d's kernel cluster.
-func (ds *Domains) Cluster(d int) *kernel.Cluster { return ds.clusters[d] }
-
-// SVM returns domain d's SVM system.
-func (ds *Domains) SVM(d int) *svm.System { return ds.systems[d] }
-
-// Run boots every domain member with mains[domain][core] and drives the
-// single shared simulation to completion.
-func (ds *Domains) Run(mains []map[int]func(*Env)) sim.Time {
-	if ds.started {
-		panic("core: domains already run")
-	}
-	ds.started = true
-	if len(mains) != len(ds.clusters) {
-		panic(fmt.Sprintf("core: %d main sets for %d domains", len(mains), len(ds.clusters)))
-	}
-	for d, cl := range ds.clusters {
-		sys := ds.systems[d]
-		for _, id := range cl.Members() {
-			main := mains[d][id]
-			if main == nil {
-				panic(fmt.Sprintf("core: domain %d: no main for member %d", d, id))
-			}
-			cl.Start(id, func(k *kernel.Kernel) {
-				main(&Env{K: k, SVM: sys.Attach(k)})
-			})
-		}
-	}
-	end := ds.Engine.Run()
-	ds.Engine.Shutdown()
-	ds.obs.Finish()
-	return end
-}
-
-// RunAll runs the same main on every member of every domain.
+// RunAll runs main on every member of every domain, passing the member's
+// domain index, and drives the one shared simulation to completion.
 func (ds *Domains) RunAll(main func(domain int, env *Env)) sim.Time {
-	mains := make([]map[int]func(*Env), len(ds.clusters))
-	for d, cl := range ds.clusters {
-		d := d
-		mains[d] = make(map[int]func(*Env))
-		for _, id := range cl.Members() {
-			mains[d][id] = func(env *Env) { main(d, env) }
-		}
+	for d, m := range ds.Machines {
+		m.start(m.workerMains(func(env *Env) { main(d, env) }))
 	}
-	return ds.Run(mains)
+	return run(ds.Machines[0].Engine, ds.obs)
 }

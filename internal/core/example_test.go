@@ -44,7 +44,7 @@ func ExampleMachine() {
 // disjoint physical frames, no interference.
 func ExampleDomains() {
 	lazy := svm.DefaultConfig(svm.LazyRelease)
-	ds, err := core.NewDomains(exampleChip(), []core.DomainSpec{
+	ds, err := core.NewDomains(exampleChip(), core.Instrumentation{}, []core.DomainSpec{
 		{Members: []int{0, 1}},
 		{Members: []int{30, 31}, SVM: &lazy},
 	})

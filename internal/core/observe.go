@@ -26,8 +26,8 @@ import (
 // any combination enabled is bit-identical to an uninstrumented one
 // (asserted by the equivalence tests and sccbench -check).
 //
-// Pass it via Options.Observe (or Domains.Observe); read the results from
-// the Observation after the run.
+// Pass it at construction, via Options.Observe or NewDomains; read the
+// results from the Observation after the run.
 type Instrumentation struct {
 	// TraceCapacity, when positive, installs a protocol-event ring buffer of
 	// that capacity on the chip (unless one is already present).
@@ -74,8 +74,8 @@ type Observation struct {
 }
 
 // Observe wires the requested observers into a built (not yet run) system:
-// the chip, its kernel clusters and their SVM systems. Machine and Domains
-// call it through Options.Observe; benchmark harnesses that assemble
+// the chip, its kernel clusters and their SVM systems. NewMachine and
+// NewDomains call it at construction, once per chip; harnesses that assemble
 // clusters by hand call it directly. Call Finish after the engine has run.
 func Observe(cfg Instrumentation, chip *scc.Chip,
 	clusters []*kernel.Cluster, systems []*svm.System) *Observation {
@@ -136,8 +136,8 @@ func (o *Observation) AddDirectory(d *repldir.System) {
 
 // Finish closes out the observation after the engine has run: it finalizes
 // every profiled core at its final local time and harvests the metrics
-// snapshot. Idempotent and nil-safe; Machine.Run and Domains.Run call it
-// automatically.
+// snapshot. Idempotent and nil-safe; Machine.Run and Domains.RunAll call
+// it automatically.
 func (o *Observation) Finish() {
 	if o == nil || o.finished {
 		return

@@ -175,16 +175,16 @@ func TestNilObservationAccessors(t *testing.T) {
 // TestDomainsObserve: the domains facade wires the same observation across
 // every domain.
 func TestDomainsObserve(t *testing.T) {
-	ds, err := NewDomains(smallChip(), []DomainSpec{
+	ds, err := NewDomains(smallChip(), Instrumentation{Metrics: true, Profile: &profile.Config{}}, []DomainSpec{
 		{Members: []int{0, 1}},
 		{Members: []int{24, 25}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := ds.Observe(Instrumentation{Metrics: true, Profile: &profile.Config{}})
-	if obs == nil || ds.Observability() != obs {
-		t.Fatal("domains observation not retained")
+	obs := ds.Observability()
+	if obs == nil || ds.Machines[1].Observability() != obs {
+		t.Fatal("domains observation not shared")
 	}
 	ds.RunAll(func(domain int, env *Env) {
 		base := env.SVM.Alloc(4096)

@@ -185,14 +185,14 @@ func TestTaskfarmRaceFree(t *testing.T) {
 // chip-wide checker: per-domain barrier-ordered traffic must be clean even
 // though the domains share nothing but the silicon.
 func TestDomainsRaceFree(t *testing.T) {
-	ds, err := core.NewDomains(smallChip(), []core.DomainSpec{
+	ds, err := core.NewDomains(smallChip(), core.Instrumentation{Race: true}, []core.DomainSpec{
 		{Members: []int{0, 1}},
 		{Members: []int{24, 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := ds.Observe(core.Instrumentation{Race: true}).Race()
+	k := ds.Observability().Race()
 	first := []int{0, 24}
 	ds.RunAll(func(domain int, env *core.Env) {
 		base := env.SVM.Alloc(4096)
@@ -207,8 +207,10 @@ func TestDomainsRaceFree(t *testing.T) {
 	if !k.Clean() {
 		t.Fatalf("domain traffic flagged:\n%v", k.Races())
 	}
-	if k != ds.Race {
-		t.Fatal("Observe did not publish the checker")
+	for d, m := range ds.Machines {
+		if m.Race != k {
+			t.Fatalf("domain %d does not share the chip-wide checker", d)
+		}
 	}
 }
 
