@@ -192,6 +192,3 @@ func (a *BaselineApp) Result() Result {
 	}
 	return Result{Elapsed: maxEl, Checksum: ChecksumGrid(a.grid)}
 }
-
-// Grid returns the assembled final grid (valid after the run).
-func (a *BaselineApp) Grid() []float64 { return a.grid }

@@ -187,6 +187,3 @@ func (a *SVMApp) Result() Result {
 	}
 	return Result{Elapsed: maxEl, Checksum: ChecksumGrid(a.grid), Faults: faults}
 }
-
-// Grid returns the assembled final grid (valid after the run).
-func (a *SVMApp) Grid() []float64 { return a.grid }

@@ -105,12 +105,6 @@ func New(name string, size, ways int) *Cache {
 	return c
 }
 
-// Name returns the cache's diagnostic name.
-func (c *Cache) Name() string { return c.name }
-
-// Size returns the capacity in bytes.
-func (c *Cache) Size() int { return c.sets * c.ways * LineSize }
-
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -152,10 +146,6 @@ func (c *Cache) Load(paddr uint32, dst []byte) bool {
 	c.stats.Misses++
 	return false
 }
-
-// Contains reports whether the line holding paddr is cached, without
-// touching LRU state or statistics.
-func (c *Cache) Contains(paddr uint32) bool { return c.find(paddr) >= 0 }
 
 // Fill installs a whole line (fetched from the next level) and returns the
 // displaced victim, if any. A write-through level never produces dirty

@@ -75,13 +75,13 @@ func TestLRUEviction(t *testing.T) {
 	var b [1]byte
 	c.Load(0x000, b[:]) // touch 0x000 so 0x080 is LRU
 	c.Fill(0x100, fill32(3), false)
-	if !c.Contains(0x000) {
+	if c.find(0x000) < 0 {
 		t.Fatal("MRU line evicted")
 	}
-	if c.Contains(0x080) {
+	if c.find(0x080) >= 0 {
 		t.Fatal("LRU line survived")
 	}
-	if !c.Contains(0x100) {
+	if c.find(0x100) < 0 {
 		t.Fatal("new line not resident")
 	}
 	if c.Stats().Evictions != 1 {
@@ -121,10 +121,10 @@ func TestCL1INVMBDropsOnlyMPBTLines(t *testing.T) {
 	c.Fill(0x100, fill32(1), true)  // MPBT (shared SVM data)
 	c.Fill(0x200, fill32(2), false) // normal private data
 	c.InvalidateMPBT()
-	if c.Contains(0x100) {
+	if c.find(0x100) >= 0 {
 		t.Fatal("MPBT line survived CL1INVMB")
 	}
-	if !c.Contains(0x200) {
+	if c.find(0x200) < 0 {
 		t.Fatal("non-MPBT line dropped by CL1INVMB")
 	}
 }
@@ -148,7 +148,7 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 		if c.Load(0x100, b[:]) {
 			t.Fatalf("%p: Load hit", c)
 		}
-		if c.Contains(0x200) {
+		if c.find(0x200) >= 0 {
 			t.Fatalf("%p: Contains", c)
 		}
 		if c.WriteThrough(0x104, []byte{1, 2}) || c.WriteUpdate(0x204, []byte{3}) {
@@ -170,7 +170,7 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 	if n := 4096 / LineSize; len(fresh.tags) != n || len(fresh.lastUse) != n || len(fresh.data) != n {
 		t.Fatalf("first Fill allocated %d tags, %d LRU stamps and %d lines", len(fresh.tags), len(fresh.lastUse), len(fresh.data))
 	}
-	if !fresh.Contains(0x100) {
+	if fresh.find(0x100) < 0 {
 		t.Fatal("first Fill did not install its line")
 	}
 }
@@ -613,8 +613,8 @@ func runScanInput(t *testing.T, in scanInput) {
 		}
 	}
 	for la := uint32(0); la < lines*LineSize; la += LineSize {
-		if c.Contains(la) != (m.find(la) != nil) {
-			t.Fatalf("line %#x resident %v, model %v", la, c.Contains(la), m.find(la) != nil)
+		if resident := c.find(la) >= 0; resident != (m.find(la) != nil) {
+			t.Fatalf("line %#x resident %v, model %v", la, resident, m.find(la) != nil)
 		}
 	}
 	if n := validLines(c); n != m.validLines() {

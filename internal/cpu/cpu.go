@@ -229,9 +229,6 @@ func (c *Core) deliverBeforeWait() bool {
 // ID returns the core number.
 func (c *Core) ID() int { return c.id }
 
-// Config returns the core's configuration.
-func (c *Core) Config() Config { return c.cfg }
-
 // Proc returns the core's simulation process.
 func (c *Core) Proc() *sim.Proc { return c.proc }
 

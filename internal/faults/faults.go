@@ -332,14 +332,6 @@ func (in *Injector) BindCores(n int) {
 	}
 }
 
-// Config returns the injector's configuration. Nil-safe (zero Config).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
 // Enabled reports whether the injector can fire at all. Nil-safe.
 func (in *Injector) Enabled() bool {
 	return in != nil && in.cfg.Spec.Enabled()

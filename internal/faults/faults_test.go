@@ -29,9 +29,6 @@ func TestNilInjectorSafe(t *testing.T) {
 	if s := in.Stats(); s != (Stats{}) {
 		t.Fatalf("nil injector stats nonzero: %+v", s)
 	}
-	if c := in.Config(); !reflect.DeepEqual(c, Config{}) {
-		t.Fatalf("nil injector config nonzero: %+v", c)
-	}
 	in.NoteCrash()
 	if s := in.Stats(); s.Crashes != 0 {
 		t.Fatalf("nil injector counted a crash: %+v", s)

@@ -40,9 +40,6 @@ func New(cores int) *Controller {
 	return &Controller{cores: cores, words: words, status: make([]uint64, cores*words)}
 }
 
-// Cores returns the number of cores the controller serves.
-func (g *Controller) Cores() int { return g.cores }
-
 func (g *Controller) check(core int) {
 	if core < 0 || core >= g.cores {
 		panic(fmt.Sprintf("gic: core %d out of range", core))

@@ -84,8 +84,8 @@ func TestBadGeometryPanics(t *testing.T) {
 // eight words per core and origins above 63 survive the round trip.
 func TestMultiWordStatus(t *testing.T) {
 	g := New(512)
-	if g.Cores() != 512 {
-		t.Fatalf("Cores() = %d", g.Cores())
+	if g.cores != 512 {
+		t.Fatalf("Cores() = %d", g.cores)
 	}
 	g.Raise(511, 0)
 	g.Raise(64, 0)

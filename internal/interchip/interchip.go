@@ -74,9 +74,6 @@ func New(cfg Config) (*Fabric, error) {
 	return &Fabric{cfg: cfg}, nil
 }
 
-// Config returns the link configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // OneWay returns the latency for a payload of the given size to cross the
 // link once (posted writes, interrupt delivery).
 func (f *Fabric) OneWay(bytes int) sim.Duration {

@@ -441,9 +441,6 @@ func (k *Kernel) Cluster() *Cluster { return k.cluster }
 // Chip returns the platform.
 func (k *Kernel) Chip() *scc.Chip { return k.cluster.chip }
 
-// Members returns the participating cores.
-func (k *Kernel) Members() []int { return k.cluster.members }
-
 // Stats returns a snapshot of the kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 

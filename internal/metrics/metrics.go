@@ -25,14 +25,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count; nil reads as zero.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // SubBuckets is the number of linear sub-buckets inside each power-of-two
 // histogram bucket. Sixteen sub-buckets bound a quantile estimate's relative
 // error by 1/16 ≈ 6%, which is enough to tell a p99 from a p999.

@@ -55,9 +55,6 @@ func NewLayout(frameSize, privateSize, sharedSize uint32, controllers int, coreM
 // FrameSize returns the frame size in bytes.
 func (l *Layout) FrameSize() uint32 { return l.frameSize }
 
-// Cores returns the core count.
-func (l *Layout) Cores() int { return l.cores }
-
 // Controllers returns the memory controller count.
 func (l *Layout) Controllers() int { return l.controllers }
 

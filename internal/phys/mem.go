@@ -39,12 +39,6 @@ func NewMem(size uint64, frameSize uint32) *Mem {
 	}
 }
 
-// Size returns the physical address space size in bytes.
-func (m *Mem) Size() uint64 { return m.size }
-
-// FrameSize returns the frame size in bytes.
-func (m *Mem) FrameSize() uint32 { return m.frameSize }
-
 func (m *Mem) check(paddr uint32, n int) {
 	if uint64(paddr)+uint64(n) > m.size {
 		panic(fmt.Sprintf("phys: access [%#x,+%d) beyond memory size %#x", paddr, n, m.size))

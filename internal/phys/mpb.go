@@ -32,9 +32,6 @@ func NewMPB(cores, bytesPerCore int) *MPB {
 	return b
 }
 
-// Cores returns the number of buffers.
-func (b *MPB) Cores() int { return len(b.data) }
-
 func (b *MPB) slice(core, off, n int) []byte {
 	if core < 0 || core >= len(b.data) {
 		panic(fmt.Sprintf("phys: MPB core %d out of range", core))

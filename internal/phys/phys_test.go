@@ -100,8 +100,8 @@ func TestMemLastWriteWinsProperty(t *testing.T) {
 
 func TestMPBReadWrite(t *testing.T) {
 	b := NewMPB(48, MPBBytesPerCore)
-	if b.Cores() != 48 || b.perCore != 8192 {
-		t.Fatalf("geometry %d cores x %d", b.Cores(), b.perCore)
+	if len(b.data) != 48 || b.perCore != 8192 {
+		t.Fatalf("geometry %d cores x %d", len(b.data), b.perCore)
 	}
 	b.Write(30, 100, []byte{9, 8, 7})
 	got := make([]byte, 3)

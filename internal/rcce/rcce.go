@@ -105,9 +105,6 @@ func (c *Comm) Size() int { return len(c.cores) }
 // CoreOf returns the core running rank r.
 func (c *Comm) CoreOf(r int) int { return c.cores[r] }
 
-// Stats returns a snapshot of the counters.
-func (c *Comm) Stats() Stats { return c.stats }
-
 // flagAddr returns the offset of sender's flag record in receiver's MPB.
 func (c *Comm) flagAddr(senderRank int) int { return c.flagOff + senderRank*flagBytes }
 

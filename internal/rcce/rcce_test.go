@@ -75,8 +75,8 @@ func TestSendRecvMultiChunk(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("multi-chunk payload corrupted")
 	}
-	if comm.Stats().Chunks != 4 {
-		t.Fatalf("chunks = %d, want 4", comm.Stats().Chunks)
+	if comm.stats.Chunks != 4 {
+		t.Fatalf("chunks = %d, want 4", comm.stats.Chunks)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestBarrier(t *testing.T) {
 				r, l.Microseconds(), maxArrive.Microseconds())
 		}
 	}
-	if comm.Stats().Barriers != uint64(5*len(cores)) {
-		t.Fatalf("barriers = %d", comm.Stats().Barriers)
+	if comm.stats.Barriers != uint64(5*len(cores)) {
+		t.Fatalf("barriers = %d", comm.stats.Barriers)
 	}
 }
 

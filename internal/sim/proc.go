@@ -117,9 +117,6 @@ func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 	return p
 }
 
-// Name returns the process name (for traces and diagnostics).
-func (p *Proc) Name() string { return p.name }
-
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
@@ -143,9 +140,6 @@ func (p *Proc) hookIdle() bool { return p.onSync == nil || p.idle != nil && p.id
 // SetPreWaitHook registers fn to run before every indefinite park; see the
 // preWait field.
 func (p *Proc) SetPreWaitHook(fn func() bool) { p.preWait = fn }
-
-// Done reports whether the process body has returned.
-func (p *Proc) Done() bool { return p.state == procDone }
 
 // Halt permanently stops the process: it models a crashed core. The call
 // must be made from an event callback or another process, while the

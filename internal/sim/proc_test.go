@@ -227,11 +227,11 @@ func TestBodyPanicReachesCaller(t *testing.T) {
 	if !strings.Contains(string(pp.Stack), "TestBodyPanicReachesCaller") {
 		t.Fatalf("stack does not show the panicking body:\n%s", pp.Stack)
 	}
-	if !victim.Done() || bystander.Done() {
-		t.Fatalf("victim done=%v bystander done=%v, want true, false", victim.Done(), bystander.Done())
+	if victim.state != procDone || bystander.state == procDone {
+		t.Fatalf("victim done=%v bystander done=%v, want true, false", victim.state == procDone, bystander.state == procDone)
 	}
 	e.Shutdown() // must not hang on the dead proc
-	if !bystander.Done() {
+	if bystander.state != procDone {
 		t.Fatal("Shutdown did not unwind the bystander")
 	}
 }

@@ -198,7 +198,7 @@ func TestHaltStopsProcForever(t *testing.T) {
 	if !p.halted {
 		t.Fatal("proc not marked halted")
 	}
-	if p.Done() {
+	if p.state == procDone {
 		t.Fatal("a halted proc must not count as done")
 	}
 	// The loop syncs at t=100..1000; the halt at t=1000 runs before the
@@ -224,7 +224,7 @@ func TestHaltFinishedProcIsNoOp(t *testing.T) {
 	if p.halted {
 		t.Fatal("halting a finished proc must be a no-op")
 	}
-	if !p.Done() {
+	if p.state != procDone {
 		t.Fatal("proc should be done")
 	}
 }
@@ -422,7 +422,7 @@ func TestShutdownUnblocksParkedProcs(t *testing.T) {
 	})
 	e.Run()
 	e.Shutdown()
-	if !p.Done() && p.state != procDone {
+	if p.state != procDone {
 		t.Fatal("proc not terminated by Shutdown")
 	}
 }

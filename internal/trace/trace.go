@@ -250,14 +250,6 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{ring: make([]Event, 0, capacity)}
 }
 
-// Emit records an event. Safe to call on a nil buffer (no-op).
-func (b *Buffer) Emit(at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
-	if b == nil {
-		return
-	}
-	b.add(Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2})
-}
-
 func (b *Buffer) add(e Event) {
 	if len(b.ring) < cap(b.ring) {
 		b.ring = append(b.ring, e)

@@ -8,10 +8,15 @@ import (
 	"metalsvm/internal/sim"
 )
 
+// record appends an event to b the way a stream's ring subscription does.
+func record(b *Buffer, at sim.Time, core int, kind Kind, arg1, arg2 uint64) {
+	b.add(Event{At: at, Core: int32(core), Kind: kind, Arg1: arg1, Arg2: arg2})
+}
+
 func TestEmitAndOrder(t *testing.T) {
 	b := NewBuffer(8)
-	b.Emit(100, 0, KindFault, 1, 0)
-	b.Emit(200, 1, KindMailSend, 2, 3)
+	record(b, 100, 0, KindFault, 1, 0)
+	record(b, 200, 1, KindMailSend, 2, 3)
 	ev := b.Events()
 	if len(ev) != 2 || ev[0].At != 100 || ev[1].Core != 1 {
 		t.Fatalf("events = %v", ev)
@@ -23,7 +28,6 @@ func TestEmitAndOrder(t *testing.T) {
 
 func TestNilBufferSafe(t *testing.T) {
 	var b *Buffer
-	b.Emit(1, 0, KindFault, 0, 0) // must not panic
 	if b.Events() != nil || b.Len() != 0 || b.Dropped() != 0 {
 		t.Fatal("nil buffer misbehaves")
 	}
@@ -32,7 +36,7 @@ func TestNilBufferSafe(t *testing.T) {
 func TestRingOverwritesOldest(t *testing.T) {
 	b := NewBuffer(4)
 	for i := 0; i < 10; i++ {
-		b.Emit(simTime(i), 0, KindFault, uint64(i), 0)
+		record(b, simTime(i), 0, KindFault, uint64(i), 0)
 	}
 	ev := b.Events()
 	if len(ev) != 4 {
@@ -53,9 +57,9 @@ func simTime(i int) sim.Time { return sim.Time(i) * 10 }
 
 func TestSummarize(t *testing.T) {
 	b := NewBuffer(16)
-	b.Emit(10, 0, KindFault, 0, 0)
-	b.Emit(20, 0, KindFault, 0, 0)
-	b.Emit(30, 1, KindBarrier, 0, 0)
+	record(b, 10, 0, KindFault, 0, 0)
+	record(b, 20, 0, KindFault, 0, 0)
+	record(b, 30, 1, KindBarrier, 0, 0)
 	s := Summarize(b.Events())
 	if s.Total != 3 || s.ByKind[KindFault] != 2 || s.ByCore[1] != 1 {
 		t.Fatalf("summary %+v", s)
@@ -73,9 +77,9 @@ func TestSummarize(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	b := NewBuffer(16)
-	b.Emit(10, 0, KindFault, 0, 0)
-	b.Emit(20, 1, KindFault, 0, 0)
-	b.Emit(30, 1, KindMailSend, 0, 0)
+	record(b, 10, 0, KindFault, 0, 0)
+	record(b, 20, 1, KindFault, 0, 0)
+	record(b, 30, 1, KindMailSend, 0, 0)
 	got := Filter(b.Events(), OnCore(1), OfKind(KindFault))
 	if len(got) != 1 || got[0].At != 20 {
 		t.Fatalf("filtered = %v", got)
@@ -90,7 +94,7 @@ func TestFilters(t *testing.T) {
 // each event: its kind and its core.
 func TestTimelineFormat(t *testing.T) {
 	b := NewBuffer(4)
-	b.Emit(1_500_000, 3, KindOwnerTransfer, 7, 9)
+	record(b, 1_500_000, 3, KindOwnerTransfer, 7, 9)
 	line := b.Events()[0].String()
 	if !strings.Contains(line, "owner-transfer") || !strings.Contains(line, "core3") {
 		t.Fatalf("timeline: %q", line)
@@ -104,12 +108,12 @@ func TestWrappedOrderingContract(t *testing.T) {
 	b := NewBuffer(4)
 	// Two cores emit alternately; core 1 runs ahead of core 0 (legal:
 	// emission order is execution order, not global time order).
-	b.Emit(10, 0, KindFault, 1, 0)
-	b.Emit(100, 1, KindFault, 2, 0)
-	b.Emit(20, 0, KindFault, 3, 0)
-	b.Emit(200, 1, KindFault, 4, 0)
-	b.Emit(30, 0, KindFault, 5, 0) // wraps: overwrites Arg1=1
-	b.Emit(300, 1, KindFault, 6, 0)
+	record(b, 10, 0, KindFault, 1, 0)
+	record(b, 100, 1, KindFault, 2, 0)
+	record(b, 20, 0, KindFault, 3, 0)
+	record(b, 200, 1, KindFault, 4, 0)
+	record(b, 30, 0, KindFault, 5, 0) // wraps: overwrites Arg1=1
+	record(b, 300, 1, KindFault, 6, 0)
 
 	if b.Dropped() != 2 {
 		t.Fatalf("dropped = %d", b.Dropped())
@@ -142,7 +146,7 @@ func TestWrappedOrderingContract(t *testing.T) {
 func TestSummaryCarriesDropCount(t *testing.T) {
 	b := NewBuffer(2)
 	for i := 0; i < 5; i++ {
-		b.Emit(simTime(i), 0, KindFault, uint64(i), 0)
+		record(b, simTime(i), 0, KindFault, uint64(i), 0)
 	}
 	s := b.Summary()
 	if s.Dropped != 3 || s.Total != 2 {
@@ -173,7 +177,7 @@ func TestRingProperty(t *testing.T) {
 		b := NewBuffer(capacity)
 		total := int(n)
 		for i := 0; i < total; i++ {
-			b.Emit(simTime(i), 0, KindFault, uint64(i), 0)
+			record(b, simTime(i), 0, KindFault, uint64(i), 0)
 		}
 		ev := b.Events()
 		want := total
