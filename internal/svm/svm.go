@@ -126,6 +126,9 @@ type System struct {
 
 	alloc     *phys.FrameAllocator
 	ownerBase uint32 // paddr of the owner vector (4 bytes per shared page)
+	// dataFrames is how many frames are left for data once New has
+	// reserved the SVM's own metadata; live regions never exceed it.
+	dataFrames uint32
 
 	// offDieScratchBase is the directory base when ScratchpadOffDie is set.
 	offDieScratchBase uint32
@@ -244,6 +247,7 @@ func New(cl *kernel.Cluster, cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
+	s.dataFrames = uint32(s.alloc.FreeFrames())
 	return s, nil
 }
 
@@ -318,6 +322,17 @@ func (s *System) findRegion(base uint32) *region {
 		}
 	}
 	return nil
+}
+
+// livePages counts the pages of the regions not yet freed.
+func (s *System) livePages() uint32 {
+	var n uint32
+	for _, r := range s.allocs {
+		if !r.freed {
+			n += r.pages
+		}
+	}
+	return n
 }
 
 func (s *System) inReadonly(idx uint32) bool {

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"strings"
 	"testing"
 
 	"metalsvm/internal/kernel"
@@ -100,6 +101,42 @@ func TestAllocMismatchPanics(t *testing.T) {
 	if !panicked {
 		t.Fatal("mismatched collective alloc accepted")
 	}
+}
+
+// TestAllocRefusesMoreThanDataFrames: Alloc refuses a reservation one page
+// larger than the frames left for data beside the SVM's own metadata, at
+// the call rather than at a later touch. The largest reservation that fits
+// is backed on every page, and a freed region no longer counts.
+func TestAllocRefusesMoreThanDataFrames(t *testing.T) {
+	alloc := func(t *testing.T, main func(h *Handle, frames uint32)) {
+		r := newRig(t, DefaultConfig(Strong), []int{0})
+		frames := uint32(r.sys.FreeFrames())
+		r.run(t, map[int]func(*Handle){0: func(h *Handle) { main(h, frames) }})
+	}
+	t.Run("one page too many", func(t *testing.T) {
+		var got any
+		alloc(t, func(h *Handle, frames uint32) {
+			defer func() { got = recover() }()
+			h.Alloc((frames + 1) * pgtable.PageSize)
+		})
+		if msg, _ := got.(string); !strings.HasPrefix(msg, "svm: out of shared memory") {
+			t.Fatalf("Alloc of one page more than the data frames: recovered %v", got)
+		}
+	})
+	t.Run("exactly full", func(t *testing.T) {
+		alloc(t, func(h *Handle, frames uint32) {
+			base := h.Alloc(frames * pgtable.PageSize)
+			for i := uint32(0); i < frames; i++ {
+				h.Kernel().Core().Store64(base+i*pgtable.PageSize, uint64(i))
+			}
+		})
+	})
+	t.Run("freed region", func(t *testing.T) {
+		alloc(t, func(h *Handle, frames uint32) {
+			h.Free(h.Alloc(100 * pgtable.PageSize))
+			h.Alloc((frames - 99) * pgtable.PageSize)
+		})
+	})
 }
 
 func TestFirstTouchAllocatesNearToucher(t *testing.T) {
