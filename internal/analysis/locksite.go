@@ -1,13 +1,15 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
+
+	"metalsvm/internal/cycles"
 )
 
 // LockSite is the static complement of the dynamic lock-order graph in
@@ -30,12 +32,8 @@ var LockSite = &Analyzer{
 // svmPkgPath is the package whose Handle methods the analyzer models.
 const svmPkgPath = "metalsvm/internal/svm"
 
-// lockEdge is one observed acquisition order: to was acquired while holding
-// from.
-type lockEdge struct{ from, to int64 }
-
 func runLockSite(p *Pass) error {
-	edges := map[lockEdge]token.Pos{}
+	edges := map[cycles.Edge[int64]]token.Pos{}
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f.Pos()) {
 			continue
@@ -56,7 +54,7 @@ func runLockSite(p *Pass) error {
 // source order — a straight-line approximation that visits both branches of
 // every conditional, which over-approximates paths and so errs toward
 // reporting.
-func walkLockSites(p *Pass, body *ast.BlockStmt, edges map[lockEdge]token.Pos) {
+func walkLockSites(p *Pass, body *ast.BlockStmt, edges map[cycles.Edge[int64]]token.Pos) {
 	var held []int64
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -76,7 +74,7 @@ func walkLockSites(p *Pass, body *ast.BlockStmt, edges map[lockEdge]token.Pos) {
 						"held in this function: self-deadlock", id)
 					return true
 				}
-				e := lockEdge{from: h, to: id}
+				e := cycles.Edge[int64]{From: h, To: id}
 				if _, seen := edges[e]; !seen {
 					edges[e] = call.Pos()
 				}
@@ -145,84 +143,18 @@ func constIntArg(info *types.Info, call *ast.CallExpr, i int) (int64, bool) {
 	return constant.Int64Val(tv.Value)
 }
 
-// reportLockCycles runs cycle detection over the package's acquisition-order
-// graph, in deterministic node order, reporting each cycle at the site of
+// reportLockCycles reports the package's acquisition-order cycles, each
+// once per distinct node set and in deterministic order, at the site of
 // its closing edge.
-func reportLockCycles(p *Pass, edges map[lockEdge]token.Pos) {
-	succs := map[int64][]int64{}
-	nodes := map[int64]bool{}
-	//metalsvm:deterministic — successor lists and node set are sorted below
-	for e := range edges {
-		succs[e.from] = append(succs[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
-	}
-	sorted := make([]int64, 0, len(nodes))
-	//metalsvm:deterministic — collected then sorted
-	for n := range nodes {
-		sorted = append(sorted, n)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for _, s := range succs {
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[int64]int{}
-	reported := map[string]bool{}
-	var stack []int64
-	var dfs func(n int64)
-	dfs = func(n int64) {
-		color[n] = grey
-		stack = append(stack, n)
-		for _, nxt := range succs[n] {
-			switch color[nxt] {
-			case white:
-				dfs(nxt)
-			case grey:
-				start := 0
-				for i, s := range stack {
-					if s == nxt {
-						start = i
-						break
-					}
-				}
-				cycle := append(append([]int64{}, stack[start:]...), nxt)
-				key := cycleKey(cycle[:len(cycle)-1])
-				if reported[key] {
-					continue
-				}
-				reported[key] = true
-				parts := make([]string, len(cycle))
-				for i, c := range cycle {
-					parts[i] = fmt.Sprintf("%d", c)
-				}
-				p.Reportf(edges[lockEdge{from: n, to: nxt}],
-					"svm lock acquisition order cycle: %s (potential deadlock; "+
-						"matches the dynamic lock-order checker's edge direction)",
-					strings.Join(parts, " -> "))
-			}
+func reportLockCycles(p *Pass, edges map[cycles.Edge[int64]]token.Pos) {
+	cycles.Find(edges, cmp.Compare[int64], func(cycle []int64) {
+		parts := make([]string, len(cycle)+1)
+		for i, c := range append(cycle, cycle[0]) {
+			parts[i] = fmt.Sprintf("%d", c)
 		}
-		stack = stack[:len(stack)-1]
-		color[n] = black
-	}
-	for _, n := range sorted {
-		if color[n] == white {
-			dfs(n)
-		}
-	}
-}
-
-// cycleKey is a canonical (sorted) representation of a cycle's node set.
-func cycleKey(cycle []int64) string {
-	s := append([]int64{}, cycle...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	parts := make([]string, len(s))
-	for i, n := range s {
-		parts[i] = fmt.Sprintf("%d", n)
-	}
-	return strings.Join(parts, ",")
+		p.Reportf(edges[cycles.Edge[int64]{From: cycle[len(cycle)-1], To: cycle[0]}],
+			"svm lock acquisition order cycle: %s (potential deadlock; "+
+				"matches the dynamic lock-order checker's edge direction)",
+			strings.Join(parts, " -> "))
+	})
 }

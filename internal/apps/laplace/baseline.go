@@ -68,10 +68,6 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 
 	oldBase := privateHeapBase
 	newBase := privateHeapBase + blockBytes
-	cell := func(base uint32, localRow, col int) uint32 {
-		return base + uint32(localRow*p.Cols+col)*8
-	}
-
 	// Initialize: zeros everywhere, boundary temperature on the global top
 	// row (local halo row 0 of rank 0).
 	for lr := 0; lr < blockRows; lr++ {
@@ -81,8 +77,8 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 			v = p.TopTemp
 		}
 		for col := 0; col < p.Cols; col++ {
-			c.StoreF64(cell(oldBase, lr, col), v)
-			c.StoreF64(cell(newBase, lr, col), v)
+			c.StoreF64(p.cell(oldBase, lr, col), v)
+			c.StoreF64(p.cell(newBase, lr, col), v)
 		}
 	}
 	a.comm.Barrier(rank)
@@ -91,34 +87,19 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 	old, niu := oldBase, newBase
 	for it := 0; it < p.Iters; it++ {
 		// Compute local rows 1..myRows from old into niu.
-		for lr := 1; lr <= myRows; lr++ {
-			up := cell(old, lr-1, 1)
-			down := cell(old, lr+1, 1)
-			left := cell(old, lr, 0)
-			right := cell(old, lr, 2)
-			dst := cell(niu, lr, 1)
-			for col := 1; col < p.Cols-1; col++ {
-				v := 0.25 * (c.LoadF64(up) + c.LoadF64(down) + c.LoadF64(left) + c.LoadF64(right))
-				c.StoreF64(dst, v)
-				up += 8
-				down += 8
-				left += 8
-				right += 8
-				dst += 8
-			}
-		}
+		p.sweep(c, old, niu, 1, myRows+1)
 		old, niu = niu, old
 
 		// Non-blocking halo exchange of the freshly computed edge rows.
 		var reqs []*rcce.Request
 		if rank > 0 {
 			up := make([]byte, rowB)
-			a.readRow(c, cell(old, 1, 0), up)
+			a.readRow(c, p.cell(old, 1, 0), up)
 			reqs = append(reqs, a.comm.Isend(rank, up, rank-1))
 		}
 		if rank < n-1 {
 			down := make([]byte, rowB)
-			a.readRow(c, cell(old, myRows, 0), down)
+			a.readRow(c, p.cell(old, myRows, 0), down)
 			reqs = append(reqs, a.comm.Isend(rank, down, rank+1))
 		}
 		var haloTop, haloBot []byte
@@ -134,10 +115,10 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 			a.comm.Wait(rank, reqs...)
 		}
 		if haloTop != nil {
-			a.writeRow(c, cell(old, 0, 0), haloTop)
+			a.writeRow(c, p.cell(old, 0, 0), haloTop)
 		}
 		if haloBot != nil {
-			a.writeRow(c, cell(old, myRows+1, 0), haloBot)
+			a.writeRow(c, p.cell(old, myRows+1, 0), haloBot)
 		}
 	}
 	a.elapsed[rank] = c.Proc().LocalTime() - start
@@ -156,7 +137,7 @@ func (a *BaselineApp) Main(rank int, c *cpu.Core) {
 	for lr := sumLo; lr < sumHi; lr++ {
 		global := lo - 1 + lr
 		for col := 0; col < p.Cols; col++ {
-			a.grid[global*p.Cols+col] = c.LoadF64(cell(old, lr, col))
+			a.grid[global*p.Cols+col] = c.LoadF64(p.cell(old, lr, col))
 		}
 	}
 	a.arrived++

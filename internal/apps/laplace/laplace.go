@@ -20,6 +20,7 @@ package laplace
 import (
 	"fmt"
 
+	"metalsvm/internal/cpu"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/sim"
 )
@@ -87,11 +88,31 @@ func (p Params) Partition(r, n int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// cell returns the address of cell (r, col) in an array at base laid out
+// Cols cells a row.
+func (p Params) cell(base uint32, r, col int) uint32 {
+	return base + uint32(r*p.Cols+col)*8
+}
+
+// sweep updates rows [lo, hi) of the array at niu from the array at old:
+// the Jacobi stencil of both parallel variants.
+func (p Params) sweep(c *cpu.Core, old, niu uint32, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		up := p.cell(old, r-1, 1)
+		down := p.cell(old, r+1, 1)
+		left := p.cell(old, r, 0)
+		right := p.cell(old, r, 2)
+		dst := p.cell(niu, r, 1)
+		for col := 1; col < p.Cols-1; col++ {
+			v := 0.25 * (c.LoadF64(up) + c.LoadF64(down) + c.LoadF64(left) + c.LoadF64(right))
+			c.StoreF64(dst, v)
+			up += 8
+			down += 8
+			left += 8
+			right += 8
+			dst += 8
+		}
 	}
-	return b
 }
 
 // Result summarizes one run.

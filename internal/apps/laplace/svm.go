@@ -1,7 +1,6 @@
 package laplace
 
 import (
-	"metalsvm/internal/cpu"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 )
@@ -43,11 +42,6 @@ func NewSVM(p Params, opts SVMOptions) *SVMApp {
 	return &SVMApp{p: p, opts: opts}
 }
 
-// cellAddr returns the virtual address of cell (r, c) in the array at base.
-func (a *SVMApp) cellAddr(base uint32, r, c int) uint32 {
-	return base + uint32(r*a.p.Cols+c)*8
-}
-
 // Main is the per-kernel body.
 func (a *SVMApp) Main(h *svm.Handle) {
 	p := a.p
@@ -77,7 +71,7 @@ func (a *SVMApp) Main(h *svm.Handle) {
 			v = p.TopTemp
 		}
 		for col := 0; col < p.Cols; col++ {
-			c.StoreF64(a.cellAddr(base, r, col), v)
+			c.StoreF64(p.cell(base, r, col), v)
 		}
 	}
 	for r := lo; r < hi; r++ {
@@ -97,7 +91,7 @@ func (a *SVMApp) Main(h *svm.Handle) {
 	start := c.Proc().LocalTime()
 	old, niu := oldBase, newBase
 	for it := 0; it < p.Iters; it++ {
-		a.sweep(c, old, niu, lo, hi)
+		p.sweep(c, old, niu, lo, hi)
 		a.barrier(h) // synchronous iterations: everyone sees the new array
 		old, niu = niu, old
 	}
@@ -118,7 +112,7 @@ func (a *SVMApp) Main(h *svm.Handle) {
 	}
 	for r := sumLo; r < sumHi; r++ {
 		for col := 0; col < p.Cols; col++ {
-			a.grid[r*p.Cols+col] = c.LoadF64(a.cellAddr(old, r, col))
+			a.grid[r*p.Cols+col] = c.LoadF64(p.cell(old, r, col))
 		}
 	}
 	a.ranks[rank] = rankResult{elapsed: elapsed, faults: h.Stats().Faults, finalBase: old, done: true}
@@ -137,31 +131,10 @@ func (a *SVMApp) AuditChecksum(h *svm.Handle) float64 {
 	vals := make([]float64, p.Cells())
 	for r := 0; r < p.Rows; r++ {
 		for col := 0; col < p.Cols; col++ {
-			vals[r*p.Cols+col] = c.LoadF64(a.cellAddr(finalBase, r, col))
+			vals[r*p.Cols+col] = c.LoadF64(p.cell(finalBase, r, col))
 		}
 	}
 	return ChecksumGrid(vals)
-}
-
-// sweep updates rows [lo, hi) of niu from old.
-func (a *SVMApp) sweep(c *cpu.Core, old, niu uint32, lo, hi int) {
-	p := a.p
-	for r := lo; r < hi; r++ {
-		up := a.cellAddr(old, r-1, 1)
-		down := a.cellAddr(old, r+1, 1)
-		left := a.cellAddr(old, r, 0)
-		right := a.cellAddr(old, r, 2)
-		dst := a.cellAddr(niu, r, 1)
-		for col := 1; col < p.Cols-1; col++ {
-			v := 0.25 * (c.LoadF64(up) + c.LoadF64(down) + c.LoadF64(left) + c.LoadF64(right))
-			c.StoreF64(dst, v)
-			up += 8
-			down += 8
-			left += 8
-			right += 8
-			dst += 8
-		}
-	}
 }
 
 func (a *SVMApp) barrier(h *svm.Handle) {

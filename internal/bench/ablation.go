@@ -4,6 +4,7 @@ import (
 	"metalsvm/internal/apps/matmul"
 	"metalsvm/internal/core"
 	"metalsvm/internal/pgtable"
+	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
 )
 
@@ -37,7 +38,7 @@ func AblationScratchpad(pages uint32) (mpbUS, offDieUS float64) {
 		scfg.ScratchpadOffDie = offDie
 		// Isolate the directory cost: no allocator bookkeeping, no zeroing
 		// dominance — keep the calibrated costs but measure the delta.
-		ccfg := benchChip()
+		ccfg := ShrunkChip(scc.PaperSCC())
 		m, err := core.NewMachine(core.Options{
 			Topology: &ccfg,
 			SVM:      &scfg,
@@ -83,7 +84,7 @@ func AblationScratchpad(pages uint32) (mpbUS, offDieUS float64) {
 func AblationMatmulReadOnly(n, cores int) (writableUS, protectedUS float64) {
 	run := func(protected bool) float64 {
 		scfg := svm.DefaultConfig(svm.LazyRelease)
-		ccfg := benchChip()
+		ccfg := ShrunkChip(scc.PaperSCC())
 		m, err := core.NewMachine(core.Options{
 			Topology: &ccfg,
 			SVM:      &scfg,
@@ -113,7 +114,7 @@ func AblationMatmulReadOnly(n, cores int) (writableUS, protectedUS float64) {
 // excluding the migration itself.
 func AblationNextTouch(pages uint32, scans int) (remoteUS, localUS float64) {
 	scfg := svm.DefaultConfig(svm.LazyRelease)
-	ccfg := benchChip()
+	ccfg := ShrunkChip(scc.PaperSCC())
 	m, err := core.NewMachine(core.Options{
 		Topology: &ccfg,
 		SVM:      &scfg,
@@ -168,7 +169,7 @@ func AblationNextTouch(pages uint32, scans int) (remoteUS, localUS float64) {
 // microseconds.
 func AblationReadOnlyL2(pages uint32, scans int) (writableUS, readonlyUS float64) {
 	scfg := svm.DefaultConfig(svm.LazyRelease)
-	ccfg := benchChip()
+	ccfg := ShrunkChip(scc.PaperSCC())
 	// Shrink L1 so the region does not fit it — the win must come from L2.
 	ccfg.Core.L1Size = 2 << 10
 	m, err := core.NewMachine(core.Options{

@@ -44,19 +44,29 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	pts := Fig7(40, []int{2, 16, 48})
-	p2, p16, p48 := pts[0], pts[1], pts[2]
-	// Polling cost grows with the number of activated cores...
-	if !(p2.PollingUS < p16.PollingUS && p16.PollingUS < p48.PollingUS) {
-		t.Errorf("polling not increasing: %v %v %v", p2.PollingUS, p16.PollingUS, p48.PollingUS)
+	// The paper's whole axis, 2 to 48 cores. At 40 rounds polling climbs
+	// strictly (0.400 us at 2 cores to 8.923 us at 48); the -rounds 400
+	// curve does not (3.356 us at 16 cores, 3.093 us at 24), for a cause not
+	// yet found.
+	pts := Fig7(40, nil)
+	if len(pts) != 8 || pts[0].Cores != 2 || pts[7].Cores != 48 {
+		t.Fatalf("sweep covers %+v, want 2 to 48 cores in eight points", pts)
 	}
-	// ...substantially (checking 47 buffers at ~100 cycles each).
+	p2, p48 := pts[0], pts[7]
+	for i, p := range pts {
+		// Polling cost grows with the number of activated cores...
+		if i > 0 && p.PollingUS <= pts[i-1].PollingUS {
+			t.Errorf("polling not increasing: %v us at %d cores, %v us at %d",
+				pts[i-1].PollingUS, pts[i-1].Cores, p.PollingUS, p.Cores)
+		}
+		// ...while the IPI path stays flat (within 20%).
+		if p.IPIUS > 1.2*p2.IPIUS || p.IPIUS < 0.8*p2.IPIUS {
+			t.Errorf("IPI latency not flat: %v us at 2 cores, %v us at %d", p2.IPIUS, p.IPIUS, p.Cores)
+		}
+	}
+	// Polling grows substantially (checking 47 buffers at ~100 cycles each).
 	if p48.PollingUS < 4*p2.PollingUS {
 		t.Errorf("polling at 48 cores (%v) should dwarf 2 cores (%v)", p48.PollingUS, p2.PollingUS)
-	}
-	// The IPI path stays flat (within 20%).
-	if p48.IPIUS > 1.2*p2.IPIUS || p48.IPIUS < 0.8*p2.IPIUS {
-		t.Errorf("IPI latency not flat: %v vs %v", p2.IPIUS, p48.IPIUS)
 	}
 	// Background noise does not disturb it much (paper: "similar level").
 	if p48.IPINoiseUS > 1.5*p48.IPIUS {

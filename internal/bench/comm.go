@@ -3,6 +3,7 @@ package bench
 import (
 	"metalsvm/internal/core"
 	"metalsvm/internal/cpu"
+	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func CommSweep(peer int, sizes []int, rounds int) []CommPoint {
 	}
 	var out []CommPoint
 	for _, size := range sizes {
-		chipCfg := benchChip()
+		chipCfg := ShrunkChip(scc.PaperSCC())
 		b, err := core.NewBaseline(&chipCfg, []int{0, peer})
 		if err != nil {
 			panic(err)

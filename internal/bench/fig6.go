@@ -28,7 +28,7 @@ func Fig6(rounds int) []Fig6Point { return fig6Run(nil, rounds) }
 // the topology's own mesh diameter (on-chip — the inter-chip link has no
 // hop count; see the scale harness for cross-chip latencies).
 func Fig6On(topo scc.Config, rounds int) []Fig6Point {
-	chip := benchChipOn(topo)
+	chip := ShrunkChip(topo)
 	return fig6Run(&chip, rounds)
 }
 

@@ -81,7 +81,7 @@ func Fig7PeerOn(topo scc.Config) (peer, hops int) {
 // is core 0 and the topology's equivalent of the paper's 5-hop peer, and
 // the default sweep doubles from 2 up to the machine's total core count.
 func Fig7On(topo scc.Config, rounds int, coreCounts []int) []Fig7Point {
-	chip := benchChipOn(topo)
+	chip := ShrunkChip(topo)
 	m, err := mesh.New(chip.Mesh)
 	if err != nil {
 		panic(err)

@@ -30,7 +30,7 @@ type pingPongConfig struct {
 	members []int // all activated cores (must contain 0 and b)
 	rounds  int
 	// chip overrides the platform (the topology-aware sweeps); nil selects
-	// benchChip(), the paper's chip with small memories.
+	// the paper's chip with small memories.
 	chip *scc.Config
 	// noise makes the filler cores exchange mail among themselves for the
 	// whole measurement (Figure 7's third curve).
@@ -42,24 +42,11 @@ type pingPongConfig struct {
 	inst core.Instrumentation
 }
 
-// benchChip returns the default platform with small memories (the mailbox
-// experiments never touch the SVM pool).
-func benchChip() scc.Config {
-	cfg := scc.DefaultConfig()
-	cfg.PrivateMemPerCore = 1 << 20
-	cfg.SharedMem = 16 << 20
-	return cfg
-}
-
-// ShrunkChip shrinks an arbitrary topology's memories the way the harness
-// cells do (1 MiB private, ~16 MiB shared), for callers building their own
-// cells on a user-supplied topology (sccbench's -chips/-grid modes).
-func ShrunkChip(topo scc.Config) scc.Config { return benchChipOn(topo) }
-
-// benchChipOn shrinks an arbitrary topology's memories the same way,
-// keeping the shared region striped over the machine's controller count so
-// the configuration still validates.
-func benchChipOn(topo scc.Config) scc.Config {
+// ShrunkChip shrinks a topology's memories the way the harness cells do
+// (1 MiB private, ~16 MiB shared; the mailbox experiments never touch the
+// SVM pool), keeping the shared region striped over the machine's
+// controller count so the configuration still validates.
+func ShrunkChip(topo scc.Config) scc.Config {
 	cfg := topo.Normalized()
 	cfg.PrivateMemPerCore = 1 << 20
 	unit := uint32(cfg.Chips*len(cfg.Mesh.MemoryControllers)) * pgtable.PageSize
@@ -80,7 +67,7 @@ func benchChipOn(topo scc.Config) scc.Config {
 func pingPong(cfg pingPongConfig) (Run, *core.Observation) {
 	const a = 0
 	eng := sim.NewEngine()
-	ccfg := benchChip()
+	ccfg := ShrunkChip(scc.PaperSCC())
 	if cfg.chip != nil {
 		ccfg = *cfg.chip
 	}
@@ -90,7 +77,7 @@ func pingPong(cfg pingPongConfig) (Run, *core.Observation) {
 	}
 	kcfg := kernel.DefaultConfig()
 	kcfg.Mode = cfg.mode
-	core.WireFaults(chip, &kcfg, cfg.faults)
+	core.WireFaults(chip, &kcfg, cfg.faults, false)
 	cl, err := kernel.NewCluster(chip, kcfg, cfg.members)
 	if err != nil {
 		panic(err)

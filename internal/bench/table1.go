@@ -3,6 +3,7 @@ package bench
 import (
 	"metalsvm/internal/core"
 	"metalsvm/internal/pgtable"
+	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
 	"metalsvm/internal/svm"
 )
@@ -41,8 +42,7 @@ const Table1Bytes uint32 = 4 << 20
 // requests nothing). Instrumentation leaves the result bit-identical.
 func Table1(model svm.Model, inst core.Instrumentation) (Table1Result, *core.Observation) {
 	scfg := svm.DefaultConfig(model)
-	ccfg := benchChip()
-	ccfg.PrivateMemPerCore = 1 << 20
+	ccfg := ShrunkChip(scc.PaperSCC())
 	m, err := core.NewMachine(core.Options{
 		Topology: &ccfg,
 		SVM:      &scfg,

@@ -82,23 +82,30 @@ var (
 	defaultRescuePeriod   = sim.Microseconds(500)
 )
 
-// WireFaults installs a fault injector built from fc onto the chip and fills
-// in the kernel config's watchdog and rescue defaults. It must run before
-// kernel.NewCluster (the cluster arms its watchdog at construction). A nil
-// fc is a no-op, preserving the plain machine bit for bit.
-func WireFaults(chip *scc.Chip, kcfg *kernel.Config, fc *faults.Config) {
-	if fc == nil {
-		return
+// WireFaults installs a fault injector built from fc onto the chip, with the
+// kernel config's watchdog defaults, and hardens the chip, with the rescue
+// default, when fc injects without NoHarden or replicated is set. The
+// replicated directory's managers send from their interrupt handlers; only
+// the hardened mailbox/wait paths (which drain the sender's own inbox while
+// blocked) make that deadlock-free, so it overrides NoHarden even on
+// fault-free runs. It must run before kernel.NewCluster (the cluster arms
+// its watchdog at construction). A nil fc without replicated is a no-op,
+// preserving the plain machine bit for bit.
+func WireFaults(chip *scc.Chip, kcfg *kernel.Config, fc *faults.Config, replicated bool) {
+	if fc != nil {
+		chip.SetFaultInjector(faults.NewInjector(*fc))
+		if kcfg.WatchdogPeriod == 0 {
+			kcfg.WatchdogPeriod = defaultWatchdogPeriod
+		}
+		if kcfg.WatchdogStrikes == 0 {
+			kcfg.WatchdogStrikes = DefaultWatchdogStrikes
+		}
 	}
-	chip.SetFaultInjector(faults.NewInjector(*fc), !fc.NoHarden)
-	if kcfg.WatchdogPeriod == 0 {
-		kcfg.WatchdogPeriod = defaultWatchdogPeriod
-	}
-	if kcfg.WatchdogStrikes == 0 {
-		kcfg.WatchdogStrikes = DefaultWatchdogStrikes
-	}
-	if !fc.NoHarden && kcfg.RescuePeriod == 0 {
-		kcfg.RescuePeriod = defaultRescuePeriod
+	if replicated || fc != nil && !fc.NoHarden {
+		chip.Harden()
+		if kcfg.RescuePeriod == 0 {
+			kcfg.RescuePeriod = defaultRescuePeriod
+		}
 	}
 }
 
@@ -190,22 +197,12 @@ func newPlatform(topo *scc.Config) (*scc.Chip, error) {
 // built chip, which may carry other machines on disjoint cores. It reads
 // every field of opts but Topology and Observe.
 func assemble(chip *scc.Chip, opts Options) (*Machine, error) {
+	rcfg := opts.ReplicatedDirectory
 	kcfg := kernel.DefaultConfig()
-	WireFaults(chip, &kcfg, opts.Faults)
+	WireFaults(chip, &kcfg, opts.Faults, rcfg != nil)
 	members := opts.Members
 	var workers, managers []int
 	var err error
-	rcfg := opts.ReplicatedDirectory
-	if rcfg != nil && !chip.FaultsHardened() {
-		// The replication kernel's managers send from their interrupt
-		// handlers; only the hardened mailbox/wait paths (which drain the
-		// sender's own inbox while blocked) make that deadlock-free. Force
-		// them on even for fault-free runs — this overrides NoHarden.
-		chip.Harden()
-		if kcfg.RescuePeriod == 0 {
-			kcfg.RescuePeriod = defaultRescuePeriod
-		}
-	}
 	if rcfg != nil {
 		workers = members
 		if workers == nil {

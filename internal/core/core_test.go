@@ -4,9 +4,12 @@ import (
 	"testing"
 
 	"metalsvm/internal/cpu"
+	"metalsvm/internal/faults"
 	"metalsvm/internal/mailbox"
+	"metalsvm/internal/pgtable"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
+	"metalsvm/internal/svm/repldir"
 )
 
 func smallChip() *scc.Config {
@@ -137,5 +140,94 @@ func TestBaselineRun(t *testing.T) {
 func TestBaselineInvalidCores(t *testing.T) {
 	if _, err := NewBaseline(smallChip(), nil); err == nil {
 		t.Fatal("empty baseline accepted")
+	}
+}
+
+// TestHardeningDecision: NewMachine hardens the chip for injected faults
+// without NoHarden and for the replicated directory, which overrides
+// NoHarden, and leaves it plain otherwise.
+func TestHardeningDecision(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		faults *faults.Config
+		repl   bool
+		want   bool
+	}{
+		{"plain", nil, false, false},
+		{"faults", &faults.Config{}, false, true},
+		{"faults-noharden", &faults.Config{NoHarden: true}, false, false},
+		{"repldir", nil, true, true},
+		{"repldir-noharden", &faults.Config{NoHarden: true}, true, true},
+	} {
+		opts := Options{Topology: smallChip(), Members: FirstN(4), Faults: c.faults}
+		if c.repl {
+			opts.ReplicatedDirectory = &repldir.Config{}
+		}
+		m, err := NewMachine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Chip.FaultsHardened(); got != c.want {
+			t.Errorf("%s: FaultsHardened() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestReplicatedDirectoryFree: freeing a region under the replicated
+// directory, which asks the manager group to forget each page, returns
+// every frame it took, and the next allocation reads its own fresh writes,
+// under both models. Four workers keep it fast: the default strong-model
+// worker set runs the same scenario for minutes.
+func TestReplicatedDirectoryFree(t *testing.T) {
+	const pages = 8
+	for _, model := range []svm.Model{svm.Strong, svm.LazyRelease} {
+		scfg := svm.DefaultConfig(model)
+		m, err := NewMachine(Options{
+			Topology:            smallChip(),
+			SVM:                 &scfg,
+			Members:             FirstN(4),
+			ReplicatedDirectory: &repldir.Config{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, held, after, bad := -1, -1, -1, 0
+		m.RunAll(func(env *Env) {
+			h, c := env.SVM, env.Core()
+			if h.Rank() == 0 {
+				before = m.SVM.FreeFrames()
+			}
+			for round := uint64(1); round <= 2; round++ {
+				base := h.Alloc(pages * pgtable.PageSize)
+				if h.Rank() == 0 {
+					for p := uint32(0); p < pages; p++ {
+						c.Store64(base+p*pgtable.PageSize, 100*round+uint64(p))
+					}
+				}
+				h.Barrier()
+				for p := uint32(0); p < pages; p++ {
+					if c.Load64(base+p*pgtable.PageSize) != 100*round+uint64(p) {
+						bad++
+					}
+				}
+				h.Barrier()
+				if round == 1 {
+					if h.Rank() == 0 {
+						held = m.SVM.FreeFrames()
+					}
+					h.Free(base)
+					if h.Rank() == 0 {
+						after = m.SVM.FreeFrames()
+					}
+				}
+			}
+		})
+		if m.Cluster.WatchdogFired() {
+			t.Fatalf("%v: watchdog fired:\n%s", model, m.Cluster.WatchdogReport())
+		}
+		if held != before-pages || after != before || bad != 0 {
+			t.Errorf("%v: free frames %d before the allocation, %d before the free, %d after it; %d stale reads",
+				model, before, held, after, bad)
+		}
 	}
 }

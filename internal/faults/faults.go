@@ -293,13 +293,16 @@ func (s Stats) PerRoute() map[string]RouteStats {
 // which operation each fault hits.
 type Injector struct {
 	cfg   Config
-	state uint64
 	stats Stats
-	cores []coreStream
+	// streams[0] is the global stream and streams[1+c] core c's.
+	streams []stream
 }
 
-// coreStream is one core's private fault stream plus its stats shard.
-type coreStream struct {
+// Global selects the global stream where a draw takes a core.
+const Global = -1
+
+// stream is one splitmix64 fault stream plus its stats shard.
+type stream struct {
 	state     uint64
 	decisions uint64
 	delays    [NumRoutes]uint64
@@ -308,27 +311,41 @@ type coreStream struct {
 
 // NewInjector builds an injector for the configuration.
 func NewInjector(cfg Config) *Injector {
-	return &Injector{cfg: cfg, state: cfg.Seed}
+	return &Injector{cfg: cfg, streams: []stream{{state: cfg.Seed}}}
 }
 
-// mix64 is the splitmix64 finalizer, used to derive well-separated per-core
-// seeds from the configured seed.
+// mix64 is the splitmix64 finalizer.
 func mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
+// draw advances the splitmix64 stream and counts the decision.
+func (st *stream) draw() uint64 {
+	st.decisions++
+	st.state += 0x9e3779b97f4a7c15
+	return mix64(st.state)
+}
+
+// roll draws one decision with probability permille/1000. A zero
+// probability consumes no randomness, so disabled fault classes perturb
+// nothing — not even the stream position of enabled ones on other sites.
+func (st *stream) roll(permille uint32) bool {
+	return permille != 0 && st.draw()%1000 < uint64(permille)
+}
+
 // BindCores sizes the per-core fault streams. The platform calls it once at
 // machine build, before any core-parameterized draw; each core's stream is
-// seeded independently of the others and of the global stream. Nil-safe.
+// seeded with mix64 independently of the others and of the global stream.
+// Nil-safe.
 func (in *Injector) BindCores(n int) {
 	if in == nil {
 		return
 	}
-	in.cores = make([]coreStream, n)
-	for c := range in.cores {
-		in.cores[c].state = mix64(in.cfg.Seed ^ 0x9e3779b97f4a7c15*uint64(c+1))
+	in.streams = in.streams[:1]
+	for c := 0; c < n; c++ {
+		in.streams = append(in.streams, stream{state: mix64(in.cfg.Seed ^ 0x9e3779b97f4a7c15*uint64(c+1))})
 	}
 }
 
@@ -337,103 +354,54 @@ func (in *Injector) Enabled() bool {
 	return in != nil && in.cfg.Spec.Enabled()
 }
 
-// Stats returns a snapshot of the decision counters, summing the per-core
-// stream shards into the global totals. Nil-safe.
+// Stats returns a snapshot of the decision counters, summing the streams'
+// shards into the totals. Nil-safe.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
 	s := in.stats
-	for c := range in.cores {
-		cs := &in.cores[c]
-		s.Decisions += cs.decisions
-		s.Stalls += cs.stalls
+	for i := range in.streams {
+		st := &in.streams[i]
+		s.Decisions += st.decisions
+		s.Stalls += st.stalls
 		for r := 0; r < int(NumRoutes); r++ {
-			s.Delays[r] += cs.delays[r]
+			s.Delays[r] += st.delays[r]
 		}
 	}
 	return s
 }
 
-// next advances the splitmix64 stream.
-func (in *Injector) next() uint64 {
-	in.state += 0x9e3779b97f4a7c15
-	z := in.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// roll draws one decision with probability permille/1000. A zero
-// probability consumes no randomness, so disabled fault classes perturb
-// nothing — not even the stream position of enabled ones on other sites.
-func (in *Injector) roll(permille uint32) bool {
-	if permille == 0 {
-		return false
-	}
-	in.stats.Decisions++
-	return in.next()%1000 < uint64(permille)
-}
-
 // DelayCycles returns the extra latency (in core cycles) to charge on a
-// transaction over the route, or zero. Nil-safe.
-func (in *Injector) DelayCycles(r Route) uint64 {
+// transaction over the route, or zero, drawn from core's private stream or,
+// for Global, the global one. Compute-path call sites (DDR and MPB latency
+// models) draw from their core's stream so the draw sequence is a function
+// of the core's own operation order only. A core's stream requires
+// BindCores; nil-safe.
+func (in *Injector) DelayCycles(core int, r Route) uint64 {
 	if in == nil {
 		return 0
 	}
-	rs := &in.cfg.Spec.Routes[r]
-	if !in.roll(rs.DelayPermille) {
+	rs, st := &in.cfg.Spec.Routes[r], &in.streams[1+core]
+	if !st.roll(rs.DelayPermille) {
 		return 0
 	}
-	in.stats.Delays[r]++
+	st.delays[r]++
 	return rs.DelayCycles
 }
 
-// nextOn advances one core's private splitmix64 stream.
-func (cs *coreStream) next() uint64 {
-	cs.state += 0x9e3779b97f4a7c15
-	return mix64(cs.state)
-}
-
-// rollOn draws one decision from a core stream; zero probability consumes
-// no randomness, mirroring roll.
-func (cs *coreStream) roll(permille uint32) bool {
-	if permille == 0 {
-		return false
-	}
-	cs.decisions++
-	return cs.next()%1000 < uint64(permille)
-}
-
-// DelayCyclesOn is DelayCycles drawn from the given core's private stream.
-// Compute-path call sites (DDR and MPB latency models) use it so the draw
-// sequence is a function of the core's own operation order only.
-// Requires BindCores; nil-safe.
-func (in *Injector) DelayCyclesOn(core int, r Route) uint64 {
-	if in == nil {
-		return 0
-	}
-	rs := &in.cfg.Spec.Routes[r]
-	cs := &in.cores[core]
-	if !cs.roll(rs.DelayPermille) {
-		return 0
-	}
-	cs.delays[r]++
-	return rs.DelayCycles
-}
-
-// StallCyclesOn returns the length of an injected transient core stall (in
+// StallCycles returns the length of an injected transient core stall (in
 // core cycles), or zero, drawn from the given core's private stream.
 // Requires BindCores; nil-safe.
-func (in *Injector) StallCyclesOn(core int) uint64 {
+func (in *Injector) StallCycles(core int) uint64 {
 	if in == nil {
 		return 0
 	}
-	cs := &in.cores[core]
-	if !cs.roll(in.cfg.Spec.StallPermille) {
+	st := &in.streams[1+core]
+	if !st.roll(in.cfg.Spec.StallPermille) {
 		return 0
 	}
-	cs.stalls++
+	st.stalls++
 	return in.cfg.Spec.StallCycles
 }
 
@@ -442,7 +410,7 @@ func (in *Injector) Drop(r Route) bool {
 	if in == nil {
 		return false
 	}
-	if !in.roll(in.cfg.Spec.Routes[r].DropPermille) {
+	if !in.streams[0].roll(in.cfg.Spec.Routes[r].DropPermille) {
 		return false
 	}
 	in.stats.Drops[r]++
@@ -455,7 +423,7 @@ func (in *Injector) Dup(r Route) bool {
 	if in == nil {
 		return false
 	}
-	if !in.roll(in.cfg.Spec.Routes[r].DupPermille) {
+	if !in.streams[0].roll(in.cfg.Spec.Routes[r].DupPermille) {
 		return false
 	}
 	in.stats.Dups[r]++
@@ -468,8 +436,7 @@ func (in *Injector) DupDelayCycles() uint64 {
 	if in == nil {
 		return 0
 	}
-	in.stats.Decisions++
-	return 8192 + in.next()%8192
+	return 8192 + in.streams[0].draw()%8192
 }
 
 // Corrupt decides whether to corrupt the frame and, if so, flips one
@@ -479,13 +446,13 @@ func (in *Injector) Corrupt(r Route, buf []byte) bool {
 	if in == nil || len(buf) == 0 {
 		return false
 	}
-	if !in.roll(in.cfg.Spec.Routes[r].CorruptPermille) {
+	g := &in.streams[0]
+	if !g.roll(in.cfg.Spec.Routes[r].CorruptPermille) {
 		return false
 	}
 	in.stats.Corruptions[r]++
-	in.stats.Decisions += 2
-	idx := in.next() % uint64(len(buf))
-	bit := in.next() % 8
+	idx := g.draw() % uint64(len(buf))
+	bit := g.draw() % 8
 	buf[idx] ^= 1 << bit
 	return true
 }

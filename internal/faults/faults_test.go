@@ -16,7 +16,7 @@ func TestNilInjectorSafe(t *testing.T) {
 	if in.Drop(Mail) || in.Dup(Mail) {
 		t.Fatal("nil injector injected")
 	}
-	if in.DelayCycles(DDR) != 0 || in.StallCyclesOn(0) != 0 || in.DupDelayCycles() != 0 {
+	if in.DelayCycles(Global, DDR) != 0 || in.StallCycles(0) != 0 || in.DupDelayCycles() != 0 {
 		t.Fatal("nil injector returned nonzero delay")
 	}
 	buf := []byte{1, 2, 3}
@@ -48,7 +48,7 @@ func TestSeedDeterminism(t *testing.T) {
 		var out []bool
 		for i := 0; i < 2000; i++ {
 			out = append(out, in.Drop(Mail), in.Dup(Mail), in.Drop(IPI),
-				in.DelayCycles(DDR) != 0, in.StallCyclesOn(0) != 0)
+				in.DelayCycles(Global, DDR) != 0, in.StallCycles(0) != 0)
 		}
 		return out, in.Stats()
 	}
@@ -101,8 +101,8 @@ func TestZeroProbabilityDrawsNothing(t *testing.T) {
 	in.BindCores(1)
 	for i := 0; i < 100; i++ {
 		in.Drop(Mail)
-		in.DelayCycles(DDR)
-		in.StallCyclesOn(0)
+		in.DelayCycles(Global, DDR)
+		in.StallCycles(0)
 	}
 	if d := in.Stats().Decisions; d != 0 {
 		t.Fatalf("zero spec consumed %d draws", d)

@@ -86,7 +86,8 @@ func runScanScenario(t *testing.T, mode mailbox.Mode, spec *faults.Spec, loop bo
 	kcfg.Mode = mode
 	kcfg.TimerPeriod = sim.Microseconds(15)
 	if spec != nil {
-		chip.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 7, Spec: *spec}), true)
+		chip.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 7, Spec: *spec}))
+		chip.Harden()
 		kcfg.RescuePeriod = sim.Microseconds(20)
 	}
 	members := []int{0, 7, 13, 20, 26, 33, 40, 47}

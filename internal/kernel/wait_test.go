@@ -22,7 +22,8 @@ func hardenedCluster(t *testing.T, mode mailbox.Mode, members []int, seed uint64
 	if err != nil {
 		t.Fatal(err)
 	}
-	chip.SetFaultInjector(faults.NewInjector(faults.Config{Seed: seed, Spec: spec}), true)
+	chip.SetFaultInjector(faults.NewInjector(faults.Config{Seed: seed, Spec: spec}))
+	chip.Harden()
 	kcfg := DefaultConfig()
 	kcfg.Mode = mode
 	kcfg.RescuePeriod = rescue

@@ -165,12 +165,11 @@ func (m *mailer) check() (sim.Duration, bool, bool) {
 		return 0, false, true
 	}
 	m.hardened = s.chip.FaultsHardened()
-	_, capacity := frameLayout(m.hardened)
 	p := s.pair(r, sender)
 	n := int(binary.LittleEndian.Uint16(m.line[2:]))
 	seq := binary.LittleEndian.Uint16(m.line[4:])
 	switch {
-	case n > capacity:
+	case n > PayloadSize:
 		// A frame this long cannot have been sent; drop it rather than read
 		// out of bounds.
 		s.stats.ShortFrames++
@@ -214,7 +213,7 @@ func (m *mailer) deposit() (sim.Duration, bool, bool) {
 			m.inject(faults.Link, faults.Drop)
 			return m.access(m.to, sendLost)
 		}
-		if cyc := inj.DelayCycles(faults.Mail); cyc != 0 {
+		if cyc := inj.DelayCycles(faults.Global, faults.Mail); cyc != 0 {
 			m.inject(faults.Mail, faults.Delay)
 			m.phase = sendDelayed
 			return ch.Config().Core.Clock.Cycles(cyc), false, false

@@ -42,7 +42,6 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 		return
 	}
 	hardened := s.chip.FaultsHardened()
-	hdr, _ := frameLayout(hardened)
 	core := s.chip.Core(from)
 	off := slotOff(from)
 	p := s.pair(to, from)
@@ -75,7 +74,7 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 	var line [phys.CacheLine]byte
 	line[0], line[1] = 1, typ
 	binary.LittleEndian.PutUint16(line[2:], uint16(len(payload)))
-	copy(line[hdr:], payload)
+	copy(line[frameHeader:], payload)
 	if hardened {
 		s.sendSeq[p]++
 		binary.LittleEndian.PutUint16(line[4:], s.sendSeq[p])
@@ -109,7 +108,7 @@ func literalDeposit(s *System, from, to, off int, wire [phys.CacheLine]byte) {
 		access(s.chip, from, to)
 		return
 	}
-	if cyc := inj.DelayCycles(faults.Mail); cyc != 0 {
+	if cyc := inj.DelayCycles(faults.Global, faults.Mail); cyc != 0 {
 		tr.Emit(core.Now(), from, trace.KindFaultInject, uint64(faults.Mail), uint64(faults.Delay))
 		core.Cycles(cyc)
 	}
@@ -169,13 +168,12 @@ func literalTake(s *System, receiver, sender int) (Msg, bool) {
 		return Msg{}, false
 	}
 	hardened := s.chip.FaultsHardened()
-	hdr, capacity := frameLayout(hardened)
 	p := s.pair(receiver, sender)
 	n := int(binary.LittleEndian.Uint16(line[2:]))
 	seq := binary.LittleEndian.Uint16(line[4:])
 	discard, fresh := false, false
 	switch {
-	case n > capacity:
+	case n > PayloadSize:
 		s.stats.ShortFrames++
 		discard = true
 	case hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
@@ -203,7 +201,7 @@ func literalTake(s *System, receiver, sender int) (Msg, bool) {
 		s.stats.Recvs++
 		s.chip.Tracer().Emit(core.Now(), receiver, trace.KindMailRecv, uint64(sender), uint64(line[1]))
 		msg = Msg{From: sender, Type: line[1]}
-		copy(msg.Payload[:], line[hdr:hdr+n])
+		copy(msg.Payload[:], line[frameHeader:frameHeader+n])
 	}
 	s.freeSignal(p).Fire(core.Now())
 	return msg, fresh
@@ -278,7 +276,8 @@ func runChainScenario(t *testing.T, ops mailOps, mode Mode, spec *faults.Spec) c
 	t.Helper()
 	eng, ch := newChip(t)
 	if spec != nil {
-		ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 5, Spec: *spec}), true)
+		ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 5, Spec: *spec}))
+		ch.Harden()
 	}
 	mb := New(ch, mode)
 	mb.SetProfiler(profile.New(ch.Cores(), profile.Config{SpanCapacity: -1}))
@@ -305,7 +304,7 @@ func runChainScenario(t *testing.T, ops mailOps, mode Mode, spec *faults.Spec) c
 				return
 			}
 			c.Cycles(uint64(250 + 41*idx))
-			var payload [HardenedPayloadSize]byte
+			var payload [PayloadSize]byte
 			PutU32(payload[:], 0, m.U32(0)+1)
 			ops.send(mb, id, m.From, ack, payload[:4+4*(idx%3)])
 		}
@@ -365,7 +364,7 @@ func runChainScenario(t *testing.T, ops mailOps, mode Mode, spec *faults.Spec) c
 			next := members[(idx+1)%n]
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < 2; k++ {
-					var payload [HardenedPayloadSize]byte
+					var payload [PayloadSize]byte
 					PutU32(payload[:], 0, uint32(1000*idx+10*r+k))
 					ops.send(mb, id, next, req, payload[:4+4*((r+k)%5)])
 				}

@@ -15,7 +15,8 @@ import (
 func hardenedChip(t *testing.T, seed uint64, spec faults.Spec) (*sim.Engine, *scc.Chip) {
 	t.Helper()
 	eng, ch := newChip(t)
-	ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: seed, Spec: spec}), true)
+	ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: seed, Spec: spec}))
+	ch.Harden()
 	return eng, ch
 }
 
@@ -43,7 +44,7 @@ func TestTruncatedFrameIsError(t *testing.T) {
 // sender's retransmission timer still owns recovery.
 func TestHardenedTruncatedFrameHeldForRetransmit(t *testing.T) {
 	var line [phys.CacheLine]byte
-	binary.LittleEndian.PutUint16(line[2:], uint16(HardenedPayloadSize+1))
+	binary.LittleEndian.PutUint16(line[2:], uint16(PayloadSize+1))
 	checkHeldForRetransmit(t, line, func(st Stats) uint64 { return st.ShortFrames })
 }
 

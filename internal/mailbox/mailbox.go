@@ -21,17 +21,25 @@
 //     GIC; the receiver's handler asks the GIC which core raised it and
 //     checks only that slot.
 //
+// # Frame
+//
+// Every mail is one line: a flag byte, a type byte, a 16-bit payload
+// length, a 16-bit sequence number, a 16-bit checksum and PayloadSize
+// payload bytes. A plain sender leaves the sequence number and checksum
+// zero and a plain receiver ignores them; an MPB operation costs the same
+// simulated time whatever the line holds.
+//
 // # Hardened steps
 //
 // There is one protocol: Send is one probe-deposit-notify loop and the
 // receive chain (Check, ScanTake, Take) one read-validate-release path.
 // When the chip runs hardened (scc.Chip.FaultsHardened), steps inside them
-// change: the frame also carries a per-pair sequence number and a checksum;
-// the receiver's flag clear also publishes the last in-order sequence it
-// consumed, a cumulative acknowledgement; the sender's probe also requires
-// its previous mail acknowledged; and the sender keeps that mail buffered
-// and retransmits it on a simulated-time timeout with exponential backoff.
-// Every fault then recovers:
+// change: the sender fills in the frame's sequence number and checksum;
+// the receiver checks them, and its flag clear also publishes the last
+// in-order sequence it consumed, a cumulative acknowledgement; the sender's
+// probe also requires its previous mail acknowledged; and the sender keeps
+// that mail buffered and retransmits it on a simulated-time timeout with
+// exponential backoff. Every fault then recovers:
 //
 //   - drop: the flag never lands; the retransmission timer redeposits.
 //   - corruption: the receiver's checksum fails; it frees the slot without
@@ -41,9 +49,8 @@
 //   - dropped IPI: the timer re-fires the notification for a deposited but
 //     unconsumed mail.
 //
-// An MPB operation costs the same simulated time whatever its size, so the
-// hardened frame costs what the plain one does, but the added steps do not:
-// forced on, they move fault-free results. The plain steps are the paper's.
+// The added steps, forced on, move fault-free results. The plain steps are
+// the paper's.
 package mailbox
 
 import (
@@ -59,14 +66,12 @@ import (
 	"metalsvm/internal/trace"
 )
 
-// PayloadSize is the usable bytes per mail: one line minus flag, type and
-// length header.
-const PayloadSize = phys.CacheLine - 4
+// frameHeader is the bytes before a frame's payload: flag, type, length,
+// sequence number and checksum.
+const frameHeader = 8
 
-// HardenedPayloadSize is the usable bytes per mail under the hardened
-// protocol: the line additionally carries a 16-bit sequence number and a
-// 16-bit checksum.
-const HardenedPayloadSize = phys.CacheLine - 8
+// PayloadSize is the usable bytes per mail: one line minus the header.
+const PayloadSize = phys.CacheLine - frameHeader
 
 // RetxTimeoutCoreCycles is the hardened sender's base retransmission
 // timeout in core cycles (~37.5 us at the paper's 533 MHz). The timeout
@@ -253,16 +258,6 @@ func frameSum(line *[phys.CacheLine]byte) uint16 {
 	return uint16(sum)
 }
 
-// frameLayout returns where a frame's payload starts and how many payload
-// bytes it holds: after the flag, type and length header, plus the
-// sequence number and checksum when hardened.
-func frameLayout(hardened bool) (hdr, capacity int) {
-	if hardened {
-		return 8, HardenedPayloadSize
-	}
-	return 4, PayloadSize
-}
-
 // Send deposits a mail from core from to core to, busy-waiting while the
 // slot still holds an unconsumed mail. It runs on from's goroutine. Each
 // round's probe, deposit and notification run as one step chain (mailer).
@@ -279,18 +274,17 @@ func (s *System) Send(from, to int, typ byte, payload []byte) {
 		s.chip.Core(from).Proc().Charge(s.chip.MPBAccess(from, to))
 		return
 	}
-	hardened := s.chip.FaultsHardened()
-	hdr, capacity := frameLayout(hardened)
-	if len(payload) > capacity {
-		panic(fmt.Sprintf("mailbox: payload %d exceeds %d bytes", len(payload), capacity))
+	if len(payload) > PayloadSize {
+		panic(fmt.Sprintf("mailbox: payload %d exceeds %d bytes", len(payload), PayloadSize))
 	}
+	hardened := s.chip.FaultsHardened()
 	m := s.mailer(from)
 	*m = mailer{s: s, core: from, step: m.step, to: to, typ: typ, hardened: hardened}
 	// One combined line write carries header and payload; a hardened
 	// frame gets its sequence number and checksum once the probe passes.
 	m.line[0], m.line[1] = 1, typ
 	binary.LittleEndian.PutUint16(m.line[2:], uint16(len(payload)))
-	copy(m.line[hdr:], payload)
+	copy(m.line[frameHeader:], payload)
 	core, free := s.chip.Core(from), s.freeSignal(s.pair(to, from))
 	proc := core.Proc()
 	s.prof.EnterIfIdle(from, profile.MailboxWait, proc.LocalTime())
@@ -496,10 +490,9 @@ func (s *System) receive(receiver int, senders []int, sender, from, skip int, ph
 	s.chip.Core(receiver).Proc().Spin(m.step)
 	var msg Msg
 	if m.ok {
-		hdr, _ := frameLayout(m.hardened)
 		n := int(binary.LittleEndian.Uint16(m.line[2:]))
 		msg = Msg{From: m.senders[m.i], Type: m.line[1]}
-		copy(msg.Payload[:], m.line[hdr:hdr+n])
+		copy(msg.Payload[:], m.line[frameHeader:frameHeader+n])
 	}
 	m.free, s.mailers[receiver] = s.mailers[receiver], m
 	return m.i, msg, m.ok

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metalsvm/internal/cpu"
-	"metalsvm/internal/faults"
 	"metalsvm/internal/phys"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
@@ -82,7 +81,7 @@ func receiveForged(t *testing.T, line [phys.CacheLine]byte, hardened bool) (Msg,
 		t.Fatal(err)
 	}
 	if hardened {
-		ch.SetFaultInjector(faults.NewInjector(faults.Config{}), true)
+		ch.Harden()
 	}
 	mb := New(ch, ModePolling)
 	ch.MPB().Write(1, slotOff(0), line[:])
@@ -102,8 +101,9 @@ func receiveForged(t *testing.T, line [phys.CacheLine]byte, hardened bool) (Msg,
 // matching checksum; a refused frame is counted as exactly one short,
 // corrupt or duplicate frame, short when it is over-long and corrupt when
 // only its checksum is wrong; and the slot is free afterwards. The seed
-// corpus in testdata/fuzz holds a clean frame of each kind, an over-long
-// frame, a bad checksum and a stale sequence number.
+// corpus in testdata/fuzz holds a clean frame of each kind, over-long
+// frames, a bad checksum, a stale sequence number, and a plain frame with a
+// full PayloadSize payload and one a byte longer.
 func FuzzFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, hardened bool) {
 		var line [phys.CacheLine]byte
@@ -111,7 +111,6 @@ func FuzzFrame(f *testing.F) {
 		msg, ok, mb := receiveForged(t, line, hardened)
 		line[0] = 1
 
-		hdr, capacity := frameLayout(hardened)
 		n := int(binary.LittleEndian.Uint16(line[2:]))
 		badSum := hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line)
 		st := mb.Stats()
@@ -121,17 +120,17 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("delivered, but counted %+v", st)
 		case !ok && (drops != 1 || st.Recvs != 0):
 			t.Fatalf("refused, but counted %+v", st)
-		case ok && n > capacity:
-			t.Fatalf("delivered a %d-byte payload, capacity %d", n, capacity)
+		case ok && n > PayloadSize:
+			t.Fatalf("delivered a %d-byte payload, capacity %d", n, PayloadSize)
 		case ok && badSum:
 			t.Fatal("delivered a hardened frame whose checksum does not match")
 		case ok && (msg.From != 0 || msg.Type != line[1] ||
-			!bytes.Equal(msg.Payload[:n], line[hdr:hdr+n]) ||
+			!bytes.Equal(msg.Payload[:n], line[frameHeader:frameHeader+n]) ||
 			!bytes.Equal(msg.Payload[n:], make([]byte, PayloadSize-n))):
 			t.Fatalf("delivered %+v from line %x", msg, line)
-		case n > capacity && st.ShortFrames != 1:
+		case n > PayloadSize && st.ShortFrames != 1:
 			t.Fatalf("an over-long frame was not counted short: %+v", st)
-		case n <= capacity && badSum && st.CorruptDrops != 1:
+		case n <= PayloadSize && badSum && st.CorruptDrops != 1:
 			t.Fatalf("a bad checksum was not counted corrupt: %+v", st)
 		}
 		if mb.chip.MPB().Byte(1, slotOff(0)) != 0 {

@@ -49,16 +49,6 @@ type Comm struct {
 
 	// barrierCount is the per-rank dissemination barrier epoch.
 	barrierCount []uint8
-
-	stats Stats
-}
-
-// Stats counts communication events.
-type Stats struct {
-	Sends    uint64
-	Recvs    uint64
-	Chunks   uint64
-	Barriers uint64
 }
 
 // New creates a communicator. cores lists the participating cores in rank
@@ -185,7 +175,6 @@ func (c *Comm) Send(me int, data []byte, to int) {
 	if me == to {
 		panic("rcce: send to self")
 	}
-	c.stats.Sends++
 	meCore, toCore := c.cores[me], c.cores[to]
 	slot := c.slotFor(me, to)
 	for off := 0; off < len(data); off += c.slotSize {
@@ -197,7 +186,6 @@ func (c *Comm) Send(me int, data []byte, to int) {
 		c.waitFlag(meCore, toCore, me, flagIdle)
 		c.stage(meCore, slot, data[off:end])
 		c.writeFlag(meCore, toCore, me, flagReady, uint16(end-off))
-		c.stats.Chunks++
 	}
 	// Block until the last chunk is consumed (synchronous completion).
 	c.waitFlag(meCore, toCore, me, flagIdle)
@@ -208,7 +196,6 @@ func (c *Comm) Recv(me int, buf []byte, from int) {
 	if me == from {
 		panic("rcce: recv from self")
 	}
-	c.stats.Recvs++
 	meCore, fromCore := c.cores[me], c.cores[from]
 	slot := c.slotFor(from, me)
 	for off := 0; off < len(buf); {
@@ -227,7 +214,6 @@ func (c *Comm) Recv(me int, buf []byte, from int) {
 // through the flag records of a virtual "barrier sender" — we reuse the
 // flag array indexed by the partner rank with epoch numbers as payload).
 func (c *Comm) Barrier(me int) {
-	c.stats.Barriers++
 	n := len(c.cores)
 	c.barrierCount[me]++
 	epoch := c.barrierCount[me]

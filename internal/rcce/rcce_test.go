@@ -75,9 +75,6 @@ func TestSendRecvMultiChunk(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("multi-chunk payload corrupted")
 	}
-	if comm.stats.Chunks != 4 {
-		t.Fatalf("chunks = %d, want 4", comm.stats.Chunks)
-	}
 }
 
 func TestSendIsSynchronous(t *testing.T) {
@@ -214,9 +211,6 @@ func TestBarrier(t *testing.T) {
 			t.Fatalf("rank %d left round-2 barrier at %v before last arrival %v",
 				r, l.Microseconds(), maxArrive.Microseconds())
 		}
-	}
-	if comm.stats.Barriers != uint64(5*len(cores)) {
-		t.Fatalf("barriers = %d", comm.stats.Barriers)
 	}
 }
 

@@ -2,9 +2,9 @@ package sancheck
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"metalsvm/internal/cycles"
 	"metalsvm/internal/sim"
 )
 
@@ -23,35 +23,30 @@ import (
 // critical sections cannot close a cycle; cycles come from workload-level
 // SVM lock nesting.
 
-type loEdge struct{ from, to token }
-
 type loSite struct {
 	core int
 	at   sim.Time
 }
 
 type lockOrderState struct {
-	edges map[loEdge]loSite
-	nodes map[token]bool
+	edges map[cycles.Edge[token]]loSite
 	// barrierReported dedups lock-across-barrier findings per lock.
 	barrierReported map[token]bool
 }
 
 func newLockOrderState() *lockOrderState {
 	return &lockOrderState{
-		edges:           make(map[loEdge]loSite),
-		nodes:           make(map[token]bool),
+		edges:           make(map[cycles.Edge[token]]loSite),
 		barrierReported: make(map[token]bool),
 	}
 }
 
 func (lo *lockOrderState) onAcquire(k *Checker, core int, t token, at sim.Time) {
-	lo.nodes[t] = true
 	for _, h := range k.held[core] {
 		if h == t {
 			continue // recursive acquisition of the same lock
 		}
-		e := loEdge{from: h, to: t}
+		e := cycles.Edge[token]{From: h, To: t}
 		if _, ok := lo.edges[e]; !ok {
 			lo.edges[e] = loSite{core: core, at: at}
 		}
@@ -70,87 +65,18 @@ func (lo *lockOrderState) onBarrier(k *Checker, core int, at sim.Time) {
 	}
 }
 
-// finalize runs the cycle detection: a DFS over the acquisition-order graph
-// in deterministic node order, reporting each back edge's cycle once per
-// distinct node set.
+// finalize reports the acquisition-order graph's cycles, each once per
+// distinct node set, in deterministic order.
 func (lo *lockOrderState) finalize(k *Checker) {
-	nodes := make([]token, 0, len(lo.nodes))
-	//metalsvm:deterministic — keys are collected, then sorted below
-	for n := range lo.nodes {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].less(nodes[j]) })
-
-	succs := make(map[token][]token)
-	//metalsvm:deterministic — successor lists are sorted below
-	for e := range lo.edges {
-		succs[e.from] = append(succs[e.from], e.to)
-	}
-	//metalsvm:deterministic — each list is sorted in place, order-insensitive
-	for _, s := range succs {
-		sort.Slice(s, func(i, j int) bool { return s[i].less(s[j]) })
-	}
-
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make(map[token]int)
-	var stack []token
-	seen := make(map[string]bool) // canonical node sets of reported cycles
-
-	var dfs func(t token)
-	dfs = func(t token) {
-		color[t] = grey
-		stack = append(stack, t)
-		for _, nxt := range succs[t] {
-			switch color[nxt] {
-			case white:
-				dfs(nxt)
-			case grey:
-				// Back edge: the cycle is the stack suffix from nxt.
-				start := 0
-				for i, s := range stack {
-					if s == nxt {
-						start = i
-						break
-					}
-				}
-				lo.reportCycle(k, stack[start:], seen)
-			}
+	cycles.Find(lo.edges, token.compare, func(cycle []token) {
+		var b strings.Builder
+		for _, t := range cycle {
+			fmt.Fprintf(&b, "%v -> ", t)
 		}
-		color[t] = black
-		stack = stack[:len(stack)-1]
-	}
-	for _, n := range nodes {
-		if color[n] == white {
-			dfs(n)
-		}
-	}
-}
-
-func (lo *lockOrderState) reportCycle(k *Checker, cycle []token, seen map[string]bool) {
-	// Canonicalize by the sorted node set so rotations report once.
-	key := make([]token, len(cycle))
-	copy(key, cycle)
-	sort.Slice(key, func(i, j int) bool { return key[i].less(key[j]) })
-	var kb strings.Builder
-	for _, t := range key {
-		fmt.Fprintf(&kb, "%v;", t)
-	}
-	if seen[kb.String()] {
-		return
-	}
-	seen[kb.String()] = true
-
-	var b strings.Builder
-	for _, t := range cycle {
-		fmt.Fprintf(&b, "%v -> ", t)
-	}
-	fmt.Fprintf(&b, "%v", cycle[0])
-	// Attribute the finding to the edge closing the cycle.
-	site := lo.edges[loEdge{from: cycle[len(cycle)-1], to: cycle[0]}]
-	k.report(Finding{Kind: LockOrderCycle, Core: site.core, At: site.at,
-		Detail: fmt.Sprintf("lock acquisition order cycle: %s (potential deadlock)", b.String())})
+		fmt.Fprintf(&b, "%v", cycle[0])
+		// Attribute the finding to the edge closing the cycle.
+		site := lo.edges[cycles.Edge[token]{From: cycle[len(cycle)-1], To: cycle[0]}]
+		k.report(Finding{Kind: LockOrderCycle, Core: site.core, At: site.at,
+			Detail: fmt.Sprintf("lock acquisition order cycle: %s (potential deadlock)", b.String())})
+	})
 }

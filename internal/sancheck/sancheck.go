@@ -39,6 +39,7 @@
 package sancheck
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"strings"
@@ -143,15 +144,9 @@ func (t token) String() string {
 	}
 }
 
-// less orders tokens deterministically (reports never depend on map order).
-func (t token) less(o token) bool {
-	if t.kind != o.kind {
-		return t.kind < o.kind
-	}
-	if t.space != o.space {
-		return t.space < o.space
-	}
-	return t.id < o.id
+// compare orders tokens deterministically (reports never depend on map order).
+func (t token) compare(o token) int {
+	return cmp.Or(cmp.Compare(t.kind, o.kind), cmp.Compare(t.space, o.space), cmp.Compare(t.id, o.id))
 }
 
 func fmtSet(set []token) string {

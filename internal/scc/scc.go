@@ -236,11 +236,9 @@ func (ch *Chip) LastMeshShare(core int) sim.Duration { return ch.lastMesh[core] 
 func (ch *Chip) Tracer() *trace.Stream { return ch.tracer }
 
 // SetFaultInjector installs a fault injector; nil disables injection.
-// harden selects the recovery protocols in the mailbox/kernel/SVM layers
-// (ignored when in is nil).
-func (ch *Chip) SetFaultInjector(in *faults.Injector, harden bool) {
+// Harden, not the injector, selects the recovery protocols.
+func (ch *Chip) SetFaultInjector(in *faults.Injector) {
 	ch.faults = in
-	ch.harden = in != nil && harden
 	// The compute-path fault classes (DDR/MPB delay, stalls) draw from
 	// per-core streams so their sequences do not depend on cross-core
 	// interleaving.
@@ -251,16 +249,16 @@ func (ch *Chip) SetFaultInjector(in *faults.Injector, harden bool) {
 // methods accept nil receivers).
 func (ch *Chip) FaultInjector() *faults.Injector { return ch.faults }
 
-// Harden selects the fault-tolerant protocol variants without installing an
-// injector (no faults are injected). The replicated ownership directory
-// requires this even on fault-free runs: its managers send from their
-// interrupt handlers, which is deadlock-free only under the hardened
-// send/wait paths that drain the sender's own inbox while blocked.
+// Harden selects the fault-tolerant protocol variants in the mailbox,
+// kernel and SVM layers, with or without an injector. The replicated
+// ownership directory requires them even on fault-free runs: its managers
+// send from their interrupt handlers, which is deadlock-free only under the
+// hardened send/wait paths that drain the sender's own inbox while blocked.
 func (ch *Chip) Harden() { ch.harden = true }
 
 // FaultsHardened reports whether the fault-tolerant protocol variants are
-// selected. Always false without an injector or an explicit Harden call, so
-// plain runs keep the plain protocols bit for bit.
+// selected. Always false without a Harden call, so plain runs keep the
+// plain protocols bit for bit.
 func (ch *Chip) FaultsHardened() bool { return ch.harden }
 
 // MarkCrashed latches core id's bit in the liveness register. Idempotent;

@@ -194,7 +194,8 @@ func TestTASSpinMatchesTASLockLoop(t *testing.T) {
 	run := func(spin bool, spec *faults.Spec) (outcome, sim.Stats) {
 		eng, ch := newChip(t)
 		if spec != nil {
-			ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 3, Spec: *spec}), true)
+			ch.SetFaultInjector(faults.NewInjector(faults.Config{Seed: 3, Spec: *spec}))
+			ch.Harden()
 		}
 		o := outcome{acquired: make([][]sim.Time, 8)}
 		ch.Tracer().Subscribe(func(e trace.Event) { o.events = append(o.events, e) },

@@ -25,7 +25,7 @@ func (ch *Chip) syncCharge(core int, lat sim.Duration) *cpu.Core {
 // stall adds a fault-injected core stall to a synchronous transaction's
 // latency (zero without an injector) and traces the injection.
 func (ch *Chip) stall(core int, lat sim.Duration) sim.Duration {
-	if cyc := ch.faults.StallCyclesOn(core); cyc != 0 {
+	if cyc := ch.faults.StallCycles(core); cyc != 0 {
 		ch.traceFault(ch.cores[core].Now(), core, faults.NumRoutes, faults.Stall)
 		lat += ch.coreClock().Cycles(cyc)
 	}
@@ -40,7 +40,7 @@ func (ch *Chip) traceFault(at sim.Time, core int, r faults.Route, k faults.Kind)
 // injectDelay draws a fault-injected mesh delay for the route (zero without
 // an injector) and traces the injection.
 func (ch *Chip) injectDelay(core int, r faults.Route) sim.Duration {
-	cyc := ch.faults.DelayCyclesOn(core, r)
+	cyc := ch.faults.DelayCycles(core, r)
 	if cyc == 0 {
 		return 0
 	}
@@ -294,7 +294,7 @@ func (ch *Chip) IPIEffect(from, to int) {
 	}
 	deliver := ch.cfg.Mesh.Clock.Cycles(ch.cfg.Lat.GICCycles) +
 		ch.mesh.OneWay(ch.gicHops(to))
-	if cyc := ch.faults.DelayCycles(faults.IPI); cyc != 0 {
+	if cyc := ch.faults.DelayCycles(faults.Global, faults.IPI); cyc != 0 {
 		ch.traceFault(now, from, faults.IPI, faults.Delay)
 		deliver += ch.coreClock().Cycles(cyc)
 	}
@@ -312,7 +312,7 @@ func (ch *Chip) IPIEffect(from, to int) {
 		}
 		ch.meshStats.LinkCrossings++
 		deliver += ch.link.OneWay(8)
-		if cyc := ch.faults.DelayCycles(faults.Link); cyc != 0 {
+		if cyc := ch.faults.DelayCycles(faults.Global, faults.Link); cyc != 0 {
 			ch.traceFault(now, from, faults.Link, faults.Delay)
 			deliver += ch.coreClock().Cycles(cyc)
 		}
