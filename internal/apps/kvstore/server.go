@@ -20,7 +20,10 @@ type queuedReq struct {
 // serverState is one server rank's host-side bookkeeping. Only that rank's
 // kernel touches it.
 type serverState struct {
+	// q[head:] are the admitted requests not yet taken by the serve loop.
+	// The array is kept across requests (see push and pop).
 	q       []queuedReq
+	head    int
 	stops   int
 	stopped bool
 
@@ -64,15 +67,14 @@ func (a *App) runServer(h *svm.Handle, idx int, mutBase, hotBase uint32) {
 		}
 	}
 
+	ready := func() bool { return st.queued() > 0 || st.stops >= a.clients }
 	for {
-		k.WaitFor(func() bool { return len(st.q) > 0 || st.stops >= a.clients })
-		if len(st.q) == 0 {
+		k.WaitFor(ready)
+		if st.queued() == 0 {
 			break
 		}
-		for len(st.q) > 0 {
-			rq := st.q[0]
-			st.q = st.q[1:]
-			a.process(st, k, rq, mutBase, hotBase)
+		for st.queued() > 0 {
+			a.process(st, k, st.pop(), mutBase, hotBase)
 		}
 	}
 	st.stopped = true
@@ -86,7 +88,7 @@ func (a *App) handleRequest(st *serverState, k *kernel.Kernel, m mailbox.Msg) {
 		return // late retransmission after shutdown: the client has moved on
 	}
 	st.Handled++
-	if len(st.q) >= a.p.QueueBound {
+	if st.queued() >= a.p.QueueBound {
 		st.Shed++
 		k.Core().Cycles(shedCycles)
 		var reply [16]byte
@@ -95,7 +97,7 @@ func (a *App) handleRequest(st *serverState, k *kernel.Kernel, m mailbox.Msg) {
 		k.Send(m.From, msgKVReply, reply[:])
 		return
 	}
-	st.q = append(st.q, queuedReq{
+	st.push(queuedReq{
 		from:     m.From,
 		op:       int(m.U32(0)),
 		key:      m.U32(1),
@@ -103,6 +105,30 @@ func (a *App) handleRequest(st *serverState, k *kernel.Kernel, m mailbox.Msg) {
 		token:    m.U32(3),
 		deadline: sim.Time(uint64(m.U32(4)) | uint64(m.U32(5))<<32),
 	})
+}
+
+// queued returns how many admitted requests wait for the serve loop.
+func (st *serverState) queued() int { return len(st.q) - st.head }
+
+// push admits rq. A full array whose front the serve loop has drained is
+// compacted in place rather than grown, so once the array has reached the
+// queue bound admission allocates nothing.
+func (st *serverState) push(rq queuedReq) {
+	if len(st.q) == cap(st.q) && st.head > 0 {
+		st.q = st.q[:copy(st.q, st.q[st.head:])]
+		st.head = 0
+	}
+	st.q = append(st.q, rq)
+}
+
+// pop takes the oldest admitted request; the array is reset once empty.
+func (st *serverState) pop() queuedReq {
+	rq := st.q[st.head]
+	st.head++
+	if st.head == len(st.q) {
+		st.q, st.head = st.q[:0], 0
+	}
+	return rq
 }
 
 // handleStop counts client shutdown notices; the serve loop drains and

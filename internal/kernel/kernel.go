@@ -106,8 +106,10 @@ type Kernel struct {
 	// — the replicated directory's failure detector lives here.
 	onTick func()
 
-	// timerLCG drives the deterministic tick jitter (see armTimer).
+	// timerLCG drives the deterministic tick jitter (see armTimer), and
+	// tick is the timer event, bound once.
 	timerLCG uint64
+	tick     func()
 
 	// claimed is handleIRQ's buffer for the GIC's origin set.
 	claimed []int
@@ -400,6 +402,13 @@ func (cl *Cluster) Start(id int, main func(*Kernel)) *Kernel {
 		// with the timer (systematically hitting — or missing — the same
 		// critical windows).
 		phase := cl.cfg.TimerPeriod * sim.Duration(id) / sim.Duration(cl.chip.Cores())
+		k.tick = func() {
+			if k.done || k.dead {
+				return
+			}
+			k.core.PostInterrupt(cpu.IRQTimer)
+			cl.armTimer(k)
+		}
 		cl.chip.Engine().After(phase, func() { cl.armTimer(k) })
 	}
 	return k
@@ -415,13 +424,7 @@ func (cl *Cluster) armTimer(k *Kernel) {
 	frac := int64(k.timerLCG>>40) % 1000 // 0..999
 	period := cl.cfg.TimerPeriod
 	jitter := sim.Duration(uint64(period) / 1000 * uint64(frac) / 8)
-	cl.chip.Engine().After(period-period/16+jitter, func() {
-		if k.done || k.dead {
-			return
-		}
-		k.core.PostInterrupt(cpu.IRQTimer)
-		cl.armTimer(k)
-	})
+	cl.chip.Engine().After(period-period/16+jitter, k.tick)
 }
 
 // --- Kernel API ----------------------------------------------------------

@@ -12,7 +12,7 @@ import (
 // hardenedCluster builds a cluster in mode on a chip whose fault injector
 // runs the hardened protocols with spec, and whose kernels park with
 // rescue deadlines.
-func hardenedCluster(t *testing.T, mode mailbox.Mode, members []int, seed uint64, spec faults.Spec, rescue sim.Duration) (*sim.Engine, *Cluster) {
+func hardenedCluster(t testing.TB, mode mailbox.Mode, members []int, seed uint64, spec faults.Spec, rescue sim.Duration) (*sim.Engine, *Cluster) {
 	t.Helper()
 	eng := sim.NewEngine()
 	ccfg := scc.DefaultConfig()

@@ -109,17 +109,21 @@ func (m *mailer) next() (sim.Duration, bool, bool) {
 		// in the mesh (or discarded as corrupt) leaves the flag clear too,
 		// and the sender waits for its retransmission rather than
 		// overwrite it.
-		p, off := s.pair(m.to, m.core), slotOff(m.core)
-		if ch.MPB().Byte(m.to, off) != 0 || m.hardened && s.pending[p].active &&
-			seqAfter(s.pending[p].seq, ch.MPB().Read16(m.to, off+4)) {
+		off := slotOff(m.core)
+		if ch.MPB().Byte(m.to, off) != 0 {
 			m.phase = sendBusy
 			return 0, false, true
 		}
 		if m.hardened {
-			s.sendSeq[p]++
-			binary.LittleEndian.PutUint16(m.line[4:], s.sendSeq[p])
+			h := &s.hardPairs()[s.pair(m.to, m.core)]
+			if h.pending.active && seqAfter(h.pending.seq, ch.MPB().Read16(m.to, off+4)) {
+				m.phase = sendBusy
+				return 0, false, true
+			}
+			h.sendSeq++
+			binary.LittleEndian.PutUint16(m.line[4:], h.sendSeq)
 			binary.LittleEndian.PutUint16(m.line[6:], frameSum(&m.line))
-			s.pending[p] = pendingMail{active: true, seq: s.sendSeq[p], line: m.line}
+			h.pending = pendingMail{active: true, seq: h.sendSeq, line: m.line}
 		}
 		return m.deposit()
 	case sendDelayed:
@@ -165,7 +169,10 @@ func (m *mailer) check() (sim.Duration, bool, bool) {
 		return 0, false, true
 	}
 	m.hardened = s.chip.FaultsHardened()
-	p := s.pair(r, sender)
+	var h *hardPair
+	if m.hardened {
+		h = &s.hardPairs()[s.pair(r, sender)]
+	}
 	n := int(binary.LittleEndian.Uint16(m.line[2:]))
 	seq := binary.LittleEndian.Uint16(m.line[4:])
 	switch {
@@ -177,14 +184,14 @@ func (m *mailer) check() (sim.Duration, bool, bool) {
 	case m.hardened && binary.LittleEndian.Uint16(m.line[6:]) != frameSum(&m.line):
 		s.stats.CorruptDrops++
 		m.discard = true
-	case m.hardened && !seqAfter(seq, s.lastRecv[p]):
+	case m.hardened && !seqAfter(seq, h.lastRecv):
 		// Stale duplicate redelivery: drop it, re-acknowledge, and hand the
 		// slot back to the sender.
 		s.stats.DupFrames++
 	default:
 		m.ok = true
 		if m.hardened {
-			s.lastRecv[p] = seq
+			h.lastRecv = seq
 		}
 	}
 	// Release the slot with one charged header write: the flag clears, and
@@ -192,7 +199,9 @@ func (m *mailer) check() (sim.Duration, bool, bool) {
 	// acknowledgement. A hardened discard leaves the frame unacknowledged:
 	// the sender's retransmission timer, not a wake-up, redeposits a clean
 	// copy.
-	m.ack = s.lastRecv[p]
+	if m.hardened {
+		m.ack = h.lastRecv
+	}
 	return m.access(r, takeRelease)
 }
 
@@ -284,7 +293,7 @@ func (m *mailer) notify() (sim.Duration, bool, bool) {
 // finish arms a hardened mail's retransmission timer and ends the round.
 func (m *mailer) finish() (sim.Duration, bool, bool) {
 	if s := m.s; m.hardened {
-		s.armRetx(m.core, m.to, s.pending[s.pair(m.to, m.core)].seq, m.now)
+		s.armRetx(m.core, m.to, s.hard[s.pair(m.to, m.core)].pending.seq, m.now)
 	}
 	m.phase = sendOver
 	return 0, false, true

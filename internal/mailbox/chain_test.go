@@ -58,7 +58,7 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 		var slot [8]byte
 		access(s.chip, from, to)
 		s.chip.MPB().Read(to, off, slot[:])
-		if slot[0] == 0 && !(hardened && s.pending[p].active && seqAfter(s.pending[p].seq, binary.LittleEndian.Uint16(slot[4:]))) {
+		if slot[0] == 0 && !(hardened && s.hardPairs()[p].pending.active && seqAfter(s.hard[p].pending.seq, binary.LittleEndian.Uint16(slot[4:]))) {
 			break
 		}
 		core.SetInterruptsEnabled(prevIRQ)
@@ -76,10 +76,11 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 	binary.LittleEndian.PutUint16(line[2:], uint16(len(payload)))
 	copy(line[frameHeader:], payload)
 	if hardened {
-		s.sendSeq[p]++
-		binary.LittleEndian.PutUint16(line[4:], s.sendSeq[p])
+		h := &s.hardPairs()[p]
+		h.sendSeq++
+		binary.LittleEndian.PutUint16(line[4:], h.sendSeq)
 		binary.LittleEndian.PutUint16(line[6:], frameSum(&line))
-		s.pending[p] = pendingMail{active: true, seq: s.sendSeq[p], line: line}
+		h.pending = pendingMail{active: true, seq: h.sendSeq, line: line}
 	}
 	literalDeposit(s, from, to, off, line)
 	s.stats.Sends++
@@ -95,7 +96,7 @@ func literalSend(s *System, from, to int, typ byte, payload []byte) {
 		s.chip.IPIEffect(from, to)
 	}
 	if hardened {
-		s.armRetx(from, to, s.pending[p].seq, now)
+		s.armRetx(from, to, s.hard[p].pending.seq, now)
 	}
 }
 
@@ -169,6 +170,10 @@ func literalTake(s *System, receiver, sender int) (Msg, bool) {
 	}
 	hardened := s.chip.FaultsHardened()
 	p := s.pair(receiver, sender)
+	var h *hardPair
+	if hardened {
+		h = &s.hardPairs()[p]
+	}
 	n := int(binary.LittleEndian.Uint16(line[2:]))
 	seq := binary.LittleEndian.Uint16(line[4:])
 	discard, fresh := false, false
@@ -179,17 +184,17 @@ func literalTake(s *System, receiver, sender int) (Msg, bool) {
 	case hardened && binary.LittleEndian.Uint16(line[6:]) != frameSum(&line):
 		s.stats.CorruptDrops++
 		discard = true
-	case hardened && !seqAfter(seq, s.lastRecv[p]):
+	case hardened && !seqAfter(seq, h.lastRecv):
 		s.stats.DupFrames++
 	default:
 		fresh = true
 		if hardened {
-			s.lastRecv[p] = seq
+			h.lastRecv = seq
 		}
 	}
 	var ack [8]byte
 	if hardened {
-		binary.LittleEndian.PutUint16(ack[4:], s.lastRecv[p])
+		binary.LittleEndian.PutUint16(ack[4:], h.lastRecv)
 	}
 	access(s.chip, receiver, receiver)
 	s.chip.MPB().Write(receiver, off, ack[:])

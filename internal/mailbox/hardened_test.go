@@ -118,6 +118,46 @@ func TestHardenedFaultFreeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHardenedRoundAllocatesNothing: once warm, a hardened send, its
+// receive (the acknowledgement) and its retransmission timer's firing, which
+// finds the mail acknowledged and retires, allocate nothing.
+func TestHardenedRoundAllocatesNothing(t *testing.T) {
+	eng, ch := hardenedChip(t, 1, faults.Spec{})
+	mb := New(ch, ModePolling)
+	payload := make([]byte, PayloadSize)
+	sender := ch.Boot(0, func(c *cpu.Core) {
+		for {
+			mb.Send(0, 30, 7, payload)
+			c.Proc().Wait()
+		}
+	})
+	received := 0
+	ch.Boot(30, func(c *cpu.Core) {
+		for {
+			if _, ok := mb.Check(30, 0); ok {
+				received++
+			} else {
+				mb.WaitAnySignal(30).Wait(c.Proc())
+			}
+		}
+	})
+	eng.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		sender.Proc().Wake(eng.Now())
+		eng.Run()
+	})
+	eng.Shutdown()
+	if received != 102 {
+		t.Fatalf("received %d mails, want 102", received)
+	}
+	if st := mb.Stats(); st.Retransmits != 0 || st.Renudges != 0 {
+		t.Fatalf("fault-free rounds recovered something: %+v", st)
+	}
+	if allocs != 0 {
+		t.Fatalf("a hardened send/receive/timer round allocates %v times, want 0", allocs)
+	}
+}
+
 // TestHardenedDropsRecovered drops a large fraction of deposits and checks
 // every mail still arrives exactly once, in order, via retransmission.
 func TestHardenedDropsRecovered(t *testing.T) {

@@ -148,6 +148,13 @@ type pendingMail struct {
 	line   [phys.CacheLine]byte
 }
 
+// hardPair is the hardened protocol's state for one pair (to,from).
+type hardPair struct {
+	sendSeq  uint16 // last sequence number assigned by the sender
+	lastRecv uint16 // last in-order sequence consumed by the receiver
+	pending  pendingMail
+}
+
 // System is the chip-wide mailbox layer.
 type System struct {
 	chip *scc.Chip
@@ -161,10 +168,14 @@ type System struct {
 	// anyFull[to] fires on every deposit for to (poll-mode idle wakeup).
 	anyFull []*sim.Signal
 
-	// Hardened per-pair protocol state, indexed like the signals.
-	sendSeq  []uint16 // last sequence number assigned by the sender
-	lastRecv []uint16 // last in-order sequence consumed by the receiver
-	pending  []pendingMail
+	// hard is the hardened protocol's per-pair state, indexed like the
+	// signals and made on first hardened use (hardPairs): a machine that
+	// never hardens a mail never pays for its n² records.
+	hard []hardPair
+
+	// freeRetx holds the retransmission timers no event refers to any more
+	// (see armRetx).
+	freeRetx *retx
 
 	prof *profile.Profiler
 
@@ -191,9 +202,6 @@ func New(chip *scc.Chip, mode Mode) *System {
 		freeSig:      make([]*sim.Signal, n*n),
 		anyFull:      make([]*sim.Signal, n),
 		serviceHooks: make([]func() bool, n),
-		sendSeq:      make([]uint16, n*n),
-		lastRecv:     make([]uint16, n*n),
-		pending:      make([]pendingMail, n*n),
 		mailers:      make([]*mailer, n),
 	}
 	eng := chip.Engine()
@@ -209,6 +217,14 @@ func (s *System) freeSignal(p int) *sim.Signal {
 		s.freeSig[p] = sim.NewSignal(s.chip.Engine())
 	}
 	return s.freeSig[p]
+}
+
+// hardPairs returns the hardened per-pair state, made on first use.
+func (s *System) hardPairs() []hardPair {
+	if s.hard == nil {
+		s.hard = make([]hardPair, s.n*s.n)
+	}
+	return s.hard
 }
 
 // Mode returns the delivery mode.
@@ -346,10 +362,17 @@ func (s *System) renotify(from, to int, at sim.Time) {
 // side only: the timer re-notifies once and retires — the receiver's poll
 // or rescue scan consumes the frame from there, and a timer that kept
 // renudging mail the receiver never consumes (it may already be past
-// caring) would keep the event queue alive forever.
+// caring) would keep the event queue alive forever. A retired timer's
+// record goes back on the free list, its fire bound once.
 func (s *System) armRetx(from, to int, seq uint16, start sim.Time) {
-	r := &retx{s: s, from: from, to: to, seq: seq, at: start + s.retxTimeout(0)}
-	r.run = r.fire
+	r := s.freeRetx
+	if r == nil {
+		r = &retx{}
+		r.run = r.fire
+	} else {
+		s.freeRetx = r.free
+	}
+	*r = retx{s: s, from: from, to: to, seq: seq, at: start + s.retxTimeout(0), run: r.run}
 	s.chip.Engine().At(r.at, r.run)
 }
 
@@ -367,12 +390,18 @@ type retx struct {
 	fires    int      // firings so far, bounded by RetxMaxFires
 	at       sim.Time // when the scheduled firing runs
 	run      func()   // r.fire, bound once
+	free     *retx    // the next free record
 }
 
-// rearm schedules the next firing, one doubled timeout later.
-func (r *retx) rearm() {
-	if r.fires >= RetxMaxFires {
-		return // give up; the watchdog reports the frozen pair
+// fire is the timer event: one round of recovery, then the next firing
+// one doubled timeout later, or retirement.
+func (r *retx) fire() {
+	r.fires++
+	// Past RetxMaxFires the sender gives up; the watchdog reports the
+	// frozen pair.
+	if !r.round() || r.fires >= RetxMaxFires {
+		r.free, r.s.freeRetx = r.s.freeRetx, r
+		return
 	}
 	if r.attempt < RetxBackoffShiftCap {
 		r.attempt++
@@ -381,13 +410,13 @@ func (r *retx) rearm() {
 	r.s.chip.Engine().At(r.at, r.run)
 }
 
-// fire is the timer event.
-func (r *retx) fire() {
+// round inspects the pair at the firing and redeposits or renudges as
+// needed. It reports whether the timer must fire again.
+func (r *retx) round() bool {
 	s, from, to, seq, at := r.s, r.from, r.to, r.seq, r.at
-	r.fires++
-	pend := &s.pending[s.pair(to, from)]
+	pend := &s.hard[s.pair(to, from)].pending
 	if !pend.active || pend.seq != seq {
-		return // superseded: the sender observed the acknowledgement
+		return false // superseded: the sender observed the acknowledgement
 	}
 	if s.chip.CoreCrashed(to) {
 		// The receiver crashed: retransmitting to it would keep the event
@@ -395,7 +424,7 @@ func (r *retx) fire() {
 		// sender's next send to this pair starts fresh.
 		pend.active = false
 		s.stats.DeadDrops++
-		return
+		return false
 	}
 	inj := s.chip.FaultInjector()
 	if !s.chip.SameChip(from, to) && inj.LinkPartitioned(at) {
@@ -406,8 +435,7 @@ func (r *retx) fire() {
 		inj.NotePartitionDrop()
 		s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
 			uint64(faults.Link), uint64(faults.Drop))
-		r.rearm()
-		return
+		return true
 	}
 	off := slotOff(from)
 	var line [phys.CacheLine]byte
@@ -416,7 +444,7 @@ func (r *retx) fire() {
 	if line[0] == 0 {
 		if !seqAfter(seq, slotSeq) {
 			pend.active = false // acknowledged
-			return
+			return false
 		}
 		// The deposit was lost or discarded: redeposit — itself subject to
 		// injection, so a retransmission can be lost or corrupted again and
@@ -426,8 +454,7 @@ func (r *retx) fire() {
 		if inj.Drop(faults.Mail) {
 			s.chip.Tracer().Emit(at, from, trace.KindFaultInject,
 				uint64(faults.Mail), uint64(faults.Drop))
-			r.rearm()
-			return
+			return true
 		}
 		wire := pend.line
 		if inj.Corrupt(faults.Mail, wire[1:]) {
@@ -436,8 +463,7 @@ func (r *retx) fire() {
 		}
 		s.chip.MPB().Write(to, off, wire[:])
 		s.renotify(from, to, at)
-		r.rearm()
-		return
+		return true
 	}
 	if slotSeq == seq && binary.LittleEndian.Uint16(line[6:]) == frameSum(&line) {
 		// The frame is in the slot, intact: only the notification was lost.
@@ -446,11 +472,11 @@ func (r *retx) fire() {
 		s.stats.Renudges++
 		s.chip.Tracer().Emit(at, from, trace.KindRetransmit, uint64(to), uint64(seq))
 		s.renotify(from, to, at)
-		return
+		return false
 	}
 	// A corrupted copy of this mail or a stale duplicate occupies the slot;
 	// the receiver discards it and this mail's fate shows up next round.
-	r.rearm()
+	return true
 }
 
 // Check inspects one receive slot, consuming and returning the mail if
@@ -545,16 +571,18 @@ func (s *System) DumpInFlight(w io.Writer) {
 			if to == from {
 				continue
 			}
-			p := s.pair(to, from)
-			pend := &s.pending[p]
+			var h hardPair // a never-hardened machine reads as zero
+			if s.hard != nil {
+				h = s.hard[s.pair(to, from)]
+			}
 			var hdr [8]byte
 			mpb.Read(to, slotOff(from), hdr[:])
-			if !pend.active && hdr[0] == 0 {
+			if !h.pending.active && hdr[0] == 0 {
 				continue
 			}
 			fmt.Fprintf(w, "  pair %d->%d: slot flag=%d type=%d seq=%d | pending active=%v seq=%d | lastRecv=%d\n",
 				from, to, hdr[0], hdr[1], binary.LittleEndian.Uint16(hdr[4:]),
-				pend.active, pend.seq, s.lastRecv[p])
+				h.pending.active, h.pending.seq, h.lastRecv)
 		}
 	}
 }

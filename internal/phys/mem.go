@@ -12,18 +12,27 @@ import (
 	"fmt"
 )
 
+// chunkShift sets how many frames a Mem chunk covers: 1<<chunkShift. At
+// 4 KiB frames a chunk covers 2 MiB and takes 12 KiB once touched, and the
+// directory takes 8 bytes per 2 MiB of address space.
+const chunkShift = 9
+
+// chunk is the slots of 1<<chunkShift consecutive frames.
+type chunk [1 << chunkShift][]byte
+
 // Mem is the off-die DDR3 memory: a flat physical address space backed by
 // lazily allocated frames so that a simulated gigabyte costs host memory
 // only where it is touched.
 type Mem struct {
 	size      uint64
 	frameSize uint32
-	// frames has one slot per frame of the whole address space, nil until
-	// the frame is first written. A slot is a pointer to the frame's slice,
-	// not the slice: nearly every slot stays nil, and 8-byte slots keep the
-	// paper chip's table at 1.7 MB where slice headers would take 5.1 MB
-	// (measured: +12 % host_alloc_mb on benchmark/'s laplace_lrc).
-	frames []*[]byte
+	// dir has one entry per chunk of the address space, nil until a frame
+	// of the chunk is first written; a chunk's slot for a frame is nil until
+	// the frame is. Only the directory grows with the address space: the
+	// paper chip's is 3.3 KB, where one slot per frame would take 1.7 MB. A
+	// slot is the frame's slice itself, so an access takes three dependent
+	// loads: directory, chunk slot, frame.
+	dir []*chunk
 }
 
 // NewMem creates a memory of the given size with the given frame size.
@@ -32,10 +41,11 @@ func NewMem(size uint64, frameSize uint32) *Mem {
 	if frameSize == 0 || size == 0 || size%uint64(frameSize) != 0 {
 		panic(fmt.Sprintf("phys: invalid memory geometry size=%d frame=%d", size, frameSize))
 	}
+	frames := size / uint64(frameSize)
 	return &Mem{
 		size:      size,
 		frameSize: frameSize,
-		frames:    make([]*[]byte, size/uint64(frameSize)),
+		dir:       make([]*chunk, (frames+1<<chunkShift-1)>>chunkShift),
 	}
 }
 
@@ -43,6 +53,14 @@ func (m *Mem) check(paddr uint32, n int) {
 	if uint64(paddr)+uint64(n) > m.size {
 		panic(fmt.Sprintf("phys: access [%#x,+%d) beyond memory size %#x", paddr, n, m.size))
 	}
+}
+
+// frame returns frame pfn's bytes, nil while unbacked.
+func (m *Mem) frame(pfn uint32) []byte {
+	if c := m.dir[pfn>>chunkShift]; c != nil {
+		return c[pfn&(1<<chunkShift-1)]
+	}
+	return nil
 }
 
 // Read copies len(dst) bytes starting at paddr into dst. Unbacked frames
@@ -56,20 +74,18 @@ func (m *Mem) Read(paddr uint32, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if f := m.frames[pfn]; f != nil {
-			copy(dst[:n], (*f)[off:])
+		if f := m.frame(pfn); f != nil {
+			copy(dst[:n], f[off:])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		paddr += uint32(n)
 	}
 }
 
-// Write copies src into memory starting at paddr, materializing frames as
-// needed.
+// Write copies src into memory starting at paddr, materializing chunks and
+// frames as needed.
 func (m *Mem) Write(paddr uint32, src []byte) {
 	m.check(paddr, len(src))
 	for len(src) > 0 {
@@ -79,11 +95,14 @@ func (m *Mem) Write(paddr uint32, src []byte) {
 		if n > len(src) {
 			n = len(src)
 		}
-		f := m.frames[pfn]
-		if f == nil {
-			b := make([]byte, m.frameSize)
-			f = &b
-			m.frames[pfn] = f
+		c := m.dir[pfn>>chunkShift]
+		if c == nil {
+			c = new(chunk)
+			m.dir[pfn>>chunkShift] = c
+		}
+		f := &c[pfn&(1<<chunkShift-1)]
+		if *f == nil {
+			*f = make([]byte, m.frameSize)
 		}
 		copy((*f)[off:], src[:n])
 		src = src[n:]
@@ -121,10 +140,8 @@ func (m *Mem) Write32(paddr uint32, v uint32) {
 
 // ZeroFrame clears one whole frame (used by the first-touch allocator).
 func (m *Mem) ZeroFrame(pfn uint32) {
-	if uint64(pfn) >= uint64(len(m.frames)) {
+	if uint64(pfn) >= m.size/uint64(m.frameSize) {
 		panic(fmt.Sprintf("phys: frame %d out of range", pfn))
 	}
-	if f := m.frames[pfn]; f != nil {
-		clear(*f)
-	}
+	clear(m.frame(pfn))
 }

@@ -2,6 +2,7 @@ package phys
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,30 @@ func TestMemUnbackedReadsZero(t *testing.T) {
 		if b != 0 {
 			t.Fatalf("byte %d = %#x, want 0", i, b)
 		}
+	}
+	if backedFrames(m) != 0 {
+		t.Fatal("read materialized a frame")
+	}
+}
+
+// TestUntouchedMemIsSmall: an untouched memory the size of the paper chip's
+// (48 private regions of 16 MiB and 64 MiB shared) allocates at most 1/256 of
+// one 8-byte slot per frame, and its frames, the last one included, read as
+// zeros without being materialized.
+func TestUntouchedMemIsSmall(t *testing.T) {
+	const size, frame = 48*16<<20 + 64<<20, 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMem(size, frame)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(size/frame*8/256); got > bound {
+		t.Fatalf("NewMem allocated %d bytes, want at most %d", got, bound)
+	}
+	got := make([]byte, 2*frame)
+	got[0], got[frame] = 0xff, 0xff
+	m.Read(size-2*frame, got)
+	if !bytes.Equal(got, make([]byte, 2*frame)) {
+		t.Fatal("an untouched frame does not read as zeros")
 	}
 	if backedFrames(m) != 0 {
 		t.Fatal("read materialized a frame")
@@ -321,9 +346,14 @@ func TestFrameAllocatorFree(t *testing.T) {
 // backedFrames counts m's materialized frames.
 func backedFrames(m *Mem) int {
 	n := 0
-	for _, f := range m.frames {
-		if f != nil {
-			n++
+	for _, c := range m.dir {
+		if c == nil {
+			continue
+		}
+		for _, f := range c {
+			if f != nil {
+				n++
+			}
 		}
 	}
 	return n

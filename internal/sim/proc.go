@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 )
 
@@ -53,8 +54,8 @@ type Proc struct {
 	state procState
 
 	// quantum bounds the local-clock lookahead: Advance calls Sync once the
-	// local clock is more than quantum ahead of the engine clock. Zero means
-	// unbounded lookahead.
+	// local clock is more than quantum ahead of the engine clock.
+	// math.MaxInt64 means unbounded lookahead (overQuantum compares signed).
 	quantum Duration
 
 	resume chan struct{} // baton holder -> parked proc: run (closed: unwind)
@@ -105,11 +106,12 @@ type Proc struct {
 // NewProc creates a process that will start executing body at time start.
 func (e *Engine) NewProc(name string, start Time, body func(*Proc)) *Proc {
 	p := &Proc{
-		eng:    e,
-		name:   name,
-		local:  start,
-		resume: make(chan struct{}),
-		body:   body,
+		eng:     e,
+		name:    name,
+		local:   start,
+		quantum: math.MaxInt64,
+		resume:  make(chan struct{}),
+		body:    body,
 	}
 	p.chargeStep = p.chargeNext
 	e.procs = append(e.procs, p)
@@ -126,7 +128,12 @@ func (p *Proc) LocalTime() Time { return p.local }
 
 // SetQuantum bounds local-clock lookahead; Advance will Sync whenever the
 // lookahead exceeds q. Zero disables the bound.
-func (p *Proc) SetQuantum(q Duration) { p.quantum = q }
+func (p *Proc) SetQuantum(q Duration) {
+	if q == 0 || q > math.MaxInt64 {
+		q = math.MaxInt64
+	}
+	p.quantum = q
+}
 
 // SetSyncHook registers fn to run (on the proc goroutine) after every park.
 // idle, when not nil, must report whether fn would do nothing right now:
@@ -218,9 +225,11 @@ func (p *Proc) Advance(d Duration) {
 	}
 }
 
-// overQuantum reports whether the lookahead exceeds the quantum.
+// overQuantum reports whether the lookahead exceeds the quantum. A local
+// clock behind the engine's reads as a negative lookahead; one signed
+// compare keeps Advance within the inliner's budget.
 func (p *Proc) overQuantum() bool {
-	return p.quantum != 0 && p.local > p.eng.now && p.local-p.eng.now > p.quantum
+	return int64(p.local-p.eng.now) > int64(p.quantum)
 }
 
 // Sync parks the process until the engine clock reaches the local clock.
