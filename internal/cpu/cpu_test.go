@@ -243,7 +243,7 @@ func TestWriteProtectionFaults(t *testing.T) {
 				t.Errorf("fault entry PFN = %d", e.PFN)
 			}
 			upgraded = true
-			c.Table.Update(vaddr, func(e *pgtable.Entry) { e.Flags |= pgtable.Writable })
+			c.Table.SetFlags(vaddr, pgtable.Writable, 0)
 		})
 		c.Load64(0x6000) // fine
 		c.Store64(0x6000, 1)

@@ -3,17 +3,17 @@ package cpu
 import "metalsvm/internal/pgtable"
 
 // The per-core software TLB memoizes successful pgtable.Lookup results so
-// the dominant load/store path skips the two-level table walk. It is a pure
-// host-speed optimization: the simulator charges no cycles for table walks
+// the dominant load/store path skips the table walk. It is a pure host-speed
+// optimization: the simulator charges no cycles for table walks
 // (translation cost on the SCC is modeled inside the fault path, not per
 // access), so hitting or missing this TLB cannot move a simulated timestamp.
 //
 // Coherence is by generation number, not by shootdown: every PTE write
-// (Map, Unmap, Update — including the protocol's CL1INVMB-adjacent
-// permission downgrades on ownership transfer) bumps the owning table's
-// version counter, and the TLB compares that counter on every access: a
-// changed counter misses every entry, and the next insert flushes them
-// wholesale. A core only ever modifies its own table (the paper keeps page
+// (Identity, Map, Unmap, SetFlags — including the protocol's
+// CL1INVMB-adjacent permission downgrades on ownership transfer) bumps the
+// owning table's version counter, and the TLB compares that counter on every
+// access: a changed counter misses every entry, and the next insert flushes
+// them wholesale. A core only ever modifies its own table (the paper keeps page
 // tables in private memory), so the version check is the entire
 // invalidation protocol.
 const (

@@ -57,7 +57,7 @@ func TestTLBMatchesTableWalk(t *testing.T) {
 			case 2:
 				if _, ok := c.Table.Lookup(v); ok {
 					f := flags()
-					c.Table.Update(v, func(e *pgtable.Entry) { e.Flags = f })
+					c.Table.SetFlags(v, f, ^f)
 				}
 			default:
 				v += uint32(rng.Intn(pgtable.PageSize))

@@ -94,8 +94,7 @@ type Kernel struct {
 
 	// Dissemination-barrier bookkeeping: arrival counts per sender, so
 	// early arrivals from fast partners are never lost or double-counted.
-	barrierSeen []int
-	barrierUsed []int
+	barrier []barrierCount
 
 	done      bool
 	dead      bool // crash-halted; never executes again
@@ -366,11 +365,10 @@ func (cl *Cluster) Start(id int, main func(*Kernel)) *Kernel {
 		panic(fmt.Sprintf("kernel: core %d started twice", id))
 	}
 	k := &Kernel{
-		cluster:     cl,
-		id:          id,
-		idx:         idx,
-		barrierSeen: make([]int, cl.chip.Cores()),
-		barrierUsed: make([]int, cl.chip.Cores()),
+		cluster: cl,
+		id:      id,
+		idx:     idx,
+		barrier: make([]barrierCount, cl.chip.Cores()),
 	}
 	cl.kernels[id] = k
 	k.RegisterHandler(MsgBarrier, k.handleBarrierMail)
@@ -657,8 +655,8 @@ func (k *Kernel) BarrierGroup(group []int) {
 			to := group[(pos+r)%n]
 			from := group[(pos-r+n)%n]
 			k.Send(to, MsgBarrier, nil)
-			k.WaitFor(func() bool { return k.barrierSeen[from] > k.barrierUsed[from] })
-			k.barrierUsed[from]++
+			k.WaitFor(func() bool { return k.barrier[from].waiting() })
+			k.barrier[from].used++
 		}
 	}
 	k.Chip().Tracer().Emit(k.core.Now(), k.id, trace.KindBarrierDone, k.stats.Barriers, 0)
@@ -679,10 +677,10 @@ func (k *Kernel) barrierCrashTolerant(group []int, pos int) {
 	for i := 1; i < n; i++ {
 		from := group[(pos+i)%n]
 		k.WaitFor(func() bool {
-			return k.barrierSeen[from] > k.barrierUsed[from] || k.cluster.isDead(from)
+			return k.barrier[from].waiting() || k.cluster.isDead(from)
 		})
-		if k.barrierSeen[from] > k.barrierUsed[from] {
-			k.barrierUsed[from]++
+		if k.barrier[from].waiting() {
+			k.barrier[from].used++
 		}
 	}
 }
@@ -691,8 +689,15 @@ func (k *Kernel) barrierCrashTolerant(group []int, pos int) {
 // notification for BarrierGroup's wait, including one that raced ahead into
 // the next barrier.
 func (k *Kernel) handleBarrierMail(_ *Kernel, m mailbox.Msg) {
-	k.barrierSeen[m.From]++
+	k.barrier[m.From].seen++
 }
+
+// barrierCount is one sender's barrier notifications: seen arrived, used
+// consumed by a barrier.
+type barrierCount struct{ seen, used uint32 }
+
+// waiting reports whether a notification has arrived and is not consumed.
+func (c barrierCount) waiting() bool { return c.seen > c.used }
 
 // DebugString summarizes internal wait state for diagnostics.
 func (k *Kernel) DebugString() string {
@@ -700,9 +705,9 @@ func (k *Kernel) DebugString() string {
 	if k.dead {
 		s = fmt.Sprintf("kernel %d: DEAD barriers=%d done=%v seen/used:", k.id, k.stats.Barriers, k.done)
 	}
-	for c := range k.barrierSeen {
-		if k.barrierSeen[c] != 0 || k.barrierUsed[c] != 0 {
-			s += fmt.Sprintf(" %d:%d/%d", c, k.barrierSeen[c], k.barrierUsed[c])
+	for c, b := range k.barrier {
+		if b != (barrierCount{}) {
+			s += fmt.Sprintf(" %d:%d/%d", c, b.seen, b.used)
 		}
 	}
 	return s

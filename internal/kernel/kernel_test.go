@@ -151,6 +151,11 @@ func TestRepeatedBarriersWithSkew(t *testing.T) {
 			t.Fatalf("core %d completed %d rounds", id, c)
 		}
 	}
+	// The watchdog report's line: every notification from core 0's three
+	// dissemination partners seen and consumed, in sender order.
+	if got, want := cl.kernels[0].DebugString(), "kernel 0: barriers=50 done=true seen/used: 1:50/50 3:50/50 4:50/50"; got != want {
+		t.Fatalf("DebugString = %q, want %q", got, want)
+	}
 }
 
 func TestUnknownMailTypePanics(t *testing.T) {

@@ -1,10 +1,15 @@
-// Package pgtable implements per-core two-level page tables in the style of
-// the 32-bit x86 tables MetalSVM manages on the SCC.
+// Package pgtable implements per-core page tables with the translation
+// semantics of the 32-bit x86 two-level tables MetalSVM manages on the SCC.
 //
 // Every core owns a private table (the paper stresses that page tables live
 // in private memory, so each core holds its own view of the shared region —
 // which is why first touch faults once per core). Entries carry the bits the
 // SVM system plays with: Present, Writable, WriteThrough and MPBT.
+//
+// The representation is sparse: a core's private region is an identity
+// window of two numbers, and only the entries installed one by one (the
+// shared pages the SVM system maps) take host memory, in a map by page
+// number. A lookup answers exactly what the two-level walk would.
 package pgtable
 
 import (
@@ -82,34 +87,40 @@ func (e Entry) PhysAddr(vaddr uint32) uint32 {
 	return e.PFN<<PageShift | PageOffset(vaddr)
 }
 
-const (
-	dirBits   = 10
-	tableBits = 10
-	dirSize   = 1 << dirBits
-	tableSize = 1 << tableBits
-)
+// identityFlags are the bits of every page of an identity window.
+const identityFlags = Present | Writable | WriteThrough
 
-// Table is a two-level page table covering a 32-bit virtual address space.
-// Second-level tables are allocated on demand, so sparse address spaces stay
-// cheap. A one-entry translation cache accelerates the hot path; it is
-// invalidated by every table modification (a core only ever modifies its own
-// table, so there is no remote-shootdown problem to model).
+// Table is a core's page table over a 32-bit virtual address space. It
+// translates exactly as the two-level x86 tables it models, but its host
+// memory follows what is mapped, not the address space: the pages below an
+// identity window (the core's private region, see Identity) have no stored
+// entry at all, and every other entry lives in a map keyed by page number.
+// A one-entry memo of the last page looked up or changed spares the map on
+// the hot path (a fault's lookup, flag change and retried lookup of one
+// page).
 type Table struct {
-	dir [dirSize]*[tableSize]Entry
+	// entries holds the explicit entries, each addressable so it is changed
+	// in place. The zero Entry means absent: Unmap zeroes an entry and
+	// keeps it for the next Map of its page.
+	entries map[uint32]*Entry
 
-	tlbValid bool
-	tlbVPN   uint32
-	tlbEntry Entry
+	// Pages [0, identPages) translate to frames identBase+vpn.
+	identPages uint32
+	identBase  uint32
 
-	// version counts table modifications (Map, Unmap, Update). External
-	// memoizers of Lookup results — the per-core software TLB in
+	// memo is entries[memoVPN], or nil.
+	memo    *Entry
+	memoVPN uint32
+
+	// version counts table modifications (Identity, Map, Unmap, SetFlags).
+	// External memoizers of Lookup results — the per-core software TLB in
 	// internal/cpu — compare it to detect staleness without the table
 	// having to know about them.
 	version uint64
 
-	// events receives a KindMap for every entry installed where there was
-	// none and a KindUnmap for every entry removed, as core's and stamped
-	// by now (see Observe).
+	// events receives a KindMap for every entry Map installs where there was
+	// none and a KindUnmap for every entry removed, as core's and stamped by
+	// now (see Observe). Identity emits nothing.
 	events *trace.Stream
 	core   int
 	now    func() sim.Time
@@ -121,50 +132,64 @@ func (t *Table) Observe(s *trace.Stream, core int, now func() sim.Time) {
 	t.events, t.core, t.now = s, core, now
 }
 
-// Version returns the modification counter: it changes on every Map, Unmap
-// and Update, so a cached Lookup result is valid iff the version at caching
-// time still matches.
+// Version returns the modification counter: it changes on every Identity,
+// Map, Unmap and SetFlags, so a cached Lookup result is valid iff the
+// version at caching time still matches.
 func (t *Table) Version() uint64 { return t.version }
 
 // New returns an empty table.
-func New() *Table { return &Table{} }
+func New() *Table { return &Table{entries: make(map[uint32]*Entry)} }
 
-func split(vpn uint32) (di, ti uint32) { return vpn >> tableBits, vpn & (tableSize - 1) }
+// Identity maps the pages of [0, pages*PageSize) to the frames from basePFN
+// on, Present, Writable and WriteThrough: what mapping each of them one by
+// one would install, but stored as two numbers. Its pages are fixed: a Map,
+// Unmap or SetFlags inside the window panics.
+func (t *Table) Identity(pages, basePFN uint32) {
+	t.identPages, t.identBase = pages, basePFN
+	t.version++
+}
+
+// entry returns the stored entry of vaddr's page, nil when there is none,
+// through the memo. A page inside the identity window has none to change:
+// entry panics, naming op, and Lookup answers such pages before asking.
+func (t *Table) entry(vaddr uint32, op string) *Entry {
+	vpn := VPN(vaddr)
+	if vpn < t.identPages {
+		panic(fmt.Sprintf("pgtable: %s of identity-mapped page %#x", op, vaddr))
+	}
+	if t.memo != nil && t.memoVPN == vpn {
+		return t.memo
+	}
+	p := t.entries[vpn]
+	if p != nil {
+		t.memo, t.memoVPN = p, vpn
+	}
+	return p
+}
 
 // Lookup returns the entry for vaddr and whether any entry exists (present
 // or not). Callers check Present themselves so they can distinguish
 // not-mapped from mapped-but-faulting states.
 func (t *Table) Lookup(vaddr uint32) (Entry, bool) {
-	vpn := VPN(vaddr)
-	if t.tlbValid && t.tlbVPN == vpn {
-		return t.tlbEntry, true
+	if vpn := VPN(vaddr); vpn < t.identPages {
+		return Entry{PFN: t.identBase + vpn, Flags: identityFlags}, true
 	}
-	di, ti := split(vpn)
-	tab := t.dir[di]
-	if tab == nil {
-		return Entry{}, false
+	if p := t.entry(vaddr, "lookup"); p != nil {
+		return *p, *p != Entry{}
 	}
-	e := tab[ti]
-	if e.Flags.Has(Present) {
-		t.tlbValid = true
-		t.tlbVPN = vpn
-		t.tlbEntry = e
-	}
-	return e, e != Entry{}
+	return Entry{}, false
 }
 
 // Map installs an entry for the page containing vaddr.
 func (t *Table) Map(vaddr, pfn uint32, flags Flags) {
-	vpn := VPN(vaddr)
-	di, ti := split(vpn)
-	tab := t.dir[di]
-	if tab == nil {
-		tab = new([tableSize]Entry)
-		t.dir[di] = tab
+	p := t.entry(vaddr, "map")
+	if p == nil {
+		p = new(Entry)
+		t.entries[VPN(vaddr)] = p
+		t.memo, t.memoVPN = p, VPN(vaddr)
 	}
-	existed := tab[ti] != (Entry{})
-	tab[ti] = Entry{PFN: pfn, Flags: flags}
-	t.tlbValid = false
+	existed := *p != Entry{}
+	*p = Entry{PFN: pfn, Flags: flags}
 	t.version++
 	if !existed && t.events.On(trace.KindMap) {
 		t.events.Emit(t.now(), t.core, trace.KindMap, uint64(vaddr), 0)
@@ -173,31 +198,25 @@ func (t *Table) Map(vaddr, pfn uint32, flags Flags) {
 
 // Unmap removes the entry for the page containing vaddr entirely.
 func (t *Table) Unmap(vaddr uint32) {
-	di, ti := split(VPN(vaddr))
-	tab := t.dir[di]
-	if tab == nil {
+	p := t.entry(vaddr, "unmap")
+	if p == nil || *p == (Entry{}) {
 		return
 	}
-	if tab[ti] == (Entry{}) {
-		return
-	}
-	tab[ti] = Entry{}
-	t.tlbValid = false
+	*p = Entry{}
 	t.version++
 	if t.events.On(trace.KindUnmap) {
 		t.events.Emit(t.now(), t.core, trace.KindUnmap, uint64(vaddr), 0)
 	}
 }
 
-// Update mutates the entry for vaddr in place via fn. It panics if no entry
-// exists — protocol code must never touch unmapped pages blindly.
-func (t *Table) Update(vaddr uint32, fn func(*Entry)) {
-	di, ti := split(VPN(vaddr))
-	tab := t.dir[di]
-	if tab == nil || tab[ti] == (Entry{}) {
-		panic(fmt.Sprintf("pgtable: update of unmapped page %#x", vaddr))
+// SetFlags clears the bits in clear, then sets those in set, on the entry
+// for vaddr. It panics if no entry exists — protocol code must never touch
+// unmapped pages blindly.
+func (t *Table) SetFlags(vaddr uint32, set, clear Flags) {
+	p := t.entry(vaddr, "flag change")
+	if p == nil || *p == (Entry{}) {
+		panic(fmt.Sprintf("pgtable: flag change of unmapped page %#x", vaddr))
 	}
-	fn(&tab[ti])
-	t.tlbValid = false
+	p.Flags = p.Flags&^clear | set
 	t.version++
 }

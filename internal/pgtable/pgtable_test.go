@@ -50,33 +50,33 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
-func TestUpdateFlagsInvalidatesTLB(t *testing.T) {
+func TestSetFlagsInvalidatesTLB(t *testing.T) {
 	tb := New()
 	tb.Map(0x2000, 5, Present|Writable)
 	// Prime the translation cache.
 	if e, _ := tb.Lookup(0x2000); !e.Flags.Has(Writable) {
 		t.Fatal("setup")
 	}
-	tb.Update(0x2000, func(e *Entry) { e.Flags &^= Writable })
+	tb.SetFlags(0x2000, 0, Writable)
 	e, _ := tb.Lookup(0x2000)
 	if e.Flags.Has(Writable) {
 		t.Fatal("stale translation cache: Writable still visible")
 	}
-	tb.Update(0x2000, func(e *Entry) { e.Flags |= Writable })
+	tb.SetFlags(0x2000, Writable, 0)
 	e, _ = tb.Lookup(0x2000)
 	if !e.Flags.Has(Writable) {
 		t.Fatal("set Writable not visible")
 	}
 }
 
-func TestUpdateUnmappedPanics(t *testing.T) {
+func TestSetFlagsUnmappedPanics(t *testing.T) {
 	tb := New()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("update of unmapped page did not panic")
+			t.Fatal("flag change of unmapped page did not panic")
 		}
 	}()
-	tb.Update(0x5000, func(e *Entry) {})
+	tb.SetFlags(0x5000, Present, 0)
 }
 
 func TestNonPresentEntryPreserved(t *testing.T) {
@@ -84,7 +84,7 @@ func TestNonPresentEntryPreserved(t *testing.T) {
 	// a later re-acquire doesn't need the scratchpad again.
 	tb := New()
 	tb.Map(0x3000, 42, Present|Writable)
-	tb.Update(0x3000, func(e *Entry) { e.Flags &^= Present | Writable })
+	tb.SetFlags(0x3000, 0, Present|Writable)
 	e, ok := tb.Lookup(0x3000)
 	if !ok {
 		t.Fatal("revoked entry vanished")
@@ -111,7 +111,7 @@ func TestMappedCountAcrossTransitions(t *testing.T) {
 	if mapped(tb) != 0 {
 		t.Fatalf("mapped = %d after downgrade", mapped(tb))
 	}
-	tb.Update(0x1000, func(e *Entry) { e.Flags |= Present })
+	tb.SetFlags(0x1000, Present, 0)
 	if mapped(tb) != 1 {
 		t.Fatalf("mapped = %d after setting Present", mapped(tb))
 	}
@@ -166,17 +166,78 @@ func TestMapLookupProperty(t *testing.T) {
 	}
 }
 
-// mapped counts tb's present entries.
+// mapped counts tb's present explicit entries.
 func mapped(tb *Table) int {
 	n := 0
-	for _, tab := range tb.dir {
-		if tab != nil {
-			for _, e := range tab {
-				if e.Flags.Has(Present) {
-					n++
-				}
-			}
+	for _, e := range tb.entries {
+		if e.Flags.Has(Present) {
+			n++
 		}
 	}
 	return n
+}
+
+// TestIdentityWindow: every page of the window translates to its identity
+// frame, Present|Writable|WriteThrough, which is what mapping the pages one
+// by one installed; explicit entries above the window are unaffected; and a
+// Map, Unmap or flag change inside the window panics.
+func TestIdentityWindow(t *testing.T) {
+	const pages, base = 4096, 0x5000
+	tb := New()
+	tb.Map(0x8000_0000, 9, Present|WriteThrough|MPBT)
+	v := tb.Version()
+	tb.Identity(pages, base)
+	if tb.Version() == v {
+		t.Fatal("Identity did not change the version")
+	}
+	for vpn := uint32(0); vpn < pages; vpn++ {
+		e, ok := tb.Lookup(vpn<<PageShift | vpn%PageSize)
+		if want := (Entry{PFN: base + vpn, Flags: Present | Writable | WriteThrough}); !ok || e != want {
+			t.Fatalf("page %d: %+v ok=%v, want %+v", vpn, e, ok, want)
+		}
+	}
+	if _, ok := tb.Lookup(pages << PageShift); ok {
+		t.Fatal("the page past the window has an entry")
+	}
+	if e, ok := tb.Lookup(0x8000_0000); !ok || e != (Entry{PFN: 9, Flags: Present | WriteThrough | MPBT}) {
+		t.Fatalf("explicit entry = %+v ok=%v", e, ok)
+	}
+	if mapped(tb) != 1 {
+		t.Fatalf("mapped = %d: the window stored entries", mapped(tb))
+	}
+	for name, write := range map[string]func(){
+		"Map":      func() { tb.Map(0x1000, 1, Present) },
+		"Unmap":    func() { tb.Unmap((pages - 1) << PageShift) },
+		"SetFlags": func() { tb.SetFlags(0, 0, Writable) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s inside the window did not panic", name)
+				}
+			}()
+			write()
+		}()
+	}
+}
+
+// TestWarmCycleAllocatesNothing: once a page has been mapped, mapping it
+// again, changing its flags, unmapping and remapping it allocate nothing.
+func TestWarmCycleAllocatesNothing(t *testing.T) {
+	tb := New()
+	tb.Identity(16, 100)
+	const v = 0x8000_0000
+	tb.Map(v, 7, Present|Writable)
+	allocs := testing.AllocsPerRun(1000, func() {
+		tb.Map(v, 7, Present|Writable|WriteThrough)
+		tb.SetFlags(v, MPBT, Writable)
+		tb.Unmap(v)
+		tb.Map(v, 8, Present)
+		if e, ok := tb.Lookup(v); !ok || e.PFN != 8 {
+			t.Fatalf("lookup = %+v ok=%v", e, ok)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Map/SetFlags/Unmap/Map cycle allocated %v times", allocs)
+	}
 }

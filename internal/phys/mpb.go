@@ -12,59 +12,121 @@ const MPBBytesPerCore = 8 * 1024
 // slots are one line wide.
 const CacheLine = 32
 
+// mpbChunkShift sets an MPB chunk's size: 1<<mpbChunkShift bytes, eight
+// cache lines.
+const mpbChunkShift = 8
+
+// mpbChunk is one chunk of a core's MPB.
+type mpbChunk [1 << mpbChunkShift]byte
+
 // MPB is the collection of per-core on-die message-passing buffers. Every
 // core can read and write every buffer; the chip layer charges mesh latency
 // for remote accesses.
+//
+// A buffer is a row of line-multiple chunks, each made on its first write:
+// an unwritten chunk reads as zeros and takes only its directory slot, so a
+// machine's MPBs cost host memory for the lines its run writes (a mailbox
+// slot, a scratchpad entry), not 8 KiB a core.
 type MPB struct {
-	perCore int
-	data    [][]byte
+	cores, perCore int
+	// chunks has row slots for each core in turn, enough to cover perCore
+	// bytes; a slot stays nil until a byte of its chunk is written.
+	chunks []*mpbChunk
+	row    int
 }
 
-// NewMPB allocates cores buffers of bytesPerCore each.
+// NewMPB makes cores buffers of bytesPerCore each.
 func NewMPB(cores, bytesPerCore int) *MPB {
 	if cores <= 0 || bytesPerCore <= 0 {
 		panic(fmt.Sprintf("phys: invalid MPB geometry cores=%d size=%d", cores, bytesPerCore))
 	}
-	b := &MPB{perCore: bytesPerCore, data: make([][]byte, cores)}
-	for i := range b.data {
-		b.data[i] = make([]byte, bytesPerCore)
-	}
-	return b
+	row := (bytesPerCore + len(mpbChunk{}) - 1) >> mpbChunkShift
+	return &MPB{cores: cores, perCore: bytesPerCore, row: row, chunks: make([]*mpbChunk, cores*row)}
 }
 
-func (b *MPB) slice(core, off, n int) []byte {
-	if core < 0 || core >= len(b.data) {
-		panic(fmt.Sprintf("phys: MPB core %d out of range", core))
+// at checks [off, off+n) of core's buffer and returns the directory slot of
+// the chunk holding off and off's place in it.
+func (b *MPB) at(core, off, n int) (slot, in int) {
+	if uint(core) >= uint(b.cores) || uint(off) > uint(b.perCore) || uint(n) > uint(b.perCore-off) {
+		panic(mpbRangeError{b, core, off, n})
 	}
-	if off < 0 || n < 0 || off+n > b.perCore {
-		panic(fmt.Sprintf("phys: MPB access [%d,+%d) beyond %d bytes", off, n, b.perCore))
+	return core*b.row + off>>mpbChunkShift, off & (len(mpbChunk{}) - 1)
+}
+
+// mpbRangeError is the panic of an access outside the MPBs; a value, not a
+// formatted string, so that at stays small enough to inline.
+type mpbRangeError struct {
+	b              *MPB
+	core, off, len int
+}
+
+func (e mpbRangeError) Error() string {
+	if e.core < 0 || e.core >= e.b.cores {
+		return fmt.Sprintf("phys: MPB core %d out of range", e.core)
 	}
-	return b.data[core][off : off+n]
+	return fmt.Sprintf("phys: MPB access [%d,+%d) beyond %d bytes", e.off, e.len, e.b.perCore)
 }
 
 // Read copies len(dst) bytes from core's buffer at off.
 func (b *MPB) Read(core, off int, dst []byte) {
-	copy(dst, b.slice(core, off, len(dst)))
+	slot, in := b.at(core, off, len(dst))
+	if in+len(dst) <= len(mpbChunk{}) {
+		if c := b.chunks[slot]; c != nil {
+			copy(dst, c[in:])
+		} else {
+			clear(dst)
+		}
+		return
+	}
+	// Split at chunk edges: each piece takes the path above.
+	for len(dst) > 0 {
+		n := min(len(dst), len(mpbChunk{})-in)
+		b.Read(core, off, dst[:n])
+		dst, off, in = dst[n:], off+n, 0
+	}
 }
 
-// Write copies src into core's buffer at off.
+// Write copies src into core's buffer at off, making chunks as needed.
 func (b *MPB) Write(core, off int, src []byte) {
-	copy(b.slice(core, off, len(src)), src)
+	slot, in := b.at(core, off, len(src))
+	if in+len(src) <= len(mpbChunk{}) {
+		c := b.chunks[slot]
+		if c == nil {
+			c = new(mpbChunk)
+			b.chunks[slot] = c
+		}
+		copy(c[in:], src)
+		return
+	}
+	// Split at chunk edges: each piece takes the path above.
+	for len(src) > 0 {
+		n := min(len(src), len(mpbChunk{})-in)
+		b.Write(core, off, src[:n])
+		src, off, in = src[n:], off+n, 0
+	}
 }
 
 // Byte returns the byte at off in core's buffer.
 func (b *MPB) Byte(core, off int) byte {
-	return b.slice(core, off, 1)[0]
+	slot, in := b.at(core, off, 1)
+	if c := b.chunks[slot]; c != nil {
+		return c[in]
+	}
+	return 0
 }
 
 // Read16 reads a little-endian uint16 at off in core's buffer.
 func (b *MPB) Read16(core, off int) uint16 {
-	return binary.LittleEndian.Uint16(b.slice(core, off, 2))
+	var w [2]byte
+	b.Read(core, off, w[:])
+	return binary.LittleEndian.Uint16(w[:])
 }
 
 // Write16 writes a little-endian uint16 at off in core's buffer.
 func (b *MPB) Write16(core, off int, v uint16) {
-	binary.LittleEndian.PutUint16(b.slice(core, off, 2), v)
+	var w [2]byte
+	binary.LittleEndian.PutUint16(w[:], v)
+	b.Write(core, off, w[:])
 }
 
 // TAS models the SCC's per-core test-and-set registers, the chip's only

@@ -2,6 +2,9 @@ package phys
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -125,8 +128,8 @@ func TestMemLastWriteWinsProperty(t *testing.T) {
 
 func TestMPBReadWrite(t *testing.T) {
 	b := NewMPB(48, MPBBytesPerCore)
-	if len(b.data) != 48 || b.perCore != 8192 {
-		t.Fatalf("geometry %d cores x %d", len(b.data), b.perCore)
+	if b.cores != 48 || b.perCore != 8192 || len(b.chunks)*len(mpbChunk{}) != 48*8192 {
+		t.Fatalf("geometry %d cores x %d in %d chunks", b.cores, b.perCore, len(b.chunks))
 	}
 	b.Write(30, 100, []byte{9, 8, 7})
 	got := make([]byte, 3)
@@ -138,6 +141,86 @@ func TestMPBReadWrite(t *testing.T) {
 	b.Read(31, 100, got)
 	if got[0] != 0 {
 		t.Fatal("MPB buffers aliased across cores")
+	}
+}
+
+// TestMPBMatchesFlatBuffers: reads and writes at random cores, offsets and
+// lengths, many across chunk edges, agree with one flat byte slice per core,
+// and every chunk holding a written nonzero byte was made.
+func TestMPBMatchesFlatBuffers(t *testing.T) {
+	const cores, size = 3, 1000 // the last chunk of each core is partial
+	b := NewMPB(cores, size)
+	ref := make([][]byte, cores)
+	for i := range ref {
+		ref[i] = make([]byte, size)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for op := 0; op < 20000; op++ {
+		core, off := rng.Intn(cores), rng.Intn(size)
+		n := rng.Intn(min(size-off, 600) + 1)
+		switch rng.Intn(4) {
+		case 0:
+			src := make([]byte, n)
+			rng.Read(src)
+			b.Write(core, off, src)
+			copy(ref[core][off:], src)
+		case 1:
+			if off+2 <= size {
+				v := uint16(rng.Uint32())
+				b.Write16(core, off, v)
+				binary.LittleEndian.PutUint16(ref[core][off:], v)
+			}
+		case 2:
+			if off+2 <= size && b.Read16(core, off) != binary.LittleEndian.Uint16(ref[core][off:]) {
+				t.Fatalf("op %d: Read16(%d, %d) differs", op, core, off)
+			}
+			if b.Byte(core, off) != ref[core][off] {
+				t.Fatalf("op %d: Byte(%d, %d) differs", op, core, off)
+			}
+		default:
+			got := bytes.Repeat([]byte{0xee}, n)
+			b.Read(core, off, got)
+			if !bytes.Equal(got, ref[core][off:off+n]) {
+				t.Fatalf("op %d: Read(%d, %d, %d bytes) = %x, want %x", op, core, off, n, got, ref[core][off:off+n])
+			}
+		}
+	}
+	for core := range ref {
+		for i := 0; i < b.row; i++ {
+			lo, hi := i*len(mpbChunk{}), min((i+1)*len(mpbChunk{}), size)
+			made := b.chunks[core*b.row+i] != nil
+			if !made && !bytes.Equal(ref[core][lo:hi], make([]byte, hi-lo)) {
+				t.Fatalf("core %d chunk %d holds written bytes but was never made", core, i)
+			}
+		}
+	}
+}
+
+// TestUnwrittenMPBIsSmall: the paper chip's 48 MPBs cost their directory
+// only, and an unwritten buffer reads as zeros without allocating.
+func TestUnwrittenMPBIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewMPB(48, MPBBytesPerCore)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(48*MPBBytesPerCore/16); got > bound {
+		t.Fatalf("NewMPB allocated %d bytes, want at most %d", got, bound)
+	}
+	var line [CacheLine]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		line[0], line[CacheLine-1] = 0xff, 0xff
+		b.Read(47, MPBBytesPerCore-CacheLine, line[:])
+		if line != ([CacheLine]byte{}) || b.Byte(0, 0) != 0 || b.Read16(5, 255) != 0 {
+			t.Fatal("an unwritten MPB does not read as zeros")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reading an unwritten MPB allocated %v times", allocs)
+	}
+	for _, c := range b.chunks {
+		if c != nil {
+			t.Fatal("a read made a chunk")
+		}
 	}
 }
 
@@ -156,8 +239,8 @@ func TestMPBWord16(t *testing.T) {
 func TestMPBBoundsPanics(t *testing.T) {
 	b := NewMPB(2, 64)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("overflow access did not panic")
+		if r := recover(); fmt.Sprint(r) != "phys: MPB access [60,+8) beyond 64 bytes" {
+			t.Fatalf("overflow access panicked with %v", r)
 		}
 	}()
 	b.Write(0, 60, make([]byte, 8))

@@ -426,18 +426,15 @@ func (ch *Chip) GeneralMPBSize() int { return ch.mpbBytes - ch.rcceOff }
 
 // Boot binds core id to a new simulation process running body, with the
 // core's private region identity-mapped (virtual address == offset within
-// the private region) as cached write-through memory.
+// the private region) as cached write-through memory. The mapping is the
+// page table's identity window, two numbers however large the region.
 func (ch *Chip) Boot(id int, body func(*cpu.Core)) *cpu.Core {
 	c := ch.cores[id]
 	proc := ch.eng.NewProc(fmt.Sprintf("core%d", id), 0, func(p *sim.Proc) {
 		body(c)
 	})
 	c.Bind(proc)
-	base := ch.layout.PrivateBase(id)
-	for off := uint32(0); off < ch.cfg.PrivateMemPerCore; off += pgtable.PageSize {
-		c.Table.Map(off, (base+off)>>pgtable.PageShift,
-			pgtable.Present|pgtable.Writable|pgtable.WriteThrough)
-	}
+	c.Table.Identity(ch.cfg.PrivateMemPerCore/pgtable.PageSize, ch.layout.PrivateBase(id)>>pgtable.PageShift)
 	return c
 }
 

@@ -2,6 +2,7 @@ package scc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"metalsvm/internal/cache"
@@ -439,4 +440,43 @@ func BenchmarkTASSpin(b *testing.B) {
 	b.ReportMetric(float64(s.ProcSwitches)/n, "switches/op")
 	b.ReportMetric(float64(s.InPlaceSteps)/n, "in-place/op")
 	eng.Shutdown()
+}
+
+// TestBootedChipIsSmall: building the paper chip and booting its 48 cores
+// allocates at most 512 KiB in all. Page tables that stored the private
+// region's 4 096 entries a core (an 8 KB directory and four 8 KB leaves)
+// and MPBs made whole (8 KiB a core) took 2.3 MB of it alone; the identity
+// window and chunks made on first write leave the machine about 0.2 MB.
+func TestBootedChipIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng := sim.NewEngine()
+	ch, err := New(eng, PaperSCC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < ch.Cores(); id++ {
+		ch.Boot(id, func(*cpu.Core) {})
+	}
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(512<<10); got > bound {
+		t.Fatalf("a booted paper chip allocated %d bytes, want at most %d", got, bound)
+	}
+	eng.Shutdown()
+}
+
+// BenchmarkBoot builds scale_256's machine, two chips of an 8x8 grid with two
+// cores a tile, and boots every core. One op is the whole construction.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		ch, err := New(eng, MultiChip(2, Grid(8, 8, 2)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := 0; id < ch.Cores(); id++ {
+			ch.Boot(id, func(*cpu.Core) {})
+		}
+	}
 }

@@ -258,9 +258,7 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 	}()
 	acquired := func() {
 		h.k.Core().Cycles(s.cfg.MapCycles)
-		h.k.Core().Table.Update(page, func(e *pgtable.Entry) {
-			e.Flags |= pgtable.Present | pgtable.Writable
-		})
+		h.k.Core().Table.SetFlags(page, pgtable.Present|pgtable.Writable, 0)
 		h.emit(trace.KindOwnerAcquire, uint64(idx), 0)
 	}
 	for {
@@ -412,9 +410,7 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 	h.k.Core().Cycles(s.cfg.OwnershipServeCycles)
 	// Revoke our access, publish our writes, drop our cached lines.
 	if _, ok := h.k.Core().Table.Lookup(page); ok {
-		h.k.Core().Table.Update(page, func(e *pgtable.Entry) {
-			e.Flags &^= pgtable.Present | pgtable.Writable
-		})
+		h.k.Core().Table.SetFlags(page, 0, pgtable.Present|pgtable.Writable)
 	}
 	h.k.Core().FlushWCB()
 	h.k.Core().CL1INVMB()
@@ -513,9 +509,7 @@ func (h *Handle) ProtectReadOnly(base, bytes uint32) {
 		page := pageVaddr(idx)
 		if e, ok := h.k.Core().Table.Lookup(page); ok && e.Flags.Has(pgtable.Present) {
 			h.k.Core().Cycles(s.cfg.MapCycles / 4)
-			h.k.Core().Table.Update(page, func(e *pgtable.Entry) {
-				e.Flags &^= pgtable.Writable | pgtable.MPBT
-			})
+			h.k.Core().Table.SetFlags(page, 0, pgtable.Writable|pgtable.MPBT)
 		} else {
 			// Map it read-only now (frame must exist or appears by first
 			// touch of a zero page).
