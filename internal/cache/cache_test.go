@@ -2,8 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func fill32(v byte) []byte {
@@ -129,13 +131,14 @@ func TestCL1INVMBDropsOnlyMPBTLines(t *testing.T) {
 	}
 }
 
-// TestLinesAllocatedOnFirstFill pins the lazy line arrays: a never-filled
-// cache holds no tags, LRU stamps or line bytes and answers every operation
-// exactly as a cache that was filled and then emptied.
+// TestLinesAllocatedOnFirstFill pins the lazy line storage: a never-filled
+// cache holds no tags, chunk directory or chunks and answers every operation
+// exactly as a cache that was filled and then emptied, and the first Fill
+// makes the tags, the directory and the one chunk its way lives in.
 func TestLinesAllocatedOnFirstFill(t *testing.T) {
 	fresh := New("l2", 4096, 4)
-	if fresh.tags != nil || fresh.lastUse != nil || fresh.data != nil {
-		t.Fatal("New allocated the line arrays")
+	if fresh.tags != nil || fresh.chunks != nil {
+		t.Fatal("New allocated the tags or the chunk directory")
 	}
 	emptied := New("l2", 4096, 4)
 	emptied.Fill(0x100, fill32(1), true)
@@ -159,19 +162,98 @@ func TestLinesAllocatedOnFirstFill(t *testing.T) {
 			t.Fatalf("%p: %d valid lines", c, n)
 		}
 	}
-	if fresh.tags != nil || fresh.lastUse != nil || fresh.data != nil {
-		t.Fatal("an operation other than Fill allocated the line arrays")
+	if fresh.tags != nil || fresh.chunks != nil {
+		t.Fatal("an operation other than Fill allocated the tags or the chunk directory")
 	}
 	if fs, es := fresh.Stats(), emptied.Stats(); fs != es {
 		t.Fatalf("never-filled stats %+v, filled-then-emptied %+v", fs, es)
 	}
 
 	fresh.Fill(0x100, fill32(7), false)
-	if n := 4096 / LineSize; len(fresh.tags) != n || len(fresh.lastUse) != n || len(fresh.data) != n {
-		t.Fatalf("first Fill allocated %d tags, %d LRU stamps and %d lines", len(fresh.tags), len(fresh.lastUse), len(fresh.data))
+	if n := 4096 / LineSize; len(fresh.tags) != n || len(fresh.chunks) != n/chunkWays {
+		t.Fatalf("first Fill allocated %d tags and a %d-chunk directory", len(fresh.tags), len(fresh.chunks))
+	}
+	if n := madeChunks(fresh); n != 1 {
+		t.Fatalf("first Fill made %d chunks", n)
 	}
 	if fresh.find(0x100) < 0 {
 		t.Fatal("first Fill did not install its line")
+	}
+}
+
+func madeChunks(c *Cache) int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// sparseLine is the i-th of up to 64 scattered lines of a 256 KiB 4-way
+// cache (2 048 sets, 8 to a chunk): one in every 32nd set, each with a
+// different tag, so each lands in a chunk of its own.
+func sparseLine(i int) uint32 { return uint32(i) * (32 + 2048) * LineSize }
+
+// sparseFills fills the first n sparse lines.
+func sparseFills(c *Cache, n int, line []byte) {
+	for i := 0; i < n; i++ {
+		c.Fill(sparseLine(i), line, false)
+	}
+}
+
+// TestSparseCacheIsSmall pins what a cache touched in few places costs the
+// host: a 256 KiB L2 that takes 64 scattered fills allocates the tag array,
+// the chunk directory and 64 chunks, ~114 KiB, where storing every line
+// took ~360 KiB.
+func TestSparseCacheIsSmall(t *testing.T) {
+	const size, fills = 256 << 10, 64
+	if n := unsafe.Sizeof(chunk{}); n != 1280 {
+		t.Fatalf("a chunk is %d bytes, not the 1 280-byte size class", n)
+	}
+	line := fill32(3)
+	lines := size / LineSize
+	// The directory holds pointers, so the allocator gives it a header and
+	// rounds it up a size class: 2 304 bytes for 2 048.
+	bound := uint64(lines*int(unsafe.Sizeof(uint32(0))) +
+		lines/chunkWays*int(unsafe.Sizeof((*chunk)(nil))) + 256 +
+		fills*int(unsafe.Sizeof(chunk{})))
+	c := New("l2", size, 4)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sparseFills(c, fills, line)
+	runtime.ReadMemStats(&after)
+	if n := madeChunks(c); n != fills {
+		t.Fatalf("%d fills made %d chunks", fills, n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("%d scattered fills allocated %d bytes in %d allocations, want at most %d", fills, got, after.Mallocs-before.Mallocs, bound)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 2+fills {
+		t.Fatalf("%d scattered fills made %d allocations, want at most %d", fills, n, 2+fills)
+	}
+	for i := 0; i < fills; i++ {
+		var b [8]byte
+		if !c.Load(sparseLine(i), b[:]) || b[0] != 3 {
+			t.Fatalf("fill %d: Load missed or read %x", i, b)
+		}
+	}
+}
+
+// BenchmarkSparseL2Fill prices a core that touches its L2 in few places: a
+// fresh 256 KiB 4-way L2 takes 64 scattered fills, then hits each line once.
+func BenchmarkSparseL2Fill(b *testing.B) {
+	const fills = 64
+	line := fill32(5)
+	var dst [8]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := New("l2", 256<<10, 4)
+		sparseFills(c, fills, line)
+		for j := 0; j < fills; j++ {
+			c.Load(sparseLine(j), dst[:])
+		}
 	}
 }
 
@@ -501,6 +583,7 @@ type scanInput struct {
 	name                                 string
 	size, ways                           int
 	span                                 int // address range / cache size
+	sparse                               int // if > 0, only this many sets are touched
 	ops                                  int
 	load, fill, through, update, invMPBT int
 	mpbtPercent                          int // share of fills tagged MPBT
@@ -516,7 +599,10 @@ type scanInput struct {
 // selection. The rest concentrate on the state bits: "mixed" interleaves
 // MPBT and write-back dirty lines, "update-flush" flushes WriteUpdate's
 // dirty lines out as victims, "refill" refills resident (often dirty) lines
-// in place, and "clmpbt" runs CL1INVMB over mixed lines.
+// in place, and "clmpbt" runs CL1INVMB over mixed lines. "sparse" touches
+// eight of a large cache's 256 sets, each of whose 24 ways straddle two
+// line chunks: its fills, LRU victims and dirty write-backs cross chunk
+// edges while most chunks are never made.
 func TestWayHintsMatchLinearScan(t *testing.T) {
 	// The spread-out inputs keep the long-standing mix: of every 2 048
 	// operations 1 024 loads, 256 fills and 256 of each write policy, with
@@ -540,6 +626,8 @@ func TestWayHintsMatchLinearScan(t *testing.T) {
 			load: 8, fill: 8, through: 4, update: 4, invMPBT: 3, mpbtPercent: 60},
 		{name: "five-sets", size: 5 * 4 * LineSize, ways: 4, span: 4, ops: 100_000,
 			load: 8, fill: 8, through: 2, update: 6, invMPBT: 2, mpbtPercent: 50},
+		{name: "sparse", size: 256 * 24 * LineSize, ways: 24, span: 2, sparse: 8, ops: 100_000,
+			load: 8, fill: 8, through: 2, update: 6, invMPBT: 1, mpbtPercent: 30},
 	} {
 		t.Run(in.name, func(t *testing.T) { runScanInput(t, in) })
 	}
@@ -555,9 +643,20 @@ func runScanInput(t *testing.T, in scanInput) {
 	for _, w := range weights {
 		total += w
 	}
+	sets := uint32(in.size / (in.ways * LineSize))
+	// A sparse input's hot sets lie evenly apart, each one or two sets past
+	// a multiple of four: with 24 ways those sets' ways straddle a chunk
+	// edge.
+	var hot []uint32
+	for i := 0; i < in.sparse; i++ {
+		hot = append(hot, uint32(i)*(sets/uint32(in.sparse))+1+uint32(i%2))
+	}
 	var refills, dirtyRefills, dirtyVictims, mpbtDrops int
 	for op := 0; op < in.ops; op++ {
 		la := uint32(rng.Intn(int(lines))) * LineSize
+		if hot != nil { // the same number of lines per touched set
+			la = (la/LineSize/sets*sets + hot[rng.Intn(len(hot))]) * LineSize
+		}
 		n := 1 << rng.Intn(4) // 1, 2, 4 or 8 bytes, aligned: never crosses a line
 		paddr := la + uint32(rng.Intn(LineSize/n)*n)
 		var word, got, want [8]byte
@@ -619,6 +718,15 @@ func runScanInput(t *testing.T, in scanInput) {
 	}
 	if n := validLines(c); n != m.validLines() {
 		t.Fatalf("%d valid lines, model %d", n, m.validLines())
+	}
+	for _, set := range hot {
+		first, last := set*uint32(in.ways), (set+1)*uint32(in.ways)-1
+		if first>>chunkShift == last>>chunkShift || c.chunks[first>>chunkShift] == nil || c.chunks[last>>chunkShift] == nil {
+			t.Fatalf("set %d's ways %d..%d do not use two made chunks", set, first, last)
+		}
+	}
+	if made := madeChunks(c); hot != nil && made > 2*len(hot) {
+		t.Fatalf("%d touched sets made %d of %d chunks", len(hot), made, len(c.chunks))
 	}
 	// An eviction is an LRU choice among a full set's valid ways; every
 	// input must make one at least once in 32 operations, so frequent

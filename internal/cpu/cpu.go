@@ -71,7 +71,8 @@ type IRQHandler func(c *Core, irq IRQ)
 type Config struct {
 	// Clock is the core clock (SCC in the paper: 533 MHz).
 	Clock sim.Clock
-	// L1Size/L1Ways: the P54C data cache (8 KiB, 2-way).
+	// L1Size/L1Ways: the SCC core's data cache (16 KiB, 4-way, twice the
+	// classic P54C's 8 KiB, 2-way).
 	L1Size, L1Ways int
 	// L2Size/L2Ways: the board-level L2 (256 KiB, 4-way). Zero disables L2.
 	L2Size, L2Ways int
@@ -141,6 +142,11 @@ type Core struct {
 	proc *sim.Proc
 	bus  MemoryBus
 
+	// l1Hit, l2Hit and store are cfg's L1HitCycles, L2HitCycles and
+	// StoreCycles as durations: the load-hit and store paths advance the
+	// proc by them directly, where a call to Cycles would not inline.
+	l1Hit, l2Hit, store sim.Duration
+
 	// Table is the core's private page table. The kernel and the SVM
 	// system manipulate it directly (they are the kernel).
 	Table *pgtable.Table
@@ -186,9 +192,13 @@ func New(id int, cfg Config, bus MemoryBus, events *trace.Stream) *Core {
 	c := &Core{
 		id:         id,
 		cfg:        cfg,
+		l1Hit:      cfg.Clock.Cycles(cfg.L1HitCycles),
+		l2Hit:      cfg.Clock.Cycles(cfg.L2HitCycles),
+		store:      cfg.Clock.Cycles(cfg.StoreCycles),
 		bus:        bus,
 		events:     events,
 		Table:      pgtable.New(),
+		tlb:        newTLB(),
 		l1:         cache.New(fmt.Sprintf("core%d.l1", id), cfg.L1Size, cfg.L1Ways),
 		wcb:        cache.NewWCB(),
 		irqEnabled: true,
@@ -396,14 +406,14 @@ func (c *Core) loadChunk(vaddr uint32, dst []byte) {
 	}
 
 	if c.l1.Load(paddr, dst) {
-		c.Cycles(c.cfg.L1HitCycles)
+		c.proc.Advance(c.l1Hit)
 		return
 	}
 	line := &c.lineBuf
 	la := cache.LineAddr(paddr)
 	if !mpbt && c.l2 != nil {
 		if c.l2.Load(la, line[:]) {
-			c.Cycles(c.cfg.L2HitCycles)
+			c.proc.Advance(c.l2Hit)
 			c.l1.Fill(paddr, line[:], false)
 			cache.CopySmall(dst, line[paddr-la:paddr-la+uint32(len(dst))])
 			return
@@ -443,7 +453,7 @@ func (c *Core) storeChunk(vaddr uint32, src []byte) {
 	e := c.translate(vaddr, true)
 	c.events.Emit(c.proc.LocalTime(), c.id, trace.KindStore, uint64(vaddr), uint64(len(src)))
 	paddr := e.PhysAddr(vaddr)
-	c.Cycles(c.cfg.StoreCycles)
+	c.proc.Advance(c.store)
 
 	// Keep the core's own cached copies in step (write-through updates,
 	// never allocates).
@@ -467,7 +477,7 @@ func (c *Core) storeChunk(vaddr uint32, src []byte) {
 		// no write allocate). This is what makes the baseline's writes
 		// cheap once its working set stays L2-resident — the superlinear
 		// regime of Figure 9.
-		c.Cycles(c.cfg.L2HitCycles)
+		c.proc.Advance(c.l2Hit)
 		return
 	}
 	// Miss everywhere: word-granular write-through to memory, one

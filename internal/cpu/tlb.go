@@ -13,9 +13,9 @@ import "metalsvm/internal/pgtable"
 // CL1INVMB-adjacent permission downgrades on ownership transfer) bumps the
 // owning table's version counter, and the TLB compares that counter on every
 // access: a changed counter misses every entry, and the next insert flushes
-// them wholesale. A core only ever modifies its own table (the paper keeps page
-// tables in private memory), so the version check is the entire
-// invalidation protocol.
+// them wholesale by moving to a new flush epoch. A core only ever modifies its
+// own table (the paper keeps page tables in private memory), so the version
+// check is the entire invalidation protocol.
 const (
 	tlbBits = 7 // 128 entries, direct-mapped
 	tlbSize = 1 << tlbBits
@@ -28,16 +28,25 @@ const (
 // the low bits alone every cell's source row evicted its destination row.
 func tlbSlot(vpn uint32) uint32 { return (vpn ^ vpn>>tlbBits ^ vpn>>(2*tlbBits)) & tlbMask }
 
+// tlbEntry is valid while its epoch is the TLB's. A zero entry never is:
+// epochs start at 1.
 type tlbEntry struct {
-	valid bool
+	epoch uint32
 	vpn   uint32
 	entry pgtable.Entry
 }
 
+// tlb must be made by newTLB. A flush moves it to the next epoch, which
+// drops every entry without touching them; only when the epoch counter
+// wraps does a flush clear the entries, so no entry of an epoch 2^32
+// flushes old can come back to life.
 type tlb struct {
 	version uint64
+	epoch   uint32
 	entries [tlbSize]tlbEntry
 }
+
+func newTLB() tlb { return tlb{epoch: 1} }
 
 // lookup returns the cached entry for vaddr if it is current. table is the
 // core's page table; the hit is only valid while the table's version
@@ -47,7 +56,7 @@ type tlb struct {
 func (t *tlb) lookup(table *pgtable.Table, vaddr uint32) (pgtable.Entry, bool) {
 	vpn := pgtable.VPN(vaddr)
 	e := &t.entries[tlbSlot(vpn)]
-	if e.valid && e.vpn == vpn && table.Version() == t.version {
+	if e.epoch == t.epoch && e.vpn == vpn && table.Version() == t.version {
 		return e.entry, true
 	}
 	return pgtable.Entry{}, false
@@ -61,12 +70,13 @@ func (t *tlb) insert(table *pgtable.Table, vaddr uint32, entry pgtable.Entry) {
 		t.flush(v)
 	}
 	vpn := pgtable.VPN(vaddr)
-	t.entries[tlbSlot(vpn)] = tlbEntry{valid: true, vpn: vpn, entry: entry}
+	t.entries[tlbSlot(vpn)] = tlbEntry{epoch: t.epoch, vpn: vpn, entry: entry}
 }
 
 func (t *tlb) flush(version uint64) {
 	t.version = version
-	for i := range t.entries {
-		t.entries[i].valid = false
+	if t.epoch++; t.epoch == 0 {
+		t.entries = [tlbSize]tlbEntry{}
+		t.epoch = 1
 	}
 }

@@ -1,8 +1,10 @@
 package cpu
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"metalsvm/internal/pgtable"
 )
@@ -100,7 +102,7 @@ func TestTLBArraysApartKeepTheirSlots(t *testing.T) {
 
 	table := pgtable.New()
 	entry := pgtable.Entry{Flags: pgtable.Present | pgtable.WriteThrough}
-	var tl tlb
+	tl := newTLB()
 	for row := uint32(0); row < apart; row++ {
 		old, cur := row*pgtable.PageSize, (row+apart)*pgtable.PageSize
 		tl.insert(table, old, entry)
@@ -108,5 +110,42 @@ func TestTLBArraysApartKeepTheirSlots(t *testing.T) {
 		if _, ok := tl.lookup(table, old); !ok {
 			t.Fatalf("row %d: inserting page %#x evicted page %#x", row, cur, old)
 		}
+	}
+}
+
+// TestTLBEpochWrap forces the flush epoch to wrap, as 2^32 flushes would: an
+// entry stamped with epoch 1 long ago must not hit once the counter comes
+// round to 1 again, so the wrapping flush has to clear the entries.
+func TestTLBEpochWrap(t *testing.T) {
+	if n := unsafe.Sizeof(tlbEntry{}); n != 16 {
+		t.Fatalf("a TLB entry is %d bytes, want 16", n)
+	}
+	table := pgtable.New()
+	entry := pgtable.Entry{PFN: 7, Flags: pgtable.Present | pgtable.WriteThrough}
+	const old, cur = 0x1000, 0x2000
+	tl := newTLB()
+	if _, ok := tl.lookup(table, 0); ok {
+		t.Fatal("a fresh TLB hit page 0")
+	}
+	tl.insert(table, old, entry) // epoch 1
+	if _, ok := tl.lookup(table, old); !ok {
+		t.Fatal("the inserted page missed")
+	}
+
+	// The hook: the old entry stays put while 2^32-2 flushes pass.
+	tl.epoch = math.MaxUint32
+	table.Map(cur, 9, entry.Flags)
+	v := table.Version()
+	tl.insert(table, cur, pgtable.Entry{PFN: 9, Flags: entry.Flags})
+	if tl.epoch != 1 || tl.version != v {
+		t.Fatalf("after the wrapping flush: epoch %d, version %d (table %d)", tl.epoch, tl.version, v)
+	}
+	if _, ok := tl.lookup(table, cur); !ok {
+		t.Fatal("the page inserted by the wrapping flush missed")
+	}
+	// The old entry's page is still mapped and the TLB is at the table's
+	// version, so only its epoch can make it miss.
+	if e, ok := tl.lookup(table, old); ok {
+		t.Fatalf("an entry from before the wrap hit: %+v", e)
 	}
 }
