@@ -83,11 +83,10 @@ type chunk struct {
 
 // Cache is one set-associative, write-through, no-write-allocate level.
 type Cache struct {
-	name  string
-	sets  int
-	ways  int
-	tick  uint64
-	stats Stats
+	name       string
+	sets, ways uint32 // 32 bits keep the struct in the 144-byte size class
+	tick       uint64
+	stats      Stats
 
 	// tags holds one packed word per way, set-major: the line address ORed
 	// with tagValid, tagMPBT and tagDirty. Lookups, victim choice and the
@@ -104,6 +103,9 @@ type Cache struct {
 	// two (it always is for the modeled geometries); 0 selects the division
 	// fallback.
 	setMask uint32
+	// mpbtLines counts the valid MPBT-tagged ways, kept by Fill, so
+	// CL1INVMB skips a cache holding none and stops at the last one.
+	mpbtLines uint32
 }
 
 // New creates a cache of the given total size and associativity.
@@ -117,7 +119,7 @@ func New(name string, size, ways int) *Cache {
 		panic(fmt.Sprintf("cache %s: invalid geometry size=%d ways=%d", name, size, ways))
 	}
 	sets := size / (ways * LineSize)
-	c := &Cache{name: name, sets: sets, ways: ways}
+	c := &Cache{name: name, sets: uint32(sets), ways: uint32(ways)}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint32(sets - 1)
 	}
@@ -130,9 +132,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // setBase returns the index of the first way of paddr's set.
 func (c *Cache) setBase(paddr uint32) int {
 	if c.setMask != 0 {
-		return int((paddr/LineSize)&c.setMask) * c.ways
+		return int((paddr / LineSize & c.setMask) * c.ways)
 	}
-	return int(paddr/LineSize) % c.sets * c.ways
+	return int(paddr / LineSize % c.sets * c.ways)
 }
 
 // find returns the way index holding paddr's line, or -1. It inlines into
@@ -141,7 +143,7 @@ func (c *Cache) find(paddr uint32) int {
 	if c.tags != nil { // else never filled
 		want := LineAddr(paddr) | tagValid
 		base := c.setBase(paddr)
-		for i, t := range c.tags[base : base+c.ways] {
+		for i, t := range c.tags[base : base+int(c.ways)] {
 			if t&^tagState == want {
 				return base + i
 			}
@@ -176,14 +178,14 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) (out Victim) {
 		panic(fmt.Sprintf("cache %s: fill with %d bytes", c.name, len(data)))
 	}
 	if c.tags == nil {
-		n := c.sets * c.ways
+		n := int(c.sets * c.ways)
 		c.tags = make([]uint32, n)
 		c.chunks = make([]*chunk, (n+chunkMask)>>chunkShift)
 	}
 	tag := LineAddr(paddr)
 	c.tick++
 	base := c.setBase(paddr)
-	tags := c.tags[base : base+c.ways]
+	tags := c.tags[base : base+int(c.ways)]
 	// Only a valid way's stamp is read: a free way's chunk may not exist.
 	v, free, stamp := 0, tags[0]&tagValid == 0, ^uint64(0)
 	for i, t := range tags {
@@ -205,7 +207,11 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) (out Victim) {
 		ch = new(chunk)
 		c.chunks[v>>chunkShift] = ch
 	}
-	if old := c.tags[v]; old&tagValid != 0 && old&^lineMask != tag {
+	old := c.tags[v]
+	if old&(tagValid|tagMPBT) == tagValid|tagMPBT {
+		c.mpbtLines-- // evicted or refilled in place
+	}
+	if old&tagValid != 0 && old&^lineMask != tag {
 		c.stats.Evictions++
 		out.Valid, out.LineAddr = true, old&^lineMask
 		if old&tagDirty != 0 {
@@ -216,6 +222,7 @@ func (c *Cache) Fill(paddr uint32, data []byte, mpbt bool) (out Victim) {
 	c.tags[v] = tag | tagValid
 	if mpbt {
 		c.tags[v] |= tagMPBT
+		c.mpbtLines++
 	}
 	ch.lastUse[v&chunkMask] = c.tick
 	ch.data[v&chunkMask] = [LineSize]byte(data)
@@ -258,12 +265,14 @@ func (c *Cache) write(paddr uint32, src []byte, mark uint32) bool {
 }
 
 // InvalidateMPBT drops every MPBT-tagged line: the CL1INVMB instruction,
-// the one invalidation the SCC's software has.
+// the one invalidation the SCC's software has. The walk ends at the last
+// valid MPBT line, so a cache holding none costs nothing.
 func (c *Cache) InvalidateMPBT() {
-	for i, t := range c.tags {
-		if t&(tagValid|tagMPBT) == tagValid|tagMPBT {
+	for i := 0; c.mpbtLines != 0; i++ {
+		if t := c.tags[i]; t&(tagValid|tagMPBT) == tagValid|tagMPBT {
 			c.tags[i] = t &^ tagValid
 			c.stats.Invalidates++
+			c.mpbtLines--
 		}
 	}
 }

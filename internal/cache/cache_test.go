@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -604,6 +605,13 @@ type scanInput struct {
 // line chunks: its fills, LRU victims and dirty write-backs cross chunk
 // edges while most chunks are never made.
 func TestWayHintsMatchLinearScan(t *testing.T) {
+	for _, in := range scanInputs() {
+		t.Run(in.name, func(t *testing.T) { runScanInput(t, in) })
+	}
+}
+
+// scanInputs are TestWayHintsMatchLinearScan's seeded inputs.
+func scanInputs() []scanInput {
 	// The spread-out inputs keep the long-standing mix: of every 2 048
 	// operations 1 024 loads, 256 fills and 256 of each write policy, with
 	// one CL1INVMB, so sets stay full between clears and every fill past
@@ -612,7 +620,7 @@ func TestWayHintsMatchLinearScan(t *testing.T) {
 		return scanInput{name: name, size: size, ways: ways, span: 8, ops: 200_000,
 			load: 1024, fill: 256, through: 256, update: 256, invMPBT: 1, mpbtPercent: 50}
 	}
-	for _, in := range []scanInput{
+	return []scanInput{
 		even("2-way", 1024, 2),
 		even("4-way", 4096, 4),
 		even("three-sets", 3*8*LineSize, 8),
@@ -628,8 +636,25 @@ func TestWayHintsMatchLinearScan(t *testing.T) {
 			load: 8, fill: 8, through: 2, update: 6, invMPBT: 2, mpbtPercent: 50},
 		{name: "sparse", size: 256 * 24 * LineSize, ways: 24, span: 2, sparse: 8, ops: 100_000,
 			load: 8, fill: 8, through: 2, update: 6, invMPBT: 1, mpbtPercent: 30},
-	} {
-		t.Run(in.name, func(t *testing.T) { runScanInput(t, in) })
+	}
+}
+
+// linePicker returns the input's hot sets and a draw of a line address
+// from its range. A sparse input's hot sets lie evenly apart, each one or
+// two sets past a multiple of four: with 24 ways those sets' ways straddle
+// a chunk edge.
+func (in scanInput) linePicker(rng *rand.Rand) (hot []uint32, pick func() uint32) {
+	lines := uint32(in.span * in.size / LineSize)
+	sets := uint32(in.size / (in.ways * LineSize))
+	for i := 0; i < in.sparse; i++ {
+		hot = append(hot, uint32(i)*(sets/uint32(in.sparse))+1+uint32(i%2))
+	}
+	return hot, func() uint32 {
+		la := uint32(rng.Intn(int(lines))) * LineSize
+		if hot != nil { // the same number of lines per touched set
+			la = (la/LineSize/sets*sets + hot[rng.Intn(len(hot))]) * LineSize
+		}
+		return la
 	}
 }
 
@@ -643,20 +668,10 @@ func runScanInput(t *testing.T, in scanInput) {
 	for _, w := range weights {
 		total += w
 	}
-	sets := uint32(in.size / (in.ways * LineSize))
-	// A sparse input's hot sets lie evenly apart, each one or two sets past
-	// a multiple of four: with 24 ways those sets' ways straddle a chunk
-	// edge.
-	var hot []uint32
-	for i := 0; i < in.sparse; i++ {
-		hot = append(hot, uint32(i)*(sets/uint32(in.sparse))+1+uint32(i%2))
-	}
+	hot, pick := in.linePicker(rng)
 	var refills, dirtyRefills, dirtyVictims, mpbtDrops int
 	for op := 0; op < in.ops; op++ {
-		la := uint32(rng.Intn(int(lines))) * LineSize
-		if hot != nil { // the same number of lines per touched set
-			la = (la/LineSize/sets*sets + hot[rng.Intn(len(hot))]) * LineSize
-		}
+		la := pick()
 		n := 1 << rng.Intn(4) // 1, 2, 4 or 8 bytes, aligned: never crosses a line
 		paddr := la + uint32(rng.Intn(LineSize/n)*n)
 		var word, got, want [8]byte
@@ -737,4 +752,77 @@ func runScanInput(t *testing.T, in scanInput) {
 		t.Fatalf("the sequence missed a path: %+v, %d refills (%d dirty), %d dirty victims, %d CL1INVMB drops",
 			s, refills, dirtyRefills, dirtyVictims, mpbtDrops)
 	}
+}
+
+// TestMPBTCountMatchesFullWalk checks the MPBT line count that lets
+// CL1INVMB skip and stop early. Over TestWayHintsMatchLinearScan's inputs,
+// a cache and its twin take the same seeded fills (MPBT and not, refills in
+// place, evictions of MPBT victims), writes and invalidations; the twin
+// invalidates by walking every tag word, as CL1INVMB did before the count.
+// After every operation both must hold the same tag words and
+// Invalidates, and the count must equal a recount of valid MPBT tags.
+func TestMPBTCountMatchesFullWalk(t *testing.T) {
+	for _, in := range scanInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			c, twin := New(in.name, in.size, in.ways), New(in.name, in.size, in.ways)
+			rng := rand.New(rand.NewSource(int64(in.size*in.ways + in.span)))
+			_, pick := in.linePicker(rng)
+			var line [LineSize]byte
+			// Fills weigh 4 x ways times the input's, so sets fill up and
+			// evict between walks even on the inputs that clear often.
+			fill := 4 * in.ways * in.fill
+			var mpbtRefills, mpbtEvictions, walks int
+			for op := 0; op < 20_000; op++ {
+				paddr := pick()
+				switch k := rng.Intn(fill + in.update + in.invMPBT); {
+				case k < fill:
+					mpbt := rng.Intn(100) < in.mpbtPercent
+					before := mpbtRecount(c)
+					v := c.Fill(paddr, line[:], mpbt)
+					twin.Fill(paddr, line[:], mpbt)
+					if dropped := before - mpbtRecount(c); mpbt && dropped == 0 || !mpbt && dropped == 1 {
+						if v.Valid {
+							mpbtEvictions++
+						} else {
+							mpbtRefills++
+						}
+					}
+				case k < fill+in.update:
+					c.WriteUpdate(paddr, line[:8])
+					twin.WriteUpdate(paddr, line[:8])
+				default:
+					walks++
+					c.InvalidateMPBT()
+					for i, tag := range twin.tags { // the full walk
+						if tag&(tagValid|tagMPBT) == tagValid|tagMPBT {
+							twin.tags[i] = tag &^ tagValid
+							twin.stats.Invalidates++
+						}
+					}
+				}
+				if !slices.Equal(c.tags, twin.tags) || c.stats.Invalidates != twin.stats.Invalidates {
+					t.Fatalf("op %d: tags or Invalidates (%d) differ from the full walk's (%d)",
+						op, c.stats.Invalidates, twin.stats.Invalidates)
+				}
+				if n := mpbtRecount(c); c.mpbtLines != uint32(n) {
+					t.Fatalf("op %d: count %d, %d valid MPBT tags", op, c.mpbtLines, n)
+				}
+			}
+			if mpbtRefills == 0 || mpbtEvictions == 0 || walks == 0 || c.stats.Invalidates == 0 {
+				t.Fatalf("the sequence missed a path: %d MPBT refills, %d MPBT evictions, %d walks, %d invalidates",
+					mpbtRefills, mpbtEvictions, walks, c.stats.Invalidates)
+			}
+		})
+	}
+}
+
+// mpbtRecount counts c's valid MPBT-tagged ways.
+func mpbtRecount(c *Cache) int {
+	n := 0
+	for _, t := range c.tags {
+		if t&(tagValid|tagMPBT) == tagValid|tagMPBT {
+			n++
+		}
+	}
+	return n
 }

@@ -10,12 +10,16 @@
 // Interrupt state is sized from the configured core count: each core owns
 // one status bit per possible origin, held in ceil(cores/64) words. The
 // SCC's 48 cores fit in one word; multi-chip topologies (512–1024 cores)
-// simply use more words per core. Topology validation (scc.Validate)
+// simply use more words per core; a claim skips empty words and visits
+// only the set bits of the others. Topology validation (scc.Validate)
 // bounds the core count before the controller is built, so New only
 // guards against nonsensical arguments.
 package gic
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Controller holds one IPI status bitset per core. Bit f of core t's
 // bitset means "core f has raised an IPI towards core t that t has not
@@ -61,8 +65,9 @@ func (g *Controller) Raise(from, to int) {
 }
 
 // ClaimAll reads and clears the full origin set, appending it to origins in
-// ascending order. Passing a reused buffer's origins[:0] keeps the claim
-// free of allocation.
+// ascending order. It visits only the set bits, lowest first, so a claim
+// costs the number of pending origins, not the word width. Passing a reused
+// buffer's origins[:0] keeps the claim free of allocation.
 func (g *Controller) ClaimAll(core int, origins []int) []int {
 	g.check(core)
 	set := g.set(core)
@@ -71,10 +76,8 @@ func (g *Controller) ClaimAll(core int, origins []int) []int {
 			continue
 		}
 		set[w] = 0
-		for b := 0; b < 64; b++ {
-			if word&(1<<uint(b)) != 0 {
-				origins = append(origins, w*64+b)
-			}
+		for ; word != 0; word &= word - 1 {
+			origins = append(origins, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	return origins

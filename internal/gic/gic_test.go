@@ -1,6 +1,7 @@
 package gic
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 )
@@ -101,5 +102,48 @@ func TestMultiWordStatus(t *testing.T) {
 	}
 	if got := g.ClaimAll(200, nil); len(got) != 0 {
 		t.Fatalf("ClaimAll left pending bits: %v", got)
+	}
+}
+
+// TestClaimAllMatchesPerBitLoop checks the set-bit walk against the per-bit
+// loop it replaced, on a 1 024-core controller (16 status words a core)
+// with origins spread over several words, word edges and the last origin
+// included: the same ascending list, and every word cleared.
+func TestClaimAllMatchesPerBitLoop(t *testing.T) {
+	const cores = 1024
+	g := New(cores)
+	rng := rand.New(rand.NewPCG(1, 1024))
+	for round := 0; round < 200; round++ {
+		target := rng.IntN(cores)
+		want := map[int]bool{}
+		for _, f := range []int{0, 63, 64, 511, 512, cores - 1} {
+			if rng.IntN(2) == 0 {
+				want[f] = true
+			}
+		}
+		for n := rng.IntN(40); n > 0; n-- {
+			want[rng.IntN(cores)] = true
+		}
+		for f := range want {
+			g.Raise(f, target)
+		}
+		// The per-bit loop over a copy of the target's status words.
+		var ref []int
+		for w, word := range slices.Clone(g.set(target)) {
+			for b := 0; b < 64; b++ {
+				if word&(1<<uint(b)) != 0 {
+					ref = append(ref, w*64+b)
+				}
+			}
+		}
+		if len(ref) != len(want) {
+			t.Fatalf("round %d: status holds %d origins, raised %d", round, len(ref), len(want))
+		}
+		if got := g.ClaimAll(target, nil); !slices.Equal(got, ref) {
+			t.Fatalf("round %d: ClaimAll = %v, per-bit loop = %v", round, got, ref)
+		}
+		if got := g.ClaimAll(target, nil); len(got) != 0 {
+			t.Fatalf("round %d: ClaimAll left pending bits: %v", round, got)
+		}
 	}
 }

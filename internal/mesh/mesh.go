@@ -56,7 +56,20 @@ func DefaultConfig() Config {
 // Mesh answers geometry and latency questions for a fixed configuration.
 type Mesh struct {
 	cfg Config
+	// coords is every core's tile position, worked out once by New so a
+	// hop count reads a table instead of dividing. Positions fit 16 bits:
+	// a larger grid has an empty table (see maxTableCores).
+	coords []coord16
 }
+
+// coord16 is a Coord packed for the table.
+type coord16 struct{ x, y uint16 }
+
+// maxTableCores bounds the core count New tabulates. No machine is built
+// on a larger grid (scc caps one at 16 384 cores), but New still returns
+// it, with an empty table, so the caller's validation can name its own
+// limit; asking such a mesh for a position panics.
+const maxTableCores = 1 << 16
 
 // New validates cfg and returns the mesh.
 func New(cfg Config) (*Mesh, error) {
@@ -77,7 +90,16 @@ func New(cfg Config) (*Mesh, error) {
 			return nil, fmt.Errorf("mesh: memory controller at %v outside grid", mc)
 		}
 	}
-	return &Mesh{cfg: cfg}, nil
+	m := &Mesh{cfg: cfg}
+	if cfg.Width <= maxTableCores && cfg.Height <= maxTableCores/cfg.Width &&
+		cfg.CoresPerTile <= maxTableCores/m.Tiles() {
+		m.coords = make([]coord16, m.Cores())
+		for c := range m.coords {
+			tile := c / cfg.CoresPerTile
+			m.coords[c] = coord16{uint16(tile % cfg.Width), uint16(tile / cfg.Width)}
+		}
+	}
+	return m, nil
 }
 
 func (c Config) inGrid(p Coord) bool {
@@ -100,18 +122,12 @@ func (m *Mesh) TileOfCore(core int) int {
 	return core / m.cfg.CoresPerTile
 }
 
-// CoordOfTile maps a tile index to its grid position (row-major from the
-// south-west corner).
-func (m *Mesh) CoordOfTile(tile int) Coord {
-	if tile < 0 || tile >= m.Tiles() {
-		panic(fmt.Sprintf("mesh: tile %d out of range", tile))
-	}
-	return Coord{X: tile % m.cfg.Width, Y: tile / m.cfg.Width}
-}
-
-// CoordOfCore maps a core id to its tile position.
+// CoordOfCore maps a core id to its tile's grid position (tiles are
+// row-major from the south-west corner). It inlines; a core off the mesh
+// fails the table's index check.
 func (m *Mesh) CoordOfCore(core int) Coord {
-	return m.CoordOfTile(m.TileOfCore(core))
+	c := m.coords[core]
+	return Coord{X: int(c.x), Y: int(c.y)}
 }
 
 func (m *Mesh) checkCore(core int) {

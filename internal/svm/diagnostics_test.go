@@ -21,7 +21,7 @@ func TestDumpDiagnosticsShowsOwnerVector(t *testing.T) {
 	}
 	r.run(t, map[int]func(*Handle){0: main, 1: main})
 
-	r.sys.handles[1].inFault[0] = true // as if core 1 were acquiring page 0
+	r.sys.handles[1].record(0).inFault = true // as if core 1 were acquiring page 0
 	var b strings.Builder
 	r.sys.DumpDiagnostics(&b)
 	got := b.String()

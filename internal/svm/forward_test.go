@@ -87,13 +87,14 @@ func TestDuplicateOwnerRequestAcked(t *testing.T) {
 			h.Kernel().Barrier()
 			got = h.Kernel().Core().Load64(base) // acquires the page from core 0
 			idx = h.sys.pageIndex(base)
-			before := h.acks[idx]
+			r := h.record(idx)
+			before := r.acks
 			var p [8]byte
 			mailbox.PutU32(p[:], 0, idx)
 			mailbox.PutU32(p[:], 1, uint32(h.k.ID()))
 			h.k.Send(0, msgOwnerReq, p[:])
-			h.k.WaitFor(func() bool { return h.acks[idx] > before })
-			extraAcks = h.acks[idx] - before
+			h.k.WaitFor(func() bool { return r.acks > before })
+			extraAcks = int(r.acks - before)
 			h.Kernel().Barrier()
 		},
 	}

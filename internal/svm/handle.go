@@ -38,23 +38,63 @@ type Handle struct {
 
 	allocSeq int // how many collective allocations this kernel has seen
 
-	// Fault-protocol state, mutated by mail handlers.
-	acks     map[uint32]int    // ownership acks received per page
-	ackEpoch map[uint32]uint32 // epoch carried by the last ack per page
-	retries  map[uint32]int    // retry notices received per page
-	inFault  map[uint32]bool   // pages this kernel is currently acquiring
-	// retryNoOwner counts retry notices flagged "not mine" — the recorded
-	// owner disowning the page. orphanFrom (owner+1) remembers that the last
-	// such notice for the page came from the same recorded owner, which after
-	// a re-read of the record means the page was orphaned mid-handoff.
-	retryNoOwner map[uint32]int
-	orphanFrom   map[uint32]int
-	// ownerRetryRounds drives the hardened exponential backoff per page
-	// while an acquisition keeps being answered with retries.
-	ownerRetryRounds map[uint32]int
+	// faults holds the fault-protocol state of pages PageLo+32i onwards in
+	// faults[i], a block made when one of its pages first needs a record.
+	faults []*faultBlock
 
 	stats      Stats
 	migrations uint64 // next-touch frame migrations this core made
+}
+
+// fault is one page's fault-protocol state on one handle, mutated by the
+// mail handlers and the fault path.
+type fault struct {
+	acks     int32  // ownership acks received
+	ackEpoch uint32 // epoch carried by the last ack
+	retries  int32  // retry notices received
+	// retryNoOwner counts retry notices flagged "not mine" — the recorded
+	// owner disowning the page. orphanFrom (owner+1) remembers that the last
+	// such notice came from the same recorded owner, which after a re-read
+	// of the record means the page was orphaned mid-handoff.
+	retryNoOwner int32
+	orphanFrom   int32
+	// retryRounds drives the hardened exponential backoff while an
+	// acquisition keeps being answered with retries.
+	retryRounds int32
+	inFault     bool // this kernel is acquiring the page
+}
+
+// faultBlockShift sets the pages per faultBlock: 32 records, 896 bytes.
+const faultBlockShift = 5
+
+type faultBlock [1 << faultBlockShift]fault
+
+// record returns page idx's fault record, making its block on first use. Blocks
+// never move, so the record may be held across a wait.
+func (h *Handle) record(idx uint32) *fault {
+	i := idx - h.sys.cfg.PageLo
+	if i >= h.sys.cfg.PageHi-h.sys.cfg.PageLo {
+		panic(fmt.Sprintf("svm: page %d outside this system's shared range", idx))
+	}
+	b := int(i >> faultBlockShift)
+	if b >= len(h.faults) {
+		h.faults = append(h.faults, make([]*faultBlock, b+1-len(h.faults))...)
+	}
+	if h.faults[b] == nil {
+		h.faults[b] = new(faultBlock)
+	}
+	return &h.faults[b][i&(1<<faultBlockShift-1)]
+}
+
+// eachFault calls f with every page's record, in page order.
+func (h *Handle) eachFault(f func(idx uint32, r *fault)) {
+	for b, blk := range h.faults {
+		if blk != nil {
+			for i := range blk {
+				f(h.sys.cfg.PageLo+uint32(b<<faultBlockShift+i), &blk[i])
+			}
+		}
+	}
 }
 
 // Attach registers kernel k with the SVM system: mail handlers for the
@@ -64,27 +104,19 @@ func (s *System) Attach(k *kernel.Kernel) *Handle {
 	if h, ok := s.handles[k.ID()]; ok {
 		return h
 	}
-	h := &Handle{
-		sys:              s,
-		k:                k,
-		acks:             make(map[uint32]int),
-		ackEpoch:         make(map[uint32]uint32),
-		retries:          make(map[uint32]int),
-		inFault:          make(map[uint32]bool),
-		retryNoOwner:     make(map[uint32]int),
-		orphanFrom:       make(map[uint32]int),
-		ownerRetryRounds: make(map[uint32]int),
-	}
+	h := &Handle{sys: s, k: k}
 	s.handles[k.ID()] = h
 	k.RegisterHandler(msgOwnerReq, h.handleOwnerReq)
 	k.RegisterHandler(msgOwnerAck, func(_ *kernel.Kernel, m mailbox.Msg) {
-		h.acks[m.U32(0)]++
-		h.ackEpoch[m.U32(0)] = m.U32(1) // always zero from the single-copy directory
+		r := h.record(m.U32(0))
+		r.acks++
+		r.ackEpoch = m.U32(1) // always zero from the single-copy directory
 	})
 	k.RegisterHandler(msgOwnerRetry, func(_ *kernel.Kernel, m mailbox.Msg) {
-		h.retries[m.U32(0)]++
+		r := h.record(m.U32(0))
+		r.retries++
 		if m.U32(1) != 0 { // "not mine": the recorded owner disowns the page
-			h.retryNoOwner[m.U32(0)]++
+			r.retryNoOwner++
 		}
 	})
 	k.Core().SetFaultHandler(func(c *cpu.Core, vaddr uint32, write bool, e pgtable.Entry) {
@@ -129,9 +161,22 @@ func (h *Handle) emit(kind trace.Kind, arg1, arg2 uint64) {
 	h.sys.chip.Tracer().Emit(h.k.Core().Now(), h.k.ID(), kind, arg1, arg2)
 }
 
-// DebugString summarizes protocol wait state for diagnostics.
+// DebugString summarizes protocol wait state for diagnostics: the pages in
+// fault, and the pages holding unconsumed acks or retry notices.
 func (h *Handle) DebugString() string {
-	return fmt.Sprintf("svm %d: inFault=%v acks=%v retries=%v", h.k.ID(), h.inFault, h.acks, h.retries)
+	inFault, acks, retries := map[uint32]bool{}, map[uint32]int32{}, map[uint32]int32{}
+	h.eachFault(func(idx uint32, r *fault) {
+		if r.inFault {
+			inFault[idx] = true
+		}
+		if r.acks != 0 {
+			acks[idx] = r.acks
+		}
+		if r.retries != 0 {
+			retries[idx] = r.retries
+		}
+	})
+	return fmt.Sprintf("svm %d: inFault=%v acks=%v retries=%v", h.k.ID(), inFault, acks, retries)
 }
 
 // Alloc is the collective allocation call (svm_alloc in the paper): every
@@ -250,12 +295,9 @@ func (h *Handle) firstTouch(idx, page uint32) (allocated bool) {
 func (h *Handle) acquireOwnership(idx, page uint32) {
 	s := h.sys
 	me := h.k.ID()
-	h.inFault[idx] = true
-	defer func() {
-		delete(h.inFault, idx)
-		delete(h.ownerRetryRounds, idx)
-		delete(h.orphanFrom, idx)
-	}()
+	r := h.record(idx)
+	r.inFault = true
+	defer func() { r.inFault, r.retryRounds, r.orphanFrom = false, 0, 0 }()
 	acquired := func() {
 		h.k.Core().Cycles(s.cfg.MapCycles)
 		h.k.Core().Table.SetFlags(page, pgtable.Present|pgtable.Writable, 0)
@@ -267,8 +309,8 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		case me:
 			// Transfer completed (ack handler may even have raced ahead):
 			// consume a pending ack if one is queued for this page.
-			if h.acks[idx] > 0 {
-				h.acks[idx]--
+			if r.acks > 0 {
+				r.acks--
 			}
 			acquired()
 			return
@@ -277,20 +319,20 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		}
 		h.stats.OwnerRequests++
 		h.emit(trace.KindOwnerRequest, uint64(idx), uint64(owner))
-		acks, retries, noOwner := h.acks[idx], h.retries[idx], h.retryNoOwner[idx]
+		acks, retries, noOwner := r.acks, r.retries, r.retryNoOwner
 		var p [8]byte
 		mailbox.PutU32(p[:], 0, idx)
 		mailbox.PutU32(p[:], 1, uint32(me))
 		h.k.Send(owner, msgOwnerReq, p[:])
 		answered := func() bool {
-			return h.acks[idx] > acks || h.retries[idx] > retries
+			return r.acks > acks || r.retries > retries
 		}
 		if !h.k.WaitUntil(answered, s.dir.AckDeadline(h)) {
 			// No answer in time. Probe the owner's liveness bit in the
 			// system FPGA: a slow owner gets more patience, a dead one
 			// triggers directory-driven reclamation.
 			if s.chip.ProbeAlive(me, owner) {
-				h.ownerRetryBackoff(idx)
+				h.ownerRetryBackoff(r)
 				continue
 			}
 			if s.dir.ReclaimDead(h, idx, owner) {
@@ -301,13 +343,13 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 			// directory): re-read the owner and try again.
 			continue
 		}
-		if h.acks[idx] > acks {
-			h.acks[idx]--
+		if r.acks > acks {
+			r.acks--
 			// The previous owner yielded; commit the handoff, fenced by the
 			// epoch the ack carried. (Done here rather than in the owner's
 			// handler because this runs at top level, where a directory RPC
 			// can park safely.)
-			if !s.dir.TakeOwnership(h, idx, owner, h.ackEpoch[idx]) {
+			if !s.dir.TakeOwnership(h, idx, owner, r.ackEpoch) {
 				// Fenced: the record moved on under us; re-read it.
 				continue
 			}
@@ -318,8 +360,8 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 		// re-read the owner. Under faults the backoff grows exponentially
 		// so a lost acknowledgement cannot turn into a request storm
 		// against the recovering owner.
-		h.retries[idx]--
-		if h.retryNoOwner[idx] > noOwner {
+		r.retries--
+		if r.retryNoOwner > noOwner {
 			// The recorded owner disowns the page: either a handoff is about
 			// to commit (transient — the record moves on), or the committer
 			// crashed after the yield and the record is orphaned. Two
@@ -328,33 +370,30 @@ func (h *Handle) acquireOwnership(idx, page uint32) {
 			// orphaned: have the directory reassign the page to us with an
 			// epoch bump (which fences the stale handoff if we guessed wrong
 			// and it does commit late — that commit is refused, not lost).
-			if h.orphanFrom[idx] == owner+1 {
+			if r.orphanFrom == int32(owner)+1 {
 				if s.dir.ReclaimOrphan(h, idx, owner) {
 					acquired()
 					return
 				}
-				delete(h.orphanFrom, idx) // record moved on; re-read it
+				r.orphanFrom = 0 // record moved on; re-read it
 			} else {
-				h.orphanFrom[idx] = owner + 1
+				r.orphanFrom = int32(owner) + 1
 			}
 		} else {
-			delete(h.orphanFrom, idx)
+			r.orphanFrom = 0
 		}
-		h.ownerRetryBackoff(idx)
+		h.ownerRetryBackoff(r)
 	}
 }
 
-// ownerRetryBackoff charges the requester's retry backoff: constant in plain
-// runs, exponential per page under hardened fault injection.
-func (h *Handle) ownerRetryBackoff(idx uint32) {
+// ownerRetryBackoff charges the requester's retry backoff for the page of
+// record r: constant in plain runs, exponential per page under hardened
+// fault injection.
+func (h *Handle) ownerRetryBackoff(r *fault) {
 	backoff := uint64(500)
 	if h.sys.chip.FaultsHardened() {
-		shift := h.ownerRetryRounds[idx]
-		if shift > 5 {
-			shift = 5
-		}
-		backoff <<= shift
-		h.ownerRetryRounds[idx]++
+		backoff <<= min(r.retryRounds, 5)
+		r.retryRounds++
 		h.stats.OwnerBackoffs++
 	}
 	h.k.Core().Cycles(backoff)
@@ -373,7 +412,7 @@ func (h *Handle) handleOwnerReq(_ *kernel.Kernel, m mailbox.Msg) {
 	s.prof.Enter(me, profile.FaultHandling, h.k.Core().Proc().LocalTime())
 	defer func() { s.prof.Exit(me, h.k.Core().Proc().LocalTime()) }()
 
-	if h.inFault[idx] {
+	if h.record(idx).inFault {
 		// We are acquiring this page ourselves; tell the requester to back
 		// off rather than handing away a page mid-access.
 		h.stats.Retries++

@@ -429,10 +429,11 @@ func (s *System) DumpDiagnostics(w io.Writer) {
 			continue
 		}
 		fmt.Fprintf(w, "  %s\n", h.DebugString())
-		//metalsvm:deterministic — keys are collected, then sorted below
-		for idx := range h.inFault {
-			inFault = append(inFault, idx)
-		}
+		h.eachFault(func(idx uint32, r *fault) {
+			if r.inFault {
+				inFault = append(inFault, idx)
+			}
+		})
 	}
 	tas := s.chip.TAS()
 	held := ""

@@ -18,7 +18,7 @@ type rig struct {
 	sys *System
 }
 
-func newRig(t *testing.T, cfg Config, members []int) *rig {
+func newRig(t testing.TB, cfg Config, members []int) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	ccfg := scc.DefaultConfig()
@@ -41,7 +41,7 @@ func newRig(t *testing.T, cfg Config, members []int) *rig {
 	return &rig{eng: eng, cl: cl, sys: sys}
 }
 
-func (r *rig) run(t *testing.T, mains map[int]func(h *Handle)) {
+func (r *rig) run(t testing.TB, mains map[int]func(h *Handle)) {
 	t.Helper()
 	doneCount := 0
 	for _, id := range r.cl.Members() {
