@@ -55,6 +55,9 @@ var goldenRows = []struct {
 	{"chaos-drops", []string{"-rounds", "50", "-iters", "8", "-chaos", "2,drops"}},
 	{"chaos-crash", []string{"-rounds", "50", "-iters", "20", "-chaos", "4,crash"}},
 	{"chaos-crash-json", []string{"-rounds", "50", "-iters", "8", "-chaos", "4,crash", "-json"}},
+	// The partition markers are resolved against calibration runs in
+	// Fig9Cell and KVCell; this row pins both.
+	{"chaos-partition", []string{"-rounds", "50", "-iters", "8", "-chaos", "7,partition"}},
 	{"metrics-fig6", []string{"-rounds", "50", "-metrics", "fig6"}},
 	{"metrics-all", []string{"-rounds", "50", "-iters", "1", "-metrics", "all"}},
 	{"fig7-paper", []string{"-rounds", "400", "fig7"}},
