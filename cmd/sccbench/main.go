@@ -103,7 +103,7 @@ var modes = []mode{
 	{name: "-sanitize", flags: "sanitize", help: "sanitizer suite over every workload", run: harnesses(sanSuite.run)},
 	{name: "-chaos", flags: "chaos rounds iters json", topo: true, help: "representative cells under deterministic fault injection",
 		run: cellMode(planChaos)},
-	{name: "-metrics|-profile|-perfetto", arg: "fig6|fig7|table1|fig9|repldir|all", flags: "metrics profile perfetto rounds iters",
+	{name: "-metrics|-profile|-perfetto", arg: observeArgs(), flags: "metrics profile perfetto rounds iters",
 		help: "one instrumented cell per harness", run: runObserve},
 }
 

@@ -29,9 +29,9 @@ type pingPongConfig struct {
 	b       int   // the measuring pair's far end
 	members []int // all activated cores (must contain 0 and b)
 	rounds  int
-	// chip overrides the platform (the topology-aware sweeps); nil selects
-	// the paper's chip with small memories.
-	chip *scc.Config
+	// chip is the platform: ShrunkChip of the paper's chip or of a
+	// -chips/-grid topology.
+	chip scc.Config
 	// noise makes the filler cores exchange mail among themselves for the
 	// whole measurement (Figure 7's third curve).
 	noise bool
@@ -67,11 +67,7 @@ func ShrunkChip(topo scc.Config) scc.Config {
 func pingPong(cfg pingPongConfig) (Run, *core.Observation) {
 	const a = 0
 	eng := sim.NewEngine()
-	ccfg := ShrunkChip(scc.PaperSCC())
-	if cfg.chip != nil {
-		ccfg = *cfg.chip
-	}
-	chip, err := scc.New(eng, ccfg)
+	chip, err := scc.New(eng, cfg.chip)
 	if err != nil {
 		panic(err)
 	}

@@ -25,8 +25,6 @@ import (
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/faults"
 	"metalsvm/internal/kernel"
-	"metalsvm/internal/mailbox"
-	"metalsvm/internal/racecheck"
 	"metalsvm/internal/rcce"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/sim"
@@ -157,9 +155,6 @@ type Machine struct {
 	// Dir is the replicated ownership directory, non-nil when
 	// Options.ReplicatedDirectory was set.
 	Dir *repldir.System
-	// Race is the happens-before checker, non-nil when race checking was
-	// enabled via Options.Observe.Race.
-	Race *racecheck.Checker
 
 	obs     *Observation
 	started bool
@@ -263,7 +258,6 @@ func assemble(chip *scc.Chip, opts Options) (*Machine, error) {
 func (m *Machine) observe(obs *Observation) {
 	m.obs = obs
 	obs.AddDirectory(m.Dir)
-	m.Race = obs.Race()
 }
 
 // DirectoryWorkers is the SVM worker set of a replicated-directory machine
@@ -449,6 +443,3 @@ func (b *Baseline) Run(main func(rank int, c *cpu.Core)) sim.Time {
 	}
 	return run(b.Engine, nil)
 }
-
-// Mode returns the cluster's mailbox mode (for reporting).
-func (m *Machine) Mode() mailbox.Mode { return m.Cluster.Mailbox().Mode() }

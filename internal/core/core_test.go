@@ -5,7 +5,6 @@ import (
 
 	"metalsvm/internal/cpu"
 	"metalsvm/internal/faults"
-	"metalsvm/internal/mailbox"
 	"metalsvm/internal/pgtable"
 	"metalsvm/internal/scc"
 	"metalsvm/internal/svm"
@@ -36,9 +35,6 @@ func TestMachineDefaultsBootAllCores(t *testing.T) {
 	}
 	if got := len(m.Cluster.Members()); got != 48 {
 		t.Fatalf("default members = %d, want 48", got)
-	}
-	if m.Mode() != mailbox.ModeIPI {
-		t.Fatalf("default mode = %v, want IPI", m.Mode())
 	}
 }
 

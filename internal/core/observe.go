@@ -175,15 +175,6 @@ func (o *Observation) San() *sancheck.Checker {
 	return o.san
 }
 
-// Profiler returns the live profiler (nil when not enabled); most callers
-// want ProfileReport instead.
-func (o *Observation) Profiler() *profile.Profiler {
-	if o == nil {
-		return nil
-	}
-	return o.prof
-}
-
 // ProfileReport returns the per-core time breakdown (nil before Finish or
 // when the profiler was not enabled).
 func (o *Observation) ProfileReport() *profile.Report {

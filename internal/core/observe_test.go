@@ -137,8 +137,8 @@ func TestPerfettoExportFromMachine(t *testing.T) {
 	}
 }
 
-// TestRaceWiresThroughObservation: Observe.Race wires the checker and the
-// Machine.Race convenience field points at the same instance.
+// TestRaceWiresThroughObservation: Observe.Race wires the checker into the
+// machine's observation.
 func TestRaceWiresThroughObservation(t *testing.T) {
 	scfg := svm.DefaultConfig(svm.Strong)
 	m, err := NewMachine(Options{
@@ -148,11 +148,8 @@ func TestRaceWiresThroughObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Race == nil {
+	if m.Observability().Race() == nil {
 		t.Fatal("Observe.Race did not wire the checker")
-	}
-	if m.Observability() == nil || m.Observability().Race() != m.Race {
-		t.Fatal("Machine.Race does not match the observation's checker")
 	}
 }
 
@@ -160,7 +157,7 @@ func TestRaceWiresThroughObservation(t *testing.T) {
 func TestNilObservationAccessors(t *testing.T) {
 	var o *Observation
 	o.Finish()
-	if o.Race() != nil || o.Profiler() != nil || o.ProfileReport() != nil ||
+	if o.Race() != nil || o.ProfileReport() != nil ||
 		o.MetricsSnapshot() != nil || o.TraceEvents() != nil {
 		t.Fatal("nil observation misbehaves")
 	}

@@ -227,9 +227,6 @@ func (s *System) hardPairs() []hardPair {
 	return s.hard
 }
 
-// Mode returns the delivery mode.
-func (s *System) Mode() Mode { return s.mode }
-
 // SetServiceHook installs the kernel's inbox-drain callback for one core;
 // Send calls it only when hardened, while blocked (see serviceHooks).
 func (s *System) SetServiceHook(core int, fn func() bool) { s.serviceHooks[core] = fn }

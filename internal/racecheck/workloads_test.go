@@ -77,10 +77,10 @@ func TestPositiveControlLockFreeLRC(t *testing.T) {
 			env.Core().Load64(base)
 		}
 	})
-	if m.Race.Clean() {
+	if m.Observability().Race().Clean() {
 		t.Fatal("lock-free LRC conflict not flagged")
 	}
-	r := m.Race.Races()[0]
+	r := m.Observability().Race().Races()[0]
 	cores := map[int]bool{r.First.Core: true, r.Second.Core: true}
 	if !cores[0] || !cores[1] {
 		t.Fatalf("race attributed to wrong cores: %v", r)
@@ -92,7 +92,7 @@ func TestPositiveControlLockFreeLRC(t *testing.T) {
 		t.Fatalf("race below the shared region: %#x", r.Addr)
 	}
 	var b strings.Builder
-	m.Race.Report(&b)
+	m.Observability().Race().Report(&b)
 	if !strings.Contains(b.String(), "RACE at") {
 		t.Fatalf("report: %q", b.String())
 	}
@@ -113,8 +113,8 @@ func TestLockedVariantIsClean(t *testing.T) {
 		}
 		env.SVM.Unlock(3)
 	})
-	if !m.Race.Clean() {
-		t.Fatalf("lock-ordered accesses flagged:\n%v", m.Race.Races())
+	if !m.Observability().Race().Clean() {
+		t.Fatalf("lock-ordered accesses flagged:\n%v", m.Observability().Race().Races())
 	}
 }
 
@@ -133,8 +133,8 @@ func TestBarrierVariantIsClean(t *testing.T) {
 				t.Errorf("stale read after barrier")
 			}
 		})
-		if !m.Race.Clean() {
-			t.Fatalf("%v: barrier-ordered accesses flagged:\n%v", model, m.Race.Races())
+		if !m.Observability().Race().Clean() {
+			t.Fatalf("%v: barrier-ordered accesses flagged:\n%v", model, m.Observability().Race().Races())
 		}
 	}
 }
@@ -145,9 +145,9 @@ func TestLaplaceRaceFree(t *testing.T) {
 		m := newMachine(t, model, []int{0, 1, 2})
 		app := laplace.NewSVM(p, laplace.SVMOptions{})
 		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-		if !m.Race.Clean() {
+		if !m.Observability().Race().Clean() {
 			t.Errorf("laplace under %v: %d race observation(s):\n%v",
-				model, m.Race.Dynamic(), m.Race.Races())
+				model, m.Observability().Race().Dynamic(), m.Observability().Race().Races())
 		}
 	}
 }
@@ -158,9 +158,9 @@ func TestMatmulRaceFree(t *testing.T) {
 		m := newMachine(t, model, []int{0, 1, 30})
 		app := matmul.New(p)
 		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-		if !m.Race.Clean() {
+		if !m.Observability().Race().Clean() {
 			t.Errorf("matmul under %v: %d race observation(s):\n%v",
-				model, m.Race.Dynamic(), m.Race.Races())
+				model, m.Observability().Race().Dynamic(), m.Observability().Race().Races())
 		}
 	}
 }
@@ -171,9 +171,9 @@ func TestTaskfarmRaceFree(t *testing.T) {
 		m := newMachine(t, model, []int{0, 1, 2, 3})
 		app := taskfarm.New(p)
 		m.RunAll(func(env *core.Env) { app.Main(env.SVM) })
-		if !m.Race.Clean() {
+		if !m.Observability().Race().Clean() {
 			t.Errorf("taskfarm under %v: %d race observation(s):\n%v",
-				model, m.Race.Dynamic(), m.Race.Races())
+				model, m.Observability().Race().Dynamic(), m.Observability().Race().Races())
 		}
 		if r := app.Result(); r.Sum != p.Expected() {
 			t.Errorf("taskfarm under %v: sum %#x, want %#x", model, r.Sum, p.Expected())
@@ -208,7 +208,7 @@ func TestDomainsRaceFree(t *testing.T) {
 		t.Fatalf("domain traffic flagged:\n%v", k.Races())
 	}
 	for d, m := range ds.Machines {
-		if m.Race != k {
+		if m.Observability().Race() != k {
 			t.Fatalf("domain %d does not share the chip-wide checker", d)
 		}
 	}

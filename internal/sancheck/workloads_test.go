@@ -344,7 +344,7 @@ func TestComposesWithRaceChecker(t *testing.T) {
 	if got := san.CountOf(sancheck.LocksetRace); got == 0 {
 		t.Fatalf("lockset checker lost the finding when composed; findings: %v", san.Findings())
 	}
-	if m.Race.Clean() {
+	if m.Observability().Race().Clean() {
 		t.Fatal("race checker lost the race when composed with the sanitizer")
 	}
 }
