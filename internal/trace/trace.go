@@ -343,13 +343,10 @@ func (b *Buffer) Summary() Summary {
 	return s
 }
 
-// WriteSummary formats a Summary.
+// WriteSummary formats a Summary, ending with the ring's drop count when
+// events were lost to wrap-around.
 func WriteSummary(w io.Writer, s Summary) {
-	fmt.Fprintf(w, "%d events over %.3f us", s.Total, (s.Last - s.First).Microseconds())
-	if s.Dropped > 0 {
-		fmt.Fprintf(w, " (%d earlier events dropped by wrap-around)", s.Dropped)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%d events over %.3f us\n", s.Total, (s.Last - s.First).Microseconds())
 	kinds := make([]Kind, 0, len(s.ByKind))
 	//metalsvm:deterministic — keys are collected, then sorted below
 	for k := range s.ByKind {
@@ -367,6 +364,9 @@ func WriteSummary(w io.Writer, s Summary) {
 	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
 	for _, c := range cores {
 		fmt.Fprintf(w, "  core %-2d        %6d\n", c, s.ByCore[c])
+	}
+	if s.Dropped > 0 {
+		fmt.Fprintf(w, "  (%d older events dropped from the ring)\n", s.Dropped)
 	}
 }
 

@@ -154,7 +154,7 @@ func TestSummaryCarriesDropCount(t *testing.T) {
 	}
 	var sb strings.Builder
 	WriteSummary(&sb, s)
-	if !strings.Contains(sb.String(), "3 earlier events dropped") {
+	if !strings.Contains(sb.String(), "3 older events dropped") {
 		t.Fatalf("summary output lacks drop count:\n%s", sb.String())
 	}
 	// A fresh buffer reports zero drops and prints none.
