@@ -107,9 +107,10 @@ func FirstN(n int) []int { return core.FirstN(n) }
 // be customized and passed through Options.SVM.
 func SVMConfig(m Model) svm.Config { return svm.DefaultConfig(m) }
 
-// RaceChecker is the detector attached to Machine.Race when race checking
-// is enabled (Instrumentation.Race); inspect it after the run with Races,
-// Dynamic, Clean, or Report.
+// RaceChecker is the detector attached to the observation when race
+// checking is enabled (Instrumentation.Race). Read it with
+// Machine.Observability().Race() and inspect it with Races, Dynamic,
+// Clean, or Report.
 type RaceChecker = racecheck.Checker
 
 // Sanitizer is the checker attached to the observation when sanitizing is
