@@ -150,9 +150,11 @@ func Hops(a, b Coord) int {
 }
 
 // HopsCores returns the hop count between the tiles of two cores
-// (0 when they share a tile).
+// (0 when they share a tile). It reads the packed coordinates directly,
+// which keeps it within the inliner's budget.
 func (m *Mesh) HopsCores(a, b int) int {
-	return Hops(m.CoordOfCore(a), m.CoordOfCore(b))
+	ca, cb := m.coords[a], m.coords[b]
+	return Hops(Coord{X: int(ca.x), Y: int(ca.y)}, Coord{X: int(cb.x), Y: int(cb.y)})
 }
 
 // MemoryController returns the position of controller mc.

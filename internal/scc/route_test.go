@@ -26,6 +26,41 @@ func meshRoute(ch *Chip, core, mc int) (hops int, cross bool) {
 	return mesh.Hops(pos, port) + mesh.Hops(port, mcPos), true
 }
 
+// TestHopsCoresMatchesChipArithmetic checks every core pair's HopsCores
+// against the route worked out from chip numbers: XY hops between the local
+// ids on one chip, else both cores' hops to the system-interface port.
+func TestHopsCoresMatchesChipArithmetic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", PaperSCC()},
+		{"8x8x2", Grid(8, 8, 2)},
+		{"4x2x2-chips2", MultiChip(2, Grid(4, 2, 2))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, err := New(sim.NewEngine(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, port := ch.Mesh(), ch.Config().GICPort
+			perChip := m.Cores()
+			for a := 0; a < ch.Cores(); a++ {
+				for b := 0; b < ch.Cores(); b++ {
+					pa, pb := m.CoordOfCore(a%perChip), m.CoordOfCore(b%perChip)
+					wantHops, wantCross := mesh.Hops(pa, pb), false
+					if a/perChip != b/perChip {
+						wantHops, wantCross = mesh.Hops(pa, port)+mesh.Hops(pb, port), true
+					}
+					if hops, cross := ch.HopsCores(a, b); hops != wantHops || cross != wantCross {
+						t.Fatalf("cores %d, %d: (%d hops, cross %v), want (%d, %v)", a, b, hops, cross, wantHops, wantCross)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRouteTableMatchesMeshArithmetic checks every (core, controller) pair's
 // tabulated route against the mesh arithmetic, and that a DDR read over it
 // counts its hops, its link crossing and its mesh share accordingly.

@@ -52,7 +52,12 @@ func (ch *Chip) injectDelay(core int, r faults.Route) sim.Duration {
 // whether the path crosses the inter-chip link: same-chip transactions
 // take the direct XY route; crossings travel the local mesh to the
 // system-interface port, the link, and the remote mesh from that port.
+// On one chip the global ids are the mesh's own, so the chip arithmetic
+// (two divisions and two modulos) is skipped.
 func (ch *Chip) HopsCores(a, b int) (hops int, cross bool) {
+	if ch.chips == 1 {
+		return ch.mesh.HopsCores(a, b), false
+	}
 	if ch.SameChip(a, b) {
 		return ch.mesh.HopsCores(ch.localCore(a), ch.localCore(b)), false
 	}

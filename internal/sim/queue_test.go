@@ -7,32 +7,40 @@ import (
 	"testing"
 )
 
-// queueHarness feeds radixQueue and refQueue the same pushes and checks
+// queueHarness feeds eventQueue and refQueue the same pushes and checks
 // every peek and pop of both against a sorted-slice oracle. now follows the
 // engine's rules: a pop moves it to the popped event's time, and a
 // run-through may move it forward, below the head, without a pop.
 type queueHarness struct {
 	t      *testing.T
 	name   string
-	fast   radixQueue
+	fast   eventQueue
 	ref    refQueue
 	oracle []event
 	now    Time
 	seq    uint64
+	marks  []Time // far times a case pushes again once they are near
 }
+
+// lapEnd is the end of eventQueue's current lap: the far tier holds
+// exactly the events at or past it (invariant 1).
+func (h *queueHarness) lapEnd() Time { return h.fast.base + lapLen }
 
 func (h *queueHarness) push(at Time) {
 	h.seq++
 	ev := event{at: at, seq: h.seq}
 	h.fast.push(ev)
 	h.ref.push(ev)
-	h.oracle = append(h.oracle, ev)
+	// Keep the oracle sorted: ev goes after every event not later than it.
+	k := sort.Search(len(h.oracle), func(k int) bool { return h.oracle[k].at > at })
+	h.oracle = append(h.oracle, event{})
+	copy(h.oracle[k+1:], h.oracle[k:])
+	h.oracle[k] = ev
 }
 
 // head checks both queues' next event against the oracle's and returns it.
 func (h *queueHarness) head() (event, bool) {
 	h.t.Helper()
-	sort.Slice(h.oracle, func(i, j int) bool { return eventLess(h.oracle[i], h.oracle[j]) })
 	fh, okF := h.fast.headTime()
 	rh, okR := h.ref.head()
 	if len(h.oracle) == 0 {
@@ -88,6 +96,9 @@ func (h *queueHarness) runThrough(rng *rand.Rand) {
 	h.now = to
 }
 
+// bucketWidth is one near bucket's span in ps.
+const bucketWidth = Time(1) << bucketShift
+
 // nearOrNow is the engine's dominant pattern: half at the current instant.
 func nearOrNow(rng *rand.Rand) Time {
 	if rng.Intn(2) == 0 {
@@ -96,9 +107,12 @@ func nearOrNow(rng *rand.Rand) Time {
 	return Time(rng.Intn(100))
 }
 
-// TestQueueEquivalence drives radixQueue and refQueue with identical
+// TestQueueEquivalence drives eventQueue and refQueue with identical
 // randomized workloads (fixed seed: the test itself is deterministic) and
-// checks both against a sorted-slice oracle at every peek and pop.
+// checks both against a sorted-slice oracle at every peek and pop. The
+// cases from lap-edge on aim at queue.go's three invariants: every far
+// event is at or past the lap's end, the lap never starts ahead of the
+// clock, and a peek never opens a lap.
 func TestQueueEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -154,23 +168,127 @@ func TestQueueEquivalence(t *testing.T) {
 				h.push(h.now + d)
 			}
 		}},
-	}
-	rng := rand.New(rand.NewSource(1))
-	for _, c := range cases {
-		for trial := 0; trial < 50; trial++ {
-			h := &queueHarness{t: t, name: fmt.Sprintf("%s trial %d", c.name, trial)}
-			for op := 0; op < 400; op++ {
-				c.step(h, rng)
+		// The lap's last picosecond and its end: the first goes to a
+		// bucket, the second to the far tier (invariant 1).
+		{"lap-edge", func(h *queueHarness, rng *rand.Rand) {
+			end := h.lapEnd()
+			switch r := rng.Intn(4); {
+			case r == 0 && end-1 >= h.now:
+				h.push(end - 1)
+				h.push(end)
+			case r == 1 && len(h.oracle) > 0:
+				h.pop()
+			default:
+				h.push(h.now + Time(rng.Int63n(int64(lapLen))))
 			}
-			h.drain()
-		}
+		}},
+		// A far event, then a near push at the same time once the lap has
+		// reached it: the older sequence number pops first.
+		{"far-then-near", func(h *queueHarness, rng *rand.Rand) {
+			switch r := rng.Intn(4); {
+			case r == 0:
+				at := h.lapEnd() + Time(rng.Int63n(int64(lapLen)))
+				h.push(at)
+				h.marks = append(h.marks, at)
+			case r == 1 && len(h.marks) > 0:
+				k := rng.Intn(len(h.marks))
+				if at := h.marks[k]; at >= h.now {
+					h.push(at)
+				}
+			case len(h.oracle) > 0:
+				h.pop()
+			default:
+				h.push(h.now + Time(rng.Intn(4096)))
+			}
+		}},
+		// Pushes land inside one bucket in any order, so most are not the
+		// bucket's latest: each needs the ordered insert.
+		{"bucket-disorder", func(h *queueHarness, rng *rand.Rand) {
+			if len(h.oracle) > 0 && rng.Intn(4) == 0 {
+				h.pop()
+				return
+			}
+			start := (h.now/bucketWidth + Time(rng.Intn(3))) * bucketWidth
+			for n := rng.Intn(4); n >= 0; n-- {
+				if at := start + Time(rng.Intn(int(bucketWidth))); at >= h.now {
+					h.push(at)
+				}
+			}
+		}},
+		// A run-through to a bucket below the head's, then pushes there:
+		// the head moves back to an earlier bucket without a pop.
+		{"run-through-bucket", func(h *queueHarness, rng *rand.Rand) {
+			switch r := rng.Intn(5); {
+			case r == 0:
+				h.runThrough(rng)
+				h.push(h.now)
+				h.push(h.now + Time(rng.Intn(int(bucketWidth))))
+			case r == 1 && len(h.oracle) > 0:
+				h.pop()
+			default:
+				h.push(h.now + Time(2+rng.Intn(30))*bucketWidth + Time(rng.Intn(int(bucketWidth))))
+			}
+		}},
+		// The far tier's minimum T and events exactly at T+lapLen: the lap
+		// that opens at T ends exactly at them, and they stay far.
+		{"lap-open-at-end", func(h *queueHarness, rng *rand.Rand) {
+			if len(h.oracle) > 0 && rng.Intn(3) != 0 {
+				h.pop()
+				return
+			}
+			at := h.lapEnd() + Time(rng.Intn(3))*lapLen + Time(rng.Intn(100))
+			h.push(at)
+			h.push(at + lapLen)
+			h.push(at + lapLen)
+			h.push(at + 2*lapLen)
+		}},
+		// RunUntil limits about the lap's end: peek a head past the limit,
+		// dispatch nothing, and schedule below it on either side of the
+		// lap's end. The peek must not have opened a lap (invariant 3).
+		{"limit-lap", func(h *queueHarness, rng *rand.Rand) {
+			limit := h.lapEnd() - 2*bucketWidth + Time(rng.Intn(int(4*bucketWidth)))
+			if limit < h.now {
+				limit = h.now
+			}
+			if head, ok := h.head(); ok && head.at <= limit {
+				h.pop()
+				return
+			}
+			if rng.Intn(2) == 0 {
+				h.runThrough(rng)
+			}
+			for n := rng.Intn(3); n >= 0; n-- {
+				h.push(h.now + Time(rng.Int63n(int64(2*lapLen))))
+			}
+		}},
+		// Every delay is at least one lap: each event reaches a bucket only
+		// through a handover.
+		{"far-only", func(h *queueHarness, rng *rand.Rand) {
+			if len(h.oracle) > 0 && rng.Intn(2) == 0 {
+				h.pop()
+				return
+			}
+			h.push(h.now + lapLen + Time(rng.Int63n(int64(4*lapLen))))
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			for trial := 0; trial < 50; trial++ {
+				h := &queueHarness{t: t, name: fmt.Sprintf("trial %d", trial)}
+				for op := 0; op < 400; op++ {
+					c.step(h, rng)
+				}
+				h.drain()
+			}
+		})
 	}
 }
 
 // TestQueueAllocFree holds a warm push/pop cycle at zero allocations: the
 // slab recycles the popped node.
 func TestQueueAllocFree(t *testing.T) {
-	var q radixQueue
+	var q eventQueue
 	var now Time
 	var seq uint64
 	for i := 0; i < 1024; i++ {
@@ -256,7 +374,7 @@ func (q *refQueue) pop() event {
 }
 
 // popEvent pops q's head as a value.
-func popEvent(q *radixQueue) event {
+func popEvent(q *eventQueue) event {
 	var ev event
 	q.pop(&ev)
 	return ev
@@ -267,10 +385,10 @@ func popEvent(q *radixQueue) event {
 func sameEvent(a, b event) bool { return a.at == b.at && a.seq == b.seq }
 
 // TestQueueFIFOOrder checks same-time events dispatch in insertion order,
-// whether they were pushed before the clock reached their time (into a
-// higher bucket, redistributed later) or at it.
+// whether they were pushed before the clock reached their time (into the
+// far tier, handed over later) or at it.
 func TestQueueFIFOOrder(t *testing.T) {
-	var q radixQueue
+	var q eventQueue
 	// Scheduled before the clock reaches 100.
 	q.push(event{at: 100, seq: 1})
 	q.push(event{at: 0, seq: 2})
@@ -328,11 +446,60 @@ func BenchmarkEngineScheduleAtNow(b *testing.B) {
 	}
 }
 
+// holdShare is one slice of a hold model's delta histogram: share of the
+// pushes land uniformly in [lo, hi) ps past the popped event.
+type holdShare struct {
+	share  float64
+	lo, hi Time
+}
+
+// Push-delta histograms recorded from the engine at seed 1, at the
+// benchmark's default sizes. kv_crash keeps ~740 events pending, most of
+// them mail and MPB accesses a few hundred ns ahead, with rescue deadlines
+// and retransmit timers far behind; svm_pingpong keeps 2.4 pending, half at
+// the current instant and the rest spread up to a few µs.
+var (
+	holdDeep = []holdShare{
+		{0.135, 0, 1},
+		{0.071, 1 << 14, 1 << 17},
+		{0.703, 1 << 17, 1 << 18},
+		{0.027, 1 << 18, 1 << 22},
+		{0.029, 1 << 25, 1 << 27},
+		{0.035, 1 << 28, 1 << 29},
+	}
+	holdShallow = []holdShare{
+		{0.570, 0, 1},
+		{0.285, 1 << 15, 1 << 16},
+		{0.072, 1 << 17, 1 << 18},
+		{0.071, 1 << 21, 1 << 22},
+		{0.002, 1 << 29, 1 << 30},
+	}
+)
+
+// holdDeltas draws n deltas from hist.
+func holdDeltas(rng *rand.Rand, n int, hist []holdShare) []Time {
+	deltas := make([]Time, n)
+	for i := range deltas {
+		r := rng.Float64()
+		s := hist[len(hist)-1]
+		for _, h := range hist {
+			if r < h.share {
+				s = h
+				break
+			}
+			r -= h.share
+		}
+		deltas[i] = s.lo + Time(rng.Int63n(int64(s.hi-s.lo)))
+	}
+	return deltas
+}
+
 // BenchmarkQueueHold is the classic hold model: pop the minimum, push the
-// minimum plus a delta, at a constant number of pending events. Nine deltas
-// in ten are near (under 10 ns, a mail or a memory access); one is far (a
-// kernel deadline or timer tick, 0.5-1 ms), the mix that makes the engine's
-// deep queues deep.
+// minimum plus a delta, at a constant number of pending events. In the
+// pendingN subcases nine deltas in ten are near (under 10 ns, a mail or a
+// memory access) and one is far (a kernel deadline or timer tick,
+// 0.5-1 ms). deep and shallow draw their deltas from the histograms the
+// engine records on kv_crash and svm_pingpong, at those workloads' depths.
 func BenchmarkQueueHold(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	deltas := make([]Time, 4096)
@@ -344,20 +511,26 @@ func BenchmarkQueueHold(b *testing.B) {
 	}
 	for _, pending := range []int{32, 512, 1024} {
 		b.Run(fmt.Sprint("pending", pending), func(b *testing.B) {
-			var q radixQueue
-			var ev event
-			var seq uint64
-			for i := 0; i < pending; i++ {
-				seq++
-				q.push(event{at: deltas[i%len(deltas)], seq: seq})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q.pop(&ev)
-				seq++
-				q.push(event{at: ev.at + deltas[i%len(deltas)], seq: seq})
-			}
+			benchHold(b, pending, deltas)
 		})
+	}
+	b.Run("deep", func(b *testing.B) { benchHold(b, 740, holdDeltas(rng, 4096, holdDeep)) })
+	b.Run("shallow", func(b *testing.B) { benchHold(b, 3, holdDeltas(rng, 4096, holdShallow)) })
+}
+
+func benchHold(b *testing.B, pending int, deltas []Time) {
+	var q eventQueue
+	var ev event
+	var seq uint64
+	for i := 0; i < pending; i++ {
+		seq++
+		q.push(event{at: deltas[i%len(deltas)], seq: seq})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.pop(&ev)
+		seq++
+		q.push(event{at: ev.at + deltas[i%len(deltas)], seq: seq})
 	}
 }

@@ -74,7 +74,6 @@ func (c Clock) ToCycles(d Duration) uint64 { return uint64(d) / c.PeriodPS }
 type Engine struct {
 	now     Time
 	seq     uint64
-	queue   radixQueue // pending events in (time, sequence) order; see queue.go
 	procs   []*Proc
 	stopped bool
 	limit   Time          // RunUntil's bound: no event past it is dispatched
@@ -83,6 +82,10 @@ type Engine struct {
 	stats   Stats
 	// deadlines are Signal.Deadline's free event records.
 	deadlines []*deadline
+	// queue holds the pending events in (time, sequence) order; see
+	// queue.go. It is last so that its bucket arrays follow the hot
+	// scalars above instead of sitting between them.
+	queue eventQueue
 }
 
 // Stats are exact, bit-reproducible counts of what the engine did.
