@@ -167,7 +167,9 @@ func (q *eventQueue) link(i int32, at Time) {
 		if q.near == 0 && (q.farN == 0 || at < q.head) {
 			q.head = at
 		}
-		q.farPush(i, at)
+		q.nodes[i].next = 0
+		q.farLink(i, at)
+		q.farN++
 		return
 	}
 	b := int(off >> bucketShift)
@@ -183,17 +185,25 @@ func (q *eventQueue) link(i int32, at Time) {
 // the largest among the bucket's nodes at its time.
 func (q *eventQueue) insert(i int32, at Time, b int) {
 	t := q.tails[b]
-	if t == 0 || at >= q.nodes[t].ev.at {
-		q.appendTo(i, b)
-		return
+	switch {
+	case t == 0:
+		q.nodes[i].next = i
+		q.tails[b] = i
+		q.words[b>>6] |= 1 << (b & 63)
+		q.summary |= 1 << (b >> 6)
+	case at >= q.nodes[t].ev.at:
+		q.nodes[i].next = q.nodes[t].next
+		q.nodes[t].next = i
+		q.tails[b] = i
+	default:
+		// The tail is later, so the walk stops before it.
+		prev, j := t, q.nodes[t].next
+		for q.nodes[j].ev.at <= at {
+			prev, j = j, q.nodes[j].next
+		}
+		q.nodes[i].next = j
+		q.nodes[prev].next = i
 	}
-	// The tail is later, so the walk stops before it.
-	prev, j := t, q.nodes[t].next
-	for q.nodes[j].ev.at <= at {
-		prev, j = j, q.nodes[j].next
-	}
-	q.nodes[i].next = j
-	q.nodes[prev].next = i
 }
 
 // pop removes the next event into *ev. Filling the caller's record instead
@@ -288,26 +298,6 @@ func (q *eventQueue) openLap() {
 		bk.head = 0
 	}
 	q.cur = 0
-}
-
-// appendTo links node i at the tail of near bucket b.
-func (q *eventQueue) appendTo(i int32, b int) {
-	if t := q.tails[b]; t == 0 {
-		q.nodes[i].next = i
-		q.words[b>>6] |= 1 << (b & 63)
-		q.summary |= 1 << (b >> 6)
-	} else {
-		q.nodes[i].next = q.nodes[t].next
-		q.nodes[t].next = i
-	}
-	q.tails[b] = i
-}
-
-// farPush appends node i, at time at, to its radix-heap bucket.
-func (q *eventQueue) farPush(i int32, at Time) {
-	q.nodes[i].next = 0
-	q.farLink(i, at)
-	q.farN++
 }
 
 // farLink appends node i, at time at and with next 0, to its heap bucket.
