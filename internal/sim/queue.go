@@ -37,14 +37,17 @@ import "math/bits"
 // Each bucket is a list in (time, seq) order, so its first node is its
 // minimum; a push carries the largest sequence number so far and goes after
 // every node not later than it (almost always the tail), and a handover
-// fills empty buckets in order. A two-level occupancy bitmap finds the next
-// non-empty bucket. Records of both tiers live in one slab linked by index,
-// so a steady schedule/dispatch cycle allocates nothing. TestQueueEquivalence
-// drives it against a plain binary heap and a sorted-slice oracle.
+// moves the heap's nodes in the same way (see openLap). A two-level
+// occupancy bitmap finds the next non-empty bucket. Records of both tiers
+// live in one slab linked by index, so a steady schedule/dispatch cycle
+// allocates nothing. TestQueueEquivalence drives it against a plain binary
+// heap and a sorted-slice oracle.
 
 // The lap's geometry: lapBuckets buckets of 2^bucketShift ps (about 4 ns)
-// make a lap of about 4.2 µs. BenchmarkQueueHold's deep and shallow
-// subcases, drawn from the engine's recorded push histograms, chose it.
+// make a lap of about 4.2 µs. On BenchmarkQueueHold's deep and shallow
+// subcases, drawn from the engine's recorded push histograms, laps of 512
+// to 2 048 buckets of 2^11 to 2^13 ps all read within about 10 % of one
+// another; this one keeps the bucket tails at 4 KB an engine.
 const (
 	bucketShift = 12
 	lapBuckets  = 1024
